@@ -92,21 +92,39 @@ pub struct Recorded {
     pub expected_replayed: Option<u64>,
 }
 
+/// The metrics `BENCHMARK.json` lists under `end_to_end`, in its order:
+/// every workload reports each of them.
+pub const E2E_METRICS: [&str; 6] = [
+    "setup_s",
+    "label_build_s",
+    "query_p50_ms",
+    "est_abs_err_mean",
+    "est_abs_err_max",
+    "peak_rss_mb",
+];
+
 /// One workload's end-to-end results.
 pub struct Run {
-    /// The metrics `BENCHMARK.json` lists under `end_to_end`.
+    /// The [`E2E_METRICS`], in order.
     pub e2e: Vec<Metric>,
-    /// Report-only metrics: the time figures (too host-sensitive for the
-    /// result line, see README "Steadiness") and those only this
-    /// workload measures.
+    /// Report-only metrics: tail percentiles, whose run-to-run spread is
+    /// wider than any bound the result line may carry, and the figures
+    /// only some workloads measure.
     pub extra: Vec<Metric>,
     /// Per-layer figures read from the live server (traced runs).
     pub live: Vec<Metric>,
     pub tally: Tally,
     pub spans: SpanLog,
     pub recorded: Recorded,
-    /// (untraced, traced) query latency samples of a traced run.
-    pub overhead: Option<(Samples, Samples)>,
+}
+
+/// Orders a workload's end-to-end metrics as [`E2E_METRICS`]; panics
+/// when one is missing or extra, so no workload can drop one.
+fn gated(mut metrics: Vec<Metric>) -> Vec<Metric> {
+    metrics.sort_by_key(|m| E2E_METRICS.iter().position(|&n| n == m.name));
+    let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+    assert_eq!(names, E2E_METRICS, "end-to-end metrics");
+    metrics
 }
 
 /// The run's shared settings.
@@ -117,15 +135,6 @@ pub struct Ctx {
     pub trace: bool,
     pub work_dir: PathBuf,
     pub epoch: Instant,
-}
-
-/// In traced runs, spans are recorded around a pseudo-random half of the
-/// requests (a hash of the request id), so traced and untraced latencies
-/// sample the same mix: on label_build a time slice would hold one
-/// dataset's probes, and strict alternation falls in step with
-/// ingest_durable's append schedule (4 queries per 3 appends).
-fn traced(request: u64) -> bool {
-    Rng::new(request).next_u64() & 1 == 1
 }
 
 fn io<T>(r: std::io::Result<T>, what: &str) -> Res<T> {
@@ -354,7 +363,6 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
     let mut build = Samples::new();
     let mut query = Samples::new();
     let mut peak_rss = Samples::new();
-    let mut overhead = (Samples::new(), Samples::new());
     let mut first_answers: Vec<Vec<Vec<Answer>>> = vec![Vec::new(); pairs.len()];
     let mut picked: Vec<Option<AttrSet>> = vec![None; pairs.len()];
     let mut recorded = Recorded::default();
@@ -369,6 +377,8 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
         let pass_start = Instant::now();
         let mut pass_build = 0.0;
         let mut pass_peak = 0.0f64;
+        let mut pass_regs = Vec::new();
+        let mut pass_p50 = Vec::new();
         for (k, &(d, _)) in pairs.iter().enumerate() {
             let name = PaperDataset::ALL[d].short();
             let spawned = Instant::now();
@@ -388,6 +398,7 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
                 );
             }
             pass_build += rtt;
+            pass_regs.push(format!("{rtt:.3}"));
             let response = io(response, "register")?;
             let json = need(parse_ok(&response), "register")?;
             let s = label_attrs_of(&uploads[d], &json)?;
@@ -401,25 +412,22 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
                     format!("{name}: search picked {s:?} after {first:?}")
                 }),
             }
+            let mut probe_rtt = Samples::new();
             for (i, line) in probes[d].lines.iter().enumerate() {
                 request += 1;
                 let t = Instant::now();
                 let response = conn.call(line);
                 let rtt = t.elapsed().as_secs_f64();
                 query.push(rtt);
+                probe_rtt.push(rtt);
                 if ctx.trace {
-                    if traced(request) {
-                        overhead.1.push(rtt);
-                        spans.record(
-                            "client.query",
-                            None,
-                            request,
-                            t,
-                            t + Duration::from_secs_f64(rtt),
-                        );
-                    } else {
-                        overhead.0.push(rtt);
-                    }
+                    spans.record(
+                        "client.query",
+                        None,
+                        request,
+                        t,
+                        t + Duration::from_secs_f64(rtt),
+                    );
                 }
                 let result = match response {
                     Ok(text) => scan_query(text, &mut answers),
@@ -445,6 +453,7 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
                     }
                 }
             }
+            pass_p50.push(format!("{:.3}", probe_rtt.median().unwrap_or(0.0) * 1e3));
             if ctx.trace && pass == 0 {
                 let (h, m, _) = cache_stats(&mut conn, name)?;
                 hits += h;
@@ -462,6 +471,11 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
         }
         build.push(pass_build);
         peak_rss.push(pass_peak);
+        println!(
+            "label_build pass {pass}: registers (s) {} probe p50 (ms) {}",
+            pass_regs.join(" "),
+            pass_p50.join(" ")
+        );
         last_pass = pass_start.elapsed().as_secs_f64();
         pass += 1;
     }
@@ -498,9 +512,13 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
 
     print_samples("label_build passes (s)", &build, 1.0, 3);
     print_samples("label_build pass peak RSS (MiB)", &peak_rss, 1.0, 1);
-    let mut e2e = vec![setup.median_metric("setup_s", 1.0, "s")];
+    let mut e2e = vec![
+        setup.median_metric("setup_s", 1.0, "s"),
+        build.median_metric("label_build_s", 1.0, "s"),
+        query.metric("query_p50_ms", 50.0, 1e3, "ms"),
+        peak_rss.median_metric("peak_rss_mb", 1.0, "MiB"),
+    ];
     error_metrics(&errors, &mut e2e);
-    e2e.push(peak_rss.median_metric("peak_rss_mb", 1.0, "MiB"));
 
     if ctx.trace {
         for (k, &(d, b)) in pairs.iter().enumerate() {
@@ -521,10 +539,8 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
         recorded.appends = resampled_batches(&mut rng, &uploads[1], 1200);
     }
     Ok(Run {
-        e2e,
+        e2e: gated(e2e),
         extra: vec![
-            build.median_metric("label_build_s", 1.0, "s"),
-            query.metric("query_p50_ms", 50.0, 1e3, "ms"),
             query.metric("query_p99_ms", 99.0, 1e3, "ms"),
             Metric::new("passes", pass as f64, "count", 1, "count"),
         ],
@@ -532,18 +548,19 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
         tally,
         spans,
         recorded,
-        overhead: ctx.trace.then_some(overhead),
     })
 }
 
 // ----------------------------------------------------------------- serve_read
 
-const SR_SETUPS: usize = 5;
+/// Rounds of set-up plus measured slice; the slices share the run's
+/// seconds.
+const SR_ROUNDS: usize = 7;
 /// Attribute subsets of the serve_read pool, and its size: a universe
 /// larger than the cache's 16 × 8,192 entries.
 const SR_SUBSETS: usize = 3_000;
 const SR_POOL: usize = 250_000;
-const SR_WARMUP: usize = 1_000;
+const SR_WARMUP: usize = 500;
 const SR_CLIENTS: usize = 2;
 const SR_RECORD: usize = 2_000;
 
@@ -596,6 +613,97 @@ fn served_pool(
     )
 }
 
+/// What one client of a measured slice hands back.
+struct ClientRun {
+    lat: Samples,
+    tally: Tally,
+    spans: SpanLog,
+    recorded: Vec<(usize, String, f64)>,
+    finished: Instant,
+}
+
+/// One measured slice of serve_read: a closed loop on each of
+/// `SR_CLIENTS` connections for `seconds`. Returns the slice's start and
+/// what each client measured.
+fn closed_loop(
+    ctx: &Ctx,
+    server: &Server,
+    served: &Arc<Served>,
+    round: usize,
+    seconds: f64,
+) -> Res<(Instant, Vec<ClientRun>)> {
+    let start = Instant::now() + Duration::from_millis(20);
+    let handles: Vec<_> = (0..SR_CLIENTS)
+        .map(|c| {
+            let mut conn = connect(server)?;
+            let served = Arc::clone(served);
+            let (trace, epoch, seed) = (ctx.trace, ctx.epoch, ctx.seed);
+            let record = if trace && round == 0 && c == 0 {
+                SR_RECORD
+            } else {
+                0
+            };
+            let id = (round * SR_CLIENTS + c) as u64;
+            Ok(std::thread::spawn(move || {
+                let mut rng = Rng::stream(seed, &format!("serve_read.round{round}.client{c}"));
+                let mut lat = Samples::new();
+                let mut tally = Tally::default();
+                let mut spans = SpanLog::new(epoch, 2 + id);
+                let mut recorded = Vec::new();
+                let mut idx = Vec::new();
+                let mut answers = Vec::new();
+                while Instant::now() < start {
+                    std::hint::spin_loop();
+                }
+                let deadline = start + Duration::from_secs_f64(seconds);
+                let mut request = id << 40;
+                while Instant::now() < deadline {
+                    let line = draw_query(&mut rng, &served.zipf, &served.pool, "compas", &mut idx);
+                    request += 1;
+                    let t = Instant::now();
+                    let response = conn.call(&line);
+                    let rtt = t.elapsed().as_secs_f64();
+                    lat.push(rtt);
+                    if trace {
+                        spans.record(
+                            "client.query",
+                            None,
+                            request,
+                            t,
+                            t + Duration::from_secs_f64(rtt),
+                        );
+                        if recorded.len() < record {
+                            recorded.push((0usize, line.clone(), rtt));
+                        }
+                    }
+                    match response {
+                        Ok(text) => {
+                            let scanned = scan_query(text, &mut answers);
+                            check_answers(scanned, &idx, &answers, &served, &mut tally);
+                        }
+                        Err(e) => {
+                            tally.fail(transport_failure(&e));
+                            break;
+                        }
+                    }
+                }
+                ClientRun {
+                    lat,
+                    tally,
+                    spans,
+                    recorded,
+                    finished: Instant::now(),
+                }
+            }))
+        })
+        .collect::<Res<Vec<_>>>()?;
+    let clients = handles
+        .into_iter()
+        .map(|h| h.join().map_err(|_| "client thread panicked".to_string()))
+        .collect::<Res<Vec<_>>>()?;
+    Ok((start, clients))
+}
+
 pub fn serve_read(ctx: &Ctx) -> Res<Run> {
     let upload = Arc::new(Upload::new(&PaperDataset::Compas.generate(None)));
     let s = upload.attrs_of(&SERVE_READ_S);
@@ -608,6 +716,7 @@ pub fn serve_read(ctx: &Ctx) -> Res<Run> {
         .zip(&served.expected)
         .filter_map(|(p, e)| Some((e.0 - truth.count(p)? as f64).abs()))
         .collect();
+    let served = Arc::new(served);
     let name = "compas";
     let register = register_line(name, &upload.csv, &label_attrs_policy(&SERVE_READ_S));
 
@@ -616,14 +725,19 @@ pub fn serve_read(ctx: &Ctx) -> Res<Run> {
     println!("server: {}", flags.describe());
     let mut setup = Samples::new();
     let mut build = Samples::new();
-    let mut live: Option<(Server, Conn)> = None;
+    let mut lat = Samples::new();
+    let mut round_p50 = Samples::new();
+    let mut peak_rss = Samples::new();
+    let mut spans = SpanLog::new(ctx.epoch, 1);
+    let mut recorded = Recorded::default();
+    let mut live_metrics = Vec::new();
+    let mut elapsed = 0.0;
     let mut warm_rng = Rng::stream(ctx.seed, "serve_read.warmup");
     let mut idx = Vec::new();
     let mut answers = Vec::new();
-    for _ in 0..SR_SETUPS {
-        if let Some((server, _)) = live.take() {
-            server.kill();
-        }
+    // Rounds of set-up plus a measured slice, each on a fresh server, so
+    // the set-up samples spread across the run as the latency samples do.
+    for round in 0..SR_ROUNDS {
         let t0 = Instant::now();
         let server = io(Server::spawn(&ctx.netd, &flags), "spawn pclabel-netd")?;
         let mut conn = connect(&server)?;
@@ -646,109 +760,43 @@ pub fn serve_read(ctx: &Ctx) -> Res<Run> {
             );
         }
         setup.push(t0.elapsed().as_secs_f64());
-        live = Some((server, conn));
+        // The set-up connection closes: the slice has exactly two.
+        drop(conn);
+        let slice = ctx.seconds / SR_ROUNDS as f64;
+        let (start, clients) = closed_loop(ctx, &server, &served, round, slice)?;
+        let mut end = start;
+        let mut this_round = Samples::new();
+        for c in clients {
+            this_round.extend(&c.lat);
+            tally.merge(&c.tally);
+            spans.absorb(c.spans);
+            recorded.queries.extend(c.recorded);
+            end = end.max(c.finished);
+        }
+        elapsed += (end - start).as_secs_f64();
+        lat.extend(&this_round);
+        round_p50.push(this_round.median().unwrap_or(f64::NAN));
+        peak_rss.push(server.peak_rss_mb().unwrap_or(f64::NAN));
+        if ctx.trace && round + 1 == SR_ROUNDS {
+            let mut conn = connect(&server)?;
+            let (hits, misses, _) = cache_stats(&mut conn, name)?;
+            cache_metrics(hits, misses, &mut live_metrics);
+            live_layers(&server, &mut conn, &mut live_metrics)?;
+        }
+        server.kill();
     }
     print_samples("serve_read set-ups (s)", &setup, 1.0, 3);
     print_samples("serve_read registers (s)", &build, 1.0, 3);
-    let (server, conn) = live.expect("at least one set-up");
-    drop(conn);
+    print_samples("serve_read slice query p50 (ms)", &round_p50, 1e3, 3);
 
-    // Measured phase: a closed loop on each of two connections.
-    let start = Instant::now() + Duration::from_millis(20);
-    let served = Arc::new(served);
-    let handles: Vec<_> = (0..SR_CLIENTS)
-        .map(|c| {
-            let mut conn = connect(&server)?;
-            let served = Arc::clone(&served);
-            let trace = ctx.trace;
-            let epoch = ctx.epoch;
-            let seed = ctx.seed;
-            let seconds = ctx.seconds;
-            Ok(std::thread::spawn(move || {
-                let mut rng = Rng::stream(seed, &format!("serve_read.client{c}"));
-                let mut lat = Samples::new();
-                let mut overhead = (Samples::new(), Samples::new());
-                let mut tally = Tally::default();
-                let mut spans = SpanLog::new(epoch, 2 + c as u64);
-                let mut recorded = Vec::new();
-                let mut idx = Vec::new();
-                let mut answers = Vec::new();
-                while Instant::now() < start {
-                    std::hint::spin_loop();
-                }
-                let deadline = start + Duration::from_secs_f64(seconds);
-                let mut request = (c as u64) << 40;
-                while Instant::now() < deadline {
-                    let line = draw_query(&mut rng, &served.zipf, &served.pool, name, &mut idx);
-                    request += 1;
-                    let t = Instant::now();
-                    let response = conn.call(&line);
-                    let rtt = t.elapsed().as_secs_f64();
-                    lat.push(rtt);
-                    if trace {
-                        if traced(request) {
-                            overhead.1.push(rtt);
-                            spans.record(
-                                "client.query",
-                                None,
-                                request,
-                                t,
-                                t + Duration::from_secs_f64(rtt),
-                            );
-                        } else {
-                            overhead.0.push(rtt);
-                        }
-                        if c == 0 && recorded.len() < SR_RECORD {
-                            recorded.push((0usize, line.clone(), rtt));
-                        }
-                    }
-                    match response {
-                        Ok(text) => {
-                            let scanned = scan_query(text, &mut answers);
-                            check_answers(scanned, &idx, &answers, &served, &mut tally);
-                        }
-                        Err(e) => {
-                            tally.fail(transport_failure(&e));
-                            break;
-                        }
-                    }
-                }
-                (lat, overhead, tally, spans, recorded, Instant::now())
-            }))
-        })
-        .collect::<Res<Vec<_>>>()?;
-    let mut lat = Samples::new();
-    let mut overhead = (Samples::new(), Samples::new());
-    let mut spans = SpanLog::new(ctx.epoch, 1);
-    let mut recorded = Recorded::default();
-    let mut end = start;
-    for h in handles {
-        let (l, o, t, sp, rec, finished) = h.join().map_err(|_| "client thread panicked")?;
-        lat.extend(&l);
-        overhead.0.extend(&o.0);
-        overhead.1.extend(&o.1);
-        tally.merge(&t);
-        spans.absorb(sp);
-        recorded.queries.extend(rec);
-        end = end.max(finished);
-    }
-    let elapsed = (end - start).as_secs_f64();
-    let peak_rss = server.peak_rss_mb().unwrap_or(f64::NAN);
-    let mut live_metrics = Vec::new();
-    if ctx.trace {
-        let mut conn = connect(&server)?;
-        let (hits, misses, _) = cache_stats(&mut conn, name)?;
-        cache_metrics(hits, misses, &mut live_metrics);
-        live_layers(&server, &mut conn, &mut live_metrics)?;
-    }
-    server.kill();
-
-    let mut e2e = vec![setup.median_metric("setup_s", 1.0, "s")];
-    error_metrics(&errors, &mut e2e);
-    e2e.push(Metric::new("peak_rss_mb", peak_rss, "MiB", 1, "VmHWM"));
-    let extra = vec![
+    let mut e2e = vec![
+        setup.median_metric("setup_s", 1.0, "s"),
         build.median_metric("label_build_s", 1.0, "s"),
         lat.metric("query_p50_ms", 50.0, 1e3, "ms"),
+        peak_rss.median_metric("peak_rss_mb", 1.0, "MiB"),
+    ];
+    error_metrics(&errors, &mut e2e);
+    let extra = vec![
         lat.metric("query_p99_ms", 99.0, 1e3, "ms"),
         Metric::new(
             "query_rps",
@@ -770,13 +818,12 @@ pub fn serve_read(ctx: &Ctx) -> Res<Run> {
         recorded.appends = resampled_batches(&mut rng, &upload, 1200);
     }
     Ok(Run {
-        e2e,
+        e2e: gated(e2e),
         extra,
         live: live_metrics,
         tally,
         spans,
         recorded,
-        overhead: ctx.trace.then_some(overhead),
     })
 }
 
@@ -1059,7 +1106,6 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
             let mut rng = Rng::stream(seed, "ingest_durable.queries");
             let mut lat = Samples::new();
             let mut late = Samples::new();
-            let mut overhead = (Samples::new(), Samples::new());
             let mut tally = Tally::default();
             let mut spans = SpanLog::new(epoch, 3);
             let mut asked: Vec<Asked> = Vec::new();
@@ -1085,12 +1131,7 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
                 let latency = (done - due).as_secs_f64();
                 lat.push(latency);
                 if trace {
-                    if traced(k as u64) {
-                        overhead.1.push(latency);
-                        spans.record("client.query", None, (2 << 40) + k as u64, sent, done);
-                    } else {
-                        overhead.0.push(latency);
-                    }
+                    spans.record("client.query", None, (2 << 40) + k as u64, sent, done);
                     if recorded.len() < ID_RECORD {
                         recorded.push((0usize, line.clone(), (done - sent).as_secs_f64()));
                     }
@@ -1111,12 +1152,12 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
                 }
                 k += 1;
             }
-            (lat, late, overhead, tally, spans, asked, recorded)
+            (lat, late, tally, spans, asked, recorded)
         })
     };
     let (append_lat, append_tally, append_spans, order) =
         appender.join().map_err(|_| "append thread panicked")?;
-    let (query_lat, late, overhead, query_tally, query_spans, asked, recorded_queries) =
+    let (query_lat, late, query_tally, query_spans, asked, recorded_queries) =
         querier.join().map_err(|_| "query thread panicked")?;
     let mut control = connect(&server)?;
     let mut query_lat = query_lat;
@@ -1299,12 +1340,14 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
         "pre-kill answers disagree with the twin label".into()
     });
 
-    let mut e2e = vec![setup.median_metric("setup_s", 1.0, "s")];
-    error_metrics(&errors, &mut e2e);
-    e2e.push(Metric::new("peak_rss_mb", peak_rss, "MiB", 1, "VmHWM"));
-    let extra = vec![
+    let mut e2e = vec![
+        setup.median_metric("setup_s", 1.0, "s"),
         build.median_metric("label_build_s", 1.0, "s"),
         query_lat.metric("query_p50_ms", 50.0, 1e3, "ms"),
+        Metric::new("peak_rss_mb", peak_rss, "MiB", 1, "VmHWM"),
+    ];
+    error_metrics(&errors, &mut e2e);
+    let extra = vec![
         query_lat.metric("query_p99_ms", 99.0, 1e3, "ms"),
         append_lat.metric("append_p50_ms", 50.0, 1e3, "ms"),
         append_lat.metric("append_p99_ms", 99.0, 1e3, "ms"),
@@ -1333,13 +1376,12 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
         let _ = std::fs::remove_dir_all(&data_dir);
     }
     Ok(Run {
-        e2e,
+        e2e: gated(e2e),
         extra,
         live: live_metrics,
         tally,
         spans,
         recorded,
-        overhead: ctx.trace.then_some(overhead),
     })
 }
 
@@ -1353,5 +1395,33 @@ mod tests {
                       (snapshot lsn 33, 9 WAL record(s) replayed)\n";
         assert_eq!(replayed_records(stderr), Some(9));
         assert_eq!(replayed_records("nothing"), None);
+    }
+
+    #[test]
+    fn end_to_end_metrics_match_benchmark_json() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let json = Json::parse(&text).unwrap();
+        let names: Vec<&str> = json
+            .get("end_to_end")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|m| m.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, E2E_METRICS);
+    }
+
+    #[test]
+    fn gated_orders_and_requires_every_metric() {
+        let all: Vec<Metric> = E2E_METRICS
+            .iter()
+            .rev()
+            .map(|n| Metric::count(n, 1.0, "count"))
+            .collect();
+        let names: Vec<String> = gated(all.clone()).into_iter().map(|m| m.name).collect();
+        assert_eq!(names, E2E_METRICS);
+        let missing = std::panic::catch_unwind(|| gated(all[1..].to_vec()));
+        assert!(missing.is_err());
     }
 }

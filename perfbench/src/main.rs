@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! perfbench --workload label_build|serve_read|ingest_durable \
-//!           --seed N --seconds S --trace 0|1 [--netd PATH]
+//!           --seed N --seconds S --trace 0|1 --netd PATH
 //! ```
 //!
 //! Prints a human-readable report, then one JSON result line: the
@@ -19,6 +19,7 @@ mod stats;
 mod trace;
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -26,7 +27,7 @@ use e2e::{Ctx, Run};
 use stats::Metric;
 
 const USAGE: &str = "usage: perfbench --workload label_build|serve_read|ingest_durable \
-                     --seed N --seconds S --trace 0|1 [--netd PATH]";
+                     --seed N --seconds S --trace 0|1 --netd PATH";
 
 /// Where runs write their spans and scratch data dirs (relative to the
 /// checkout the bench runs in).
@@ -45,8 +46,7 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| ".bench_build".into());
-    let mut netd = PathBuf::from(target).join("release").join("pclabel-netd");
+    let mut netd = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
@@ -57,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
                 seconds = Some(value()?.parse().map_err(|_| "--seconds needs a number")?)
             }
             "--trace" => trace = Some(value()? == "1"),
-            "--netd" => netd = PathBuf::from(value()?),
+            "--netd" => netd = Some(PathBuf::from(value()?)),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -70,7 +70,7 @@ fn parse_args() -> Result<Args, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.unwrap_or(false),
-        netd,
+        netd: netd.ok_or("--netd is required")?,
     })
 }
 
@@ -97,8 +97,8 @@ fn machine_probe_ms() -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// Counts that must repeat exactly for a given workload, seed and run
-/// length, in every run of the same program.
+/// Counts that must repeat exactly for a given program, workload, seed
+/// and run length.
 const DETERMINISTIC: [&str; 6] = [
     "est_abs_err_mean",
     "est_abs_err_max",
@@ -108,16 +108,33 @@ const DETERMINISTIC: [&str; 6] = [
     "engine.durability.replayed_records",
 ];
 
-/// Compares this run's deterministic counts with those an earlier run
-/// of the same workload, seed and length left in `path`, then records
-/// the union there. Returns `(checked, differences)`.
-fn repeat_check(path: &Path, metrics: &[&Metric]) -> (usize, Vec<String>) {
-    let mut known: BTreeMap<String, String> = std::fs::read_to_string(path)
+/// A hash of the bench's and the daemon's binaries. Runs compare what
+/// they record only with runs of identical programs, so a change that
+/// moves a count on purpose is never held to its parent's value. `None`
+/// when either binary cannot be read.
+fn programs_key(netd: &Path) -> Option<String> {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for path in [std::env::current_exe().ok()?, netd.to_path_buf()] {
+        std::fs::read(path).ok()?.hash(&mut h);
+    }
+    Some(format!("{:016x}", h.finish()))
+}
+
+/// `name value` lines that earlier runs of the same programs, workload,
+/// seed and length left in a record file.
+fn read_record(path: &Path) -> BTreeMap<String, String> {
+    std::fs::read_to_string(path)
         .unwrap_or_default()
         .lines()
         .filter_map(|l| l.split_once(' '))
         .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
+        .collect()
+}
+
+/// Compares this run's deterministic counts with those recorded in
+/// `known`, and adds the ones not recorded yet. Returns `(checked,
+/// differences)`.
+fn repeat_check(known: &mut BTreeMap<String, String>, metrics: &[&Metric]) -> (usize, Vec<String>) {
     let (mut checked, mut differ) = (0, Vec::new());
     for m in metrics
         .iter()
@@ -137,9 +154,24 @@ fn repeat_check(path: &Path, metrics: &[&Metric]) -> (usize, Vec<String>) {
             }
         }
     }
-    let text: String = known.iter().map(|(k, v)| format!("{k} {v}\n")).collect();
-    let _ = std::fs::write(path, text);
     (checked, differ)
+}
+
+/// The traced run's end-to-end figures against the untraced run's of the
+/// same programs and seed (recorded as `untraced.<name>`): the tracing
+/// overhead.
+fn overhead_lines(known: &BTreeMap<String, String>, traced: &[Metric]) -> Vec<String> {
+    traced
+        .iter()
+        .filter_map(|m| {
+            let off: f64 = known.get(&format!("untraced.{}", m.name))?.parse().ok()?;
+            let pct = (m.value - off) / off * 100.0;
+            Some(format!(
+                "{} traced {:.6} untraced {off:.6} {}: {pct:+.1}%",
+                m.name, m.value, m.unit
+            ))
+        })
+        .collect()
 }
 
 fn commit() -> String {
@@ -279,19 +311,36 @@ fn main() {
 
     let reported = if args.trace { &per_layer } else { &run.e2e };
     let mut tally = run.tally.clone();
-    let counts_path = out_dir.join(format!(
-        "{}-seed{}-{}s.counts",
-        args.workload, args.seed, args.seconds
-    ));
-    let all: Vec<&Metric> = run.e2e.iter().chain(&per_layer).collect();
-    let (checked, differ) = repeat_check(&counts_path, &all);
-    println!(
-        "deterministic counts: {checked} checked against an earlier run of this seed and length ({})",
-        counts_path.display()
-    );
-    for d in differ {
-        println!("  failure: deterministic count changed: {d}");
-        tally.check(false, || format!("deterministic count changed: {d}"));
+    match programs_key(&args.netd) {
+        Some(key) => {
+            let record = out_dir.join(format!(
+                "{}-seed{}-{}s-{key}.record",
+                args.workload, args.seed, args.seconds
+            ));
+            let mut known = read_record(&record);
+            let all: Vec<&Metric> = run.e2e.iter().chain(&per_layer).collect();
+            let (checked, differ) = repeat_check(&mut known, &all);
+            println!(
+                "deterministic counts: {checked} checked against earlier runs of these programs, seed and length ({})",
+                record.display()
+            );
+            for d in differ {
+                println!("  failure: deterministic count changed: {d}");
+                tally.check(false, || format!("deterministic count changed: {d}"));
+            }
+            if args.trace {
+                for line in overhead_lines(&known, &run.e2e) {
+                    println!("tracing overhead: {line}");
+                }
+            } else {
+                for m in &run.e2e {
+                    known.insert(format!("untraced.{}", m.name), format!("{:?}", m.value));
+                }
+            }
+            let text: String = known.iter().map(|(k, v)| format!("{k} {v}\n")).collect();
+            let _ = std::fs::write(&record, text);
+        }
+        None => println!("deterministic counts: not checked (a binary could not be read)"),
     }
     for m in reported.iter() {
         tally.check(m.value.is_finite(), || {
@@ -333,19 +382,48 @@ mod tests {
 
     #[test]
     fn deterministic_counts_must_repeat() {
-        let path = std::env::temp_dir().join(format!("perfbench-counts-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let mut known = BTreeMap::new();
         let err = Metric::new("est_abs_err_max", 5538.75, "count", 10, "max");
         let timing = Metric::new("setup_s", 0.5, "s", 3, "median");
-        assert_eq!(repeat_check(&path, &[&err, &timing]), (0, vec![]));
+        assert_eq!(repeat_check(&mut known, &[&err, &timing]), (0, vec![]));
         let slower = Metric::new("setup_s", 0.7, "s", 3, "median");
         let nodes = Metric::count("core.search.nodes_examined", 6178.0, "count");
-        assert_eq!(repeat_check(&path, &[&err, &slower, &nodes]), (1, vec![]));
+        assert_eq!(
+            repeat_check(&mut known, &[&err, &slower, &nodes]),
+            (1, vec![])
+        );
         let moved = Metric::new("est_abs_err_max", 5538.5, "count", 10, "max");
-        let (checked, differ) = repeat_check(&path, &[&moved, &nodes]);
+        let (checked, differ) = repeat_check(&mut known, &[&moved, &nodes]);
         assert_eq!(checked, 2);
         assert_eq!(differ, vec!["est_abs_err_max was 5538.75, now 5538.5"]);
-        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn programs_key_follows_the_binaries() {
+        let dir = std::env::temp_dir().join(format!("perfbench-key-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let netd = dir.join("pclabel-netd");
+        std::fs::write(&netd, b"one build").unwrap();
+        let first = programs_key(&netd).unwrap();
+        assert_eq!(programs_key(&netd).unwrap(), first);
+        std::fs::write(&netd, b"another build").unwrap();
+        assert_ne!(programs_key(&netd).unwrap(), first);
+        assert_eq!(programs_key(&dir.join("missing")), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn overhead_compares_with_the_untraced_run() {
+        let mut known = BTreeMap::new();
+        known.insert("untraced.query_p50_ms".to_string(), "0.5".to_string());
+        let traced = vec![
+            Metric::new("query_p50_ms", 0.51, "ms", 100, "p50"),
+            Metric::new("setup_s", 0.7, "s", 3, "median"),
+        ];
+        assert_eq!(
+            overhead_lines(&known, &traced),
+            vec!["query_p50_ms traced 0.510000 untraced 0.500000 ms: +2.0%"]
+        );
     }
 
     #[test]

@@ -755,22 +755,6 @@ pub fn run(ctx: &Ctx, run: &mut Run) -> Res<Vec<Metric>> {
         replayed as f64,
         "count",
     ));
-
-    // Tracing overhead: traced vs untraced requests of the end-to-end loop.
-    if let Some((untraced, traced)) = &mut run.overhead {
-        let (off, on) = (untraced.median(), traced.median());
-        let pct = match (off, on) {
-            (Some(off), Some(on)) if off > 0.0 => (on - off) / off * 100.0,
-            _ => f64::NAN,
-        };
-        r.out.push(Metric::new(
-            "bench.trace_overhead_pct",
-            pct,
-            "%",
-            untraced.len() + traced.len(),
-            "p50",
-        ));
-    }
     let _ = std::fs::remove_dir_all(&scratch);
     Ok(r.out)
 }
