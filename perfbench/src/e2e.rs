@@ -54,9 +54,9 @@ pub const APPEND_BATCH: usize = 16;
 /// Batches appended after the forced snapshot, before the SIGKILL.
 pub const TAIL_BATCHES: usize = 8;
 /// ingest_durable's `--snapshot-wal-bytes` (the daemon's default). The
-/// register record crosses it, 20 s of capped appends (~3.6 MB of WAL)
-/// do not, so snapshots run in set-up and in the recovery tail but not
-/// in the measured phase. Each stalls readers for tens of milliseconds;
+/// register record crosses it, a measured slice's capped appends (4 s,
+/// ~0.7 MB of WAL at 20 s a run) do not, so snapshots run in set-up and
+/// in the recovery tail but not in the measured phase. Each stalls readers for tens of milliseconds;
 /// at a rate that put ~1% of queries into such stalls, `query_p99_ms`
 /// flipped between the stall and the normal append wait from run to run.
 pub const SNAPSHOT_WAL_BYTES: u64 = 4 << 20;
@@ -512,9 +512,12 @@ pub fn label_build(ctx: &Ctx) -> Res<Run> {
 
     print_samples("label_build passes (s)", &build, 1.0, 3);
     print_samples("label_build pass peak RSS (MiB)", &peak_rss, 1.0, 1);
+    // The mean of the passes, not their median: a run holds three, each
+    // search varies by about a quarter from pass to pass, and over ten
+    // seeds the mean of three spread half as wide as their median.
     let mut e2e = vec![
         setup.median_metric("setup_s", 1.0, "s"),
-        build.median_metric("label_build_s", 1.0, "s"),
+        build.mean_metric("label_build_s", 1.0, "s"),
         query.metric("query_p50_ms", 50.0, 1e3, "ms"),
         peak_rss.median_metric("peak_rss_mb", 1.0, "MiB"),
     ];
@@ -862,7 +865,9 @@ fn check_answers(
 
 // ------------------------------------------------------------- ingest_durable
 
-const ID_SETUPS: usize = 5;
+/// Rounds of set-up plus measured slice; the slices share the run's
+/// seconds, and the last round's server takes the recovery tail.
+const ID_ROUNDS: usize = 5;
 const ID_POOL: usize = 4_000;
 const ID_RECORD: usize = 2_000;
 const ID_APPEND_SOURCE_ROWS: usize = 160_000;
@@ -925,6 +930,240 @@ fn replayed_records(stderr: &str) -> Option<u64> {
     before.rsplit(' ').next()?.parse().ok()
 }
 
+/// What one measured slice of ingest_durable hands back.
+struct Slice {
+    append_lat: Samples,
+    query_lat: Samples,
+    late: Samples,
+    tally: Tally,
+    spans: SpanLog,
+    /// First row (in the append source) of each acknowledged batch.
+    order: Vec<usize>,
+    asked: Vec<Asked>,
+    recorded: Vec<(usize, String, f64)>,
+}
+
+/// One measured slice: closed-loop appends beside open-loop queries, one
+/// connection each, for `seconds`.
+fn ingest_slice(
+    ctx: &Ctx,
+    server: &Server,
+    served: &Arc<Served>,
+    rows: &Arc<Vec<Vec<String>>>,
+    base_rows: u64,
+    round: usize,
+    seconds: f64,
+) -> Res<Slice> {
+    let name = "bluenile";
+    let start = Instant::now() + Duration::from_millis(20);
+    let deadline = start + Duration::from_secs_f64(seconds);
+    let tag = 2 * round as u64;
+    let appender = {
+        let mut conn = connect(server)?;
+        let rows = Arc::clone(rows);
+        let trace = ctx.trace;
+        let epoch = ctx.epoch;
+        std::thread::spawn(move || {
+            let mut lat = Samples::new();
+            let mut tally = Tally::default();
+            let mut spans = SpanLog::new(epoch, 2 + tag);
+            let mut order: Vec<usize> = Vec::new();
+            let mut generation = 0u64;
+            let mut total = base_rows;
+            let span_rows = rows.len() - APPEND_BATCH;
+            while Instant::now() < start {
+                std::hint::spin_loop();
+            }
+            let mut i = 0usize;
+            let interval = Duration::from_secs_f64(1.0 / APPEND_RATE);
+            loop {
+                // Closed loop, capped at APPEND_RATE: never more than one
+                // append outstanding, and none before its slot.
+                let due = start + interval * i as u32;
+                if due >= deadline {
+                    break;
+                }
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                let first = (i * APPEND_BATCH) % span_rows;
+                let line = append_line(name, &rows[first..first + APPEND_BATCH]);
+                let t = Instant::now();
+                let response = conn.call(&line);
+                let rtt = t.elapsed().as_secs_f64();
+                lat.push(rtt);
+                if trace {
+                    spans.record(
+                        "client.append_rows",
+                        None,
+                        (1 << 40) + (tag << 32) + i as u64,
+                        t,
+                        t + Duration::from_secs_f64(rtt),
+                    );
+                }
+                match response
+                    .map_err(|e| transport_failure(&e))
+                    .and_then(scan_append)
+                {
+                    Ok((scanned, incremental)) => {
+                        generation += 1;
+                        total += APPEND_BATCH as u64;
+                        order.push(first);
+                        tally.check(
+                            incremental && scanned.generation == generation && scanned.rows == total,
+                            || format!(
+                                "append {i}: generation {} rows {} incremental {incremental}, expected {generation}/{total}/true",
+                                scanned.generation, scanned.rows
+                            ),
+                        );
+                    }
+                    Err(f) => {
+                        tally.fail(f);
+                        break;
+                    }
+                }
+                i += 1;
+            }
+            (lat, tally, spans, order)
+        })
+    };
+    let querier = {
+        let mut conn = connect(server)?;
+        let served = Arc::clone(served);
+        let trace = ctx.trace;
+        let epoch = ctx.epoch;
+        let seed = ctx.seed;
+        std::thread::spawn(move || {
+            let mut rng = Rng::stream(seed, &format!("ingest_durable.round{round}.queries"));
+            let mut lat = Samples::new();
+            let mut late = Samples::new();
+            let mut tally = Tally::default();
+            let mut spans = SpanLog::new(epoch, 3 + tag);
+            let mut asked: Vec<Asked> = Vec::new();
+            let mut recorded = Vec::new();
+            let mut idx = Vec::new();
+            let mut answers = Vec::new();
+            let interval = Duration::from_secs_f64(1.0 / QUERY_RATE);
+            let mut k = 0u32;
+            loop {
+                let due = start + interval * k;
+                if due >= deadline {
+                    break;
+                }
+                let line = draw_query(&mut rng, &served.zipf, &served.pool, name, &mut idx);
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                let sent = Instant::now();
+                late.push((sent - due).as_secs_f64());
+                let response = conn.call(&line);
+                let done = Instant::now();
+                lat.push((done - due).as_secs_f64());
+                if trace {
+                    let request = (2 << 40) + (tag << 32) + k as u64;
+                    spans.record("client.query", None, request, sent, done);
+                    if recorded.len() < ID_RECORD {
+                        recorded.push((0usize, line.clone(), (done - sent).as_secs_f64()));
+                    }
+                }
+                match response.map_err(|e| transport_failure(&e)) {
+                    Ok(text) => match scan_query(text, &mut answers) {
+                        Ok(scanned) => asked.push(Asked {
+                            generation: scanned.generation,
+                            idx: idx.clone(),
+                            answers: answers.clone(),
+                        }),
+                        Err(f) => tally.fail(f),
+                    },
+                    Err(f) => {
+                        tally.fail(f);
+                        break;
+                    }
+                }
+                k += 1;
+            }
+            (lat, late, tally, spans, asked, recorded)
+        })
+    };
+    let (append_lat, append_tally, append_spans, order) =
+        appender.join().map_err(|_| "append thread panicked")?;
+    let (query_lat, late, mut tally, mut spans, asked, recorded) =
+        querier.join().map_err(|_| "query thread panicked")?;
+    tally.merge(&append_tally);
+    spans.absorb(append_spans);
+    Ok(Slice {
+        append_lat,
+        query_lat,
+        late,
+        tally,
+        spans,
+        order,
+        asked,
+        recorded,
+    })
+}
+
+/// The append batches that start at `order`'s rows, in order.
+fn batches_of<'a>(rows: &'a [Vec<String>], order: &[usize]) -> Vec<&'a [Vec<String>]> {
+    order
+        .iter()
+        .map(|&first| &rows[first..first + APPEND_BATCH])
+        .collect()
+}
+
+/// Checks one server's open-loop answers against a twin label at the
+/// generation each answer reports, replaying the acknowledged `batches`
+/// into the bench's own copy of the rows in order. Returns the twin and
+/// the truth after the last batch.
+fn verify_generations(
+    upload: &Upload,
+    s: AttrSet,
+    truth0: &Truth,
+    served: &Served,
+    batches: &[&[Vec<String>]],
+    mut asked: Vec<Asked>,
+    tally: &mut Tally,
+) -> Res<(Label, Truth)> {
+    let mut own = upload.rows.clone();
+    let mut twin = Label::build_parallel(&own, s, 2);
+    let mut truth = truth0.clone();
+    asked.sort_by_key(|a| a.generation);
+    let mut next = 0usize;
+    let verify = |g: u64, twin: &Label, truth: &Truth, tally: &mut Tally, next: &mut usize| {
+        while *next < asked.len() && asked[*next].generation == g {
+            let a = &asked[*next];
+            let bad = a.idx.iter().zip(&a.answers).position(|(&i, &ans)| {
+                !same_answer(
+                    ans,
+                    expected_answer(twin, &served.family, &served.pool[i], truth),
+                )
+            });
+            tally.check(bad.is_none() && a.answers.len() == a.idx.len(), || {
+                format!("query at generation {g} disagrees with the twin label")
+            });
+            *next += 1;
+        }
+    };
+    verify(0, &twin, &truth, tally, &mut next);
+    for (g, batch) in batches.iter().enumerate() {
+        let before = own.n_rows();
+        let cells: Vec<Vec<Option<&str>>> = batch
+            .iter()
+            .map(|r| r.iter().map(|c| Some(c.as_str())).collect())
+            .collect();
+        own.append_labeled_rows(&cells).map_err(|e| e.to_string())?;
+        twin = twin.with_appended(&own, before..own.n_rows()).0;
+        truth.add_rows(&own, &served.family, before..own.n_rows());
+        verify(g as u64 + 1, &twin, &truth, tally, &mut next);
+    }
+    tally.check(next == asked.len(), || {
+        format!("{} answers at unknown generations", asked.len() - next)
+    });
+    Ok((twin, truth))
+}
+
 pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
     let upload = Arc::new(Upload::new(
         &PaperDataset::BlueNile.generate(Some(INGEST_ROWS)),
@@ -933,12 +1172,14 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
     let twin0 = Label::build_parallel(&upload.rows, s, 2);
     let mut rng = Rng::stream(ctx.seed, "ingest_durable.pool");
     let (served, truth0) = served_pool(&mut rng, &upload, &twin0, 24, 8, 24, ID_POOL);
+    drop(twin0);
     let errors: Vec<f64> = served
         .pool
         .iter()
         .zip(&served.expected)
         .filter_map(|(p, e)| Some((e.0 - truth0.count(p)? as f64).abs()))
         .collect();
+    let served = Arc::new(served);
     let source = PaperDataset::BlueNile.generate_seeded(
         ID_APPEND_SOURCE_ROWS,
         Rng::stream(ctx.seed, "ingest_durable.rows").next_u64(),
@@ -974,21 +1215,25 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
     flags.snapshot_wal_bytes = SNAPSHOT_WAL_BYTES;
     flags.data_dir = Some(ctx.work_dir.join("ingest-N"));
     println!("server: {}", flags.describe());
+    let base_rows = upload.rows.n_rows() as u64;
     let mut setup = Samples::new();
     let mut build = Samples::new();
-    let mut live: Option<(Server, Conn)> = None;
+    let mut peak_rss = Samples::new();
+    let mut append_lat = Samples::new();
+    let mut query_lat = Samples::new();
+    let mut late = Samples::new();
+    let mut spans = SpanLog::new(ctx.epoch, 1);
+    let mut recorded_queries = Vec::new();
     let mut warm_rng = Rng::stream(ctx.seed, "ingest_durable.warmup");
     let mut idx = Vec::new();
     let mut answers = Vec::new();
-    let mut data_dir = PathBuf::new();
-    for i in 0..ID_SETUPS {
-        if let Some((server, _)) = live.take() {
-            server.kill();
-            // Deleting the killed server's files drops their dirty pages,
-            // so their writeback does not compete with the next set-up.
-            let _ = std::fs::remove_dir_all(&data_dir);
-        }
-        data_dir = ctx.work_dir.join(format!("ingest-{i}"));
+    // Rounds of set-up plus a measured slice, each on a fresh server and
+    // data dir, so the set-up samples spread across the run as the
+    // latency samples do. The last round's server goes on to the
+    // recovery tail.
+    let mut last = None;
+    for round in 0..ID_ROUNDS {
+        let data_dir = ctx.work_dir.join(format!("ingest-{round}"));
         let _ = std::fs::remove_dir_all(&data_dir);
         flags.data_dir = Some(data_dir.clone());
         let t0 = Instant::now();
@@ -1014,163 +1259,63 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
         // snapshot land before measuring. Untimed: the snapshotter polls
         // every 200 ms, and that idle wait is not server work.
         await_snapshot(&mut conn)?;
-        live = Some((server, conn));
+        // The set-up connection closes: the slice has exactly two.
+        drop(conn);
+        let slice_seconds = ctx.seconds / ID_ROUNDS as f64;
+        let slice = ingest_slice(
+            ctx,
+            &server,
+            &served,
+            &rows,
+            base_rows,
+            round,
+            slice_seconds,
+        )?;
+        let per_second: Vec<String> = slice
+            .query_lat
+            .values()
+            .chunks(QUERY_RATE as usize)
+            .map(|c| {
+                let mut v = c.to_vec();
+                v.sort_by(f64::total_cmp);
+                format!("{:.2}", v[v.len() / 2] * 1e3)
+            })
+            .collect();
+        println!(
+            "ingest_durable slice {round} query p50 per second (ms): {}",
+            per_second.join(" ")
+        );
+        append_lat.extend(&slice.append_lat);
+        query_lat.extend(&slice.query_lat);
+        late.extend(&slice.late);
+        tally.merge(&slice.tally);
+        spans.absorb(slice.spans);
+        recorded_queries.extend(slice.recorded);
+        // The slice's peak, before the tail's large batches.
+        peak_rss.push(server.peak_rss_mb().unwrap_or(f64::NAN));
+        if round + 1 < ID_ROUNDS {
+            server.kill();
+            // Deleting the killed server's files drops their dirty pages,
+            // so their writeback does not compete with the next round.
+            let _ = std::fs::remove_dir_all(&data_dir);
+            let batches = batches_of(&rows, &slice.order);
+            verify_generations(
+                &upload,
+                s,
+                &truth0,
+                &served,
+                &batches,
+                slice.asked,
+                &mut tally,
+            )?;
+        } else {
+            last = Some((server, data_dir, slice.order, slice.asked));
+        }
     }
     print_samples("ingest_durable set-ups (s)", &setup, 1.0, 3);
     print_samples("ingest_durable registers (s)", &build, 1.0, 3);
-    // The set-up connection closes: the measured phase has exactly two.
-    let (server, _) = live.expect("at least one set-up");
-
-    // Measured phase: closed-loop appends beside open-loop queries.
-    let start = Instant::now() + Duration::from_millis(20);
-    let deadline = start + Duration::from_secs_f64(ctx.seconds);
-    let served = Arc::new(served);
-    let base_rows = upload.rows.n_rows() as u64;
-    let appender = {
-        let mut conn = connect(&server)?;
-        let rows = Arc::clone(&rows);
-        let trace = ctx.trace;
-        let epoch = ctx.epoch;
-        std::thread::spawn(move || {
-            let mut lat = Samples::new();
-            let mut tally = Tally::default();
-            let mut spans = SpanLog::new(epoch, 2);
-            let mut order: Vec<usize> = Vec::new();
-            let mut generation = 0u64;
-            let mut total = base_rows;
-            let span_rows = rows.len() - APPEND_BATCH;
-            while Instant::now() < start {
-                std::hint::spin_loop();
-            }
-            let mut i = 0usize;
-            let interval = Duration::from_secs_f64(1.0 / APPEND_RATE);
-            loop {
-                // Closed loop, capped at APPEND_RATE: never more than one
-                // append outstanding, and none before its slot.
-                let due = start + interval * i as u32;
-                if due >= deadline {
-                    break;
-                }
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                let first = (i * APPEND_BATCH) % span_rows;
-                let line = append_line(name, &rows[first..first + APPEND_BATCH]);
-                let t = Instant::now();
-                let response = conn.call(&line);
-                let rtt = t.elapsed().as_secs_f64();
-                lat.push(rtt);
-                if trace {
-                    spans.record(
-                        "client.append_rows",
-                        None,
-                        (1 << 40) + i as u64,
-                        t,
-                        t + Duration::from_secs_f64(rtt),
-                    );
-                }
-                match response
-                    .map_err(|e| transport_failure(&e))
-                    .and_then(scan_append)
-                {
-                    Ok((scanned, incremental)) => {
-                        generation += 1;
-                        total += APPEND_BATCH as u64;
-                        order.push(first);
-                        tally.check(
-                            incremental && scanned.generation == generation && scanned.rows == total,
-                            || format!(
-                                "append {i}: generation {} rows {} incremental {incremental}, expected {generation}/{total}/true",
-                                scanned.generation, scanned.rows
-                            ),
-                        );
-                    }
-                    Err(f) => {
-                        tally.fail(f);
-                        break;
-                    }
-                }
-                i += 1;
-            }
-            (lat, tally, spans, order)
-        })
-    };
-    let querier = {
-        let mut conn = connect(&server)?;
-        let served = Arc::clone(&served);
-        let trace = ctx.trace;
-        let epoch = ctx.epoch;
-        let seed = ctx.seed;
-        std::thread::spawn(move || {
-            let mut rng = Rng::stream(seed, "ingest_durable.queries");
-            let mut lat = Samples::new();
-            let mut late = Samples::new();
-            let mut tally = Tally::default();
-            let mut spans = SpanLog::new(epoch, 3);
-            let mut asked: Vec<Asked> = Vec::new();
-            let mut recorded = Vec::new();
-            let mut idx = Vec::new();
-            let mut answers = Vec::new();
-            let interval = Duration::from_secs_f64(1.0 / QUERY_RATE);
-            let mut k = 0u32;
-            loop {
-                let due = start + interval * k;
-                if due >= deadline {
-                    break;
-                }
-                let line = draw_query(&mut rng, &served.zipf, &served.pool, name, &mut idx);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                let sent = Instant::now();
-                late.push((sent - due).as_secs_f64());
-                let response = conn.call(&line);
-                let done = Instant::now();
-                let latency = (done - due).as_secs_f64();
-                lat.push(latency);
-                if trace {
-                    spans.record("client.query", None, (2 << 40) + k as u64, sent, done);
-                    if recorded.len() < ID_RECORD {
-                        recorded.push((0usize, line.clone(), (done - sent).as_secs_f64()));
-                    }
-                }
-                match response.map_err(|e| transport_failure(&e)) {
-                    Ok(text) => match scan_query(text, &mut answers) {
-                        Ok(scanned) => asked.push(Asked {
-                            generation: scanned.generation,
-                            idx: idx.clone(),
-                            answers: answers.clone(),
-                        }),
-                        Err(f) => tally.fail(f),
-                    },
-                    Err(f) => {
-                        tally.fail(f);
-                        break;
-                    }
-                }
-                k += 1;
-            }
-            (lat, late, tally, spans, asked, recorded)
-        })
-    };
-    let (append_lat, append_tally, append_spans, order) =
-        appender.join().map_err(|_| "append thread panicked")?;
-    let (query_lat, late, query_tally, query_spans, asked, recorded_queries) =
-        querier.join().map_err(|_| "query thread panicked")?;
+    let (server, data_dir, order, asked) = last.expect("at least one round");
     let mut control = connect(&server)?;
-    let mut query_lat = query_lat;
-    let mut append_lat = append_lat;
-    let mut late = late;
-    tally.merge(&append_tally);
-    tally.merge(&query_tally);
-    let mut spans = SpanLog::new(ctx.epoch, 1);
-    spans.absorb(append_spans);
-    spans.absorb(query_spans);
-
-    // The measured phase's peak, before the tail's large batches.
-    let peak_rss = server.peak_rss_mb().unwrap_or(f64::NAN);
 
     // Fixed recovery tail: the writer is quiet; force a snapshot twice
     // (the older of the two retained snapshots still needs the WAL from
@@ -1178,11 +1323,8 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
     // crossing batch plus the tail stays in the WAL), then append a
     // fixed tail and SIGKILL.
     let mut generation = order.len() as u64;
-    let mut batches: Vec<&[Vec<String>]> = order
-        .iter()
-        .map(|&first| &rows[first..first + APPEND_BATCH])
-        .collect();
-    // A snapshot still running from the measured phase zeroes the byte
+    let mut batches = batches_of(&rows, &order);
+    // A snapshot still running from the measured slice zeroes the byte
     // counter when it ends, which would swallow a crossing batch sent
     // meanwhile. The counter stays at or above the threshold until then.
     await_durability(
@@ -1293,43 +1435,10 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
         });
     }
 
-    // Check every open-loop answer against the twin at its generation.
-    let mut own = upload.rows.clone();
-    let mut twin = twin0;
-    let mut truth = truth0;
-    let mut asked = asked;
-    asked.sort_by_key(|a| a.generation);
-    let mut next = 0usize;
-    let verify = |g: u64, twin: &Label, truth: &Truth, tally: &mut Tally, next: &mut usize| {
-        while *next < asked.len() && asked[*next].generation == g {
-            let a = &asked[*next];
-            let bad = a.idx.iter().zip(&a.answers).position(|(&i, &ans)| {
-                !same_answer(
-                    ans,
-                    expected_answer(twin, &served.family, &served.pool[i], truth),
-                )
-            });
-            tally.check(bad.is_none() && a.answers.len() == a.idx.len(), || {
-                format!("query at generation {g} disagrees with the twin label")
-            });
-            *next += 1;
-        }
-    };
-    verify(0, &twin, &truth, &mut tally, &mut next);
-    for (g, batch) in batches.iter().enumerate() {
-        let before = own.n_rows();
-        let cells: Vec<Vec<Option<&str>>> = batch
-            .iter()
-            .map(|r| r.iter().map(|c| Some(c.as_str())).collect())
-            .collect();
-        own.append_labeled_rows(&cells).map_err(|e| e.to_string())?;
-        twin = twin.with_appended(&own, before..own.n_rows()).0;
-        truth.add_rows(&own, &served.family, before..own.n_rows());
-        verify(g as u64 + 1, &twin, &truth, &mut tally, &mut next);
-    }
-    tally.check(next == asked.len(), || {
-        format!("{} answers at unknown generations", asked.len() - next)
-    });
+    // Check every open-loop answer of the last round, and the pre-kill
+    // answers, against the twin at their generation.
+    let (twin, truth) =
+        verify_generations(&upload, s, &truth0, &served, &batches, asked, &mut tally)?;
     let final_ok = before_kill.iter().zip(&check_idx).all(|(&a, &i)| {
         same_answer(
             a,
@@ -1344,7 +1453,7 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
         setup.median_metric("setup_s", 1.0, "s"),
         build.median_metric("label_build_s", 1.0, "s"),
         query_lat.metric("query_p50_ms", 50.0, 1e3, "ms"),
-        Metric::new("peak_rss_mb", peak_rss, "MiB", 1, "VmHWM"),
+        peak_rss.median_metric("peak_rss_mb", 1.0, "MiB"),
     ];
     error_metrics(&errors, &mut e2e);
     let extra = vec![
@@ -1363,6 +1472,7 @@ pub fn ingest_durable(ctx: &Ctx) -> Res<Run> {
             register,
             LabelPolicy::Attrs(s),
         ));
+        recorded_queries.truncate(ID_RECORD);
         recorded.queries = recorded_queries;
         recorded.appends = batches
             .iter()

@@ -138,6 +138,17 @@ impl Samples {
         let v = self.median().map_or(f64::NAN, |v| v * scale);
         Metric::new(name, v, unit, n, "median")
     }
+
+    /// Mean metric, scaled into the report unit.
+    pub fn mean_metric(&self, name: &str, scale: f64, unit: &'static str) -> Metric {
+        let n = self.len();
+        let v = if n == 0 {
+            f64::NAN
+        } else {
+            self.values.iter().sum::<f64>() / n as f64 * scale
+        };
+        Metric::new(name, v, unit, n, "mean")
+    }
 }
 
 fn stat_label(p: f64) -> String {
@@ -182,6 +193,14 @@ mod tests {
         let m = s.metric("query_p99_ms", 99.0, 1.0, "ms");
         assert_eq!(m.stat, "p95");
         assert_eq!(m.samples, 200);
+    }
+
+    #[test]
+    fn mean_metric_scales_and_counts() {
+        let m = samples([6.0, 7.5, 6.3]).mean_metric("label_build_s", 1e3, "ms");
+        assert!((m.value - 6600.0).abs() < 1e-9);
+        assert_eq!((m.samples, m.stat.as_str()), (3, "mean"));
+        assert!(Samples::new().mean_metric("x", 1.0, "s").value.is_nan());
     }
 
     #[test]
