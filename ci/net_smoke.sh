@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
-# CI smoke for the network front end, run per connection model and
-# readiness backend (--model pool; --model reactor --reactors 2 on both
-# the default epoll backend and --force-poll): build release, start
-# pclabel-netd on
-# an ephemeral loopback port, round-trip register + query + /healthz
-# through the real clients (examples/net_smoke.rs), then shut down via
-# the shutdown op and verify a clean exit. Afterwards, replay an
-# identical mixed request script (examples/net_replay.rs) against a
-# fresh daemon of each model and diff the captured responses: the two
-# models must be byte-identical. The metrics pass also dumps the three
-# GET /debug introspection routes (conns, memory, traces) on each model
-# and asserts the conn table, memory accounting and retained traces
-# reflect the replayed session.
+# CI smoke for the network front end, run per readiness backend
+# (--reactors 2 on both the default epoll backend and --force-poll):
+# build release, start pclabel-netd on an ephemeral loopback port,
+# round-trip register + query + /healthz through the real clients
+# (examples/net_smoke.rs), then shut down via the shutdown op and verify
+# a clean exit. Afterwards, replay an identical mixed request script
+# (examples/net_replay.rs) against a one-reactor daemon and against the
+# multi-reactor variants, and diff the captured responses: they must be
+# byte-identical. The metrics pass also dumps the three GET /debug
+# introspection routes (conns, memory, traces) and asserts the conn
+# table, memory accounting and retained traces reflect the replayed
+# session.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,96 +41,89 @@ start_daemon() {
 
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
-# The reactor runs use two event loops, on both readiness backends: the
-# default (epoll on Linux, with a SO_REUSEPORT listener group) and
-# --force-poll (portable poll(2), where loop 0 accepts and hands
-# connections off round-robin).
+# Two event loops, on both readiness backends: the default (epoll on
+# Linux, with a SO_REUSEPORT listener group) and --force-poll (portable
+# poll(2), where loop 0 accepts and hands connections off round-robin).
 run_smoke() {
-    local model="$1"; shift
-    start_daemon "$(mktemp)" --model "$model" "$@"
+    start_daemon "$(mktemp)" "$@"
     ./target/release/examples/net_smoke "$daemon_addr"
     # The smoke client sent {"op":"shutdown"}; the daemon must exit 0 on
     # its own (the surrounding `timeout 60` turns a hang into a failure).
     wait "$daemon_pid"
-    echo "net smoke ok (--model $model $* $daemon_addr)"
+    echo "net smoke ok ($* $daemon_addr)"
 }
-run_smoke pool
-run_smoke reactor --reactors 2
-run_smoke reactor --reactors 2 --force-poll
+run_smoke --reactors 2
+run_smoke --reactors 2 --force-poll
 
-# Byte-identity across models and reactor counts: one mixed framed+HTTP
-# script, replayed against a fresh daemon per variant, must produce
-# identical output. The reactor side runs four event loops — the replay
-# oracle is what pins the multi-reactor plane to the pool model's
-# responses.
-start_daemon "$(mktemp)" --model pool
-./target/release/examples/net_replay "$daemon_addr" >replay_pool.txt
+# Byte-identity across reactor counts and backends: one mixed
+# framed+HTTP script, replayed against a fresh daemon per variant, must
+# produce identical output. The reference is a single event loop; the
+# variants are four loops on a SO_REUSEPORT group and two loops on the
+# poll backend's fd handoff. (The in-process tests pin the single loop
+# to the stdin/stdout serve loop.)
+start_daemon "$(mktemp)" --reactors 1
+./target/release/examples/net_replay "$daemon_addr" >replay_1.txt
 wait "$daemon_pid"
-start_daemon "$(mktemp)" --model reactor --reactors 4
-./target/release/examples/net_replay "$daemon_addr" >replay_reactor.txt
+start_daemon "$(mktemp)" --reactors 4
+./target/release/examples/net_replay "$daemon_addr" >replay_4.txt
 wait "$daemon_pid"
-start_daemon "$(mktemp)" --model reactor --reactors 2 --force-poll
-./target/release/examples/net_replay "$daemon_addr" >replay_reactor_poll.txt
+start_daemon "$(mktemp)" --reactors 2 --force-poll
+./target/release/examples/net_replay "$daemon_addr" >replay_2_poll.txt
 wait "$daemon_pid"
-for variant in reactor reactor_poll; do
-    if ! diff -u replay_pool.txt "replay_$variant.txt"; then
-        echo "pool and $variant responses diverged" >&2
+for variant in 4 2_poll; do
+    if ! diff -u replay_1.txt "replay_$variant.txt"; then
+        echo "1-reactor and $variant responses diverged" >&2
         exit 1
     fi
 done
-rm -f replay_pool.txt replay_reactor.txt replay_reactor_poll.txt
-echo "net smoke ok (pool, 4-reactor and poll-backend responses byte-identical)"
+rm -f replay_1.txt replay_4.txt replay_2_poll.txt
+echo "net smoke ok (1-reactor, 4-reactor and poll-backend responses byte-identical)"
 
 # Telemetry: scrape /metrics at the end of a replay and assert the
 # request counters account for every replayed request — 13 framed + 13
 # HTTP + 1 /healthz = 27 (the shutdown op is intercepted before dispatch
 # and /metrics itself is served without dispatching) — plus exposition
 # format sanity: every sample line parses and no series repeats.
-for model in pool reactor; do
-    flags=()
-    [ "$model" = reactor ] && flags=(--reactors 2)
-    start_daemon "$(mktemp)" --model "$model" ${flags[@]+"${flags[@]}"}
-    PCLABEL_REPLAY_METRICS_OUT="metrics_$model.txt" \
-    PCLABEL_REPLAY_DEBUG_OUT="debug_$model.txt" \
-        ./target/release/examples/net_replay "$daemon_addr" >/dev/null
-    wait "$daemon_pid"
-    awk '
-        /^#/ || /^$/ { next }
-        {
-            if (NF < 2) { print "malformed sample line: " $0; exit 1 }
-            series = $0; sub(/ [^ ]*$/, "", series)
-            if (seen[series]++) { print "duplicate series: " series; exit 1 }
-            if ($NF !~ /^[0-9.eE+-]+$/) { print "bad sample value: " $0; exit 1 }
-        }
-        /^pclabel_requests_total\{/ { total += $NF }
-        END {
-            if (total != 27) { print "request counter sum " total " != 27"; exit 1 }
-        }
-    ' "metrics_$model.txt" || { cat "metrics_$model.txt" >&2; exit 1; }
-    # Two client connections (framed + HTTP) were accepted.
-    grep -q '^pclabel_net_accepts_total 2$' "metrics_$model.txt"
-    rm -f "metrics_$model.txt"
-    echo "net smoke ok (--model $model metrics account for all 27 requests)"
+start_daemon "$(mktemp)" --reactors 2
+PCLABEL_REPLAY_METRICS_OUT=metrics.txt PCLABEL_REPLAY_DEBUG_OUT=debug.txt \
+    ./target/release/examples/net_replay "$daemon_addr" >/dev/null
+wait "$daemon_pid"
+awk '
+    /^#/ || /^$/ { next }
+    {
+        if (NF < 2) { print "malformed sample line: " $0; exit 1 }
+        series = $0; sub(/ [^ ]*$/, "", series)
+        if (seen[series]++) { print "duplicate series: " series; exit 1 }
+        if ($NF !~ /^[0-9.eE+-]+$/) { print "bad sample value: " $0; exit 1 }
+    }
+    /^pclabel_requests_total\{/ { total += $NF }
+    END {
+        if (total != 27) { print "request counter sum " total " != 27"; exit 1 }
+    }
+' metrics.txt || { cat metrics.txt >&2; exit 1; }
+# Two client connections (framed + HTTP) were accepted.
+grep -q '^pclabel_net_accepts_total 2$' metrics.txt
+rm -f metrics.txt
+echo "net smoke ok (metrics account for all 27 requests)"
 
-    # Introspection plane (dumped by the replay client while both of its
-    # connections were still open): the live connection table must show
-    # exactly that client pair, the deep memory accounting must be
-    # nonzero for the replayed dataset, and the retained-trace ring must
-    # hold the replayed queries.
-    conns=$(grep '^/debug/conns ' "debug_$model.txt")
-    echo "$conns" | grep -q '"open":2' \
-        || { echo "conn table does not show the replay client pair: $conns" >&2; exit 1; }
-    echo "$conns" | grep -q '"protocol":"framed"' \
-        || { echo "framed replay connection missing: $conns" >&2; exit 1; }
-    echo "$conns" | grep -q '"protocol":"http"' \
-        || { echo "HTTP replay connection missing: $conns" >&2; exit 1; }
-    grep '^/debug/memory ' "debug_$model.txt" | grep -qE '"total_bytes":[1-9]' \
-        || { echo "memory accounting empty:" >&2; cat "debug_$model.txt" >&2; exit 1; }
-    traces=$(grep '^/debug/traces?op=query ' "debug_$model.txt")
-    echo "$traces" | grep -q '"dataset":"census"' \
-        || { echo "replayed query traces not retained: $traces" >&2; exit 1; }
-    echo "$traces" | grep -q '"request_id":' \
-        || { echo "retained traces carry no request id: $traces" >&2; exit 1; }
-    rm -f "debug_$model.txt"
-    echo "net smoke ok (--model $model debug endpoints expose conns, memory, traces)"
-done
+# Introspection plane (dumped by the replay client while both of its
+# connections were still open): the live connection table must show
+# exactly that client pair, the deep memory accounting must be
+# nonzero for the replayed dataset, and the retained-trace ring must
+# hold the replayed queries.
+conns=$(grep '^/debug/conns ' debug.txt)
+echo "$conns" | grep -q '"open":2' \
+    || { echo "conn table does not show the replay client pair: $conns" >&2; exit 1; }
+echo "$conns" | grep -q '"protocol":"framed"' \
+    || { echo "framed replay connection missing: $conns" >&2; exit 1; }
+echo "$conns" | grep -q '"protocol":"http"' \
+    || { echo "HTTP replay connection missing: $conns" >&2; exit 1; }
+grep '^/debug/memory ' debug.txt | grep -qE '"total_bytes":[1-9]' \
+    || { echo "memory accounting empty:" >&2; cat debug.txt >&2; exit 1; }
+traces=$(grep '^/debug/traces?op=query ' debug.txt)
+echo "$traces" | grep -q '"dataset":"census"' \
+    || { echo "replayed query traces not retained: $traces" >&2; exit 1; }
+echo "$traces" | grep -q '"request_id":' \
+    || { echo "retained traces carry no request id: $traces" >&2; exit 1; }
+rm -f debug.txt
+echo "net smoke ok (debug endpoints expose conns, memory, traces)"

@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
 # CI soak gate for the event-driven reactor: with W workers, park W + 4
-# idle keep-alive connections on a `--model reactor` daemon and assert a
-# fresh client still completes a register + query round-trip within 2
-# seconds. This exact scenario deadlocks the thread-pool model (every
-# worker pinned to an idle connection), so it is encoded here as the
-# regression gate for the starvation fix. The soak runs with two event
-# loops (--reactors 2) on both readiness backends — the default epoll
-# with its SO_REUSEPORT listener group, and --force-poll where loop 0
-# accepts and hands connections off — since the gauges asserted below
-# must sum correctly across loops either way. The daemon runs with a
-# tiny --retained-traces ring, and the soak's request storm must leave
-# both trace rings saturated at exactly that bound (retention stays
-# bounded under load).
+# idle keep-alive connections on the daemon and assert a fresh client
+# still completes a register + query round-trip within 2 seconds — the
+# reactor holds workers per request, so idle connections must never
+# starve a newcomer. The soak runs with two event loops (--reactors 2)
+# on both readiness backends — the default epoll with its SO_REUSEPORT
+# listener group, and --force-poll where loop 0 accepts and hands
+# connections off — since the gauges asserted below must sum correctly
+# across loops either way. The daemon runs with a tiny --retained-traces
+# ring, and the soak's request storm must leave both trace rings
+# saturated at exactly that bound (retention stays bounded under load).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +26,7 @@ for backend_flags in "" "--force-poll"; do
     out=$(mktemp)
     # shellcheck disable=SC2086  # $backend_flags is intentionally split
     timeout 60 ./target/release/pclabel-netd \
-        --listen 127.0.0.1:0 --workers "$WORKERS" --model reactor \
+        --listen 127.0.0.1:0 --workers "$WORKERS" \
         --reactors 2 $backend_flags \
         --timeout-ms 5000 --retained-traces "$TRACE_RING" \
         --allow-remote-shutdown >"$out" &

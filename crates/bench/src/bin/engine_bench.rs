@@ -12,33 +12,28 @@
 //!
 //! With `--net`, additionally spawns an in-process `pclabel-net` server
 //! on a loopback port and measures framed-TCP request throughput at
-//! 1/2/4 client threads (a `"net"` array in the JSON report). The
-//! `--model pool|reactor` flag picks the server's connection model
-//! (default: the platform default, i.e. reactor on Unix), and each
-//! measurement additionally runs with a fleet of idle keep-alive
-//! connections parked on the server (the `idle_conns` column) — the
-//! workload the reactor exists for. With the pool model the idle fleet
-//! is clamped below the worker count, because `workers` idle
-//! connections would deadlock the bench; the clamp is reported in the
-//! row. Every net row carries a `reactors` field (event loops serving
-//! the listener; 0 under the pool model), and for the reactor model a
-//! scaling grid re-runs the 4-client storm against 2 and 4 event loops
-//! — bench_trend gates only the 1-reactor rows, so the grid is
-//! informational on single-CPU runners. A final `debug_scrape` row
-//! re-measures single-client framed
-//! throughput while a poller hammers the `/debug` introspection routes
-//! over HTTP on the same port, proving inspection does not perturb
-//! serving. A `durability_overhead` row times the same append_rows
-//! stream against an in-memory store and against one logging every
-//! mutation to a write-ahead log under the default `--fsync batch`
-//! policy, reporting appends/sec on each side.
+//! 1/2/4 client threads (a `"net"` array in the JSON report). Each
+//! measurement runs with a fleet of idle keep-alive connections parked
+//! on the server (the `idle_conns` column) — the workload the reactor
+//! exists for. Every net row carries a `reactors` field (event loops
+//! serving the listener) and the constant `"model":"reactor"` that
+//! `bench_trend` keys rows by; a scaling grid re-runs the 4-client storm
+//! against 2 and 4 event loops — bench_trend gates only the 1-reactor
+//! rows, so the grid is informational on single-CPU runners. A final
+//! `debug_scrape` row re-measures single-client framed throughput while
+//! a poller hammers the `/debug` introspection routes over HTTP on the
+//! same port, proving inspection does not perturb serving. A
+//! `durability_overhead` row times the same append_rows stream against
+//! an in-memory store and against one logging every mutation to a
+//! write-ahead log under the default `--fsync batch` policy, reporting
+//! appends/sec on each side.
 //!
 //! `--json` is accepted for explicitness; the report is always a single
 //! JSON object on stdout (progress goes to stderr).
 //!
 //! ```text
 //! cargo run --release -p pclabel-bench --bin engine_bench -- \
-//!     [--net] [--model pool|reactor] [--json]
+//!     [--net] [--shards LIST] [--json]
 //! ```
 //!
 //! Environment:
@@ -46,7 +41,7 @@
 //!   PCLABEL_BENCH_REPS       timing repetitions, best-of (default 3)
 //!   PCLABEL_BENCH_NET_REQS   --net requests per client thread (default 200)
 //!   PCLABEL_BENCH_NET_IDLE   --net parked idle connections (default
-//!                            workers + 4; clamped for --model pool)
+//!                            workers + 4)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -59,7 +54,7 @@ use pclabel_data::generate::{independent, AttrSpec};
 use pclabel_engine::json::Json;
 use pclabel_engine::prelude::*;
 use pclabel_net::client::{HttpClient, NetClient};
-use pclabel_net::server::{ConnectionModel, NetServer, ServerConfig};
+use pclabel_net::server::{NetServer, ServerConfig};
 use pclabel_telemetry::Telemetry;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -71,7 +66,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn usage(message: &str) -> ! {
     eprintln!("engine_bench: {message}");
-    eprintln!("usage: engine_bench [--net] [--model pool|reactor] [--shards LIST] [--json]");
+    eprintln!("usage: engine_bench [--net] [--shards LIST] [--json]");
     std::process::exit(2);
 }
 
@@ -167,7 +162,6 @@ fn synthetic(rows: usize) -> Dataset {
 
 fn main() {
     let mut net_enabled = false;
-    let mut model = ConnectionModel::platform_default();
     let mut shard_counts = vec![1usize, 8, 64];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -176,12 +170,6 @@ fn main() {
             // The report is always JSON; the flag exists so callers
             // (CI) can say what they rely on.
             "--json" => {}
-            "--model" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--model needs a value"));
-                model = value.parse().unwrap_or_else(|e: String| usage(&e));
-            }
             "--shards" => {
                 let value = args
                     .next()
@@ -201,14 +189,6 @@ fn main() {
             }
             other => usage(&format!("unknown flag {other:?}")),
         }
-    }
-
-    // Mirror NetServer::spawn's fallback so the deadlock clamp below
-    // (and the JSON rows' model label) reflect the model that actually
-    // serves, not the one requested.
-    if model == ConnectionModel::Reactor && !cfg!(unix) {
-        eprintln!("engine_bench: --net reactor unavailable here, falling back to pool");
-        model = ConnectionModel::Pool;
     }
 
     let rows = env_usize("PCLABEL_BENCH_ROWS", 1_000_000);
@@ -312,11 +292,10 @@ fn main() {
     if net_enabled {
         let requests_per_client = env_usize("PCLABEL_BENCH_NET_REQS", 200);
         let workers = 8usize;
-        let idle_requested = env_usize("PCLABEL_BENCH_NET_IDLE", workers + 4);
+        let idle_conns = env_usize("PCLABEL_BENCH_NET_IDLE", workers + 4);
         let server = NetServer::spawn(
             Arc::clone(&dispatcher),
             ServerConfig {
-                model,
                 workers,
                 ..ServerConfig::default()
             },
@@ -325,23 +304,8 @@ fn main() {
         let addr = server.local_addr();
         let mut single_client_secs_per_req = f64::NAN;
         for &clients in &[1usize, 2, 4] {
-            // The pool model pins one worker per connection, idle or
-            // not: an idle fleet of `workers - clients` would already
-            // starve the measurement clients, so clamp below that (the
-            // reactor takes the full fleet).
-            let idle_conns = if model == ConnectionModel::Pool {
-                idle_requested.min(workers.saturating_sub(clients + 1))
-            } else {
-                idle_requested
-            };
-            if idle_conns < idle_requested {
-                eprintln!(
-                    "engine_bench: --net clamped idle connections {idle_requested} -> \
-                     {idle_conns} (pool model would deadlock)"
-                );
-            }
             eprintln!(
-                "engine_bench: --net {model} model, {clients} client thread(s), \
+                "engine_bench: --net {clients} client thread(s), \
                  {idle_conns} idle connection(s)…"
             );
             // Park the idle keep-alive fleet (each proven live with one
@@ -354,13 +318,8 @@ fn main() {
             if clients == 1 {
                 single_client_secs_per_req = secs / requests as f64;
             }
-            let sweep_reactors = if model == ConnectionModel::Reactor {
-                1
-            } else {
-                0
-            };
             net_rows.push(format!(
-                "{{\"model\":\"{model}\",\"client_threads\":{clients},\"idle_conns\":{idle_conns},\"reactors\":{sweep_reactors},\"requests\":{requests},\"seconds\":{secs:.6},\"req_per_sec\":{:.0}}}",
+                "{{\"model\":\"reactor\",\"client_threads\":{clients},\"idle_conns\":{idle_conns},\"reactors\":1,\"requests\":{requests},\"seconds\":{secs:.6},\"req_per_sec\":{:.0}}}",
                 requests as f64 / secs
             ));
         }
@@ -374,7 +333,7 @@ fn main() {
             let requests = requests_per_client;
             let mut secs = f64::NAN;
             let mut scrapes = 0u64;
-            eprintln!("engine_bench: --net {model} model, 1 client thread under a /debug poller…");
+            eprintln!("engine_bench: --net 1 client thread under a /debug poller…");
             std::thread::scope(|scope| {
                 let poller = scope.spawn(|| {
                     let mut http = HttpClient::connect(addr).expect("debug poller connects");
@@ -412,7 +371,7 @@ fn main() {
                 requests as f64 / secs
             );
             debug_row = format!(
-                "{{\"model\":\"{model}\",\"client_threads\":1,\"requests\":{requests},\"seconds\":{secs:.6},\"req_per_sec\":{:.0},\"scrapes\":{scrapes},\"scrapes_per_sec\":{:.0}}}",
+                "{{\"model\":\"reactor\",\"client_threads\":1,\"requests\":{requests},\"seconds\":{secs:.6},\"req_per_sec\":{:.0},\"scrapes\":{scrapes},\"scrapes_per_sec\":{:.0}}}",
                 requests as f64 / secs,
                 scrapes as f64 / secs
             );
@@ -425,34 +384,31 @@ fn main() {
         // SO_REUSEPORT listener group; on a 1-CPU box they are
         // informational only — bench_trend gates the 1-reactor rows and
         // never compares multi-reactor ones.
-        if model == ConnectionModel::Reactor {
-            for &reactors in &[2usize, 4] {
-                eprintln!(
-                    "engine_bench: --net {model} model, {reactors} reactors, 4 client \
-                     thread(s), {idle_requested} idle connection(s)…"
-                );
-                let server = NetServer::spawn(
-                    Arc::clone(&dispatcher),
-                    ServerConfig {
-                        model,
-                        workers,
-                        reactors,
-                        ..ServerConfig::default()
-                    },
-                )
-                .expect("spawn reactor-grid server");
-                let addr = server.local_addr();
-                let mut parked = park_idle(addr, idle_requested);
-                let secs = measure_framed(addr, 4, requests_per_client);
-                assert_fleet_alive(&mut parked);
-                drop(parked);
-                server.shutdown();
-                let requests = 4 * requests_per_client;
-                net_rows.push(format!(
-                    "{{\"model\":\"{model}\",\"client_threads\":4,\"idle_conns\":{idle_requested},\"reactors\":{reactors},\"requests\":{requests},\"seconds\":{secs:.6},\"req_per_sec\":{:.0}}}",
-                    requests as f64 / secs
-                ));
-            }
+        for &reactors in &[2usize, 4] {
+            eprintln!(
+                "engine_bench: --net {reactors} reactors, 4 client thread(s), \
+                 {idle_conns} idle connection(s)…"
+            );
+            let server = NetServer::spawn(
+                Arc::clone(&dispatcher),
+                ServerConfig {
+                    workers,
+                    reactors,
+                    ..ServerConfig::default()
+                },
+            )
+            .expect("spawn reactor-grid server");
+            let addr = server.local_addr();
+            let mut parked = park_idle(addr, idle_conns);
+            let secs = measure_framed(addr, 4, requests_per_client);
+            assert_fleet_alive(&mut parked);
+            drop(parked);
+            server.shutdown();
+            let requests = 4 * requests_per_client;
+            net_rows.push(format!(
+                "{{\"model\":\"reactor\",\"client_threads\":4,\"idle_conns\":{idle_conns},\"reactors\":{reactors},\"requests\":{requests},\"seconds\":{secs:.6},\"req_per_sec\":{:.0}}}",
+                requests as f64 / secs
+            ));
         }
 
         // --- telemetry overhead: live metrics vs no-op handle -------------

@@ -2,15 +2,10 @@
 //!
 //! A label's `PC` component is exactly a group-by of the dataset on the
 //! chosen attribute subset `S`; the label-size function `|P_S|` is the
-//! number of groups. This module provides the two engines the search
-//! algorithms are built on:
-//!
-//! * [`GroupCounts`] — a hash group-by with bit-packed `u64` keys whenever
-//!   the schema fits (fast path), falling back to boxed `u32` slices;
-//! * [`GroupIndex`] — partition refinement: the dense group ids of a parent
-//!   node of the label lattice are refined by one extra column to obtain a
-//!   child's grouping in O(rows), which is how the top-down search prices
-//!   all children of a dequeued node.
+//! number of groups. [`GroupCounts`] is a hash group-by with bit-packed
+//! `u64` keys whenever the schema fits (fast path), falling back to boxed
+//! `u32` slices. (The search evaluator's partition refinement lives in
+//! [`crate::search::refine`].)
 //!
 //! ## Sharded storage
 //!
@@ -1170,78 +1165,6 @@ pub mod reference {
     }
 }
 
-/// Dense row→group assignment supporting partition refinement.
-#[derive(Debug, Clone)]
-pub struct GroupIndex {
-    ids: Vec<u32>,
-    /// Per group: is this the all-missing (empty-pattern) group?
-    all_missing: Vec<bool>,
-}
-
-impl GroupIndex {
-    /// The trivial partition: every row in one group (the empty projection).
-    pub fn unit(n_rows: usize) -> Self {
-        Self {
-            ids: vec![0; n_rows],
-            all_missing: vec![true],
-        }
-    }
-
-    /// Number of rows indexed.
-    pub fn n_rows(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Number of groups (including a possible all-missing group).
-    pub fn n_groups(&self) -> usize {
-        self.all_missing.len()
-    }
-
-    /// `|P_S|`: groups excluding the all-missing one.
-    pub fn pattern_count_size(&self) -> u64 {
-        let missing = self.all_missing.iter().filter(|&&b| b).count() as u64;
-        self.all_missing.len() as u64 - missing
-    }
-
-    /// Group id of row `r`.
-    #[inline]
-    pub fn group_of(&self, r: usize) -> u32 {
-        self.ids[r]
-    }
-
-    /// Refines the partition by `column`: rows agree in the result iff they
-    /// agreed before *and* share the same value (missing = its own code).
-    pub fn refine(&self, column: &[u32]) -> GroupIndex {
-        debug_assert_eq!(column.len(), self.ids.len());
-        let mut remap: FxHashMap<u64, u32> = fx_map_with_capacity(self.all_missing.len() * 2);
-        let mut ids = Vec::with_capacity(self.ids.len());
-        let mut all_missing = Vec::new();
-        for (r, &old) in self.ids.iter().enumerate() {
-            let v = column[r];
-            // Compose (old group, value) into one u64 key; MISSING folds to
-            // a reserved code that cannot collide with real ids.
-            let code = if v == MISSING { u32::MAX } else { v };
-            let key = ((old as u64) << 32) | code as u64;
-            let next = all_missing.len() as u32;
-            let id = *remap.entry(key).or_insert_with(|| {
-                all_missing.push(self.all_missing[old as usize] && v == MISSING);
-                next
-            });
-            ids.push(id);
-        }
-        GroupIndex { ids, all_missing }
-    }
-
-    /// Builds the partition for `attrs` by successive refinement.
-    pub fn over(dataset: &Dataset, attrs: AttrSet) -> GroupIndex {
-        let mut idx = GroupIndex::unit(dataset.n_rows());
-        for a in attrs.iter() {
-            idx = idx.refine(dataset.column(a));
-        }
-        idx
-    }
-}
-
 /// Convenience: the paper's `labelSize(S, D)` — the number of distinct
 /// non-empty patterns over `attrs` present in `dataset`.
 pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
@@ -1418,41 +1341,6 @@ mod tests {
             let expect: Vec<u32> = codec.attrs().iter().map(|&a| d.value_raw(r, a)).collect();
             assert_eq!(vals, expect);
         }
-    }
-
-    #[test]
-    fn group_index_matches_group_counts() {
-        let d = figure2_sample();
-        for attrs in [
-            AttrSet::from_indices([0]),
-            AttrSet::from_indices([1, 3]),
-            AttrSet::full(4),
-        ] {
-            let idx = GroupIndex::over(&d, attrs);
-            let g = GroupCounts::build(&d, None, attrs);
-            assert_eq!(idx.pattern_count_size(), g.pattern_count_size());
-        }
-    }
-
-    #[test]
-    fn group_index_refinement_tracks_missing() {
-        let mut b = DatasetBuilder::new(["a", "b"]);
-        b.push_row_opt(&[Some("x"), Some("1")]).unwrap();
-        b.push_row_opt(&[None::<&str>, None::<&str>]).unwrap();
-        b.push_row_opt(&[None::<&str>, Some("1")]).unwrap();
-        let d = b.finish();
-        let idx = GroupIndex::over(&d, AttrSet::from_indices([0, 1]));
-        // Projections: {a=x,b=1}, {}, {b=1} → 3 groups, one all-missing.
-        assert_eq!(idx.n_groups(), 3);
-        assert_eq!(idx.pattern_count_size(), 2);
-    }
-
-    #[test]
-    fn group_index_unit_is_empty_pattern() {
-        let idx = GroupIndex::unit(5);
-        assert_eq!(idx.n_groups(), 1);
-        assert_eq!(idx.pattern_count_size(), 0);
-        assert_eq!(idx.n_rows(), 5);
     }
 
     /// Two group-bys are identical iff they partition the rows into the

@@ -57,7 +57,7 @@ pub mod search;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::attrset::AttrSet;
-    pub use crate::counting::{label_size, GroupCounts, GroupIndex};
+    pub use crate::counting::{label_size, GroupCounts};
     pub use crate::error::{absolute_error, q_error, ErrorMetric, ErrorStats};
     pub use crate::label::{Label, ValueCounts};
     pub use crate::multi::{CombineStrategy, MultiLabel};

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::{label_size, label_size_bounded, GroupCounts, GroupIndex};
+use pclabel_core::counting::{label_size, label_size_bounded, GroupCounts};
 use pclabel_core::label::Label;
 use pclabel_core::lattice::{binomial, gen, Combinations};
 use pclabel_core::pattern::Pattern;
@@ -246,16 +246,6 @@ proptest! {
             ie.sort();
             prop_assert_eq!(se.clone(), ie);
         }
-    }
-
-    /// GroupIndex refinement and GroupCounts agree on |P_S| even with
-    /// missing values.
-    #[test]
-    fn partition_vs_hash_sizes(d in arb_dataset_missing(), bits in any::<u64>()) {
-        let attrs = AttrSet::from_bits(bits & ((1u64 << d.n_attrs()) - 1));
-        let via_hash = GroupCounts::build(&d, None, attrs).pattern_count_size();
-        let via_refine = GroupIndex::over(&d, attrs).pattern_count_size();
-        prop_assert_eq!(via_hash, via_refine);
     }
 
     /// Pattern counts from the label equal brute-force scans, for every

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::cache::{CacheStats, ShardedCache};
     pub use crate::durability::{Durability, DurabilityOptions, DurabilityStats, RecoveryReport};
     pub use crate::health::{Health, HealthSnapshot};
-    pub use crate::parallel::{auto_threads, group_counts, CountingOptions};
+    pub use crate::parallel::auto_threads;
     pub use crate::query::{
         Engine, EngineConfig, PatternEstimate, PatternSpec, QueryRequest, QueryResponse, QueryStats,
     };

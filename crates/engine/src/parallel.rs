@@ -7,67 +7,9 @@
 //! available parallelism, so small tables never pay thread-spawn overhead
 //! and large tables scale to the hardware.
 
-use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::GroupCounts;
-use pclabel_data::dataset::Dataset;
-
 /// Below this many rows per worker, chunking costs more than it saves
 /// (shared with the core search evaluator's auto-capping).
 pub const MIN_ROWS_PER_THREAD: usize = pclabel_core::counting::MIN_PARALLEL_ROWS_PER_THREAD;
-
-/// How counting work is spread across threads and key-range shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CountingOptions {
-    /// Worker threads; `0` means auto (from rows and hardware).
-    pub threads: usize,
-    /// Key-range shards; `0` means auto
-    /// ([`pclabel_core::counting::auto_shards`] of the resolved thread
-    /// count). Any value yields identical counts.
-    pub shards: usize,
-}
-
-impl CountingOptions {
-    /// Auto-sized (the default).
-    pub const AUTO: CountingOptions = CountingOptions {
-        threads: 0,
-        shards: 0,
-    };
-
-    /// Exactly `threads` workers (shards stay auto).
-    pub fn with_threads(threads: usize) -> Self {
-        CountingOptions { threads, shards: 0 }
-    }
-
-    /// Pins the shard count (builder-style).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Resolves to a concrete worker count for `n_rows` rows.
-    pub fn resolve(self, n_rows: usize) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            auto_threads(n_rows)
-        }
-    }
-
-    /// Resolves to a concrete shard count for `n_rows` rows.
-    pub fn resolve_shards(self, n_rows: usize) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            pclabel_core::counting::auto_shards(self.resolve(n_rows))
-        }
-    }
-}
-
-impl Default for CountingOptions {
-    fn default() -> Self {
-        Self::AUTO
-    }
-}
 
 /// Worker count for an `n_rows`-row scan: one worker per
 /// [`MIN_ROWS_PER_THREAD`] rows, capped at the machine's available
@@ -77,33 +19,9 @@ pub fn auto_threads(n_rows: usize) -> usize {
     hw.min(n_rows / MIN_ROWS_PER_THREAD).max(1)
 }
 
-/// Groups `dataset` by `attrs` with auto-sized (or explicit) parallelism.
-/// Results are identical to `GroupCounts::build`.
-pub fn group_counts(
-    dataset: &Dataset,
-    weights: Option<&[u64]>,
-    attrs: AttrSet,
-    opts: CountingOptions,
-) -> GroupCounts {
-    let n = dataset.n_rows();
-    GroupCounts::build_parallel_sharded(
-        dataset,
-        weights,
-        attrs,
-        opts.resolve(n),
-        opts.resolve_shards(n),
-    )
-}
-
-/// `|P_S|` via parallel counting.
-pub fn label_size(dataset: &Dataset, attrs: AttrSet, opts: CountingOptions) -> u64 {
-    group_counts(dataset, None, attrs, opts).pattern_count_size()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pclabel_data::generate::figure2_sample;
 
     #[test]
     fn auto_threads_scales_with_rows() {
@@ -113,24 +31,5 @@ mod tests {
         let big = auto_threads(MIN_ROWS_PER_THREAD * 1024);
         assert!(big >= 1);
         assert!(big <= std::thread::available_parallelism().map_or(1, |p| p.get()));
-    }
-
-    #[test]
-    fn options_resolve() {
-        assert_eq!(CountingOptions::with_threads(3).resolve(10), 3);
-        assert_eq!(CountingOptions::AUTO.resolve(10), 1);
-        assert_eq!(CountingOptions::default(), CountingOptions::AUTO);
-    }
-
-    #[test]
-    fn group_counts_matches_serial() {
-        let d = figure2_sample();
-        let attrs = AttrSet::from_indices([1, 3]);
-        let serial = GroupCounts::build(&d, None, attrs);
-        let auto = group_counts(&d, None, attrs, CountingOptions::AUTO);
-        let forced = group_counts(&d, None, attrs, CountingOptions::with_threads(4));
-        assert_eq!(serial.pattern_count_size(), auto.pattern_count_size());
-        assert_eq!(serial.pattern_count_size(), forced.pattern_count_size());
-        assert_eq!(label_size(&d, attrs, CountingOptions::AUTO), 3);
     }
 }

@@ -2,14 +2,14 @@
 //! script over framed TCP, then the same script again over HTTP
 //! (`POST /`), printing every response body to stdout, one per line.
 //!
-//! `ci/net_smoke.sh` runs this against a `--model pool` daemon and a
-//! `--model reactor` daemon and diffs the outputs: the two connection
-//! models must be byte-identical for the same request stream. The
-//! script mixes ops, failure paths, and non-JSON garbage so the diff
-//! covers dispatch errors as well as happy paths; it runs each op
-//! sequence against one long-lived daemon, so per-dataset state
-//! (generations, cache counters) evolves — identically — under both
-//! models.
+//! `ci/net_smoke.sh` runs this against a one-reactor daemon, a
+//! four-reactor `SO_REUSEPORT` daemon and a two-reactor `--force-poll`
+//! (fd handoff) daemon, and diffs the outputs: every variant must be
+//! byte-identical for the same request stream. The script mixes ops,
+//! failure paths, and non-JSON garbage so the diff covers dispatch
+//! errors as well as happy paths; it runs each op sequence against one
+//! long-lived daemon, so per-dataset state (generations, cache
+//! counters) evolves — identically — under every variant.
 //!
 //! Ends with `{"op":"shutdown"}` (requires `--allow-remote-shutdown`),
 //! whose response is printed too.
@@ -22,7 +22,7 @@ use pclabel_engine::json::Json;
 use pclabel_net::client::{HttpClient, NetClient};
 
 /// Zeroes the one legitimately non-deterministic response field
-/// (`health`'s `uptime_seconds`) so the cross-model diff stays
+/// (`health`'s `uptime_seconds`) so the cross-variant diff stays
 /// byte-exact; everything else is printed verbatim.
 fn canon(line: &str) -> String {
     match Json::parse(line) {
@@ -78,7 +78,7 @@ fn main() {
     println!("http {} {}", health.status, canon(&health.body));
 
     // Optional telemetry dump for ci/net_smoke.sh: scrape /metrics into
-    // a file, keeping stdout byte-identical across connection models.
+    // a file, keeping stdout byte-identical across daemon variants.
     if let Ok(path) = std::env::var("PCLABEL_REPLAY_METRICS_OUT") {
         if !path.is_empty() {
             let scrape = http.request("GET", "/metrics", None).expect("GET /metrics");

@@ -2,11 +2,10 @@
 //! connections, then asserts a fresh client still completes a
 //! register + query round-trip within a deadline.
 //!
-//! This is the regression gate for the event-driven reactor. Under the
-//! thread-pool model, N ≥ workers idle connections pin every worker and
-//! this program times out; under `--model reactor` it must pass with
-//! any N. `ci/net_soak.sh` runs it with `workers + 4` idle connections
-//! and a 2 s deadline.
+//! This is the regression gate for the event-driven reactor: it holds
+//! workers per request, not per connection, so this must pass with any
+//! N, including N ≥ workers. `ci/net_soak.sh` runs it with
+//! `workers + 4` idle connections and a 2 s deadline.
 //!
 //! Ends with `{"op":"shutdown"}` (requires `--allow-remote-shutdown`).
 //!

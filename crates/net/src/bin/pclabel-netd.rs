@@ -5,6 +5,8 @@
 //! and HTTP/1.1 (`POST /query`, `POST /register`, `GET /stats`,
 //! `GET /healthz`, …). Both dispatch through the same core as
 //! `pclabel-serve`, so responses are byte-identical across transports.
+//! Connections run on reactor event loops (`epoll` on Linux, `poll(2)`
+//! on other Unixes); the daemon needs a Unix.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +14,7 @@ use std::time::Duration;
 use pclabel_engine::durability::{Durability, DurabilityOptions};
 use pclabel_engine::query::{Engine, EngineConfig};
 use pclabel_engine::serve::Dispatcher;
-use pclabel_net::server::{ConnectionModel, NetServer, ServerConfig};
+use pclabel_net::server::{NetServer, ServerConfig};
 use pclabel_telemetry::{LogLevel, Logger, Telemetry};
 
 const USAGE: &str = "\
@@ -23,46 +25,39 @@ usage: pclabel-netd [options]
 options:
   --listen ADDR            listen address (default 127.0.0.1:7341; port 0
                            picks an ephemeral port, printed on startup)
-  --model pool|reactor     connection model (default: reactor on Unix —
-                           epoll on Linux, poll(2) elsewhere — pool
-                           otherwise). pool pins one worker per
-                           connection; reactor multiplexes all
-                           connections on one event loop and uses
-                           workers per request, so idle keep-alive
-                           clients cannot starve new ones
-  --workers N              worker threads (default 4): per-connection in
-                           the pool model, per-request in the reactor
-  --queue N                pending jobs that may queue for a free worker
-                           (default 64)
-  --max-parked N           reactor only: requests parked beyond the queue
-                           before new ones are refused with HTTP 429 / a
-                           framed {\"error\":\"overloaded\"} (default 256;
+  --model reactor          the connection model; reactor is the only one:
+                           event loops over epoll on Linux, poll(2)
+                           elsewhere, with workers held per request
+  --workers N              worker threads dispatching requests (default 4)
+  --queue N                pending requests that may queue for a free
+                           worker (default 64)
+  --max-parked N           requests parked beyond the queue before new
+                           ones are refused with HTTP 429 / a framed
+                           {\"error\":\"overloaded\"} (default 256;
                            0 = never park)
-  --reactors N             reactor only: event loops serving the
-                           listener (default: CPU count; 0 = 1). On
-                           Linux with epoll each loop accepts from its
-                           own SO_REUSEPORT listener and the kernel
-                           balances accepts; with --force-poll or on
-                           other Unixes loop 0 accepts and hands
-                           sockets to its peers round-robin. All loops
-                           share one --workers dispatch pool
-  --write-watermark BYTES  reactor only: per-connection cap on queued
-                           unsent response bytes; at the cap the loop
-                           stops reading from that connection until the
-                           peer drains its responses (default 262144)
-  --max-conns N            reactor only: simultaneous connection cap,
-                           split evenly across the event loops; at the
-                           cap the least-recently-active idle
-                           connection is evicted (default 1024)
-  --idle-ms MS             reactor only: close connections idle between
-                           requests for MS (default 0 = never)
+  --reactors N             event loops serving the listener (default:
+                           CPU count; 0 = 1). On Linux with epoll each
+                           loop accepts from its own SO_REUSEPORT
+                           listener and the kernel balances accepts;
+                           with --force-poll or on other Unixes loop 0
+                           accepts and hands sockets to its peers
+                           round-robin. All loops share one --workers
+                           dispatch pool
+  --write-watermark BYTES  per-connection cap on queued unsent response
+                           bytes; at the cap the loop stops reading from
+                           that connection until the peer drains its
+                           responses (default 262144)
+  --max-conns N            simultaneous connection cap, split evenly
+                           across the event loops; at the cap the
+                           least-recently-active idle connection is
+                           evicted (default 1024)
+  --idle-ms MS             close connections idle between requests for
+                           MS (default 0 = never)
   --max-frame BYTES        request frame/body size limit (default 1048576)
-  --timeout-ms MS          per-connection read/write timeout; also the
-                           shutdown poll interval (default 10000; 0 = no
-                           timeout — shutdown then waits for idle
-                           connections to close)
-  --force-poll             reactor only: use the portable poll(2) backend
-                           even where epoll is available (diagnostics)
+  --timeout-ms MS          deadline for a peer stalled mid-request or
+                           mid-response (default 10000; 0 = none)
+  --force-poll             use the portable poll(2) backend even where
+                           epoll is available (diagnostics)
   --allow-remote-shutdown  honour {\"op\":\"shutdown\"} from clients
   --log-level LEVEL        structured JSON log verbosity on stderr:
                            error, warn, info or debug (default info;
@@ -121,7 +116,6 @@ fn fail(message: &str) -> ! {
 fn main() {
     let mut config = ServerConfig {
         addr: "127.0.0.1:7341".to_string(),
-        model: ConnectionModel::platform_default(),
         // The daemon (unlike the library's single-loop default) scales
         // the reactor plane to the machine out of the box.
         reactors: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -147,11 +141,11 @@ fn main() {
             }
             "--listen" => config.addr = value("--listen"),
             "--model" => {
-                config.model = value("--model")
-                    .parse()
-                    .unwrap_or_else(|e: String| fail(&e));
-                if config.model == ConnectionModel::Reactor && !cfg!(unix) {
-                    fail("the reactor model needs epoll/poll(2); this platform has neither");
+                let model = value("--model");
+                if model != "reactor" {
+                    fail(&format!(
+                        "unknown connection model {model:?}; the only model is \"reactor\""
+                    ));
                 }
             }
             "--reactors" => {
@@ -304,12 +298,7 @@ fn main() {
     let dispatcher = Arc::new(Dispatcher::with_engine(engine, telemetry));
 
     let workers = config.workers;
-    let model = config.model;
-    let reactors = if model == ConnectionModel::Reactor && cfg!(unix) {
-        config.reactors.max(1)
-    } else {
-        0
-    };
+    let reactors = config.reactors.max(1);
     let server = match NetServer::spawn(dispatcher, config) {
         Ok(server) => server,
         Err(e) => fail(&format!("failed to start: {e}")),
@@ -317,17 +306,10 @@ fn main() {
     // Startup line on stdout so supervisors (and the CI smoke script)
     // can discover the resolved ephemeral port. The address stays the
     // fourth whitespace-separated field — scripts parse it.
-    if reactors > 0 {
-        println!(
-            "pclabel-netd: listening on {} ({workers} workers, {model} model, {reactors} reactors)",
-            server.local_addr()
-        );
-    } else {
-        println!(
-            "pclabel-netd: listening on {} ({workers} workers, {model} model)",
-            server.local_addr()
-        );
-    }
+    println!(
+        "pclabel-netd: listening on {} ({workers} workers, {reactors} reactors)",
+        server.local_addr()
+    );
     server.wait();
     println!("pclabel-netd: shut down");
 }

@@ -1,20 +1,19 @@
 //! Live connection-state tracking for `/debug/conns`.
 //!
-//! Both connection models register every accepted connection in a
-//! shared [`ConnTable`] and mirror its coarse state into the entry's
-//! atomics. The table's mutex is touched only on admit/close and by a
-//! snapshot; every per-byte and per-request update is a relaxed atomic
-//! on an entry the updater already holds an `Arc` to. A `/debug/conns`
-//! scrape therefore reads a consistent-enough picture of the fleet
-//! without ever stalling the reactor's event loop or blocking a pool
-//! worker mid-request.
+//! Every reactor loop registers each connection it admits in a shared
+//! [`ConnTable`] and mirrors its coarse state into the entry's atomics.
+//! The table's mutex is touched only on admit/close and by a snapshot;
+//! every per-byte and per-request update is a relaxed atomic on an
+//! entry the updater already holds an `Arc` to. A `/debug/conns` scrape
+//! therefore reads a consistent-enough picture of the fleet without
+//! ever stalling an event loop.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Coarse connection state, mirrored by both connection models.
+/// Coarse connection state, mirrored by the owning event loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConnState {
     /// Accepted; the protocol sniff has not finished yet.

@@ -101,18 +101,13 @@ pub fn read_frame<R: Read>(r: &mut R, max: u32) -> Result<Option<Vec<u8>>, Frame
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    read_frame_body(r, u32::from_be_bytes(header), max).map(Some)
-}
-
-/// Reads a frame's payload when the 4-byte length prefix has already
-/// been consumed (the server's protocol sniffer reads it itself).
-pub fn read_frame_body<R: Read>(r: &mut R, len: u32, max: u32) -> Result<Vec<u8>, FrameError> {
+    let len = u32::from_be_bytes(header);
     if len > max {
         return Err(FrameError::TooLarge { len, max });
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    Ok(payload)
+    Ok(Some(payload))
 }
 
 #[cfg(test)]

@@ -38,12 +38,8 @@
 //! Connections are keep-alive per HTTP/1.1 defaults: `Connection:
 //! close` — or any transport error — ends the connection.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-
 use pclabel_engine::json::Json;
 
-use crate::conntrack::{ConnState, ConnTrack};
 use crate::server::{process_line, process_request, Shared};
 
 /// Total byte cap on the request line + headers of one request.
@@ -89,8 +85,7 @@ impl Request {
 
 /// Parses a request head (everything before the `\r\n\r\n`, already
 /// UTF-8-checked) into a body-less [`Request`]. Errors are
-/// `(status, message)` pairs for the error response. Shared by the
-/// blocking adapter below and the reactor's incremental state machine.
+/// `(status, message)` pairs for the error response.
 pub(crate) fn parse_head(head: &str) -> Result<Request, (u16, &'static str)> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -163,11 +158,10 @@ enum ChunkState {
     Done,
 }
 
-/// Incremental `Transfer-Encoding: chunked` decoder shared by both
-/// connection models. Feed it raw bytes as they arrive; it consumes
-/// what it can from the front of the buffer and accumulates the decoded
-/// body, so the raw buffer never holds more than one partial chunk's
-/// worth of unconsumed bytes.
+/// Incremental `Transfer-Encoding: chunked` decoder. Feed it raw bytes
+/// as they arrive; it consumes what it can from the front of the buffer
+/// and accumulates the decoded body, so the raw buffer never holds more
+/// than one partial chunk's worth of unconsumed bytes.
 pub(crate) struct ChunkedDecoder {
     state: ChunkState,
     body: Vec<u8>,
@@ -280,150 +274,6 @@ impl ChunkedDecoder {
     }
 }
 
-/// Why reading a request stopped.
-enum ReadRequest {
-    Ok(Request),
-    /// Peer closed (or idle shutdown) before a request started.
-    Closed,
-    /// Malformed/oversized head or body: respond with this status and
-    /// close.
-    Bad(u16, &'static str),
-}
-
-/// Buffered connection state; `carry` holds bytes of the next pipelined
-/// request read past the previous one's end.
-struct Conn<'a> {
-    stream: TcpStream,
-    carry: Vec<u8>,
-    track: &'a ConnTrack,
-}
-
-impl Conn<'_> {
-    /// Pulls more bytes into `carry`. `Ok(false)` means EOF.
-    fn fill(&mut self, shared: &Shared, have_partial: bool) -> io::Result<bool> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            if shared.shutting_down() && !have_partial {
-                return Ok(false);
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(false),
-                Ok(n) => {
-                    self.carry.extend_from_slice(&chunk[..n]);
-                    self.track.add_in(n as u64);
-                    return Ok(true);
-                }
-                Err(e)
-                    if !have_partial
-                        && matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                {
-                    continue; // idle between requests; re-check shutdown
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Reads one full request (head + body) from the connection.
-    fn read_request(&mut self, shared: &Shared) -> ReadRequest {
-        // Find the end of the head, reading as needed.
-        let head_end = loop {
-            if let Some(pos) = find_subsequence(&self.carry, b"\r\n\r\n") {
-                break pos;
-            }
-            if self.carry.len() > MAX_HEAD_BYTES {
-                return ReadRequest::Bad(431, "request head too large");
-            }
-            match self.fill(shared, !self.carry.is_empty()) {
-                Ok(true) => {}
-                Ok(false) if self.carry.is_empty() => return ReadRequest::Closed,
-                Ok(false) | Err(_) => return ReadRequest::Bad(400, "truncated request head"),
-            }
-        };
-
-        let head = match std::str::from_utf8(&self.carry[..head_end]) {
-            Ok(h) => h.to_string(),
-            Err(_) => return ReadRequest::Bad(400, "request head is not valid UTF-8"),
-        };
-        self.carry.drain(..head_end + 4);
-
-        let request = match parse_head(&head) {
-            Ok(request) => request,
-            Err((status, message)) => return ReadRequest::Bad(status, message),
-        };
-        let content_length = match body_framing(&request) {
-            Ok(BodyFraming::Length(n)) => n,
-            Ok(BodyFraming::Chunked) => return self.read_chunked_body(shared, request),
-            Err((status, message)) => return ReadRequest::Bad(status, message),
-        };
-        if content_length > shared.config.max_frame as usize {
-            // Drain the declared body before the 413 goes out (see
-            // `server::drain` for the RST rationale).
-            crate::server::drain(
-                &mut self.stream,
-                content_length.saturating_sub(self.carry.len()) as u64,
-            );
-            self.carry.clear();
-            return ReadRequest::Bad(413, "request body exceeds the frame size limit");
-        }
-
-        // Clients like curl hold the body back until the interim
-        // response when they sent `Expect: 100-continue`; not answering
-        // would stall every such request for the client's expect
-        // timeout.
-        if request.expects_continue() && self.carry.len() < content_length {
-            let _ = self.stream.write_all(CONTINUE);
-            let _ = self.stream.flush();
-        }
-
-        let mut request = request;
-        while self.carry.len() < content_length {
-            match self.fill(shared, true) {
-                Ok(true) => {}
-                Ok(false) | Err(_) => return ReadRequest::Bad(400, "truncated request body"),
-            }
-        }
-        request.body = self.carry.drain(..content_length).collect();
-        ReadRequest::Ok(request)
-    }
-
-    /// Reads a `Transfer-Encoding: chunked` body through the shared
-    /// incremental decoder (the same one the reactor state machine
-    /// uses, keeping error responses byte-identical across models).
-    fn read_chunked_body(&mut self, shared: &Shared, mut request: Request) -> ReadRequest {
-        // Chunked senders with `Expect: 100-continue` hold the body
-        // back until the interim response; with no declared length
-        // there is no "already buffered" shortcut, so always answer.
-        if request.expects_continue() {
-            let _ = self.stream.write_all(CONTINUE);
-            let _ = self.stream.flush();
-        }
-        let mut decoder = ChunkedDecoder::new(shared.config.max_frame as usize);
-        loop {
-            match decoder.decode(&mut self.carry) {
-                Ok(true) => break,
-                Ok(false) => match self.fill(shared, true) {
-                    Ok(true) => {}
-                    Ok(false) | Err(_) => return ReadRequest::Bad(400, "truncated request body"),
-                },
-                // Terminal: the stream position is indeterminate (no
-                // way to drain "the rest"), so the connection closes
-                // right after the error response.
-                Err((status, message)) => {
-                    self.carry.clear();
-                    return ReadRequest::Bad(status, message);
-                }
-            }
-        }
-        request.body = decoder.into_body();
-        ReadRequest::Ok(request)
-    }
-}
-
 pub(crate) fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack
         .windows(needle.len())
@@ -445,22 +295,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialises one complete JSON response (head + body). The single
-/// serialisation point for error paths in both connection models, so an
-/// HTTP exchange is byte-identical whether a pool worker or the reactor
-/// wrote it. Routed responses go through [`routed_bytes`], which
-/// produces the same bytes for JSON non-`HEAD` exchanges.
+/// Serialises one complete JSON response (head + body) for the paths
+/// that answer without routing: transport errors and overload refusals.
 pub(crate) fn response_bytes(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
-    routed_bytes(
-        &Routed {
-            status,
-            body: body.to_string(),
-            content_type: "application/json",
-            head_only: false,
-            shutdown: false,
-        },
-        keep_alive,
-    )
+    routed_bytes(&Routed::json(status, body.to_string(), false), keep_alive)
 }
 
 /// One routed response before serialisation. `head_only` (a `HEAD`
@@ -486,8 +324,7 @@ impl Routed {
     }
 }
 
-/// Serialises a routed response. The shared serialisation point for
-/// both connection models (byte-identity across pool and reactor).
+/// Serialises a routed response.
 pub(crate) fn routed_bytes(routed: &Routed, keep_alive: bool) -> Vec<u8> {
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
@@ -502,16 +339,6 @@ pub(crate) fn routed_bytes(routed: &Routed, keep_alive: bool) -> Vec<u8> {
         bytes.extend_from_slice(routed.body.as_bytes());
     }
     bytes
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    stream.write_all(&response_bytes(status, body, keep_alive))?;
-    stream.flush()
 }
 
 pub(crate) fn error_body(message: &str) -> String {
@@ -732,48 +559,6 @@ fn inject_op(body: &str, op: &str) -> Result<Json, String> {
         None => members.insert(0, ("op".to_string(), Json::str(op))),
     }
     Ok(Json::Obj(members))
-}
-
-/// Serves one HTTP connection until close/error/shutdown. `first4` is
-/// the sniffed method prefix, pushed back onto the buffer.
-pub(crate) fn serve_connection(
-    stream: TcpStream,
-    first4: [u8; 4],
-    shared: &Shared,
-    track: &ConnTrack,
-) {
-    let mut conn = Conn {
-        stream,
-        carry: first4.to_vec(),
-        track,
-    };
-    loop {
-        track.set_state(ConnState::Idle);
-        match conn.read_request(shared) {
-            ReadRequest::Closed => return,
-            ReadRequest::Bad(status, message) => {
-                let _ = write_response(&mut conn.stream, status, &error_body(message), false);
-                return;
-            }
-            ReadRequest::Ok(request) => {
-                track.inc_requests();
-                track.set_state(ConnState::Dispatching);
-                let routed = route(&request, shared);
-                let keep_alive =
-                    request.keep_alive() && !routed.shutdown && !shared.shutting_down();
-                track.set_state(ConnState::Writing);
-                let bytes = routed_bytes(&routed, keep_alive);
-                let write = conn
-                    .stream
-                    .write_all(&bytes)
-                    .and_then(|()| conn.stream.flush());
-                track.add_out(bytes.len() as u64);
-                if write.is_err() || !keep_alive {
-                    return;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

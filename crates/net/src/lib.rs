@@ -26,31 +26,27 @@
 //! JSON for the same request stream — asserted by this crate's
 //! integration tests.
 //!
-//! ## Connection models
+//! ## Connection model
 //!
-//! Two interchangeable connection models serve the same protocols with
-//! byte-identical responses
-//! ([`ServerConfig::model`](server::ServerConfig)):
-//!
-//! * **`pool`** — one worker thread per connection for its lifetime.
-//!   Simple and portable, but `workers` idle keep-alive clients starve
-//!   every later client.
-//! * **`reactor`** (Unix; default for `pclabel-netd` there) — one
-//!   event-loop thread owns every connection as a non-blocking state
-//!   machine over `epoll` (Linux) or `poll(2)`; workers are held per
-//!   *request*, so idle connections cost a file descriptor, not a
-//!   thread. Adds per-connection idle deadlines and a connection cap
-//!   with LRU-idle eviction.
+//! Every connection runs on the reactor: event-loop threads
+//! ([`ServerConfig::reactors`](server::ServerConfig)) own the
+//! connections as non-blocking state machines over `epoll` (Linux) or
+//! `poll(2)` (other Unixes); workers are held per *request*, so idle
+//! connections cost a file descriptor, not a thread. The loops add
+//! per-connection deadlines and a connection cap with LRU-idle eviction.
+//! The server needs a Unix: elsewhere
+//! [`NetServer::spawn`](server::NetServer::spawn) returns
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Pieces
 //!
 //! * [`frame`] — the length-prefixed wire format (read/write, size caps);
 //! * [`pool`] — a fixed-size worker [`pool::ThreadPool`] fed by a bounded
-//!   queue (accepting backpressure instead of unbounded memory);
-//! * [`server`] — the TCP listener: protocol sniffing, per-connection
-//!   read/write timeouts, graceful shutdown via a flag + wake connection;
-//! * `reactor` + `sys` (Unix) — the event-driven connection model and
-//!   its raw `epoll`/`poll(2)` syscall layer;
+//!   queue (backpressure instead of unbounded memory);
+//! * [`server`] — the TCP listener: configuration, binding, graceful
+//!   shutdown, and the transport-level request path;
+//! * `reactor` + `sys` (Unix) — the event loops and their raw
+//!   `epoll`/`poll(2)` syscall layer;
 //! * [`http`] — the minimal HTTP/1.1 adapter;
 //! * [`client`] — blocking framed-TCP and HTTP clients for tests,
 //!   benchmarks and smoke scripts.
@@ -79,6 +75,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// Off Unix the server is unsupported, leaving its request path unused.
+#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
 
 pub mod client;
 pub(crate) mod conntrack;
@@ -97,5 +95,5 @@ pub mod prelude {
     pub use crate::client::{HttpClient, NetClient, RetryPolicy, RetryingClient};
     pub use crate::frame::{encode_frame, read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
     pub use crate::pool::ThreadPool;
-    pub use crate::server::{ConnectionModel, NetServer, ServerConfig, ServerHandle};
+    pub use crate::server::{NetServer, ServerConfig, ServerHandle};
 }

@@ -1,9 +1,8 @@
 //! Connection-level telemetry for the network front end.
 //!
-//! Both connection models report through the same handles, registered
-//! in the dispatcher's [`Registry`] at server spawn — so one `/metrics`
-//! scrape (or `{"op":"server_stats"}`) covers the engine and the
-//! transport alike, and pool vs reactor runs expose identical series.
+//! The handles are registered in the dispatcher's [`Registry`] at
+//! server spawn — so one `/metrics` scrape (or `{"op":"server_stats"}`)
+//! covers the engine and the transport alike.
 //! When the dispatcher's telemetry is disabled every update below is a
 //! single predictable branch (see `pclabel-telemetry`).
 //!
@@ -18,10 +17,9 @@ use std::sync::Arc;
 
 use pclabel_telemetry::{Counter, Gauge, Histogram, Registry};
 
-/// Handles shared by the acceptor, every reactor loop and pool workers.
+/// Handles shared by every reactor loop.
 pub(crate) struct NetMetrics {
-    /// Currently open client connections across all loops (reactor:
-    /// owned state machines; pool: connections occupying a worker).
+    /// Currently open client connections across all loops.
     pub(crate) open_connections: Arc<Gauge>,
     /// Requests parked because the pool queue was full (all loops).
     pub(crate) parked_jobs: Arc<Gauge>,
@@ -31,7 +29,7 @@ pub(crate) struct NetMetrics {
     pub(crate) evictions: Arc<Counter>,
     /// Requests refused with `overloaded` (HTTP 429 / framed error).
     pub(crate) overloaded: Arc<Counter>,
-    /// Event loops serving this listener (0 in the pool model).
+    /// Event loops serving this listener.
     pub(crate) reactors: Arc<Gauge>,
 }
 
@@ -65,7 +63,7 @@ impl NetMetrics {
             ),
             reactors: registry.gauge(
                 "pclabel_net_reactors",
-                "Reactor event loops serving this listener (0 = pool model).",
+                "Reactor event loops serving this listener.",
                 &[],
             ),
         }

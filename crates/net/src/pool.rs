@@ -1,11 +1,11 @@
 //! A fixed-size worker thread pool fed by a bounded job queue.
 //!
-//! The server hands each accepted connection to the pool. The queue is
-//! *bounded*: when all workers are busy and the queue is full,
-//! [`ThreadPool::execute`] blocks the acceptor — backpressure shows up
-//! as TCP accept-queue pressure on clients instead of unbounded memory
-//! growth in the server. Shutdown drains the queue: already-accepted
-//! connections are served, then the workers exit.
+//! The reactor hands each fully-read request to the pool. The queue is
+//! *bounded* and submission never blocks: when all workers are busy and
+//! the queue is full, [`ThreadPool::try_execute`] hands the job back, so
+//! the event loop parks it (or refuses the request) instead of growing
+//! memory without bound. Shutdown drains the queue: already-queued jobs
+//! run, then the workers exit.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -34,29 +34,17 @@ impl std::fmt::Debug for TryExecuteError {
     }
 }
 
-/// The pool is shutting down; the submitted job was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolClosed;
-
-impl std::fmt::Display for PoolClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool is shutting down")
-    }
-}
-
-impl std::error::Error for PoolClosed {}
-
 struct QueueInner<T> {
     items: VecDeque<T>,
     capacity: usize,
     closed: bool,
 }
 
-/// A blocking MPMC queue with a hard capacity.
+/// An MPMC queue with a hard capacity: pushes fail fast when it is full,
+/// pops block while it is empty.
 struct BoundedQueue<T> {
     inner: Mutex<QueueInner<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
 }
 
 impl<T> BoundedQueue<T> {
@@ -68,28 +56,10 @@ impl<T> BoundedQueue<T> {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
         }
     }
 
-    /// Blocks while the queue is full; returns the item back if the
-    /// queue has been closed.
-    fn push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if inner.closed {
-                return Err(item);
-            }
-            if inner.items.len() < inner.capacity {
-                inner.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            inner = self.not_full.wait(inner).expect("queue lock");
-        }
-    }
-
-    /// Non-blocking push: fails immediately when full or closed.
+    /// Fails immediately when full or closed, handing the item back.
     fn try_push(&self, item: T) -> Result<(), (T, bool)> {
         let mut inner = self.inner.lock().expect("queue lock");
         if inner.closed {
@@ -109,7 +79,6 @@ impl<T> BoundedQueue<T> {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if let Some(item) = inner.items.pop_front() {
-                self.not_full.notify_one();
                 return Some(item);
             }
             if inner.closed {
@@ -122,7 +91,6 @@ impl<T> BoundedQueue<T> {
     fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     fn len(&self) -> usize {
@@ -131,8 +99,8 @@ impl<T> BoundedQueue<T> {
 }
 
 /// A cloneable probe of a pool's pending-job queue depth, detached from
-/// the [`ThreadPool`]'s ownership (the pool itself moves into the
-/// acceptor/reactor thread; introspection endpoints keep a probe). See
+/// the [`ThreadPool`]'s ownership (the event loops own the pool;
+/// introspection endpoints keep a probe). See
 /// [`ThreadPool::depth_probe`].
 #[derive(Clone)]
 pub struct QueueDepthProbe(Arc<BoundedQueue<Job>>);
@@ -187,16 +155,10 @@ impl ThreadPool {
     }
 
     /// A [`QueueDepthProbe`] onto this pool's queue, for queue-depth
-    /// introspection (`/debug/conns`) after the pool has moved into its
-    /// serving thread.
+    /// introspection (`/debug/conns`) after the pool has moved into the
+    /// event loops.
     pub fn depth_probe(&self) -> QueueDepthProbe {
         QueueDepthProbe(Arc::clone(&self.queue))
-    }
-
-    /// Enqueues a job, blocking while the queue is full. Returns `Err`
-    /// if the pool is shutting down (the job is dropped).
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), PoolClosed> {
-        self.queue.push(Box::new(job)).map_err(|_| PoolClosed)
     }
 
     /// Non-blocking enqueue for callers that must never stall (the
@@ -240,16 +202,52 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// Submits `job`, retrying while the queue is full — the reactor's
+    /// parking lot in miniature.
+    fn submit(pool: &ThreadPool, job: Job) {
+        let mut job = job;
+        loop {
+            match pool.try_execute(job) {
+                Ok(()) => return,
+                Err(TryExecuteError::Full(back)) => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    job = back;
+                }
+                Err(TryExecuteError::Closed(_)) => panic!("pool is not closed"),
+            }
+        }
+    }
+
+    /// A job that blocks its worker until `gate` opens.
+    fn blocker(gate: &Arc<(Mutex<bool>, Condvar)>) -> Job {
+        let gate = Arc::clone(gate);
+        Box::new(move || {
+            let (lock, cv) = &*gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        })
+    }
+
+    fn open(gate: &Arc<(Mutex<bool>, Condvar)>) {
+        let (lock, cv) = &**gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+
     #[test]
     fn all_jobs_run_once() {
         let pool = ThreadPool::new(4, 8);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+            submit(
+                &pool,
+                Box::new(move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
         }
         pool.shutdown();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
@@ -258,16 +256,19 @@ mod tests {
     #[test]
     fn bounded_queue_applies_backpressure_then_drains() {
         // One deliberately slow worker and a tiny queue: the producer is
-        // forced to block, yet every job still runs exactly once.
+        // turned away while the queue is full, yet every job still runs
+        // exactly once.
         let pool = ThreadPool::new(1, 2);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                std::thread::sleep(Duration::from_millis(2));
-                counter.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+            submit(
+                &pool,
+                Box::new(move || {
+                    std::thread::sleep(Duration::from_millis(2));
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
         }
         pool.shutdown();
         assert_eq!(counter.load(Ordering::SeqCst), 10);
@@ -278,20 +279,10 @@ mod tests {
         // Block the single worker so the queue (capacity 1) fills.
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let pool = ThreadPool::new(1, 1);
-        {
-            let gate = Arc::clone(&gate);
-            pool.execute(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
-        }
+        submit(&pool, blocker(&gate));
         // Worker busy; one job fits in the queue, the next is rejected.
         let ran = Arc::new(AtomicUsize::new(0));
-        let submit = |ran: &Arc<AtomicUsize>| -> Job {
+        let counted = |ran: &Arc<AtomicUsize>| -> Job {
             let ran = Arc::clone(ran);
             Box::new(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
@@ -300,7 +291,7 @@ mod tests {
         let mut queued = 0;
         let mut rejected: Option<Job> = None;
         for _ in 0..50 {
-            match pool.try_execute(submit(&ran)) {
+            match pool.try_execute(counted(&ran)) {
                 Ok(()) => queued += 1,
                 Err(TryExecuteError::Full(job)) => {
                     rejected = Some(job);
@@ -312,22 +303,8 @@ mod tests {
         let rejected = rejected.expect("bounded queue must eventually reject");
         // Unblock the worker; retrying the same handed-back job (as the
         // reactor does) eventually succeeds.
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
-        let mut job = Some(rejected);
-        while let Some(j) = job.take() {
-            match pool.try_execute(j) {
-                Ok(()) => {}
-                Err(TryExecuteError::Full(j)) => {
-                    std::thread::sleep(Duration::from_millis(1));
-                    job = Some(j);
-                }
-                Err(TryExecuteError::Closed(_)) => panic!("pool is not closed"),
-            }
-        }
+        open(&gate);
+        submit(&pool, rejected);
         pool.shutdown();
         assert_eq!(ran.load(Ordering::SeqCst), queued + 1);
     }
@@ -338,39 +315,27 @@ mod tests {
         let pool = ThreadPool::new(1, 4);
         let probe = pool.depth_probe();
         assert_eq!(probe.depth(), 0);
-        {
-            let gate = Arc::clone(&gate);
-            pool.execute(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })
-            .unwrap();
-        }
+        submit(&pool, blocker(&gate));
         // Wait for the single worker to claim the blocker, then the next
         // jobs can only sit in the queue.
         while probe.depth() > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        pool.execute(|| {}).unwrap();
-        pool.execute(|| {}).unwrap();
+        submit(&pool, Box::new(|| {}));
+        submit(&pool, Box::new(|| {}));
         assert_eq!(probe.depth(), 2);
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-        }
+        open(&gate);
         pool.shutdown();
         assert_eq!(probe.depth(), 0);
     }
 
     #[test]
-    fn execute_after_shutdown_fails() {
+    fn try_execute_after_shutdown_is_closed() {
         let pool = ThreadPool::new(1, 1);
-        let queue = Arc::clone(&pool.queue);
         pool.shutdown();
-        assert!(queue.push(Box::new(|| {})).is_err());
+        assert!(matches!(
+            pool.try_execute(Box::new(|| {})),
+            Err(TryExecuteError::Closed(_))
+        ));
     }
 }

@@ -1,16 +1,14 @@
-//! The event-driven connection model: N reactor threads each own a
-//! slice of the connections as non-blocking state machines multiplexed
-//! over [`crate::sys::Poller`] (epoll on Linux, `poll(2)` elsewhere).
+//! The connection model: N reactor threads each own a slice of the
+//! connections as non-blocking state machines multiplexed over
+//! [`crate::sys::Poller`] (epoll on Linux, `poll(2)` elsewhere).
 //!
 //! ## Why
 //!
-//! The thread-pool model pins one worker per *connection*, so `workers`
-//! idle keep-alive clients starve every later client even though the
-//! server is doing no work. The reactor pins workers per *request*
-//! instead: connections cost a file descriptor and a small buffer while
-//! idle, and only occupy a pool worker for the duration of one dispatch.
-//! N idle connections no longer block the N+1st client. One loop can
-//! still bottleneck on parse/flush CPU, so
+//! Workers are held per *request*, not per connection: connections cost
+//! a file descriptor and a small buffer while idle, and only occupy a
+//! pool worker for the duration of one dispatch, so any number of idle
+//! keep-alive clients cannot starve a new one. One loop can still
+//! bottleneck on parse/flush CPU, so
 //! [`ServerConfig::reactors`](crate::server::ServerConfig) scales the
 //! plane to N loops with private connection tables: on Linux (epoll
 //! backend) every loop accepts from its own `SO_REUSEPORT` listener and
@@ -24,9 +22,8 @@
 //! * [`Machine`] — the incremental protocol state machine: it consumes
 //!   raw bytes (in whatever slices the socket delivers them) and emits
 //!   complete framed or HTTP requests — including incrementally decoded
-//!   `Transfer-Encoding: chunked` bodies — reusing the exact parsing,
-//!   routing and serialisation helpers of the blocking adapters so
-//!   responses stay byte-identical between the two connection models.
+//!   `Transfer-Encoding: chunked` bodies — with the [`crate::http`]
+//!   adapter's head parser and chunked decoder.
 //! * [`WriteQueue`] — responses are queued as byte *segments* and
 //!   flushed with one `writev` per readiness (up to
 //!   [`crate::sys::MAX_IOVECS`] segments a call), so a framed response
@@ -87,7 +84,7 @@ use crate::sys::{self, Backend, Event, Interest, Poller, Waker};
 // --- the protocol state machine --------------------------------------------
 
 /// Which wire protocol a connection settled on (sniffed from its first
-/// four bytes, exactly like the thread-pool model).
+/// four bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Protocol {
     Framed,
@@ -140,8 +137,9 @@ enum MState {
         head: http::Request,
         decoder: http::ChunkedDecoder,
     },
-    /// Consuming an oversized payload so the error response is not
-    /// destroyed by a connection reset (see `server::drain`).
+    /// Consuming an oversized payload before the error response goes
+    /// out: closing a socket with unread data resets the connection and
+    /// destroys the response in flight.
     Drain { remaining: u64, then: Oversize },
     /// A complete request was emitted and is dispatching/writing;
     /// requests are strictly sequential per connection, so no further
@@ -219,8 +217,7 @@ impl Machine {
     }
 
     /// Gives up on an in-progress drain (the peer stalled): returns the
-    /// pending oversize error so the caller can still send it, exactly
-    /// like the blocking model's timeout-bounded `drain()`.
+    /// pending oversize error so the caller can still send it.
     pub(crate) fn abandon_drain(&mut self) -> Option<Oversize> {
         if let MState::Drain { then, .. } = self.state {
             self.state = MState::Closed;
@@ -332,8 +329,7 @@ impl Machine {
                                 // A chunked body's length is unknown, so
                                 // unlike Content-Length it can never be
                                 // "already buffered": the interim
-                                // response always precedes it (matching
-                                // the blocking adapter).
+                                // response always precedes it.
                                 self.state = MState::HttpContinue {
                                     head,
                                     plan: BodyPlan::Chunked,
@@ -414,8 +410,7 @@ impl Machine {
                         }
                         // Terminal (bad framing, oversize body, huge
                         // trailers): the stream cannot be
-                        // re-synchronised; error response, then close —
-                        // the same bytes the blocking adapter sends.
+                        // re-synchronised; error response, then close.
                         Err((status, message)) => return Step::HttpError { status, message },
                     }
                 }
@@ -668,6 +663,15 @@ impl Conn {
         self.track.set_state(state);
     }
 
+    /// Marks a request as handed to a worker. The table entry is
+    /// mirrored before the job can run, so a `/debug/conns` scrape
+    /// served by that very job sees its own connection dispatching.
+    fn begin_dispatch(&mut self) {
+        self.dispatching = true;
+        self.track.inc_requests();
+        self.mirror();
+    }
+
     /// Idle = safe to evict: between requests with nothing in flight.
     fn is_idle(&self) -> bool {
         !self.dispatching && !self.has_pending_write() && !self.machine.has_partial()
@@ -740,19 +744,16 @@ struct Reactor {
     loop_metrics: LoopMetrics,
 }
 
-/// Spawns the reactor loops. `listeners` is either one listener (shared
-/// via fd handoff) or one pre-bound `SO_REUSEPORT` listener per loop;
-/// all must already be non-blocking.
+/// Spawns the reactor loops, which share the dispatch `pool`.
+/// `listeners` is either one listener (shared via fd handoff) or one
+/// pre-bound `SO_REUSEPORT` listener per loop; all must already be
+/// non-blocking.
 pub(crate) fn spawn(
     shared: Arc<Shared>,
     listeners: Vec<TcpListener>,
+    pool: Arc<ThreadPool>,
 ) -> io::Result<Vec<JoinHandle<()>>> {
     let n = shared.config.reactors.max(1);
-    let pool = Arc::new(ThreadPool::new(
-        shared.config.workers,
-        shared.config.queue_capacity,
-    ));
-    shared.set_pool_depth(pool.depth_probe());
     let live_loops = Arc::new(AtomicUsize::new(n));
     let max_conns = shared.config.max_connections.max(1);
 
@@ -952,9 +953,8 @@ impl Reactor {
                 // Persistent accept failure (EMFILE, aborted handshake):
                 // the listener stays level-triggered-readable, so a bare
                 // break would re-poll instantly and livelock the loop at
-                // 100% CPU. Back off briefly, like the pool acceptor —
-                // a bounded stall beats a spin; connection I/O resumes
-                // right after.
+                // 100% CPU. Back off briefly — a bounded stall beats a
+                // spin; connection I/O resumes right after.
                 Err(_) => {
                     std::thread::sleep(Duration::from_millis(10));
                     break;
@@ -1077,7 +1077,7 @@ impl Reactor {
             let mut chunk = [0u8; 8192];
             match conn.stream.read(&mut chunk) {
                 // EOF: between requests it is a clean close; inside one
-                // it aborts, matching the blocking model.
+                // it aborts.
                 Ok(0) => {
                     self.close(token);
                     return;
@@ -1173,8 +1173,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return true;
         };
-        conn.dispatching = true;
-        conn.track.inc_requests();
+        conn.begin_dispatch();
         let shared = Arc::clone(&self.shared);
         let queue = Arc::clone(&self.dispatch);
         let job: Job = Box::new(move || {
@@ -1183,12 +1182,11 @@ impl Reactor {
                 Err(_) => (utf8_error_json(), false),
             };
             // Responses are always sent whole, even above the request
-            // cap (same as the blocking model). The length prefix and
-            // payload travel as two segments stitched back together by
-            // one `writev` on the loop — byte-identical to the old
-            // concatenated path, without the copy. Past
-            // MAX_FRAME_CEILING (where `encode_frame` would refuse),
-            // closing is all that is left.
+            // cap: the server never truncates its own output. The length
+            // prefix and payload travel as two segments stitched back
+            // together by one `writev` on the loop, without a
+            // concatenation copy. Past MAX_FRAME_CEILING (where
+            // `encode_frame` would refuse), closing is all that is left.
             let body = response.to_string().into_bytes();
             let (segs, broken) = match u32::try_from(body.len()) {
                 Ok(len) if len <= crate::frame::MAX_FRAME_CEILING => {
@@ -1219,8 +1217,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return true;
         };
-        conn.dispatching = true;
-        conn.track.inc_requests();
+        conn.begin_dispatch();
         // Captured before the job takes the request: the 429 path needs
         // to know whether this exchange would have kept the connection.
         let keep_alive_on_reject = request.keep_alive();
@@ -1402,8 +1399,7 @@ impl Reactor {
                 continue;
             };
             // A stalled oversize drain still gets its error response
-            // (bounded by write_timeout), like the blocking model's
-            // timeout-bounded drain; everything else is aborted.
+            // (bounded by write_timeout); everything else is aborted.
             if let Some(oversize) = conn.machine.abandon_drain() {
                 let bytes = oversize_response(oversize);
                 conn.queue_write(bytes);
@@ -1469,8 +1465,7 @@ impl Reactor {
     }
 }
 
-/// The error response for an oversized request, per protocol — the same
-/// bytes the blocking model produces.
+/// The error response for an oversized request, per protocol.
 fn oversize_response(oversize: Oversize) -> Vec<u8> {
     match oversize {
         Oversize::Frame { len, max } => encode_frame(
@@ -1622,8 +1617,7 @@ mod tests {
             Step::HttpRequest(r) => assert_eq!(r.body, b"ok"),
             _ => panic!("expected the buffered request"),
         }
-        // Body already buffered with the head: no interim response,
-        // matching the blocking adapter.
+        // Body already buffered with the head: no interim response.
         let mut machine = Machine::new(1 << 20);
         machine.push(head);
         machine.push(b"ok");
@@ -1653,7 +1647,7 @@ mod tests {
     fn http_chunked_expect_continue_always_interim_first() {
         // A chunked body has no length to pre-buffer, so the interim
         // response precedes it even when the whole body arrived with
-        // the head (matching the blocking adapter).
+        // the head.
         let wire = b"POST / HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n\
                      Transfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n";
         let mut machine = Machine::new(1 << 20);

@@ -1,94 +1,41 @@
-//! The TCP listener: accepts connections, sniffs the wire protocol and
-//! serves each connection on a [`ThreadPool`] worker.
+//! The TCP listener: binds the socket(s), sniffs the wire protocol and
+//! hands every connection to the reactor's event loops.
 //!
 //! One socket serves both protocols. The first four bytes of a
 //! connection are either an ASCII HTTP method prefix (`"GET "`,
-//! `"POST"`, …) — in which case the connection is handed to the
+//! `"POST"`, …) — in which case the connection speaks the
 //! [`crate::http`] adapter — or the big-endian length of the first
 //! frame. The two cannot collide because frame lengths are capped at
 //! [`MAX_FRAME_CEILING`], far below the
 //! smallest method-prefix value.
 //!
+//! The server needs the readiness syscalls (`epoll` on Linux, `poll(2)`
+//! on other Unixes); on other targets [`NetServer::spawn`] returns
+//! [`io::ErrorKind::Unsupported`].
+//!
 //! ## Shutdown
 //!
 //! [`ServerHandle::shutdown`] (or a remote `{"op":"shutdown"}` when
-//! [`ServerConfig::allow_remote_shutdown`] is set) flips a shared flag.
-//! The acceptor runs the listener in non-blocking mode with a short
-//! poll sleep, so it observes the flag within ~10 ms regardless of bind
-//! address or host firewall rules (no self-connection tricks that can
-//! silently fail). The pool then drains already-accepted connections,
-//! and connection handlers notice the flag at their next request
-//! boundary or read-timeout tick — so total shutdown latency is bounded
-//! by [`ServerConfig::read_timeout`]. With `read_timeout: None`,
-//! blocking reads cannot observe the flag: shutdown then waits until
-//! every idle connection is closed by its client.
+//! [`ServerConfig::allow_remote_shutdown`] is set) flips a shared flag
+//! and wakes every event loop out of its poll, so shutdown never waits
+//! on a timeout or a self-connection that a firewall could swallow. Each
+//! loop then stops accepting, closes its idle and mid-read connections,
+//! and exits once its in-flight dispatches have written their responses.
 
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pclabel_engine::json::Json;
 use pclabel_engine::serve::Dispatcher;
 
-use crate::conntrack::{ConnState, ConnTable, ConnTrack};
-use crate::frame::{
-    read_frame_body, write_frame, FrameError, DEFAULT_MAX_FRAME, MAX_FRAME_CEILING,
-};
-use crate::http;
+use crate::conntrack::{ConnState, ConnTable};
+use crate::frame::{DEFAULT_MAX_FRAME, MAX_FRAME_CEILING};
 use crate::metrics::NetMetrics;
-use crate::pool::{QueueDepthProbe, ThreadPool};
-
-/// How connections map onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnectionModel {
-    /// One pool worker per *connection* for its whole lifetime. Simple
-    /// and portable, but `workers` idle keep-alive clients starve every
-    /// later client.
-    Pool,
-    /// One reactor thread owns every connection as a non-blocking state
-    /// machine (epoll on Linux, `poll(2)` on other Unixes); pool workers
-    /// are held per *request*, so idle connections cost nothing. Unix
-    /// only — on other targets this falls back to [`Pool`].
-    ///
-    /// [`Pool`]: ConnectionModel::Pool
-    Reactor,
-}
-
-impl ConnectionModel {
-    /// The default `pclabel-netd` ships with: the reactor wherever the
-    /// readiness syscalls exist (Unix; epoll on Linux), the portable
-    /// thread-pool elsewhere.
-    pub fn platform_default() -> ConnectionModel {
-        if cfg!(unix) {
-            ConnectionModel::Reactor
-        } else {
-            ConnectionModel::Pool
-        }
-    }
-}
-
-impl std::str::FromStr for ConnectionModel {
-    type Err = String;
-    fn from_str(s: &str) -> Result<ConnectionModel, String> {
-        match s {
-            "pool" => Ok(ConnectionModel::Pool),
-            "reactor" => Ok(ConnectionModel::Reactor),
-            other => Err(format!("unknown connection model {other:?}")),
-        }
-    }
-}
-
-impl std::fmt::Display for ConnectionModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ConnectionModel::Pool => "pool",
-            ConnectionModel::Reactor => "reactor",
-        })
-    }
-}
+use crate::pool::QueueDepthProbe;
 
 /// Tuning for [`NetServer::spawn`].
 #[derive(Debug, Clone)]
@@ -96,70 +43,59 @@ pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Connection model. The library default stays [`ConnectionModel::Pool`]
-    /// for embedders; `pclabel-netd` defaults to
-    /// [`ConnectionModel::platform_default`].
-    pub model: ConnectionModel,
-    /// Worker threads serving connections (pool model: each persistent
-    /// connection occupies one worker while it lives; reactor model:
-    /// each *request* occupies one worker while it dispatches).
+    /// Worker threads dispatching requests; each *request* occupies one
+    /// worker while it dispatches, idle connections occupy none.
     pub workers: usize,
-    /// Accepted connections that may wait for a free worker; beyond
-    /// this, the acceptor itself blocks (backpressure). In the reactor
-    /// model this bounds queued *requests*; excess requests park in the
-    /// reactor until a worker frees up (see
+    /// Requests that may queue for a free worker; excess requests park
+    /// in the reactor until a worker frees up (see
     /// [`ServerConfig::max_parked`]).
     pub queue_capacity: usize,
-    /// Reactor model only: cap on requests parked in the reactor when
-    /// the pool queue is full. A request arriving with the pool queue
-    /// full *and* the parking lot at this cap is answered immediately
-    /// with HTTP `429 Too Many Requests` / a framed
-    /// `{"ok":false,"error":"overloaded"}` instead of growing the queue
-    /// without bound — worst-case dispatch memory stays
-    /// `queue_capacity + max_parked` requests. `0` disables parking
-    /// entirely (every queue-full request is refused).
+    /// Cap on requests parked in the reactor when the worker queue is
+    /// full. A request arriving with the queue full *and* the parking
+    /// lot at this cap is answered immediately with HTTP `429 Too Many
+    /// Requests` / a framed `{"ok":false,"error":"overloaded"}` instead
+    /// of growing the queue without bound — worst-case dispatch memory
+    /// stays `queue_capacity + max_parked` requests. `0` disables
+    /// parking entirely (every queue-full request is refused).
     pub max_parked: usize,
     /// Maximum request-frame payload size in bytes (clamped to
     /// [`MAX_FRAME_CEILING`]); also caps HTTP request bodies.
     pub max_frame: u32,
-    /// Per-connection socket read timeout. Pool model: doubles as the
-    /// shutdown poll interval for idle connections. Reactor model: the
-    /// deadline for a connection stalled *mid-request* (a wedged peer);
+    /// Deadline for a connection stalled *mid-request* (a wedged peer);
     /// `None` disables the deadline.
     pub read_timeout: Option<Duration>,
-    /// Per-connection socket write timeout (reactor model: deadline for
-    /// a response write that stops making progress).
+    /// Deadline for a response write that stops making progress; `None`
+    /// disables the deadline.
     pub write_timeout: Option<Duration>,
-    /// Reactor model only: connections idle *between* requests longer
-    /// than this are closed. `None` (the default, matching the pool
-    /// model) lets idle connections live until the client closes them
-    /// or the connection cap evicts them.
+    /// Connections idle *between* requests longer than this are closed.
+    /// `None` (the default) lets idle connections live until the client
+    /// closes them or the connection cap evicts them.
     pub idle_timeout: Option<Duration>,
-    /// Reactor model only: maximum simultaneous connections. At the
-    /// cap, the least-recently-active idle connection is evicted to
-    /// admit a newcomer; if every connection is mid-request the
-    /// newcomer is refused.
+    /// Maximum simultaneous connections. At the cap, the
+    /// least-recently-active idle connection is evicted to admit a
+    /// newcomer; if every connection is mid-request the newcomer is
+    /// refused.
     pub max_connections: usize,
-    /// Reactor model only: force the portable `poll(2)` backend even
-    /// where epoll is available (diagnostics; lets tests exercise the
-    /// fallback on Linux). Also disables the `SO_REUSEPORT` listener
-    /// group, so multi-reactor runs exercise the fd-handoff path.
+    /// Force the portable `poll(2)` backend even where epoll is
+    /// available (diagnostics; lets tests exercise the fallback on
+    /// Linux). Also disables the `SO_REUSEPORT` listener group, so
+    /// multi-reactor runs exercise the fd-handoff path.
     pub force_poll_backend: bool,
-    /// Reactor model only: number of event loops. Each loop owns a
-    /// private connection table, deadline bookkeeping and completion
-    /// queue. Where the platform allows it (Linux, epoll backend) every
-    /// loop accepts from its own `SO_REUSEPORT` listener and the kernel
-    /// balances accepts; elsewhere loop 0 accepts and hands sockets to
-    /// its peers round-robin. `0` is treated as 1. All loops share one
-    /// dispatch [`ThreadPool`] (`workers`/`queue_capacity` stay
-    /// process-wide).
+    /// Number of event loops. Each loop owns a private connection table,
+    /// deadline bookkeeping and completion queue. Where the platform
+    /// allows it (Linux, epoll backend) every loop accepts from its own
+    /// `SO_REUSEPORT` listener and the kernel balances accepts;
+    /// elsewhere loop 0 accepts and hands sockets to its peers
+    /// round-robin. `0` is treated as 1. All loops share one dispatch
+    /// [`ThreadPool`](crate::pool::ThreadPool) (`workers`/`queue_capacity`
+    /// stay process-wide).
     pub reactors: usize,
-    /// Reactor model only: per-connection cap on queued unsent response
-    /// bytes. At or above the cap the owning loop stops *reading* from
-    /// that connection (its peer is not draining responses) until the
-    /// queue sinks below the cap again — so per-connection memory is
-    /// bounded by the watermark plus one read chunk instead of growing
-    /// with response volume. `0` is treated as 1.
+    /// Per-connection cap on queued unsent response bytes. At or above
+    /// the cap the owning loop stops *reading* from that connection (its
+    /// peer is not draining responses) until the queue sinks below the
+    /// cap again — so per-connection memory is bounded by the watermark
+    /// plus one read chunk instead of growing with response volume. `0`
+    /// is treated as 1.
     pub write_watermark: usize,
     /// Honour `{"op":"shutdown"}` from clients (off by default; meant
     /// for tests and supervised smoke runs).
@@ -170,7 +106,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            model: ConnectionModel::Pool,
             workers: 4,
             queue_capacity: 64,
             max_parked: 256,
@@ -187,24 +122,23 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared between the acceptor, the workers and the handle.
+/// State shared between the event loops, the workers and the handle.
 pub(crate) struct Shared {
     pub(crate) dispatcher: Arc<Dispatcher>,
     pub(crate) config: ServerConfig,
     /// Transport-level gauges/counters, registered in the dispatcher's
-    /// telemetry registry so both connection models report identically.
+    /// telemetry registry.
     pub(crate) metrics: NetMetrics,
     /// Live connection table feeding `/debug/conns` and the
-    /// `server_debug` op; both connection models register here.
+    /// `server_debug` op.
     pub(crate) conns: ConnTable,
-    /// Queue-depth probe onto the serving pool, set once at spawn (the
-    /// pool itself moves into the acceptor/reactor thread).
-    pool_depth: OnceLock<QueueDepthProbe>,
+    /// Queue-depth probe onto the dispatch pool, which the event loops
+    /// own.
+    pool_depth: QueueDepthProbe,
     local_addr: SocketAddr,
     shutdown: AtomicBool,
-    /// One waker per reactor loop, so `trigger_shutdown` can interrupt
-    /// every blocked poll immediately (the pool acceptor just polls the
-    /// flag).
+    /// One waker per event loop, so `trigger_shutdown` can interrupt
+    /// every blocked poll immediately.
     #[cfg(unix)]
     wakers: std::sync::Mutex<Vec<Arc<crate::sys::Waker>>>,
 }
@@ -214,8 +148,7 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the shutdown flag; the polling acceptor notices it within
-    /// one poll interval, and every reactor loop is woken out of its
+    /// Flips the shutdown flag and wakes every event loop out of its
     /// poll.
     pub(crate) fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -225,45 +158,33 @@ impl Shared {
         }
     }
 
-    /// Registers one reactor loop's waker (at spawn, before the loops
+    /// Registers one event loop's waker (at spawn, before the loops
     /// start).
     #[cfg(unix)]
     pub(crate) fn add_waker(&self, waker: Arc<crate::sys::Waker>) {
         self.wakers.lock().expect("wakers").push(waker);
     }
-
-    /// Registers the serving pool's queue-depth probe (at most once, at
-    /// spawn).
-    pub(crate) fn set_pool_depth(&self, probe: QueueDepthProbe) {
-        let _ = self.pool_depth.set(probe);
-    }
 }
-
-/// How often the acceptor polls for new connections and the shutdown
-/// flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// The network front end (namespace for [`NetServer::spawn`]).
 pub struct NetServer;
 
 impl NetServer {
-    /// Binds `config.addr`, spawns the acceptor thread and worker pool,
+    /// Binds `config.addr`, spawns the event loops and the worker pool,
     /// and returns a handle. All connections dispatch through the shared
-    /// `dispatcher`.
+    /// `dispatcher`. Fails with [`io::ErrorKind::Unsupported`] on
+    /// targets without the readiness syscalls (anything but Unix).
+    #[cfg(unix)]
     pub fn spawn(dispatcher: Arc<Dispatcher>, config: ServerConfig) -> io::Result<ServerHandle> {
         let mut config = config;
         config.max_frame = config.max_frame.min(MAX_FRAME_CEILING);
-        let mut listeners: Vec<TcpListener> = Vec::new();
-        #[cfg(unix)]
-        if config.model == ConnectionModel::Reactor
-            && config.reactors > 1
-            && !config.force_poll_backend
-        {
-            // Multi-reactor on the epoll backend: try an `SO_REUSEPORT`
-            // group — one listener per loop, accepts balanced by the
-            // kernel. Any refusal (non-Linux, odd address, kernel
-            // policy) falls back to one listener that loop 0 accepts on
-            // and shares via fd handoff, so `--reactors N` always works.
+        // Multi-reactor on the epoll backend: try an `SO_REUSEPORT` group
+        // — one listener per loop, accepts balanced by the kernel. Any
+        // refusal (non-Linux, odd address, kernel policy) falls back to
+        // one listener that loop 0 accepts on and shares via fd handoff,
+        // so `reactors > 1` always works.
+        let mut listeners = Vec::new();
+        if config.reactors > 1 && !config.force_poll_backend {
             if let Ok(group) = bind_reuseport_group(&config.addr, config.reactors) {
                 listeners = group;
             }
@@ -271,104 +192,47 @@ impl NetServer {
         if listeners.is_empty() {
             listeners.push(TcpListener::bind(&config.addr)?);
         }
-        // Non-blocking accept + wakers/short poll: shutdown is observed
-        // promptly without relying on a wake connection that a firewall
-        // or odd bind address could silently swallow.
         for listener in &listeners {
             listener.set_nonblocking(true)?;
         }
         let local_addr = listeners[0].local_addr()?;
+        let pool = Arc::new(crate::pool::ThreadPool::new(
+            config.workers,
+            config.queue_capacity,
+        ));
         let metrics = NetMetrics::register(dispatcher.telemetry().registry());
+        metrics.reactors.set(config.reactors.max(1) as u64);
         let shared = Arc::new(Shared {
             dispatcher,
             config,
             metrics,
             conns: ConnTable::default(),
-            pool_depth: OnceLock::new(),
+            pool_depth: pool.depth_probe(),
             local_addr,
             shutdown: AtomicBool::new(false),
-            #[cfg(unix)]
             wakers: std::sync::Mutex::new(Vec::new()),
         });
+        let loops = crate::reactor::spawn(Arc::clone(&shared), listeners, pool)?;
+        Ok(ServerHandle { shared, loops })
+    }
 
-        if shared.config.model == ConnectionModel::Reactor {
-            #[cfg(unix)]
-            {
-                shared
-                    .metrics
-                    .reactors
-                    .set(shared.config.reactors.max(1) as u64);
-                let accept = crate::reactor::spawn(Arc::clone(&shared), listeners)?;
-                return Ok(ServerHandle { shared, accept });
-            }
-            // Non-Unix: the readiness syscalls are unavailable; fall
-            // through to the thread-pool model.
-        }
-
-        let listener = listeners
-            .into_iter()
-            .next()
-            .expect("at least one listener was bound");
-
-        let pool = ThreadPool::new(shared.config.workers, shared.config.queue_capacity);
-        shared.set_pool_depth(pool.depth_probe());
-
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("pclabel-net-accept".to_string())
-            .spawn(move || {
-                loop {
-                    if accept_shared.shutting_down() {
-                        break;
-                    }
-                    let stream = match listener.accept() {
-                        Ok((stream, _)) => stream,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                            continue;
-                        }
-                        Err(_) => {
-                            // Transient failure (EMFILE, aborted
-                            // handshake, …): back off instead of
-                            // spinning a core against a persistent one.
-                            std::thread::sleep(ACCEPT_POLL);
-                            continue;
-                        }
-                    };
-                    // Handlers use blocking reads with SO_RCVTIMEO; undo
-                    // the listener-inherited non-blocking mode.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
-                    accept_shared.metrics.accepts.inc();
-                    let conn_shared = Arc::clone(&accept_shared);
-                    if pool
-                        .execute(move || {
-                            conn_shared.metrics.open_connections.inc();
-                            handle_connection(stream, &conn_shared);
-                            conn_shared.metrics.open_connections.dec();
-                        })
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                pool.shutdown();
-            })
-            .expect("spawn acceptor");
-
-        Ok(ServerHandle {
-            shared,
-            accept: vec![accept],
-        })
+    /// Always [`io::ErrorKind::Unsupported`]: without Unix there are no
+    /// readiness syscalls to run the event loops on.
+    #[cfg(not(unix))]
+    pub fn spawn(dispatcher: Arc<Dispatcher>, config: ServerConfig) -> io::Result<ServerHandle> {
+        let _ = (dispatcher, config);
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "pclabel-net needs epoll or poll(2), which only Unix targets provide",
+        ))
     }
 }
 
 /// Owner handle for a running server.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    /// The acceptor thread (pool model) or every reactor loop thread.
-    accept: Vec<JoinHandle<()>>,
+    /// Every event-loop thread.
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -377,21 +241,21 @@ impl ServerHandle {
         self.shared.local_addr
     }
 
-    /// Initiates graceful shutdown and blocks until the acceptor and all
-    /// workers have exited.
+    /// Initiates graceful shutdown and blocks until the event loops and
+    /// all workers have exited.
     pub fn shutdown(mut self) {
         self.shared.trigger_shutdown();
         self.join();
     }
 
     /// Blocks until the server stops on its own (remote shutdown op or
-    /// acceptor failure). Used by `pclabel-netd`'s main thread.
+    /// a fatal poller failure). Used by `pclabel-netd`'s main thread.
     pub fn wait(mut self) {
         self.join();
     }
 
     fn join(&mut self) {
-        for handle in self.accept.drain(..) {
+        for handle in self.loops.drain(..) {
             let _ = handle.join();
         }
     }
@@ -424,87 +288,13 @@ fn bind_reuseport_group(addr: &str, n: usize) -> io::Result<Vec<TcpListener>> {
     Ok(listeners)
 }
 
-/// Outcome of reading a fixed-size chunk with idle/shutdown awareness.
-enum StartRead {
-    /// All four bytes read.
-    Data([u8; 4]),
-    /// Clean EOF before any byte (client closed between requests).
-    Eof,
-    /// Shutdown observed, timeout mid-read, or I/O error — drop the
-    /// connection without a response.
-    Abort,
-}
-
-/// Reads the 4-byte request prologue (HTTP method prefix or frame
-/// length). A read timeout with *zero* bytes consumed is an idle tick:
-/// the connection stays alive unless the server is shutting down. A
-/// timeout after partial data means a wedged peer: abort.
-fn read_prologue(stream: &mut TcpStream, shared: &Shared) -> StartRead {
-    let mut buf = [0u8; 4];
-    let mut filled = 0usize;
-    loop {
-        if shared.shutting_down() && filled == 0 {
-            return StartRead::Abort;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return StartRead::Eof,
-            Ok(0) => return StartRead::Abort,
-            Ok(n) => {
-                filled += n;
-                if filled == 4 {
-                    return StartRead::Data(buf);
-                }
-            }
-            Err(e)
-                if filled == 0
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-            {
-                continue; // idle between requests; loop re-checks shutdown
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return StartRead::Abort,
-        }
-    }
-}
-
 /// `true` if the connection's first four bytes look like an HTTP/1.x
-/// request line. Shared with the reactor's protocol sniff.
+/// request line (the protocol sniff).
 pub(crate) fn is_http_prefix(bytes: &[u8; 4]) -> bool {
     matches!(
         bytes,
         b"GET " | b"POST" | b"PUT " | b"HEAD" | b"DELE" | b"OPTI" | b"PATC" | b"TRAC" | b"CONN"
     )
-}
-
-/// Serves one accepted connection: sniff, then speak the right protocol
-/// until EOF, error or shutdown.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(shared.config.read_timeout);
-    let _ = stream.set_write_timeout(shared.config.write_timeout);
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let track = shared.conns.register(peer);
-    let mut stream = stream;
-    match read_prologue(&mut stream, shared) {
-        StartRead::Eof | StartRead::Abort => {}
-        StartRead::Data(first) => {
-            track.add_in(4);
-            if is_http_prefix(&first) {
-                track.set_protocol(false);
-                http::serve_connection(stream, first, shared, &track);
-            } else {
-                track.set_protocol(true);
-                serve_framed(stream, u32::from_be_bytes(first), shared, &track);
-            }
-        }
-    }
-    shared.conns.deregister(track.id());
 }
 
 /// One raw request line: parse, then [`process_request`]. Returns the
@@ -569,7 +359,7 @@ pub(crate) fn server_debug_response(request: &Json, shared: &Shared) -> Json {
 /// The live connection-table snapshot served by `GET /debug/conns` and
 /// embedded in `server_debug` responses. Reads only per-connection
 /// atomics plus the table's admit/close mutex — never the event loop —
-/// so a scrape cannot stall either connection model.
+/// so a scrape cannot stall serving.
 pub(crate) fn conns_json(shared: &Shared) -> Json {
     let rows = shared.conns.snapshot();
     let open = rows.len();
@@ -607,34 +397,14 @@ pub(crate) fn conns_json(shared: &Shared) -> Json {
         ("ok", Json::Bool(true)),
         ("op", Json::str("server_debug")),
         ("section", Json::str("conns")),
-        ("model", Json::str(shared.config.model.to_string())),
-        (
-            "reactors",
-            Json::num(
-                if cfg!(unix) && shared.config.model == ConnectionModel::Reactor {
-                    shared.config.reactors.max(1) as f64
-                } else {
-                    0.0
-                },
-            ),
-        ),
+        ("reactors", Json::num(shared.config.reactors.max(1) as f64)),
         ("open", Json::num(open as f64)),
-        (
-            "queue_depth",
-            shared
-                .pool_depth
-                .get()
-                .map(|p| Json::num(p.depth() as f64))
-                .unwrap_or(Json::Null),
-        ),
+        ("queue_depth", Json::num(shared.pool_depth.depth() as f64)),
         ("conns", Json::Arr(rows)),
     ])
 }
 
-/// The framed-protocol error body for an oversized request frame. One
-/// constructor for both connection models: the CI replay diff depends
-/// on their responses staying byte-identical, so the wording and key
-/// order must have a single home.
+/// The framed-protocol error body for an oversized request frame.
 pub(crate) fn oversize_error_json(len: u32, max: u32) -> Json {
     Json::obj([
         ("ok", Json::Bool(false)),
@@ -647,8 +417,7 @@ pub(crate) fn oversize_error_json(len: u32, max: u32) -> Json {
     ])
 }
 
-/// The error body for a framed request payload that is not valid UTF-8
-/// (same single-home rationale as [`oversize_error_json`]).
+/// The error body for a framed request payload that is not valid UTF-8.
 pub(crate) fn utf8_error_json() -> Json {
     Json::obj([
         ("ok", Json::Bool(false)),
@@ -665,77 +434,4 @@ pub(crate) fn overloaded_error_json() -> Json {
         ("ok", Json::Bool(false)),
         ("error", Json::str("overloaded")),
     ])
-}
-
-/// Reads and discards up to `remaining` bytes (bounded additionally by
-/// the socket read timeout), so a rejected payload never sits unread in
-/// the receive buffer when the connection closes — closing with unread
-/// data would RST the connection and destroy the error response in
-/// flight. Shared by the framed loop and the HTTP adapter's 413 path.
-pub(crate) fn drain(stream: &mut TcpStream, mut remaining: u64) {
-    let mut chunk = [0u8; 8192];
-    while remaining > 0 {
-        let want = chunk.len().min(remaining.min(u32::MAX as u64) as usize);
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => break,
-            Ok(n) => remaining -= n as u64,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break, // timeout or hard error: give up draining
-        }
-    }
-}
-
-/// The length-prefixed protocol loop. `first_len` is the already-sniffed
-/// length of the first frame.
-fn serve_framed(mut stream: TcpStream, first_len: u32, shared: &Shared, track: &ConnTrack) {
-    let max = shared.config.max_frame;
-    let mut next_len = Some(first_len);
-    loop {
-        let len = match next_len.take() {
-            Some(len) => len,
-            None => {
-                track.set_state(ConnState::Idle);
-                match read_prologue(&mut stream, shared) {
-                    StartRead::Data(header) => {
-                        track.add_in(4);
-                        u32::from_be_bytes(header)
-                    }
-                    StartRead::Eof | StartRead::Abort => return,
-                }
-            }
-        };
-        track.set_state(ConnState::Reading);
-        let payload = match read_frame_body(&mut stream, len, max) {
-            Ok(p) => p,
-            Err(FrameError::TooLarge { len, max }) => {
-                // The payload was never read, so the stream cannot be
-                // re-synchronised: drain it (closing with unread data
-                // would RST the connection and destroy the error frame
-                // in flight), report, and close.
-                drain(&mut stream, len as u64);
-                let error = oversize_error_json(len, max);
-                let _ = write_frame(&mut stream, error.to_string().as_bytes(), MAX_FRAME_CEILING);
-                return;
-            }
-            Err(FrameError::Io(_)) => return,
-        };
-        track.add_in(payload.len() as u64);
-        track.inc_requests();
-        track.set_state(ConnState::Dispatching);
-        let (response, shutdown) = match std::str::from_utf8(&payload) {
-            Ok(line) => process_line(line, shared),
-            Err(_) => (utf8_error_json(), false),
-        };
-        // Responses are always sent whole, even above the request cap:
-        // the server never truncates its own output.
-        track.set_state(ConnState::Writing);
-        let body = response.to_string();
-        if write_frame(&mut stream, body.as_bytes(), MAX_FRAME_CEILING).is_err() {
-            return;
-        }
-        track.add_out(4 + body.len() as u64);
-        if shutdown || shared.shutting_down() {
-            return;
-        }
-    }
 }

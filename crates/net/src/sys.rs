@@ -8,9 +8,8 @@
 //! [`Poller::with_backend`] can force the `poll` backend on Linux so
 //! tests exercise the portability path on the primary platform.
 //!
-//! This module is Unix-only; on other targets the reactor connection
-//! model is unavailable and the server falls back to the thread-pool
-//! model.
+//! This module is Unix-only; on other targets there is no server
+//! (`NetServer::spawn` returns `Unsupported`).
 #![cfg(unix)]
 
 use std::collections::HashMap;

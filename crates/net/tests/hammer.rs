@@ -9,6 +9,8 @@
 //!
 //! Refreshes reuse the same label policy, so the label contents (and
 //! with them the ground truth) are invariant while generations climb.
+//! The server runs on Unix only.
+#![cfg(unix)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +25,7 @@ use pclabel_engine::json::Json;
 use pclabel_engine::query::EngineConfig;
 use pclabel_engine::serve::Dispatcher;
 use pclabel_net::client::NetClient;
-use pclabel_net::server::{ConnectionModel, NetServer, ServerConfig};
+use pclabel_net::server::{NetServer, ServerConfig};
 
 const CLIENTS: usize = 6;
 const ITERS: usize = 48;
@@ -79,29 +81,10 @@ fn query_line(dataset: &str, terms: &[(&str, &str)]) -> String {
     )
 }
 
-#[test]
-fn hammer_interleaved_ops_match_ground_truth() {
-    // Pool model: every client pins a worker, so over-provision.
-    hammer(ServerConfig {
-        workers: CLIENTS + 1,
-        ..ServerConfig::default()
-    });
-}
-
-/// The same storm against the reactor — deliberately *under*-provisioned
-/// (2 workers for 6 persistent clients), which would deadlock the pool
-/// model: the reactor holds workers per request, not per connection.
-#[cfg(unix)]
+/// Deliberately *under*-provisioned (2 workers for 6 persistent
+/// clients): the reactor holds workers per request, not per connection.
 #[test]
 fn hammer_reactor_with_fewer_workers_than_clients() {
-    hammer(ServerConfig {
-        model: ConnectionModel::Reactor,
-        workers: 2,
-        ..ServerConfig::default()
-    });
-}
-
-fn hammer(config: ServerConfig) {
     // Local ground truth: the same labels the server will build.
     let d = figure2_sample();
     let truth: Vec<Label> = SHARED
@@ -122,10 +105,11 @@ fn hammer(config: ServerConfig) {
     let server = NetServer::spawn(
         Arc::new(Dispatcher::with_config(EngineConfig::default())),
         ServerConfig {
+            workers: 2,
             queue_capacity: 16,
             read_timeout: Some(Duration::from_millis(150)),
             write_timeout: Some(Duration::from_secs(5)),
-            ..config
+            ..ServerConfig::default()
         },
     )
     .expect("spawn hammer server");
@@ -141,7 +125,7 @@ fn hammer(config: ServerConfig) {
                 "register {name}: {response}"
             );
         }
-    } // setup connection closes, freeing its worker
+    }
 
     std::thread::scope(|scope| {
         for t in 0..CLIENTS {

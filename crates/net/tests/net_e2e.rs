@@ -2,7 +2,8 @@
 //! criterion: the stdin/stdout serve loop (`pclabel-serve`'s code path),
 //! the framed TCP transport and the HTTP adapter produce byte-identical
 //! JSON responses for one replayed request script — in-process and
-//! through the real `pclabel-netd` binary.
+//! through the real `pclabel-netd` binary. The server runs on Unix only.
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -13,23 +14,16 @@ use pclabel_engine::json::Json;
 use pclabel_engine::query::EngineConfig;
 use pclabel_engine::serve::{serve, Dispatcher};
 use pclabel_net::client::{HttpClient, NetClient};
-use pclabel_net::server::{ConnectionModel, NetServer, ServerConfig, ServerHandle};
+use pclabel_net::server::{NetServer, ServerConfig, ServerHandle};
 
 fn test_config() -> ServerConfig {
     ServerConfig {
         workers: 4,
-        // Short read timeout = fast shutdown polling in tests.
+        // Short stall deadlines, so a test that wedges a connection
+        // fails fast instead of hanging.
         read_timeout: Some(Duration::from_millis(150)),
         write_timeout: Some(Duration::from_secs(2)),
         ..ServerConfig::default()
-    }
-}
-
-/// `test_config`, but served by the event-driven reactor.
-fn reactor_config() -> ServerConfig {
-    ServerConfig {
-        model: ConnectionModel::Reactor,
-        ..test_config()
     }
 }
 
@@ -93,37 +87,49 @@ fn stdio_responses() -> Vec<String> {
         .collect()
 }
 
+/// Runs once per readiness backend: epoll and the portable `poll(2)`.
 #[test]
 fn framed_tcp_is_byte_identical_to_serve_loop() {
     let expected = stdio_responses();
-    let server = spawn_server(test_config());
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
-    let got: Vec<String> = script()
-        .iter()
-        .map(|line| canon(&client.request_line(line).expect("framed round-trip")))
-        .collect();
-    server.shutdown();
-    assert_eq!(expected, got);
+    for force_poll in [false, true] {
+        let server = spawn_server(ServerConfig {
+            force_poll_backend: force_poll,
+            ..test_config()
+        });
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        let got: Vec<String> = script()
+            .iter()
+            .map(|line| canon(&client.request_line(line).expect("framed round-trip")))
+            .collect();
+        server.shutdown();
+        assert_eq!(expected, got, "force_poll={force_poll}");
+    }
 }
 
+/// Runs once per readiness backend: epoll and the portable `poll(2)`.
 #[test]
 fn http_generic_post_is_byte_identical_to_serve_loop() {
     let expected = stdio_responses();
-    let server = spawn_server(test_config());
-    let mut client = HttpClient::connect(server.local_addr()).unwrap();
-    let got: Vec<String> = script()
-        .iter()
-        .map(|line| {
-            canon(
-                &client
-                    .request("POST", "/", Some(line))
-                    .expect("HTTP round-trip")
-                    .body,
-            )
-        })
-        .collect();
-    server.shutdown();
-    assert_eq!(expected, got);
+    for force_poll in [false, true] {
+        let server = spawn_server(ServerConfig {
+            force_poll_backend: force_poll,
+            ..test_config()
+        });
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        let got: Vec<String> = script()
+            .iter()
+            .map(|line| {
+                canon(
+                    &client
+                        .request("POST", "/", Some(line))
+                        .expect("HTTP round-trip")
+                        .body,
+                )
+            })
+            .collect();
+        server.shutdown();
+        assert_eq!(expected, got, "force_poll={force_poll}");
+    }
 }
 
 #[test]
@@ -168,59 +174,119 @@ fn netd_binary_is_byte_identical_to_serve_loop() {
     assert_eq!(expected, got);
 }
 
-/// The acceptance matrix for the reactor model: the same replay script,
-/// over both transports and both readiness backends, must stay
-/// byte-identical to the stdin/stdout serve loop (and therefore to the
-/// pool model, which the tests above pin to the same oracle).
-#[cfg(unix)]
+/// The daemon's command-line contract with the repo benchmark: the flags
+/// `perfbench` starts `pclabel-netd` with (its `ServerFlags::args()`,
+/// with the durable workload's data directory) boot a serving daemon,
+/// and `--model` accepts nothing but `reactor`.
 #[test]
-fn reactor_framed_and_http_are_byte_identical_to_serve_loop() {
-    let expected = stdio_responses();
-    for force_poll in [false, true] {
-        let server = spawn_server(ServerConfig {
-            force_poll_backend: force_poll,
-            ..reactor_config()
-        });
-        let mut client = NetClient::connect(server.local_addr()).unwrap();
-        let got: Vec<String> = script()
-            .iter()
-            .map(|line| canon(&client.request_line(line).expect("framed round-trip")))
-            .collect();
-        assert_eq!(expected, got, "framed, force_poll={force_poll}");
-        server.shutdown();
+fn netd_accepts_the_benchmark_command_line_and_only_the_reactor_model() {
+    use std::io::Read;
+    use std::time::Instant;
 
-        let server = spawn_server(ServerConfig {
-            force_poll_backend: force_poll,
-            ..reactor_config()
-        });
-        let mut client = HttpClient::connect(server.local_addr()).unwrap();
-        let got: Vec<String> = script()
-            .iter()
-            .map(|line| {
-                canon(
-                    &client
-                        .request("POST", "/", Some(line))
-                        .expect("HTTP round-trip")
-                        .body,
-                )
-            })
-            .collect();
-        assert_eq!(expected, got, "HTTP, force_poll={force_poll}");
-        server.shutdown();
-    }
+    let data_dir = std::env::temp_dir().join(format!("pclabel-netd-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--model",
+            "reactor",
+            "--allow-remote-shutdown",
+            "--log-level",
+            "warn",
+            "--slow-query-ms",
+            "0",
+            "--idle-ms",
+            "0",
+            "--reactors",
+            "1",
+            "--workers",
+            "2",
+            "--queue",
+            "64",
+            "--max-parked",
+            "256",
+            "--max-frame",
+            "67108864",
+            "--timeout-ms",
+            "60000",
+            "--fsync",
+            "batch",
+            "--snapshot-wal-bytes",
+            "4194304",
+            "--data-dir",
+        ])
+        .arg(&data_dir)
+        .env("PCLABEL_QUERY_THREADS", "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pclabel-netd");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("startup banner");
+    let addr = banner
+        .split_whitespace()
+        .nth(3)
+        .expect("address in banner")
+        .to_string();
+    let mut client = NetClient::connect(&addr).expect("connect to binary");
+    let register = client
+        .request_line(r#"{"op":"register","dataset":"census","generator":"figure2","bound":5}"#)
+        .expect("register round-trip");
+    assert_eq!(
+        Json::parse(&register).unwrap().get("ok"),
+        Some(&Json::Bool(true)),
+        "{register}"
+    );
+    let bye = client.request_line(r#"{"op":"shutdown"}"#).unwrap();
+    assert_eq!(
+        Json::parse(&bye).unwrap().get("ok"),
+        Some(&Json::Bool(true))
+    );
+    assert!(child.wait().expect("netd exits").success());
+    let _ = std::fs::remove_dir_all(&data_dir);
+
+    // Any other model is a usage error. The wait is bounded: a daemon
+    // that accepted the flag would serve until killed.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
+        .args(["--listen", "127.0.0.1:0", "--model", "pool"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pclabel-netd");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll netd") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("pclabel-netd --model pool started a server");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(2));
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("child stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    assert!(stderr.contains("reactor"), "{stderr}");
 }
 
 /// The regression the reactor exists to fix: with W workers, W + 4 idle
 /// keep-alive connections must not stop a fresh client from completing
-/// a register + query round-trip. (Under the pool model this exact
-/// scenario deadlocks: every worker is pinned to an idle connection.)
-#[cfg(unix)]
+/// a register + query round-trip.
 #[test]
 fn reactor_idle_connections_do_not_starve_new_clients() {
     let workers = 2usize;
     let server = spawn_server(ServerConfig {
         workers,
-        ..reactor_config()
+        ..test_config()
     });
 
     // Park workers + 4 keep-alive connections, each proven live with one
@@ -273,7 +339,6 @@ fn reactor_idle_connections_do_not_starve_new_clients() {
 
 /// Idle deadlines: connections quiet for longer than `idle_timeout` are
 /// closed; active ones are not.
-#[cfg(unix)]
 #[test]
 fn reactor_idle_timeout_evicts_quiet_connections() {
     // Generous margin between the chatty cadence (100 ms) and the idle
@@ -281,7 +346,7 @@ fn reactor_idle_timeout_evicts_quiet_connections() {
     // cannot push an active connection over the deadline.
     let server = spawn_server(ServerConfig {
         idle_timeout: Some(Duration::from_millis(600)),
-        ..reactor_config()
+        ..test_config()
     });
     let mut quiet = NetClient::connect(server.local_addr()).unwrap();
     let ok = quiet.request_line(r#"{"op":"health"}"#).unwrap();
@@ -304,12 +369,11 @@ fn reactor_idle_timeout_evicts_quiet_connections() {
 
 /// The connection cap admits newcomers by evicting the
 /// least-recently-active idle connection.
-#[cfg(unix)]
 #[test]
 fn reactor_connection_cap_evicts_lru_idle() {
     let server = spawn_server(ServerConfig {
         max_connections: 2,
-        ..reactor_config()
+        ..test_config()
     });
     let mut oldest = NetClient::connect(server.local_addr()).unwrap();
     oldest.request_line(r#"{"op":"health"}"#).unwrap();
@@ -333,52 +397,6 @@ fn reactor_connection_cap_evicts_lru_idle() {
         "LRU idle connection should have been evicted for the newcomer"
     );
     server.shutdown();
-}
-
-/// Oversized-frame handling matches the pool model: drain, framed error
-/// response, close.
-#[cfg(unix)]
-#[test]
-fn reactor_rejects_oversized_frames_like_the_pool() {
-    let server = spawn_server(ServerConfig {
-        max_frame: 128,
-        ..reactor_config()
-    });
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
-    let ok = client.request_line(r#"{"op":"list"}"#).unwrap();
-    assert_eq!(Json::parse(&ok).unwrap().get("ok"), Some(&Json::Bool(true)));
-    let huge = format!(
-        r#"{{"op":"query","dataset":"x","patterns":[{{"a":"{}"}}]}}"#,
-        "v".repeat(4096)
-    );
-    let response = client.request_line(&huge).unwrap();
-    let parsed = Json::parse(&response).unwrap();
-    assert_eq!(parsed.get("ok"), Some(&Json::Bool(false)));
-    assert!(parsed
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("exceeds maximum"));
-    assert!(client.request_line(r#"{"op":"list"}"#).is_err());
-    server.shutdown();
-}
-
-/// Remote shutdown drains in flight: the response to the shutdown op is
-/// still delivered, then the server winds down.
-#[cfg(unix)]
-#[test]
-fn reactor_remote_shutdown_drains_and_exits() {
-    let server = spawn_server(ServerConfig {
-        allow_remote_shutdown: true,
-        ..reactor_config()
-    });
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
-    let accepted = client.request_line(r#"{"op":"shutdown"}"#).unwrap();
-    assert_eq!(
-        Json::parse(&accepted).unwrap().get("ok"),
-        Some(&Json::Bool(true))
-    );
-    server.wait();
 }
 
 #[test]
@@ -515,6 +533,7 @@ fn expect_100_continue_is_acknowledged() {
     server.shutdown();
 }
 
+/// Drain, framed error response, close.
 #[test]
 fn oversized_frames_are_rejected_with_an_error_frame() {
     let server = spawn_server(ServerConfig {
@@ -564,7 +583,8 @@ fn remote_shutdown_is_gated_by_config() {
     );
     server.shutdown();
 
-    // Enabled: the op answers ok and the whole server winds down.
+    // Enabled: the op's own response is still delivered, then the
+    // whole server winds down.
     let server = spawn_server(ServerConfig {
         allow_remote_shutdown: true,
         ..test_config()
@@ -760,7 +780,6 @@ fn netd_append_rows_equals_full_rebuild() {
 /// queue and `max_parked: 0`, a third concurrent request is answered
 /// `{"ok":false,"error":"overloaded"}` immediately (instead of growing
 /// the reactor's parking lot), and the connection remains usable.
-#[cfg(unix)]
 #[test]
 fn reactor_overload_past_parked_cap_answers_overloaded() {
     use pclabel_engine::query::Engine;
@@ -775,7 +794,6 @@ fn reactor_overload_past_parked_cap_answers_overloaded() {
     let server = NetServer::spawn(
         dispatcher,
         ServerConfig {
-            model: ConnectionModel::Reactor,
             workers: 1,
             queue_capacity: 1,
             max_parked: 0,
@@ -953,17 +971,19 @@ fn netd_metrics_and_server_stats_observe_a_session() {
         );
     }
 
-    // HEAD mirrors GET: same status, same Content-Length, no body.
-    let get_health = http.request("GET", "/healthz", None).unwrap();
-    assert_eq!(get_health.status, 200);
-    let head_health = http.request("HEAD", "/healthz", None).unwrap();
-    assert_eq!(head_health.status, 200);
-    assert!(head_health.body.is_empty());
+    // HEAD mirrors GET: same status, same Content-Length, no body. The
+    // exact length is compared on `/stats`, whose body is stable between
+    // two requests (`/healthz` carries a full-precision uptime).
+    let get_stats = http.request("GET", "/stats", None).unwrap();
+    assert_eq!(get_stats.status, 200);
+    let head_stats = http.request("HEAD", "/stats", None).unwrap();
+    assert_eq!(head_stats.status, 200);
+    assert!(head_stats.body.is_empty());
     assert_eq!(
-        head_health.header("content-length"),
-        Some(get_health.body.len().to_string().as_str())
+        head_stats.header("content-length"),
+        Some(get_stats.body.len().to_string().as_str())
     );
-    for path in ["/stats", "/metrics"] {
+    for path in ["/healthz", "/metrics"] {
         let head = http.request("HEAD", path, None).unwrap();
         assert_eq!(head.status, 200, "HEAD {path}");
         assert!(head.body.is_empty(), "HEAD {path} must carry no body");
@@ -1030,7 +1050,6 @@ fn wait_for_open_conns(dispatcher: &Dispatcher, want: u64) -> bool {
 
 /// The open-connections gauge tracks the true fleet size through LRU
 /// eviction and returns to zero after a graceful drain.
-#[cfg(unix)]
 #[test]
 fn open_connections_gauge_survives_eviction_and_drains_to_zero() {
     let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
@@ -1038,7 +1057,7 @@ fn open_connections_gauge_survives_eviction_and_drains_to_zero() {
         Arc::clone(&dispatcher),
         ServerConfig {
             max_connections: 2,
-            ..reactor_config()
+            ..test_config()
         },
     )
     .expect("spawn capped server");
@@ -1075,194 +1094,183 @@ fn open_connections_gauge_survives_eviction_and_drains_to_zero() {
     assert_eq!(open_conns(&dispatcher), 0, "still zero after shutdown");
 }
 
-/// The introspection plane end to end through the real binary, on both
-/// connection models: a replayed session's traces are retrievable from
+/// The introspection plane end to end through the real binary: a
+/// replayed session's traces are retrievable from
 /// `/debug/traces` by op and by request id, `/debug/memory` grows
 /// monotonically across appends and agrees with the `stats` op's
 /// accounting, `/debug/conns` sees the keep-alive fleet, and the framed
 /// `server_debug` op returns all three sections at once.
 #[test]
 fn netd_debug_endpoints_expose_traces_memory_and_conns() {
-    let models: &[&str] = if cfg!(unix) {
-        &["pool", "reactor"]
-    } else {
-        &["pool"]
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--timeout-ms",
+            "2000",
+            "--retained-traces",
+            "8",
+            "--allow-remote-shutdown",
+            "--log-level",
+            "warn",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pclabel-netd");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("startup banner");
+    let addr = banner
+        .split_whitespace()
+        .nth(3)
+        .expect("address in banner")
+        .to_string();
+
+    let mut client = NetClient::connect(&addr).expect("connect to binary");
+    let mut send = |line: &str| -> Json {
+        let response = client.request_line(line).expect("round-trip");
+        Json::parse(&response).unwrap_or_else(|e| panic!("bad JSON {e}: {response}"))
     };
-    for model in models {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
-            .args([
-                "--listen",
-                "127.0.0.1:0",
-                "--model",
-                model,
-                "--workers",
-                "2",
-                "--timeout-ms",
-                "2000",
-                "--retained-traces",
-                "8",
-                "--allow-remote-shutdown",
-                "--log-level",
-                "warn",
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn pclabel-netd");
-        let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
-        let mut banner = String::new();
-        stdout.read_line(&mut banner).expect("startup banner");
-        let addr = banner
-            .split_whitespace()
-            .nth(3)
-            .expect("address in banner")
-            .to_string();
+    let register =
+        r#"{"op":"register","dataset":"t","csv":"a,b\n1,x\n1,y\n2,x\n","label_attrs":["a","b"]}"#;
+    assert_eq!(send(register).get("ok"), Some(&Json::Bool(true)));
+    let query = r#"{"op":"query","dataset":"t","patterns":[{"a":"1","b":"x"}]}"#;
+    for _ in 0..2 {
+        assert_eq!(send(query).get("ok"), Some(&Json::Bool(true)));
+    }
 
-        let mut client = NetClient::connect(&addr).expect("connect to binary");
-        let mut send = |line: &str| -> Json {
-            let response = client.request_line(line).expect("round-trip");
-            Json::parse(&response).unwrap_or_else(|e| panic!("bad JSON {e}: {response}"))
-        };
-        let register = r#"{"op":"register","dataset":"t","csv":"a,b\n1,x\n1,y\n2,x\n","label_attrs":["a","b"]}"#;
-        assert_eq!(send(register).get("ok"), Some(&Json::Bool(true)));
-        let query = r#"{"op":"query","dataset":"t","patterns":[{"a":"1","b":"x"}]}"#;
-        for _ in 0..2 {
-            assert_eq!(send(query).get("ok"), Some(&Json::Bool(true)));
-        }
+    let mut http = HttpClient::connect(&addr).expect("HTTP connect");
+    let get = |http: &mut HttpClient, path: &str| -> (u16, Json) {
+        let response = http.request("GET", path, None).expect("GET round-trip");
+        let body = Json::parse(&response.body)
+            .unwrap_or_else(|e| panic!("bad JSON {e}: {}", response.body));
+        (response.status, body)
+    };
 
-        let mut http = HttpClient::connect(&addr).expect("HTTP connect");
-        let get = |http: &mut HttpClient, path: &str| -> (u16, Json) {
-            let response = http.request("GET", path, None).expect("GET round-trip");
-            let body = Json::parse(&response.body)
-                .unwrap_or_else(|e| panic!("bad JSON {e}: {}", response.body));
-            (response.status, body)
-        };
-
-        // Memory accounting is monotonic across an append (no queries in
-        // between, so the cache cannot shrink the total underneath us).
-        let (status, mem1) = get(&mut http, "/debug/memory");
-        assert_eq!(status, 200, "[{model}]");
-        let dataset_bytes = |mem: &Json| -> u64 {
-            let datasets = mem
-                .get("datasets")
-                .and_then(Json::as_array)
-                .expect("datasets");
-            assert_eq!(datasets.len(), 1);
-            assert_eq!(datasets[0].get("dataset").and_then(Json::as_str), Some("t"));
-            datasets[0]
-                .get("components")
-                .and_then(|c| c.get("dataset"))
-                .and_then(Json::as_u64)
-                .expect("dataset component bytes")
-        };
-        assert!(
-            mem1.get("total_bytes").and_then(Json::as_u64).unwrap() > 0,
-            "[{model}] nonzero total"
-        );
-        let before = dataset_bytes(&mem1);
-        let append = format!(
-            r#"{{"op":"append_rows","dataset":"t","rows":[{}]}}"#,
-            vec![r#"["1","x"]"#; 64].join(",")
-        );
-        assert_eq!(send(&append).get("ok"), Some(&Json::Bool(true)));
-        let (_, mem2) = get(&mut http, "/debug/memory");
-        let after = dataset_bytes(&mem2);
-        assert!(
-            after > before,
-            "[{model}] dataset bytes must grow across an append: {before} -> {after}"
-        );
-
-        // The stats op and /debug/memory agree on the same accounting.
-        let stats = send(r#"{"op":"stats","dataset":"t"}"#);
-        let stats_total = stats
-            .get("memory")
-            .and_then(|m| m.get("total_bytes"))
-            .and_then(Json::as_u64)
-            .expect("stats memory.total_bytes");
-        let (_, mem3) = get(&mut http, "/debug/memory");
-        let debug_total = mem3
+    // Memory accounting is monotonic across an append (no queries in
+    // between, so the cache cannot shrink the total underneath us).
+    let (status, mem1) = get(&mut http, "/debug/memory");
+    assert_eq!(status, 200);
+    let dataset_bytes = |mem: &Json| -> u64 {
+        let datasets = mem
             .get("datasets")
             .and_then(Json::as_array)
-            .and_then(|d| d[0].get("total_bytes"))
+            .expect("datasets");
+        assert_eq!(datasets.len(), 1);
+        assert_eq!(datasets[0].get("dataset").and_then(Json::as_str), Some("t"));
+        datasets[0]
+            .get("components")
+            .and_then(|c| c.get("dataset"))
             .and_then(Json::as_u64)
-            .unwrap();
-        assert_eq!(stats_total, debug_total, "[{model}]");
+            .expect("dataset component bytes")
+    };
+    assert!(
+        mem1.get("total_bytes").and_then(Json::as_u64).unwrap() > 0,
+        "nonzero total"
+    );
+    let before = dataset_bytes(&mem1);
+    let append = format!(
+        r#"{{"op":"append_rows","dataset":"t","rows":[{}]}}"#,
+        vec![r#"["1","x"]"#; 64].join(",")
+    );
+    assert_eq!(send(&append).get("ok"), Some(&Json::Bool(true)));
+    let (_, mem2) = get(&mut http, "/debug/memory");
+    let after = dataset_bytes(&mem2);
+    assert!(
+        after > before,
+        "dataset bytes must grow across an append: {before} -> {after}"
+    );
 
-        // Retained traces: the replayed queries are there, newest last,
-        // and each carries a request id that retrieves its span tree.
-        let (status, traces) = get(&mut http, "/debug/traces?op=query");
-        assert_eq!(status, 200, "[{model}]");
-        let rows = traces
-            .get("traces")
+    // The stats op and /debug/memory agree on the same accounting.
+    let stats = send(r#"{"op":"stats","dataset":"t"}"#);
+    let stats_total = stats
+        .get("memory")
+        .and_then(|m| m.get("total_bytes"))
+        .and_then(Json::as_u64)
+        .expect("stats memory.total_bytes");
+    let (_, mem3) = get(&mut http, "/debug/memory");
+    let debug_total = mem3
+        .get("datasets")
+        .and_then(Json::as_array)
+        .and_then(|d| d[0].get("total_bytes"))
+        .and_then(Json::as_u64)
+        .unwrap();
+    assert_eq!(stats_total, debug_total);
+
+    // Retained traces: the replayed queries are there, newest last,
+    // and each carries a request id that retrieves its span tree.
+    let (status, traces) = get(&mut http, "/debug/traces?op=query");
+    assert_eq!(status, 200);
+    let rows = traces
+        .get("traces")
+        .and_then(Json::as_array)
+        .expect("traces");
+    assert_eq!(rows.len(), 2, "both queries retained");
+    let first = &rows[0];
+    assert_eq!(first.get("op").and_then(Json::as_str), Some("query"));
+    assert_eq!(first.get("dataset").and_then(Json::as_str), Some("t"));
+    let id = first.get("request_id").and_then(Json::as_u64).expect("id");
+    assert!(
+        !first
+            .get("spans")
             .and_then(Json::as_array)
-            .expect("traces");
-        assert_eq!(rows.len(), 2, "[{model}] both queries retained");
-        let first = &rows[0];
-        assert_eq!(first.get("op").and_then(Json::as_str), Some("query"));
-        assert_eq!(first.get("dataset").and_then(Json::as_str), Some("t"));
-        let id = first.get("request_id").and_then(Json::as_u64).expect("id");
-        assert!(
-            !first
-                .get("spans")
-                .and_then(Json::as_array)
-                .unwrap()
-                .is_empty(),
-            "[{model}] span breakdown present"
-        );
-        let (status, by_id) = get(&mut http, &format!("/debug/traces?id={id}"));
-        assert_eq!(status, 200);
-        let found = by_id.get("traces").and_then(Json::as_array).unwrap();
-        assert_eq!(found.len(), 1, "[{model}] trace findable by request id");
-        assert_eq!(found[0].get("request_id").and_then(Json::as_u64), Some(id));
-        let (status, slowest) = get(&mut http, "/debug/traces?op=query&slowest=1");
-        assert_eq!(status, 200);
-        assert_eq!(
-            slowest.get("ring").and_then(Json::as_str),
-            Some("slowest"),
-            "[{model}]"
-        );
-        let (status, _) = get(&mut http, "/debug/traces?op=bogus");
-        assert_eq!(status, 400, "[{model}] unknown op is a client error");
+            .unwrap()
+            .is_empty(),
+        "span breakdown present"
+    );
+    let (status, by_id) = get(&mut http, &format!("/debug/traces?id={id}"));
+    assert_eq!(status, 200);
+    let found = by_id.get("traces").and_then(Json::as_array).unwrap();
+    assert_eq!(found.len(), 1, "trace findable by request id");
+    assert_eq!(found[0].get("request_id").and_then(Json::as_u64), Some(id));
+    let (status, slowest) = get(&mut http, "/debug/traces?op=query&slowest=1");
+    assert_eq!(status, 200);
+    assert_eq!(slowest.get("ring").and_then(Json::as_str), Some("slowest"));
+    let (status, _) = get(&mut http, "/debug/traces?op=bogus");
+    assert_eq!(status, 400, "unknown op is a client error");
 
-        // The live connection table sees the keep-alive framed client
-        // (idle) and this very scrape (dispatching, http).
-        let (status, conns) = get(&mut http, "/debug/conns");
-        assert_eq!(status, 200, "[{model}]");
-        assert_eq!(conns.get("model").and_then(Json::as_str), Some(*model));
-        assert!(conns.get("open").and_then(Json::as_u64).unwrap() >= 2);
-        let rows = conns.get("conns").and_then(Json::as_array).unwrap();
-        assert!(
-            rows.iter().any(|r| {
-                r.get("protocol").and_then(Json::as_str) == Some("framed")
-                    && r.get("state").and_then(Json::as_str) == Some("idle")
-                    && r.get("requests").and_then(Json::as_u64).unwrap_or(0) >= 4
-            }),
-            "[{model}] idle framed keep-alive client visible in {conns}"
-        );
-        assert!(
-            rows.iter().any(|r| {
-                r.get("protocol").and_then(Json::as_str) == Some("http")
-                    && r.get("state").and_then(Json::as_str) == Some("dispatching")
-            }),
-            "[{model}] the scraping connection sees itself dispatching in {conns}"
-        );
+    // The live connection table sees the keep-alive framed client
+    // (idle) and this very scrape (dispatching, http).
+    let (status, conns) = get(&mut http, "/debug/conns");
+    assert_eq!(status, 200);
+    assert_eq!(conns.get("model"), None, "{conns}");
+    assert!(conns.get("reactors").and_then(Json::as_u64).unwrap() >= 1);
+    assert!(conns.get("open").and_then(Json::as_u64).unwrap() >= 2);
+    let rows = conns.get("conns").and_then(Json::as_array).unwrap();
+    assert!(
+        rows.iter().any(|r| {
+            r.get("protocol").and_then(Json::as_str) == Some("framed")
+                && r.get("state").and_then(Json::as_str) == Some("idle")
+                && r.get("requests").and_then(Json::as_u64).unwrap_or(0) >= 4
+        }),
+        "idle framed keep-alive client visible in {conns}"
+    );
+    assert!(
+        rows.iter().any(|r| {
+            r.get("protocol").and_then(Json::as_str) == Some("http")
+                && r.get("state").and_then(Json::as_str) == Some("dispatching")
+        }),
+        "the scraping connection sees itself dispatching in {conns}"
+    );
 
-        // The framed server_debug op returns every section at once.
-        let debug = send(r#"{"op":"server_debug"}"#);
-        assert_eq!(debug.get("ok"), Some(&Json::Bool(true)), "[{model}]");
-        assert!(debug.get("uptime_seconds").is_some());
-        assert!(debug.get("version").is_some());
-        for section in ["traces", "memory", "conns"] {
-            assert!(
-                debug.get(section).is_some(),
-                "[{model}] server_debug carries {section}"
-            );
-        }
-
-        let bye = send(r#"{"op":"shutdown"}"#);
-        assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
-        assert!(child.wait().expect("netd exits").success());
+    // The framed server_debug op returns every section at once.
+    let debug = send(r#"{"op":"server_debug"}"#);
+    assert_eq!(debug.get("ok"), Some(&Json::Bool(true)));
+    assert!(debug.get("uptime_seconds").is_some());
+    assert!(debug.get("version").is_some());
+    for section in ["traces", "memory", "conns"] {
+        assert!(
+            debug.get(section).is_some(),
+            "server_debug carries {section}"
+        );
     }
+
+    let bye = send(r#"{"op":"shutdown"}"#);
+    assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
+    assert!(child.wait().expect("netd exits").success());
 }
 
 /// A raw HTTP/1.1 POST with `Transfer-Encoding: chunked`: the body is
@@ -1317,7 +1325,6 @@ fn http_body(response: &str) -> &str {
 /// must stay byte-identical to the stdin/stdout serve loop on both
 /// transports, with live connections parked across the loops while it
 /// runs.
-#[cfg(unix)]
 #[test]
 fn multi_reactor_replay_is_byte_identical_on_both_backends() {
     let expected = stdio_responses();
@@ -1326,7 +1333,7 @@ fn multi_reactor_replay_is_byte_identical_on_both_backends() {
             let server = spawn_server(ServerConfig {
                 reactors: 4,
                 force_poll_backend: force_poll,
-                ..reactor_config()
+                ..test_config()
             });
             // Park one proven-live connection per loop so the replay
             // runs while every loop owns state.
@@ -1380,14 +1387,13 @@ fn multi_reactor_replay_is_byte_identical_on_both_backends() {
 /// C→loop 0. With `max_connections: 2` split 1/1, C breaches loop 0's
 /// budget and must evict A (loop 0's LRU idle) — never B, which a
 /// different loop owns.
-#[cfg(unix)]
 #[test]
 fn per_loop_budgets_evict_within_the_owning_loop() {
     let server = spawn_server(ServerConfig {
         reactors: 2,
         max_connections: 2,
         force_poll_backend: true,
-        ..reactor_config()
+        ..test_config()
     });
     let mut a = NetClient::connect(server.local_addr()).unwrap();
     a.request_line(r#"{"op":"health"}"#).unwrap();
@@ -1417,7 +1423,6 @@ fn per_loop_budgets_evict_within_the_owning_loop() {
 /// count, `/debug/conns` carries the reactors count and per-connection
 /// buffer accounting — and everything drains back to zero when the
 /// fleet hangs up.
-#[cfg(unix)]
 #[test]
 fn per_loop_gauges_sum_to_the_total_and_drain_to_zero() {
     let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
@@ -1425,7 +1430,7 @@ fn per_loop_gauges_sum_to_the_total_and_drain_to_zero() {
         Arc::clone(&dispatcher),
         ServerConfig {
             reactors: 2,
-            ..reactor_config()
+            ..test_config()
         },
     )
     .expect("spawn two-loop server");
@@ -1510,7 +1515,6 @@ fn per_loop_gauges_sum_to_the_total_and_drain_to_zero() {
 /// connection table) stays bounded by the write watermark the whole
 /// time, even as megabytes of wire bytes are consumed before the
 /// request dispatches.
-#[cfg(unix)]
 #[test]
 fn chunked_append_rows_streams_an_8mib_body_within_the_watermark() {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1518,7 +1522,7 @@ fn chunked_append_rows_streams_an_8mib_body_within_the_watermark() {
     let watermark = ServerConfig::default().write_watermark as u64;
     let server = spawn_server(ServerConfig {
         max_frame: 32 << 20,
-        ..reactor_config()
+        ..test_config()
     });
     let addr = server.local_addr();
 
@@ -1634,12 +1638,10 @@ fn netd_chunked_append_rows_equals_content_length() {
     let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
     let mut banner = String::new();
     stdout.read_line(&mut banner).expect("startup banner");
-    if cfg!(unix) {
-        assert!(
-            banner.contains("2 reactors"),
-            "banner reports the loop count: {banner}"
-        );
-    }
+    assert!(
+        banner.contains("2 reactors"),
+        "banner reports the loop count: {banner}"
+    );
     let addr = banner
         .split_whitespace()
         .nth(3)
