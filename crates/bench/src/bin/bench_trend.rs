@@ -34,11 +34,13 @@
 //!   `(scenario, mode, threads, shards)` and fail when `build_secs` or
 //!   `merge_secs` grows by more than the threshold.
 //! * `search` (`BENCH_search.json`) — scenario rows are matched on
-//!   `(scenario, strategy, mode)` and fail when `cands_per_sec` drops by
-//!   more than the threshold. Rows whose `eval_secs` sits under the 5 ms
-//!   noise floor on either side are skipped (a fast refinement walk over
-//!   a small distinct table finishes in microseconds — pure jitter on a
-//!   shared runner).
+//!   `(scenario, strategy, mode)` and fail when `cands_per_sec` drops or
+//!   `search_secs` (the lattice walk: node generation and sizing) grows
+//!   by more than the threshold. `cands_per_sec` is skipped when the
+//!   row's `eval_secs` sits under the 5 ms noise floor (a fast refinement
+//!   walk over a small distinct table finishes in microseconds — pure
+//!   jitter on a shared runner); `search_secs` is skipped when it sits
+//!   under the same floor on either side.
 //!
 //! Rows present on only one side are reported and skipped (grids grow
 //! over time), and timings under 5 ms are never compared — at that scale
@@ -246,16 +248,24 @@ fn metrics_of(report: &Json) -> Result<Vec<Metric>, String> {
                     continue;
                 };
                 for row in rows {
-                    // Throughput derived from a sub-noise-floor timing
-                    // carries no signal; skip the row entirely.
-                    if row_f64(row, "eval_secs").is_none_or(|s| s < MIN_SECONDS) {
-                        continue;
-                    }
                     let key = fmt_key(&[
                         ("scenario", name.clone()),
                         ("strategy", field_text(row, "strategy")),
                         ("mode", field_text(row, "mode")),
                     ]);
+                    if let Some(v) = row_f64(row, "search_secs") {
+                        out.push(Metric {
+                            key: key.clone(),
+                            name: "search_secs",
+                            higher_is_better: false,
+                            value: v,
+                        });
+                    }
+                    // Throughput derived from a sub-noise-floor timing
+                    // carries no signal.
+                    if row_f64(row, "eval_secs").is_none_or(|s| s < MIN_SECONDS) {
+                        continue;
+                    }
                     if let Some(v) = row_f64(row, "cands_per_sec") {
                         out.push(Metric {
                             key,
@@ -587,6 +597,25 @@ mod tests {
         assert!(run(SEARCH_BASE, &ok, 0.30).unwrap().is_empty());
         let faster = SEARCH_BASE.replace("\"cands_per_sec\":1500.0", "\"cands_per_sec\":9000.0");
         assert!(run(SEARCH_BASE, &faster, 0.30).unwrap().is_empty());
+    }
+
+    #[test]
+    fn search_secs_regression_detected() {
+        // The topdown row's walk (50 ms) is gated even though its eval
+        // time sits under the noise floor.
+        let slower = SEARCH_BASE.replace("\"search_secs\":0.05", "\"search_secs\":0.08");
+        let regressions = run(SEARCH_BASE, &slower, 0.30).unwrap();
+        assert_eq!(regressions.len(), 1);
+        assert_eq!(regressions[0].name, "search_secs");
+        assert!(regressions[0].key.contains("strategy=topdown"));
+        // Within tolerance and improvements never fail.
+        let ok = SEARCH_BASE.replace("\"search_secs\":0.05", "\"search_secs\":0.06");
+        assert!(run(SEARCH_BASE, &ok, 0.30).unwrap().is_empty());
+        let faster = SEARCH_BASE.replace("\"search_secs\":0.05", "\"search_secs\":0.01");
+        assert!(run(SEARCH_BASE, &faster, 0.30).unwrap().is_empty());
+        // A walk under the 5 ms floor on either side is noise.
+        let tiny = SEARCH_BASE.replace("\"search_secs\":0.05", "\"search_secs\":0.001");
+        assert!(run(&tiny, SEARCH_BASE, 0.30).unwrap().is_empty());
     }
 
     #[test]

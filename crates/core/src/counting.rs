@@ -1172,13 +1172,15 @@ pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
 }
 
 /// Bound-aware label sizing: returns `Some(|P_S|)` when it is ≤ `bound`,
-/// or `None` as soon as the running distinct count exceeds it.
+/// or `None` as soon as the running distinct count exceeds it. With the
+/// paper's small bounds (≤ 100), an over-budget subset is usually
+/// detected within the first few hundred rows.
 ///
-/// This is the work-horse of both search algorithms: with the paper's
-/// small bounds (≤ 100), an over-budget subset is usually detected within
-/// the first few hundred rows instead of scanning the whole table, which
-/// turns the lattice walk from O(nodes × rows) into O(nodes × rows-until-
-/// overflow) — the dominant cost of Figures 6–9.
+/// This cold scan packs every attribute of `attrs` into a hashed key per
+/// row. The searches size their lattice nodes from the parent's memoized
+/// partition instead
+/// ([`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded));
+/// this function is the oracle that path is tested against.
 pub fn label_size_bounded(dataset: &Dataset, attrs: AttrSet, bound: u64) -> Option<u64> {
     let codec = KeyCodec::new(dataset, attrs);
     let n = dataset.n_rows();

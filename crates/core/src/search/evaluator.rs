@@ -5,7 +5,9 @@
 //! amortizes everything that does not depend on `S`:
 //!
 //! * the dataset is compressed to distinct tuples with multiplicities;
-//! * the pattern set is materialized once, with true counts;
+//! * the pattern set is materialized once, with true counts (the default
+//!   `P_A` *is* the distinct tuples with their multiplicities, so it
+//!   reuses them);
 //! * per-pattern independence factors (`VC` fractions) are precomputed;
 //! * patterns are sorted by count descending, enabling the paper's §IV-C
 //!   early-exit scan for the max-absolute-error objective: once the next
@@ -50,6 +52,20 @@
 //!   resident memory is at most `memo × (4·U + 12·G)` bytes for a
 //!   `U`-row universe with `G`-group partitions.
 //!
+//! ## Sizing lattice nodes
+//!
+//! The same memo sizes the searches' lattice nodes:
+//! [`EvalContext::child_size_bounded`] prices a child `S ∪ {a}` by one
+//! pass over `S`'s partition that counts distinct `(group id, code of
+//! a)` pairs over the distinct rows, leaves out the all-missing pair
+//! (the empty pattern), ignores passive pattern rows and stops at
+//! `bound + 1` — no partition is built for the child, so an over-budget
+//! child costs only the rows it takes to overflow. The pass's scratch
+//! table follows [`Partition::dense_slots`]'s dense-or-hash rule, which a
+//! large label bound cannot grow. Sizes equal the cold
+//! [`label_size_bounded`](crate::counting::label_size_bounded) scan's,
+//! the oracle the property tests pin the path to.
+//!
 //! [`Evaluator::evaluate_many`] keeps its thread-scoped parallelism: each
 //! worker owns a private `EvalContext` (partitions branch copy-on-derive
 //! from the shared immutable evaluator, never across threads), so results
@@ -76,10 +92,11 @@ pub struct Evaluator {
     vc: Arc<ValueCounts>,
     distinct: Dataset,
     dweights: Vec<u64>,
-    eval: MaterializedPatterns,
-    /// Pattern rows *are* the distinct rows (the `P_A` default): the
-    /// refinement universe needs no passive pattern suffix.
-    patterns_shared: bool,
+    /// The materialized pattern set, or `None` for `P_A` (the default),
+    /// whose patterns *are* the distinct rows with their multiplicities
+    /// as counts: the refinement universe then needs no passive pattern
+    /// suffix.
+    patterns: Option<MaterializedPatterns>,
     /// Pattern indices sorted by true count, descending.
     order: Vec<u32>,
     /// Row-major `[pattern * n_attrs + attr]` VC fractions; 1.0 for cells a
@@ -98,21 +115,27 @@ impl Evaluator {
     pub fn new(dataset: &Dataset, patterns: &PatternSet) -> Self {
         let vc = Arc::new(ValueCounts::compute(dataset, None));
         let (distinct, dweights) = dataset.compress();
-        let eval = patterns.materialize(dataset);
-        // `PatternSet::AllTuples` materializes as `dataset.compress()`,
-        // which is deterministic: its rows coincide with `distinct`.
-        let patterns_shared = matches!(patterns, PatternSet::AllTuples);
+        // `PatternSet::AllTuples` would materialize as a second
+        // `dataset.compress()`: the distinct table already is that set.
+        let patterns = match patterns {
+            PatternSet::AllTuples => None,
+            other => Some(other.materialize(dataset)),
+        };
+        let (table, counts) = match &patterns {
+            Some(m) => (&m.table, &m.counts[..]),
+            None => (&distinct, &dweights[..]),
+        };
         let n_attrs = dataset.n_attrs();
-        let n = eval.len();
+        let n = counts.len();
 
         let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| eval.counts[b as usize].cmp(&eval.counts[a as usize]));
+        order.sort_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]));
 
         let mut fracs = vec![1.0f64; n * n_attrs];
         let mut defined = vec![0u64; n];
         for r in 0..n {
             for a in 0..n_attrs {
-                let v = eval.table.value_raw(r, a);
+                let v = table.value_raw(r, a);
                 if v != MISSING {
                     defined[r] |= 1u64 << a;
                     fracs[r * n_attrs + a] = vc.fraction(a, v);
@@ -125,8 +148,7 @@ impl Evaluator {
             vc,
             distinct,
             dweights,
-            eval,
-            patterns_shared,
+            patterns,
             order,
             fracs,
             defined,
@@ -158,7 +180,7 @@ impl Evaluator {
 
     /// Number of patterns under evaluation.
     pub fn n_patterns(&self) -> usize {
-        self.eval.len()
+        self.pattern_counts().len()
     }
 
     /// `|D|`.
@@ -179,6 +201,16 @@ impl Evaluator {
     /// The compressed distinct-tuple table and its multiplicities.
     pub fn compressed(&self) -> (&Dataset, &[u64]) {
         (&self.distinct, &self.dweights)
+    }
+
+    /// The pattern rows, aligned with the schema.
+    fn pattern_table(&self) -> &Dataset {
+        self.patterns.as_ref().map_or(&self.distinct, |m| &m.table)
+    }
+
+    /// The true count of each pattern row.
+    fn pattern_counts(&self) -> &[u64] {
+        self.patterns.as_ref().map_or(&self.dweights, |m| &m.counts)
     }
 
     /// A lattice-aware evaluation context with default tuning (refinement
@@ -232,10 +264,11 @@ impl Evaluator {
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
         let sbits = attrs.bits();
+        let counts = self.pattern_counts();
 
         for &r32 in &self.order {
             let r = r32 as usize;
-            let actual = self.eval.counts[r];
+            let actual = counts[r];
             if early_exit && (actual as f64) < acc.max_abs() {
                 exited = true;
                 break;
@@ -263,12 +296,13 @@ impl Evaluator {
             self.n_rows
         } else if k_bits == sbits {
             // p defines all of S: exact group lookup.
-            gc.weight_of_row(&self.eval.table, r)
+            gc.weight_of_row(self.pattern_table(), r)
         } else {
             // p defines only part of S: marginal over the stored partition.
             let k = AttrSet::from_bits(k_bits);
             let marginal = marginals.entry(k).or_insert_with(|| build_marginal(gc, k));
-            let key: Box<[u32]> = k.iter().map(|a| self.eval.table.value_raw(r, a)).collect();
+            let table = self.pattern_table();
+            let key: Box<[u32]> = k.iter().map(|a| table.value_raw(r, a)).collect();
             marginal.get(&key).copied().unwrap_or(0)
         };
         self.apply_fracs(r, sbits, defined, base)
@@ -298,20 +332,16 @@ impl Evaluator {
     /// pattern rows as a passive suffix when they are not the distinct
     /// rows themselves.
     fn universe_len(&self) -> usize {
-        if self.patterns_shared {
-            self.distinct.n_rows()
-        } else {
-            self.distinct.n_rows() + self.eval.len()
-        }
+        self.distinct.n_rows() + self.patterns.as_ref().map_or(0, MaterializedPatterns::len)
     }
 
     /// Universe row of pattern `r`.
     #[inline]
     fn pattern_row(&self, r: usize) -> usize {
-        if self.patterns_shared {
-            r
-        } else {
+        if self.patterns.is_some() {
             self.distinct.n_rows() + r
+        } else {
+            r
         }
     }
 
@@ -322,7 +352,7 @@ impl Evaluator {
         if row < n_data {
             self.distinct.value_raw(row, attr)
         } else {
-            self.eval.table.value_raw(row - n_data, attr)
+            self.pattern_table().value_raw(row - n_data, attr)
         }
     }
 
@@ -331,22 +361,24 @@ impl Evaluator {
         Partition::unit(self.universe_len(), self.n_rows)
     }
 
-    /// Refines `part` by one attribute's column(s).
-    fn refine_partition(&self, part: &Partition, attr: usize) -> Partition {
-        let card = self
-            .distinct
+    /// Dictionary cardinality of `attr`.
+    fn card(&self, attr: usize) -> u32 {
+        self.distinct
             .schema()
             .attr(attr)
-            .map_or(0, |at| at.cardinality()) as u32;
-        let pattern_col: &[u32] = if self.patterns_shared {
-            &[]
-        } else {
-            self.eval.table.column(attr)
-        };
+            .map_or(0, |at| at.cardinality()) as u32
+    }
+
+    /// Refines `part` by one attribute's column(s).
+    fn refine_partition(&self, part: &Partition, attr: usize) -> Partition {
+        let pattern_col = self
+            .patterns
+            .as_ref()
+            .map_or(&[][..], |m| m.table.column(attr));
         part.refine(
             self.distinct.column(attr),
             pattern_col,
-            card,
+            self.card(attr),
             &self.dweights,
         )
     }
@@ -438,11 +470,12 @@ impl<'a> EvalContext<'a> {
         let ev = self.ev;
         let part = self.partition(attrs);
         let sbits = attrs.bits();
+        let counts = ev.pattern_counts();
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
         for &r32 in &ev.order {
             let r = r32 as usize;
-            let actual = ev.eval.counts[r];
+            let actual = counts[r];
             if early_exit && (actual as f64) < acc.max_abs() {
                 exited = true;
                 break;
@@ -465,6 +498,34 @@ impl<'a> EvalContext<'a> {
             acc.push(actual, ev.apply_fracs(r, sbits, defined, base));
         }
         acc.finish(exited)
+    }
+
+    /// The label size of `parent ∪ {attr}` when it is at most `bound`,
+    /// else `None` — the same answer as
+    /// [`label_size_bounded`](crate::counting::label_size_bounded) over
+    /// the distinct table, found by one pass over `parent`'s memoized
+    /// partition that counts distinct `(parent group, code of attr)`
+    /// pairs and stops at `bound + 1`
+    /// ([`Partition::refined_size_bounded`]). This is how every search
+    /// sizes its lattice nodes; it uses the memo whether or not the
+    /// context evaluates errors by refinement.
+    pub fn child_size_bounded(&mut self, parent: AttrSet, attr: usize, bound: u64) -> Option<u64> {
+        debug_assert!(!parent.contains(attr), "{attr} already in {parent}");
+        let ev = self.ev;
+        let part = self.partition(parent);
+        // The parent group whose rows miss every parent attribute: with a
+        // missing `attr` value they project onto the empty pattern, which
+        // no label counts. (The unit partition's one group is that group.)
+        let all_missing = part
+            .reps()
+            .iter()
+            .position(|&rep| parent.iter().all(|a| ev.universe_value(rep, a) == MISSING));
+        part.refined_size_bounded(
+            ev.distinct.column(attr),
+            ev.card(attr),
+            all_missing.map(|g| g as u32),
+            bound,
+        )
     }
 
     /// Number of partitions currently memoized (diagnostics).

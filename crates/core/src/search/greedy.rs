@@ -15,7 +15,10 @@
 //!
 //! Compared to Algorithm 1, greedy evaluates **errors** during the walk
 //! (|A| · depth evaluations) instead of sizing thousands of lattice nodes
-//! and evaluating only the final candidates. On datasets with one strong
+//! and evaluating only the final candidates. Each step's candidates
+//! `S ∪ {a}` are sized by one bounded pass over the memoized partition of
+//! `S` ([`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded)),
+//! the prefix the walk already priced. On datasets with one strong
 //! correlated core it finds a comparable label much faster; it can get
 //! stuck when the optimal subset only pays off jointly — the
 //! `ablation_greedy` benchmark quantifies the trade-off.
@@ -26,7 +29,6 @@ use pclabel_data::dataset::Dataset;
 use pclabel_data::error::Result;
 
 use crate::attrset::AttrSet;
-use crate::counting::label_size_bounded;
 use crate::label::Label;
 use crate::search::{check_dataset, Evaluator, SearchOptions, SearchOutcome, SearchStats};
 
@@ -44,13 +46,11 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
     let (distinct, dweights) = evaluator.compressed();
-    let distinct = distinct.clone();
-    let dweights: Vec<u64> = dweights.to_vec();
     let early = opts.early_exit && opts.metric.supports_early_exit();
 
     // One lattice-aware context for the whole walk: each candidate
-    // S ∪ {a} is one refinement pass away from the memoized partition of
-    // the current prefix S (see the evaluator module docs).
+    // S ∪ {a} is sized, and then priced, by one pass over the memoized
+    // partition of the current prefix S (see the evaluator module docs).
     let mut ctx = evaluator.context_for(opts);
     let mut stats = SearchStats::default();
     let mut current = AttrSet::EMPTY;
@@ -65,7 +65,7 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
             }
             let candidate = current.insert(a);
             stats.nodes_examined += 1;
-            if label_size_bounded(&distinct, candidate, opts.bound).is_none() {
+            if ctx.child_size_bounded(current, a, opts.bound).is_none() {
                 continue;
             }
             let eval_start = Instant::now();
@@ -103,8 +103,8 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
 
     let best_stats = Some(ctx.error_of(best_attrs, false));
     let label = Some(Label::from_parts(
-        &distinct,
-        Some(&dweights),
+        distinct,
+        Some(dweights),
         best_attrs,
         evaluator.value_counts(),
         evaluator.n_rows(),

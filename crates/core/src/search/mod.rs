@@ -64,7 +64,8 @@ pub struct SearchOptions {
     /// ([`EvalContext`]): neighboring candidates are priced by partition
     /// refinement / marginal coarsening instead of a cold hash group-by
     /// each (default `true`; errors are bit-identical either way —
-    /// `false` is the ablation/oracle configuration).
+    /// `false` is the ablation/oracle configuration). Lattice nodes are
+    /// sized over the context's memoized partitions either way.
     pub refine: bool,
     /// Bound on memoized partitions per evaluation context
     /// (LRU-evicted; default [`DEFAULT_REFINE_MEMO`]). Resident memory

@@ -7,6 +7,12 @@
 //! proves no larger level can fit, and the algorithm stops (after having
 //! examined that level, which is how the paper counts examined subsets in
 //! Figure 9).
+//!
+//! A subset is sized by one bounded pass over the memoized partition of
+//! its prefix without its last attribute
+//! ([`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded)):
+//! the lexicographic enumeration visits siblings sharing that prefix
+//! back to back.
 
 use std::time::Instant;
 
@@ -14,7 +20,6 @@ use pclabel_data::dataset::Dataset;
 use pclabel_data::error::Result;
 
 use crate::attrset::AttrSet;
-use crate::counting::label_size_bounded;
 use crate::label::Label;
 use crate::lattice::Combinations;
 use crate::search::{
@@ -48,10 +53,10 @@ pub fn naive_search_limited(
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
     let (distinct, dweights) = evaluator.compressed();
-    let distinct = distinct.clone();
-    let dweights: Vec<u64> = dweights.to_vec();
     // Level-wise enumeration shares prefixes heavily; one refinement
-    // context amortizes the partitions across a level's subsets.
+    // context amortizes the partitions across a level's subsets, for
+    // sizing (each subset is its prefix without the last attribute, plus
+    // that attribute) and for evaluation alike.
     let mut ctx = evaluator.context_for(opts);
 
     let mut stats = SearchStats::default();
@@ -70,7 +75,11 @@ pub fn naive_search_limited(
                 }
             }
             stats.nodes_examined += 1;
-            if label_size_bounded(&distinct, s, opts.bound).is_some() {
+            let last = s.max_index().expect("levels start at size 2");
+            if ctx
+                .child_size_bounded(s.remove(last), last, opts.bound)
+                .is_some()
+            {
                 any_fit = true;
                 let eval_start = Instant::now();
                 let err = opts
@@ -95,8 +104,8 @@ pub fn naive_search_limited(
     let best_attrs = best.map(|(s, _)| s).unwrap_or(AttrSet::EMPTY);
     let best_stats = Some(ctx.error_of(best_attrs, false));
     let label = Some(Label::from_parts(
-        &distinct,
-        Some(&dweights),
+        distinct,
+        Some(dweights),
         best_attrs,
         evaluator.value_counts(),
         evaluator.n_rows(),

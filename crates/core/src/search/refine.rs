@@ -31,11 +31,11 @@
 
 use pclabel_data::dataset::MISSING;
 
-use crate::hash::{fx_map_with_capacity, FxHashMap};
+use crate::hash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet};
 
 /// Above this many slots the dense remap of a refinement pass would cost
 /// more to allocate/clear than the hashing it avoids; measured against
-/// `4 × rows` (see [`Partition::refine`]).
+/// `4 × rows` (see [`Partition::dense_slots`]).
 const DENSE_REMAP_FLOOR: usize = 1 << 16;
 
 /// A dense row→group-id assignment over the evaluator's row universe
@@ -103,19 +103,17 @@ impl Partition {
         let n = self.ids.len();
         debug_assert_eq!(data_col.len() + pattern_col.len(), n);
         debug_assert_eq!(dweights.len(), data_col.len());
-        let stride = card as usize + 1; // codes 0..card, missing = card
-        let dense_slots = self.n_groups().saturating_mul(stride);
         let mut out = Partition {
             ids: Vec::with_capacity(n),
             weights: Vec::with_capacity(self.n_groups() + 1),
             reps: Vec::with_capacity(self.n_groups() + 1),
         };
-        if dense_slots <= (4 * n).max(DENSE_REMAP_FLOOR) {
-            let mut remap = vec![u32::MAX; dense_slots];
+        if let Some(slots) = self.dense_slots(card) {
+            let mut remap = vec![u32::MAX; slots];
             self.refine_dense(
                 &mut out,
                 &mut remap,
-                stride,
+                card as usize + 1,
                 data_col,
                 pattern_col,
                 dweights,
@@ -125,6 +123,80 @@ impl Partition {
             self.refine_hash(&mut out, &mut remap, card, data_col, pattern_col, dweights);
         }
         out
+    }
+
+    /// Slots of the flat `(group id, code)` table a pass refining by a
+    /// column of cardinality `card` uses, or `None` when the composite
+    /// space `groups × (card + 1)` exceeds `max(4 × rows, 2¹⁶)` and the
+    /// pass hashes the pairs instead. The budget depends on the universe
+    /// alone, never on a caller's label bound, so no request can make a
+    /// pass allocate more slots than that.
+    pub fn dense_slots(&self, card: u32) -> Option<usize> {
+        let slots = self.n_groups().saturating_mul(card as usize + 1);
+        (slots <= (4 * self.n_rows()).max(DENSE_REMAP_FLOOR)).then_some(slots)
+    }
+
+    /// Bounded size of the refinement by one column, without building it:
+    /// the number of distinct `(group id, code)` pairs over the data rows
+    /// — the label size of the parent's attributes plus the column — or
+    /// `None` as soon as that number exceeds `bound`. The pair
+    /// `(all_missing, missing)`, the refined all-missing projection (the
+    /// empty pattern), is not counted, so the answer equals
+    /// [`label_size_bounded`](crate::counting::label_size_bounded) over
+    /// the refined attribute set.
+    ///
+    /// `data_col` covers the data prefix of the universe: passive pattern
+    /// rows add no pattern to a label and are never read.
+    pub fn refined_size_bounded(
+        &self,
+        data_col: &[u32],
+        card: u32,
+        all_missing: Option<u32>,
+        bound: u64,
+    ) -> Option<u64> {
+        let ids = &self.ids[..data_col.len()];
+        let code = |v: u32| if v == MISSING { card } else { v };
+        let mut size = 0u64;
+        if let Some(slots) = self.dense_slots(card) {
+            let stride = card as usize + 1;
+            let skip = all_missing.map(|g| g as usize * stride + card as usize);
+            let mut seen = vec![0u64; slots.div_ceil(64)];
+            for (&g, &v) in ids.iter().zip(data_col) {
+                let slot = g as usize * stride + code(v) as usize;
+                let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
+                    if Some(slot) != skip {
+                        size += 1;
+                        if size > bound {
+                            return None;
+                        }
+                    }
+                }
+            }
+        } else {
+            let key = |g: u32, c: u32| (u64::from(g) << 32) | u64::from(c);
+            let skip = all_missing.map(|g| key(g, card));
+            // The scan stops at bound + 1 pairs; a huge bound still starts
+            // from a small table.
+            let cap = usize::try_from(bound).map_or(usize::MAX, |b| b.saturating_add(1));
+            let mut seen: FxHashSet<u64> = fx_set_with_capacity(cap.min(1 << 12));
+            for (&g, &v) in ids.iter().zip(data_col) {
+                let pair = key(g, code(v));
+                if Some(pair) != skip && seen.insert(pair) {
+                    size += 1;
+                    if size > bound {
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(size)
+    }
+
+    /// The representative universe row of each group.
+    pub(crate) fn reps(&self) -> &[u32] {
+        &self.reps
     }
 
     fn refine_dense(

@@ -7,10 +7,12 @@
 //! its immediate children — a tiny fraction of the `2^n` lattice
 //! (54–99 % fewer nodes than the naive algorithm in the paper's Figure 9).
 //!
-//! Label sizes are computed with a bound-aware distinct scan
-//! ([`label_size_bounded`]) that abandons an over-budget child as soon as
-//! its running distinct count crosses the bound — with the paper's small
-//! bounds this prices most children in a few hundred rows.
+//! A child `curr ∪ {a}` is sized by one pass over `curr`'s memoized
+//! partition ([`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded)):
+//! two array reads per distinct row, abandoned as soon as the running
+//! pair count crosses the bound — with the paper's small bounds most
+//! over-budget children cost a few hundred rows. Only enqueued nodes are
+//! ever parents, so only they get a partition.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -19,7 +21,6 @@ use pclabel_data::dataset::Dataset;
 use pclabel_data::error::Result;
 
 use crate::attrset::AttrSet;
-use crate::counting::label_size_bounded;
 use crate::hash::FxHashSet;
 use crate::label::Label;
 use crate::lattice::gen;
@@ -38,27 +39,24 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     let n = dataset.n_attrs();
     let search_start = Instant::now();
 
-    // Evaluator also holds the compressed distinct-tuple table used for
-    // label sizing: group counts over distinct tuples equal those over raw
-    // rows, but each refine pass touches fewer rows.
+    // Partitions live over the evaluator's compressed distinct table:
+    // group counts over distinct tuples equal those over raw rows, but
+    // each pass touches fewer rows.
     let evaluator = Evaluator::new(dataset, &opts.patterns)
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
     let (distinct, dweights) = evaluator.compressed();
-    let distinct = distinct.clone();
-    let dweights: Vec<u64> = dweights.to_vec();
 
     let mut stats = SearchStats::default();
     let mut queue: VecDeque<AttrSet> = VecDeque::from([AttrSet::EMPTY]);
     let mut cands: FxHashSet<AttrSet> = FxHashSet::default();
+    let mut ctx = evaluator.context_for(opts);
 
     while let Some(curr) = queue.pop_front() {
         for child in gen(curr, n) {
             stats.nodes_examined += 1;
-            // Bound-aware sizing aborts over-budget children after a few
-            // hundred rows (see `label_size_bounded`).
-            let size = label_size_bounded(&distinct, child, opts.bound);
-            if let Some(_size) = size {
+            let attr = child.max_index().expect("gen adds an attribute");
+            if ctx.child_size_bounded(curr, attr, opts.bound).is_some() {
                 queue.push_back(child);
                 // Singletons are enqueued (they seed the pair level and
                 // their sizes count as examined, matching the paper's
@@ -87,10 +85,10 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     stats.eval_time = eval_start.elapsed();
 
     let best_attrs = best.map(|(s, _)| s).unwrap_or(AttrSet::EMPTY);
-    let best_stats = Some(evaluator.context_for(opts).error_of(best_attrs, false));
+    let best_stats = Some(ctx.error_of(best_attrs, false));
     let label = Some(Label::from_parts(
-        &distinct,
-        Some(&dweights),
+        distinct,
+        Some(dweights),
         best_attrs,
         evaluator.value_counts(),
         evaluator.n_rows(),

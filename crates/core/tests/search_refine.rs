@@ -5,19 +5,32 @@
 //! [`GroupCounts::build_parallel_sharded`] path ([`Evaluator::error_of`]),
 //! across metrics, early-exit on/off, shard/thread grids and both key
 //! widths; and the searches must return identical outcomes with
-//! refinement on and off.
+//! refinement on and off. Lattice nodes are sized over the memoized
+//! partitions too ([`EvalContext::child_size_bounded`]), which must agree
+//! with the cold [`label_size_bounded`] scan on every node and leave every
+//! search's walk unchanged.
+
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::KeyCodec;
+use pclabel_core::counting::{label_size, label_size_bounded, KeyCodec};
 use pclabel_core::error::ErrorMetric;
+use pclabel_core::lattice::{gen, Combinations};
+use pclabel_core::pattern::Pattern;
 use pclabel_core::patterns::PatternSet;
+use pclabel_core::search::refine::Partition;
 use pclabel_core::search::{
-    greedy_search, naive_search, top_down_search, Evaluator, SearchOptions,
+    greedy_search, naive_search, naive_search_limited, top_down_search, EvalContext, Evaluator,
+    NaiveLimits, SearchOptions, SearchOutcome,
 };
 use pclabel_data::dataset::{Dataset, DatasetBuilder, MISSING};
-use pclabel_data::generate::{correlated_pair, figure2_sample, functional_chain};
+use pclabel_data::error::Result;
+use pclabel_data::generate::{
+    bluenile, compas, correlated_pair, creditcard, figure2_sample, functional_chain,
+    BlueNileConfig, CompasConfig, CreditCardConfig,
+};
 
 /// Small random dataset with optional missing cells (mirrors the core
 /// proptests' generator).
@@ -126,6 +139,317 @@ proptest! {
             (top_down_search(&d, &on).unwrap(), top_down_search(&d, &off).unwrap());
         prop_assert_eq!(t_on.best_attrs, t_off.best_attrs);
         prop_assert_eq!(t_on.best_stats, t_off.best_stats);
+    }
+
+    /// Sizing a lattice node over its parent's memoized partition gives
+    /// the cold scan's answer on every node and every parent of it, at
+    /// the tightest bound that fits and one below, under each kind of
+    /// pattern set (whose rows join the partitions as a passive suffix)
+    /// and memo bound, with all-missing rows in play.
+    #[test]
+    fn child_sizing_matches_label_size_bounded(
+        d in arb_dataset_missing(),
+        all_missing_row in any::<bool>(),
+        over_bits in any::<u64>(),
+        memo in 2usize..=16,
+    ) {
+        let mut d = d;
+        if all_missing_row {
+            d.push_row_ids(&vec![MISSING; d.n_attrs()]).unwrap();
+        }
+        let n = d.n_attrs();
+        let full = (1u64 << n) - 1;
+        let over = AttrSet::from_bits((over_bits & full).max(1));
+        let explicit: Vec<Pattern> = (0..d.n_rows())
+            .map(|r| Pattern::from_row(&d, r).restrict(AttrSet::from_bits((r as u64 + 1) & full)))
+            .collect();
+        for ps in [PatternSet::AllTuples, PatternSet::OverAttrs(over), PatternSet::Explicit(explicit)] {
+            let ev = Evaluator::new(&d, &ps);
+            let mut ctx = ev.context_for(&SearchOptions::with_bound(0).refine_memo(memo));
+            for bits in 1..=full {
+                let attrs = AttrSet::from_bits(bits);
+                let exact = label_size(&d, attrs);
+                for attr in attrs.iter() {
+                    let parent = attrs.remove(attr);
+                    prop_assert_eq!(ctx.child_size_bounded(parent, attr, exact), Some(exact));
+                    prop_assert_eq!(label_size_bounded(&d, attrs, exact), Some(exact));
+                    if exact > 0 {
+                        prop_assert_eq!(ctx.child_size_bounded(parent, attr, exact - 1), None);
+                        prop_assert_eq!(label_size_bounded(&d, attrs, exact - 1), None);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What a search's walk decides: the winner, the candidates, and the
+/// walk's counters.
+#[derive(Debug, Default, PartialEq)]
+struct Walk {
+    best: AttrSet,
+    candidates: Vec<AttrSet>,
+    nodes_examined: u64,
+    candidates_evaluated: u64,
+    truncated: bool,
+}
+
+impl Walk {
+    fn of(out: &SearchOutcome) -> Walk {
+        Walk {
+            best: out.best_attrs.unwrap(),
+            candidates: out.candidates.clone(),
+            nodes_examined: out.stats.nodes_examined,
+            candidates_evaluated: out.stats.candidates_evaluated,
+            truncated: out.stats.truncated,
+        }
+    }
+}
+
+/// Node budget for the naive walks: unbounded, the naive search sizes
+/// over a million subsets of the Credit-Card schema at bound 100. This
+/// budget covers the pair and triple levels of every schema here.
+const NAIVE_MAX_NODES: u64 = 3_000;
+
+/// The search's candidate arg-min: smallest metric, ties to fewer
+/// attributes then the smaller bitmask; the empty label when nothing fits.
+fn argmin(cands: &[AttrSet], errors: &[f64]) -> AttrSet {
+    cands
+        .iter()
+        .zip(errors)
+        .min_by(|(a, ea), (b, eb)| {
+            ea.total_cmp(eb)
+                .then_with(|| (a.len(), a.bits()).cmp(&(b.len(), b.bits())))
+        })
+        .map_or(AttrSet::EMPTY, |(&s, _)| s)
+}
+
+/// Reference walks of the three searches, every node sized by a cold
+/// [`label_size_bounded`] scan of the distinct table (once per node
+/// across the walks). Errors come from one refinement context, pinned
+/// bit-identical to the cold build by the tests above.
+struct ColdWalks<'a> {
+    distinct: Dataset,
+    fits: HashMap<AttrSet, bool>,
+    ctx: EvalContext<'a>,
+    opts: &'a SearchOptions,
+    n: usize,
+}
+
+impl<'a> ColdWalks<'a> {
+    fn new(ev: &'a Evaluator, opts: &'a SearchOptions) -> Self {
+        ColdWalks {
+            distinct: ev.compressed().0.clone(),
+            fits: HashMap::new(),
+            ctx: ev.context(),
+            opts,
+            n: ev.n_attrs(),
+        }
+    }
+
+    fn fits(&mut self, attrs: AttrSet) -> bool {
+        let (distinct, bound) = (&self.distinct, self.opts.bound);
+        *self
+            .fits
+            .entry(attrs)
+            .or_insert_with(|| label_size_bounded(distinct, attrs, bound).is_some())
+    }
+
+    fn error(&mut self, attrs: AttrSet) -> f64 {
+        let early = self.opts.early_exit && self.opts.metric.supports_early_exit();
+        self.opts.metric.of(&self.ctx.error_of(attrs, early))
+    }
+
+    fn top_down(&mut self) -> Walk {
+        let mut nodes_examined = 0;
+        let mut queue = VecDeque::from([AttrSet::EMPTY]);
+        let mut cands: Vec<AttrSet> = Vec::new();
+        while let Some(curr) = queue.pop_front() {
+            for child in gen(curr, self.n) {
+                nodes_examined += 1;
+                if self.fits(child) {
+                    queue.push_back(child);
+                    if child.len() >= 2 {
+                        cands.retain(|c| !child.parents().any(|p| p == *c));
+                        cands.push(child);
+                    }
+                }
+            }
+        }
+        cands.sort_by_key(|s| (s.len(), s.bits()));
+        let errors: Vec<f64> = cands.iter().map(|&s| self.error(s)).collect();
+        Walk {
+            best: argmin(&cands, &errors),
+            candidates_evaluated: cands.len() as u64,
+            candidates: cands,
+            nodes_examined,
+            ..Walk::default()
+        }
+    }
+
+    fn greedy(&mut self) -> Walk {
+        let (mut nodes_examined, mut candidates_evaluated) = (0, 0);
+        let mut current = AttrSet::EMPTY;
+        let mut visited = vec![(current, self.error(current))];
+        loop {
+            let mut step: Option<(AttrSet, f64)> = None;
+            for a in (0..self.n).filter(|&a| !current.contains(a)) {
+                let candidate = current.insert(a);
+                nodes_examined += 1;
+                if !self.fits(candidate) {
+                    continue;
+                }
+                let err = self.error(candidate);
+                candidates_evaluated += 1;
+                if step.is_none_or(|(s, e)| err < e || (err == e && candidate.bits() < s.bits())) {
+                    step = Some((candidate, err));
+                }
+            }
+            let Some(next) = step else { break };
+            current = next.0;
+            visited.push(next);
+        }
+        let (path, errors): (Vec<AttrSet>, Vec<f64>) = visited.into_iter().unzip();
+        Walk {
+            best: argmin(&path, &errors),
+            candidates: path[1..].to_vec(),
+            nodes_examined,
+            candidates_evaluated,
+            ..Walk::default()
+        }
+    }
+
+    fn naive(&mut self, max_nodes: u64) -> Walk {
+        let mut nodes_examined = 0;
+        let (mut cands, mut errors) = (Vec::new(), Vec::new());
+        let mut truncated = false;
+        'levels: for k in 2..=self.n {
+            let mut any_fit = false;
+            for s in Combinations::new(self.n, k) {
+                if nodes_examined >= max_nodes {
+                    truncated = true;
+                    break 'levels;
+                }
+                nodes_examined += 1;
+                if self.fits(s) {
+                    any_fit = true;
+                    cands.push(s);
+                    errors.push(self.error(s));
+                }
+            }
+            if !any_fit {
+                break;
+            }
+        }
+        Walk {
+            best: argmin(&cands, &errors),
+            candidates_evaluated: cands.len() as u64,
+            candidates: cands,
+            nodes_examined,
+            truncated,
+        }
+    }
+}
+
+/// Each search's winner, candidates (in the order it reports them) and
+/// counters on `d` equal those of the same walk sized by the cold scan,
+/// at the paper's bounds.
+fn assert_walks_match_cold_sizing(d: &Dataset) {
+    for bound in [50u64, 100] {
+        let opts = SearchOptions::with_bound(bound);
+        let ev = Evaluator::new(d, &opts.patterns);
+        let mut cold = ColdWalks::new(&ev, &opts);
+        let name = d.name();
+        assert_eq!(
+            Walk::of(&top_down_search(d, &opts).unwrap()),
+            cold.top_down(),
+            "top-down {name} bound {bound}"
+        );
+        assert_eq!(
+            Walk::of(&greedy_search(d, &opts).unwrap()),
+            cold.greedy(),
+            "greedy {name} bound {bound}"
+        );
+        let limits = NaiveLimits {
+            max_nodes: Some(NAIVE_MAX_NODES),
+        };
+        assert_eq!(
+            Walk::of(&naive_search_limited(d, &opts, limits).unwrap()),
+            cold.naive(NAIVE_MAX_NODES),
+            "naive {name} bound {bound}"
+        );
+    }
+}
+
+#[test]
+fn bluenile_walks_match_cold_sizing() {
+    let cfg = BlueNileConfig {
+        n_rows: 2000,
+        seed: 3,
+    };
+    assert_walks_match_cold_sizing(&bluenile(&cfg).unwrap());
+}
+
+#[test]
+fn compas_walks_match_cold_sizing() {
+    let cfg = CompasConfig {
+        n_rows: 4000,
+        seed: 5,
+    };
+    assert_walks_match_cold_sizing(&compas(&cfg).unwrap());
+}
+
+#[test]
+fn creditcard_walks_match_cold_sizing() {
+    let cfg = CreditCardConfig {
+        n_rows: 8000,
+        seed: 7,
+    };
+    assert_walks_match_cold_sizing(&creditcard(&cfg).unwrap());
+}
+
+#[test]
+fn unbounded_search_sizes_wide_children_by_hashing() {
+    // `refine.rs`'s hash-fallback data: sizing {hi, hi2} over {hi}'s 998
+    // groups (997 values and missing) by hi2's 991 codes would need ~990k
+    // dense slots, far past the budget of max(4 × 2002 rows, 2^16), so the
+    // pass must hash — an unbounded label bound must not size the scratch
+    // space. One row misses `hi` (a partial pattern the label counts),
+    // one misses both (the empty pattern it does not).
+    let n = 2000usize;
+    let mut b = DatasetBuilder::new(["hi", "hi2"]);
+    for r in 0..n {
+        b.push_row(&[format!("v{}", r % 997), format!("w{}", (r * 7) % 991)])
+            .unwrap();
+    }
+    b.push_row_opt(&[None, Some("w0")]).unwrap();
+    b.push_row_opt(&[None::<&str>, None]).unwrap();
+    let d = b.finish();
+    let pair = AttrSet::full(2);
+    let exact = label_size(&d, pair);
+    assert_eq!(exact, 2001);
+
+    let weights = vec![1u64; d.n_rows()];
+    let hi = Partition::unit(d.n_rows(), d.n_rows() as u64).refine(d.column(0), &[], 997, &weights);
+    assert_eq!(hi.n_groups(), 998);
+    assert_eq!(hi.dense_slots(991), None);
+    let ev = Evaluator::new(&d, &PatternSet::AllTuples);
+    let mut ctx = ev.context();
+    for bound in [u64::MAX, exact, exact - 1] {
+        assert_eq!(
+            ctx.child_size_bounded(AttrSet::singleton(0), 1, bound),
+            label_size_bounded(&d, pair, bound),
+            "bound {bound}"
+        );
+    }
+
+    type Search = fn(&Dataset, &SearchOptions) -> Result<SearchOutcome>;
+    let searches: [(Search, u64); 3] =
+        [(top_down_search, 3), (greedy_search, 3), (naive_search, 1)];
+    for (search, nodes) in searches {
+        let out = search(&d, &SearchOptions::with_bound(u64::MAX)).unwrap();
+        assert!(out.candidates.contains(&pair), "{:?}", out.candidates);
+        assert_eq!(out.stats.nodes_examined, nodes);
     }
 }
 

@@ -1576,6 +1576,41 @@ mod tests {
     }
 
     #[test]
+    fn searched_register_traces_split_walk_and_eval() {
+        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        for line in [
+            "{\"op\":\"register\",\"dataset\":\"searched\",\"generator\":\"figure2\",\"bound\":5}",
+            "{\"op\":\"register\",\"dataset\":\"fixed\",\"generator\":\"figure2\",\
+             \"label_attrs\":[\"age group\",\"marital status\"]}",
+        ] {
+            assert_eq!(
+                dispatcher.dispatch_line(line).get("ok"),
+                Some(&Json::Bool(true))
+            );
+        }
+        let traces = dispatcher.debug_traces_json(Some("register"), false, None);
+        let traces = traces.get("traces").and_then(Json::as_array).unwrap();
+        let spans_of = |dataset: &str| -> Vec<String> {
+            let trace = traces
+                .iter()
+                .find(|t| t.get("dataset").and_then(Json::as_str) == Some(dataset))
+                .expect("register trace retained");
+            trace
+                .get("spans")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .filter_map(|s| s.get("phase").and_then(Json::as_str).map(str::to_string))
+                .collect()
+        };
+        let searched = spans_of("searched");
+        assert!(searched.iter().any(|p| p == "search_walk"), "{searched:?}");
+        assert!(searched.iter().any(|p| p == "search_eval"), "{searched:?}");
+        let fixed = spans_of("fixed");
+        assert!(!fixed.iter().any(|p| p.starts_with("search_")), "{fixed:?}");
+    }
+
+    #[test]
     fn health_and_metrics_carry_build_info_and_memory_gauges() {
         let dispatcher = Dispatcher::with_config(EngineConfig::default());
         let health = dispatcher.dispatch_line("{\"op\":\"health\"}");

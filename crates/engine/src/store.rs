@@ -366,10 +366,10 @@ fn compute_search_label(
         .refine(refine)
         .threads(workers)
         .count_threads(workers);
-    let t0 = std::time::Instant::now();
     let outcome = top_down_search(dataset, &opts)?;
     if let Some(trace) = trace {
-        trace.add_phase(Phase::SearchEval, t0.elapsed());
+        trace.add_phase(Phase::SearchWalk, outcome.stats.search_time);
+        trace.add_phase(Phase::SearchEval, outcome.stats.eval_time);
     }
     outcome.into_best_label().ok_or_else(|| {
         EngineError::BadRequest(format!("search with bound {bound} produced no label"))

@@ -24,12 +24,14 @@ pub enum Phase {
     CountCount,
     /// Counting build: label assembly from shard maps.
     CountAssemble,
-    /// Optimal-label search evaluation.
+    /// Optimal-label search: walking and sizing the label lattice.
+    SearchWalk,
+    /// Optimal-label search: evaluating the candidates' errors.
     SearchEval,
 }
 
 /// Number of [`Phase`] variants.
-pub const N_PHASES: usize = 6;
+pub const N_PHASES: usize = 7;
 
 impl Phase {
     /// Every phase, in declaration order (indexable by `as usize`).
@@ -39,6 +41,7 @@ impl Phase {
         Phase::CountPartition,
         Phase::CountCount,
         Phase::CountAssemble,
+        Phase::SearchWalk,
         Phase::SearchEval,
     ];
 
@@ -50,6 +53,7 @@ impl Phase {
             Phase::CountPartition => "counting_partition",
             Phase::CountCount => "counting_count",
             Phase::CountAssemble => "counting_assemble",
+            Phase::SearchWalk => "search_walk",
             Phase::SearchEval => "search_eval",
         }
     }
@@ -62,6 +66,7 @@ impl Phase {
             Phase::CountPartition => "pclabel_counting_partition_seconds",
             Phase::CountCount => "pclabel_counting_count_seconds",
             Phase::CountAssemble => "pclabel_counting_assemble_seconds",
+            Phase::SearchWalk => "pclabel_search_walk_seconds",
             Phase::SearchEval => "pclabel_search_eval_seconds",
         }
     }
@@ -74,7 +79,8 @@ impl Phase {
             Phase::CountPartition => "Counting build: radix partition pass seconds.",
             Phase::CountCount => "Counting build: per-shard counting seconds.",
             Phase::CountAssemble => "Counting build: label assembly seconds.",
-            Phase::SearchEval => "Optimal-label search evaluation seconds.",
+            Phase::SearchWalk => "Optimal-label search: lattice walk and sizing seconds.",
+            Phase::SearchEval => "Optimal-label search: candidate evaluation seconds.",
         }
     }
 }
