@@ -1,23 +1,28 @@
-//! RFC 4180 CSV parsing.
+//! Byte-level RFC 4180 scanning.
 //!
-//! A small, dependency-free state-machine parser. It supports:
-//! configurable single-byte delimiters, `"`-quoted fields with `""` escape,
-//! embedded delimiters/newlines inside quotes, and both `\n` and `\r\n`
-//! record terminators. Input must be valid UTF-8 (we parse from `&str`).
+//! The scanner walks the document's bytes once and yields each record as
+//! field slices borrowed from the input. It supports configurable
+//! single-byte delimiters, `"`-quoted fields with `""` escapes (the only
+//! fields it copies), embedded delimiters and newlines inside quotes, and
+//! `\n`, `\r\n` and bare `\r` record terminators. Input is `&str` and every
+//! byte the scanner splits on is ASCII, so every slice is valid UTF-8.
+
+use std::borrow::Cow;
 
 use crate::error::{DataError, Result};
 
 /// Parser configuration.
 #[derive(Debug, Clone)]
 pub struct CsvOptions {
-    /// Field delimiter (a single ASCII byte, `,` by default).
+    /// Field delimiter: a single ASCII character other than `"`, `\r` and
+    /// `\n` (`,` by default).
     pub delimiter: char,
     /// Whether the first record is a header row.
     pub has_header: bool,
     /// Field contents treated as missing values (e.g. `""`, `"NA"`).
     pub missing_tokens: Vec<String>,
     /// When `true`, records with the wrong arity are an error; when `false`
-    /// they are skipped (counted in [`ParseOutput::skipped_rows`]).
+    /// they are skipped.
     pub strict_arity: bool,
 }
 
@@ -57,320 +62,301 @@ impl CsvOptions {
     }
 }
 
-/// Result of parsing a CSV document into raw records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseOutput {
-    /// Header fields (empty when `has_header` is false).
-    pub header: Vec<String>,
-    /// Data records, one `Vec<String>` per row.
-    pub records: Vec<Vec<String>>,
-    /// Rows dropped due to arity mismatch in lenient mode.
-    pub skipped_rows: usize,
+/// Splits a document into records of fields.
+pub(super) struct Scanner<'a> {
+    input: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
+    /// One-based line of `pos`: record terminators and newlines inside
+    /// quoted fields each start a line.
+    line: usize,
+    delimiter: u8,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// At the start of a field.
-    FieldStart,
-    /// Inside an unquoted field.
-    Unquoted,
-    /// Inside a quoted field.
-    Quoted,
-    /// Just saw a quote inside a quoted field (could be escape or close).
-    QuoteInQuoted,
-}
-
-/// Parses an entire CSV document held in memory.
-pub fn parse_csv(input: &str, opts: &CsvOptions) -> Result<ParseOutput> {
-    if !opts.delimiter.is_ascii() {
-        return Err(DataError::Invalid(format!(
-            "delimiter {:?} must be ASCII",
-            opts.delimiter
-        )));
-    }
-    let delim = opts.delimiter;
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut state = State::FieldStart;
-    let mut line = 1usize;
-    // True once the current record has any content (field text, a completed
-    // field, or an opened quote); used to ignore a trailing newline.
-    let mut record_started = false;
-
-    let mut chars = input.chars().peekable();
-    while let Some(c) = chars.next() {
-        match state {
-            State::FieldStart => match c {
-                '"' => {
-                    state = State::Quoted;
-                    record_started = true;
-                }
-                c if c == delim => {
-                    record.push(std::mem::take(&mut field));
-                    record_started = true;
-                }
-                '\r' => {
-                    if chars.peek() == Some(&'\n') {
-                        chars.next();
-                    }
-                    end_record(&mut rows, &mut record, &mut field, &mut record_started);
-                    line += 1;
-                }
-                '\n' => {
-                    end_record(&mut rows, &mut record, &mut field, &mut record_started);
-                    line += 1;
-                }
-                _ => {
-                    field.push(c);
-                    state = State::Unquoted;
-                    record_started = true;
-                }
-            },
-            State::Unquoted => match c {
-                c if c == delim => {
-                    record.push(std::mem::take(&mut field));
-                    state = State::FieldStart;
-                }
-                '\r' => {
-                    if chars.peek() == Some(&'\n') {
-                        chars.next();
-                    }
-                    end_record(&mut rows, &mut record, &mut field, &mut record_started);
-                    state = State::FieldStart;
-                    line += 1;
-                }
-                '\n' => {
-                    end_record(&mut rows, &mut record, &mut field, &mut record_started);
-                    state = State::FieldStart;
-                    line += 1;
-                }
-                '"' => {
-                    return Err(DataError::Csv {
-                        line,
-                        message: "quote inside unquoted field".into(),
-                    })
-                }
-                _ => field.push(c),
-            },
-            State::Quoted => match c {
-                '"' => state = State::QuoteInQuoted,
-                '\n' => {
-                    field.push(c);
-                    line += 1;
-                }
-                _ => field.push(c),
-            },
-            State::QuoteInQuoted => match c {
-                '"' => {
-                    field.push('"');
-                    state = State::Quoted;
-                }
-                c if c == delim => {
-                    record.push(std::mem::take(&mut field));
-                    state = State::FieldStart;
-                }
-                '\r' => {
-                    if chars.peek() == Some(&'\n') {
-                        chars.next();
-                    }
-                    end_record(&mut rows, &mut record, &mut field, &mut record_started);
-                    state = State::FieldStart;
-                    line += 1;
-                }
-                '\n' => {
-                    end_record(&mut rows, &mut record, &mut field, &mut record_started);
-                    state = State::FieldStart;
-                    line += 1;
-                }
-                other => {
-                    return Err(DataError::Csv {
-                        line,
-                        message: format!("unexpected {other:?} after closing quote"),
-                    })
-                }
-            },
+impl<'a> Scanner<'a> {
+    /// Starts a scan of `input`, rejecting delimiters the scanner cannot
+    /// tell apart from a quote or a line end.
+    pub(super) fn new(input: &'a str, opts: &CsvOptions) -> Result<Self> {
+        let d = opts.delimiter;
+        if !d.is_ascii() {
+            return Err(DataError::Invalid(format!("delimiter {d:?} must be ASCII")));
         }
-    }
-    match state {
-        State::Quoted => {
-            return Err(DataError::Csv {
-                line,
-                message: "unterminated quoted field".into(),
-            })
+        if matches!(d, '"' | '\r' | '\n') {
+            return Err(DataError::Invalid(format!(
+                "delimiter {d:?} cannot be a quote or a line end"
+            )));
         }
-        State::Unquoted | State::QuoteInQuoted => {
-            end_record(&mut rows, &mut record, &mut field, &mut record_started);
-        }
-        State::FieldStart => {
-            if record_started {
-                end_record(&mut rows, &mut record, &mut field, &mut record_started);
-            }
-        }
-    }
-
-    let mut iter = rows.into_iter();
-    let header = if opts.has_header {
-        iter.next().ok_or(DataError::Csv {
+        Ok(Self {
+            input,
+            pos: 0,
             line: 1,
-            message: "expected a header row in an empty document".into(),
-        })?
-    } else {
-        Vec::new()
-    };
-    let arity = if opts.has_header {
-        header.len()
-    } else {
-        // Lenient documents without headers take the first record's arity.
-        0
-    };
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    let mut expected = arity;
-    for (i, rec) in iter.enumerate() {
-        if expected == 0 {
-            expected = rec.len();
-        }
-        if rec.len() != expected {
-            if opts.strict_arity {
-                return Err(DataError::ArityMismatch {
-                    expected,
-                    got: rec.len(),
-                    row: i,
-                });
-            }
-            skipped += 1;
-            continue;
-        }
-        records.push(rec);
+            delimiter: d as u8,
+        })
     }
-    Ok(ParseOutput {
-        header,
-        records,
-        skipped_rows: skipped,
-    })
+
+    /// Reads the next record into `fields` (cleared first) and returns
+    /// `Ok(false)` once the input is exhausted. Every line end closes a
+    /// record, a blank line included; text after the last line end is a
+    /// final record.
+    pub(super) fn next_record(&mut self, fields: &mut Vec<Cow<'a, str>>) -> Result<bool> {
+        fields.clear();
+        let bytes = self.input.as_bytes();
+        if self.pos == bytes.len() {
+            return Ok(false);
+        }
+        loop {
+            let field = if bytes.get(self.pos) == Some(&b'"') {
+                self.quoted()?
+            } else {
+                self.unquoted()?
+            };
+            fields.push(field);
+            match bytes.get(self.pos) {
+                Some(&b) if b == self.delimiter => self.pos += 1,
+                None => return Ok(true),
+                Some(&b) => {
+                    // A line end: fields stop nowhere else.
+                    let crlf = b == b'\r' && bytes.get(self.pos + 1) == Some(&b'\n');
+                    self.pos += 1 + usize::from(crlf);
+                    self.line += 1;
+                    return Ok(true);
+                }
+            }
+        }
+    }
+
+    /// An unquoted field: the bytes up to the next delimiter, line end or
+    /// end of input. A quote inside it is an error.
+    fn unquoted(&mut self) -> Result<Cow<'a, str>> {
+        let bytes = self.input.as_bytes();
+        let start = self.pos;
+        let delimiter = self.delimiter;
+        let len = bytes[start..]
+            .iter()
+            .position(|&b| b == delimiter || b == b'\n' || b == b'\r' || b == b'"')
+            .unwrap_or(bytes.len() - start);
+        self.pos = start + len;
+        if bytes.get(self.pos) == Some(&b'"') {
+            return Err(self.error("quote inside unquoted field".into()));
+        }
+        Ok(Cow::Borrowed(&self.input[start..self.pos]))
+    }
+
+    /// A quoted field, starting at its opening quote. It stays borrowed
+    /// unless it holds `""` escapes, which are unescaped into a copy.
+    fn quoted(&mut self) -> Result<Cow<'a, str>> {
+        let bytes = self.input.as_bytes();
+        let start = self.pos + 1;
+        let mut copy: Option<String> = None;
+        // `copy` holds the unescaped text of `start..uncopied`.
+        let mut uncopied = start;
+        let mut at = start;
+        let close = loop {
+            let Some(offset) = bytes[at..].iter().position(|&b| b == b'"') else {
+                self.line += count_newlines(&bytes[at..]);
+                return Err(self.error("unterminated quoted field".into()));
+            };
+            let quote = at + offset;
+            self.line += count_newlines(&bytes[at..quote]);
+            if bytes.get(quote + 1) != Some(&b'"') {
+                break quote;
+            }
+            // `""` stands for one quote: copy up to the first of the pair.
+            copy.get_or_insert_with(String::new)
+                .push_str(&self.input[uncopied..=quote]);
+            uncopied = quote + 2;
+            at = quote + 2;
+        };
+        self.pos = close + 1;
+        match bytes.get(self.pos) {
+            None | Some(b'\n' | b'\r') => {}
+            Some(&b) if b == self.delimiter => {}
+            Some(_) => {
+                let c = self.input[self.pos..]
+                    .chars()
+                    .next()
+                    .expect("a byte after the quote starts a char");
+                return Err(self.error(format!("unexpected {c:?} after closing quote")));
+            }
+        }
+        Ok(match copy {
+            None => Cow::Borrowed(&self.input[start..close]),
+            Some(mut text) => {
+                text.push_str(&self.input[uncopied..close]);
+                Cow::Owned(text)
+            }
+        })
+    }
+
+    fn error(&self, message: String) -> DataError {
+        DataError::Csv {
+            line: self.line,
+            message,
+        }
+    }
 }
 
-fn end_record(
-    rows: &mut Vec<Vec<String>>,
-    record: &mut Vec<String>,
-    field: &mut String,
-    record_started: &mut bool,
-) {
-    record.push(std::mem::take(field));
-    rows.push(std::mem::take(record));
-    *record_started = false;
+pub(super) fn count_newlines(bytes: &[u8]) -> usize {
+    bytes.iter().filter(|&&b| b == b'\n').count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> ParseOutput {
-        parse_csv(s, &CsvOptions::default()).unwrap()
+    fn records(doc: &str, opts: &CsvOptions) -> Result<Vec<Vec<String>>> {
+        let mut scanner = Scanner::new(doc, opts)?;
+        let mut fields = Vec::new();
+        let mut out = Vec::new();
+        while scanner.next_record(&mut fields)? {
+            out.push(fields.iter().map(|f| f.to_string()).collect());
+        }
+        Ok(out)
+    }
+
+    fn parse(doc: &str) -> Vec<Vec<String>> {
+        records(doc, &CsvOptions::default()).unwrap()
+    }
+
+    fn parse_err(doc: &str) -> DataError {
+        records(doc, &CsvOptions::default()).unwrap_err()
     }
 
     #[test]
     fn basic_header_and_rows() {
         let out = parse("a,b,c\n1,2,3\n4,5,6\n");
-        assert_eq!(out.header, vec!["a", "b", "c"]);
-        assert_eq!(out.records, vec![vec!["1", "2", "3"], vec!["4", "5", "6"]]);
-        assert_eq!(out.skipped_rows, 0);
+        assert_eq!(out, vec![["a", "b", "c"], ["1", "2", "3"], ["4", "5", "6"]]);
     }
 
     #[test]
     fn no_trailing_newline() {
-        let out = parse("a,b\n1,2");
-        assert_eq!(out.records, vec![vec!["1", "2"]]);
+        assert_eq!(parse("a,b\n1,2"), vec![["a", "b"], ["1", "2"]]);
     }
 
     #[test]
-    fn crlf_terminators() {
-        let out = parse("a,b\r\n1,2\r\n3,4\r\n");
-        assert_eq!(out.records, vec![vec!["1", "2"], vec!["3", "4"]]);
+    fn crlf_and_bare_cr_terminators() {
+        let out = parse("a,b\r\n1,2\r3,4\r\n");
+        assert_eq!(out, vec![["a", "b"], ["1", "2"], ["3", "4"]]);
+    }
+
+    #[test]
+    fn blank_lines_are_single_empty_field_records() {
+        assert_eq!(parse("a\n\n\r\nb"), vec![["a"], [""], [""], ["b"]]);
+        assert!(parse("").is_empty());
     }
 
     #[test]
     fn quoted_fields_with_delimiters_newlines_escapes() {
-        let out = parse("a,b\n\"x,y\",\"line1\nline2\"\n\"he said \"\"hi\"\"\",plain\n");
+        let doc = "\"x,y\",\"line1\nline2\"\n\"he said \"\"hi\"\"\",plain\n";
+        let opts = CsvOptions::default();
+        let mut scanner = Scanner::new(doc, &opts).unwrap();
+        let mut fields = Vec::new();
+        assert!(scanner.next_record(&mut fields).unwrap());
+        assert_eq!(fields, ["x,y", "line1\nline2"]);
+        assert!(fields.iter().all(|f| matches!(f, Cow::Borrowed(_))));
+        assert!(scanner.next_record(&mut fields).unwrap());
+        assert_eq!(fields, ["he said \"hi\"", "plain"]);
+        // Only the field with `""` escapes is copied.
+        assert!(matches!(fields[0], Cow::Owned(_)));
+        assert!(matches!(fields[1], Cow::Borrowed(_)));
+        assert!(!scanner.next_record(&mut fields).unwrap());
+    }
+
+    #[test]
+    fn empty_fields_and_trailing_delimiter() {
+        let out = parse("a,b,c\n,,\n1,,3\n1,");
         assert_eq!(
-            out.records,
+            out,
             vec![
-                vec!["x,y".to_string(), "line1\nline2".to_string()],
-                vec!["he said \"hi\"".to_string(), "plain".to_string()],
+                vec!["a", "b", "c"],
+                vec!["", "", ""],
+                vec!["1", "", "3"],
+                vec!["1", ""]
             ]
         );
     }
 
     #[test]
-    fn empty_fields_and_trailing_delimiter() {
-        let out = parse("a,b,c\n,,\n1,,3\n");
-        assert_eq!(out.records, vec![vec!["", "", ""], vec!["1", "", "3"]]);
+    fn quoted_empty_field_counts_as_content() {
+        assert_eq!(parse("a\n\"\"\n"), vec![["a"], [""]]);
     }
 
     #[test]
-    fn unterminated_quote_is_error() {
-        let err = parse_csv("a\n\"oops\n", &CsvOptions::default()).unwrap_err();
-        assert!(matches!(err, DataError::Csv { .. }));
+    fn unterminated_quote_reports_the_last_line() {
+        let err = parse_err("a\n\"oops\nmore\n");
+        assert_eq!(
+            err,
+            DataError::Csv {
+                line: 4,
+                message: "unterminated quoted field".into()
+            }
+        );
     }
 
     #[test]
     fn garbage_after_closing_quote_is_error() {
-        let err = parse_csv("a\n\"x\"y\n", &CsvOptions::default()).unwrap_err();
-        assert!(matches!(err, DataError::Csv { .. }));
+        let err = parse_err("a\n\"x\ny\"é\n");
+        assert_eq!(
+            err,
+            DataError::Csv {
+                line: 3,
+                message: "unexpected 'é' after closing quote".into()
+            }
+        );
     }
 
     #[test]
     fn quote_in_unquoted_field_is_error() {
-        let err = parse_csv("a\nx\"y\n", &CsvOptions::default()).unwrap_err();
-        assert!(matches!(err, DataError::Csv { .. }));
-    }
-
-    #[test]
-    fn arity_mismatch_strict_vs_lenient() {
-        let doc = "a,b\n1,2\nonly-one\n3,4\n";
-        assert!(parse_csv(doc, &CsvOptions::default()).is_err());
-        let opts = CsvOptions {
-            strict_arity: false,
-            ..CsvOptions::default()
-        };
-        let out = parse_csv(doc, &opts).unwrap();
-        assert_eq!(out.records.len(), 2);
-        assert_eq!(out.skipped_rows, 1);
+        let err = parse_err("a\r\nx\"y\n");
+        assert_eq!(
+            err,
+            DataError::Csv {
+                line: 2,
+                message: "quote inside unquoted field".into()
+            }
+        );
     }
 
     #[test]
     fn custom_delimiter() {
         let opts = CsvOptions::default().with_delimiter(';');
-        let out = parse_csv("a;b\n1;2\n", &opts).unwrap();
-        assert_eq!(out.records, vec![vec!["1", "2"]]);
-    }
-
-    #[test]
-    fn headerless_mode() {
-        let opts = CsvOptions::default().with_header(false);
-        let out = parse_csv("1,2\n3,4\n", &opts).unwrap();
-        assert!(out.header.is_empty());
-        assert_eq!(out.records.len(), 2);
-    }
-
-    #[test]
-    fn empty_document() {
-        let opts = CsvOptions::default().with_header(false);
-        let out = parse_csv("", &opts).unwrap();
-        assert!(out.records.is_empty());
-        assert!(parse_csv("", &CsvOptions::default()).is_err());
-    }
-
-    #[test]
-    fn quoted_empty_field_counts_as_content() {
-        let out = parse("a\n\"\"\n");
-        assert_eq!(out.records, vec![vec![""]]);
+        let out = records("a;b\n1;\"2;3\"\n4;5,6\n", &opts).unwrap();
+        assert_eq!(out, vec![["a", "b"], ["1", "2;3"], ["4", "5,6"]]);
     }
 
     #[test]
     fn non_ascii_delimiter_rejected() {
         let opts = CsvOptions::default().with_delimiter('☃');
-        assert!(parse_csv("a\n1\n", &opts).is_err());
+        assert!(matches!(
+            records("a\n1\n", &opts),
+            Err(DataError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn quote_delimiter_rejected() {
+        let opts = CsvOptions::default().with_delimiter('"');
+        assert!(matches!(
+            records("a\"b\n", &opts),
+            Err(DataError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn carriage_return_delimiter_rejected() {
+        let opts = CsvOptions::default().with_delimiter('\r');
+        assert!(matches!(
+            records("a\rb\r\n", &opts),
+            Err(DataError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn newline_delimiter_rejected() {
+        let opts = CsvOptions::default().with_delimiter('\n');
+        assert!(matches!(
+            records("a\nb\n1\n", &opts),
+            Err(DataError::Invalid(_))
+        ));
     }
 }

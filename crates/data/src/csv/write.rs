@@ -28,8 +28,8 @@ impl Default for CsvWriteOptions {
 /// Serializes `dataset` as a CSV document.
 ///
 /// Fields containing the delimiter, quotes, or newlines are quoted with
-/// RFC 4180 `""` escaping, so output always round-trips through
-/// [`crate::csv::parse_csv`].
+/// RFC 4180 `""` escaping, so every field reads back unchanged through
+/// [`crate::csv::read_dataset_from_str`].
 pub fn write_csv(dataset: &Dataset, opts: &CsvWriteOptions) -> String {
     let mut out = String::new();
     let n_attrs = dataset.n_attrs();
@@ -81,7 +81,7 @@ fn push_field(out: &mut String, field: &str, delimiter: char) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::parse::{parse_csv, CsvOptions};
+    use crate::csv::{read_dataset_from_str, CsvOptions};
     use crate::dataset::DatasetBuilder;
 
     #[test]
@@ -127,9 +127,14 @@ mod tests {
         b.push_row(&["", "empty name"]).unwrap();
         let d = b.finish();
         let csv = write_csv(&d, &CsvWriteOptions::default());
-        let parsed = parse_csv(&csv, &CsvOptions::default()).unwrap();
-        assert_eq!(parsed.header, vec!["name", "note"]);
-        assert_eq!(parsed.records.len(), d.n_rows());
-        assert_eq!(parsed.records[1][1], "multi\nline \"quoted\"");
+        let parsed = read_dataset_from_str(&csv, &CsvOptions::default()).unwrap();
+        assert_eq!(parsed.schema().names(), vec!["name", "note"]);
+        assert_eq!(parsed.n_rows(), d.n_rows());
+        assert_eq!(
+            parsed.label_of(1, parsed.value_raw(1, 1)),
+            "multi\nline \"quoted\""
+        );
+        // The empty name reads back as a missing cell.
+        assert_eq!(parsed.value(2, 0), None);
     }
 }

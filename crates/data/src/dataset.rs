@@ -490,6 +490,13 @@ impl DatasetBuilder {
         }
     }
 
+    /// Releases column capacity beyond the rows appended so far.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for c in &mut self.columns {
+            c.shrink_to_fit();
+        }
+    }
+
     /// Number of rows appended so far.
     pub fn n_rows(&self) -> usize {
         self.n_rows

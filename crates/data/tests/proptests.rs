@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pclabel_data::bucketize::{bucketize_attr, BucketStrategy, NonNumericPolicy};
-use pclabel_data::csv::{parse_csv, read_dataset_from_str, write_csv, CsvOptions, CsvWriteOptions};
+use pclabel_data::csv::{read_dataset_from_str, write_csv, CsvOptions, CsvWriteOptions};
 use pclabel_data::dataset::{Dataset, DatasetBuilder};
 use pclabel_data::generate::AliasTable;
 use pclabel_data::sample::sample_indices;
@@ -27,7 +27,7 @@ fn arb_table() -> impl Strategy<Value = (usize, Vec<Vec<String>>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// write(parse(write(x))) is the identity on cell contents.
+    /// read(write(x)) is the identity on cell contents.
     #[test]
     fn csv_roundtrip_arbitrary_cells((cols, rows) in arb_table()) {
         let names: Vec<String> = (0..cols).map(|i| format!("c{i}")).collect();
@@ -36,13 +36,15 @@ proptest! {
             b.push_row(row).unwrap();
         }
         let d = b.finish();
-        // Empty cells become missing on read (the default missing token),
-        // so compare through the writer's representation instead.
+        // Without missing tokens, empty cells read back as empty labels.
         let text = write_csv(&d, &CsvWriteOptions::default());
-        let parsed = parse_csv(&text, &CsvOptions::default()).unwrap();
-        prop_assert_eq!(parsed.records.len(), rows.len());
-        for (got, want) in parsed.records.iter().zip(&rows) {
-            prop_assert_eq!(got, want);
+        let opts = CsvOptions { missing_tokens: Vec::new(), ..CsvOptions::default() };
+        let parsed = read_dataset_from_str(&text, &opts).unwrap();
+        prop_assert_eq!(parsed.n_rows(), rows.len());
+        for (r, want) in rows.iter().enumerate() {
+            for (a, cell) in want.iter().enumerate() {
+                prop_assert_eq!(parsed.label_of(a, parsed.value_raw(r, a)), cell.as_str());
+            }
         }
     }
 

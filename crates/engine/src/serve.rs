@@ -1243,6 +1243,22 @@ mod tests {
     }
 
     #[test]
+    fn csv_register_rejects_duplicate_column_names() {
+        // Attributes are addressed by name, so a repeated header name
+        // would make one of the columns unreachable.
+        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let response = dispatcher.dispatch_line(concat!(
+            "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,a\\nx,1\\ny,2\\n\",",
+            "\"label_attrs\":[\"a\",\"a\"]}"
+        ));
+        assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            response.get("error").and_then(Json::as_str),
+            Some("csv error at line 1: duplicate column name \"a\"")
+        );
+    }
+
+    #[test]
     fn append_rows_session_updates_counts_incrementally() {
         let responses = run_session(concat!(
             "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,b\\n1,x\\n1,y\\n2,x\\n\",",
