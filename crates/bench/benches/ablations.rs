@@ -5,8 +5,6 @@
 //! * `group_keys` — bit-packed `u64` group keys vs the wide boxed-slice
 //!   fallback (forced by a synthetic >64-bit schema);
 //! * `parallel_scan` — sequential vs multi-threaded candidate evaluation;
-//! * `deep_prune` — direct-parent removal (paper) vs full subset removal
-//!   in the candidate set;
 //! * `greedy` — greedy forward selection (extension) vs Algorithm 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -74,21 +72,6 @@ fn bench_parallel_scan(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_deep_prune(c: &mut Criterion) {
-    let d = small::compas_small();
-    let mut group = c.benchmark_group("ablation_deep_prune");
-    group.sample_size(10);
-    group.bench_function("direct_parents", |b| {
-        b.iter(|| top_down_search(&d, &SearchOptions::with_bound(50)).expect("valid"))
-    });
-    group.bench_function("all_subsets", |b| {
-        b.iter(|| {
-            top_down_search(&d, &SearchOptions::with_bound(50).deep_prune(true)).expect("valid")
-        })
-    });
-    group.finish();
-}
-
 fn bench_greedy_vs_topdown(c: &mut Criterion) {
     let d = small::compas_small();
     let mut group = c.benchmark_group("ablation_greedy");
@@ -107,7 +90,6 @@ criterion_group!(
     bench_early_exit,
     bench_group_keys,
     bench_parallel_scan,
-    bench_deep_prune,
     bench_greedy_vs_topdown
 );
 criterion_main!(benches);

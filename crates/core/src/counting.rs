@@ -1177,10 +1177,12 @@ pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
 /// detected within the first few hundred rows.
 ///
 /// This cold scan packs every attribute of `attrs` into a hashed key per
-/// row. The searches size their lattice nodes from the parent's memoized
-/// partition instead
-/// ([`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded));
-/// this function is the oracle that path is tested against.
+/// row. The searches size their lattice nodes from the parent's group ids
+/// instead, with one fused pass: greedy and naive through
+/// [`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded)
+/// over the parent's memoized partition, top-down over the ids its
+/// depth-first walk keeps. This function is the oracle both paths are
+/// tested against.
 pub fn label_size_bounded(dataset: &Dataset, attrs: AttrSet, bound: u64) -> Option<u64> {
     let codec = KeyCodec::new(dataset, attrs);
     let n = dataset.n_rows();

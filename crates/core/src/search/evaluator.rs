@@ -52,19 +52,31 @@
 //!   resident memory is at most `memo × (4·U + 12·G)` bytes for a
 //!   `U`-row universe with `G`-group partitions.
 //!
+//!   The early-exit scan of a search's candidates usually stops after one
+//!   or two patterns, long before a partition pays for itself. So every
+//!   refinement-path scan prices its first [`BITMAP_PREFIX`] patterns by
+//!   AND-ing per-attribute match bitmaps over the distinct rows (built
+//!   once per evaluator, on first use, and shared read-only by
+//!   [`Evaluator::evaluate_many`]'s workers) and summing the surviving
+//!   rows' weights; it derives the candidate's partition only when it
+//!   reads past them. The sums are the same exact `u64` counts.
+//!
 //! ## Sizing lattice nodes
 //!
-//! The same memo sizes the searches' lattice nodes:
-//! [`EvalContext::child_size_bounded`] prices a child `S ∪ {a}` by one
-//! pass over `S`'s partition that counts distinct `(group id, code of
-//! a)` pairs over the distinct rows, leaves out the all-missing pair
-//! (the empty pattern), ignores passive pattern rows and stops at
-//! `bound + 1` — no partition is built for the child, so an over-budget
-//! child costs only the rows it takes to overflow. The pass's scratch
-//! table follows [`Partition::dense_slots`]'s dense-or-hash rule, which a
-//! large label bound cannot grow. Sizes equal the cold
+//! Every search sizes a child `S ∪ {a}` with one pass,
+//! [`refine_bounded`], over `S`'s group ids on the distinct rows: it
+//! counts distinct `(group id, code of a)` pairs, leaves out the
+//! all-missing pair (the empty pattern) and stops at `bound + 1`, so an
+//! over-budget child costs only the rows it takes to overflow. The pass
+//! also writes the child's ids, and its scratch table follows one
+//! dense-or-hash rule that a large label bound cannot grow. The top-down
+//! search keeps the ids of its depth-first path itself (see
+//! [`top_down_search`](crate::search::top_down_search)); the naive and
+//! greedy searches read them from `S`'s memoized partition through
+//! [`EvalContext::child_size_bounded`], ignoring passive pattern rows.
+//! Sizes equal the cold
 //! [`label_size_bounded`](crate::counting::label_size_bounded) scan's,
-//! the oracle the property tests pin the path to.
+//! the oracle the property tests pin both paths to.
 //!
 //! [`Evaluator::evaluate_many`] keeps its thread-scoped parallelism: each
 //! worker owns a private `EvalContext` (partitions branch copy-on-derive
@@ -72,7 +84,7 @@
 //! are identical to sequential evaluation.
 
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pclabel_data::dataset::{Dataset, MISSING};
 
@@ -82,7 +94,7 @@ use crate::error::{ErrorAccumulator, ErrorStats};
 use crate::hash::FxHashMap;
 use crate::label::ValueCounts;
 use crate::patterns::{MaterializedPatterns, PatternSet};
-use crate::search::refine::Partition;
+use crate::search::refine::{refine_bounded, GroupIds, Partition, RefineScratch};
 use crate::search::SearchOptions;
 
 /// Reusable evaluation context for one `(dataset, pattern set)` pair.
@@ -108,6 +120,9 @@ pub struct Evaluator {
     count_threads: usize,
     /// Shards for each candidate's group-by (0 = auto from threads).
     count_shards: usize,
+    /// Match bitmaps of the first [`BITMAP_PREFIX`] scanned patterns,
+    /// built on first use.
+    prefix: OnceLock<PrefixMatches>,
 }
 
 impl Evaluator {
@@ -154,6 +169,7 @@ impl Evaluator {
             defined,
             count_threads: 1,
             count_shards: 0,
+            prefix: OnceLock::new(),
         }
     }
 
@@ -362,7 +378,7 @@ impl Evaluator {
     }
 
     /// Dictionary cardinality of `attr`.
-    fn card(&self, attr: usize) -> u32 {
+    pub(crate) fn card(&self, attr: usize) -> u32 {
         self.distinct
             .schema()
             .attr(attr)
@@ -423,6 +439,72 @@ impl Evaluator {
 /// Default bound on memoized partitions per [`EvalContext`].
 pub const DEFAULT_REFINE_MEMO: usize = 16;
 
+/// Patterns every refinement-path scan prices from match bitmaps before
+/// it derives the candidate's partition.
+const BITMAP_PREFIX: usize = 4;
+
+/// For each of the first [`BITMAP_PREFIX`] patterns in scan order, one
+/// bitmap per attribute of the distinct rows that agree with the pattern
+/// there (all zero for attributes it leaves undefined): `|A| · U / 2`
+/// bytes for `U` distinct rows, an eighth of one memoized partition's
+/// ids per attribute.
+struct PrefixMatches {
+    /// `u64` words per bitmap.
+    words: usize,
+    /// `maps[i][a * words..(a + 1) * words]`: the bitmap of the `i`-th
+    /// scanned pattern at attribute `a`.
+    maps: Vec<Vec<u64>>,
+}
+
+impl PrefixMatches {
+    fn build(ev: &Evaluator) -> Self {
+        let words = ev.distinct.n_rows().div_ceil(64);
+        let table = ev.pattern_table();
+        let maps = ev
+            .order
+            .iter()
+            .take(BITMAP_PREFIX)
+            .map(|&r| {
+                let r = r as usize;
+                let mut maps = vec![0u64; ev.n_attrs * words];
+                for a in AttrSet::from_bits(ev.defined[r]).iter() {
+                    let value = table.value_raw(r, a);
+                    let map = &mut maps[a * words..(a + 1) * words];
+                    for (word, rows) in map.iter_mut().zip(ev.distinct.column(a).chunks(64)) {
+                        *word = rows
+                            .iter()
+                            .enumerate()
+                            .fold(0, |w, (bit, &v)| w | u64::from(v == value) << bit);
+                    }
+                }
+                maps
+            })
+            .collect();
+        PrefixMatches { words, maps }
+    }
+
+    /// Total weight of the distinct rows that agree with the `i`-th
+    /// scanned pattern on every attribute of `k` (non-empty, and defined
+    /// by the pattern) — its group's weight in the `k`-partition.
+    fn weight(&self, i: usize, k: AttrSet, dweights: &[u64]) -> u64 {
+        let words = self.words;
+        let maps: Vec<&[u64]> = k
+            .iter()
+            .map(|a| &self.maps[i][a * words..(a + 1) * words])
+            .collect();
+        let (first, rest) = maps.split_first().expect("k is non-empty");
+        let mut total = 0;
+        for (w, &word) in first.iter().enumerate() {
+            let mut bits = rest.iter().fold(word, |bits, map| bits & map[w]);
+            while bits != 0 {
+                total += dweights[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+        }
+        total
+    }
+}
+
 struct MemoEntry {
     attrs: AttrSet,
     part: Rc<Partition>,
@@ -446,6 +528,10 @@ pub struct EvalContext<'a> {
     stamp: u64,
     /// Counting-thread budget for cold-path calls.
     count_threads: usize,
+    /// The last sized child's ids ([`EvalContext::child_size_bounded`]
+    /// reads only their count).
+    sized: GroupIds,
+    scratch: RefineScratch,
 }
 
 impl<'a> EvalContext<'a> {
@@ -457,23 +543,27 @@ impl<'a> EvalContext<'a> {
             memo: Vec::new(),
             stamp: 0,
             count_threads,
+            sized: GroupIds::default(),
+            scratch: RefineScratch::default(),
         }
     }
 
     /// Computes `Err(L_S(D), P)` for `attrs` — bit-identical to the cold
     /// [`Evaluator::error_of`], but amortized across the candidates this
-    /// context has already seen.
+    /// context has already seen. The first four patterns are priced from
+    /// match bitmaps; `attrs`' partition is derived only when the scan
+    /// reads past them.
     pub fn error_of(&mut self, attrs: AttrSet, early_exit: bool) -> ErrorStats {
         if !self.refine {
             return self.ev.error_of_with(attrs, early_exit, self.count_threads);
         }
         let ev = self.ev;
-        let part = self.partition(attrs);
+        let mut part: Option<Rc<Partition>> = None;
         let sbits = attrs.bits();
         let counts = ev.pattern_counts();
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
-        for &r32 in &ev.order {
+        for (i, &r32) in ev.order.iter().enumerate() {
             let r = r32 as usize;
             let actual = counts[r];
             if early_exit && (actual as f64) < acc.max_abs() {
@@ -485,9 +575,13 @@ impl<'a> EvalContext<'a> {
             let base = if k_bits == 0 {
                 // p|S is the empty pattern (including the S = ∅ label).
                 ev.n_rows
+            } else if i < BITMAP_PREFIX {
+                let prefix = ev.prefix.get_or_init(|| PrefixMatches::build(ev));
+                prefix.weight(i, AttrSet::from_bits(k_bits), &ev.dweights)
             } else if k_bits == sbits {
                 // p defines all of S: two array reads.
-                part.weight_of_row(ev.pattern_row(r))
+                part.get_or_insert_with(|| self.partition(attrs))
+                    .weight_of_row(ev.pattern_row(r))
             } else {
                 // p defines only part of S: the K-marginal *is* the
                 // K-partition — memoized, so it is shared across the scan
@@ -503,12 +597,13 @@ impl<'a> EvalContext<'a> {
     /// The label size of `parent ∪ {attr}` when it is at most `bound`,
     /// else `None` — the same answer as
     /// [`label_size_bounded`](crate::counting::label_size_bounded) over
-    /// the distinct table, found by one pass over `parent`'s memoized
-    /// partition that counts distinct `(parent group, code of attr)`
-    /// pairs and stops at `bound + 1`
-    /// ([`Partition::refined_size_bounded`]). This is how every search
-    /// sizes its lattice nodes; it uses the memo whether or not the
-    /// context evaluates errors by refinement.
+    /// the distinct table, found by the fused `refine_bounded` pass over
+    /// the distinct rows' ids in `parent`'s memoized partition, which
+    /// counts distinct `(parent group, code of attr)` pairs and stops at
+    /// `bound + 1`. The greedy and naive searches size their lattice
+    /// nodes this way (the top-down walk runs the same pass over the ids
+    /// it keeps itself); it uses the memo whether or not the context
+    /// evaluates errors by refinement.
     pub fn child_size_bounded(&mut self, parent: AttrSet, attr: usize, bound: u64) -> Option<u64> {
         debug_assert!(!parent.contains(attr), "{attr} already in {parent}");
         let ev = self.ev;
@@ -520,11 +615,18 @@ impl<'a> EvalContext<'a> {
             .reps()
             .iter()
             .position(|&rep| parent.iter().all(|a| ev.universe_value(rep, a) == MISSING));
-        part.refined_size_bounded(
-            ev.distinct.column(attr),
-            ev.card(attr),
+        // Pattern rows follow the distinct rows in the universe; they add
+        // no pattern to a label and are never read.
+        let col = ev.distinct.column(attr);
+        refine_bounded(
+            &part.ids()[..col.len()],
+            part.n_groups(),
             all_missing.map(|g| g as u32),
+            col,
+            ev.card(attr),
             bound,
+            &mut self.sized,
+            &mut self.scratch,
         )
     }
 

@@ -54,8 +54,10 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
     let mut ctx = evaluator.context_for(opts);
     let mut stats = SearchStats::default();
     let mut current = AttrSet::EMPTY;
+    let eval_start = Instant::now();
     let mut visited: Vec<(AttrSet, f64)> =
         vec![(current, opts.metric.of(&ctx.error_of(current, early)))];
+    stats.eval_time = eval_start.elapsed();
 
     loop {
         let mut best_step: Option<(AttrSet, f64)> = None;
@@ -90,6 +92,7 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
     }
     stats.search_time = start.elapsed().saturating_sub(stats.eval_time);
 
+    let tail_start = Instant::now();
     // Arg-min over the walk (ties: fewest attributes, then bitmask).
     let (best_attrs, _) = visited
         .iter()
@@ -109,6 +112,7 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
         evaluator.value_counts(),
         evaluator.n_rows(),
     ));
+    stats.eval_time += tail_start.elapsed();
     Ok(SearchOutcome {
         best_attrs: Some(best_attrs),
         best_stats,

@@ -7,10 +7,10 @@
 //!   level by level (size 2 upward), keep the best label within the size
 //!   bound, stop at the first level where every label exceeds the bound
 //!   (label size is monotone in `S`, so no larger level can fit);
-//! * [`top_down_search`] — Algorithm 1: a BFS over the label lattice using
-//!   the duplicate-free `gen` operator, collecting a candidate set of
-//!   maximal within-budget subsets, then returning the candidate with
-//!   minimal error.
+//! * [`top_down_search`] — Algorithm 1: a walk of the label lattice along
+//!   the duplicate-free `gen` operator (depth first, on every worker),
+//!   collecting a candidate set of maximal within-budget subsets, then
+//!   returning the candidate with minimal error.
 //!
 //! An additional [`greedy_search`] (forward selection) is provided as an
 //! extension — the "more complex approaches" the paper defers.
@@ -47,8 +47,9 @@ pub struct SearchOptions {
     pub metric: ErrorMetric,
     /// Use the §IV-C sorted early-exit scan when the metric allows it.
     pub early_exit: bool,
-    /// Worker threads for candidate evaluation (1 = sequential, the
-    /// paper-faithful configuration).
+    /// Worker threads for the top-down search's lattice walk and for
+    /// candidate evaluation (1 = everything on the calling thread, the
+    /// paper-faithful configuration). Outcomes do not depend on it.
     pub threads: usize,
     /// Worker threads for the group-by scans behind each candidate's
     /// error evaluation (1 = serial `GroupCounts::build`; >1 opts into
@@ -72,10 +73,6 @@ pub struct SearchOptions {
     /// is at most `refine_memo × (4·U + 12·G)` bytes for a `U`-row
     /// distinct/pattern universe with `G`-group partitions.
     pub refine_memo: usize,
-    /// Ablation: when removing dominated candidates, drop *all* stored
-    /// subsets of a new candidate instead of only its direct lattice
-    /// parents (the paper removes direct parents).
-    pub deep_prune: bool,
 }
 
 impl SearchOptions {
@@ -91,7 +88,6 @@ impl SearchOptions {
             count_shards: 0,
             refine: true,
             refine_memo: DEFAULT_REFINE_MEMO,
-            deep_prune: false,
         }
     }
 
@@ -113,7 +109,7 @@ impl SearchOptions {
         self
     }
 
-    /// Sets the evaluation thread count.
+    /// Sets the walk and evaluation thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -144,12 +140,6 @@ impl SearchOptions {
         self.refine_memo = cap.max(2);
         self
     }
-
-    /// Enables the deep-prune ablation.
-    pub fn deep_prune(mut self, on: bool) -> Self {
-        self.deep_prune = on;
-        self
-    }
 }
 
 /// Counters and timings reported by a search run.
@@ -160,9 +150,13 @@ pub struct SearchStats {
     pub nodes_examined: u64,
     /// Candidate subsets whose error was evaluated in the final arg-min.
     pub candidates_evaluated: u64,
-    /// Time spent generating/sizing lattice nodes.
+    /// Time spent building the evaluator (compressing the dataset and
+    /// materializing the pattern set) and generating and sizing lattice
+    /// nodes: the part of the call that `eval_time` does not cover. The
+    /// clock starts before the evaluator is built.
     pub search_time: Duration,
-    /// Time spent evaluating candidate errors.
+    /// Time spent evaluating candidate errors, including the winner's
+    /// final full error scan and building its label.
     pub eval_time: Duration,
     /// True when the run hit an explicit node budget and stopped early
     /// (only the naive search supports budgets; mirrors the paper's
@@ -171,7 +165,7 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Total wall-clock time.
+    /// Total wall-clock time of the search call.
     pub fn total_time(&self) -> Duration {
         self.search_time + self.eval_time
     }

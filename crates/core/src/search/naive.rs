@@ -49,6 +49,7 @@ pub fn naive_search_limited(
 ) -> Result<SearchOutcome> {
     check_dataset(dataset)?;
     let n = dataset.n_attrs();
+    let start = Instant::now();
     let evaluator = Evaluator::new(dataset, &opts.patterns)
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
@@ -64,7 +65,6 @@ pub fn naive_search_limited(
     let mut errors: Vec<f64> = Vec::new();
     let mut truncated = false;
 
-    let start = Instant::now();
     'levels: for k in 2..=n {
         let mut any_fit = false;
         for s in Combinations::new(n, k) {
@@ -96,10 +96,10 @@ pub fn naive_search_limited(
         }
     }
     // Attribute all remaining time to the search phase.
-    let total = start.elapsed();
-    stats.search_time = total.saturating_sub(stats.eval_time);
+    stats.search_time = start.elapsed().saturating_sub(stats.eval_time);
     stats.truncated = truncated;
 
+    let tail_start = Instant::now();
     let best = argmin_candidate(&in_bound, &errors);
     let best_attrs = best.map(|(s, _)| s).unwrap_or(AttrSet::EMPTY);
     let best_stats = Some(ctx.error_of(best_attrs, false));
@@ -110,6 +110,7 @@ pub fn naive_search_limited(
         evaluator.value_counts(),
         evaluator.n_rows(),
     ));
+    stats.eval_time += tail_start.elapsed();
     Ok(SearchOutcome {
         best_attrs: Some(best_attrs),
         best_stats,

@@ -28,15 +28,34 @@
 //! distinct rows' multiplicities, so every count derived from a partition
 //! is bit-identical to the hash group-by's — the property the evaluator's
 //! proptests pin.
+//!
+//! Sizing a lattice node's children needs less than a partition: only
+//! the group ids of the distinct rows. [`refine_bounded`] fuses sizing and
+//! refinement over such ids — one pass that counts the child's label
+//! size, stops past the bound and writes the child's ids as it goes. The
+//! top-down walk keeps each node's ids in a [`GroupIds`], so a child that
+//! fits is never read a second time; the greedy and naive searches run
+//! the same pass over the data prefix of a memoized partition's ids.
 
 use pclabel_data::dataset::MISSING;
 
-use crate::hash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet};
+use crate::hash::{fx_map_with_capacity, FxHashMap};
 
 /// Above this many slots the dense remap of a refinement pass would cost
 /// more to allocate/clear than the hashing it avoids; measured against
-/// `4 × rows` (see [`Partition::dense_slots`]).
+/// `4 × rows` (see [`dense_slots`]).
 const DENSE_REMAP_FLOOR: usize = 1 << 16;
+
+/// Slots of the flat `(group id, code)` table a pass refining `groups`
+/// groups over `rows` rows by a column of cardinality `card` uses, or
+/// `None` when the composite space `groups × (card + 1)` exceeds
+/// `max(4 × rows, 2¹⁶)` and the pass hashes the pairs instead. The budget
+/// depends on the rows alone, never on a caller's label bound, so no
+/// request can make a pass allocate more slots than that.
+fn dense_slots(groups: usize, card: u32, rows: usize) -> Option<usize> {
+    let slots = groups.saturating_mul(card as usize + 1);
+    (slots <= (4 * rows).max(DENSE_REMAP_FLOOR)).then_some(slots)
+}
 
 /// A dense row→group-id assignment over the evaluator's row universe
 /// (distinct data rows, then pattern rows), with per-group data weights.
@@ -132,66 +151,12 @@ impl Partition {
     /// alone, never on a caller's label bound, so no request can make a
     /// pass allocate more slots than that.
     pub fn dense_slots(&self, card: u32) -> Option<usize> {
-        let slots = self.n_groups().saturating_mul(card as usize + 1);
-        (slots <= (4 * self.n_rows()).max(DENSE_REMAP_FLOOR)).then_some(slots)
+        dense_slots(self.n_groups(), card, self.n_rows())
     }
 
-    /// Bounded size of the refinement by one column, without building it:
-    /// the number of distinct `(group id, code)` pairs over the data rows
-    /// — the label size of the parent's attributes plus the column — or
-    /// `None` as soon as that number exceeds `bound`. The pair
-    /// `(all_missing, missing)`, the refined all-missing projection (the
-    /// empty pattern), is not counted, so the answer equals
-    /// [`label_size_bounded`](crate::counting::label_size_bounded) over
-    /// the refined attribute set.
-    ///
-    /// `data_col` covers the data prefix of the universe: passive pattern
-    /// rows add no pattern to a label and are never read.
-    pub fn refined_size_bounded(
-        &self,
-        data_col: &[u32],
-        card: u32,
-        all_missing: Option<u32>,
-        bound: u64,
-    ) -> Option<u64> {
-        let ids = &self.ids[..data_col.len()];
-        let code = |v: u32| if v == MISSING { card } else { v };
-        let mut size = 0u64;
-        if let Some(slots) = self.dense_slots(card) {
-            let stride = card as usize + 1;
-            let skip = all_missing.map(|g| g as usize * stride + card as usize);
-            let mut seen = vec![0u64; slots.div_ceil(64)];
-            for (&g, &v) in ids.iter().zip(data_col) {
-                let slot = g as usize * stride + code(v) as usize;
-                let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-                if seen[word] & bit == 0 {
-                    seen[word] |= bit;
-                    if Some(slot) != skip {
-                        size += 1;
-                        if size > bound {
-                            return None;
-                        }
-                    }
-                }
-            }
-        } else {
-            let key = |g: u32, c: u32| (u64::from(g) << 32) | u64::from(c);
-            let skip = all_missing.map(|g| key(g, card));
-            // The scan stops at bound + 1 pairs; a huge bound still starts
-            // from a small table.
-            let cap = usize::try_from(bound).map_or(usize::MAX, |b| b.saturating_add(1));
-            let mut seen: FxHashSet<u64> = fx_set_with_capacity(cap.min(1 << 12));
-            for (&g, &v) in ids.iter().zip(data_col) {
-                let pair = key(g, code(v));
-                if Some(pair) != skip && seen.insert(pair) {
-                    size += 1;
-                    if size > bound {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(size)
+    /// The group id of every universe row.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
     }
 
     /// The representative universe row of each group.
@@ -304,6 +269,152 @@ impl Partition {
         let ids = self.ids.iter().map(|&g| coarse[g as usize]).collect();
         Partition { ids, weights, reps }
     }
+}
+
+/// The group ids of the distinct rows under one attribute set — the part
+/// of a [`Partition`] that sizing the set's children reads: no weights,
+/// representatives or pattern rows.
+#[derive(Debug, Default)]
+pub(crate) struct GroupIds {
+    ids: Vec<u32>,
+    groups: usize,
+    /// The group of the rows that miss every attribute of the set.
+    all_missing: Option<u32>,
+}
+
+/// Scratch space reused across [`refine_bounded`] passes.
+#[derive(Debug, Default)]
+pub(crate) struct RefineScratch {
+    /// Dense remap; every slot is `u32::MAX` between passes.
+    dense: Vec<u32>,
+    /// The dense slots the current pass claimed, reset when it ends.
+    claimed: Vec<usize>,
+    hashed: FxHashMap<u64, u32>,
+}
+
+impl GroupIds {
+    /// The empty set's grouping of `rows` rows: one group, whose rows
+    /// miss every attribute of the set.
+    pub(crate) fn unit(rows: usize) -> Self {
+        GroupIds {
+            ids: vec![0; rows],
+            groups: 1,
+            all_missing: Some(0),
+        }
+    }
+
+    /// [`refine_bounded`] over these ids.
+    pub(crate) fn refine_bounded(
+        &self,
+        col: &[u32],
+        card: u32,
+        bound: u64,
+        out: &mut GroupIds,
+        scratch: &mut RefineScratch,
+    ) -> Option<u64> {
+        refine_bounded(
+            &self.ids,
+            self.groups,
+            self.all_missing,
+            col,
+            card,
+            bound,
+            out,
+            scratch,
+        )
+    }
+}
+
+/// Refines the grouping `ids` of the distinct rows (`groups` groups,
+/// `all_missing` the group of the rows that miss every attribute of the
+/// set) by one column into `out` when the refined set's label size is at
+/// most `bound`, returning that size, else `None` as soon as the size
+/// exceeds `bound` (`out` is then partly written). The size is the number
+/// of distinct `(group id, code)` pairs, leaving out the all-missing
+/// group's missing code (the empty pattern), so it equals
+/// [`label_size_bounded`](crate::counting::label_size_bounded) over the
+/// refined set; the one pass that counts the pairs also numbers them as
+/// the refined ids. The remap follows [`dense_slots`]'s dense-or-hash
+/// rule over the distinct rows, so no bound can grow it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn refine_bounded(
+    ids: &[u32],
+    groups: usize,
+    all_missing: Option<u32>,
+    col: &[u32],
+    card: u32,
+    bound: u64,
+    out: &mut GroupIds,
+    scratch: &mut RefineScratch,
+) -> Option<u64> {
+    debug_assert_eq!(col.len(), ids.len());
+    match dense_slots(groups, card, ids.len()) {
+        Some(slots) => {
+            if scratch.dense.len() < slots {
+                scratch.dense.resize(slots, u32::MAX);
+            }
+            let (dense, claimed) = (&mut scratch.dense, &mut scratch.claimed);
+            let size = refine_pass(ids, all_missing, col, card, bound, out, |key, next| {
+                let slot = &mut dense[key as usize];
+                if *slot == u32::MAX {
+                    *slot = next;
+                    claimed.push(key as usize);
+                }
+                *slot
+            });
+            for slot in claimed.drain(..) {
+                dense[slot] = u32::MAX;
+            }
+            size
+        }
+        None => {
+            let hashed = &mut scratch.hashed;
+            hashed.clear();
+            refine_pass(ids, all_missing, col, card, bound, out, |key, next| {
+                *hashed.entry(key).or_insert(next)
+            })
+        }
+    }
+}
+
+/// The pass behind [`refine_bounded`]: `claim(key, next)` returns the id
+/// the remap holds for the pair `key`, after storing `next` there if it
+/// held none.
+fn refine_pass(
+    ids: &[u32],
+    all_missing: Option<u32>,
+    col: &[u32],
+    card: u32,
+    bound: u64,
+    out: &mut GroupIds,
+    mut claim: impl FnMut(u64, u32) -> u32,
+) -> Option<u64> {
+    let stride = u64::from(card) + 1;
+    let key =
+        |g: u32, v: u32| u64::from(g) * stride + u64::from(if v == MISSING { card } else { v });
+    let skip = all_missing.map(|g| key(g, MISSING));
+    out.ids.resize(ids.len(), 0);
+    out.all_missing = None;
+    let mut next = 0u32;
+    let mut size = 0u64;
+    for ((o, &g), &v) in out.ids.iter_mut().zip(ids).zip(col) {
+        let pair = key(g, v);
+        let id = claim(pair, next);
+        if id == next {
+            next += 1;
+            if Some(pair) == skip {
+                out.all_missing = Some(id);
+            } else {
+                size += 1;
+                if size > bound {
+                    return None;
+                }
+            }
+        }
+        *o = id;
+    }
+    out.groups = next as usize;
+    Some(size)
 }
 
 #[cfg(test)]
@@ -419,6 +530,47 @@ mod tests {
         let gc = GroupCounts::build(&d, None, AttrSet::full(2));
         for r in 0..n {
             assert_eq!(part.weight_of_row(r), gc.weight_of_row(&d, r));
+        }
+    }
+
+    #[test]
+    fn fused_pass_sizes_and_numbers_like_refine() {
+        // Figure 2 plus rows missing one or both attributes (dense remaps),
+        // and the two high-cardinality columns above (a hashed second pass):
+        // along the chain {0} → {0, 1}, each fused pass's size is the
+        // label size, and its ids are `Partition::refine`'s.
+        let mut small = DatasetBuilder::new(["a", "b"]);
+        for row in [[Some("x"), Some("p")], [None, Some("p")], [None, None]] {
+            small.push_row_opt(&row).unwrap();
+        }
+        let mut wide = DatasetBuilder::new(["hi", "hi2"]);
+        for r in 0..2000usize {
+            wide.push_row(&[format!("v{}", r % 997), format!("w{}", (r * 7) % 991)])
+                .unwrap();
+        }
+        wide.push_row_opt(&[None::<&str>, None]).unwrap();
+        let mut scratch = RefineScratch::default();
+        for d in [figure2_sample(), small.finish(), wide.finish()] {
+            let w = vec![1u64; d.n_rows()];
+            let mut part = Partition::unit(d.n_rows(), d.n_rows() as u64);
+            let mut ids = GroupIds::unit(d.n_rows());
+            for a in 0..2 {
+                let card = d.schema().attr(a).unwrap().cardinality() as u32;
+                let attrs = AttrSet::full(a + 1);
+                let exact = crate::counting::label_size(&d, attrs);
+                let mut out = GroupIds::default();
+                if exact > 0 {
+                    let over =
+                        ids.refine_bounded(d.column(a), card, exact - 1, &mut out, &mut scratch);
+                    assert_eq!(over, None, "{attrs}");
+                }
+                let size = ids.refine_bounded(d.column(a), card, exact, &mut out, &mut scratch);
+                assert_eq!(size, Some(exact), "{attrs}");
+                part = part.refine(d.column(a), &[], card, &w);
+                assert_eq!(out.ids, part.ids, "{attrs}");
+                assert_eq!(out.groups, part.n_groups(), "{attrs}");
+                ids = out;
+            }
         }
     }
 }

@@ -1,20 +1,43 @@
 //! Algorithm 1: top-down lattice search for the optimal label.
 //!
-//! The queue-driven BFS visits each lattice node at most once
-//! (Proposition 3.8, by the `gen` operator's index ordering). A node is
-//! enqueued only when its label fits the bound, so the traversal explores
-//! exactly the within-budget antichain frontier plus, in the worst case,
-//! its immediate children — a tiny fraction of the `2^n` lattice
-//! (54–99 % fewer nodes than the naive algorithm in the paper's Figure 9).
+//! The walk visits each lattice node at most once (Proposition 3.8, by
+//! the `gen` operator's index ordering) and descends only below nodes
+//! whose label fits the bound, so it explores exactly the within-budget
+//! region plus, in the worst case, its immediate children — a tiny
+//! fraction of the `2^n` lattice (54–99 % fewer nodes than the naive
+//! algorithm in the paper's Figure 9).
 //!
-//! A child `curr ∪ {a}` is sized by one pass over `curr`'s memoized
-//! partition ([`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded)):
-//! two array reads per distinct row, abandoned as soon as the running
-//! pair count crosses the bound — with the paper's small bounds most
-//! over-budget children cost a few hundred rows. Only enqueued nodes are
-//! ever parents, so only they get a partition.
+//! ## Depth first over the `gen` tree
+//!
+//! Label size is monotone in `S`, so an in-bound node's `gen` parent (the
+//! node without its largest attribute) is in bound too: every traversal
+//! of the `gen` tree that descends below in-bound nodes sizes the same
+//! (parent, child) pairs. The paper's queue-driven BFS and this
+//! depth-first walk therefore examine the same nodes, and the candidates —
+//! the in-bound sets of two or more attributes with no in-bound direct
+//! superset — are exactly what the paper's `removeParents` leaves, since
+//! its BFS inserts every superset after its subsets.
+//!
+//! Depth first, the walk holds the group ids of each node on the current
+//! path over the distinct rows, one reused vector per depth (at most
+//! `|A| + 1` per worker). A child `S ∪ {a}` is sized by one pass over
+//! `S`'s ids that also writes the child's ids
+//! ([`GroupIds::refine_bounded`]): two array reads and a write per
+//! distinct row, abandoned as soon as the pair count crosses the bound.
+//! An over-budget child costs only the rows it takes to overflow, and a
+//! fitting one is never read twice. The walk needs no memo.
+//!
+//! ## Pieces
+//!
+//! The subtrees below the pairs `{i, j}` of in-bound singletons `{i}` are
+//! independent pieces. The calling thread sizes the singletons, then it
+//! and `threads − 1` scoped workers claim pieces in order from a shared
+//! counter, each deriving its pieces' singleton ids itself. Which worker
+//! finds which in-bound set does not matter: the candidates are picked by
+//! membership and sorted by (size, bits), and `nodes_examined` is a sum,
+//! so the outcome does not depend on the thread count.
 
-use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use pclabel_data::dataset::Dataset;
@@ -23,7 +46,8 @@ use pclabel_data::error::Result;
 use crate::attrset::AttrSet;
 use crate::hash::FxHashSet;
 use crate::label::Label;
-use crate::lattice::gen;
+use crate::lattice::children;
+use crate::search::refine::{GroupIds, RefineScratch};
 use crate::search::{
     argmin_candidate, check_dataset, Evaluator, SearchOptions, SearchOutcome, SearchStats,
 };
@@ -36,56 +60,27 @@ use crate::search::{
 /// returned as a fallback rather than failing.
 pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOutcome> {
     check_dataset(dataset)?;
-    let n = dataset.n_attrs();
-    let search_start = Instant::now();
+    let start = Instant::now();
 
-    // Partitions live over the evaluator's compressed distinct table:
-    // group counts over distinct tuples equal those over raw rows, but
-    // each pass touches fewer rows.
+    // The walk runs over the evaluator's compressed distinct table: group
+    // counts over distinct tuples equal those over raw rows, but each
+    // pass touches fewer rows.
     let evaluator = Evaluator::new(dataset, &opts.patterns)
         .with_count_threads(opts.count_threads)
         .with_count_shards(opts.count_shards);
-    let (distinct, dweights) = evaluator.compressed();
-
     let mut stats = SearchStats::default();
-    let mut queue: VecDeque<AttrSet> = VecDeque::from([AttrSet::EMPTY]);
-    let mut cands: FxHashSet<AttrSet> = FxHashSet::default();
-    let mut ctx = evaluator.context_for(opts);
-
-    while let Some(curr) = queue.pop_front() {
-        for child in gen(curr, n) {
-            stats.nodes_examined += 1;
-            let attr = child.max_index().expect("gen adds an attribute");
-            if ctx.child_size_bounded(curr, attr, opts.bound).is_some() {
-                queue.push_back(child);
-                // Singletons are enqueued (they seed the pair level and
-                // their sizes count as examined, matching the paper's
-                // Figure 9 node counts) but are not candidates: a
-                // one-attribute PC duplicates information already in VC,
-                // and Example 3.7's candidate set contains only pairs.
-                if child.len() >= 2 {
-                    remove_parents(&mut cands, child, opts.deep_prune);
-                    cands.insert(child);
-                }
-            }
-        }
-    }
-    stats.search_time = search_start.elapsed();
+    let (in_bound, nodes_examined) = walk(&evaluator, opts.bound, opts.threads);
+    stats.nodes_examined = nodes_examined;
+    let cand_list = maximal(&in_bound, evaluator.n_attrs());
+    stats.search_time = start.elapsed();
 
     // Final arg-min over the candidate set (the paper's line 10).
     let eval_start = Instant::now();
-    let mut cand_list: Vec<AttrSet> = cands.into_iter().collect();
-    cand_list.sort_by_key(|s| (s.len(), s.bits()));
     stats.candidates_evaluated = cand_list.len() as u64;
-    // Candidates are sorted by (size, bits), so consecutive subsets share
-    // prefixes and the refinement contexts inside evaluate_many derive
-    // most partitions by a single-column pass or a coarsening.
     let errors = evaluator.evaluate_many(&cand_list, opts);
-    let best = argmin_candidate(&cand_list, &errors);
-    stats.eval_time = eval_start.elapsed();
-
-    let best_attrs = best.map(|(s, _)| s).unwrap_or(AttrSet::EMPTY);
-    let best_stats = Some(ctx.error_of(best_attrs, false));
+    let best_attrs = argmin_candidate(&cand_list, &errors).map_or(AttrSet::EMPTY, |(s, _)| s);
+    let best_stats = Some(evaluator.context_for(opts).error_of(best_attrs, false));
+    let (distinct, dweights) = evaluator.compressed();
     let label = Some(Label::from_parts(
         distinct,
         Some(dweights),
@@ -93,6 +88,7 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
         evaluator.value_counts(),
         evaluator.n_rows(),
     ));
+    stats.eval_time = eval_start.elapsed();
     Ok(SearchOutcome {
         best_attrs: Some(best_attrs),
         best_stats,
@@ -102,15 +98,137 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     })
 }
 
-/// The paper's `removeParents(cands, c)`: drop the direct parents of `c`
-/// (they are dominated per Proposition 3.2's intuition). The deep-prune
-/// ablation removes *every* stored subset of `c`.
-fn remove_parents(cands: &mut FxHashSet<AttrSet>, c: AttrSet, deep: bool) {
-    if deep {
-        cands.retain(|s| !s.is_strict_subset_of(c));
-    } else {
-        for parent in c.parents() {
-            cands.remove(&parent);
+/// The candidates among the walk's in-bound sets: those with no in-bound
+/// direct superset (what the paper's `removeParents` leaves), sorted by
+/// (size, bits). The sort fixes the order whatever thread found each set,
+/// and consecutive candidates share prefixes, so the refinement contexts
+/// in `evaluate_many` derive most partitions by a single-column pass or a
+/// coarsening.
+fn maximal(in_bound: &[AttrSet], n_attrs: usize) -> Vec<AttrSet> {
+    let fits: FxHashSet<AttrSet> = in_bound.iter().copied().collect();
+    let mut cands: Vec<AttrSet> = in_bound
+        .iter()
+        .copied()
+        .filter(|&s| !children(s, n_attrs).any(|c| fits.contains(&c)))
+        .collect();
+    cands.sort_by_key(|s| (s.len(), s.bits()));
+    cands
+}
+
+/// Walks the in-bound region of the lattice on `threads` threads,
+/// returning its sets of two or more attributes (in no fixed order) and
+/// the number of nodes sized.
+fn walk(ev: &Evaluator, bound: u64, threads: usize) -> (Vec<AttrSet>, u64) {
+    let n = ev.n_attrs();
+    let mut root = Walker::new(ev, bound);
+    // gen(∅): every singleton is sized and counted as examined (matching
+    // the paper's Figure 9 node counts), but none is a candidate: a
+    // one-attribute PC duplicates information already in VC, and
+    // Example 3.7's candidate set contains only pairs.
+    let mut pieces = Vec::new();
+    for a in 0..n {
+        root.nodes_examined += 1;
+        if root.fits(0, a) {
+            pieces.extend((a + 1..n).map(|j| (a, j)));
+        }
+    }
+    let threads = threads.clamp(1, pieces.len().max(1));
+    let next = AtomicUsize::new(0);
+    let in_bound = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut w = Walker::new(ev, bound);
+                    let found = w.claim(&pieces, &next);
+                    (found, w.nodes_examined)
+                })
+            })
+            .collect();
+        let mut in_bound = root.claim(&pieces, &next);
+        for worker in workers {
+            let (found, nodes) = worker.join().expect("walk worker panicked");
+            in_bound.extend(found);
+            root.nodes_examined += nodes;
+        }
+        in_bound
+    });
+    (in_bound, root.nodes_examined)
+}
+
+/// One thread's depth-first walk.
+struct Walker<'a> {
+    ev: &'a Evaluator,
+    bound: u64,
+    /// `stack[d]`: the group ids of the depth-`d` node on the current
+    /// path (`stack[0]` is ∅'s).
+    stack: Vec<GroupIds>,
+    scratch: RefineScratch,
+    /// The singleton whose ids `stack[1]` holds.
+    single: Option<usize>,
+    nodes_examined: u64,
+}
+
+impl<'a> Walker<'a> {
+    fn new(ev: &'a Evaluator, bound: u64) -> Self {
+        let mut stack: Vec<GroupIds> = (0..=ev.n_attrs()).map(|_| GroupIds::default()).collect();
+        stack[0] = GroupIds::unit(ev.compressed().0.n_rows());
+        Walker {
+            ev,
+            bound,
+            stack,
+            scratch: RefineScratch::default(),
+            single: None,
+            nodes_examined: 0,
+        }
+    }
+
+    /// Whether the depth-`depth` node on the path plus `attr` fits the
+    /// bound; its ids land in `stack[depth + 1]`.
+    fn fits(&mut self, depth: usize, attr: usize) -> bool {
+        let (path, rest) = self.stack.split_at_mut(depth + 1);
+        path[depth]
+            .refine_bounded(
+                self.ev.compressed().0.column(attr),
+                self.ev.card(attr),
+                self.bound,
+                &mut rest[0],
+                &mut self.scratch,
+            )
+            .is_some()
+    }
+
+    /// Walks pieces claimed from `next` until none is left, returning
+    /// their in-bound sets.
+    fn claim(&mut self, pieces: &[(usize, usize)], next: &AtomicUsize) -> Vec<AttrSet> {
+        let mut found = Vec::new();
+        // The counter only hands out indices into the shared, immutable
+        // piece list; it publishes no other data.
+        loop {
+            let piece = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(i, j)) = pieces.get(piece) else {
+                return found;
+            };
+            if self.single != Some(i) {
+                // {i} fit when the calling thread sized it; this pass only
+                // re-derives its ids and is not counted again.
+                let fits = self.fits(0, i);
+                debug_assert!(fits, "singleton {i} fit when pieces were cut");
+                self.single = Some(i);
+            }
+            self.visit(AttrSet::singleton(i), 1, j, &mut found);
+        }
+    }
+
+    /// Sizes `node ∪ {attr}`, `node` being the depth-`depth` node on the
+    /// path; when it fits, records it and walks its `gen` subtree.
+    fn visit(&mut self, node: AttrSet, depth: usize, attr: usize, out: &mut Vec<AttrSet>) {
+        self.nodes_examined += 1;
+        if self.fits(depth, attr) {
+            let child = node.insert(attr);
+            out.push(child);
+            for next in attr + 1..self.ev.n_attrs() {
+                self.visit(child, depth + 1, next, out);
+            }
         }
     }
 }
@@ -167,10 +285,10 @@ mod tests {
     #[test]
     fn candidates_are_maximal_within_bound() {
         // No candidate may be a strict subset of another candidate whose
-        // label also fits — removeParents guarantees the direct-parent
-        // case; with deep_prune the full antichain property holds.
+        // label also fits: by label-size monotonicity, an in-bound strict
+        // superset implies an in-bound direct superset.
         let d = correlated_pair(4, 800, 0.5, 9).unwrap();
-        let opts = SearchOptions::with_bound(10).deep_prune(true);
+        let opts = SearchOptions::with_bound(10);
         let out = top_down_search(&d, &opts).unwrap();
         for (i, &a) in out.candidates.iter().enumerate() {
             for (j, &b) in out.candidates.iter().enumerate() {
@@ -218,8 +336,17 @@ mod tests {
     fn threads_do_not_change_result() {
         let d = correlated_pair(6, 3000, 0.5, 10).unwrap();
         let seq = top_down_search(&d, &SearchOptions::with_bound(20)).unwrap();
-        let par = top_down_search(&d, &SearchOptions::with_bound(20).threads(4)).unwrap();
-        assert_eq!(seq.best_attrs, par.best_attrs);
+        for threads in [2, 4] {
+            let par = top_down_search(&d, &SearchOptions::with_bound(20).threads(threads)).unwrap();
+            assert_eq!(seq.best_attrs, par.best_attrs, "threads {threads}");
+            assert_eq!(seq.best_stats, par.best_stats, "threads {threads}");
+            assert_eq!(seq.candidates, par.candidates, "threads {threads}");
+            assert_eq!(seq.stats.nodes_examined, par.stats.nodes_examined);
+            assert_eq!(
+                seq.stats.candidates_evaluated,
+                par.stats.candidates_evaluated
+            );
+        }
     }
 
     #[test]

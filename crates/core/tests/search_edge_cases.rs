@@ -2,12 +2,16 @@
 //! combinations, degenerate datasets, and statistics reporting.
 
 use pclabel_core::attrset::AttrSet;
+use pclabel_core::counting::label_size;
 use pclabel_core::error::ErrorMetric;
+use pclabel_core::lattice::{all_subsets, children};
 use pclabel_core::pattern::Pattern;
 use pclabel_core::patterns::PatternSet;
 use pclabel_core::search::{naive_search, top_down_search, Evaluator, SearchOptions, SearchStats};
 use pclabel_data::dataset::DatasetBuilder;
-use pclabel_data::generate::{correlated_pair, figure2_sample, independent, AttrSpec};
+use pclabel_data::generate::{
+    bluenile, correlated_pair, figure2_sample, independent, AttrSpec, BlueNileConfig,
+};
 
 #[test]
 fn all_metrics_produce_valid_searches() {
@@ -146,21 +150,24 @@ fn early_exit_disabled_for_unsupported_metrics() {
 }
 
 #[test]
-fn deep_prune_never_worsens_the_result_on_these_inputs() {
-    // Deep pruning removes only dominated (subset) candidates; by
-    // Proposition 3.2's empirical dominance the optimum is usually
-    // unchanged. We assert both return within-bound labels and that
-    // deep-prune's candidate list is an antichain.
-    let d = correlated_pair(6, 2500, 0.4, 13).unwrap();
-    let base = top_down_search(&d, &SearchOptions::with_bound(25)).unwrap();
-    let deep = top_down_search(&d, &SearchOptions::with_bound(25).deep_prune(true)).unwrap();
-    assert!(deep.candidates.len() <= base.candidates.len());
-    for (i, &a) in deep.candidates.iter().enumerate() {
-        for (j, &b) in deep.candidates.iter().enumerate() {
-            if i != j {
-                assert!(!a.is_strict_subset_of(b));
-            }
-        }
+fn candidates_are_the_maximal_in_bound_subsets() {
+    // The candidates are every subset of two or more attributes whose
+    // label fits and none of whose direct supersets' labels fit, found
+    // here by sizing all 2^n subsets.
+    let d = bluenile(&BlueNileConfig {
+        n_rows: 2000,
+        seed: 13,
+    })
+    .unwrap();
+    let n = d.n_attrs();
+    for bound in [10u64, 50, 100] {
+        let fits = |s: AttrSet| label_size(&d, s) <= bound;
+        let mut maximal: Vec<AttrSet> = all_subsets(n)
+            .filter(|&s| s.len() >= 2 && fits(s) && !children(s, n).any(fits))
+            .collect();
+        maximal.sort_by_key(|s| (s.len(), s.bits()));
+        let out = top_down_search(&d, &SearchOptions::with_bound(bound)).unwrap();
+        assert_eq!(out.candidates, maximal, "bound {bound}");
     }
 }
 

@@ -8,11 +8,22 @@
 //! refinement on and off. Lattice nodes are sized over the memoized
 //! partitions too ([`EvalContext::child_size_bounded`]), which must agree
 //! with the cold [`label_size_bounded`] scan on every node and leave every
-//! search's walk unchanged.
+//! search's walk unchanged. The top-down search's depth-first walk, on
+//! any thread count, must match a BFS of the paper's Algorithm 1 whose
+//! nodes are sized by that cold scan ([`ColdWalks::top_down`]).
+//!
+//! The walk's seeded soak over thousands of generated datasets is ignored
+//! by default:
+//!
+//! ```text
+//! cargo test --release -p pclabel-core --test search_refine -- --ignored
+//! ```
 
 use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use pclabel_core::attrset::AttrSet;
 use pclabel_core::counting::{label_size, label_size_bounded, KeyCodec};
@@ -84,6 +95,43 @@ fn assert_paths_identical(d: &Dataset, ps: &PatternSet, threads: usize, shards: 
     }
 }
 
+/// `d` with one more dictionary value per attribute that no row holds,
+/// and an explicit pattern set over it: a pattern on that value (count 0)
+/// followed by the first `partial` rows restricted to varying non-empty
+/// subsets (marginals over `K ⊊ S` for most labels `S`).
+fn with_explicit_patterns(d: &Dataset, partial: usize) -> (Dataset, PatternSet) {
+    let n = d.n_attrs();
+    let domains: Vec<Vec<String>> = (0..n)
+        .map(|a| {
+            let card = d.schema().attr(a).unwrap().cardinality() as u32;
+            (0..card)
+                .map(|v| d.label_of(a, v).to_string())
+                .chain(["unseen".to_string()])
+                .collect()
+        })
+        .collect();
+    let names: Vec<String> = (0..n).map(|a| format!("a{a}")).collect();
+    let mut b = DatasetBuilder::with_domains(
+        names
+            .iter()
+            .zip(&domains)
+            .map(|(name, values)| (name.as_str(), values.iter().map(String::as_str))),
+    );
+    for r in 0..d.n_rows() {
+        b.push_ids(&d.row_to_vec(r)).unwrap();
+    }
+    let d = b.finish();
+    let full = (1u64 << n) - 1;
+    let unseen = domains[n - 1].len() as u32 - 1;
+    let mut patterns = vec![Pattern::from_terms([(0, 0), (n - 1, unseen)])];
+    patterns.extend(
+        (0..d.n_rows().min(partial)).map(|r| {
+            Pattern::from_row(&d, r).restrict(AttrSet::from_bits((r as u64 * 5 + 1) & full))
+        }),
+    );
+    (d, PatternSet::Explicit(patterns))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -115,8 +163,21 @@ proptest! {
         assert_paths_identical(&d, &PatternSet::OverAttrs(over), 1, 1);
     }
 
+    /// And for explicit pattern sets holding a pattern absent from the
+    /// data and partially defined patterns, on both sides of the
+    /// bitmap-priced scan prefix.
+    #[test]
+    fn refinement_identical_on_explicit_patterns(
+        d in arb_dataset_missing(),
+        partial in 0usize..=12,
+    ) {
+        let (d, ps) = with_explicit_patterns(&d, partial);
+        assert_paths_identical(&d, &ps, 1, 1);
+    }
+
     /// Greedy and top-down return identical outcomes with refinement on
-    /// and off, under every metric.
+    /// and off, under every metric; the top-down walk, on one to three
+    /// threads, matches the cold-sized BFS oracle.
     #[test]
     fn searches_identical_with_refinement_on_and_off(
         d in arb_dataset_missing(),
@@ -139,6 +200,14 @@ proptest! {
             (top_down_search(&d, &on).unwrap(), top_down_search(&d, &off).unwrap());
         prop_assert_eq!(t_on.best_attrs, t_off.best_attrs);
         prop_assert_eq!(t_on.best_stats, t_off.best_stats);
+        let ev = Evaluator::new(&d, &on.patterns);
+        let oracle = ColdWalks::new(&ev, &on).top_down();
+        prop_assert_eq!(&Walk::of(&t_off), &oracle);
+        for threads in 1..=3 {
+            let walk = top_down_search(&d, &on.clone().threads(threads)).unwrap();
+            prop_assert_eq!(&Walk::of(&walk), &oracle, "threads {}", threads);
+            prop_assert_eq!(walk.best_stats, t_off.best_stats);
+        }
     }
 
     /// Sizing a lattice node over its parent's memoized partition gives
@@ -553,8 +622,9 @@ fn greedy_and_topdown_regression_on_generators() {
 
 #[test]
 fn parallel_evaluate_many_identical_with_refinement() {
+    // Each parallel run starts from a fresh evaluator, so its workers race
+    // to build the shared scan-prefix bitmaps on first use.
     let d = correlated_pair(8, 4000, 0.5, 21).unwrap();
-    let ev = Evaluator::new(&d, &PatternSet::AllTuples);
     let cands = vec![
         AttrSet::EMPTY,
         AttrSet::from_indices([0]),
@@ -563,12 +633,69 @@ fn parallel_evaluate_many_identical_with_refinement() {
     ];
     for metric in [ErrorMetric::MaxAbsolute, ErrorMetric::MeanQ] {
         let base = SearchOptions::with_bound(100).metric(metric);
-        let seq = ev.evaluate_many(&cands, &base);
+        let seq = Evaluator::new(&d, &PatternSet::AllTuples).evaluate_many(&cands, &base);
         for threads in [2usize, 4] {
+            let ev = Evaluator::new(&d, &PatternSet::AllTuples);
             let par = ev.evaluate_many(&cands, &base.clone().threads(threads));
             assert_eq!(seq, par, "{metric} threads {threads}");
             let cold = ev.evaluate_many(&cands, &base.clone().threads(threads).refine(false));
             assert_eq!(seq, cold, "{metric} cold threads {threads}");
         }
     }
+}
+
+/// A random dataset of 2–8 attributes and up to a few hundred rows, with
+/// missing cells and domains of one to six values.
+fn random_dataset(rng: &mut StdRng) -> Dataset {
+    let n_attrs = rng.gen_range(2usize..=8);
+    let n_rows = rng.gen_range(1usize..=300);
+    let missing = rng.gen_range(0.0..0.3);
+    let domains: Vec<u32> = (0..n_attrs).map(|_| rng.gen_range(1u32..=6)).collect();
+    let names: Vec<String> = (0..n_attrs).map(|a| format!("a{a}")).collect();
+    let mut b = DatasetBuilder::new(&names);
+    for _ in 0..n_rows {
+        let row: Vec<Option<String>> = domains
+            .iter()
+            .map(|&dom| (!rng.gen_bool(missing)).then(|| format!("v{}", rng.gen_range(0..dom))))
+            .collect();
+        b.push_row_opt(&row).unwrap();
+    }
+    b.finish()
+}
+
+/// The top-down walk on one to four threads against the cold-sized BFS
+/// oracle, over `cases` seeded random datasets and bounds.
+fn walk_soak(seed: u64, cases: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..cases {
+        let d = random_dataset(&mut rng);
+        let opts = SearchOptions::with_bound(rng.gen_range(1u64..=120));
+        let ev = Evaluator::new(&d, &opts.patterns);
+        let oracle = ColdWalks::new(&ev, &opts).top_down();
+        let mut best_stats = None;
+        for threads in 1..=4 {
+            let out = top_down_search(&d, &opts.clone().threads(threads)).unwrap();
+            assert_eq!(
+                Walk::of(&out),
+                oracle,
+                "case {case}: {} attrs, {} rows, bound {}, threads {threads}",
+                d.n_attrs(),
+                d.n_rows(),
+                opts.bound
+            );
+            let stats = out.best_stats.unwrap();
+            assert_eq!(*best_stats.get_or_insert(stats), stats, "case {case}");
+        }
+    }
+}
+
+#[test]
+fn walk_matches_cold_bfs_on_random_datasets() {
+    walk_soak(1, 200);
+}
+
+#[test]
+#[ignore = "soak: several thousand datasets, run in release mode"]
+fn walk_matches_cold_bfs_soak() {
+    walk_soak(2, 5_000);
 }

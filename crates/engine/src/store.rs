@@ -350,18 +350,33 @@ fn compute_label(
     }
 }
 
-/// Runs the top-down search with serving-side tuning: candidate
-/// evaluation and per-candidate counting threads sized from the dataset
-/// and hardware (`auto_threads`), and the lattice-aware refinement
-/// evaluator on by default (`refine: false` is the cold-rebuild
-/// ablation; results are bit-identical either way).
+/// Datasets with at least this many rows search on every hardware
+/// thread. Below it (the figure2 warm-up search, small uploads) the
+/// search stays on the calling thread, where spawning workers would cost
+/// more than the walk.
+const SEARCH_PARALLEL_MIN_ROWS: usize = 4_096;
+
+/// Runs the top-down search with serving-side tuning: the lattice walk,
+/// candidate evaluation and per-candidate counting on every hardware
+/// thread for datasets of at least [`SEARCH_PARALLEL_MIN_ROWS`] rows, and
+/// the lattice-aware refinement evaluator on by default (`refine: false`
+/// is the cold-rebuild ablation; results are bit-identical either way, at
+/// any thread count).
+///
+/// The thread count is not divided by the daemon's dispatch workers:
+/// concurrent searched registers each take every hardware thread. The
+/// rule was measured with one search in flight on 2 hardware threads.
 fn compute_search_label(
     dataset: &Dataset,
     bound: u64,
     refine: bool,
     trace: Option<&Trace>,
 ) -> Result<Label, EngineError> {
-    let workers = auto_threads(dataset.n_rows());
+    let workers = if dataset.n_rows() >= SEARCH_PARALLEL_MIN_ROWS {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        1
+    };
     let opts = SearchOptions::with_bound(bound)
         .refine(refine)
         .threads(workers)
