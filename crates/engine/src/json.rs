@@ -2,12 +2,22 @@
 //!
 //! The workspace builds offline with no registry crates, so the
 //! line-delimited JSON wire format of [`crate::serve`] is handled by this
-//! ~300-line module instead of `serde_json`. It covers full JSON (RFC
-//! 8259): objects, arrays, strings with escapes (including `\uXXXX` and
-//! surrogate pairs), numbers, booleans and null. Object member order is
-//! preserved. Numbers round-trip through Rust's shortest-representation
-//! float formatting, so `f64` estimates survive write → parse losslessly.
+//! module instead of `serde_json`. [`Json`] is a DOM that covers full
+//! JSON (RFC 8259): objects, arrays, strings with escapes (including
+//! `\uXXXX` and surrogate pairs), numbers, booleans and null. Object
+//! member order is preserved. Numbers round-trip through Rust's
+//! shortest-representation float formatting, so `f64` estimates survive
+//! write → parse losslessly.
+//!
+//! `QueryFrame::decode` is the typed path beside the DOM: it reads a
+//! `query` request straight into `(attribute, value)` terms that borrow
+//! from the line wherever a string holds no escape, with the same
+//! parser routines (whitespace, strings, numbers) the DOM uses. It
+//! accepts only the canonical request shape and returns `None` for
+//! anything else, so every other line — including every malformed one —
+//! is left to the DOM and answers exactly as before.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -161,7 +171,8 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends a number exactly as [`Json::Num`] serializes it.
+pub(crate) fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/Infinity; null is the conventional stand-in.
         out.push_str("null");
@@ -174,7 +185,8 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends a string exactly as [`Json::Str`] serializes it.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -242,25 +254,43 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(|p, key| {
+                    members.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(members))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'n') => self.eat_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    /// Walks one object, calling `member` with each key while the parser
+    /// stands on that key's value; `member` must consume the value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.eat(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -268,37 +298,40 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(members));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    /// Walks one array, calling `item` while the parser stands on each
+    /// item; `item` must consume it.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -317,15 +350,22 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// One string token, borrowed from the input when it holds no
+    /// escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let run = self.unescaped_run()?;
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = String::from(run);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -394,30 +434,31 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Bulk-copy the maximal run of unescaped bytes. The
-                    // terminators (quote, backslash, controls) are all
-                    // ASCII, so the run ends on a char boundary, and the
-                    // input arrived as a &str, so the run is valid UTF-8.
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' || b < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(run);
-                }
+                Some(_) => out.push_str(self.unescaped_run()?),
             }
         }
+    }
+
+    /// Consumes the maximal run of bytes that need no unescaping. The
+    /// terminators (quote, backslash, controls) are all ASCII, so the run
+    /// ends on a char boundary, and the input arrived as a &str, so the
+    /// run is valid UTF-8.
+    fn unescaped_run(&mut self) -> Result<&'a str, JsonError> {
+        let bytes = self.bytes;
+        let start = self.pos;
+        while let Some(&b) = bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        std::str::from_utf8(&bytes[start..self.pos]).map_err(|_| self.err("invalid UTF-8"))
     }
 
     /// RFC 8259 number grammar: `-? (0 | [1-9][0-9]*) (\.[0-9]+)?
     /// ([eE][+-]?[0-9]+)?` — stricter than `f64::from_str` (no leading
     /// zeros, no bare/trailing dot, no `inf`/`NaN`).
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -459,10 +500,97 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
+        text.parse::<f64>().map_err(|_| JsonError {
             message: "invalid number".into(),
             offset: start,
         })
+    }
+}
+
+/// A `query` request decoded straight from its line, without a DOM:
+/// `{"op":"query","dataset":…,"id":…,"patterns":[{attr:value,…},…]}`.
+/// Strings borrow from the line unless they hold an escape.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct QueryFrame<'a> {
+    /// The `"id"` member when it is a string. Any other id is accepted
+    /// and not echoed, as on the DOM path.
+    pub(crate) id: Option<Cow<'a, str>>,
+    /// The `"dataset"` member.
+    pub(crate) dataset: Cow<'a, str>,
+    /// Every pattern's `(attribute, value)` terms, back to back in
+    /// request order. A numeric value is already its label text (the
+    /// number as [`Json::Num`] writes it).
+    pub(crate) terms: Vec<(Cow<'a, str>, Cow<'a, str>)>,
+    /// How many of [`QueryFrame::terms`] each pattern has, in request
+    /// order.
+    pub(crate) lens: Vec<usize>,
+}
+
+impl<'a> QueryFrame<'a> {
+    /// Decodes one request line, or returns `None` for any line off the
+    /// typed shape: another op, a missing, repeated or unknown top-level
+    /// member, a non-string `"op"` or `"dataset"`, a `"patterns"` that is
+    /// not an array of objects, a pattern value that is neither a string
+    /// nor a number, or malformed JSON. Those lines are left to
+    /// [`Json::parse`] and the DOM dispatch path.
+    pub(crate) fn decode(line: &'a str) -> Option<QueryFrame<'a>> {
+        let mut p = Parser {
+            bytes: line.as_bytes(),
+            pos: 0,
+        };
+        let mut frame = QueryFrame {
+            id: None,
+            dataset: Cow::Borrowed(""),
+            terms: Vec::new(),
+            lens: Vec::new(),
+        };
+        let [mut op, mut dataset, mut id, mut patterns] = [false; 4];
+        p.skip_ws();
+        p.object(|p, key| {
+            let seen = match &*key {
+                "op" => &mut op,
+                "dataset" => &mut dataset,
+                "id" => &mut id,
+                "patterns" => &mut patterns,
+                _ => return Err(p.err("off the typed query shape")),
+            };
+            if std::mem::replace(seen, true) {
+                return Err(p.err("off the typed query shape"));
+            }
+            match &*key {
+                "op" => {
+                    if p.string()? != "query" {
+                        return Err(p.err("off the typed query shape"));
+                    }
+                }
+                "dataset" => frame.dataset = p.string()?,
+                "id" if p.peek() == Some(b'"') => frame.id = Some(p.string()?),
+                "id" => {
+                    p.value()?;
+                }
+                _ => p.array(|p| {
+                    let start = frame.terms.len();
+                    p.object(|p, attr| {
+                        let value = match p.peek() {
+                            Some(b'"') => p.string()?,
+                            _ => {
+                                let mut text = String::new();
+                                write_number(p.number()?, &mut text);
+                                Cow::Owned(text)
+                            }
+                        };
+                        frame.terms.push((attr, value));
+                        Ok(())
+                    })?;
+                    frame.lens.push(frame.terms.len() - start);
+                    Ok(())
+                })?,
+            }
+            Ok(())
+        })
+        .ok()?;
+        p.skip_ws();
+        (p.pos == p.bytes.len() && op && dataset && patterns).then_some(frame)
     }
 }
 
@@ -624,6 +752,33 @@ mod tests {
         assert_eq!(v.to_string(), r#"{"ok":true,"n":2,"name":"x"}"#);
         let back = Json::parse(&v.to_string()).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn query_frame_borrows_unescaped_strings() {
+        let line = r#" {"patterns":[{"a":"x","b\"":1.5e3},{}],"id":3,"op":"query","dataset":"d"} "#;
+        let frame = QueryFrame::decode(line).expect("typed shape");
+        assert!(matches!(frame.dataset, Cow::Borrowed("d")));
+        assert_eq!(frame.id, None);
+        assert!(matches!(
+            frame.terms[0],
+            (Cow::Borrowed("a"), Cow::Borrowed("x"))
+        ));
+        assert!(matches!(
+            &frame.terms[1],
+            (Cow::Owned(attr), Cow::Owned(value)) if attr == "b\"" && value == "1500"
+        ));
+        assert_eq!(frame.lens, vec![2, 0]);
+
+        for off_shape in [
+            r#"{"op":"query","dataset":"d"}"#,
+            r#"{"op":"list","dataset":"d","patterns":[]}"#,
+            r#"{"op":"query","dataset":"d","patterns":[],"op":"query"}"#,
+            r#"{"op":"query","dataset":"d","patterns":[{"a":null}]}"#,
+            r#"{"op":"query","dataset":"d","patterns":[]} x"#,
+        ] {
+            assert_eq!(QueryFrame::decode(off_shape), None, "{off_shape}");
+        }
     }
 
     #[test]

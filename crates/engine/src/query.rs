@@ -196,33 +196,62 @@ impl Engine {
         request: &QueryRequest,
         trace: Option<&Trace>,
     ) -> Result<QueryResponse, EngineError> {
-        let entry = self.store.get(&request.dataset)?;
-        let threads = self.config.resolve_threads(request.patterns.len());
+        let terms: Vec<(&str, &str)> = request
+            .patterns
+            .iter()
+            .flat_map(|spec| spec.terms.iter().map(|(a, v)| (a.as_str(), v.as_str())))
+            .collect();
+        let lens = request.patterns.iter().map(|spec| spec.terms.len());
+        let mut response = self.execute_terms(&request.dataset, &terms, lens, trace)?;
+        response.id = request.id.clone();
+        Ok(response)
+    }
+
+    /// The batch core behind [`Engine::execute_traced`] and the typed
+    /// `query` wire path: answers each pattern against one snapshot of
+    /// `dataset`. The patterns' borrowed `(attribute name, value label)`
+    /// terms lie back to back in `terms`, `lens` giving each pattern's
+    /// term count in order. The response carries no id.
+    pub(crate) fn execute_terms(
+        &self,
+        dataset: &str,
+        terms: &[(&str, &str)],
+        lens: impl IntoIterator<Item = usize>,
+        trace: Option<&Trace>,
+    ) -> Result<QueryResponse, EngineError> {
+        let mut rest = terms;
+        let patterns: Vec<&[(&str, &str)]> = lens
+            .into_iter()
+            .map(|n| {
+                let (pattern, tail) = rest.split_at(n);
+                rest = tail;
+                pattern
+            })
+            .collect();
+        let entry = self.store.get(dataset)?;
+        let threads = self.config.resolve_threads(patterns.len());
 
         let lock_start = std::time::Instant::now();
-        let response = entry.with_snapshot(|dataset, label, generation| {
+        let response = entry.with_snapshot(|data, label, generation| {
             if let Some(trace) = trace {
                 trace.add_phase(Phase::StoreWait, lock_start.elapsed());
             }
             let results: Vec<PatternEstimate> = if threads <= 1 {
-                request
-                    .patterns
+                patterns
                     .iter()
-                    .map(|spec| answer_one(&entry, dataset, label, spec, trace))
+                    .map(|terms| answer_one(&entry, data, label, terms, trace))
                     .collect()
             } else {
-                let chunk = request.patterns.len().div_ceil(threads);
-                let mut out: Vec<PatternEstimate> = Vec::with_capacity(request.patterns.len());
+                let chunk = patterns.len().div_ceil(threads);
+                let mut out: Vec<PatternEstimate> = Vec::with_capacity(patterns.len());
                 let parts: Vec<Vec<PatternEstimate>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = request
-                        .patterns
+                    let handles: Vec<_> = patterns
                         .chunks(chunk)
-                        .map(|specs| {
+                        .map(|part| {
                             let entry = &entry;
                             scope.spawn(move || {
-                                specs
-                                    .iter()
-                                    .map(|s| answer_one(entry, dataset, label, s, trace))
+                                part.iter()
+                                    .map(|terms| answer_one(entry, data, label, terms, trace))
                                     .collect()
                             })
                         })
@@ -255,8 +284,8 @@ impl Engine {
             }
 
             QueryResponse {
-                id: request.id.clone(),
-                dataset: request.dataset.clone(),
+                id: None,
+                dataset: dataset.to_string(),
                 n_rows: label.n_rows(),
                 label_attrs: StoreEntry::attr_names(label),
                 generation,
@@ -297,15 +326,10 @@ fn answer_one(
     entry: &StoreEntry,
     dataset: &Dataset,
     label: &Arc<Label>,
-    spec: &PatternSpec,
+    terms: &[(&str, &str)],
     trace: Option<&Trace>,
 ) -> PatternEstimate {
-    let terms: Vec<(&str, &str)> = spec
-        .terms
-        .iter()
-        .map(|(a, v)| (a.as_str(), v.as_str()))
-        .collect();
-    let pattern = match Pattern::parse(dataset, &terms) {
+    let pattern = match Pattern::parse(dataset, terms) {
         Ok(p) => p,
         Err(e) => {
             return PatternEstimate {

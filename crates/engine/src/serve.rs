@@ -9,6 +9,17 @@
 //! which is why `pclabel-serve` and `pclabel-netd` produce byte-identical
 //! response JSON for the same request stream.
 //!
+//! `query` lines, the hot path, also have a typed path beside the DOM:
+//! [`Dispatcher::answer_query_line`] decodes a line straight into
+//! borrowed pattern terms (`QueryFrame::decode`), runs the batch
+//! through the core [`Engine::execute_traced`] also uses, and writes the
+//! response text directly. A line off the typed shape is declined with
+//! `None` before anything is recorded, and the caller answers it with
+//! [`Dispatcher::dispatch_line`]: error texts and every other op come
+//! from the DOM path by construction. The network transports take the
+//! typed path first; the stdin/stdout loop stays on `dispatch_line`,
+//! the reference the typed path is tested against byte for byte.
+//!
 //! ## Requests
 //!
 //! ```text
@@ -71,8 +82,8 @@ use pclabel_telemetry::{
     Trace,
 };
 
-use crate::json::Json;
-use crate::query::{label_answer, Engine, EngineConfig, PatternSpec, QueryRequest};
+use crate::json::{write_number, write_string, Json, QueryFrame};
+use crate::query::{label_answer, Engine, EngineConfig, PatternSpec, QueryRequest, QueryResponse};
 use crate::store::{EngineError, EntryMemory, LabelPolicy, StoreEntry};
 
 /// The workspace version baked into `pclabel_build_info`, `health` and
@@ -156,6 +167,46 @@ impl Dispatcher {
                 response
             }
         }
+    }
+
+    /// Answers a `query` line on the typed path, without the [`Json`]
+    /// DOM: `QueryFrame::decode` reads the line into borrowed terms, the
+    /// batch runs through the same core as [`Engine::execute_traced`],
+    /// and the response text is written directly, in `handle_query`'s
+    /// member order and number text. Telemetry records what
+    /// [`Dispatcher::dispatch`] records for the line.
+    ///
+    /// `Some(Ok(text))` is the response of an answered batch and
+    /// `Some(Err(object))` the error object a failed one (an unknown
+    /// dataset) is answered with. `None` means the line is off the typed
+    /// shape and nothing was recorded: answer it with
+    /// [`Dispatcher::dispatch_line`], which stays the reference this path
+    /// is tested against byte for byte.
+    pub fn answer_query_line(&self, line: &str) -> Option<Result<String, Json>> {
+        let frame = QueryFrame::decode(line)?;
+        let trace = self.telemetry.begin("query");
+        if trace.enabled() {
+            trace.annotate_dataset(&frame.dataset);
+            trace.record_items(frame.lens.len() as u64);
+        }
+        let terms: Vec<(&str, &str)> = frame.terms.iter().map(|(a, v)| (&**a, &**v)).collect();
+        let answer = self.engine.execute_terms(
+            &frame.dataset,
+            &terms,
+            frame.lens.iter().copied(),
+            trace.enabled().then_some(&trace),
+        );
+        let reply = match answer {
+            Ok(response) => {
+                if trace.enabled() {
+                    trace.record_rows(response.n_rows);
+                }
+                Ok(query_response_text(frame.id.as_deref(), &response))
+            }
+            Err(e) => Err(engine_error("query", &e)),
+        };
+        self.telemetry.finish(&trace, reply.is_ok());
+        Some(reply)
     }
 
     /// Routes one parsed request to its op handler, always returning a
@@ -814,6 +865,70 @@ fn handle_query(engine: &Engine, request: &Json, trace: Option<&Trace>) -> Json 
         }
         Err(e) => engine_error("query", &e),
     }
+}
+
+/// A successful `query` response as text, byte for byte what
+/// `handle_query`'s object serializes to.
+fn query_response_text(id: Option<&str>, response: &QueryResponse) -> String {
+    let mut out = String::with_capacity(192 + 48 * response.results.len());
+    out.push_str("{\"ok\":true,\"op\":\"query\"");
+    if let Some(id) = id {
+        out.push_str(",\"id\":");
+        write_string(id, &mut out);
+    }
+    out.push_str(",\"dataset\":");
+    write_string(&response.dataset, &mut out);
+    out.push_str(",\"rows\":");
+    write_number(response.n_rows as f64, &mut out);
+    out.push_str(",\"label_attrs\":[");
+    for (i, attr) in response.label_attrs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(attr, &mut out);
+    }
+    out.push_str("],\"generation\":");
+    write_number(response.generation as f64, &mut out);
+    out.push_str(",\"results\":[");
+    for (i, r) in response.results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match &r.error {
+            Some(e) => {
+                out.push_str("{\"error\":");
+                write_string(e, &mut out);
+            }
+            None => {
+                out.push_str("{\"estimate\":");
+                write_number(r.estimate, &mut out);
+                out.push_str(if r.exact {
+                    ",\"exact\":true"
+                } else {
+                    ",\"exact\":false"
+                });
+                out.push_str(if r.cached {
+                    ",\"cached\":true"
+                } else {
+                    ",\"cached\":false"
+                });
+            }
+        }
+        out.push('}');
+    }
+    let stats = &response.stats;
+    for (member, n) in [
+        ("],\"stats\":{\"exact\":", stats.exact),
+        (",\"estimated\":", stats.estimated),
+        (",\"cache_hits\":", stats.cache_hits),
+        (",\"cache_misses\":", stats.cache_misses),
+        (",\"failed\":", stats.failed),
+    ] {
+        out.push_str(member);
+        write_number(n as f64, &mut out);
+    }
+    out.push_str("}}");
+    out
 }
 
 /// `estimate_multi`: answer each pattern by combining the estimates of

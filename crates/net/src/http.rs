@@ -40,7 +40,7 @@
 
 use pclabel_engine::json::Json;
 
-use crate::server::{process_line, process_request, Shared};
+use crate::server::{process_line, process_request, Reply, Shared};
 
 /// Total byte cap on the request line + headers of one request.
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -477,7 +477,7 @@ pub(crate) fn route(request: &Request, shared: &Shared) -> Routed {
                     false,
                 );
             };
-            let (response, shutdown) = match implied_op(path) {
+            let (reply, shutdown) = match implied_op(path) {
                 None if path == "/" => process_line(body, shared),
                 None => {
                     break 'post Routed::json(
@@ -487,23 +487,32 @@ pub(crate) fn route(request: &Request, shared: &Shared) -> Routed {
                     )
                 }
                 Some(op) => match inject_op(body, op) {
-                    Ok(request) => process_request(&request, shared),
+                    Ok(request) => {
+                        let (response, shutdown) = process_request(&request, shared);
+                        (Reply::Json(response), shutdown)
+                    }
                     Err(message) => break 'post Routed::json(400, error_body(&message), false),
                 },
             };
-            let ok = response.get("ok") == Some(&Json::Bool(true));
-            // Mutations rejected by read-only degraded mode are a
-            // server-side condition, not a bad request: 503, so clients
-            // and proxies know to retry after recovery.
-            let degraded = !ok && response.get("error") == Some(&Json::str("degraded"));
-            let status = if ok {
-                200
-            } else if degraded {
-                503
-            } else {
-                400
+            let status = match &reply {
+                // The typed path writes only answered batches.
+                Reply::Text(_) => 200,
+                Reply::Json(response) => {
+                    let ok = response.get("ok") == Some(&Json::Bool(true));
+                    // Mutations rejected by read-only degraded mode are a
+                    // server-side condition, not a bad request: 503, so
+                    // clients and proxies know to retry after recovery.
+                    let degraded = !ok && response.get("error") == Some(&Json::str("degraded"));
+                    if ok {
+                        200
+                    } else if degraded {
+                        503
+                    } else {
+                        400
+                    }
+                }
             };
-            Routed::json(status, response.to_string(), shutdown)
+            Routed::json(status, reply.into_text(), shutdown)
         }
         ("GET" | "HEAD", path) => {
             Routed::json(404, error_body(&format!("unknown path {path:?}")), false)

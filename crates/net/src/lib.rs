@@ -24,7 +24,11 @@
 //! Because every transport funnels into one dispatcher, `pclabel-serve`
 //! (pipe) and `pclabel-netd` (network) produce byte-identical response
 //! JSON for the same request stream — asserted by this crate's
-//! integration tests.
+//! integration tests. Framed requests and HTTP `POST /` bodies try the
+//! dispatcher's typed `query` path
+//! ([`answer_query_line`](pclabel_engine::serve::Dispatcher::answer_query_line))
+//! first and fall back to the DOM path for any other line; the tests
+//! compare the responses as bytes, so the two paths cannot drift.
 //!
 //! ## Connection model
 //!

@@ -77,7 +77,7 @@ use crate::metrics::LoopMetrics;
 use crate::pool::{Job, ThreadPool, TryExecuteError};
 use crate::server::{
     is_http_prefix, overloaded_error_json, oversize_error_json, process_line, utf8_error_json,
-    Shared,
+    Reply, Shared,
 };
 use crate::sys::{self, Backend, Event, Interest, Poller, Waker};
 
@@ -1177,9 +1177,9 @@ impl Reactor {
         let shared = Arc::clone(&self.shared);
         let queue = Arc::clone(&self.dispatch);
         let job: Job = Box::new(move || {
-            let (response, shutdown) = match std::str::from_utf8(&payload) {
+            let (reply, shutdown) = match std::str::from_utf8(&payload) {
                 Ok(line) => process_line(line, &shared),
-                Err(_) => (utf8_error_json(), false),
+                Err(_) => (Reply::Json(utf8_error_json()), false),
             };
             // Responses are always sent whole, even above the request
             // cap: the server never truncates its own output. The length
@@ -1187,7 +1187,7 @@ impl Reactor {
             // together by one `writev` on the loop, without a
             // concatenation copy. Past MAX_FRAME_CEILING (where
             // `encode_frame` would refuse), closing is all that is left.
-            let body = response.to_string().into_bytes();
+            let body = reply.into_text().into_bytes();
             let (segs, broken) = match u32::try_from(body.len()) {
                 Ok(len) if len <= crate::frame::MAX_FRAME_CEILING => {
                     (vec![len.to_be_bytes().to_vec(), body], false)

@@ -297,17 +297,43 @@ pub(crate) fn is_http_prefix(bytes: &[u8; 4]) -> bool {
     )
 }
 
-/// One raw request line: parse, then [`process_request`]. Returns the
-/// response and whether a (permitted) shutdown was requested.
-pub(crate) fn process_line(line: &str, shared: &Shared) -> (Json, bool) {
+/// A response on its way to the wire.
+pub(crate) enum Reply {
+    /// The text of a `query` batch answered on the typed path.
+    Text(String),
+    /// A response object.
+    Json(Json),
+}
+
+impl Reply {
+    /// The response's JSON text.
+    pub(crate) fn into_text(self) -> String {
+        match self {
+            Reply::Text(text) => text,
+            Reply::Json(response) => response.to_string(),
+        }
+    }
+}
+
+/// One raw request line: the typed `query` path
+/// ([`Dispatcher::answer_query_line`]) when the line has its shape,
+/// otherwise parse, then [`process_request`]. Returns the response and
+/// whether a (permitted) shutdown was requested.
+pub(crate) fn process_line(line: &str, shared: &Shared) -> (Reply, bool) {
+    match shared.dispatcher.answer_query_line(line) {
+        Some(Ok(text)) => return (Reply::Text(text), false),
+        Some(Err(response)) => return (Reply::Json(response), false),
+        None => {}
+    }
     let request = match Json::parse(line) {
         // Re-dispatching the unparsable line yields the dispatcher's own
         // error shape, keeping transports byte-identical with the
         // stdin/stdout loop.
-        Err(_) => return (shared.dispatcher.dispatch_line(line), false),
+        Err(_) => return (Reply::Json(shared.dispatcher.dispatch_line(line)), false),
         Ok(v) => v,
     };
-    process_request(&request, shared)
+    let (response, shutdown) = process_request(&request, shared);
+    (Reply::Json(response), shutdown)
 }
 
 /// One parsed request: the shared post-parse dispatch path for both

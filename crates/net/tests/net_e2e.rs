@@ -44,6 +44,13 @@ fn script() -> Vec<&'static str> {
         r#"{"op":"register","dataset":"b","generator":"figure2","label_attrs":["gender","age group"]}"#,
         r#"{"op":"query","dataset":"census","id":"q1","patterns":[{"gender":"Female","age group":"20-39","marital status":"married"},{"age group":"20-39"}]}"#,
         r#"{"op":"query","dataset":"census","patterns":[{"age group":"20-39"}]}"#,
+        // Query lines the network transports answer on the typed path:
+        // a numeric id, numeric and escaped values, an unknown dataset
+        // and an unknown value.
+        r#"{"op":"register","dataset":"t","csv":"a,b\n1,x\n2,\"q\"\"t\"\n2.5,\\u\n","label_attrs":["a"]}"#,
+        r#"{"op":"query","dataset":"t","id":7,"patterns":[{"a":1},{"a":2.0,"b":"q\"t"},{"a":25e-1},{"b":"\\u"},{"b":"\u0078"}]}"#,
+        r#"{"op":"query","dataset":"ghost","id":"q3","patterns":[{"a":"1"}]}"#,
+        r#"{"op":"query","dataset":"census","patterns":[{"gender":"Other"},{"gender":"Female"}]}"#,
         r#"{"op":"estimate_multi","strategy":"min_estimate","patterns":[{"gender":"Female","age group":"20-39","marital status":"married"}]}"#,
         r#"{"op":"estimate_multi","patterns":[{"no such attr":"x"}]}"#,
         "not json",
@@ -58,8 +65,14 @@ fn script() -> Vec<&'static str> {
 
 /// Zeroes the non-deterministic `uptime_seconds` member (the `health`
 /// op reports wall-clock uptime, which can never agree across two
-/// replays) so byte-identity assertions compare everything else.
+/// replays) so byte-identity assertions compare everything else. Only
+/// lines that carry it are re-serialized: every other line is compared
+/// as the exact bytes the transport sent, number text and spacing
+/// included.
 fn canon(line: &str) -> String {
+    if !line.contains("\"uptime_seconds\"") {
+        return line.to_string();
+    }
     match Json::parse(line) {
         Ok(Json::Obj(mut members)) => {
             for (k, v) in members.iter_mut() {
@@ -782,23 +795,15 @@ fn netd_append_rows_equals_full_rebuild() {
 /// the reactor's parking lot), and the connection remains usable.
 #[test]
 fn reactor_overload_past_parked_cap_answers_overloaded() {
-    use pclabel_engine::query::Engine;
+    use std::sync::mpsc;
 
-    // Single-threaded query execution keeps the two heavy batches slow
-    // even on many-core CI machines, holding the worker + queue slot
-    // while the probe lands.
-    let dispatcher = Arc::new(Dispatcher::new(Engine::new(EngineConfig {
-        query_threads: 1,
-        parallel_batch_threshold: usize::MAX,
-    })));
+    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
     let server = NetServer::spawn(
-        dispatcher,
+        Arc::clone(&dispatcher),
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
             max_parked: 0,
-            max_frame: 64 << 20,
-            write_timeout: Some(Duration::from_secs(30)),
             ..ServerConfig::default()
         },
     )
@@ -810,33 +815,38 @@ fn reactor_overload_past_parked_cap_answers_overloaded() {
         .request_line(r#"{"op":"register","dataset":"census","generator":"figure2","label_attrs":["gender"]}"#)
         .unwrap();
     assert_eq!(Json::parse(&ok).unwrap().get("ok"), Some(&Json::Bool(true)));
-
-    // ~300k-pattern batch: hundreds of ms (release) to tens of seconds
-    // (debug) of serial dispatch each.
-    let heavy = {
-        let one = r#"{"gender":"Female","age group":"20-39"}"#;
-        format!(
-            r#"{{"op":"query","dataset":"census","patterns":[{}]}}"#,
-            vec![one; 300_000].join(",")
-        )
-    };
+    let entry = dispatcher.engine().store().get("census").unwrap();
 
     std::thread::scope(|scope| {
+        // The gate: a reader holds the entry's read lock until the test
+        // opens it, so an append blocks on the write lock and holds the
+        // one worker for exactly as long as the test needs. The sender
+        // lives in this closure, so a failed assertion opens the gate
+        // while unwinding.
+        let (held_tx, held_rx) = mpsc::channel();
+        let (open_tx, open_rx) = mpsc::channel::<()>();
+        let entry = &entry;
+        scope.spawn(move || {
+            entry.with_snapshot(|_, _, _| {
+                held_tx.send(()).unwrap();
+                let _ = open_rx.recv();
+            })
+        });
+        held_rx.recv().unwrap();
+
+        let append = r#"{"op":"append_rows","dataset":"census","rows":[["Female","20-39","Hispanic","married"]]}"#;
         for _ in 0..2 {
-            let heavy = &heavy;
             scope.spawn(move || {
-                let mut client = NetClient::connect(addr).expect("heavy client connects");
-                // The batch runs for tens of seconds in debug builds:
-                // wait for it instead of tripping the default timeout.
-                client.set_timeout(None).unwrap();
-                client.set_max_frame(64 << 20);
-                let response = client.request_line(heavy).expect("heavy round-trip");
+                let mut client = NetClient::connect(addr).expect("append client connects");
+                client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+                let response = client.request_line(append).expect("append round-trip");
                 assert_eq!(
-                    Json::parse(&response).expect("heavy JSON").get("ok"),
-                    Some(&Json::Bool(true))
+                    Json::parse(&response).expect("append JSON").get("ok"),
+                    Some(&Json::Bool(true)),
+                    "{response}"
                 );
             });
-            // First request occupies the worker, second the queue slot.
+            // First append occupies the worker, second the queue slot.
             std::thread::sleep(Duration::from_millis(200));
         }
 
@@ -851,8 +861,9 @@ fn reactor_overload_past_parked_cap_answers_overloaded() {
             Some("overloaded")
         );
 
-        // The refused connection was not closed: once the heavy batches
-        // drain, the same connection serves again.
+        // The refused connection was not closed: once the gate opens and
+        // the appends drain, the same connection serves again.
+        drop(open_tx);
         probe.set_timeout(Some(Duration::from_secs(60))).unwrap();
         let mut recovered = false;
         for _ in 0..600 {
@@ -869,6 +880,7 @@ fn reactor_overload_past_parked_cap_answers_overloaded() {
         }
         assert!(recovered, "overloaded connection must recover");
     });
+    assert_eq!(entry.generation(), 2, "both gated appends landed");
     server.shutdown();
 }
 
