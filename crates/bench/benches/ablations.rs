@@ -42,10 +42,10 @@ fn bench_group_keys(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("ablation_group_keys");
     group.bench_function("packed_u64_8attrs", |b| {
-        b.iter(|| GroupCounts::build(&packed, None, AttrSet::from_indices(0..8)))
+        b.iter(|| GroupCounts::build(&packed, None, AttrSet::from_indices(0..8), 1))
     });
     group.bench_function("wide_boxed_8attrs", |b| {
-        b.iter(|| GroupCounts::build(&wide, None, AttrSet::from_indices(0..8)))
+        b.iter(|| GroupCounts::build(&wide, None, AttrSet::from_indices(0..8), 1))
     });
     group.finish();
 }

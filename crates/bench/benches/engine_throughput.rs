@@ -34,7 +34,7 @@ fn bench_parallel_counting(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("group_by", threads),
             &threads,
-            |b, &threads| b.iter(|| GroupCounts::build_parallel(&d, None, attrs, threads)),
+            |b, &threads| b.iter(|| GroupCounts::build(&d, None, attrs, threads)),
         );
     }
     group.finish();

@@ -3,10 +3,9 @@
 //!
 //! Measures, on a synthetic ≥1M-row dataset:
 //!
-//! * serial `GroupCounts::build` vs the radix-partitioned sharded
-//!   `GroupCounts::build_parallel_sharded` at 1/2/4/max-hardware threads
-//!   × `--shards` shard counts (default 1,8,64; rows per second +
-//!   speedup — bit-identical groups asserted per cell);
+//! * `GroupCounts::build` at 1/2/4/max-hardware threads, each stored in
+//!   `auto_shards(threads)` shards (rows per second + speedup over the
+//!   one-thread build — identical group counts asserted per row);
 //! * `LabelStore` batched query throughput via `Engine::execute` for a
 //!   10k-pattern batch, cold (cache misses) and hot (cache hits).
 //!
@@ -33,7 +32,7 @@
 //!
 //! ```text
 //! cargo run --release -p pclabel-bench --bin engine_bench -- \
-//!     [--net] [--shards LIST] [--json]
+//!     [--net] [--json]
 //! ```
 //!
 //! Environment:
@@ -48,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::GroupCounts;
+use pclabel_core::counting::{auto_shards, GroupCounts};
 use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::{independent, AttrSpec};
 use pclabel_engine::json::Json;
@@ -66,7 +65,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn usage(message: &str) -> ! {
     eprintln!("engine_bench: {message}");
-    eprintln!("usage: engine_bench [--net] [--shards LIST] [--json]");
+    eprintln!("usage: engine_bench [--net] [--json]");
     std::process::exit(2);
 }
 
@@ -162,31 +161,12 @@ fn synthetic(rows: usize) -> Dataset {
 
 fn main() {
     let mut net_enabled = false;
-    let mut shard_counts = vec![1usize, 8, 64];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--net" => net_enabled = true,
             // The report is always JSON; the flag exists so callers
             // (CI) can say what they rely on.
             "--json" => {}
-            "--shards" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--shards needs a value"));
-                shard_counts = value
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--shards needs integers"))
-                    })
-                    .collect();
-                if shard_counts.is_empty() {
-                    usage("--shards needs at least one value");
-                }
-            }
             other => usage(&format!("unknown flag {other:?}")),
         }
     }
@@ -200,7 +180,8 @@ fn main() {
     let attrs = AttrSet::from_indices([0, 1, 2]);
 
     // --- counting: serial vs parallel ------------------------------------
-    let (serial_secs, serial_gc) = time_best(reps, || GroupCounts::build(&dataset, None, attrs));
+    let (serial_secs, (serial_gc, _)) =
+        time_best(reps, || GroupCounts::build(&dataset, None, attrs, 1));
     let serial_size = serial_gc.pattern_count_size();
 
     // Sweep fixed thread counts plus the hardware limit: on a multi-core
@@ -213,21 +194,19 @@ fn main() {
 
     let mut counting = Vec::new();
     for &threads in &thread_counts {
-        for &shards in &shard_counts {
-            let (secs, gc) = time_best(reps, || {
-                GroupCounts::build_parallel_sharded(&dataset, None, attrs, threads, shards)
-            });
-            assert_eq!(
-                gc.pattern_count_size(),
-                serial_size,
-                "parallel counting ({threads} threads, {shards} shards) diverged from serial"
-            );
-            counting.push(format!(
-                "{{\"threads\":{threads},\"shards\":{shards},\"seconds\":{secs:.6},\"rows_per_sec\":{:.0},\"speedup_vs_serial\":{:.3}}}",
-                rows as f64 / secs,
-                serial_secs / secs
-            ));
-        }
+        let shards = auto_shards(threads);
+        let (secs, (gc, _)) =
+            time_best(reps, || GroupCounts::build(&dataset, None, attrs, threads));
+        assert_eq!(
+            gc.pattern_count_size(),
+            serial_size,
+            "parallel counting ({threads} threads) diverged from serial"
+        );
+        counting.push(format!(
+            "{{\"threads\":{threads},\"shards\":{shards},\"seconds\":{secs:.6},\"rows_per_sec\":{:.0},\"speedup_vs_serial\":{:.3}}}",
+            rows as f64 / secs,
+            serial_secs / secs
+        ));
     }
 
     // --- serving: batched queries through the LabelStore ------------------

@@ -2,9 +2,9 @@
 //! emitting one JSON report (`BENCH_count.json` in CI) to stdout.
 //!
 //! Measures, per scenario (a small-group-count and a large-group-count
-//! synthetic dataset), a grid of thread counts × shard counts of the
-//! radix-partitioned sharded build
-//! ([`GroupCounts::build_parallel_profiled`]) against the pre-sharding
+//! synthetic dataset), a grid of thread counts of the sharded build
+//! ([`GroupCounts::build`], `mode: "sharded"`, each thread count stored
+//! in `auto_shards(threads)` shards) against the pre-sharding
 //! chunk-and-merge strategy ([`reference::build_merged`], `mode:
 //! "merged"`). Each row carries the phase split — `partition_secs`,
 //! `count_secs` and `merge_secs` (the cross-thread merge for the legacy
@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! cargo run --release -p pclabel-bench --bin microbench_counting -- \
-//!     [--json] [--threads 1,2,4] [--shards 1,8,64]
+//!     [--json] [--threads 1,2,4]
 //! ```
 //!
 //! Environment:
@@ -31,7 +31,7 @@
 //!   PCLABEL_BENCH_REPS        timing repetitions, best-of (default 3)
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::{reference, CountingProfile, GroupCounts};
+use pclabel_core::counting::{auto_shards, reference, CountingProfile, GroupCounts};
 use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::{independent, AttrSpec};
 
@@ -44,7 +44,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn usage(message: &str) -> ! {
     eprintln!("microbench_counting: {message}");
-    eprintln!("usage: microbench_counting [--json] [--threads LIST] [--shards LIST]");
+    eprintln!("usage: microbench_counting [--json] [--threads LIST]");
     std::process::exit(2);
 }
 
@@ -132,7 +132,6 @@ impl Row {
 
 fn main() {
     let mut threads = vec![1usize, 2, 4];
-    let mut shards = vec![1usize, 8, 64];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -144,12 +143,6 @@ fn main() {
                     .next()
                     .unwrap_or_else(|| usage("--threads needs a value"));
                 threads = parse_list("--threads", &value);
-            }
-            "--shards" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--shards needs a value"));
-                shards = parse_list("--shards", &value);
             }
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -180,7 +173,7 @@ fn main() {
         let dataset = synthetic(name, domains, rows, 0xC0FFEE ^ domains.len() as u64);
         let attrs = AttrSet::from_indices(0..domains.len());
 
-        let serial = GroupCounts::build(&dataset, None, attrs);
+        let (serial, _) = GroupCounts::build(&dataset, None, attrs, 1);
         let groups = serial.pattern_count_size();
         let mut results: Vec<Row> = Vec::new();
 
@@ -202,24 +195,21 @@ fn main() {
                     profile,
                 });
             }
-            // The mergeless sharded pipeline across the shard grid.
-            for &s in &shards {
-                let (secs, gc, profile) = best_profile(reps, || {
-                    GroupCounts::build_parallel_profiled(&dataset, None, attrs, t, s)
-                });
-                assert_eq!(
-                    gc.pattern_count_size(),
-                    groups,
-                    "sharded ({t} threads, {s} shards) diverged from serial"
-                );
-                results.push(Row {
-                    mode: "sharded",
-                    threads: t,
-                    shards: s,
-                    build_secs: secs,
-                    profile,
-                });
-            }
+            // The mergeless sharded pipeline.
+            let (secs, gc, profile) =
+                best_profile(reps, || GroupCounts::build(&dataset, None, attrs, t));
+            assert_eq!(
+                gc.pattern_count_size(),
+                groups,
+                "sharded ({t} threads) diverged from serial"
+            );
+            results.push(Row {
+                mode: "sharded",
+                threads: t,
+                shards: auto_shards(t),
+                build_secs: secs,
+                profile,
+            });
         }
 
         let rows_json: Vec<String> = results.iter().map(Row::to_json).collect();

@@ -4,24 +4,30 @@
 //! chosen attribute subset `S`; the label-size function `|P_S|` is the
 //! number of groups. [`GroupCounts`] is a hash group-by with bit-packed
 //! `u64` keys whenever the schema fits (fast path), falling back to boxed
-//! `u32` slices. (The search evaluator's partition refinement lives in
+//! `u32` slices. Every scan over rows is written once, generic over the
+//! key width. (The search evaluator's partition refinement lives in
 //! [`crate::search::refine`].)
+//!
+//! [`GroupCounts::build`] is the one constructor. It takes a thread
+//! count: one thread (or an empty `S`) runs the serial scan, more threads
+//! run the radix-partitioned build described below. Either way the
+//! counts are stored in [`auto_shards`]`(threads)` shards.
 //!
 //! ## Sharded storage
 //!
-//! The group map is stored as a [`ShardedCounts`]: `N` key-range shards
-//! (`N` a power of two, at most [`MAX_SHARDS`]), a key routed to its shard
-//! by the **top bits of the packed key** (so shards are contiguous key
-//! ranges) or, for wide keys, the top bits of the key's Fx hash. Three
-//! things fall out of this layout:
+//! The group map is stored as `N` key-range shards (`N` a power of two,
+//! at most [`MAX_SHARDS`]), a key routed to its shard by the **top bits
+//! of the packed key** (so shards are contiguous key ranges) or, for wide
+//! keys, the top bits of the key's Fx hash. Three things fall out of this
+//! layout:
 //!
-//! * **mergeless parallel builds** — [`GroupCounts::build_parallel`]
-//!   radix-partitions rows by shard first, then each worker builds the
-//!   final maps of the shards *it alone owns*. There is no cross-thread
-//!   merge of whole partial maps any more: every key is hashed into
-//!   exactly one map, ever, and "merge" is the concatenation of the
-//!   workers' disjoint shard lists. Peak memory no longer pays for hot
-//!   groups duplicated once per thread.
+//! * **mergeless parallel builds** — a multi-threaded
+//!   [`GroupCounts::build`] radix-partitions rows by shard first, then
+//!   each worker builds the final maps of the shards *it alone owns*.
+//!   There is no cross-thread merge of whole partial maps: every key is
+//!   hashed into exactly one map, ever, and "merge" is the concatenation
+//!   of the workers' disjoint shard lists. Peak memory does not pay for
+//!   hot groups duplicated once per thread.
 //! * **incremental appends** — [`GroupCounts::append_rows`] folds a batch
 //!   of new rows into the counts in place, touching only the shards those
 //!   rows' keys land in and reporting which ones. Shards are
@@ -32,11 +38,11 @@
 //!   can ask [`GroupCounts::shard_of_values`] which shard a group lives
 //!   in and drop only the cache entries of shards an append touched.
 //!
-//! Sharded and serial builds are *bit-identical*: same groups, same
-//! weights, same empty-group weight, for every shard count (enforced by
-//! the property tests). The pre-sharding chunk-and-merge strategy is
-//! retained in [`mod@reference`] as the equivalence oracle and the baseline
-//! the counting microbenchmark measures the win against.
+//! Builds are *bit-identical* across thread counts: same groups, same
+//! weights, same empty-group weight (enforced by the property tests).
+//! The pre-sharding chunk-and-merge strategy is retained in
+//! [`mod@reference`] as the equivalence oracle and the baseline the
+//! counting microbenchmark measures the win against.
 //!
 //! Missing cells are first-class: a row's projection onto `S` keeps only
 //! its defined attributes (the partial-pattern semantics required by the
@@ -45,6 +51,7 @@
 //! groups. The all-missing group corresponds to the empty pattern and is
 //! excluded from the label size.
 
+use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
@@ -53,7 +60,7 @@ use std::time::Instant;
 use pclabel_data::dataset::{Dataset, MISSING};
 
 use crate::attrset::AttrSet;
-use crate::hash::{fx_map_with_capacity, FxHashMap, FxHashSet, FxHasher};
+use crate::hash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet, FxHasher};
 
 /// Encodes per-row projections onto a fixed attribute subset as compact
 /// keys. Missing is encoded as `cardinality` (one past the last valid id).
@@ -64,6 +71,9 @@ pub struct KeyCodec {
     shifts: Vec<u32>,
     /// Total bits needed; packing applies when <= 64.
     total_bits: u32,
+    /// The packed key of a row missing every attribute (0 when packing
+    /// does not apply).
+    missing_key: u64,
 }
 
 /// Bits needed for one attribute's codes `0..=card`: the values occupy
@@ -98,11 +108,20 @@ impl KeyCodec {
             cards.push(card);
             total += code_width(card);
         }
+        let missing_key = if total <= 64 {
+            cards
+                .iter()
+                .zip(&shifts)
+                .fold(0, |key, (&card, &shift)| key | (card as u64) << shift)
+        } else {
+            0
+        };
         Self {
             attrs: attrs_vec,
             cards,
             shifts,
             total_bits: total,
+            missing_key,
         }
     }
 
@@ -164,33 +183,173 @@ impl KeyCodec {
 
     /// Extracts the values (with `MISSING` restored) from a packed key.
     pub fn decode_u64(&self, key: u64) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.attrs.len());
-        for i in 0..self.attrs.len() {
-            let width = if i + 1 < self.attrs.len() {
-                self.shifts[i + 1] - self.shifts[i]
-            } else {
-                self.total_bits - self.shifts[i]
-            };
-            let mask = if width >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << width) - 1
-            };
-            let code = ((key >> self.shifts[i]) & mask) as u32;
-            out.push(if code == self.cards[i] { MISSING } else { code });
-        }
-        out
+        self.cards
+            .iter()
+            .zip(&self.shifts)
+            .map(|(&card, &shift)| {
+                let code = ((key >> shift) & (u64::MAX >> (64 - code_width(card)))) as u32;
+                if code == card {
+                    MISSING
+                } else {
+                    code
+                }
+            })
+            .collect()
+    }
+}
+
+// --- key widths -------------------------------------------------------------
+
+/// A group key of one width: the packed `u64` projection when the codec
+/// fits 64 bits, the boxed raw ids otherwise. The scans, the radix build,
+/// appends, lookups and the reference oracle are written once, generic
+/// over this trait; what differs between the widths lives here.
+trait GroupKey: Hash + Eq + Clone + Send + Sync + Borrow<<Self as GroupKey>::Probe> {
+    /// What a lookup hashes: the key itself for packed keys, the caller's
+    /// `[u32]` slice for wide ones, so lookups neither allocate nor copy.
+    type Probe: Hash + Eq + ?Sized;
+
+    /// Row `r`'s projection.
+    fn of_row(codec: &KeyCodec, dataset: &Dataset, r: usize) -> Self;
+
+    /// Calls `f` with the probe of a values slice aligned with
+    /// [`KeyCodec::attrs`].
+    fn with_probe<R>(codec: &KeyCodec, values: &[u32], f: impl FnOnce(&Self::Probe) -> R) -> R;
+
+    /// Whether this is the all-missing key (the empty pattern, which no
+    /// group holds).
+    fn is_all_missing(&self, codec: &KeyCodec) -> bool;
+
+    /// The shard a key routes to among `2^shard_bits`.
+    fn shard(codec: &KeyCodec, probe: &Self::Probe, shard_bits: u32) -> usize;
+
+    /// The shard row `r`'s key routes to.
+    #[inline]
+    fn row_shard(codec: &KeyCodec, dataset: &Dataset, r: usize, shard_bits: u32) -> usize {
+        Self::shard(codec, Self::of_row(codec, dataset, r).borrow(), shard_bits)
     }
 
-    /// Collects row `r`'s projection as a wide key (raw ids with the
-    /// missing sentinel), used when packing does not fit.
+    /// The key's values, aligned with [`KeyCodec::attrs`], `MISSING`
+    /// restored.
+    fn values(&self, codec: &KeyCodec) -> Vec<u32>;
+
+    /// Estimated table bytes of a map over these keys (the accounting of
+    /// [`CountingProfile::peak_bytes`]).
+    fn map_bytes(map: &FxHashMap<Self, u64>, arity: usize) -> u64;
+
+    /// Tags sharded storage with its key width.
+    fn into_map(counts: ShardedCounts<Self>) -> GroupMap;
+}
+
+impl GroupKey for u64 {
+    type Probe = u64;
+
     #[inline]
-    pub fn encode_row_wide(&self, dataset: &Dataset, r: usize) -> Box<[u32]> {
-        self.attrs
+    fn of_row(codec: &KeyCodec, dataset: &Dataset, r: usize) -> u64 {
+        codec.encode_row_u64(dataset, r)
+    }
+
+    #[inline]
+    fn with_probe<R>(codec: &KeyCodec, values: &[u32], f: impl FnOnce(&u64) -> R) -> R {
+        f(&codec.encode_values_u64(values))
+    }
+
+    #[inline]
+    fn is_all_missing(&self, codec: &KeyCodec) -> bool {
+        *self == codec.missing_key
+    }
+
+    /// The key's top `shard_bits` bits (of the codec's `total_bits`-wide
+    /// key space), so each shard is a contiguous key range.
+    #[inline]
+    fn shard(codec: &KeyCodec, key: &u64, shard_bits: u32) -> usize {
+        if shard_bits == 0 {
+            return 0;
+        }
+        // When total_bits < shard_bits the shift is 0 and key <
+        // 2^total_bits < n_shards, so the index stays in range (high
+        // shards just stay empty).
+        (key >> codec.total_bits.saturating_sub(shard_bits)) as usize
+    }
+
+    fn values(&self, codec: &KeyCodec) -> Vec<u32> {
+        codec.decode_u64(*self)
+    }
+
+    /// 8 (key) + 8 (weight) + 1 (control byte) per slot of capacity.
+    fn map_bytes(map: &FxHashMap<u64, u64>, _arity: usize) -> u64 {
+        map.capacity() as u64 * 17
+    }
+
+    fn into_map(counts: ShardedCounts<u64>) -> GroupMap {
+        GroupMap::Packed(counts)
+    }
+}
+
+impl GroupKey for Box<[u32]> {
+    type Probe = [u32];
+
+    /// The raw ids, `MISSING` included.
+    #[inline]
+    fn of_row(codec: &KeyCodec, dataset: &Dataset, r: usize) -> Box<[u32]> {
+        codec
+            .attrs
             .iter()
             .map(|&a| dataset.value_raw(r, a))
             .collect()
     }
+
+    #[inline]
+    fn with_probe<R>(_codec: &KeyCodec, values: &[u32], f: impl FnOnce(&[u32]) -> R) -> R {
+        f(values)
+    }
+
+    #[inline]
+    fn is_all_missing(&self, _codec: &KeyCodec) -> bool {
+        self.iter().all(|&v| v == MISSING)
+    }
+
+    #[inline]
+    fn shard(_codec: &KeyCodec, values: &[u32], shard_bits: u32) -> usize {
+        wide_shard(values.len(), values.iter().copied(), shard_bits)
+    }
+
+    /// Hashes the row's values in place, without boxing a key.
+    #[inline]
+    fn row_shard(codec: &KeyCodec, dataset: &Dataset, r: usize, shard_bits: u32) -> usize {
+        let values = codec.attrs.iter().map(|&a| dataset.value_raw(r, a));
+        wide_shard(codec.attrs.len(), values, shard_bits)
+    }
+
+    fn values(&self, _codec: &KeyCodec) -> Vec<u32> {
+        self.to_vec()
+    }
+
+    /// 16 (fat pointer) + 8 + 1 per slot plus the boxed key heap (4 bytes
+    /// per value).
+    fn map_bytes(map: &FxHashMap<Box<[u32]>, u64>, arity: usize) -> u64 {
+        map.capacity() as u64 * 25 + map.len() as u64 * (16 + 4 * arity as u64)
+    }
+
+    fn into_map(counts: ShardedCounts<Box<[u32]>>) -> GroupMap {
+        GroupMap::Wide(counts)
+    }
+}
+
+/// Shard of a wide key: top bits of the Fx hash over (len, values...).
+/// One canonical routing for build, append and lookup, independent of how
+/// the values are materialized.
+#[inline]
+fn wide_shard<I: Iterator<Item = u32>>(len: usize, values: I, shard_bits: u32) -> usize {
+    if shard_bits == 0 {
+        return 0;
+    }
+    let mut h = FxHasher::default();
+    h.write_usize(len);
+    for v in values {
+        h.write_u32(v);
+    }
+    (h.finish() >> (64 - shard_bits)) as usize
 }
 
 // --- sharded storage --------------------------------------------------------
@@ -199,8 +358,8 @@ impl KeyCodec {
 /// one shard id per row in a single byte.
 pub const MAX_SHARDS: usize = 256;
 
-/// The shard count [`GroupCounts::build_parallel`] picks for a worker
-/// count: a few shards per worker (finer granularity balances skewed key
+/// The shard count [`GroupCounts::build`] stores a `threads`-worker build
+/// in: a few shards per worker (finer granularity balances skewed key
 /// ranges), 1 for serial builds, capped at [`MAX_SHARDS`]. Always a power
 /// of two.
 pub fn auto_shards(threads: usize) -> usize {
@@ -247,61 +406,18 @@ pub fn balanced_shard_ranges(counts: &[u64], workers: usize) -> Vec<Range<usize>
     out
 }
 
-/// Shard of a packed key: its top `shard_bits` bits (of the codec's
-/// `total_bits`-wide key space), so each shard is a contiguous key range.
-#[inline]
-fn packed_shard(key: u64, total_bits: u32, shard_bits: u32) -> usize {
-    if shard_bits == 0 {
-        return 0;
-    }
-    // When total_bits < shard_bits the shift is 0 and key < 2^total_bits
-    // < n_shards, so the index stays in range (high shards just stay
-    // empty).
-    (key >> total_bits.saturating_sub(shard_bits)) as usize
-}
-
-/// Shard of a wide key: top bits of the Fx hash over (len, values...).
-/// One canonical routing for build, append and lookup, independent of how
-/// the values are materialized.
-#[inline]
-fn wide_shard<I: Iterator<Item = u32>>(len: usize, values: I, shard_bits: u32) -> usize {
-    if shard_bits == 0 {
-        return 0;
-    }
-    let mut h = FxHasher::default();
-    h.write_usize(len);
-    for v in values {
-        h.write_u32(v);
-    }
-    (h.finish() >> (64 - shard_bits)) as usize
-}
-
 /// The sharded group map: `N` independent `key → weight` maps, each
 /// behind an `Arc` so updated copies (label generations after an append)
 /// share every shard the update did not touch.
-///
-/// `ShardedCounts` is storage only — key→shard routing lives with the
-/// codec in [`GroupCounts`], because packed and wide keys route
-/// differently.
-#[derive(Debug, Clone)]
-pub struct ShardedCounts<K> {
+#[derive(Clone)]
+struct ShardedCounts<K> {
     shards: Box<[Arc<FxHashMap<K, u64>>]>,
     shard_bits: u32,
 }
 
-impl<K: Hash + Eq> ShardedCounts<K> {
-    /// Empty sharded map with `n` shards (clamped to a power of two in
-    /// `1..=MAX_SHARDS`).
-    fn with_shards(n: usize) -> Self {
-        let n = n.clamp(1, MAX_SHARDS).next_power_of_two();
-        ShardedCounts {
-            shards: (0..n).map(|_| Arc::new(FxHashMap::default())).collect(),
-            shard_bits: n.trailing_zeros(),
-        }
-    }
-
-    /// Wraps already-built per-shard maps (must be a power-of-two count;
-    /// the workers' concatenated output).
+impl<K: GroupKey> ShardedCounts<K> {
+    /// Wraps already-built per-shard maps (a power-of-two count; the
+    /// workers' concatenated output).
     fn from_maps(maps: Vec<FxHashMap<K, u64>>) -> Self {
         debug_assert!(maps.len().is_power_of_two() && maps.len() <= MAX_SHARDS);
         let shard_bits = maps.len().trailing_zeros();
@@ -311,57 +427,61 @@ impl<K: Hash + Eq> ShardedCounts<K> {
         }
     }
 
-    /// Number of shards (a power of two).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+    /// Estimated bytes of the shard maps.
+    fn map_bytes(&self, arity: usize) -> u64 {
+        self.shards.iter().map(|m| K::map_bytes(m, arity)).sum()
     }
 
-    /// log2 of the shard count.
-    pub fn shard_bits(&self) -> u32 {
-        self.shard_bits
+    /// Adds rows `rows` of `dataset` (weighted by `weights[r]`, or 1) to
+    /// the counts: all-missing rows to `empty`, every other row to its
+    /// key's shard, which is copied first if it is still shared with an
+    /// older snapshot (copy-on-append) and marked in `touched`.
+    fn add_rows(
+        &mut self,
+        codec: &KeyCodec,
+        dataset: &Dataset,
+        weights: Option<&[u64]>,
+        rows: Range<usize>,
+        empty: &mut u64,
+        touched: &mut [bool],
+    ) {
+        for r in rows {
+            let w = weights.map_or(1, |w| w[r]);
+            let key = K::of_row(codec, dataset, r);
+            if key.is_all_missing(codec) {
+                *empty += w;
+            } else {
+                let s = K::shard(codec, key.borrow(), self.shard_bits);
+                *Arc::make_mut(&mut self.shards[s]).entry(key).or_insert(0) += w;
+                touched[s] = true;
+            }
+        }
     }
 
-    /// Total entries across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether no shard holds any entry.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Entries in shard `i`.
-    pub fn shard_len(&self, i: usize) -> usize {
-        self.shards[i].len()
-    }
-
-    /// Bytes of the shard handle table itself (the per-shard `Arc`
-    /// pointers); deep memory accounting charges this on top of the
-    /// shard-map bytes.
-    pub fn handle_bytes(&self) -> u64 {
-        (self.shards.len() * std::mem::size_of::<Arc<FxHashMap<K, u64>>>()) as u64
-    }
-
+    /// The weight stored under `probe`, 0 when absent.
     #[inline]
-    fn get<Q>(&self, shard: usize, key: &Q) -> Option<u64>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shards[shard].get(key).copied()
+    fn weight(&self, codec: &KeyCodec, probe: &K::Probe) -> u64 {
+        let s = K::shard(codec, probe, self.shard_bits);
+        self.shards[s].get(probe).copied().unwrap_or(0)
     }
 
-    /// Adds `w` to `key` in `shard`, copying the shard first if it is
-    /// still shared with an older snapshot (copy-on-append).
+    /// See [`GroupCounts::weight_of_row`].
     #[inline]
-    fn add(&mut self, shard: usize, key: K, w: u64)
-    where
-        K: Clone,
-    {
-        *Arc::make_mut(&mut self.shards[shard])
-            .entry(key)
-            .or_insert(0) += w;
+    fn weight_of_row(&self, codec: &KeyCodec, dataset: &Dataset, r: usize) -> u64 {
+        self.weight(codec, K::of_row(codec, dataset, r).borrow())
+    }
+
+    /// See [`GroupCounts::weight_of_values`].
+    #[inline]
+    fn weight_of_values(&self, codec: &KeyCodec, values: &[u32]) -> u64 {
+        K::with_probe(codec, values, |probe| self.weight(codec, probe))
+    }
+
+    /// See [`GroupCounts::shard_of_values`].
+    fn shard_of_values(&self, codec: &KeyCodec, values: &[u32]) -> usize {
+        K::with_probe(codec, values, |probe| {
+            K::shard(codec, probe, self.shard_bits)
+        })
     }
 
     fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
@@ -375,6 +495,17 @@ impl<K: Hash + Eq> ShardedCounts<K> {
 enum GroupMap {
     Packed(ShardedCounts<u64>),
     Wide(ShardedCounts<Box<[u32]>>),
+}
+
+/// Evaluates `$body` with `$counts` bound to the group map's storage,
+/// whichever its key width (the body is compiled once per width).
+macro_rules! with_counts {
+    ($map:expr, $counts:ident => $body:expr) => {
+        match $map {
+            GroupMap::Packed($counts) => $body,
+            GroupMap::Wide($counts) => $body,
+        }
+    };
 }
 
 /// The group-by of a dataset on an attribute subset: one entry per distinct
@@ -393,13 +524,13 @@ pub struct GroupCounts {
 /// partition cost more than the scan itself. Callers that pick thread
 /// counts automatically (the search evaluator, the engine's
 /// [`auto_threads`](https://docs.rs/pclabel-engine) policy) divide row
-/// count by this before parallelizing; [`GroupCounts::build_parallel`]
-/// itself honors whatever it is given.
+/// count by this before parallelizing; [`GroupCounts::build`] itself
+/// honors whatever it is given.
 pub const MIN_PARALLEL_ROWS_PER_THREAD: usize = 32_768;
 
-/// Wall-clock and memory accounting for one build, reported by the
-/// `*_profiled` constructors so the counting microbenchmark (and CI's
-/// `BENCH_count.json`) can trend the phases separately.
+/// Wall-clock and memory accounting for one build, reported by
+/// [`GroupCounts::build`] so request traces and the counting
+/// microbenchmark can attribute the phases separately.
 ///
 /// `peak_bytes` is an *estimate* of the transient high-water mark of the
 /// build's own allocations: the radix-partition side buffer plus the hash
@@ -433,340 +564,43 @@ impl CountingProfile {
 /// worker's owned shards (in shard order) plus its empty-group weight.
 type ShardParts<K> = Vec<(Vec<FxHashMap<K, u64>>, u64)>;
 
-/// Estimated table bytes of one packed-key shard/partial map: 8 (key) +
-/// 8 (weight) + 1 (control byte) per slot of capacity.
-fn packed_map_bytes(m: &FxHashMap<u64, u64>) -> u64 {
-    m.capacity() as u64 * 17
-}
-
-/// Estimated bytes of one wide-key map: 16 (fat pointer) + 8 + 1 per slot
-/// plus the boxed key heap (4 bytes per value).
-fn wide_map_bytes(m: &FxHashMap<Box<[u32]>, u64>, arity: usize) -> u64 {
-    m.capacity() as u64 * 25 + m.len() as u64 * (16 + 4 * arity as u64)
-}
-
 impl GroupCounts {
-    /// Groups `dataset` by `attrs`; row `r` contributes `weights[r]` (or 1
-    /// when `weights` is `None`). Serial, single-shard — the reference
-    /// build every sharded/parallel variant is tested against.
-    pub fn build(dataset: &Dataset, weights: Option<&[u64]>, attrs: AttrSet) -> Self {
-        Self::build_sharded(dataset, weights, attrs, 1)
-    }
-
-    /// Serial build into `shards` key-range shards. Identical groups and
-    /// weights to [`GroupCounts::build`] for every shard count; only the
-    /// storage layout differs.
-    pub fn build_sharded(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        attrs: AttrSet,
-        shards: usize,
-    ) -> Self {
-        let codec = KeyCodec::new(dataset, attrs);
-        let n = dataset.n_rows();
-        let arity = codec.attrs().len();
-        let (map, empty_group_weight) = if codec.fits_u64() {
-            let mut sc: ShardedCounts<u64> = ShardedCounts::with_shards(shards);
-            let all_missing_key = codec.encode_values_u64(&vec![MISSING; arity]);
-            let total_bits = codec.total_bits();
-            let no_attrs = arity == 0;
-            let mut empty = 0u64;
-            for r in 0..n {
-                let w = weights.map_or(1, |w| w[r]);
-                let key = codec.encode_row_u64(dataset, r);
-                // The empty projection of every row is the empty pattern;
-                // that degenerate case only arises for `attrs = {}` or
-                // all-missing rows.
-                if no_attrs || key == all_missing_key {
-                    empty += w;
-                } else {
-                    let s = packed_shard(key, total_bits, sc.shard_bits);
-                    sc.add(s, key, w);
-                }
-            }
-            (GroupMap::Packed(sc), empty)
-        } else {
-            let mut sc: ShardedCounts<Box<[u32]>> = ShardedCounts::with_shards(shards);
-            let mut empty = 0u64;
-            for r in 0..n {
-                let w = weights.map_or(1, |w| w[r]);
-                let key = codec.encode_row_wide(dataset, r);
-                if key.iter().all(|&v| v == MISSING) {
-                    empty += w;
-                } else {
-                    let s = wide_shard(key.len(), key.iter().copied(), sc.shard_bits);
-                    sc.add(s, key, w);
-                }
-            }
-            (GroupMap::Wide(sc), empty)
-        };
-        Self {
-            attrs,
-            codec,
-            map,
-            empty_group_weight,
-        }
-    }
-
-    /// Parallel drop-in for [`GroupCounts::build`], sharded with
-    /// [`auto_shards`]`(threads)`. The result is identical to the serial
-    /// build — same groups, same weights, same empty-group weight.
+    /// Groups `dataset` by `attrs` on `threads` workers; row `r`
+    /// contributes `weights[r]` (or 1 when `weights` is `None`). Returns
+    /// the counts and their build profile.
     ///
-    /// `threads <= 1` and empty attribute sets fall back to the serial
-    /// scan. No row-count heuristic is applied here — callers that want
-    /// auto-sizing (threads chosen from rows and hardware) should go
-    /// through `pclabel_engine::parallel`.
-    pub fn build_parallel(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        attrs: AttrSet,
-        threads: usize,
-    ) -> Self {
-        Self::build_parallel_sharded(dataset, weights, attrs, threads, auto_shards(threads))
-    }
-
-    /// [`GroupCounts::build_parallel`] with an explicit shard count.
-    pub fn build_parallel_sharded(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        attrs: AttrSet,
-        threads: usize,
-        shards: usize,
-    ) -> Self {
-        Self::build_parallel_profiled(dataset, weights, attrs, threads, shards).0
-    }
-
-    /// The radix-partitioned parallel build, instrumented.
+    /// The counts are stored in [`auto_shards`]`(threads)` shards, taken
+    /// from the thread count asked for, before it is clamped to the row
+    /// count. Groups, weights and the empty-group weight do not depend on
+    /// `threads`; only the storage layout does. No row-count heuristic is
+    /// applied here — callers that want auto-sizing should go through
+    /// `pclabel_engine::parallel`.
     ///
-    /// Phase 1 computes every row's shard id into a flat one-byte-per-row
-    /// side buffer, in parallel over row chunks, and sums a per-shard row
-    /// histogram on the way. Phase 2 assigns each worker a *disjoint
-    /// contiguous range of shards* sized by that histogram
-    /// ([`balanced_shard_ranges`]) — so a skewed top attribute whose keys
-    /// crowd into a few shards no longer idles most workers the way
-    /// equal-width ranges did. Every worker scans the side buffer,
-    /// re-encodes only the rows whose shard it owns and writes the final
-    /// per-shard maps directly. Phase 3 concatenates the workers' shard
-    /// lists — there is no cross-thread key merge, and no group is ever
-    /// held in more than one map, which is where the peak-memory win over
+    /// One thread, or an empty `attrs`, runs the serial scan. More threads
+    /// run the radix-partitioned build. Phase 1 computes every row's shard
+    /// id into a flat one-byte-per-row side buffer, in parallel over row
+    /// chunks, and sums a per-shard row histogram on the way. Phase 2
+    /// assigns each worker a *disjoint contiguous range of shards* sized
+    /// by that histogram ([`balanced_shard_ranges`]), so a skewed top
+    /// attribute whose keys crowd into a few shards does not idle most
+    /// workers. Every worker scans the side buffer, re-encodes only the
+    /// rows whose shard it owns and writes the final per-shard maps
+    /// directly. Phase 3 concatenates the workers' shard lists — there is
+    /// no cross-thread key merge, and no group is ever held in more than
+    /// one map, which is where the peak-memory win over
     /// [`reference::build_merged`] comes from (that strategy duplicates
     /// hot groups once per thread and merges).
-    pub fn build_parallel_profiled(
+    pub fn build(
         dataset: &Dataset,
         weights: Option<&[u64]>,
         attrs: AttrSet,
         threads: usize,
-        shards: usize,
     ) -> (Self, CountingProfile) {
-        let n = dataset.n_rows();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || attrs.is_empty() {
-            let t0 = Instant::now();
-            let built = Self::build_sharded(dataset, weights, attrs, shards);
-            let profile = CountingProfile {
-                count_secs: t0.elapsed().as_secs_f64(),
-                peak_bytes: built.map_bytes(),
-                ..CountingProfile::default()
-            };
-            return (built, profile);
-        }
         let codec = KeyCodec::new(dataset, attrs);
-        let n_shards = shards.clamp(1, MAX_SHARDS).next_power_of_two();
-        let shard_bits = n_shards.trailing_zeros();
-        let chunk = n.div_ceil(threads);
-        let arity = codec.attrs().len();
-        let workers = threads.min(n_shards);
-        let total_bits = codec.total_bits();
-        let packed = codec.fits_u64();
-
-        // Phase 1: one shard-id byte per row (MAX_SHARDS = 256 fits u8),
-        // plus a per-shard row histogram so phase 2 can split shard
-        // ownership by measured rows instead of equal-width ranges. Keys
-        // are cheap enough to encode twice; a u64 key buffer would be 8×
-        // the transient memory and eat the peak-memory win.
-        let t0 = Instant::now();
-        let mut ids = vec![0u8; n];
-        let histogram: Vec<u64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, slice)| {
-                    let codec = &codec;
-                    let start = i * chunk;
-                    scope.spawn(move || {
-                        let mut hist = vec![0u64; n_shards];
-                        for (j, slot) in slice.iter_mut().enumerate() {
-                            let r = start + j;
-                            let s = if packed {
-                                packed_shard(
-                                    codec.encode_row_u64(dataset, r),
-                                    total_bits,
-                                    shard_bits,
-                                )
-                            } else {
-                                wide_shard(
-                                    arity,
-                                    codec.attrs().iter().map(|&a| dataset.value_raw(r, a)),
-                                    shard_bits,
-                                )
-                            };
-                            *slot = s as u8;
-                            hist[s] += 1;
-                        }
-                        hist
-                    })
-                })
-                .collect();
-            let mut total = vec![0u64; n_shards];
-            for h in handles {
-                let part = h.join().expect("partition worker panicked");
-                for (t, v) in total.iter_mut().zip(part) {
-                    *t += v;
-                }
-            }
-            total
-        });
-        let ranges = balanced_shard_ranges(&histogram, workers);
-        let partition_secs = t0.elapsed().as_secs_f64();
-
-        // Phase 2: disjoint shard ownership; workers re-encode the rows
-        // they own and write the final per-shard maps directly. Maps grow
-        // organically — a capacity hint sized from rows-per-shard
-        // over-allocates badly when groups ≪ rows.
-        if packed {
-            let t1 = Instant::now();
-            let all_missing_key = codec.encode_values_u64(&vec![MISSING; arity]);
-            let parts: ShardParts<u64> = std::thread::scope(|scope| {
-                let ids = &ids;
-                let codec = &codec;
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let (lo, hi) = (range.start, range.end);
-                        scope.spawn(move || {
-                            let mut maps: Vec<FxHashMap<u64, u64>> =
-                                (lo..hi).map(|_| FxHashMap::default()).collect();
-                            let mut empty = 0u64;
-                            if lo >= hi {
-                                return (maps, empty);
-                            }
-                            for (r, &id) in ids.iter().enumerate() {
-                                let s = id as usize;
-                                if s < lo || s >= hi {
-                                    continue;
-                                }
-                                let w = weights.map_or(1, |w| w[r]);
-                                let key = codec.encode_row_u64(dataset, r);
-                                if key == all_missing_key {
-                                    empty += w;
-                                } else {
-                                    *maps[s - lo].entry(key).or_insert(0) += w;
-                                }
-                            }
-                            (maps, empty)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("counting worker panicked"))
-                    .collect()
-            });
-            let count_secs = t1.elapsed().as_secs_f64();
-
-            // Phase 3: "merge" = concatenation of disjoint shard lists.
-            let t2 = Instant::now();
-            let mut shard_maps: Vec<FxHashMap<u64, u64>> = Vec::with_capacity(n_shards);
-            let mut empty = 0u64;
-            for (maps, e) in parts {
-                shard_maps.extend(maps);
-                empty += e;
-            }
-            let assemble_secs = t2.elapsed().as_secs_f64();
-            let peak_bytes = n as u64 + shard_maps.iter().map(packed_map_bytes).sum::<u64>();
-            let built = Self {
-                attrs,
-                codec,
-                map: GroupMap::Packed(ShardedCounts::from_maps(shard_maps)),
-                empty_group_weight: empty,
-            };
-            (
-                built,
-                CountingProfile {
-                    partition_secs,
-                    count_secs,
-                    assemble_secs,
-                    peak_bytes,
-                },
-            )
+        if codec.fits_u64() {
+            build_keyed::<u64>(dataset, weights, attrs, codec, threads)
         } else {
-            let t1 = Instant::now();
-            let parts: ShardParts<Box<[u32]>> = std::thread::scope(|scope| {
-                let ids = &ids;
-                let codec = &codec;
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|range| {
-                        let (lo, hi) = (range.start, range.end);
-                        scope.spawn(move || {
-                            let mut maps: Vec<FxHashMap<Box<[u32]>, u64>> =
-                                (lo..hi).map(|_| FxHashMap::default()).collect();
-                            let mut empty = 0u64;
-                            if lo >= hi {
-                                return (maps, empty);
-                            }
-                            for (r, &id) in ids.iter().enumerate() {
-                                let s = id as usize;
-                                if s < lo || s >= hi {
-                                    continue;
-                                }
-                                let w = weights.map_or(1, |w| w[r]);
-                                let key = codec.encode_row_wide(dataset, r);
-                                if key.iter().all(|&v| v == MISSING) {
-                                    empty += w;
-                                } else {
-                                    *maps[s - lo].entry(key).or_insert(0) += w;
-                                }
-                            }
-                            (maps, empty)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("counting worker panicked"))
-                    .collect()
-            });
-            let count_secs = t1.elapsed().as_secs_f64();
-
-            let t2 = Instant::now();
-            let mut shard_maps: Vec<FxHashMap<Box<[u32]>, u64>> = Vec::with_capacity(n_shards);
-            let mut empty = 0u64;
-            for (maps, e) in parts {
-                shard_maps.extend(maps);
-                empty += e;
-            }
-            let assemble_secs = t2.elapsed().as_secs_f64();
-            let peak_bytes = n as u64
-                + shard_maps
-                    .iter()
-                    .map(|m| wide_map_bytes(m, arity))
-                    .sum::<u64>();
-            let built = Self {
-                attrs,
-                codec,
-                map: GroupMap::Wide(ShardedCounts::from_maps(shard_maps)),
-                empty_group_weight: empty,
-            };
-            (
-                built,
-                CountingProfile {
-                    partition_secs,
-                    count_secs,
-                    assemble_secs,
-                    peak_bytes,
-                },
-            )
+            build_keyed::<Box<[u32]>>(dataset, weights, attrs, codec, threads)
         }
     }
 
@@ -790,39 +624,11 @@ impl GroupCounts {
             self.codec_compatible(dataset),
             "dictionary grew under codec"
         );
-        let arity = self.codec.attrs().len();
-        let no_attrs = arity == 0;
         let mut touched = vec![false; self.n_shards()];
-        match &mut self.map {
-            GroupMap::Packed(sc) => {
-                let all_missing_key = self.codec.encode_values_u64(&vec![MISSING; arity]);
-                let total_bits = self.codec.total_bits();
-                for r in rows {
-                    let w = weights.map_or(1, |w| w[r]);
-                    let key = self.codec.encode_row_u64(dataset, r);
-                    if no_attrs || key == all_missing_key {
-                        self.empty_group_weight += w;
-                    } else {
-                        let s = packed_shard(key, total_bits, sc.shard_bits);
-                        sc.add(s, key, w);
-                        touched[s] = true;
-                    }
-                }
-            }
-            GroupMap::Wide(sc) => {
-                for r in rows {
-                    let w = weights.map_or(1, |w| w[r]);
-                    let key = self.codec.encode_row_wide(dataset, r);
-                    if key.iter().all(|&v| v == MISSING) {
-                        self.empty_group_weight += w;
-                    } else {
-                        let s = wide_shard(key.len(), key.iter().copied(), sc.shard_bits);
-                        sc.add(s, key, w);
-                        touched[s] = true;
-                    }
-                }
-            }
-        }
+        let (codec, empty) = (&self.codec, &mut self.empty_group_weight);
+        with_counts!(&mut self.map, counts => {
+            counts.add_rows(codec, dataset, weights, rows, empty, &mut touched)
+        });
         touched
             .iter()
             .enumerate()
@@ -844,18 +650,13 @@ impl GroupCounts {
 
     /// Number of key-range shards the counts are stored in.
     pub fn n_shards(&self) -> usize {
-        match &self.map {
-            GroupMap::Packed(sc) => sc.n_shards(),
-            GroupMap::Wide(sc) => sc.n_shards(),
-        }
+        with_counts!(&self.map, counts => counts.shards.len())
     }
 
-    /// Entries per shard (diagnostics: shard balance, microbenchmark).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        match &self.map {
-            GroupMap::Packed(sc) => (0..sc.n_shards()).map(|i| sc.shard_len(i)).collect(),
-            GroupMap::Wide(sc) => (0..sc.n_shards()).map(|i| sc.shard_len(i)).collect(),
-        }
+    /// Entries per shard.
+    #[cfg(test)]
+    pub(crate) fn shard_sizes(&self) -> Vec<usize> {
+        with_counts!(&self.map, counts => counts.shards.iter().map(|s| s.len()).collect())
     }
 
     /// The shard a group (given as a values slice aligned with
@@ -863,35 +664,20 @@ impl GroupCounts {
     /// per-group caches whose invalidation is shard-local under
     /// [`GroupCounts::append_rows`].
     pub fn shard_of_values(&self, values: &[u32]) -> usize {
-        match &self.map {
-            GroupMap::Packed(sc) => packed_shard(
-                self.codec.encode_values_u64(values),
-                self.codec.total_bits(),
-                sc.shard_bits,
-            ),
-            GroupMap::Wide(sc) => wide_shard(values.len(), values.iter().copied(), sc.shard_bits),
-        }
+        with_counts!(&self.map, counts => counts.shard_of_values(&self.codec, values))
     }
 
     /// Estimated resident bytes of the shard maps (see
     /// [`CountingProfile::peak_bytes`] for the accounting).
     pub fn map_bytes(&self) -> u64 {
-        match &self.map {
-            GroupMap::Packed(sc) => sc.shards.iter().map(|m| packed_map_bytes(m)).sum(),
-            GroupMap::Wide(sc) => {
-                let arity = self.codec.attrs().len();
-                sc.shards.iter().map(|m| wide_map_bytes(m, arity)).sum()
-            }
-        }
+        let arity = self.codec.attrs().len();
+        with_counts!(&self.map, counts => counts.map_bytes(arity))
     }
 
     /// `|P_S|`: the number of distinct non-empty (partial) patterns — the
     /// paper's label size.
     pub fn pattern_count_size(&self) -> u64 {
-        (match &self.map {
-            GroupMap::Packed(sc) => sc.len(),
-            GroupMap::Wide(sc) => sc.len(),
-        }) as u64
+        with_counts!(&self.map, counts => counts.shards.iter().map(|s| s.len() as u64).sum())
     }
 
     /// Total weight of rows whose projection is the empty pattern (only
@@ -904,34 +690,13 @@ impl GroupCounts {
     /// `dataset` (which must share the schema used at build time).
     #[inline]
     pub fn weight_of_row(&self, dataset: &Dataset, r: usize) -> u64 {
-        match &self.map {
-            GroupMap::Packed(sc) => {
-                let key = self.codec.encode_row_u64(dataset, r);
-                let s = packed_shard(key, self.codec.total_bits(), sc.shard_bits);
-                sc.get(s, &key).unwrap_or(0)
-            }
-            GroupMap::Wide(sc) => {
-                let key = self.codec.encode_row_wide(dataset, r);
-                let s = wide_shard(key.len(), key.iter().copied(), sc.shard_bits);
-                sc.get(s, &key).unwrap_or(0)
-            }
-        }
+        with_counts!(&self.map, counts => counts.weight_of_row(&self.codec, dataset, r))
     }
 
     /// The group weight for an explicit values slice aligned with
     /// [`GroupCounts::attr_order`] (`MISSING` marks an undefined cell).
     pub fn weight_of_values(&self, values: &[u32]) -> u64 {
-        match &self.map {
-            GroupMap::Packed(sc) => {
-                let key = self.codec.encode_values_u64(values);
-                let s = packed_shard(key, self.codec.total_bits(), sc.shard_bits);
-                sc.get(s, &key).unwrap_or(0)
-            }
-            GroupMap::Wide(sc) => {
-                let s = wide_shard(values.len(), values.iter().copied(), sc.shard_bits);
-                sc.get(s, values).unwrap_or(0)
-            }
-        }
+        with_counts!(&self.map, counts => counts.weight_of_values(&self.codec, values))
     }
 
     /// Attribute indices in key order.
@@ -943,13 +708,173 @@ impl GroupCounts {
     /// [`GroupCounts::attr_order`] and may contain `MISSING`. Order is
     /// unspecified (shard-major).
     pub fn iter(&self) -> GroupIter<'_> {
-        match &self.map {
-            GroupMap::Packed(sc) => {
-                Box::new(sc.iter().map(move |(&k, w)| (self.codec.decode_u64(k), w)))
-            }
-            GroupMap::Wide(sc) => Box::new(sc.iter().map(|(k, w)| (k.to_vec(), w))),
-        }
+        let codec = &self.codec;
+        with_counts!(&self.map, counts => {
+            Box::new(counts.iter().map(move |(k, w)| (k.values(codec), w)))
+        })
     }
+
+    /// The marginal of the counts on `k ⊆ S`: the total weight of each
+    /// `k`-projection, keyed by its values in increasing attribute order.
+    /// Groups missing any attribute of `k` hold rows that no `k`-defined
+    /// pattern matches, so they are left out. This is how a label answers
+    /// a pattern that defines only part of `S`.
+    pub fn marginal(&self, k: AttrSet) -> FxHashMap<Box<[u32]>, u64> {
+        let positions: Vec<usize> = self
+            .attr_order()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| k.contains(a))
+            .map(|(i, _)| i)
+            .collect();
+        let mut map: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
+        for (values, weight) in self.iter() {
+            if positions.iter().any(|&i| values[i] == MISSING) {
+                continue;
+            }
+            let key: Box<[u32]> = positions.iter().map(|&i| values[i]).collect();
+            *map.entry(key).or_insert(0) += weight;
+        }
+        map
+    }
+}
+
+/// [`GroupCounts::build`] for one key width.
+fn build_keyed<K: GroupKey>(
+    dataset: &Dataset,
+    weights: Option<&[u64]>,
+    attrs: AttrSet,
+    codec: KeyCodec,
+    threads: usize,
+) -> (GroupCounts, CountingProfile) {
+    let n_shards = auto_shards(threads);
+    let n = dataset.n_rows();
+    let threads = threads.max(1).min(n.max(1));
+    let arity = codec.attrs().len();
+    let assemble = |counts: ShardedCounts<K>, codec: KeyCodec, empty: u64| GroupCounts {
+        attrs,
+        codec,
+        map: K::into_map(counts),
+        empty_group_weight: empty,
+    };
+
+    if threads <= 1 || attrs.is_empty() {
+        let t0 = Instant::now();
+        let mut counts = ShardedCounts::from_maps(vec![FxHashMap::default(); n_shards]);
+        let mut empty = 0u64;
+        let mut touched = vec![false; n_shards];
+        counts.add_rows(&codec, dataset, weights, 0..n, &mut empty, &mut touched);
+        let profile = CountingProfile {
+            count_secs: t0.elapsed().as_secs_f64(),
+            peak_bytes: counts.map_bytes(arity),
+            ..CountingProfile::default()
+        };
+        return (assemble(counts, codec, empty), profile);
+    }
+    let shard_bits = n_shards.trailing_zeros();
+    let chunk = n.div_ceil(threads);
+    let workers = threads.min(n_shards);
+
+    // Phase 1: one shard-id byte per row (MAX_SHARDS = 256 fits u8), plus
+    // a per-shard row histogram so phase 2 can split shard ownership by
+    // measured rows instead of equal-width ranges. Keys are cheap enough
+    // to encode twice; a u64 key buffer would be 8× the transient memory
+    // and eat the peak-memory win.
+    let t0 = Instant::now();
+    let mut ids = vec![0u8; n];
+    let histogram: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = ids
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(i, slice)| {
+                let codec = &codec;
+                let start = i * chunk;
+                scope.spawn(move || {
+                    let mut hist = vec![0u64; n_shards];
+                    for (j, slot) in slice.iter_mut().enumerate() {
+                        let s = K::row_shard(codec, dataset, start + j, shard_bits);
+                        *slot = s as u8;
+                        hist[s] += 1;
+                    }
+                    hist
+                })
+            })
+            .collect();
+        let mut total = vec![0u64; n_shards];
+        for h in handles {
+            let part = h.join().expect("partition worker panicked");
+            for (t, v) in total.iter_mut().zip(part) {
+                *t += v;
+            }
+        }
+        total
+    });
+    let ranges = balanced_shard_ranges(&histogram, workers);
+    let partition_secs = t0.elapsed().as_secs_f64();
+
+    // Phase 2: disjoint shard ownership; workers re-encode the rows they
+    // own and write the final per-shard maps directly. Maps grow
+    // organically — a capacity hint sized from rows-per-shard
+    // over-allocates badly when groups ≪ rows.
+    let t1 = Instant::now();
+    let parts: ShardParts<K> = std::thread::scope(|scope| {
+        let ids = &ids;
+        let codec = &codec;
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|range| {
+                let (lo, hi) = (range.start, range.end);
+                scope.spawn(move || {
+                    let mut maps: Vec<FxHashMap<K, u64>> =
+                        (lo..hi).map(|_| FxHashMap::default()).collect();
+                    let mut empty = 0u64;
+                    if lo >= hi {
+                        return (maps, empty);
+                    }
+                    for (r, &id) in ids.iter().enumerate() {
+                        let s = id as usize;
+                        if s < lo || s >= hi {
+                            continue;
+                        }
+                        let w = weights.map_or(1, |w| w[r]);
+                        let key = K::of_row(codec, dataset, r);
+                        if key.is_all_missing(codec) {
+                            empty += w;
+                        } else {
+                            *maps[s - lo].entry(key).or_insert(0) += w;
+                        }
+                    }
+                    (maps, empty)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("counting worker panicked"))
+            .collect()
+    });
+    let count_secs = t1.elapsed().as_secs_f64();
+
+    // Phase 3: "merge" = concatenation of disjoint shard lists.
+    let t2 = Instant::now();
+    let mut shard_maps: Vec<FxHashMap<K, u64>> = Vec::with_capacity(n_shards);
+    let mut empty = 0u64;
+    for (maps, e) in parts {
+        shard_maps.extend(maps);
+        empty += e;
+    }
+    let assemble_secs = t2.elapsed().as_secs_f64();
+    let counts = ShardedCounts::from_maps(shard_maps);
+    let peak_bytes = n as u64 + counts.map_bytes(arity);
+    (
+        assemble(counts, codec, empty),
+        CountingProfile {
+            partition_secs,
+            count_secs,
+            assemble_secs,
+            peak_bytes,
+        },
+    )
 }
 
 /// Iterator over a group-by's `(values, weight)` entries.
@@ -957,17 +882,13 @@ pub type GroupIter<'a> = Box<dyn Iterator<Item = (Vec<u32>, u64)> + 'a>;
 
 impl pclabel_data::mem::HeapBytes for GroupCounts {
     /// Shard maps (the same per-slot model as
-    /// [`CountingProfile::peak_bytes`]) plus the shard handle table and
-    /// the codec's per-attribute metadata.
+    /// [`CountingProfile::peak_bytes`]) plus the shard handle table (the
+    /// per-shard `Arc` pointers) and the codec's per-attribute metadata.
     fn heap_bytes(&self) -> u64 {
-        let handles = match &self.map {
-            GroupMap::Packed(sc) => sc.handle_bytes(),
-            GroupMap::Wide(sc) => sc.handle_bytes(),
-        };
-        let codec = (self.codec.attrs().len()
-            * (std::mem::size_of::<usize>() + 2 * std::mem::size_of::<u32>()))
-            as u64;
-        self.map_bytes() + handles + codec
+        let handles = with_counts!(&self.map, counts => std::mem::size_of_val(&*counts.shards));
+        let codec = self.codec.attrs().len()
+            * (std::mem::size_of::<usize>() + 2 * std::mem::size_of::<u32>());
+        self.map_bytes() + (handles + codec) as u64
     }
 }
 
@@ -975,7 +896,7 @@ impl pclabel_data::mem::HeapBytes for GroupCounts {
 /// (a) the equivalence oracle the property tests pit the sharded pipeline
 /// against and (b) the baseline `microbench_counting` measures the
 /// merge-time and peak-memory win over. **No production path calls this**
-/// — [`GroupCounts::build_parallel`] is mergeless.
+/// — [`GroupCounts::build`] is mergeless.
 pub mod reference {
     use super::*;
 
@@ -983,40 +904,18 @@ pub mod reference {
     /// empty-group weight.
     type Partial<K> = (FxHashMap<K, u64>, u64);
 
-    fn scan_packed(
+    fn scan<K: GroupKey>(
         dataset: &Dataset,
         weights: Option<&[u64]>,
         codec: &KeyCodec,
         range: Range<usize>,
-    ) -> Partial<u64> {
-        let mut m: FxHashMap<u64, u64> = fx_map_with_capacity(range.len().min(1 << 16));
-        let mut empty_group_weight = 0u64;
-        let all_missing_key = codec.encode_values_u64(&vec![MISSING; codec.attrs().len()]);
-        let no_attrs = codec.attrs().is_empty();
-        for r in range {
-            let w = weights.map_or(1, |w| w[r]);
-            let key = codec.encode_row_u64(dataset, r);
-            if no_attrs || key == all_missing_key {
-                empty_group_weight += w;
-            } else {
-                *m.entry(key).or_insert(0) += w;
-            }
-        }
-        (m, empty_group_weight)
-    }
-
-    fn scan_wide(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        codec: &KeyCodec,
-        range: Range<usize>,
-    ) -> Partial<Box<[u32]>> {
-        let mut m: FxHashMap<Box<[u32]>, u64> = fx_map_with_capacity(range.len().min(1 << 16));
+    ) -> Partial<K> {
+        let mut m: FxHashMap<K, u64> = fx_map_with_capacity(range.len().min(1 << 16));
         let mut empty_group_weight = 0u64;
         for r in range {
             let w = weights.map_or(1, |w| w[r]);
-            let key = codec.encode_row_wide(dataset, r);
-            if key.iter().all(|&v| v == MISSING) {
+            let key = K::of_row(codec, dataset, r);
+            if key.is_all_missing(codec) {
                 empty_group_weight += w;
             } else {
                 *m.entry(key).or_insert(0) += w;
@@ -1061,114 +960,81 @@ pub mod reference {
         let n = dataset.n_rows();
         let threads = threads.max(1).min(n.max(1));
         if threads <= 1 || attrs.is_empty() {
-            let t0 = Instant::now();
-            let built = GroupCounts::build(dataset, weights, attrs);
-            let profile = CountingProfile {
-                count_secs: t0.elapsed().as_secs_f64(),
-                peak_bytes: built.map_bytes(),
-                ..CountingProfile::default()
-            };
-            return (built, profile);
+            return GroupCounts::build(dataset, weights, attrs, 1);
         }
         let codec = KeyCodec::new(dataset, attrs);
+        if codec.fits_u64() {
+            merged::<u64>(dataset, weights, attrs, codec, threads)
+        } else {
+            merged::<Box<[u32]>>(dataset, weights, attrs, codec, threads)
+        }
+    }
+
+    /// [`build_merged`] for one key width, on at least two threads.
+    fn merged<K: GroupKey>(
+        dataset: &Dataset,
+        weights: Option<&[u64]>,
+        attrs: AttrSet,
+        codec: KeyCodec,
+        threads: usize,
+    ) -> (GroupCounts, CountingProfile) {
+        let n = dataset.n_rows();
         let chunk = n.div_ceil(threads);
         let ranges = (0..threads).map(|t| (t * chunk)..((t + 1) * chunk).min(n));
         let arity = codec.attrs().len();
 
-        if codec.fits_u64() {
-            let t0 = Instant::now();
-            let parts: Vec<Partial<u64>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .map(|range| {
-                        let codec = &codec;
-                        scope.spawn(move || scan_packed(dataset, weights, codec, range))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("counting worker panicked"))
-                    .collect()
-            });
-            let count_secs = t0.elapsed().as_secs_f64();
-            let empty: u64 = parts.iter().map(|(_, e)| e).sum();
-            let partial_bytes: u64 = parts.iter().map(|(m, _)| packed_map_bytes(m)).sum();
-            let biggest = parts
-                .iter()
-                .map(|(m, _)| packed_map_bytes(m))
-                .max()
-                .unwrap_or(0);
-            let maps = parts.into_iter().map(|(m, _)| m).collect();
-            let t1 = Instant::now();
-            let merged = merge_partials(maps);
-            let assemble_secs = t1.elapsed().as_secs_f64();
-            // Peak: every partial alive at the barrier, plus whatever the
-            // accumulator grew beyond the biggest partial it started as.
-            let peak_bytes = partial_bytes + packed_map_bytes(&merged).saturating_sub(biggest);
-            let built = GroupCounts {
-                attrs,
-                codec,
-                map: GroupMap::Packed(ShardedCounts::from_maps(vec![merged])),
-                empty_group_weight: empty,
-            };
-            (
-                built,
-                CountingProfile {
-                    partition_secs: 0.0,
-                    count_secs,
-                    assemble_secs,
-                    peak_bytes,
-                },
-            )
-        } else {
-            let t0 = Instant::now();
-            let parts: Vec<Partial<Box<[u32]>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .map(|range| {
-                        let codec = &codec;
-                        scope.spawn(move || scan_wide(dataset, weights, codec, range))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("counting worker panicked"))
-                    .collect()
-            });
-            let count_secs = t0.elapsed().as_secs_f64();
-            let empty: u64 = parts.iter().map(|(_, e)| e).sum();
-            let partial_bytes: u64 = parts.iter().map(|(m, _)| wide_map_bytes(m, arity)).sum();
-            let biggest = parts
-                .iter()
-                .map(|(m, _)| wide_map_bytes(m, arity))
-                .max()
-                .unwrap_or(0);
-            let maps = parts.into_iter().map(|(m, _)| m).collect();
-            let t1 = Instant::now();
-            let merged = merge_partials(maps);
-            let assemble_secs = t1.elapsed().as_secs_f64();
-            let peak_bytes = partial_bytes + wide_map_bytes(&merged, arity).saturating_sub(biggest);
-            let built = GroupCounts {
-                attrs,
-                codec,
-                map: GroupMap::Wide(ShardedCounts::from_maps(vec![merged])),
-                empty_group_weight: empty,
-            };
-            (
-                built,
-                CountingProfile {
-                    partition_secs: 0.0,
-                    count_secs,
-                    assemble_secs,
-                    peak_bytes,
-                },
-            )
-        }
+        let t0 = Instant::now();
+        let parts: Vec<Partial<K>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .map(|range| {
+                    let codec = &codec;
+                    scope.spawn(move || scan(dataset, weights, codec, range))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("counting worker panicked"))
+                .collect()
+        });
+        let count_secs = t0.elapsed().as_secs_f64();
+        let empty: u64 = parts.iter().map(|(_, e)| e).sum();
+        let partial_bytes: u64 = parts.iter().map(|(m, _)| K::map_bytes(m, arity)).sum();
+        let biggest = parts
+            .iter()
+            .map(|(m, _)| K::map_bytes(m, arity))
+            .max()
+            .unwrap_or(0);
+        let maps = parts.into_iter().map(|(m, _)| m).collect();
+        let t1 = Instant::now();
+        let merged = merge_partials(maps);
+        let assemble_secs = t1.elapsed().as_secs_f64();
+        // Peak: every partial alive at the barrier, plus whatever the
+        // accumulator grew beyond the biggest partial it started as.
+        let peak_bytes = partial_bytes + K::map_bytes(&merged, arity).saturating_sub(biggest);
+        let built = GroupCounts {
+            attrs,
+            codec,
+            map: K::into_map(ShardedCounts::from_maps(vec![merged])),
+            empty_group_weight: empty,
+        };
+        (
+            built,
+            CountingProfile {
+                partition_secs: 0.0,
+                count_secs,
+                assemble_secs,
+                peak_bytes,
+            },
+        )
     }
 }
 
 /// Convenience: the paper's `labelSize(S, D)` — the number of distinct
 /// non-empty patterns over `attrs` present in `dataset`.
 pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
-    GroupCounts::build(dataset, None, attrs).pattern_count_size()
+    GroupCounts::build(dataset, None, attrs, 1)
+        .0
+        .pattern_count_size()
 }
 
 /// Bound-aware label sizing: returns `Some(|P_S|)` when it is ≤ `bound`,
@@ -1184,42 +1050,34 @@ pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
 /// depth-first walk keeps. This function is the oracle both paths are
 /// tested against.
 pub fn label_size_bounded(dataset: &Dataset, attrs: AttrSet, bound: u64) -> Option<u64> {
-    let codec = KeyCodec::new(dataset, attrs);
-    let n = dataset.n_rows();
     if attrs.is_empty() {
         return Some(0);
     }
-    // Capacity bound+2: the scan aborts at bound+1 distinct keys (of which
-    // one may be the excluded all-missing key).
-    let cap = (bound as usize).saturating_add(2);
+    let codec = KeyCodec::new(dataset, attrs);
     if codec.fits_u64() {
-        let all_missing_key = codec.encode_values_u64(&vec![MISSING; codec.attrs().len()]);
-        let mut seen: FxHashSet<u64> = crate::hash::fx_set_with_capacity(cap.min(1 << 12));
-        for r in 0..n {
-            let key = codec.encode_row_u64(dataset, r);
-            if key == all_missing_key {
-                continue;
-            }
-            if seen.insert(key) && seen.len() as u64 > bound {
-                return None;
-            }
-        }
-        Some(seen.len() as u64)
+        distinct_bounded::<u64>(dataset, &codec, bound)
     } else {
-        let mut seen: FxHashSet<Box<[u32]>> = crate::hash::fx_set_with_capacity(cap.min(1 << 12));
-        for r in 0..n {
-            let key = codec.encode_row_wide(dataset, r);
-            if key.iter().all(|&v| v == MISSING) {
-                continue;
-            }
-            if seen.insert(key) && seen.len() as u64 > bound {
-                return None;
-            }
-        }
-        Some(seen.len() as u64)
+        distinct_bounded::<Box<[u32]>>(dataset, &codec, bound)
     }
 }
 
+/// [`label_size_bounded`] for one key width.
+fn distinct_bounded<K: GroupKey>(dataset: &Dataset, codec: &KeyCodec, bound: u64) -> Option<u64> {
+    // Capacity bound+2: the scan aborts at bound+1 distinct keys (of which
+    // one may be the excluded all-missing key).
+    let cap = (bound as usize).saturating_add(2);
+    let mut seen: FxHashSet<K> = fx_set_with_capacity(cap.min(1 << 12));
+    for r in 0..dataset.n_rows() {
+        let key = K::of_row(codec, dataset, r);
+        if key.is_all_missing(codec) {
+            continue;
+        }
+        if seen.insert(key) && seen.len() as u64 > bound {
+            return None;
+        }
+    }
+    Some(seen.len() as u64)
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1227,13 +1085,30 @@ mod tests {
     use pclabel_data::dataset::DatasetBuilder;
     use pclabel_data::generate::figure2_sample;
 
+    /// 300 distinct rows over 9 attributes of 300 values each: 9 bits
+    /// apiece, 81 key bits, so keys are wide.
+    fn wide_dataset() -> Dataset {
+        let names: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
+        let mut b = DatasetBuilder::new(&names);
+        for r in 0..300 {
+            let row: Vec<String> = (0..9).map(|a| format!("{}", (r * (a + 1)) % 300)).collect();
+            b.push_row(&row).unwrap();
+        }
+        b.finish()
+    }
+
+    /// The counts of a `threads`-worker build.
+    fn counts(d: &Dataset, weights: Option<&[u64]>, attrs: AttrSet, threads: usize) -> GroupCounts {
+        GroupCounts::build(d, weights, attrs, threads).0
+    }
+
     #[test]
     fn example_2_10_group_counts() {
         // L_{age group, marital status}: PC = {(under20,single):6,
         // (20-39,married):6, (20-39,divorced):6}.
         let d = figure2_sample();
         let attrs = AttrSet::from_indices([1, 3]);
-        let g = GroupCounts::build(&d, None, attrs);
+        let g = counts(&d, None, attrs, 1);
         assert_eq!(g.pattern_count_size(), 3);
         let mut entries: Vec<(Vec<u32>, u64)> = g.iter().collect();
         entries.sort();
@@ -1244,7 +1119,7 @@ mod tests {
     fn example_2_10_second_label() {
         // L_{gender, age group}: 4 patterns with counts 3,3,6,6.
         let d = figure2_sample();
-        let g = GroupCounts::build(&d, None, AttrSet::from_indices([0, 1]));
+        let g = counts(&d, None, AttrSet::from_indices([0, 1]), 1);
         assert_eq!(g.pattern_count_size(), 4);
         let mut weights: Vec<u64> = g.iter().map(|(_, w)| w).collect();
         weights.sort_unstable();
@@ -1259,7 +1134,7 @@ mod tests {
             AttrSet::from_indices([0, 2]),
             AttrSet::from_indices([0, 1, 2, 3]),
         ] {
-            let g = GroupCounts::build(&d, None, attrs);
+            let g = counts(&d, None, attrs, 1);
             for r in 0..d.n_rows() {
                 let p = Pattern::from_row(&d, r).restrict(attrs);
                 assert_eq!(
@@ -1274,7 +1149,7 @@ mod tests {
     #[test]
     fn empty_attrs_is_one_empty_group() {
         let d = figure2_sample();
-        let g = GroupCounts::build(&d, None, AttrSet::EMPTY);
+        let g = counts(&d, None, AttrSet::EMPTY, 1);
         assert_eq!(g.pattern_count_size(), 0);
         assert_eq!(g.empty_group_weight(), 18);
     }
@@ -1284,8 +1159,8 @@ mod tests {
         let d = figure2_sample();
         let (distinct, w) = d.compress();
         let attrs = AttrSet::from_indices([1, 3]);
-        let raw = GroupCounts::build(&d, None, attrs);
-        let compressed = GroupCounts::build(&distinct, Some(&w), attrs);
+        let raw = counts(&d, None, attrs, 1);
+        let compressed = counts(&distinct, Some(&w), attrs, 1);
         assert_eq!(raw.pattern_count_size(), compressed.pattern_count_size());
         for r in 0..distinct.n_rows() {
             assert_eq!(
@@ -1303,7 +1178,7 @@ mod tests {
         b.push_row_opt(&[Some("x"), None::<&str>]).unwrap();
         b.push_row_opt(&[None::<&str>, None::<&str>]).unwrap();
         let d = b.finish();
-        let g = GroupCounts::build(&d, None, AttrSet::from_indices([0, 1]));
+        let g = counts(&d, None, AttrSet::from_indices([0, 1]), 1);
         // Distinct non-empty projections: {a=x, b=1} and {a=x}.
         assert_eq!(g.pattern_count_size(), 2);
         assert_eq!(g.empty_group_weight(), 1);
@@ -1314,19 +1189,11 @@ mod tests {
 
     #[test]
     fn wide_keys_used_for_huge_schemas() {
-        // Force > 64 bits of key: 9 attributes with 300 values each
-        // (9 bits apiece = 81 bits).
-        let names: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
-        let mut b = DatasetBuilder::new(&names);
-        for r in 0..300 {
-            let row: Vec<String> = (0..9).map(|a| format!("{}", (r * (a + 1)) % 300)).collect();
-            b.push_row(&row).unwrap();
-        }
-        let d = b.finish();
+        let d = wide_dataset();
         let attrs = AttrSet::full(9);
         let codec = KeyCodec::new(&d, attrs);
         assert!(!codec.fits_u64());
-        let g = GroupCounts::build(&d, None, attrs);
+        let g = counts(&d, None, attrs, 1);
         assert_eq!(g.pattern_count_size(), 300);
         for r in 0..d.n_rows() {
             assert_eq!(g.weight_of_row(&d, r), 1);
@@ -1361,23 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
-        let d = figure2_sample();
-        for attrs in [
-            AttrSet::EMPTY,
-            AttrSet::from_indices([0]),
-            AttrSet::from_indices([1, 3]),
-            AttrSet::full(4),
-        ] {
-            let serial = GroupCounts::build(&d, None, attrs);
-            for threads in [2, 3, 7, 64] {
-                let parallel = GroupCounts::build_parallel(&d, None, attrs, threads);
-                assert_same_groups(&serial, &parallel);
-            }
-        }
-    }
-
-    #[test]
     fn sharded_builds_match_serial_across_shard_counts() {
         let d = figure2_sample();
         for attrs in [
@@ -1386,18 +1236,12 @@ mod tests {
             AttrSet::from_indices([1, 3]),
             AttrSet::full(4),
         ] {
-            let serial = GroupCounts::build(&d, None, attrs);
-            for shards in [1usize, 2, 8, 64] {
-                let sharded = GroupCounts::build_sharded(&d, None, attrs, shards);
-                assert_same_groups(&serial, &sharded);
-                for threads in [2, 5] {
-                    let parallel =
-                        GroupCounts::build_parallel_sharded(&d, None, attrs, threads, shards);
-                    assert_same_groups(&serial, &parallel);
-                    if !attrs.is_empty() {
-                        assert_eq!(parallel.n_shards(), shards.next_power_of_two());
-                    }
-                }
+            let serial = counts(&d, None, attrs, 1);
+            // 1 to 256 shards.
+            for threads in [1usize, 2, 3, 4, 7, 16, 64] {
+                let built = counts(&d, None, attrs, threads);
+                assert_same_groups(&serial, &built);
+                assert_eq!(built.n_shards(), auto_shards(threads));
             }
             let (merged, _) = reference::build_merged(&d, None, attrs, 3);
             assert_same_groups(&serial, &merged);
@@ -1408,7 +1252,8 @@ mod tests {
     fn shard_routing_is_consistent_between_build_and_lookup() {
         let d = figure2_sample();
         let attrs = AttrSet::from_indices([0, 1, 3]);
-        let g = GroupCounts::build_sharded(&d, None, attrs, 8);
+        let g = counts(&d, None, attrs, 2);
+        assert_eq!(g.n_shards(), 8);
         // Every stored group's values route to a shard that holds it.
         let sizes = g.shard_sizes();
         assert_eq!(sizes.iter().sum::<usize>() as u64, g.pattern_count_size());
@@ -1426,13 +1271,13 @@ mod tests {
             AttrSet::from_indices([1, 3]),
             AttrSet::full(4),
         ] {
-            for shards in [1usize, 8] {
+            for threads in [1usize, 2] {
                 for split in [1usize, 7, 17] {
                     let prefix = d.take_rows(&(0..split).collect::<Vec<_>>());
-                    let mut incremental = GroupCounts::build_sharded(&prefix, None, attrs, shards);
+                    let mut incremental = counts(&prefix, None, attrs, threads);
                     assert!(incremental.codec_compatible(&d));
                     let touched = incremental.append_rows(&d, None, split..d.n_rows());
-                    let full = GroupCounts::build_sharded(&d, None, attrs, shards);
+                    let full = counts(&d, None, attrs, threads);
                     assert_same_groups(&full, &incremental);
                     // Touched shards are valid ids; with non-empty attrs
                     // and rows appended, something must have been touched
@@ -1454,7 +1299,7 @@ mod tests {
         // Arc-shared with the pre-append snapshot (mergeless storage).
         let d = figure2_sample();
         let attrs = AttrSet::full(4);
-        let base = GroupCounts::build_sharded(&d, None, attrs, 64);
+        let base = counts(&d, None, attrs, 16);
         let mut appended = base.clone();
         let touched = appended.append_rows(&d, None, 0..1);
         assert_eq!(touched.len(), 1);
@@ -1467,7 +1312,7 @@ mod tests {
             .zip(new.shards.iter())
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count();
-        assert_eq!(shared, old.n_shards() - 1);
+        assert_eq!(shared, old.shards.len() - 1);
     }
 
     #[test]
@@ -1481,8 +1326,8 @@ mod tests {
         let d = b.finish();
         let weights = [3u64, 1, 5, 2, 7];
         let attrs = AttrSet::from_indices([0, 1]);
-        let serial = GroupCounts::build(&d, Some(&weights), attrs);
-        let parallel = GroupCounts::build_parallel(&d, Some(&weights), attrs, 3);
+        let serial = counts(&d, Some(&weights), attrs, 1);
+        let parallel = counts(&d, Some(&weights), attrs, 3);
         assert_same_groups(&serial, &parallel);
         // All-missing rows land in the empty group across chunks: 5 + 7.
         assert_eq!(parallel.empty_group_weight(), 12);
@@ -1490,30 +1335,22 @@ mod tests {
 
     #[test]
     fn parallel_build_matches_serial_on_wide_keys() {
-        let names: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
-        let mut b = DatasetBuilder::new(&names);
-        for r in 0..300 {
-            let row: Vec<String> = (0..9).map(|a| format!("{}", (r * (a + 1)) % 300)).collect();
-            b.push_row(&row).unwrap();
-        }
-        let d = b.finish();
+        let d = wide_dataset();
         let attrs = AttrSet::full(9);
         assert!(!KeyCodec::new(&d, attrs).fits_u64());
-        let serial = GroupCounts::build(&d, None, attrs);
-        let parallel = GroupCounts::build_parallel(&d, None, attrs, 4);
+        let serial = counts(&d, None, attrs, 1);
+        let parallel = counts(&d, None, attrs, 4);
         assert_same_groups(&serial, &parallel);
-        for shards in [2usize, 8, 64] {
-            let sharded = GroupCounts::build_sharded(&d, None, attrs, shards);
-            assert_same_groups(&serial, &sharded);
-            let parallel = GroupCounts::build_parallel_sharded(&d, None, attrs, 3, shards);
-            assert_same_groups(&serial, &parallel);
+        // 8, 16 and 64 shards.
+        for threads in [2usize, 4, 16] {
+            assert_same_groups(&serial, &counts(&d, None, attrs, threads));
         }
         let (merged, profile) = reference::build_merged(&d, None, attrs, 4);
         assert_same_groups(&serial, &merged);
         assert!(profile.peak_bytes > 0);
         // Wide-key appends rebuild the same totals too.
         let prefix = d.take_rows(&(0..100).collect::<Vec<_>>());
-        let mut incremental = GroupCounts::build_sharded(&prefix, None, attrs, 8);
+        let mut incremental = counts(&prefix, None, attrs, 2);
         incremental.append_rows(&d, None, 100..d.n_rows());
         assert_same_groups(&serial, &incremental);
     }
@@ -1550,7 +1387,7 @@ mod tests {
         let attrs = AttrSet::from_indices([0, 1]);
         let codec = KeyCodec::new(&d, attrs);
         assert_eq!(codec.total_bits(), 3 + 1);
-        let g = GroupCounts::build(&d, None, attrs);
+        let g = counts(&d, None, attrs, 1);
         // 4 value groups + 1 partial ({q=z}) group, all weight 1.
         assert_eq!(g.pattern_count_size(), 5);
         for r in 0..d.n_rows() {
@@ -1585,16 +1422,16 @@ mod tests {
             let expect: Vec<u32> = codec.attrs().iter().map(|&a| d.value_raw(r, a)).collect();
             assert_eq!(decoded, expect, "row {r}");
         }
-        let g = GroupCounts::build(&d, None, attrs);
+        let g = counts(&d, None, attrs, 1);
         assert_eq!(g.pattern_count_size(), 2);
         // Boundary keys must shard consistently at every shard count: the
         // top-bits routing shifts by 64 - shard_bits here.
-        let serial = GroupCounts::build(&d, None, attrs);
-        for shards in [2usize, 8, 64, 256] {
-            let sharded = GroupCounts::build_sharded(&d, None, attrs, shards);
+        let serial = counts(&d, None, attrs, 1);
+        // 8, 16, 64 and 256 shards.
+        for threads in [2usize, 4, 16, 64] {
+            let sharded = counts(&d, None, attrs, threads);
+            assert_eq!(sharded.n_shards(), auto_shards(threads));
             assert_same_groups(&serial, &sharded);
-            let parallel = GroupCounts::build_parallel_sharded(&d, None, attrs, 2, shards);
-            assert_same_groups(&serial, &parallel);
             for r in 0..d.n_rows() {
                 assert_eq!(sharded.weight_of_row(&d, r), 1);
             }
@@ -1620,7 +1457,7 @@ mod tests {
         let codec = KeyCodec::new(&d, AttrSet::full(9));
         assert_eq!(codec.total_bits(), 65);
         assert!(!codec.fits_u64());
-        let g = GroupCounts::build(&d, None, AttrSet::full(9));
+        let g = counts(&d, None, AttrSet::full(9), 1);
         assert_eq!(g.pattern_count_size(), 1);
         assert_eq!(g.weight_of_row(&d, 0), 1);
     }
@@ -1630,7 +1467,7 @@ mod tests {
         let mut b = DatasetBuilder::new(["a", "b"]);
         b.push_row(&["x", "1"]).unwrap();
         let d = b.finish();
-        let g = GroupCounts::build(&d, None, AttrSet::from_indices([0, 1]));
+        let g = counts(&d, None, AttrSet::from_indices([0, 1]), 1);
         assert!(g.codec_compatible(&d));
         // Same schema plus one interned value on a covered attribute.
         let mut b = DatasetBuilder::new(["a", "b"]);
@@ -1710,13 +1547,10 @@ mod tests {
         }
         let d = b.finish();
         let attrs = AttrSet::from_indices([0, 1]);
-        let serial = GroupCounts::build(&d, None, attrs);
-        for threads in [2usize, 4, 8] {
-            for shards in [8usize, 64, 256] {
-                let parallel =
-                    GroupCounts::build_parallel_sharded(&d, None, attrs, threads, shards);
-                assert_same_groups(&serial, &parallel);
-            }
+        let serial = counts(&d, None, attrs, 1);
+        // 8 to 256 shards.
+        for threads in [2usize, 4, 8, 16, 64] {
+            assert_same_groups(&serial, &counts(&d, None, attrs, threads));
         }
     }
 
@@ -1737,11 +1571,11 @@ mod tests {
     fn profiled_build_reports_phases() {
         let d = figure2_sample();
         let attrs = AttrSet::from_indices([1, 3]);
-        let (g, profile) = GroupCounts::build_parallel_profiled(&d, None, attrs, 2, 8);
+        let (g, profile) = GroupCounts::build(&d, None, attrs, 2);
         assert_eq!(g.pattern_count_size(), 3);
         assert!(profile.peak_bytes > 0);
         assert!(profile.partition_secs >= 0.0 && profile.count_secs >= 0.0);
-        let (_, serial_profile) = GroupCounts::build_parallel_profiled(&d, None, attrs, 1, 1);
+        let (_, serial_profile) = GroupCounts::build(&d, None, attrs, 1);
         assert_eq!(serial_profile.partition_secs, 0.0);
     }
 

@@ -21,7 +21,7 @@ use pclabel_data::dataset::{Dataset, MISSING};
 use pclabel_data::schema::Schema;
 
 use crate::attrset::AttrSet;
-use crate::counting::{auto_shards, CountingProfile, GroupCounts};
+use crate::counting::{CountingProfile, GroupCounts};
 use crate::hash::FxHashMap;
 use crate::pattern::Pattern;
 
@@ -130,8 +130,8 @@ pub struct Label {
 type MarginalCache = FxHashMap<AttrSet, Arc<FxHashMap<Box<[u32]>, u64>>>;
 
 impl Label {
-    /// Single construction path: every public builder only varies how the
-    /// `PC` group map and the `VC` are obtained.
+    /// Single construction path: the builders only vary how the `PC`
+    /// group map and the `VC` are obtained.
     fn assemble(
         dataset: &Dataset,
         weights: Option<&[u64]>,
@@ -153,36 +153,30 @@ impl Label {
         }
     }
 
-    /// Builds `L_S(D)` directly from a dataset.
+    /// Builds `L_S(D)` directly from a dataset: [`Label::build_parallel`]
+    /// on one thread.
     pub fn build(dataset: &Dataset, attrs: AttrSet) -> Self {
-        Self::build_weighted(dataset, None, attrs)
+        Self::build_parallel(dataset, attrs, 1)
     }
 
-    /// Builds `L_S(D)` with the `PC` group-by chunked across `threads`
-    /// scoped workers (see [`GroupCounts::build_parallel`]); the label is
-    /// identical to the serial [`Label::build`].
+    /// Builds `L_S(D)` with the `PC` group-by counted on `threads`
+    /// scoped workers (see [`GroupCounts::build`]); the label answers
+    /// exactly like the serial [`Label::build`], and its `PC` is stored
+    /// in [`auto_shards`](crate::counting::auto_shards)`(threads)` shards.
     pub fn build_parallel(dataset: &Dataset, attrs: AttrSet, threads: usize) -> Self {
-        let pc = GroupCounts::build_parallel(dataset, None, attrs, threads);
-        let vc = Arc::new(ValueCounts::compute(dataset, None));
-        Self::assemble(dataset, None, pc, vc)
+        Self::build_parallel_profiled(dataset, attrs, threads).0
     }
 
     /// [`Label::build_parallel`], additionally reporting the counting
     /// phase profile so the serving layer can trace builds per request.
     /// The `VC` computation and final assembly fold into
-    /// `assemble_secs`; the label is identical to [`Label::build_parallel`].
+    /// `assemble_secs`.
     pub fn build_parallel_profiled(
         dataset: &Dataset,
         attrs: AttrSet,
         threads: usize,
     ) -> (Self, CountingProfile) {
-        let (pc, mut profile) = GroupCounts::build_parallel_profiled(
-            dataset,
-            None,
-            attrs,
-            threads,
-            auto_shards(threads),
-        );
+        let (pc, mut profile) = GroupCounts::build(dataset, None, attrs, threads);
         let t0 = std::time::Instant::now();
         let vc = Arc::new(ValueCounts::compute(dataset, None));
         let label = Self::assemble(dataset, None, pc, vc);
@@ -190,31 +184,17 @@ impl Label {
         (label, profile)
     }
 
-    /// Builds `L_S(D)` from a (possibly compressed) dataset with optional
-    /// row weights.
-    pub fn build_weighted(dataset: &Dataset, weights: Option<&[u64]>, attrs: AttrSet) -> Self {
-        let pc = GroupCounts::build(dataset, weights, attrs);
-        let vc = Arc::new(ValueCounts::compute(dataset, weights));
-        Self::assemble(dataset, weights, pc, vc)
-    }
-
-    /// Crate-internal: builds with a pre-computed `VC` (the search reuses
-    /// one `VC` across thousands of candidate labels).
+    /// Crate-internal: builds serially from a (possibly compressed)
+    /// dataset with optional row weights and a pre-computed `VC` (the
+    /// search reuses one `VC` across thousands of candidate labels).
     pub(crate) fn from_parts(
         dataset: &Dataset,
         weights: Option<&[u64]>,
         attrs: AttrSet,
         vc: Arc<ValueCounts>,
-        n_rows: u64,
     ) -> Self {
-        let mut label = Self::assemble(
-            dataset,
-            weights,
-            GroupCounts::build(dataset, weights, attrs),
-            vc,
-        );
-        label.n_rows = n_rows;
-        label
+        let (pc, _) = GroupCounts::build(dataset, weights, attrs, 1);
+        Self::assemble(dataset, weights, pc, vc)
     }
 
     /// Incremental append: a new label over `dataset` (which must extend
@@ -375,7 +355,7 @@ impl Label {
             return self.pc.weight_of_values(&values);
         }
         // Marginal path: sum group weights that agree with q on Attr(q).
-        let marginal = self.marginal_for(qattrs);
+        let marginal = self.marginal(qattrs);
         let key: Box<[u32]> = order
             .iter()
             .filter(|&&a| qattrs.contains(a))
@@ -384,28 +364,13 @@ impl Label {
         marginal.get(&key).copied().unwrap_or(0)
     }
 
-    fn marginal_for(&self, k: AttrSet) -> Arc<FxHashMap<Box<[u32]>, u64>> {
+    /// The `PC` marginal on `k` ([`GroupCounts::marginal`]), built on
+    /// first use and cached per subset.
+    fn marginal(&self, k: AttrSet) -> Arc<FxHashMap<Box<[u32]>, u64>> {
         if let Some(m) = self.marginals.lock().expect("marginal cache lock").get(&k) {
             return Arc::clone(m);
         }
-        let order = self.pc.attr_order();
-        let positions: Vec<usize> = order
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| k.contains(a))
-            .map(|(i, _)| i)
-            .collect();
-        let mut map: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
-        for (values, weight) in self.pc.iter() {
-            // A group whose projection is missing any attribute of K holds
-            // rows that cannot satisfy a K-defined pattern.
-            if positions.iter().any(|&i| values[i] == MISSING) {
-                continue;
-            }
-            let key: Box<[u32]> = positions.iter().map(|&i| values[i]).collect();
-            *map.entry(key).or_insert(0) += weight;
-        }
-        let arc = Arc::new(map);
+        let arc = Arc::new(self.pc.marginal(k));
         self.marginals
             .lock()
             .expect("marginal cache lock")
@@ -780,7 +745,8 @@ mod tests {
         let (distinct, w) = d.compress();
         let attrs = AttrSet::from_indices([0, 2]);
         let raw = Label::build(&d, attrs);
-        let packed = Label::build_weighted(&distinct, Some(&w), attrs);
+        let vc = Arc::new(ValueCounts::compute(&distinct, Some(&w)));
+        let packed = Label::from_parts(&distinct, Some(&w), attrs, vc);
         assert_eq!(raw.n_rows(), packed.n_rows());
         assert_eq!(raw.pattern_count_size(), packed.pattern_count_size());
         for r in 0..d.n_rows() {

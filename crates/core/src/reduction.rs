@@ -294,7 +294,8 @@ pub fn reduce_vertex_cover_repaired(graph: &Graph) -> Result<ReductionInstance> 
 /// [`crate::counting::label_size`], counts every non-empty projection
 /// instead.)
 pub fn appendix_label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
-    GroupCounts::build(dataset, None, attrs)
+    GroupCounts::build(dataset, None, attrs, 1)
+        .0
         .iter()
         .filter(|(values, _)| values.iter().filter(|&&v| v != MISSING).count() >= 2)
         .count() as u64

@@ -23,10 +23,11 @@
 //! (pinned by the property tests):
 //!
 //! * **Cold build** ([`Evaluator::error_of`]): a full hash group-by
-//!   ([`GroupCounts::build_parallel_sharded`]) per candidate, with
-//!   marginals for partially-defined patterns rebuilt per call. Every
-//!   candidate is independent — this is the correctness oracle, and the
-//!   right path for one-off evaluations of a single subset.
+//!   ([`GroupCounts::build`]) per candidate, with marginals for
+//!   partially-defined patterns ([`GroupCounts::marginal`]) rebuilt per
+//!   call. Every candidate is independent — this is the correctness
+//!   oracle, and the right path for one-off evaluations of a single
+//!   subset.
 //! * **Lattice-aware refinement** ([`EvalContext::error_of`]): the search
 //!   strategies walk a lattice where neighboring candidates differ by one
 //!   attribute, so the context keeps a bounded memo of
@@ -38,7 +39,8 @@
 //!   2. a memoized **finer** partition (`S ⊂ F`) is *coarsened* in one
 //!      O(rows) id-mapping pass (plus O(groups · |S|) representative
 //!      grouping) — this also serves the marginal lookups of partially
-//!      defined patterns, generalizing the old per-call `build_marginal`;
+//!      defined patterns, generalizing the cold path's per-call
+//!      [`GroupCounts::marginal`];
 //!   3. otherwise the largest memoized **coarser** partition (`T ⊂ S`)
 //!      is *refined* one attribute at a time, each pass O(rows) with a
 //!      dense (hash-free) remap whenever the composite group×value space
@@ -118,8 +120,6 @@ pub struct Evaluator {
     defined: Vec<u64>,
     /// Threads for each candidate's group-by scan (1 = serial build).
     count_threads: usize,
-    /// Shards for each candidate's group-by (0 = auto from threads).
-    count_shards: usize,
     /// Match bitmaps of the first [`BITMAP_PREFIX`] scanned patterns,
     /// built on first use.
     prefix: OnceLock<PrefixMatches>,
@@ -168,29 +168,18 @@ impl Evaluator {
             fracs,
             defined,
             count_threads: 1,
-            count_shards: 0,
             prefix: OnceLock::new(),
         }
     }
 
     /// Opts candidate error scans into parallel group counting
-    /// ([`GroupCounts::build_parallel`]) with the given worker count.
+    /// ([`GroupCounts::build`]) with the given worker count.
     /// Counts are identical to the serial build; only wall-clock changes.
     /// (Only the cold path counts with threads; the refinement path's
     /// passes are serial and per-context.)
     #[must_use]
     pub fn with_count_threads(mut self, threads: usize) -> Self {
         self.count_threads = threads.max(1);
-        self
-    }
-
-    /// Pins the shard count of each candidate's group-by (`0` = pick from
-    /// the thread count via [`auto_shards`](crate::counting::auto_shards)).
-    /// Counts and errors are identical for every shard count; the knob
-    /// only trades partition granularity against per-shard map overhead.
-    #[must_use]
-    pub fn with_count_shards(mut self, shards: usize) -> Self {
-        self.count_shards = shards;
         self
     }
 
@@ -264,18 +253,8 @@ impl Evaluator {
         // degrades to the serial build for the common compressed sizes.
         let count_threads = count_threads
             .min((self.distinct.n_rows() / crate::counting::MIN_PARALLEL_ROWS_PER_THREAD).max(1));
-        let shards = if self.count_shards > 0 {
-            self.count_shards
-        } else {
-            crate::counting::auto_shards(count_threads)
-        };
-        let gc = GroupCounts::build_parallel_sharded(
-            &self.distinct,
-            Some(&self.dweights),
-            attrs,
-            count_threads,
-            shards,
-        );
+        let (gc, _) =
+            GroupCounts::build(&self.distinct, Some(&self.dweights), attrs, count_threads);
         let mut marginals: FxHashMap<AttrSet, FxHashMap<Box<[u32]>, u64>> = FxHashMap::default();
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
@@ -316,7 +295,7 @@ impl Evaluator {
         } else {
             // p defines only part of S: marginal over the stored partition.
             let k = AttrSet::from_bits(k_bits);
-            let marginal = marginals.entry(k).or_insert_with(|| build_marginal(gc, k));
+            let marginal = marginals.entry(k).or_insert_with(|| gc.marginal(k));
             let table = self.pattern_table();
             let key: Box<[u32]> = k.iter().map(|a| table.value_raw(r, a)).collect();
             marginal.get(&key).copied().unwrap_or(0)
@@ -716,25 +695,6 @@ impl<'a> EvalContext<'a> {
             stamp: self.stamp,
         });
     }
-}
-
-fn build_marginal(gc: &GroupCounts, k: AttrSet) -> FxHashMap<Box<[u32]>, u64> {
-    let order = gc.attr_order();
-    let positions: Vec<usize> = order
-        .iter()
-        .enumerate()
-        .filter(|&(_, &a)| k.contains(a))
-        .map(|(i, _)| i)
-        .collect();
-    let mut map: FxHashMap<Box<[u32]>, u64> = FxHashMap::default();
-    for (values, weight) in gc.iter() {
-        if positions.iter().any(|&i| values[i] == MISSING) {
-            continue;
-        }
-        let key: Box<[u32]> = positions.iter().map(|&i| values[i]).collect();
-        *map.entry(key).or_insert(0) += weight;
-    }
-    map
 }
 
 #[cfg(test)]

@@ -42,9 +42,7 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
     let n = dataset.n_attrs();
     let start = Instant::now();
 
-    let evaluator = Evaluator::new(dataset, &opts.patterns)
-        .with_count_threads(opts.count_threads)
-        .with_count_shards(opts.count_shards);
+    let evaluator = Evaluator::new(dataset, &opts.patterns).with_count_threads(opts.count_threads);
     let (distinct, dweights) = evaluator.compressed();
     let early = opts.early_exit && opts.metric.supports_early_exit();
 
@@ -110,7 +108,6 @@ pub fn greedy_search(dataset: &Dataset, opts: &SearchOptions) -> Result<SearchOu
         Some(dweights),
         best_attrs,
         evaluator.value_counts(),
-        evaluator.n_rows(),
     ));
     stats.eval_time += tail_start.elapsed();
     Ok(SearchOutcome {

@@ -52,15 +52,10 @@ pub struct SearchOptions {
     /// paper-faithful configuration). Outcomes do not depend on it.
     pub threads: usize,
     /// Worker threads for the group-by scans behind each candidate's
-    /// error evaluation (1 = serial `GroupCounts::build`; >1 opts into
-    /// the radix-partitioned
-    /// [`crate::counting::GroupCounts::build_parallel`], which produces
-    /// identical counts).
+    /// error evaluation on the cold path
+    /// ([`crate::counting::GroupCounts::build`]: 1 = the serial scan, >1
+    /// the radix-partitioned build, which produces identical counts).
     pub count_threads: usize,
-    /// Key-range shards for those group-bys (0 = auto from
-    /// `count_threads` via [`crate::counting::auto_shards`]). Any value
-    /// yields bit-identical errors; this only shapes storage/parallelism.
-    pub count_shards: usize,
     /// Evaluate candidates with the lattice-aware refinement context
     /// ([`EvalContext`]): neighboring candidates are priced by partition
     /// refinement / marginal coarsening instead of a cold hash group-by
@@ -85,7 +80,6 @@ impl SearchOptions {
             early_exit: true,
             threads: 1,
             count_threads: 1,
-            count_shards: 0,
             refine: true,
             refine_memo: DEFAULT_REFINE_MEMO,
         }
@@ -118,12 +112,6 @@ impl SearchOptions {
     /// Sets the per-candidate counting thread count.
     pub fn count_threads(mut self, threads: usize) -> Self {
         self.count_threads = threads.max(1);
-        self
-    }
-
-    /// Pins the per-candidate counting shard count (0 = auto).
-    pub fn count_shards(mut self, shards: usize) -> Self {
-        self.count_shards = shards;
         self
     }
 

@@ -50,9 +50,7 @@ pub fn naive_search_limited(
     check_dataset(dataset)?;
     let n = dataset.n_attrs();
     let start = Instant::now();
-    let evaluator = Evaluator::new(dataset, &opts.patterns)
-        .with_count_threads(opts.count_threads)
-        .with_count_shards(opts.count_shards);
+    let evaluator = Evaluator::new(dataset, &opts.patterns).with_count_threads(opts.count_threads);
     let (distinct, dweights) = evaluator.compressed();
     // Level-wise enumeration shares prefixes heavily; one refinement
     // context amortizes the partitions across a level's subsets, for
@@ -108,7 +106,6 @@ pub fn naive_search_limited(
         Some(dweights),
         best_attrs,
         evaluator.value_counts(),
-        evaluator.n_rows(),
     ));
     stats.eval_time += tail_start.elapsed();
     Ok(SearchOutcome {

@@ -30,10 +30,10 @@
 //! proptests pin.
 //!
 //! Sizing a lattice node's children needs less than a partition: only
-//! the group ids of the distinct rows. [`refine_bounded`] fuses sizing and
+//! the group ids of the distinct rows. `refine_bounded` fuses sizing and
 //! refinement over such ids — one pass that counts the child's label
 //! size, stops past the bound and writes the child's ids as it goes. The
-//! top-down walk keeps each node's ids in a [`GroupIds`], so a child that
+//! top-down walk keeps each node's ids in a `GroupIds`, so a child that
 //! fits is never read a second time; the greedy and naive searches run
 //! the same pass over the data prefix of a memoized partition's ids.
 
@@ -447,7 +447,7 @@ mod tests {
             AttrSet::full(4),
         ] {
             let part = partition_over(&d, attrs, &w);
-            let gc = GroupCounts::build(&d, None, attrs);
+            let (gc, _) = GroupCounts::build(&d, None, attrs, 1);
             for r in 0..d.n_rows() {
                 assert_eq!(
                     part.weight_of_row(r),
@@ -527,7 +527,7 @@ mod tests {
         let d = b.finish();
         let w = vec![1u64; n];
         let part = partition_over(&d, AttrSet::full(2), &w);
-        let gc = GroupCounts::build(&d, None, AttrSet::full(2));
+        let (gc, _) = GroupCounts::build(&d, None, AttrSet::full(2), 1);
         for r in 0..n {
             assert_eq!(part.weight_of_row(r), gc.weight_of_row(&d, r));
         }

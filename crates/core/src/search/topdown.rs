@@ -65,9 +65,7 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     // The walk runs over the evaluator's compressed distinct table: group
     // counts over distinct tuples equal those over raw rows, but each
     // pass touches fewer rows.
-    let evaluator = Evaluator::new(dataset, &opts.patterns)
-        .with_count_threads(opts.count_threads)
-        .with_count_shards(opts.count_shards);
+    let evaluator = Evaluator::new(dataset, &opts.patterns).with_count_threads(opts.count_threads);
     let mut stats = SearchStats::default();
     let (in_bound, nodes_examined) = walk(&evaluator, opts.bound, opts.threads);
     stats.nodes_examined = nodes_examined;
@@ -86,7 +84,6 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
         Some(dweights),
         best_attrs,
         evaluator.value_counts(),
-        evaluator.n_rows(),
     ));
     stats.eval_time = eval_start.elapsed();
     Ok(SearchOutcome {

@@ -2,9 +2,8 @@
 //!
 //! [`EvalContext::error_of`] must produce *exactly* the same
 //! [`ErrorStats`] — every field, every `f64` bit — as the cold
-//! [`GroupCounts::build_parallel_sharded`] path ([`Evaluator::error_of`]),
-//! across metrics, early-exit on/off, shard/thread grids and both key
-//! widths; and the searches must return identical outcomes with
+//! `GroupCounts::build` path ([`Evaluator::error_of`]), across metrics,
+//! early-exit on/off, counting thread counts and both key widths; and the searches must return identical outcomes with
 //! refinement on and off. Lattice nodes are sized over the memoized
 //! partitions too ([`EvalContext::child_size_bounded`]), which must agree
 //! with the cold [`label_size_bounded`] scan on every node and leave every
@@ -76,11 +75,9 @@ fn arb_dataset_missing() -> impl Strategy<Value = Dataset> {
 
 /// Asserts the refinement context and the cold build agree bit-for-bit on
 /// every subset of the schema, for both early-exit settings, against an
-/// evaluator configured with the given counting grid.
-fn assert_paths_identical(d: &Dataset, ps: &PatternSet, threads: usize, shards: usize) {
-    let ev = Evaluator::new(d, ps)
-        .with_count_threads(threads)
-        .with_count_shards(shards);
+/// evaluator counting on the given thread count.
+fn assert_paths_identical(d: &Dataset, ps: &PatternSet, threads: usize) {
+    let ev = Evaluator::new(d, ps).with_count_threads(threads);
     let mut ctx = ev.context();
     for bits in 0..(1u64 << d.n_attrs().min(4)) {
         let attrs = AttrSet::from_bits(bits);
@@ -89,7 +86,7 @@ fn assert_paths_identical(d: &Dataset, ps: &PatternSet, threads: usize, shards: 
             let warm = ctx.error_of(attrs, early);
             assert_eq!(
                 cold, warm,
-                "paths diverged: attrs {attrs} early {early} threads {threads} shards {shards}"
+                "paths diverged: attrs {attrs} early {early} threads {threads}"
             );
         }
     }
@@ -137,15 +134,13 @@ proptest! {
 
     /// Refinement vs cold build: bit-identical `ErrorStats` (all fields,
     /// hence all metrics) on random datasets with missing cells, across
-    /// the cold path's shard and thread grid.
+    /// the cold path's counting thread counts.
     #[test]
     fn refinement_identical_to_cold_build(
         d in arb_dataset_missing(),
         threads in 1usize..=3,
     ) {
-        for shards in [1usize, 8] {
-            assert_paths_identical(&d, &PatternSet::AllTuples, threads, shards);
-        }
+        assert_paths_identical(&d, &PatternSet::AllTuples, threads);
     }
 
     /// The same identity holds for restricted pattern sets, where the
@@ -160,7 +155,7 @@ proptest! {
         if over.is_empty() {
             return;
         }
-        assert_paths_identical(&d, &PatternSet::OverAttrs(over), 1, 1);
+        assert_paths_identical(&d, &PatternSet::OverAttrs(over), 1);
     }
 
     /// And for explicit pattern sets holding a pattern absent from the
@@ -172,7 +167,7 @@ proptest! {
         partial in 0usize..=12,
     ) {
         let (d, ps) = with_explicit_patterns(&d, partial);
-        assert_paths_identical(&d, &ps, 1, 1);
+        assert_paths_identical(&d, &ps, 1);
     }
 
     /// Greedy and top-down return identical outcomes with refinement on

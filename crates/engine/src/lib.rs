@@ -8,9 +8,9 @@
 //!
 //! ## Pieces
 //!
-//! * [`parallel`] — auto-sized chunked group counting: a drop-in front
-//!   end over [`pclabel_core::counting::GroupCounts::build_parallel`]
-//!   that picks worker counts from row count and available hardware;
+//! * [`parallel`] — the counting thread policy: picks the worker count
+//!   [`pclabel_core::counting::GroupCounts::build`] runs on from row
+//!   count and available hardware;
 //! * [`store`] — [`store::LabelStore`]: a registry of named datasets and
 //!   their computed labels behind `Arc`/`RwLock`, supporting concurrent
 //!   registration, lookup and label refresh (with generation counters);

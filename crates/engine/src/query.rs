@@ -12,15 +12,17 @@
 //! 3. **estimate** — otherwise the paper's estimation function
 //!    `Label::estimate` (Def. 2.11).
 //!
-//! Large batches are chunked across `std::thread::scope` workers; the
-//! whole batch answers against one label snapshot (`Arc<Label>`), so a
-//! concurrent refresh never mixes generations within a response.
+//! Large batches are chunked across `std::thread::scope` workers, which
+//! resolve patterns and compute answers; the calling thread then probes
+//! and fills the cache in batch order, so a chunked batch answers, and
+//! leaves the cache, exactly as a one-thread batch does. The whole batch
+//! answers against one label snapshot (`Arc<Label>`), so a concurrent
+//! refresh never mixes generations within a response.
 
 use std::sync::Arc;
 
 use pclabel_core::label::Label;
 use pclabel_core::pattern::Pattern;
-use pclabel_data::dataset::Dataset;
 use pclabel_telemetry::{Phase, Trace};
 
 use crate::store::{EngineError, LabelStore, StoreEntry};
@@ -236,35 +238,49 @@ impl Engine {
             if let Some(trace) = trace {
                 trace.add_phase(Phase::StoreWait, lock_start.elapsed());
             }
+            let resolve =
+                |terms: &&[(&str, &str)]| Pattern::parse(data, terms).map_err(|e| e.to_string());
+            let finish = |resolved: Result<(Pattern, Option<Answer>), String>| match resolved {
+                Ok((pattern, answer)) => answer_cached(&entry, label, pattern, answer, trace),
+                Err(error) => PatternEstimate {
+                    estimate: 0.0,
+                    exact: false,
+                    cached: false,
+                    error: Some(error),
+                },
+            };
             let results: Vec<PatternEstimate> = if threads <= 1 {
                 patterns
                     .iter()
-                    .map(|terms| answer_one(&entry, data, label, terms, trace))
+                    .map(|terms| finish(resolve(terms).map(|pattern| (pattern, None))))
                     .collect()
             } else {
+                // Workers only read the label; the cache is probed and
+                // filled here, in batch order, so which occurrence of a
+                // repeated pattern is the cached one does not depend on
+                // scheduling.
                 let chunk = patterns.len().div_ceil(threads);
-                let mut out: Vec<PatternEstimate> = Vec::with_capacity(patterns.len());
-                let parts: Vec<Vec<PatternEstimate>> = std::thread::scope(|scope| {
+                let resolved: Vec<_> = std::thread::scope(|scope| {
                     let handles: Vec<_> = patterns
                         .chunks(chunk)
                         .map(|part| {
-                            let entry = &entry;
                             scope.spawn(move || {
+                                let answer = |p: Pattern| {
+                                    let answer = Answer::of(label, &p);
+                                    (p, Some(answer))
+                                };
                                 part.iter()
-                                    .map(|terms| answer_one(entry, data, label, terms, trace))
-                                    .collect()
+                                    .map(|terms| resolve(terms).map(answer))
+                                    .collect::<Vec<_>>()
                             })
                         })
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("query worker panicked"))
+                        .flat_map(|h| h.join().expect("query worker panicked"))
                         .collect()
                 });
-                for part in parts {
-                    out.extend(part);
-                }
-                out
+                resolved.into_iter().map(finish).collect()
             };
 
             let mut stats = QueryStats::default();
@@ -312,34 +328,45 @@ pub(crate) fn label_answer(label: &Label, pattern: &Pattern) -> (f64, bool) {
     (estimate, exact)
 }
 
-/// Answers one pattern against a dataset/label snapshot (cache → exact →
-/// estimate). Must run inside [`StoreEntry::with_snapshot`] — the cache
-/// insert below is only sound while the entry's read lock pins the label
-/// the estimate came from.
+/// A resolved pattern's answer from the label snapshot, before the cache
+/// is consulted.
+struct Answer {
+    estimate: f64,
+    exact: bool,
+    /// The `PC` count shard the answer was read from, when it was read
+    /// from a single group (`Attr(p) = S`).
+    count_shard: Option<u32>,
+}
+
+impl Answer {
+    fn of(label: &Label, pattern: &Pattern) -> Answer {
+        let (estimate, exact) = label_answer(label, pattern);
+        let count_shard = label.count_shard_of(pattern).map(|s| s as u32);
+        Answer {
+            estimate,
+            exact,
+            count_shard,
+        }
+    }
+}
+
+/// Answers one resolved pattern from the cache, or else from `answer`
+/// (computed here when `None`) and caches it. Must run inside
+/// [`StoreEntry::with_snapshot`] — the cache insert below is only sound
+/// while the entry's read lock pins the label the answer came from.
 ///
 /// Answers whose value is read from a single `PC` group (`Attr(p) = S`)
 /// are cached pinned to that group's count shard, so they survive
 /// appends that do not touch the shard; every other answer depends on
 /// marginals, `VC` fractions or `|D|` and is cached unpinned (dropped by
 /// any append).
-fn answer_one(
+fn answer_cached(
     entry: &StoreEntry,
-    dataset: &Dataset,
-    label: &Arc<Label>,
-    terms: &[(&str, &str)],
+    label: &Label,
+    pattern: Pattern,
+    answer: Option<Answer>,
     trace: Option<&Trace>,
 ) -> PatternEstimate {
-    let pattern = match Pattern::parse(dataset, terms) {
-        Ok(p) => p,
-        Err(e) => {
-            return PatternEstimate {
-                estimate: 0.0,
-                exact: false,
-                cached: false,
-                error: Some(e.to_string()),
-            }
-        }
-    };
     let probe_start = trace.map(|_| std::time::Instant::now());
     let cached = entry.cache().get(&pattern);
     if let (Some(trace), Some(start)) = (trace, probe_start) {
@@ -354,12 +381,13 @@ fn answer_one(
             error: None,
         };
     }
-    let (estimate, exact) = label_answer(label, &pattern);
-    let count_shard = label.count_shard_of(&pattern).map(|s| s as u32);
-    entry.cache().insert_tagged(pattern, estimate, count_shard);
+    let answer = answer.unwrap_or_else(|| Answer::of(label, &pattern));
+    entry
+        .cache()
+        .insert_tagged(pattern, answer.estimate, answer.count_shard);
     PatternEstimate {
-        estimate,
-        exact,
+        estimate: answer.estimate,
+        exact: answer.exact,
         cached: false,
         error: None,
     }
@@ -462,6 +490,62 @@ mod tests {
             engine.execute(&request),
             Err(EngineError::UnknownDataset(_))
         ));
+    }
+
+    #[test]
+    fn chunked_batch_answers_and_caches_like_one_thread() {
+        // 300 patterns cycling 16 distinct ones, above the default
+        // parallel threshold, so 3 query threads chunk the batch: every
+        // non-empty combination of four terms (inside, across and outside
+        // S = {age group, marital status}) and one unknown value. Every
+        // repeat of a resolvable pattern is a cache hit on one thread,
+        // whatever the workers' timing.
+        let terms = [
+            ("gender", "Female"),
+            ("age group", "20-39"),
+            ("marital status", "married"),
+            ("race", "Hispanic"),
+        ];
+        let mut distinct: Vec<PatternSpec> = (1..16u32)
+            .map(|mask| PatternSpec {
+                terms: (0..4)
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| (terms[i].0.to_string(), terms[i].1.to_string()))
+                    .collect(),
+            })
+            .collect();
+        distinct.push(PatternSpec::new([("gender", "Other")]));
+        let request = QueryRequest {
+            id: None,
+            dataset: "census".into(),
+            patterns: distinct.iter().cycle().take(300).cloned().collect(),
+        };
+        let run = |query_threads: usize| {
+            let engine = Engine::new(EngineConfig {
+                query_threads,
+                ..EngineConfig::default()
+            });
+            engine
+                .store()
+                .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+                .unwrap();
+            let batches: Vec<_> = (0..2)
+                .map(|_| {
+                    let response = engine.execute(&request).unwrap();
+                    (response.results, response.stats)
+                })
+                .collect();
+            let entry = engine.store().get("census").unwrap();
+            let stats = entry.cache().stats();
+            (batches, stats.hits(), stats.misses(), entry.cache().len())
+        };
+        let one = run(1);
+        assert_eq!(one.0[0].1.failed, 18);
+        assert_eq!(one.0[0].1.cache_misses, 15);
+        assert_eq!(one.0[1].1.cache_hits, 300 - 18);
+        for _ in 0..50 {
+            assert_eq!(run(3), one);
+        }
     }
 
     #[test]

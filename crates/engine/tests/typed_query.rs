@@ -155,10 +155,9 @@ fn canonical_lines() -> Vec<String> {
     .map(|s| s.to_string())
     .collect();
     // A batch above `parallel_batch_threshold` (256 by default): every
-    // distinct figure-2 pattern, padded with distinct unknown values. A
-    // pattern repeated across the batch's chunks could be answered from
-    // the cache or not depending on which worker reaches it first, so
-    // none repeats.
+    // distinct figure-2 pattern, then repeats of them and unknown values.
+    // Repeats land in later chunks than their first occurrence, whose
+    // cached answers they must report as a one-thread batch would.
     let columns: [(&str, &[&str]); 4] = [
         ("gender", &["Female", "Male"]),
         ("age group", &["under 20", "20-39"]),
@@ -180,8 +179,13 @@ fn canonical_lines() -> Vec<String> {
             .collect();
     }
     big.retain(|terms| !terms.is_empty());
-    for i in big.len()..300 {
-        big.push(format!(r#""race":"unknown {i}""#));
+    let distinct = big.len();
+    for i in distinct..300 {
+        big.push(if i % 4 == 0 {
+            format!(r#""race":"unknown {i}""#)
+        } else {
+            big[i % distinct].clone()
+        });
     }
     let big: Vec<String> = big.iter().map(|terms| format!("{{{terms}}}")).collect();
     lines.push(format!(

@@ -33,7 +33,7 @@
 //!
 //! Bodied requests are framed by `Content-Length` or by
 //! `Transfer-Encoding: chunked` (decoded incrementally by
-//! [`ChunkedDecoder`]; chunk extensions are ignored and trailers
+//! `ChunkedDecoder`; chunk extensions are ignored and trailers
 //! tolerated); other transfer-codings are rejected with 501.
 //! Connections are keep-alive per HTTP/1.1 defaults: `Connection:
 //! close` — or any transport error — ends the connection.

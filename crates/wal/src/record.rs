@@ -25,11 +25,13 @@ use crate::{FormatError, Result};
 pub enum PolicyRepr {
     /// Fixed attribute set (indices into the dataset schema).
     Attrs(Vec<u32>),
-    /// Size-bounded greedy search.
+    /// Size-bounded label search (the engine runs the top-down search).
     Search {
         /// Label size budget in counter cells.
         bound: u64,
-        /// Whether the lattice-refinement pass runs after the search.
+        /// Which evaluator prices the search's candidates: the lattice
+        /// refinement (`true`) or the cold per-candidate rebuild
+        /// (`false`). Both select the same label.
         refine: bool,
     },
 }
