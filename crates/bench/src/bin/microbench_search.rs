@@ -3,7 +3,8 @@
 //!
 //! This is the first bench-trend artifact for the search layer — the
 //! actual contribution of *Patterns Count-Based Labels for Datasets*.
-//! For each scenario it runs the greedy and top-down walks twice:
+//! For each scenario it runs the top-down search (the paper's
+//! Algorithm 1) twice:
 //!
 //! * `mode: "refine"` — the lattice-aware `EvalContext` (partition
 //!   refinement + marginal coarsening; `SearchOptions::refine(true)`,
@@ -21,30 +22,33 @@
 //! Scenarios (1 evaluation thread, per the paper-faithful configuration):
 //!
 //! * `correlated_pairs` — six attributes built as three interleaved
-//!   [`correlated_pair`] draws (domain 8, mixing 0.2): the greedy walk
-//!   reaches depth ≥ 4 under the default bound and the distinct table
-//!   stays large (tens of thousands of rows), the regime the acceptance
-//!   criterion targets;
+//!   [`correlated_pair`] draws (domain 8, mixing 0.2): the walk ends
+//!   with over a dozen candidates of depth ≥ 4 and the distinct table
+//!   stays large (tens of thousands of rows), the regime the refinement
+//!   evaluator targets;
 //! * `functional_chain` — eight functionally dependent attributes
 //!   ([`functional_chain`], domain 4096): every subset fits the bound,
-//!   so greedy walks the full depth-8 chain and top-down floods the
-//!   lattice.
+//!   so the walk floods the lattice and keeps one candidate, the full
+//!   schema.
 //!
 //! ```text
 //! cargo run --release -p pclabel-bench --bin microbench_search -- \
 //!     [--json] [--min-speedup 2.0]
 //! ```
 //!
-//! `--min-speedup X` exits non-zero when any greedy scenario's
-//! refine-vs-cold candidates/sec ratio falls below `X` (used for local
-//! acceptance runs; CI trends the artifact instead, since shared-runner
-//! noise makes a hard in-run gate flaky).
+//! `--min-speedup X` exits non-zero when any row that evaluates at least
+//! two candidates has a refine-vs-cold candidates/sec ratio below `X`
+//! (used for local acceptance runs; CI trends the artifact instead, since
+//! shared-runner noise makes a hard in-run gate flaky). A one-candidate
+//! row times little more than the winner's final scan and label build,
+//! with no candidate stream for the refinement memo to amortize, so it is
+//! reported but not checked.
 //!
 //! Environment:
 //!   PCLABEL_BENCH_SEARCH_ROWS  dataset rows (default 60_000)
 //!   PCLABEL_BENCH_REPS         timing repetitions, best-of (default 3)
 
-use pclabel_core::search::{greedy_search, top_down_search, SearchOptions, SearchOutcome};
+use pclabel_core::search::{top_down_search, SearchOptions, SearchOutcome};
 use pclabel_data::dataset::{Dataset, DatasetBuilder};
 use pclabel_data::generate::{correlated_pair, functional_chain};
 
@@ -93,7 +97,6 @@ fn correlated_pairs(pairs: usize, domain: usize, rows: usize, mixing: f64, seed:
 }
 
 struct Row {
-    strategy: &'static str,
     mode: &'static str,
     candidates: u64,
     depth: usize,
@@ -119,13 +122,12 @@ impl Row {
         };
         format!(
             concat!(
-                "{{\"strategy\":\"{strategy}\",\"mode\":\"{mode}\",\"threads\":1,",
+                "{{\"strategy\":\"topdown\",\"mode\":\"{mode}\",\"threads\":1,",
                 "\"candidates\":{candidates},\"depth\":{depth},",
                 "\"eval_secs\":{eval:.6},\"cands_per_sec\":{cps:.2},",
                 "\"per_cand_ms\":{pcm:.4},\"search_secs\":{search:.6},",
                 "\"nodes_examined\":{nodes}}}"
             ),
-            strategy = self.strategy,
             mode = self.mode,
             candidates = self.candidates,
             depth = self.depth,
@@ -154,20 +156,9 @@ fn best_of(reps: usize, mut search: impl FnMut() -> SearchOutcome) -> SearchOutc
     best.expect("at least one rep")
 }
 
-fn run_modes(
-    strategy: &'static str,
-    reps: usize,
-    dataset: &Dataset,
-    opts: &SearchOptions,
-) -> (Row, Row) {
+fn run_modes(reps: usize, dataset: &Dataset, opts: &SearchOptions) -> (Row, Row) {
     let run = |refine: bool| -> SearchOutcome {
-        let opts = opts.clone().refine(refine);
-        let outcome = match strategy {
-            "greedy" => greedy_search(dataset, &opts),
-            "topdown" => top_down_search(dataset, &opts),
-            other => unreachable!("unknown strategy {other}"),
-        };
-        outcome.expect("non-empty dataset")
+        top_down_search(dataset, &opts.clone().refine(refine)).expect("non-empty dataset")
     };
     let refined = best_of(reps, || run(true));
     let cold = best_of(reps, || run(false));
@@ -175,15 +166,14 @@ fn run_modes(
     // error statistics — before their timings are worth reporting.
     assert_eq!(
         refined.best_attrs, cold.best_attrs,
-        "{strategy}: refine/cold disagree on best_attrs"
+        "refine/cold disagree on best_attrs"
     );
     let (rs, cs) = (
         refined.best_stats.expect("stats"),
         cold.best_stats.expect("stats"),
     );
-    assert_eq!(rs, cs, "{strategy}: refine/cold best_stats diverged");
+    assert_eq!(rs, cs, "refine/cold best_stats diverged");
     let row = |mode: &'static str, o: &SearchOutcome| Row {
-        strategy,
         mode,
         candidates: o.stats.candidates_evaluated,
         depth: o.best_attrs.map_or(0, |s| s.len()),
@@ -244,33 +234,27 @@ fn main() {
         let opts = SearchOptions::with_bound(*bound)
             .threads(1)
             .count_threads(1);
-        let mut rows_json = Vec::new();
-        for strategy in ["greedy", "topdown"] {
-            let (refined, cold) = run_modes(strategy, reps, dataset, &opts);
-            let speedup = if cold.cands_per_sec() > 0.0 {
-                refined.cands_per_sec() / cold.cands_per_sec()
-            } else {
-                1.0
-            };
-            eprintln!(
-                "microbench_search: {name}/{strategy}: {:.0} cands/s refined vs {:.0} cold \
-                 ({speedup:.2}x, depth {}, {} candidates)",
-                refined.cands_per_sec(),
-                cold.cands_per_sec(),
-                refined.depth,
-                refined.candidates,
-            );
-            if let Some(min) = min_speedup {
-                if strategy == "greedy" && speedup < min {
-                    eprintln!(
-                        "microbench_search: FAIL {name}/{strategy} speedup {speedup:.2} < {min}"
-                    );
-                    gate_failed = true;
-                }
+        let (refined, cold) = run_modes(reps, dataset, &opts);
+        let speedup = if cold.cands_per_sec() > 0.0 {
+            refined.cands_per_sec() / cold.cands_per_sec()
+        } else {
+            1.0
+        };
+        eprintln!(
+            "microbench_search: {name}/topdown: {:.0} cands/s refined vs {:.0} cold \
+             ({speedup:.2}x, depth {}, {} candidates)",
+            refined.cands_per_sec(),
+            cold.cands_per_sec(),
+            refined.depth,
+            refined.candidates,
+        );
+        if let Some(min) = min_speedup {
+            if refined.candidates >= 2 && speedup < min {
+                eprintln!("microbench_search: FAIL {name}/topdown speedup {speedup:.2} < {min}");
+                gate_failed = true;
             }
-            rows_json.push(refined.to_json());
-            rows_json.push(cold.to_json());
         }
+        let rows_json = [refined.to_json(), cold.to_json()];
         scenario_reports.push(format!(
             concat!(
                 "{{\"name\":\"{name}\",\"rows\":{rows},\"distinct\":{distinct},",

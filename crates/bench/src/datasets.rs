@@ -2,8 +2,7 @@
 //!
 //! The three evaluation datasets are generated once per process and
 //! cached. `PCLABEL_SCALE` (a float in `(0, 1]`) shrinks all row counts
-//! proportionally for quick runs; the criterion benchmarks use explicit
-//! small configurations instead.
+//! proportionally for quick runs.
 
 use std::sync::OnceLock;
 
@@ -69,39 +68,6 @@ pub fn all_datasets() -> Vec<&'static Dataset> {
     vec![bluenile_full(), compas_full(), creditcard_full()]
 }
 
-/// Small dataset variants for criterion micro-benchmarks (fast to build,
-/// same correlation structure).
-pub mod small {
-    use super::*;
-
-    /// 10k-row BlueNile variant.
-    pub fn bluenile_small() -> Dataset {
-        bluenile(&BlueNileConfig {
-            n_rows: 10_000,
-            seed: 7,
-        })
-        .expect("valid config")
-    }
-
-    /// 10k-row COMPAS variant.
-    pub fn compas_small() -> Dataset {
-        compas(&CompasConfig {
-            n_rows: 10_000,
-            seed: 7,
-        })
-        .expect("valid config")
-    }
-
-    /// 6k-row Credit-Card variant.
-    pub fn creditcard_small() -> Dataset {
-        creditcard(&CreditCardConfig {
-            n_rows: 6_000,
-            seed: 7,
-        })
-        .expect("valid config")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,11 +81,5 @@ mod tests {
         assert_eq!(compas_full().n_attrs(), 17);
         assert_eq!(creditcard_full().n_attrs(), 24);
         assert_eq!(bluenile_full().n_attrs(), 7);
-    }
-
-    #[test]
-    fn small_variants_are_fast() {
-        assert_eq!(small::bluenile_small().n_rows(), 10_000);
-        assert_eq!(small::creditcard_small().n_attrs(), 24);
     }
 }

@@ -1,15 +1,15 @@
 //! # pclabel-bench
 //!
 //! The experiment harness reproducing every table and figure of
-//! *"Patterns Count-Based Labels for Datasets"* (§IV), plus criterion
-//! micro/macro benchmarks and ablations.
+//! *"Patterns Count-Based Labels for Datasets"* (§IV), plus the engine
+//! and search benchmark binaries.
 //!
 //! * `cargo run -p pclabel-bench --release --bin repro -- all` regenerates
 //!   every artifact (Figures 1, 4–10, Table I, the Appendix-A reduction
 //!   check) as text tables;
-//! * `cargo bench -p pclabel-bench` runs the criterion timing benchmarks
-//!   (Figures 6–8 shapes on reduced configurations, counting-engine
-//!   microbenchmarks, and the ablations listed in `DESIGN.md`).
+//! * `engine_bench`, `microbench_counting` and `microbench_search` time
+//!   the serving engine, the counting build and the label search, each
+//!   printing one JSON report; `bench_trend` compares two such reports.
 //!
 //! Environment knobs: `PCLABEL_SCALE` (shrink dataset rows for quick
 //! runs), `PCLABEL_NAIVE_LIMIT` (naive-search node budget standing in for

@@ -1044,7 +1044,7 @@ pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
 ///
 /// This cold scan packs every attribute of `attrs` into a hashed key per
 /// row. The searches size their lattice nodes from the parent's group ids
-/// instead, with one fused pass: greedy and naive through
+/// instead, with one fused pass: naive through
 /// [`EvalContext::child_size_bounded`](crate::search::EvalContext::child_size_bounded)
 /// over the parent's memoized partition, top-down over the ids its
 /// depth-first walk keeps. This function is the oracle both paths are

@@ -65,7 +65,6 @@ pub mod prelude {
     pub use crate::patterns::PatternSet;
     pub use crate::reduction::{reduce_vertex_cover, Graph, ReductionInstance};
     pub use crate::search::{
-        greedy_search, naive_search, top_down_search, Evaluator, SearchOptions, SearchOutcome,
-        SearchStats,
+        naive_search, top_down_search, Evaluator, SearchOptions, SearchOutcome, SearchStats,
     };
 }

@@ -44,14 +44,14 @@
 //!   3. otherwise the largest memoized **coarser** partition (`T ⊂ S`)
 //!      is *refined* one attribute at a time, each pass O(rows) with a
 //!      dense (hash-free) remap whenever the composite group×value space
-//!      is small — exactly greedy's forward chain and top-down's
-//!      parent→child expansion;
+//!      is small — the naive search's lexicographic levels and the
+//!      top-down search's sorted candidates share prefixes this way;
 //!   4. with an empty memo the chain starts from the unit partition.
 //!
 //!   Full-`S` pattern lookups become two array reads (`weights[ids[r]]`)
-//!   instead of a key pack + hash probe. The memo is bounded
-//!   ([`SearchOptions::refine_memo`], least-recently-used eviction), so
-//!   resident memory is at most `memo × (4·U + 12·G)` bytes for a
+//!   instead of a key pack + hash probe. The memo holds at most
+//!   [`REFINE_MEMO`] partitions (least-recently-used eviction), so
+//!   resident memory is at most `REFINE_MEMO × (4·U + 12·G)` bytes for a
 //!   `U`-row universe with `G`-group partitions.
 //!
 //!   The early-exit scan of a search's candidates usually stops after one
@@ -73,8 +73,8 @@
 //! also writes the child's ids, and its scratch table follows one
 //! dense-or-hash rule that a large label bound cannot grow. The top-down
 //! search keeps the ids of its depth-first path itself (see
-//! [`top_down_search`](crate::search::top_down_search)); the naive and
-//! greedy searches read them from `S`'s memoized partition through
+//! [`top_down_search`](crate::search::top_down_search)); the naive
+//! search reads them from `S`'s memoized partition through
 //! [`EvalContext::child_size_bounded`], ignoring passive pattern rows.
 //! Sizes equal the cold
 //! [`label_size_bounded`](crate::counting::label_size_bounded) scan's,
@@ -218,18 +218,17 @@ impl Evaluator {
         self.patterns.as_ref().map_or(&self.dweights, |m| &m.counts)
     }
 
-    /// A lattice-aware evaluation context with default tuning (refinement
-    /// on, default memo bound). See [`EvalContext`].
+    /// A lattice-aware evaluation context with refinement on. See
+    /// [`EvalContext`].
     pub fn context(&self) -> EvalContext<'_> {
-        EvalContext::new(self, true, DEFAULT_REFINE_MEMO, self.count_threads)
+        EvalContext::new(self, true, self.count_threads)
     }
 
-    /// An evaluation context tuned by `opts`
-    /// ([`SearchOptions::refine`] / [`SearchOptions::refine_memo`]); with
-    /// refinement disabled every call falls through to the cold
+    /// An evaluation context tuned by `opts` ([`SearchOptions::refine`]);
+    /// with refinement disabled every call falls through to the cold
     /// [`Evaluator::error_of`] oracle.
     pub fn context_for(&self, opts: &SearchOptions) -> EvalContext<'_> {
-        EvalContext::new(self, opts.refine, opts.refine_memo, self.count_threads)
+        EvalContext::new(self, opts.refine, self.count_threads)
     }
 
     /// Computes `Err(L_S(D), P)` statistics for the subset `attrs` with a
@@ -403,8 +402,7 @@ impl Evaluator {
         std::thread::scope(|scope| {
             for (slot, work) in out.chunks_mut(chunk).zip(cands.chunks(chunk)) {
                 scope.spawn(move || {
-                    let mut ctx =
-                        EvalContext::new(self, opts.refine, opts.refine_memo, count_threads);
+                    let mut ctx = EvalContext::new(self, opts.refine, count_threads);
                     for (o, &s) in slot.iter_mut().zip(work) {
                         *o = metric.of(&ctx.error_of(s, early));
                     }
@@ -415,8 +413,10 @@ impl Evaluator {
     }
 }
 
-/// Default bound on memoized partitions per [`EvalContext`].
-pub const DEFAULT_REFINE_MEMO: usize = 16;
+/// Bound on memoized partitions per [`EvalContext`]. Resident memory is
+/// at most `REFINE_MEMO × (4·U + 12·G)` bytes for a `U`-row distinct and
+/// pattern universe with `G`-group partitions.
+const REFINE_MEMO: usize = 16;
 
 /// Patterns every refinement-path scan prices from match bitmaps before
 /// it derives the candidate's partition.
@@ -502,7 +502,6 @@ pub struct EvalContext<'a> {
     /// `false` routes every call to the cold oracle (the
     /// `SearchOptions::refine(false)` ablation).
     refine: bool,
-    memo_cap: usize,
     memo: Vec<MemoEntry>,
     stamp: u64,
     /// Counting-thread budget for cold-path calls.
@@ -514,11 +513,10 @@ pub struct EvalContext<'a> {
 }
 
 impl<'a> EvalContext<'a> {
-    fn new(ev: &'a Evaluator, refine: bool, memo_cap: usize, count_threads: usize) -> Self {
+    fn new(ev: &'a Evaluator, refine: bool, count_threads: usize) -> Self {
         EvalContext {
             ev,
             refine,
-            memo_cap: memo_cap.max(2),
             memo: Vec::new(),
             stamp: 0,
             count_threads,
@@ -579,10 +577,10 @@ impl<'a> EvalContext<'a> {
     /// the distinct table, found by the fused `refine_bounded` pass over
     /// the distinct rows' ids in `parent`'s memoized partition, which
     /// counts distinct `(parent group, code of attr)` pairs and stops at
-    /// `bound + 1`. The greedy and naive searches size their lattice
-    /// nodes this way (the top-down walk runs the same pass over the ids
-    /// it keeps itself); it uses the memo whether or not the context
-    /// evaluates errors by refinement.
+    /// `bound + 1`. The naive search sizes its lattice nodes this way
+    /// (the top-down walk runs the same pass over the ids it keeps
+    /// itself); it uses the memo whether or not the context evaluates
+    /// errors by refinement.
     pub fn child_size_bounded(&mut self, parent: AttrSet, attr: usize, bound: u64) -> Option<u64> {
         debug_assert!(!parent.contains(attr), "{attr} already in {parent}");
         let ev = self.ev;
@@ -678,7 +676,7 @@ impl<'a> EvalContext<'a> {
             e.stamp = self.stamp;
             return;
         }
-        if self.memo.len() >= self.memo_cap {
+        if self.memo.len() >= REFINE_MEMO {
             if let Some(oldest) = self
                 .memo
                 .iter()
@@ -702,7 +700,7 @@ mod tests {
     use super::*;
     use crate::label::Label;
     use crate::pattern::Pattern;
-    use pclabel_data::generate::{correlated_pair, figure2_sample};
+    use pclabel_data::generate::{correlated_pair, figure2_sample, functional_chain};
 
     /// Brute-force Err(L_S, P) by explicit Label::estimate per pattern.
     fn brute_stats(d: &Dataset, attrs: AttrSet, ps: &PatternSet) -> ErrorStats {
@@ -762,11 +760,11 @@ mod tests {
     }
 
     #[test]
-    fn context_reuses_partitions_across_a_greedy_chain() {
+    fn context_reuses_partitions_across_a_forward_chain() {
         let d = correlated_pair(6, 3000, 0.4, 11).unwrap();
         let ev = Evaluator::new(&d, &PatternSet::AllTuples);
         let mut ctx = ev.context();
-        // A forward chain with sibling branches, like greedy's walk.
+        // A forward chain with sibling branches.
         for attrs in [
             AttrSet::from_indices([0]),
             AttrSet::from_indices([1]),
@@ -779,25 +777,18 @@ mod tests {
 
     #[test]
     fn context_memo_respects_cap() {
-        let d = figure2_sample();
+        // The 31 non-empty subsets of 5 attributes, each priced by a full
+        // scan, derive more partitions than the memo holds.
+        let d = functional_chain(5, 16, 500, 3).unwrap();
         let ev = Evaluator::new(&d, &PatternSet::AllTuples);
-        let opts = SearchOptions::with_bound(10).refine_memo(2);
-        let mut ctx = ev.context_for(&opts);
-        for attrs in [
-            AttrSet::from_indices([0]),
-            AttrSet::from_indices([1]),
-            AttrSet::from_indices([2]),
-            AttrSet::from_indices([0, 1]),
-            AttrSet::from_indices([2, 3]),
-        ] {
-            let _ = ctx.error_of(attrs, false);
-            assert!(ctx.memo_len() <= 2, "memo grew past its cap");
+        let mut ctx = ev.context();
+        for bits in 1..32 {
+            let attrs = AttrSet::from_bits(bits);
+            // Still correct while evicting.
+            assert_eq!(ctx.error_of(attrs, false), ev.error_of(attrs, false));
+            assert!(ctx.memo_len() <= REFINE_MEMO, "memo grew past its cap");
         }
-        // Still correct after heavy eviction.
-        assert_eq!(
-            ctx.error_of(AttrSet::from_indices([0, 1]), false),
-            ev.error_of(AttrSet::from_indices([0, 1]), false)
-        );
+        assert_eq!(ctx.memo_len(), REFINE_MEMO);
     }
 
     #[test]

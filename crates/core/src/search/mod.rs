@@ -11,18 +11,13 @@
 //!   the duplicate-free `gen` operator (depth first, on every worker),
 //!   collecting a candidate set of maximal within-budget subsets, then
 //!   returning the candidate with minimal error.
-//!
-//! An additional [`greedy_search`] (forward selection) is provided as an
-//! extension — the "more complex approaches" the paper defers.
 
 mod evaluator;
-mod greedy;
 mod naive;
 pub mod refine;
 mod topdown;
 
-pub use evaluator::{EvalContext, Evaluator, DEFAULT_REFINE_MEMO};
-pub use greedy::greedy_search;
+pub use evaluator::{EvalContext, Evaluator};
 pub use naive::{naive_search, naive_search_limited, NaiveLimits};
 pub use topdown::top_down_search;
 
@@ -63,11 +58,6 @@ pub struct SearchOptions {
     /// `false` is the ablation/oracle configuration). Lattice nodes are
     /// sized over the context's memoized partitions either way.
     pub refine: bool,
-    /// Bound on memoized partitions per evaluation context
-    /// (LRU-evicted; default [`DEFAULT_REFINE_MEMO`]). Resident memory
-    /// is at most `refine_memo × (4·U + 12·G)` bytes for a `U`-row
-    /// distinct/pattern universe with `G`-group partitions.
-    pub refine_memo: usize,
 }
 
 impl SearchOptions {
@@ -81,7 +71,6 @@ impl SearchOptions {
             threads: 1,
             count_threads: 1,
             refine: true,
-            refine_memo: DEFAULT_REFINE_MEMO,
         }
     }
 
@@ -120,12 +109,6 @@ impl SearchOptions {
     /// oracle per candidate).
     pub fn refine(mut self, on: bool) -> Self {
         self.refine = on;
-        self
-    }
-
-    /// Bounds the number of partitions an evaluation context memoizes.
-    pub fn refine_memo(mut self, cap: usize) -> Self {
-        self.refine_memo = cap.max(2);
         self
     }
 }

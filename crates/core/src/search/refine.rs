@@ -34,8 +34,8 @@
 //! refinement over such ids — one pass that counts the child's label
 //! size, stops past the bound and writes the child's ids as it goes. The
 //! top-down walk keeps each node's ids in a `GroupIds`, so a child that
-//! fits is never read a second time; the greedy and naive searches run
-//! the same pass over the data prefix of a memoized partition's ids.
+//! fits is never read a second time; the naive search runs the same
+//! pass over the data prefix of a memoized partition's ids.
 
 use pclabel_data::dataset::MISSING;
 

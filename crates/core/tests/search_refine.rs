@@ -32,8 +32,8 @@ use pclabel_core::pattern::Pattern;
 use pclabel_core::patterns::PatternSet;
 use pclabel_core::search::refine::Partition;
 use pclabel_core::search::{
-    greedy_search, naive_search, naive_search_limited, top_down_search, EvalContext, Evaluator,
-    NaiveLimits, SearchOptions, SearchOutcome,
+    naive_search, naive_search_limited, top_down_search, EvalContext, Evaluator, NaiveLimits,
+    SearchOptions, SearchOutcome,
 };
 use pclabel_data::dataset::{Dataset, DatasetBuilder, MISSING};
 use pclabel_data::error::Result;
@@ -170,9 +170,10 @@ proptest! {
         assert_paths_identical(&d, &ps, 1);
     }
 
-    /// Greedy and top-down return identical outcomes with refinement on
-    /// and off, under every metric; the top-down walk, on one to three
-    /// threads, matches the cold-sized BFS oracle.
+    /// Top-down and budgeted naive searches return identical outcomes
+    /// with refinement on and off, under every metric; the top-down walk,
+    /// on one to three threads, matches the cold-sized BFS oracle, and
+    /// both naive walks match the cold-sized level-wise oracle.
     #[test]
     fn searches_identical_with_refinement_on_and_off(
         d in arb_dataset_missing(),
@@ -187,35 +188,43 @@ proptest! {
         ][metric_id];
         let on = SearchOptions::with_bound(bound).metric(metric);
         let off = on.clone().refine(false);
-        let (g_on, g_off) = (greedy_search(&d, &on).unwrap(), greedy_search(&d, &off).unwrap());
-        prop_assert_eq!(g_on.best_attrs, g_off.best_attrs);
-        prop_assert_eq!(g_on.best_stats, g_off.best_stats);
-        prop_assert_eq!(g_on.candidates, g_off.candidates);
         let (t_on, t_off) =
             (top_down_search(&d, &on).unwrap(), top_down_search(&d, &off).unwrap());
         prop_assert_eq!(t_on.best_attrs, t_off.best_attrs);
         prop_assert_eq!(t_on.best_stats, t_off.best_stats);
         let ev = Evaluator::new(&d, &on.patterns);
-        let oracle = ColdWalks::new(&ev, &on).top_down();
+        let mut cold = ColdWalks::new(&ev, &on);
+        let oracle = cold.top_down();
         prop_assert_eq!(&Walk::of(&t_off), &oracle);
         for threads in 1..=3 {
             let walk = top_down_search(&d, &on.clone().threads(threads)).unwrap();
             prop_assert_eq!(&Walk::of(&walk), &oracle, "threads {}", threads);
             prop_assert_eq!(walk.best_stats, t_off.best_stats);
         }
+        let limits = NaiveLimits {
+            max_nodes: Some(PROPTEST_NAIVE_NODES),
+        };
+        let (n_on, n_off) = (
+            naive_search_limited(&d, &on, limits).unwrap(),
+            naive_search_limited(&d, &off, limits).unwrap(),
+        );
+        // The oracle pins both walks' winners, candidates and counters.
+        let naive_oracle = cold.naive(PROPTEST_NAIVE_NODES);
+        prop_assert_eq!(&Walk::of(&n_on), &naive_oracle);
+        prop_assert_eq!(&Walk::of(&n_off), &naive_oracle);
+        prop_assert_eq!(n_on.best_stats, n_off.best_stats);
     }
 
     /// Sizing a lattice node over its parent's memoized partition gives
     /// the cold scan's answer on every node and every parent of it, at
     /// the tightest bound that fits and one below, under each kind of
-    /// pattern set (whose rows join the partitions as a passive suffix)
-    /// and memo bound, with all-missing rows in play.
+    /// pattern set (whose rows join the partitions as a passive suffix),
+    /// with all-missing rows in play.
     #[test]
     fn child_sizing_matches_label_size_bounded(
         d in arb_dataset_missing(),
         all_missing_row in any::<bool>(),
         over_bits in any::<u64>(),
-        memo in 2usize..=16,
     ) {
         let mut d = d;
         if all_missing_row {
@@ -229,7 +238,7 @@ proptest! {
             .collect();
         for ps in [PatternSet::AllTuples, PatternSet::OverAttrs(over), PatternSet::Explicit(explicit)] {
             let ev = Evaluator::new(&d, &ps);
-            let mut ctx = ev.context_for(&SearchOptions::with_bound(0).refine_memo(memo));
+            let mut ctx = ev.context();
             for bits in 1..=full {
                 let attrs = AttrSet::from_bits(bits);
                 let exact = label_size(&d, attrs);
@@ -275,6 +284,11 @@ impl Walk {
 /// budget covers the pair and triple levels of every schema here.
 const NAIVE_MAX_NODES: u64 = 3_000;
 
+/// Node budget for the proptest's naive walks: a four-attribute lattice
+/// has six pairs and four triples, so larger schemas stop inside the
+/// triple level and smaller ones run to completion.
+const PROPTEST_NAIVE_NODES: u64 = 8;
+
 /// The search's candidate arg-min: smallest metric, ties to fewer
 /// attributes then the smaller bitmask; the empty label when nothing fits.
 fn argmin(cands: &[AttrSet], errors: &[f64]) -> AttrSet {
@@ -288,7 +302,7 @@ fn argmin(cands: &[AttrSet], errors: &[f64]) -> AttrSet {
         .map_or(AttrSet::EMPTY, |(&s, _)| s)
 }
 
-/// Reference walks of the three searches, every node sized by a cold
+/// Reference walks of the two searches, every node sized by a cold
 /// [`label_size_bounded`] scan of the distinct table (once per node
 /// across the walks). Errors come from one refinement context, pinned
 /// bit-identical to the cold build by the tests above.
@@ -351,38 +365,6 @@ impl<'a> ColdWalks<'a> {
         }
     }
 
-    fn greedy(&mut self) -> Walk {
-        let (mut nodes_examined, mut candidates_evaluated) = (0, 0);
-        let mut current = AttrSet::EMPTY;
-        let mut visited = vec![(current, self.error(current))];
-        loop {
-            let mut step: Option<(AttrSet, f64)> = None;
-            for a in (0..self.n).filter(|&a| !current.contains(a)) {
-                let candidate = current.insert(a);
-                nodes_examined += 1;
-                if !self.fits(candidate) {
-                    continue;
-                }
-                let err = self.error(candidate);
-                candidates_evaluated += 1;
-                if step.is_none_or(|(s, e)| err < e || (err == e && candidate.bits() < s.bits())) {
-                    step = Some((candidate, err));
-                }
-            }
-            let Some(next) = step else { break };
-            current = next.0;
-            visited.push(next);
-        }
-        let (path, errors): (Vec<AttrSet>, Vec<f64>) = visited.into_iter().unzip();
-        Walk {
-            best: argmin(&path, &errors),
-            candidates: path[1..].to_vec(),
-            nodes_examined,
-            candidates_evaluated,
-            ..Walk::default()
-        }
-    }
-
     fn naive(&mut self, max_nodes: u64) -> Walk {
         let mut nodes_examined = 0;
         let (mut cands, mut errors) = (Vec::new(), Vec::new());
@@ -428,11 +410,6 @@ fn assert_walks_match_cold_sizing(d: &Dataset) {
             Walk::of(&top_down_search(d, &opts).unwrap()),
             cold.top_down(),
             "top-down {name} bound {bound}"
-        );
-        assert_eq!(
-            Walk::of(&greedy_search(d, &opts).unwrap()),
-            cold.greedy(),
-            "greedy {name} bound {bound}"
         );
         let limits = NaiveLimits {
             max_nodes: Some(NAIVE_MAX_NODES),
@@ -508,8 +485,7 @@ fn unbounded_search_sizes_wide_children_by_hashing() {
     }
 
     type Search = fn(&Dataset, &SearchOptions) -> Result<SearchOutcome>;
-    let searches: [(Search, u64); 3] =
-        [(top_down_search, 3), (greedy_search, 3), (naive_search, 1)];
+    let searches: [(Search, u64); 2] = [(top_down_search, 3), (naive_search, 1)];
     for (search, nodes) in searches {
         let out = search(&d, &SearchOptions::with_bound(u64::MAX)).unwrap();
         assert!(out.candidates.contains(&pair), "{:?}", out.candidates);
@@ -579,7 +555,7 @@ fn key_width_boundary_65_bits_is_identical() {
 }
 
 #[test]
-fn greedy_and_topdown_regression_on_generators() {
+fn topdown_and_naive_regression_on_generators() {
     // The acceptance regression: identical best_attrs/best_stats with
     // refinement on and off on the bench generators and Figure 2.
     let datasets = vec![
@@ -591,13 +567,6 @@ fn greedy_and_topdown_regression_on_generators() {
         for bound in [4u64, 20, 100] {
             let on = SearchOptions::with_bound(bound);
             let off = on.clone().refine(false);
-            let (g_on, g_off) = (
-                greedy_search(d, &on).unwrap(),
-                greedy_search(d, &off).unwrap(),
-            );
-            assert_eq!(g_on.best_attrs, g_off.best_attrs, "greedy bound {bound}");
-            assert_eq!(g_on.best_stats, g_off.best_stats, "greedy bound {bound}");
-            assert_eq!(g_on.candidates, g_off.candidates);
             let (t_on, t_off) = (
                 top_down_search(d, &on).unwrap(),
                 top_down_search(d, &off).unwrap(),

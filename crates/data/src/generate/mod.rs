@@ -3,9 +3,10 @@
 //! The paper evaluates on three real datasets (BlueNile, COMPAS, Credit
 //! Card) that cannot be redistributed; this module synthesizes datasets
 //! with the same published row counts, attribute counts, domains, marginals
-//! and correlation structure (see `DESIGN.md` → *Substitutions*). It also
-//! provides the exact Figure 2 sample and parametric generators used by
-//! tests and benchmarks.
+//! and correlation structure. The module docs of `bluenile.rs`,
+//! `compas.rs` and `creditcard.rs` say what each generator copies from the
+//! paper and what it substitutes. It also provides the exact Figure 2
+//! sample and parametric generators used by tests and benchmarks.
 
 mod alias;
 mod augment;

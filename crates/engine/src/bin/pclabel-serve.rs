@@ -45,10 +45,7 @@ fn main() {
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(0);
-    let dispatcher = Dispatcher::new(Engine::new(EngineConfig {
-        query_threads,
-        ..EngineConfig::default()
-    }));
+    let dispatcher = Dispatcher::new(Engine::new(EngineConfig { query_threads }));
 
     let stdin = io::stdin().lock();
     let stdout = io::stdout().lock();

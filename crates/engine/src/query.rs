@@ -105,27 +105,20 @@ pub struct QueryResponse {
     pub stats: QueryStats,
 }
 
-/// Engine tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Worker threads for large batches; `0` = available parallelism.
-    pub query_threads: usize,
-    /// Batches smaller than this stay on the calling thread.
-    pub parallel_batch_threshold: usize,
-}
+/// Batches smaller than this stay on the calling thread.
+const PARALLEL_BATCH_THRESHOLD: usize = 256;
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            query_threads: 0,
-            parallel_batch_threshold: 256,
-        }
-    }
+/// Engine tuning knobs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineConfig {
+    /// Worker threads for batches of at least 256 patterns; `0` =
+    /// available parallelism.
+    pub query_threads: usize,
 }
 
 impl EngineConfig {
     fn resolve_threads(&self, batch: usize) -> usize {
-        if batch < self.parallel_batch_threshold.max(2) {
+        if batch < PARALLEL_BATCH_THRESHOLD {
             return 1;
         }
         let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -399,11 +392,19 @@ mod tests {
     use crate::store::LabelPolicy;
     use pclabel_data::generate::figure2_sample;
 
+    /// The default search policy (refinement on) at `bound`.
+    fn search_policy(bound: u64) -> LabelPolicy {
+        LabelPolicy::Search {
+            bound,
+            refine: true,
+        }
+    }
+
     fn engine_with_census() -> Engine {
         let engine = Engine::new(EngineConfig::default());
         engine
             .store()
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         engine
     }
@@ -521,13 +522,10 @@ mod tests {
             patterns: distinct.iter().cycle().take(300).cloned().collect(),
         };
         let run = |query_threads: usize| {
-            let engine = Engine::new(EngineConfig {
-                query_threads,
-                ..EngineConfig::default()
-            });
+            let engine = Engine::new(EngineConfig { query_threads });
             engine
                 .store()
-                .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+                .register("census", figure2_sample(), search_policy(5))
                 .unwrap();
             let batches: Vec<_> = (0..2)
                 .map(|_| {
@@ -550,19 +548,23 @@ mod tests {
 
     #[test]
     fn parallel_batch_matches_sequential() {
-        let sequential = engine_with_census();
-        let parallel = Engine::new(EngineConfig {
-            query_threads: 4,
-            parallel_batch_threshold: 2,
-        });
-        parallel
-            .store()
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
-            .unwrap();
+        let engine = |query_threads| {
+            let engine = Engine::new(EngineConfig { query_threads });
+            engine
+                .store()
+                .register("census", figure2_sample(), search_policy(5))
+                .unwrap();
+            engine
+        };
+        let (sequential, parallel) = (engine(1), engine(4));
 
+        // Every full row of figure 2, repeated past the chunking threshold.
         let d = figure2_sample();
         let mut patterns = Vec::new();
-        for r in 0..d.n_rows() {
+        for r in (0..d.n_rows())
+            .cycle()
+            .take(PARALLEL_BATCH_THRESHOLD + d.n_rows())
+        {
             let spec = PatternSpec {
                 terms: (0..d.n_attrs())
                     .map(|a| {
@@ -574,6 +576,10 @@ mod tests {
             };
             patterns.push(spec);
         }
+        assert_eq!(
+            EngineConfig { query_threads: 4 }.resolve_threads(patterns.len()),
+            4
+        );
         let request = QueryRequest {
             id: None,
             dataset: "census".into(),

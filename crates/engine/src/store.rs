@@ -81,14 +81,11 @@ impl From<DataError> for EngineError {
 pub enum LabelPolicy {
     /// Build `L_S` over exactly this attribute subset.
     Attrs(AttrSet),
-    /// Run the top-down optimal-label search with this size bound `B_s`
-    /// (default tuning: lattice-aware refinement evaluator, auto-sized
-    /// parallelism).
-    SearchBound(u64),
-    /// [`LabelPolicy::SearchBound`] with explicit evaluator tuning: the
-    /// wire-level `"refine": false` escape hatch forces the cold
-    /// per-candidate rebuild (bit-identical results, ablation/debugging
-    /// only).
+    /// Run the top-down optimal-label search with size bound `B_s` and
+    /// auto-sized parallelism. `refine: true` is the default tuning (the
+    /// lattice-aware refinement evaluator); the wire-level
+    /// `"refine": false` escape hatch forces the cold per-candidate
+    /// rebuild (bit-identical results, ablation/debugging only).
     Search {
         /// The size bound `B_s` on `|PC|`.
         bound: u64,
@@ -103,10 +100,6 @@ pub enum LabelPolicy {
 pub(crate) fn policy_repr(policy: LabelPolicy) -> PolicyRepr {
     match policy {
         LabelPolicy::Attrs(attrs) => PolicyRepr::Attrs(attrs.iter().map(|a| a as u32).collect()),
-        LabelPolicy::SearchBound(bound) => PolicyRepr::Search {
-            bound,
-            refine: true,
-        },
         LabelPolicy::Search { bound, refine } => PolicyRepr::Search { bound, refine },
     }
 }
@@ -343,7 +336,6 @@ fn compute_label(
             record_profile(trace, &profile);
             Ok(label)
         }
-        LabelPolicy::SearchBound(bound) => compute_search_label(dataset, bound, true, trace),
         LabelPolicy::Search { bound, refine } => {
             compute_search_label(dataset, bound, refine, trace)
         }
@@ -1061,11 +1053,19 @@ mod tests {
     use pclabel_core::pattern::Pattern;
     use pclabel_data::generate::figure2_sample;
 
+    /// The default search policy (refinement on) at `bound`.
+    fn search_policy(bound: u64) -> LabelPolicy {
+        LabelPolicy::Search {
+            bound,
+            refine: true,
+        }
+    }
+
     #[test]
     fn register_lookup_refresh_remove() {
         let store = LabelStore::new();
         let entry = store
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         assert_eq!(entry.label().attrs(), AttrSet::from_indices([1, 3]));
         assert_eq!(entry.generation(), 0);
@@ -1073,7 +1073,7 @@ mod tests {
 
         // Duplicate names are rejected.
         assert!(matches!(
-            store.register("census", figure2_sample(), LabelPolicy::SearchBound(5)),
+            store.register("census", figure2_sample(), search_policy(5)),
             Err(EngineError::AlreadyRegistered(_))
         ));
 
@@ -1127,19 +1127,17 @@ mod tests {
         // Re-registering the same name resumes above the retired
         // generation — (name, generation) pairs never repeat.
         let entry = store
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         assert_eq!(entry.generation(), 3);
-        let generation = store
-            .refresh("census", LabelPolicy::SearchBound(100))
-            .unwrap();
+        let generation = store.refresh("census", search_policy(100)).unwrap();
         assert_eq!(generation, 4);
 
         // A second remove/re-register cycle keeps climbing.
         assert!(store.remove("census").unwrap());
         assert_eq!(store.retired_generation("census"), Some(4));
         let entry = store
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         assert_eq!(entry.generation(), 5);
     }
@@ -1162,13 +1160,11 @@ mod tests {
     fn refresh_invalidates_cache() {
         let store = LabelStore::new();
         let entry = store
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         entry.cache().insert(Pattern::from_terms([(0, 0)]), 9.0);
         assert_eq!(entry.cache().len(), 1);
-        store
-            .refresh("census", LabelPolicy::SearchBound(100))
-            .unwrap();
+        store.refresh("census", search_policy(100)).unwrap();
         assert!(entry.cache().is_empty());
     }
 
@@ -1411,7 +1407,7 @@ mod tests {
     fn append_rows_rejects_bad_batches() {
         let store = LabelStore::new();
         store
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         let empty: &[Vec<Option<&str>>] = &[];
         assert!(matches!(
@@ -1436,7 +1432,7 @@ mod tests {
     fn search_policy_refine_ablation_matches_default() {
         let store = LabelStore::new();
         store
-            .register("on", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("on", figure2_sample(), search_policy(5))
             .unwrap();
         store
             .register(
@@ -1517,8 +1513,7 @@ mod tests {
                     let name = format!("d{}", t % 4);
                     // Many racing registers of 4 names: exactly one per
                     // name wins; the rest must see AlreadyRegistered.
-                    let _ =
-                        store.register(name.clone(), figure2_sample(), LabelPolicy::SearchBound(5));
+                    let _ = store.register(name.clone(), figure2_sample(), search_policy(5));
                     for _ in 0..50 {
                         if let Some(e) = store.try_get(&name) {
                             assert_eq!(e.dataset().n_rows(), 18);

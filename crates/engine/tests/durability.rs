@@ -16,6 +16,14 @@ use pclabel_wal::wal::FsyncPolicy;
 
 use proptest::prelude::*;
 
+/// The default search policy (refinement on) at `bound`.
+fn search_policy(bound: u64) -> LabelPolicy {
+    LabelPolicy::Search {
+        bound,
+        refine: true,
+    }
+}
+
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 /// A fresh, empty temp data directory unique to this test process.
@@ -78,7 +86,7 @@ fn reopen_replays_wal_to_identical_state() {
     let dir = temp_dir("replay");
     let (store, durability) = open(&dir);
     store
-        .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+        .register("census", figure2_sample(), search_policy(5))
         .unwrap();
     store
         .append_rows(
@@ -93,7 +101,7 @@ fn reopen_replays_wal_to_identical_state() {
         .refresh("census", LabelPolicy::Attrs(AttrSet::from_indices([0, 1])))
         .unwrap();
     store
-        .register("scratch", figure2_sample(), LabelPolicy::SearchBound(3))
+        .register("scratch", figure2_sample(), search_policy(3))
         .unwrap();
     assert!(store.remove("scratch").unwrap());
     let expected = state_of(&store);
@@ -218,7 +226,7 @@ fn generations_stay_monotone_across_restart_and_reregister() {
     assert_eq!(store2.len(), 0);
     assert_eq!(store2.retired_generation("census"), Some(1));
     let entry = store2
-        .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+        .register("census", figure2_sample(), search_policy(5))
         .unwrap();
     assert_eq!(entry.generation(), 2);
     drop(durability2);
@@ -233,7 +241,7 @@ fn generations_stay_monotone_across_restart_and_reregister() {
     let (store4, _durability4) = open(&dir);
     assert_eq!(store4.retired_generation("census"), Some(2));
     let entry = store4
-        .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+        .register("census", figure2_sample(), search_policy(5))
         .unwrap();
     assert_eq!(entry.generation(), 3);
     let _ = std::fs::remove_dir_all(&dir);

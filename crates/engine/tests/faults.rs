@@ -17,6 +17,14 @@ use pclabel_telemetry::{Registry, SnapshotValue};
 use pclabel_wal::faults::{install, FaultPlan};
 use pclabel_wal::wal::FsyncPolicy;
 
+/// The default search policy (refinement on) at `bound`.
+fn search_policy(bound: u64) -> LabelPolicy {
+    LabelPolicy::Search {
+        bound,
+        refine: true,
+    }
+}
+
 static SERIAL: Mutex<()> = Mutex::new(());
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -97,7 +105,7 @@ fn failing_snapshot_does_not_advance_snapshot_lsn() {
     let dir = temp_dir("snapfail");
     let (store, durability) = open(&dir, &registry);
     store
-        .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+        .register("census", figure2_sample(), search_policy(5))
         .expect("register");
     let first = durability.snapshot_now().expect("clean snapshot");
     assert_eq!(gauge(&registry, "pclabel_snapshot_lsn"), first);
@@ -143,7 +151,7 @@ fn wal_failure_degrades_store_and_probe_heals_it() {
     {
         let (store, durability) = open(&dir, &registry);
         store
-            .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+            .register("census", figure2_sample(), search_policy(5))
             .expect("register");
 
         {
@@ -158,7 +166,7 @@ fn wal_failure_degrades_store_and_probe_heals_it() {
 
             // Mutators fail fast with the retained root cause...
             let err = store
-                .register("other", figure2_sample(), LabelPolicy::SearchBound(5))
+                .register("other", figure2_sample(), search_policy(5))
                 .expect_err("degraded rejects mutators");
             match &err {
                 EngineError::Degraded(reason) => {

@@ -27,13 +27,9 @@ struct Twins {
 
 impl Twins {
     fn new() -> Twins {
-        // Three query threads, so a batch above the default
-        // `parallel_batch_threshold` runs on the chunked path even on a
-        // one-core host.
-        let config = EngineConfig {
-            query_threads: 3,
-            ..EngineConfig::default()
-        };
+        // Three query threads, so a batch of at least 256 patterns runs
+        // on the chunked path even on a one-core host.
+        let config = EngineConfig { query_threads: 3 };
         let mut twins = Twins {
             reference: Dispatcher::with_config(config),
             typed: Dispatcher::with_config(config),
@@ -154,7 +150,7 @@ fn canonical_lines() -> Vec<String> {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    // A batch above `parallel_batch_threshold` (256 by default): every
+    // A batch above the engine's chunking threshold (256 patterns): every
     // distinct figure-2 pattern, then repeats of them and unknown values.
     // Repeats land in later chunks than their first occurrence, whose
     // cached answers they must report as a one-thread batch would.

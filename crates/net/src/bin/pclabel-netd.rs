@@ -243,10 +243,7 @@ fn main() {
         Logger::new(log_level, slow_query).with_sample(log_sample),
         retained_traces,
     );
-    let engine = Engine::new(EngineConfig {
-        query_threads,
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new(EngineConfig { query_threads });
     // `_durability` owns the background flusher/snapshotter threads;
     // keeping it alive until after server.wait() is what flushes the
     // final batch on clean shutdown.

@@ -49,7 +49,7 @@
 //! let engine = Engine::new(EngineConfig::default());
 //! engine
 //!     .store()
-//!     .register("census", figure2_sample(), LabelPolicy::SearchBound(5))
+//!     .register("census", figure2_sample(), LabelPolicy::Search { bound: 5, refine: true })
 //!     .unwrap();
 //! let response = engine
 //!     .execute(&QueryRequest {
