@@ -4,13 +4,26 @@
 //! CSV files; this module provides a dependency-free RFC 4180 reader/writer
 //! so users can point the library at their own files.
 //!
-//! Reading is a single pass over the document's bytes: the scanner splits
-//! each record into `&str` slices of the input, and
-//! [`read_dataset_from_str`] interns them straight into the dataset's
-//! dictionary-encoded columns. Only quoted fields holding `""` escapes are
-//! copied; no per-field `String` and no list of records is built. Columns
-//! are reserved from the document's newline count and end with a capacity
+//! Reading is one pass over the document's bytes: the scanner splits each
+//! record into `&str` slices of the input, and [`read_dataset_from_str`]
+//! interns them straight into the dataset's dictionary-encoded columns.
+//! Only quoted fields holding `""` escapes are copied; no per-field
+//! `String` and no list of records is built. Columns end with a capacity
 //! equal to the row count.
+//!
+//! A document of at least 2 MiB is read on several threads: one per
+//! hardware thread (`available_parallelism`), but no fewer than 1 MiB of
+//! the document each, so smaller uploads stay on the calling thread. The
+//! body after the header is cut into chunks that each start just after a
+//! `\n` at even quote parity, which is a record boundary in any document
+//! the scanner accepts. Each chunk is scanned and interned into
+//! dictionaries of its own on its own thread. The calling thread then
+//! interns each chunk's labels, in the chunk's first-seen order, into the
+//! first chunk's dictionaries, which yields exactly the ids a one-thread
+//! read assigns, and remaps the chunk's ids. If any chunk meets an error,
+//! or the header repeats a name, the whole document is read again on the
+//! calling thread, so every error, its line and the precedence between
+//! errors are the one-thread reader's.
 
 mod parse;
 mod write;
@@ -24,7 +37,12 @@ use std::path::Path;
 
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::error::{DataError, Result};
-use parse::{count_newlines, Scanner};
+use parse::{count_byte, Scanner};
+
+/// The least share of a document a chunk thread is given: below it,
+/// spawning the thread and merging its dictionaries cost more than the
+/// scan it takes over.
+const MIN_CHUNK_BYTES: usize = 1 << 20;
 
 /// Parses a CSV document into a [`Dataset`], treating every column as a
 /// categorical attribute.
@@ -33,12 +51,24 @@ use parse::{count_newlines, Scanner};
 /// `col0..colN` names are generated in headerless mode); fields matching
 /// [`CsvOptions::missing_tokens`] become missing cells. A syntax error
 /// anywhere in the document is reported before an arity mismatch, and an
-/// arity mismatch before a duplicate header name.
+/// arity mismatch before a duplicate header name. Large documents are read
+/// on several threads (see the [module docs](self)); the result and every
+/// error are the same on one.
 pub fn read_dataset_from_str(input: &str, opts: &CsvOptions) -> Result<Dataset> {
+    read_dataset_in_chunks(input, opts, auto_chunks(input.len()))
+}
+
+/// [`read_dataset_from_str`] with the number of chunks fixed instead of
+/// taken from the document's size and the hardware threads (`0` and `1`
+/// read on the calling thread). Every count gives the same result; tests
+/// use this to hold the chunked read to the one-thread read.
+#[doc(hidden)]
+pub fn read_dataset_in_chunks(input: &str, opts: &CsvOptions, chunks: usize) -> Result<Dataset> {
     let mut scanner = Scanner::new(input, opts)?;
     let mut fields: Vec<Cow<str>> = Vec::new();
     let mut more = scanner.next_record(&mut fields)?;
-    let names: Vec<String> = if opts.has_header {
+    // `body` is where the data records start.
+    let (names, body): (Vec<String>, usize) = if opts.has_header {
         if !more {
             return Err(DataError::Csv {
                 line: 1,
@@ -46,24 +76,165 @@ pub fn read_dataset_from_str(input: &str, opts: &CsvOptions) -> Result<Dataset> 
             });
         }
         let names = fields.iter().map(|f| f.to_string()).collect();
-        more = scanner.next_record(&mut fields)?;
-        names
+        (names, scanner.offset())
     } else {
-        (0..fields.len()).map(|i| format!("col{i}")).collect()
+        ((0..fields.len()).map(|i| format!("col{i}")).collect(), 0)
     };
-    // An arity mismatch or a duplicate name is held until the document
-    // ends, since a later syntax error takes precedence; rows are no
-    // longer built once one is held.
-    let mut error = duplicate_name(&names);
-    let mut builder = DatasetBuilder::new(&names);
-    builder.reserve(rows_to_reserve(input, opts.has_header, names.len()));
-    let mut row = Vec::with_capacity(names.len());
+    let duplicate = duplicate_name(&names);
+    if chunks > 1 && duplicate.is_none() {
+        if let Some(dataset) = read_chunks(input, body, chunks, &names, opts) {
+            return Ok(dataset);
+        }
+    }
+    if opts.has_header {
+        more = scanner.next_record(&mut fields)?;
+    }
+    let mut builder = reserved_builder(&names, &input[body..]);
+    push_records(
+        &mut scanner,
+        &mut fields,
+        more,
+        opts,
+        &mut builder,
+        duplicate,
+    )?;
+    builder.shrink_to_fit();
+    Ok(builder.finish())
+}
+
+/// One chunk per hardware thread, but none smaller than
+/// [`MIN_CHUNK_BYTES`].
+fn auto_chunks(len: usize) -> usize {
+    if len < 2 * MIN_CHUNK_BYTES {
+        return 1;
+    }
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    threads.min(len / MIN_CHUNK_BYTES)
+}
+
+/// Reads the records of `input[body..]` as up to `chunks` chunks, the
+/// first on the calling thread and each other one on a scoped thread of
+/// its own, and joins them. `None` when the body does not split or any
+/// chunk meets an error: the caller then reads the document on one thread.
+fn read_chunks(
+    input: &str,
+    body: usize,
+    chunks: usize,
+    names: &[String],
+    opts: &CsvOptions,
+) -> Option<Dataset> {
+    let bounds = chunk_bounds(input.as_bytes(), body, chunks);
+    if bounds.len() < 3 {
+        return None;
+    }
+    // Every chunk's columns are reserved here, on the calling thread, so
+    // that they come from its allocator arena: freed by the merge, they are
+    // reused by the calling thread instead of staying resident in a worker
+    // thread's arena.
+    let mut reserved = bounds.windows(2).map(|w| {
+        let text = &input[w[0]..w[1]];
+        (text, reserved_builder(names, text))
+    });
+    let (first, first_builder) = reserved.next().expect("at least two chunks");
+    let parts = std::thread::scope(|scope| {
+        let workers: Vec<_> = reserved
+            .map(|(text, builder)| scope.spawn(move || read_chunk(text, builder, opts)))
+            .collect();
+        let mut parts = vec![read_chunk(first, first_builder, opts)];
+        parts.extend(workers.into_iter().map(|worker| {
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        parts
+    });
+    let parts = parts.into_iter().collect::<Result<Vec<_>>>().ok()?;
+    Some(DatasetBuilder::concat(parts))
+}
+
+/// Where the chunks of `bytes[body..]` start, plus the end of `bytes`.
+/// Each chunk after the first starts just after the first `\n` at or past
+/// its even share of the body with an even count of quotes between `body`
+/// and it. In a document the scanner accepts, that is a record boundary:
+/// outside quoted fields every quote so far belongs to a whole `"…"`
+/// field, and inside one the count is odd. (A start inside a quoted field
+/// would leave the chunk before it with an unterminated quote, so a wrong
+/// start could only cost a re-read on one thread.) No chunk is empty.
+fn chunk_bounds(bytes: &[u8], body: usize, chunks: usize) -> Vec<usize> {
+    let mut bounds = vec![body];
+    let mut at = body;
+    // Whether `bytes[body..at]` holds an odd number of quotes.
+    let mut odd = false;
+    for k in 1..chunks {
+        let target = body + (bytes.len() - body) * k / chunks;
+        if target > at {
+            odd ^= count_byte(&bytes[at..target], b'"') % 2 == 1;
+            at = target;
+        }
+        loop {
+            let Some(i) = bytes[at..].iter().position(|&b| b == b'\n' || b == b'"') else {
+                bounds.push(bytes.len());
+                return bounds;
+            };
+            at += i + 1;
+            if bytes[at - 1] == b'"' {
+                odd = !odd;
+            } else if !odd {
+                break;
+            }
+        }
+        if at == bytes.len() {
+            break;
+        }
+        bounds.push(at);
+    }
+    bounds.push(bytes.len());
+    bounds
+}
+
+/// Reads one chunk of records into `builder`.
+fn read_chunk(
+    text: &str,
+    mut builder: DatasetBuilder,
+    opts: &CsvOptions,
+) -> Result<DatasetBuilder> {
+    let mut scanner = Scanner::new(text, opts)?;
+    let mut fields = Vec::new();
+    let more = scanner.next_record(&mut fields)?;
+    push_records(&mut scanner, &mut fields, more, opts, &mut builder, None)?;
+    Ok(builder)
+}
+
+/// A builder over `names` with its columns reserved for the records of
+/// `body`.
+fn reserved_builder(names: &[String], body: &str) -> DatasetBuilder {
+    let mut builder = DatasetBuilder::new(names);
+    builder.reserve(rows_to_reserve(body, names.len()));
+    builder
+}
+
+/// Pushes the scanner's records into `builder`, starting with the one in
+/// `fields` when `more` is set. An arity mismatch (under
+/// [`CsvOptions::strict_arity`]; otherwise such a record is skipped) and
+/// `error`, one found before the records, are returned only once the
+/// document ends, since a later syntax error takes precedence; rows are no
+/// longer built once one is held.
+fn push_records<'a>(
+    scanner: &mut Scanner<'a>,
+    fields: &mut Vec<Cow<'a, str>>,
+    mut more: bool,
+    opts: &CsvOptions,
+    builder: &mut DatasetBuilder,
+    mut error: Option<DataError>,
+) -> Result<()> {
+    let width = builder.schema().len();
+    let mut row = Vec::with_capacity(width);
     let mut record = 0usize;
     while more {
-        if fields.len() != names.len() {
+        if fields.len() != width {
             if opts.strict_arity && !matches!(error, Some(DataError::ArityMismatch { .. })) {
                 error = Some(DataError::ArityMismatch {
-                    expected: names.len(),
+                    expected: width,
                     got: fields.len(),
                     row: record,
                 });
@@ -78,24 +249,19 @@ pub fn read_dataset_from_str(input: &str, opts: &CsvOptions) -> Result<Dataset> 
             builder.push_row_opt(&row)?;
         }
         record += 1;
-        more = scanner.next_record(&mut fields)?;
+        more = scanner.next_record(fields)?;
     }
-    if let Some(e) = error {
-        return Err(e);
-    }
-    builder.shrink_to_fit();
-    Ok(builder.finish())
+    error.map_or(Ok(()), Err)
 }
 
-/// Rows to reserve per column: the number of data records, exact unless a
+/// Rows to reserve per column for the records of `body`: exact unless a
 /// quoted field spans lines or a record ends in a bare `\r`. A row of
 /// `width` fields takes at least `width` bytes with its line end, which
 /// bounds the reservation by the input's size however wide the header is.
-fn rows_to_reserve(input: &str, has_header: bool, width: usize) -> usize {
-    let bytes = input.as_bytes();
-    let records = count_newlines(bytes) + usize::from(bytes.last().is_some_and(|&b| b != b'\n'));
-    let rows = records.saturating_sub(usize::from(has_header));
-    rows.min(bytes.len() / width.max(1) + 1)
+fn rows_to_reserve(body: &str, width: usize) -> usize {
+    let bytes = body.as_bytes();
+    let records = count_byte(bytes, b'\n') + usize::from(bytes.last().is_some_and(|&b| b != b'\n'));
+    records.min(bytes.len() / width.max(1) + 1)
 }
 
 /// The first header name that repeats an earlier one, as an error:
@@ -247,15 +413,68 @@ mod tests {
 
     #[test]
     fn reservation_is_bounded_by_input_size() {
-        assert_eq!(rows_to_reserve("a,b\nx,1\ny,2", true, 2), 2);
-        assert_eq!(rows_to_reserve("x,1\r\ny,2\r\n", false, 2), 2);
+        assert_eq!(rows_to_reserve("x,1\ny,2", 2), 2);
+        assert_eq!(rows_to_reserve("x,1\r\ny,2\r\n", 2), 2);
         // 100,000 blank lines under a 10,000-column header: too narrow to
         // be rows that wide, so they must not reserve 10^9 cells.
         let doc = format!("{}\n{}", ",".repeat(9_999), "\n".repeat(100_000));
-        let width = 10_000;
-        assert!(rows_to_reserve(&doc, true, width) * width <= doc.len() + width);
+        let (width, body) = (10_000, &doc[10_000..]);
+        assert!(rows_to_reserve(body, width) * width <= body.len() + width);
         let err = read_dataset_from_str(&doc, &CsvOptions::default()).unwrap_err();
         assert!(matches!(err, DataError::ArityMismatch { row: 0, .. }));
+    }
+
+    #[test]
+    fn chunks_start_after_line_ends_outside_quotes() {
+        // Records start at 4, 12 (after a quoted line break), 20 (after a
+        // quoted `""` escape and line break) and 24 (the end).
+        let doc = "a,b\nx,\"1\n2\"\ny,\"\"\"\n\"\nz,3\n";
+        let bytes = doc.as_bytes();
+        assert_eq!(chunk_bounds(bytes, 4, 4), [4, 12, 20, 24]);
+        assert_eq!(chunk_bounds(bytes, 4, 2), [4, 20, 24]);
+        assert_eq!(chunk_bounds(bytes, 4, 1), [4, 24]);
+        // No line end outside quotes past the first share: one chunk.
+        assert_eq!(chunk_bounds(b"a\n\"x\ny\nz\"", 2, 3), [2, 9]);
+        assert_eq!(chunk_bounds(b"a\n", 2, 3), [2, 2]);
+
+        let opts = CsvOptions::default();
+        let names = ["a".to_string(), "b".to_string()];
+        let chunked = read_chunks(doc, 4, 4, &names, &opts).expect("three chunks");
+        let whole = read_dataset_in_chunks(doc, &opts, 1).unwrap();
+        assert_eq!(chunked.n_rows(), 3);
+        for attr in 0..2 {
+            assert_eq!(chunked.column(attr), whole.column(attr));
+        }
+        assert_eq!(chunked.label_of(1, chunked.value_raw(1, 1)), "\"\n");
+    }
+
+    #[test]
+    fn a_chunk_error_rereads_the_document_on_one_thread() {
+        let opts = CsvOptions::default();
+        let names = ["a".to_string(), "b".to_string()];
+        // A ragged row in the first chunk, a syntax error in the last: the
+        // one-thread reader reports the syntax error, with its line.
+        let doc = "a,b\nonly-one\n1,2\n3,4\n5,x\"y\n";
+        assert!(read_chunks(doc, 4, 3, &names, &opts).is_none());
+        let want = Err(DataError::Csv {
+            line: 5,
+            message: "quote inside unquoted field".into(),
+        });
+        for chunks in 1..=4 {
+            assert_eq!(read_dataset_in_chunks(doc, &opts, chunks).map(|_| ()), want);
+        }
+        // A repeated name is held behind the rows' arity errors.
+        let err = read_dataset_in_chunks("a,a\nx,1\ny\nz,3\n", &opts, 3).unwrap_err();
+        assert!(matches!(err, DataError::ArityMismatch { row: 1, .. }));
+    }
+
+    #[test]
+    fn small_documents_stay_on_one_thread() {
+        assert_eq!(auto_chunks(0), 1);
+        assert_eq!(auto_chunks(2 * MIN_CHUNK_BYTES - 1), 1);
+        let threads = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!(auto_chunks(2 * MIN_CHUNK_BYTES), threads.min(2));
+        assert_eq!(auto_chunks(64 * MIN_CHUNK_BYTES), threads.min(64));
     }
 
     #[test]

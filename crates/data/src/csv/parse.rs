@@ -94,6 +94,12 @@ impl<'a> Scanner<'a> {
         })
     }
 
+    /// Byte offset of the next unread byte: after a record, where the
+    /// next one starts.
+    pub(super) fn offset(&self) -> usize {
+        self.pos
+    }
+
     /// Reads the next record into `fields` (cleared first) and returns
     /// `Ok(false)` once the input is exhausted. Every line end closes a
     /// record, a blank line included; text after the last line end is a
@@ -153,11 +159,11 @@ impl<'a> Scanner<'a> {
         let mut at = start;
         let close = loop {
             let Some(offset) = bytes[at..].iter().position(|&b| b == b'"') else {
-                self.line += count_newlines(&bytes[at..]);
+                self.line += count_byte(&bytes[at..], b'\n');
                 return Err(self.error("unterminated quoted field".into()));
             };
             let quote = at + offset;
-            self.line += count_newlines(&bytes[at..quote]);
+            self.line += count_byte(&bytes[at..quote], b'\n');
             if bytes.get(quote + 1) != Some(&b'"') {
                 break quote;
             }
@@ -196,8 +202,15 @@ impl<'a> Scanner<'a> {
     }
 }
 
-pub(super) fn count_newlines(bytes: &[u8]) -> usize {
-    bytes.iter().filter(|&&b| b == b'\n').count()
+/// How many times `byte` occurs in `bytes`. Summing `u8` flags over
+/// blocks of at most 255 bytes lets the compiler compare a vector of bytes
+/// at a time without widening each flag to `usize`, several times faster
+/// than `filter(..).count()`.
+pub(super) fn count_byte(bytes: &[u8], byte: u8) -> usize {
+    bytes
+        .chunks(255)
+        .map(|block| usize::from(block.iter().map(|&b| u8::from(b == byte)).sum::<u8>()))
+        .sum()
 }
 
 #[cfg(test)]
@@ -315,6 +328,19 @@ mod tests {
                 message: "quote inside unquoted field".into()
             }
         );
+    }
+
+    #[test]
+    fn count_byte_spans_blocks() {
+        assert_eq!(count_byte(b"", b'"'), 0);
+        let bytes: Vec<u8> = (0..2_000)
+            .map(|i| if i % 3 == 0 { b'"' } else { b'x' })
+            .collect();
+        for end in [1, 254, 255, 256, 765, 1_999, 2_000] {
+            let want = bytes[..end].iter().filter(|&&b| b == b'"').count();
+            assert_eq!(count_byte(&bytes[..end], b'"'), want, "first {end} bytes");
+        }
+        assert_eq!(count_byte(&[b'"'; 600], b'"'), 600);
     }
 
     #[test]

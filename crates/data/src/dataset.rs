@@ -150,6 +150,29 @@ impl Dataset {
         Ok(())
     }
 
+    /// A copy whose columns each hold room for `extra_rows` more rows,
+    /// allocated once. Appending that many rows to it reallocates
+    /// nothing, where a plain `clone` (capacity = rows) doubles every
+    /// column on its first append.
+    pub fn clone_with_headroom(&self, extra_rows: usize) -> Dataset {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| {
+                let mut copy = Vec::with_capacity(c.len() + extra_rows);
+                copy.extend_from_slice(c);
+                copy
+            })
+            .collect();
+        Dataset {
+            name: self.name.clone(),
+            schema: Arc::clone(&self.schema),
+            columns,
+            n_rows: self.n_rows,
+            has_missing: self.has_missing.clone(),
+        }
+    }
+
     /// Appends labeled rows (`None` marks a missing cell), interning
     /// previously-unseen values. Returns `true` when any dictionary grew —
     /// the signal that structures keyed on the old value-id layout (packed
@@ -578,6 +601,50 @@ impl DatasetBuilder {
         }
         self.n_rows += 1;
         Ok(())
+    }
+
+    /// Joins builders that were fed consecutive runs of one table's rows
+    /// under the same attribute names, in order, into one dataset.
+    ///
+    /// Each later part's labels are interned into the first part's
+    /// dictionaries in that part's own id (first-seen) order, which
+    /// assigns exactly the ids one builder fed every row in turn would
+    /// have; the part's ids are then remapped. Each column keeps the
+    /// first part's buffer, grown at most once, and ends with a capacity
+    /// equal to the total row count; a later part's column is freed as soon
+    /// as it is copied.
+    pub(crate) fn concat(parts: Vec<DatasetBuilder>) -> Dataset {
+        let mut parts = parts.into_iter();
+        let mut joined = parts.next().expect("concat needs at least one part");
+        let mut rest: Vec<DatasetBuilder> = parts.collect();
+        let rows = joined.n_rows + rest.iter().map(|p| p.n_rows).sum::<usize>();
+        let mut remap = Vec::new();
+        for (attr, column) in joined.columns.iter_mut().enumerate() {
+            column.reserve_exact(rows - column.len());
+            let dictionary = joined.schema.attr_mut(attr).dictionary_mut();
+            for part in &mut rest {
+                remap.clear();
+                remap.extend(
+                    part.schema
+                        .attr(attr)
+                        .expect("parts share the attribute names")
+                        .dictionary()
+                        .iter()
+                        .map(|(_, label)| dictionary.intern(label)),
+                );
+                let ids = std::mem::take(&mut part.columns[attr]);
+                column.extend(ids.iter().map(|&id| {
+                    if id == MISSING {
+                        MISSING
+                    } else {
+                        remap[id as usize]
+                    }
+                }));
+            }
+            column.shrink_to_fit();
+        }
+        joined.n_rows = rows;
+        joined.finish()
     }
 
     /// Finalizes the builder into an immutable [`Dataset`].

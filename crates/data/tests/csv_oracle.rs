@@ -1,7 +1,9 @@
 //! Differential tests of `read_dataset_from_str` against the parser it
 //! replaced (`oracle/mod.rs`): a proptest over structured documents, and a
 //! seeded alphabet-soup fuzz run over the bytes the scanner branches on.
-//! The soup's million-document soak is ignored by default:
+//! Every document is read in one to four chunks, each on its own thread.
+//! The soup's million-document soak and the full-size paper uploads are
+//! ignored by default:
 //!
 //! ```text
 //! cargo test --release -p pclabel-data --test csv_oracle -- --ignored
@@ -14,9 +16,12 @@ use proptest::test_runner::TestRng;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pclabel_data::csv::{read_dataset_from_str, CsvOptions};
+use pclabel_data::csv::{read_dataset_in_chunks, write_csv, CsvOptions, CsvWriteOptions};
 use pclabel_data::dataset::Dataset;
 use pclabel_data::error::DataError;
+use pclabel_data::generate::{
+    bluenile, compas, creditcard, BlueNileConfig, CompasConfig, CreditCardConfig,
+};
 use pclabel_data::mem::HeapBytes;
 
 /// Everything a dataset read from CSV consists of, in comparable form.
@@ -61,16 +66,32 @@ fn expected(doc: &str, opts: &CsvOptions) -> Result<Shape, DataError> {
     Ok(shape(&d))
 }
 
-/// Asserts that the scanner reads `doc` as the oracle does, and that its
-/// columns hold no capacity beyond the rows.
-fn check(doc: &str, opts: &CsvOptions) {
-    let got = read_dataset_from_str(doc, opts).map(|d| {
+/// Reads `doc` in `chunks` chunks, asserting that its columns hold no
+/// capacity beyond the rows.
+fn read(doc: &str, opts: &CsvOptions, chunks: usize) -> Result<Shape, DataError> {
+    read_dataset_in_chunks(doc, opts, chunks).map(|d| {
         let cells = (d.n_rows() * d.n_attrs() * std::mem::size_of::<u32>()) as u64;
         let exact = cells + d.n_attrs() as u64 + d.schema().heap_bytes();
-        assert_eq!(d.heap_bytes(), exact, "column capacity != rows for {doc:?}");
+        assert_eq!(
+            d.heap_bytes(),
+            exact,
+            "column capacity != rows for {doc:?} in {chunks} chunks"
+        );
         shape(&d)
-    });
-    assert_eq!(got, expected(doc, opts), "document {doc:?} with {opts:?}");
+    })
+}
+
+/// Asserts that the scanner reads `doc` as the oracle does in one to four
+/// chunks.
+fn check(doc: &str, opts: &CsvOptions) {
+    let want = expected(doc, opts);
+    for chunks in 1..=4 {
+        assert_eq!(
+            read(doc, opts, chunks),
+            want,
+            "document {doc:?} with {opts:?} in {chunks} chunks"
+        );
+    }
 }
 
 const DELIMITERS: [char; 4] = [',', ';', '\t', '|'];
@@ -261,4 +282,123 @@ fn alphabet_soup_matches_oracle() {
 #[ignore = "soak: a million documents, run in release mode"]
 fn alphabet_soup_soak() {
     alphabet_soup(2, 1_000_000);
+}
+
+/// Asserts that `doc` reads the same in two to four chunks as in one, and
+/// returns that result.
+fn same_in_any_chunk_count(doc: &str, opts: &CsvOptions) -> Result<Shape, DataError> {
+    let one = read(doc, opts, 1);
+    for chunks in 2..=4 {
+        assert!(
+            read(doc, opts, chunks) == one,
+            "{chunks} chunks differ from one"
+        );
+    }
+    one
+}
+
+/// `csv` with the line at `share` of its lines (the header is line 0)
+/// replaced by `edit` of it.
+fn edit_line(csv: &str, share: f64, edit: impl Fn(&str) -> String) -> String {
+    let mut lines: Vec<String> = csv.split_inclusive('\n').map(str::to_string).collect();
+    let at = (lines.len() as f64 * share) as usize;
+    lines[at] = edit(&lines[at]);
+    lines.concat()
+}
+
+/// The three paper-shaped uploads and the 200,000-row BlueNile upload, at
+/// `1 / divisor` of their rows, read the same in one to four chunks:
+/// names, dictionaries in id order, columns and `has_missing`. So do
+/// copies of COMPAS broken by a syntax error, an unterminated quote, a
+/// ragged row or a repeated header name, with the same error.
+fn paper_uploads(divisor: usize) {
+    let opts = CsvOptions::default();
+    let uploads = [
+        bluenile(&BlueNileConfig {
+            n_rows: 116_300 / divisor,
+            ..BlueNileConfig::default()
+        }),
+        bluenile(&BlueNileConfig {
+            n_rows: 200_000 / divisor,
+            ..BlueNileConfig::default()
+        }),
+        compas(&CompasConfig {
+            n_rows: 60_843 / divisor,
+            ..CompasConfig::default()
+        }),
+        creditcard(&CreditCardConfig {
+            n_rows: 30_000 / divisor,
+            ..CreditCardConfig::default()
+        }),
+    ]
+    .map(|d| {
+        write_csv(
+            &d.expect("paper-shaped generator"),
+            &CsvWriteOptions::default(),
+        )
+    });
+    for csv in &uploads {
+        let shape = same_in_any_chunk_count(csv, &opts).expect("a written upload reads back");
+        assert_eq!(shape.n_rows + 1, csv.lines().count());
+    }
+
+    let compas = &uploads[2];
+    let quote = edit_line(compas, 0.7, |l| format!("x\"y{l}"));
+    let unterminated = edit_line(compas, 0.4, |l| format!("\"{l}"));
+    let ragged = edit_line(compas, 0.3, |l| l.replacen(',', "", 1));
+    let ragged_then_quote = edit_line(&ragged, 0.9, |l| format!("x\"y{l}"));
+    let first = compas.split(',').next().expect("a header");
+    let repeated = edit_line(compas, 0.0, |l| {
+        let (_, rest) = l
+            .split_once(',')
+            .and_then(|(_, r)| r.split_once(','))
+            .expect("3 names");
+        format!("{first},{first},{rest}")
+    });
+    let syntax = |line: usize, message: &str| {
+        Err(DataError::Csv {
+            line,
+            message: message.into(),
+        })
+    };
+    let lines = compas.lines().count();
+    for (doc, want) in [
+        (
+            &quote,
+            syntax(lines * 7 / 10 + 1, "quote inside unquoted field"),
+        ),
+        (
+            &unterminated,
+            syntax(lines + 1, "unterminated quoted field"),
+        ),
+        (
+            &ragged_then_quote,
+            syntax(lines * 9 / 10 + 1, "quote inside unquoted field"),
+        ),
+        (
+            &repeated,
+            syntax(1, &format!("duplicate column name {first:?}")),
+        ),
+    ] {
+        assert_eq!(same_in_any_chunk_count(doc, &opts), want);
+    }
+    let Err(DataError::ArityMismatch { row, .. }) = same_in_any_chunk_count(&ragged, &opts) else {
+        panic!("a ragged row is an arity error");
+    };
+    assert_eq!(row, lines * 3 / 10 - 1);
+    let mut lenient = opts.clone();
+    lenient.strict_arity = false;
+    let skipped = same_in_any_chunk_count(&ragged, &lenient).expect("lenient read");
+    assert_eq!(skipped.n_rows + 2, lines);
+}
+
+#[test]
+fn paper_uploads_read_alike_in_any_chunk_count() {
+    paper_uploads(20);
+}
+
+#[test]
+#[ignore = "soak: the full-size uploads, run in release mode"]
+fn paper_uploads_soak() {
+    paper_uploads(1);
 }

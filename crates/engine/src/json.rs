@@ -129,10 +129,11 @@ impl Json {
 
     /// The numeric payload as `u64`, when integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
+        // 2^64, the first float past `u64::MAX`. `u64::MAX as f64` rounds
+        // up to it, so `<=` against that would let 2^64 saturate.
+        const END: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < END => Some(*n as u64),
             _ => None,
         }
     }
@@ -786,5 +787,10 @@ mod tests {
         assert_eq!(Json::Num(5.0).as_u64(), Some(5));
         assert_eq!(Json::Num(5.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+        // The largest float below 2^64 fits; 2^64 itself does not.
+        let below = Json::parse("18446744073709549568").unwrap();
+        assert_eq!(below.as_u64(), Some(18_446_744_073_709_549_568));
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Json::Num(2f64.powi(64)).as_u64(), None);
     }
 }

@@ -693,14 +693,19 @@ fn resolve_policy(request: &Json, dataset: &Dataset) -> Result<LabelPolicy, Stri
     Ok(LabelPolicy::Search { bound: 50, refine })
 }
 
-fn load_dataset(request: &Json, name: &str) -> Result<Dataset, String> {
+/// The request's dataset: its CSV upload, parsed (the parse is traced as
+/// [`Phase::CsvParse`]), or a named generator's.
+fn load_dataset(request: &Json, name: &str, trace: Option<&Trace>) -> Result<Dataset, String> {
     if let Some(csv) = request.get("csv") {
         let csv = csv
             .as_str()
             .ok_or_else(|| "\"csv\" must be a string".to_string())?;
-        return read_dataset_from_str(csv, &CsvOptions::default())
-            .map(|d| d.with_name(name))
-            .map_err(|e| e.to_string());
+        let t0 = std::time::Instant::now();
+        let parsed = read_dataset_from_str(csv, &CsvOptions::default());
+        if let Some(trace) = trace {
+            trace.add_phase(Phase::CsvParse, t0.elapsed());
+        }
+        return parsed.map(|d| d.with_name(name)).map_err(|e| e.to_string());
     }
     match request.get("generator").and_then(Json::as_str) {
         Some("figure2") => Ok(figure2_sample().with_name(name)),
@@ -748,7 +753,7 @@ fn handle_register(engine: &Engine, request: &Json, trace: Option<&Trace>) -> Js
         Ok(n) => n,
         Err(e) => return error_response(Some("register"), &e),
     };
-    let dataset = match load_dataset(request, &name) {
+    let dataset = match load_dataset(request, &name, trace) {
         Ok(d) => d,
         Err(e) => return error_response(Some("register"), &e),
     };
@@ -1374,6 +1379,21 @@ mod tests {
     }
 
     #[test]
+    fn register_rejects_a_bound_past_u64_max() {
+        // 2^64 parses to a float that `as u64` would saturate to u64::MAX.
+        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let response = dispatcher.dispatch_line(concat!(
+            "{\"op\":\"register\",\"dataset\":\"t\",\"generator\":\"figure2\",",
+            "\"bound\":18446744073709551616}"
+        ));
+        assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            response.get("error").and_then(Json::as_str),
+            Some("\"bound\" must be a non-negative integer")
+        );
+    }
+
+    #[test]
     fn append_rows_session_updates_counts_incrementally() {
         let responses = run_session(concat!(
             "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,b\\n1,x\\n1,y\\n2,x\\n\",",
@@ -1707,12 +1727,14 @@ mod tests {
     }
 
     #[test]
-    fn searched_register_traces_split_walk_and_eval() {
+    fn register_traces_split_parse_walk_and_eval() {
         let dispatcher = Dispatcher::with_config(EngineConfig::default());
         for line in [
             "{\"op\":\"register\",\"dataset\":\"searched\",\"generator\":\"figure2\",\"bound\":5}",
             "{\"op\":\"register\",\"dataset\":\"fixed\",\"generator\":\"figure2\",\
              \"label_attrs\":[\"age group\",\"marital status\"]}",
+            "{\"op\":\"register\",\"dataset\":\"uploaded\",\"csv\":\"a,b\\n1,x\\n2,y\\n\",\
+             \"label_attrs\":[\"a\",\"b\"]}",
         ] {
             assert_eq!(
                 dispatcher.dispatch_line(line).get("ok"),
@@ -1739,6 +1761,17 @@ mod tests {
         assert!(searched.iter().any(|p| p == "search_eval"), "{searched:?}");
         let fixed = spans_of("fixed");
         assert!(!fixed.iter().any(|p| p.starts_with("search_")), "{fixed:?}");
+        // Only the CSV upload is parsed.
+        let uploaded = spans_of("uploaded");
+        assert!(uploaded.iter().any(|p| p == "csv_parse"), "{uploaded:?}");
+        for generated in [&searched, &fixed] {
+            assert!(!generated.iter().any(|p| p == "csv_parse"), "{generated:?}");
+        }
+        let metrics = dispatcher.metrics_text();
+        assert!(
+            metrics.contains("pclabel_csv_parse_seconds_count 1\n"),
+            "{metrics}"
+        );
     }
 
     #[test]

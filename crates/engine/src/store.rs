@@ -705,7 +705,7 @@ impl LabelStore {
         rows: &[Vec<Option<S>>],
         trace: Option<&Trace>,
     ) -> Result<(Dataset, Arc<Label>, bool, Vec<u32>), EngineError> {
-        let mut dataset = base.clone();
+        let mut dataset = base.clone_with_headroom(rows.len());
         let old_rows = dataset.n_rows();
         dataset.append_labeled_rows(rows)?;
         if label.can_append(&dataset) {
@@ -1401,6 +1401,16 @@ mod tests {
             warmed.dataset,
             after.dataset
         );
+        // Each append allocates every column once, at exactly the new row
+        // count: one u32 per cell, no growth slack.
+        for batch in [1, 64] {
+            store.append_rows("census", &grown_rows[..batch]).unwrap();
+            let d = entry.dataset();
+            let cells = (d.n_rows() * d.n_attrs() * std::mem::size_of::<u32>()) as u64;
+            let exact = cells + d.n_attrs() as u64 + d.schema().heap_bytes();
+            assert_eq!(entry.memory().dataset, exact, "after {} rows", d.n_rows());
+        }
+        assert_eq!(entry.dataset().n_rows(), 18 + 64 + 1 + 64);
     }
 
     #[test]

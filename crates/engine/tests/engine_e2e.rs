@@ -5,12 +5,14 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pclabel_core::attrset::AttrSet;
 use pclabel_core::label::Label;
 use pclabel_core::pattern::Pattern;
+use pclabel_data::csv::{write_csv, CsvWriteOptions};
 use pclabel_data::dataset::{Dataset, DatasetBuilder};
+use pclabel_data::generate::{bluenile, BlueNileConfig};
 use pclabel_engine::json::Json;
 use pclabel_engine::prelude::*;
 use pclabel_engine::serve::{serve, Dispatcher};
@@ -251,4 +253,105 @@ fn concurrent_clients_share_one_store() {
     });
     let entry = engine.store().get("synthetic").unwrap();
     assert_eq!(entry.generation(), 10);
+}
+
+/// Everything a registered entry serves from: the dataset's names,
+/// dictionaries in id order, columns and missing flags, and the label's
+/// subset and sorted `PC` entries.
+type EntryShape = (
+    Vec<String>,
+    Vec<Vec<String>>,
+    Vec<Vec<u32>>,
+    Vec<bool>,
+    AttrSet,
+    Vec<(Pattern, u64)>,
+);
+
+fn entry_shape(dispatcher: &Dispatcher, name: &str) -> EntryShape {
+    let entry = dispatcher.engine().store().get(name).unwrap();
+    let (dataset, label) = (entry.dataset(), entry.label());
+    let attrs = 0..dataset.n_attrs();
+    let mut pc = label.pc_entries();
+    pc.sort();
+    (
+        dataset
+            .schema()
+            .names()
+            .iter()
+            .map(|n| n.to_string())
+            .collect(),
+        dataset
+            .schema()
+            .iter()
+            .map(|a| a.dictionary().iter().map(|(_, l)| l.to_string()).collect())
+            .collect(),
+        attrs.clone().map(|a| dataset.column(a).to_vec()).collect(),
+        attrs.map(|a| dataset.attr_has_missing(a)).collect(),
+        label.attrs(),
+        pc,
+    )
+}
+
+#[test]
+fn concurrent_csv_registers_match_a_lone_register() {
+    // More than 1 MiB per hardware thread (and two at least), so each
+    // parse splits into a chunk per hardware thread, and each searched
+    // register takes every hardware thread for its walk as well.
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let min_bytes = (threads.max(2) << 20) + 1;
+    let mut n_rows = 1_000;
+    let csv = loop {
+        let config = BlueNileConfig {
+            n_rows,
+            ..BlueNileConfig::default()
+        };
+        let csv = write_csv(&bluenile(&config).unwrap(), &CsvWriteOptions::default());
+        if csv.len() >= min_bytes {
+            break csv;
+        }
+        n_rows = n_rows * min_bytes / csv.len() + 1;
+    };
+    let register = |name: &str| {
+        Json::obj([
+            ("op", Json::str("register")),
+            ("dataset", Json::str(name)),
+            ("csv", Json::str(&csv)),
+            ("bound", Json::num(50.0)),
+        ])
+        .to_string()
+    };
+    let without_name = |response: &Json| match response {
+        Json::Obj(members) => members
+            .iter()
+            .filter(|(k, _)| k != "dataset")
+            .cloned()
+            .collect::<Vec<_>>(),
+        other => panic!("not an object: {other}"),
+    };
+
+    let lone = Dispatcher::with_config(EngineConfig::default());
+    let want = lone.dispatch_line(&register("lone"));
+    assert_eq!(want.get("ok"), Some(&Json::Bool(true)), "{want}");
+    let want_entry = entry_shape(&lone, "lone");
+
+    let shared = Dispatcher::with_config(EngineConfig::default());
+    let start = Barrier::new(4);
+    let responses: Vec<Json> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..4)
+            .map(|i| {
+                let (shared, start, register) = (&shared, &start, &register);
+                s.spawn(move || {
+                    start.wait();
+                    shared.dispatch_line(&register(&format!("d{i}")))
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    for (i, response) in responses.iter().enumerate() {
+        let name = format!("d{i}");
+        assert_eq!(response.get("dataset"), Some(&Json::str(&name)));
+        assert_eq!(without_name(response), without_name(&want), "{name}");
+        assert!(entry_shape(&shared, &name) == want_entry, "{name}");
+    }
 }

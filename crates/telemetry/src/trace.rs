@@ -14,6 +14,8 @@ use std::time::{Duration, Instant};
 /// The phases a request can spend time in, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
+    /// Parsing a `register` request's CSV upload into a dataset.
+    CsvParse,
     /// Waiting for the store entry's snapshot lock.
     StoreWait,
     /// Pattern-cache probes (accumulated across a batch).
@@ -31,11 +33,12 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants.
-pub const N_PHASES: usize = 7;
+pub const N_PHASES: usize = 8;
 
 impl Phase {
     /// Every phase, in declaration order (indexable by `as usize`).
     pub const ALL: [Phase; N_PHASES] = [
+        Phase::CsvParse,
         Phase::StoreWait,
         Phase::CacheLookup,
         Phase::CountPartition,
@@ -48,6 +51,7 @@ impl Phase {
     /// Short span name used in slow-query log lines.
     pub fn span_name(self) -> &'static str {
         match self {
+            Phase::CsvParse => "csv_parse",
             Phase::StoreWait => "store_wait",
             Phase::CacheLookup => "cache_lookup",
             Phase::CountPartition => "counting_partition",
@@ -61,6 +65,7 @@ impl Phase {
     /// Registry histogram name for this phase.
     pub fn metric_name(self) -> &'static str {
         match self {
+            Phase::CsvParse => "pclabel_csv_parse_seconds",
             Phase::StoreWait => "pclabel_store_wait_seconds",
             Phase::CacheLookup => "pclabel_cache_lookup_seconds",
             Phase::CountPartition => "pclabel_counting_partition_seconds",
@@ -74,6 +79,7 @@ impl Phase {
     /// Registry help text for this phase's histogram.
     pub fn metric_help(self) -> &'static str {
         match self {
+            Phase::CsvParse => "Seconds spent parsing a register's CSV upload.",
             Phase::StoreWait => "Seconds spent waiting for a store entry snapshot.",
             Phase::CacheLookup => "Seconds spent probing the pattern cache, per request.",
             Phase::CountPartition => "Counting build: radix partition pass seconds.",
