@@ -38,8 +38,8 @@
 //!
 //! `--min-speedup X` exits non-zero when any row that evaluates at least
 //! two candidates has a refine-vs-cold candidates/sec ratio below `X`
-//! (used for local acceptance runs; CI trends the artifact instead, since
-//! shared-runner noise makes a hard in-run gate flaky). A one-candidate
+//! (CI runs `--min-speedup 2.0` at 50,000 rows, where `correlated_pairs`
+//! reads 3.5–5.3× on a 2-hardware-thread host). A one-candidate
 //! row times little more than the winner's final scan and label build,
 //! with no candidate stream for the refinement memo to amortize, so it is
 //! reported but not checked.

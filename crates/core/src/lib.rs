@@ -45,7 +45,7 @@
 pub mod attrset;
 pub mod counting;
 pub mod error;
-pub mod hash;
+pub use pclabel_data::hash;
 pub mod label;
 pub mod lattice;
 pub mod multi;

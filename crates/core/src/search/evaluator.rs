@@ -4,7 +4,8 @@
 //! computing `Err(L_S(D), P)` for many subsets `S`. The [`Evaluator`]
 //! amortizes everything that does not depend on `S`:
 //!
-//! * the dataset is compressed to distinct tuples with multiplicities;
+//! * the dataset is compressed to distinct tuples with multiplicities
+//!   ([`Dataset::compress`]);
 //! * the pattern set is materialized once, with true counts (the default
 //!   `P_A` *is* the distinct tuples with their multiplicities, so it
 //!   reuses them);
@@ -48,6 +49,9 @@
 //!      top-down search's sorted candidates share prefixes this way;
 //!   4. with an empty memo the chain starts from the unit partition.
 //!
+//!   Coarsening and refinement group rows with the one pass
+//!   [`Dataset::compress`] folds, [`pclabel_data::partition::refine`].
+//!
 //!   Full-`S` pattern lookups become two array reads (`weights[ids[r]]`)
 //!   instead of a key pack + hash probe. The memo holds at most
 //!   [`REFINE_MEMO`] partitions (least-recently-used eviction), so
@@ -65,14 +69,14 @@
 //!
 //! ## Sizing lattice nodes
 //!
-//! Every search sizes a child `S ∪ {a}` with one pass,
-//! [`refine_bounded`], over `S`'s group ids on the distinct rows: it
-//! counts distinct `(group id, code of a)` pairs, leaves out the
-//! all-missing pair (the empty pattern) and stops at `bound + 1`, so an
-//! over-budget child costs only the rows it takes to overflow. The pass
-//! also writes the child's ids, and its scratch table follows one
-//! dense-or-hash rule that a large label bound cannot grow. The top-down
-//! search keeps the ids of its depth-first path itself (see
+//! Every search sizes a child `S ∪ {a}` with the same refinement pass
+//! ([`refine_bounded`]) over `S`'s group ids on the distinct rows: its
+//! recorder counts the distinct `(group id, code of a)` pairs, leaves out
+//! the all-missing pair (the empty pattern) and stops the pass at
+//! `bound + 1`, so an over-budget child costs only the rows it takes to
+//! overflow. The pass also writes the child's ids, and its scratch table
+//! follows one dense-or-hash rule that a large label bound cannot grow.
+//! The top-down search keeps the ids of its depth-first path itself (see
 //! [`top_down_search`](crate::search::top_down_search)); the naive
 //! search reads them from `S`'s memoized partition through
 //! [`EvalContext::child_size_bounded`], ignoring passive pattern rows.
@@ -89,6 +93,7 @@ use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 use pclabel_data::dataset::{Dataset, MISSING};
+use pclabel_data::partition::RefineScratch;
 
 use crate::attrset::AttrSet;
 use crate::counting::GroupCounts;
@@ -96,7 +101,7 @@ use crate::error::{ErrorAccumulator, ErrorStats};
 use crate::hash::FxHashMap;
 use crate::label::ValueCounts;
 use crate::patterns::{MaterializedPatterns, PatternSet};
-use crate::search::refine::{refine_bounded, GroupIds, Partition, RefineScratch};
+use crate::search::refine::{refine_bounded, GroupIds, Partition};
 use crate::search::SearchOptions;
 
 /// Reusable evaluation context for one `(dataset, pattern set)` pair.
@@ -111,6 +116,10 @@ pub struct Evaluator {
     /// as counts: the refinement universe then needs no passive pattern
     /// suffix.
     patterns: Option<MaterializedPatterns>,
+    /// The refinement universe's columns when the patterns are not the
+    /// distinct rows: each distinct column followed by the pattern rows'.
+    /// Empty for `P_A`, whose universe is the distinct table.
+    universe: Vec<Vec<u32>>,
     /// Pattern indices sorted by true count, descending.
     order: Vec<u32>,
     /// Row-major `[pattern * n_attrs + attr]` VC fractions; 1.0 for cells a
@@ -142,6 +151,12 @@ impl Evaluator {
         };
         let n_attrs = dataset.n_attrs();
         let n = counts.len();
+        let universe = match &patterns {
+            Some(m) => (0..n_attrs)
+                .map(|a| [distinct.column(a), m.table.column(a)].concat())
+                .collect(),
+            None => Vec::new(),
+        };
 
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by(|&a, &b| counts[b as usize].cmp(&counts[a as usize]));
@@ -164,6 +179,7 @@ impl Evaluator {
             distinct,
             dweights,
             patterns,
+            universe,
             order,
             fracs,
             defined,
@@ -322,13 +338,6 @@ impl Evaluator {
 
     // --- refinement-universe plumbing (see `search::refine`) -----------
 
-    /// Rows of the refinement universe: the distinct table, plus the
-    /// pattern rows as a passive suffix when they are not the distinct
-    /// rows themselves.
-    fn universe_len(&self) -> usize {
-        self.distinct.n_rows() + self.patterns.as_ref().map_or(0, MaterializedPatterns::len)
-    }
-
     /// Universe row of pattern `r`.
     #[inline]
     fn pattern_row(&self, r: usize) -> usize {
@@ -339,20 +348,19 @@ impl Evaluator {
         }
     }
 
-    /// Raw value of universe row `row` at `attr`.
-    fn universe_value(&self, row: u32, attr: usize) -> u32 {
-        let row = row as usize;
-        let n_data = self.distinct.n_rows();
-        if row < n_data {
-            self.distinct.value_raw(row, attr)
-        } else {
-            self.pattern_table().value_raw(row - n_data, attr)
-        }
+    /// Column `attr` of the refinement universe.
+    fn universe_column(&self, attr: usize) -> &[u32] {
+        self.universe
+            .get(attr)
+            .map_or(self.distinct.column(attr), Vec::as_slice)
     }
 
-    /// The unit partition of the universe (empty attribute subset).
+    /// The unit partition of the universe (empty attribute subset): the
+    /// distinct rows, plus the pattern rows as a passive suffix when they
+    /// are not the distinct rows themselves.
     fn unit_partition(&self) -> Partition {
-        Partition::unit(self.universe_len(), self.n_rows)
+        let n_patterns = self.patterns.as_ref().map_or(0, MaterializedPatterns::len);
+        Partition::unit(self.distinct.n_rows() + n_patterns, self.n_rows)
     }
 
     /// Dictionary cardinality of `attr`.
@@ -361,20 +369,6 @@ impl Evaluator {
             .schema()
             .attr(attr)
             .map_or(0, |at| at.cardinality()) as u32
-    }
-
-    /// Refines `part` by one attribute's column(s).
-    fn refine_partition(&self, part: &Partition, attr: usize) -> Partition {
-        let pattern_col = self
-            .patterns
-            .as_ref()
-            .map_or(&[][..], |m| m.table.column(attr));
-        part.refine(
-            self.distinct.column(attr),
-            pattern_col,
-            self.card(attr),
-            &self.dweights,
-        )
     }
 
     /// Evaluates many candidate subsets, returning `opts.metric` for
@@ -588,15 +582,16 @@ impl<'a> EvalContext<'a> {
         // The parent group whose rows miss every parent attribute: with a
         // missing `attr` value they project onto the empty pattern, which
         // no label counts. (The unit partition's one group is that group.)
-        let all_missing = part
-            .reps()
-            .iter()
-            .position(|&rep| parent.iter().all(|a| ev.universe_value(rep, a) == MISSING));
+        let all_missing = part.reps.iter().position(|&rep| {
+            parent
+                .iter()
+                .all(|a| ev.universe_column(a)[rep as usize] == MISSING)
+        });
         // Pattern rows follow the distinct rows in the universe; they add
         // no pattern to a label and are never read.
         let col = ev.distinct.column(attr);
         refine_bounded(
-            &part.ids()[..col.len()],
+            &part.ids[..col.len()],
             part.n_groups(),
             all_missing.map(|g| g as u32),
             col,
@@ -649,14 +644,15 @@ impl<'a> EvalContext<'a> {
         let ev = self.ev;
         let part = if let Some(i) = finer {
             let fine = Rc::clone(&self.memo[i].part);
-            Rc::new(fine.coarsen(&attrs.to_vec(), &|row, a| ev.universe_value(row, a)))
+            Rc::new(fine.coarsen(attrs.iter().map(|a| (ev.universe_column(a), ev.card(a)))))
         } else {
             let (mut cur, mut built) = match coarser {
                 Some(i) => (Rc::clone(&self.memo[i].part), self.memo[i].attrs),
                 None => (Rc::new(ev.unit_partition()), AttrSet::EMPTY),
             };
             for a in attrs.difference(built).iter() {
-                cur = Rc::new(ev.refine_partition(&cur, a));
+                let col = ev.universe_column(a);
+                cur = Rc::new(cur.refine(col, ev.card(a), &ev.dweights, &mut self.scratch));
                 built = built.insert(a);
                 if built != attrs {
                     // Memoize intermediate chain links: siblings in the

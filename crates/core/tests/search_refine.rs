@@ -41,6 +41,7 @@ use pclabel_data::generate::{
     bluenile, compas, correlated_pair, creditcard, figure2_sample, functional_chain,
     BlueNileConfig, CompasConfig, CreditCardConfig,
 };
+use pclabel_data::partition::{dense_slots, RefineScratch};
 
 /// Small random dataset with optional missing cells (mirrors the core
 /// proptests' generator).
@@ -471,9 +472,14 @@ fn unbounded_search_sizes_wide_children_by_hashing() {
     assert_eq!(exact, 2001);
 
     let weights = vec![1u64; d.n_rows()];
-    let hi = Partition::unit(d.n_rows(), d.n_rows() as u64).refine(d.column(0), &[], 997, &weights);
+    let hi = Partition::unit(d.n_rows(), d.n_rows() as u64).refine(
+        d.column(0),
+        997,
+        &weights,
+        &mut RefineScratch::default(),
+    );
     assert_eq!(hi.n_groups(), 998);
-    assert_eq!(hi.dense_slots(991), None);
+    assert_eq!(dense_slots(hi.n_groups(), 991, d.n_rows()), None);
     let ev = Evaluator::new(&d, &PatternSet::AllTuples);
     let mut ctx = ev.context();
     for bound in [u64::MAX, exact, exact - 1] {

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use crate::error::{DataError, Result};
+use crate::partition::{group_by_columns, group_weights};
 use crate::schema::{Attribute, Schema};
 
 /// Sentinel id for a missing (undefined) cell.
@@ -246,45 +247,6 @@ impl Dataset {
         Ok(grew)
     }
 
-    /// Appends all rows of `other`, which must have an identical schema
-    /// (same attribute names and dictionaries built from the same source).
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<()> {
-        if other.schema.len() != self.schema.len() {
-            return Err(DataError::ArityMismatch {
-                expected: self.schema.len(),
-                got: other.schema.len(),
-                row: self.n_rows,
-            });
-        }
-        let mut buf = Vec::with_capacity(self.schema.len());
-        for r in 0..other.n_rows {
-            buf.clear();
-            for attr in 0..other.schema.len() {
-                let id = other.columns[attr][r];
-                let mapped = if id == MISSING {
-                    MISSING
-                } else {
-                    let label = other.label_of(attr, id);
-                    self.schema
-                        .attr(attr)
-                        .and_then(|a| a.dictionary().lookup(label))
-                        .ok_or_else(|| DataError::UnknownValue {
-                            attr: self
-                                .schema
-                                .attr(attr)
-                                .map(|a| a.name())
-                                .unwrap_or("?")
-                                .into(),
-                            value: label.into(),
-                        })?
-                };
-                buf.push(mapped);
-            }
-            self.push_row_ids(&buf)?;
-        }
-        Ok(())
-    }
-
     /// Restricts the dataset to the attributes at `indices` (in the given
     /// order), keeping all rows. Dictionaries are shared unchanged.
     pub fn project(&self, indices: &[usize]) -> Result<Dataset> {
@@ -373,24 +335,16 @@ impl Dataset {
     /// All label-size and error computations run on this compressed form:
     /// the set of distinct full tuples is exactly the paper's default
     /// pattern set `P_A`, and multiplicities are the pattern counts.
+    ///
+    /// The rows are grouped by folding the one refinement pass of
+    /// [`partition`](crate::partition) over every column
+    /// ([`group_by_columns`]), the pass the label search groups by too; its
+    /// group ids number the distinct tuples in first-occurrence order.
     pub fn compress(&self) -> (Dataset, Vec<u64>) {
-        use std::collections::HashMap;
-        let mut index: HashMap<Vec<u32>, usize> = HashMap::with_capacity(self.n_rows);
-        let mut order: Vec<usize> = Vec::new();
-        let mut weights: Vec<u64> = Vec::new();
-        let mut key = Vec::with_capacity(self.schema.len());
-        for r in 0..self.n_rows {
-            self.read_row(r, &mut key);
-            match index.get(&key) {
-                Some(&slot) => weights[slot] += 1,
-                None => {
-                    index.insert(key.clone(), weights.len());
-                    order.push(r);
-                    weights.push(1);
-                }
-            }
-        }
-        (self.take_rows(&order), weights)
+        let cards = self.schema.iter().map(|a| a.cardinality() as u32);
+        let (ids, firsts) = group_by_columns(self.n_rows, self.columns.iter().zip(cards));
+        let weights = group_weights(&ids, std::iter::repeat(1), firsts.len());
+        (self.take_rows(&firsts), weights)
     }
 
     /// Per-attribute counts of each value id over the rows, ignoring missing
@@ -854,39 +808,6 @@ mod tests {
             .unwrap();
         assert_eq!(original.schema().attr(0).unwrap().cardinality(), 2);
         assert_eq!(copy.schema().attr(0).unwrap().cardinality(), 3);
-    }
-
-    #[test]
-    fn extend_from_maps_labels_across_dictionaries() {
-        let mut a = DatasetBuilder::new(["c"]);
-        a.push_row(&["x"]).unwrap();
-        a.push_row(&["y"]).unwrap();
-        let mut a = a.finish();
-
-        // Same labels, interned in a different order.
-        let mut b = DatasetBuilder::new(["c"]);
-        b.push_row(&["y"]).unwrap();
-        b.push_row(&["x"]).unwrap();
-        let b = b.finish();
-
-        a.extend_from(&b).unwrap();
-        assert_eq!(a.n_rows(), 4);
-        let labels: Vec<&str> = (0..4).map(|r| a.label_of(0, a.value_raw(r, 0))).collect();
-        assert_eq!(labels, vec!["x", "y", "y", "x"]);
-    }
-
-    #[test]
-    fn extend_from_rejects_unknown_labels() {
-        let mut a = DatasetBuilder::new(["c"]);
-        a.push_row(&["x"]).unwrap();
-        let mut a = a.finish();
-        let mut b = DatasetBuilder::new(["c"]);
-        b.push_row(&["unknown"]).unwrap();
-        let b = b.finish();
-        assert!(matches!(
-            a.extend_from(&b),
-            Err(DataError::UnknownValue { .. })
-        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Fast non-cryptographic hashing for counting workloads.
+//! Fast non-cryptographic hashing for counting and grouping workloads.
 //!
 //! Pattern counting is a group-by over millions of short integer keys, so
 //! hash throughput dominates. This is the well-known Fx multiply-rotate

@@ -10,6 +10,9 @@
 //!
 //! * [`dataset::Dataset`] — a columnar, dictionary-encoded categorical
 //!   relation with missing-value support;
+//! * [`partition`] — the one pass that groups rows by one more column,
+//!   behind [`Dataset::compress`](dataset::Dataset::compress) and every
+//!   grouping of the label search;
 //! * [`csv`] — a dependency-free RFC 4180 reader/writer;
 //! * [`bucketize`] — numeric-to-categorical binning (the paper's
 //!   preprocessing for Credit Card and COMPAS age);
@@ -35,7 +38,9 @@ pub mod dataset;
 pub mod dictionary;
 pub mod error;
 pub mod generate;
+pub mod hash;
 pub mod mem;
+pub mod partition;
 pub mod sample;
 pub mod schema;
 

@@ -1,6 +1,9 @@
 //! Property-based tests for the data substrate: CSV round-trips with
 //! adversarial cell content, bucketization invariants, sampling and
-//! compression laws.
+//! compression laws, and `Dataset::compress` against a row-by-row
+//! first-occurrence recount.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -8,6 +11,7 @@ use pclabel_data::bucketize::{bucketize_attr, BucketStrategy, NonNumericPolicy};
 use pclabel_data::csv::{read_dataset_from_str, write_csv, CsvOptions, CsvWriteOptions};
 use pclabel_data::dataset::{Dataset, DatasetBuilder};
 use pclabel_data::generate::AliasTable;
+use pclabel_data::partition::dense_slots;
 use pclabel_data::sample::sample_indices;
 
 /// Arbitrary cell content including CSV-hostile characters.
@@ -22,6 +26,77 @@ fn arb_table() -> impl Strategy<Value = (usize, Vec<Vec<String>>)> {
             proptest::collection::vec(proptest::collection::vec(arb_cell(), cols), rows),
         )
     })
+}
+
+/// Tables over an alphabet of 2–3 letters with missing cells, so most
+/// repeat rows.
+fn arb_repetitive() -> impl Strategy<Value = Dataset> {
+    (1usize..=4, 2u32..=3).prop_flat_map(|(cols, letters)| {
+        let row = proptest::collection::vec(proptest::option::weighted(0.8, 0..letters), cols);
+        proptest::collection::vec(row, 0..=30).prop_map(move |rows| {
+            let mut b = DatasetBuilder::new((0..cols).map(|i| format!("c{i}")));
+            for row in rows {
+                let cells: Vec<_> = row
+                    .iter()
+                    .map(|c| c.map(|v| ["a", "b", "c"][v as usize]))
+                    .collect();
+                b.push_row_opt(&cells).unwrap();
+            }
+            b.finish()
+        })
+    })
+}
+
+/// The distinct rows of `d` (raw ids) in first-occurrence order and how
+/// often each occurs, recounted row by row.
+fn recount(d: &Dataset) -> (Vec<Vec<u32>>, Vec<u64>) {
+    let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
+    let (mut rows, mut weights) = (Vec::new(), Vec::new());
+    for row in (0..d.n_rows()).map(|r| d.row_to_vec(r)) {
+        let i = *index.entry(row.clone()).or_insert_with(|| {
+            rows.push(row);
+            weights.push(0);
+            rows.len() - 1
+        });
+        weights[i] += 1;
+    }
+    (rows, weights)
+}
+
+/// `d.compress()` as row vectors and weights.
+fn compressed(d: &Dataset) -> (Vec<Vec<u32>>, Vec<u64>) {
+    let (distinct, weights) = d.compress();
+    assert_eq!(distinct.n_attrs(), d.n_attrs());
+    let rows = (0..distinct.n_rows()).map(|r| distinct.row_to_vec(r));
+    (rows.collect(), weights)
+}
+
+#[test]
+fn compress_matches_the_recount_on_edge_cases() {
+    let none = DatasetBuilder::new(["a", "b"]).finish();
+    assert_eq!(compressed(&none), (vec![], vec![]));
+    let mut empty_schema = DatasetBuilder::new(Vec::<&str>::new());
+    for _ in 0..3 {
+        empty_schema.push_row::<&str>(&[]).unwrap();
+    }
+    assert_eq!(compressed(&empty_schema.finish()), (vec![vec![]], vec![3]));
+    // The 997 × 991 columns of `hash_fallback_matches_dense` twice over,
+    // with missing cells: refining the first column's 998 groups (997
+    // values and missing) by the second's 991 codes is past the flat
+    // remap's budget, so the pass hashes.
+    let mut wide = DatasetBuilder::new(["hi", "hi2"]);
+    for r in (0..2000usize).chain(0..2000) {
+        wide.push_row(&[format!("v{}", r % 997), format!("w{}", (r * 7) % 991)])
+            .unwrap();
+    }
+    for row in [[None, Some("w0")], [None, None], [None, Some("w0")]] {
+        wide.push_row_opt(&row).unwrap();
+    }
+    let wide = wide.finish();
+    assert_eq!(dense_slots(998, 991, wide.n_rows()), None);
+    let (rows, weights) = compressed(&wide);
+    assert_eq!((rows.len(), weights[0]), (2002, 2));
+    assert_eq!((rows, weights), recount(&wide));
 }
 
 proptest! {
@@ -72,22 +147,13 @@ proptest! {
         }
     }
 
-    /// Compression conserves total weight and value counts.
+    /// Compression returns the distinct rows in first-occurrence order,
+    /// each weighted by how often it occurs, and so conserves value counts.
     #[test]
-    fn compression_conserves_counts((cols, rows) in arb_table()) {
-        let names: Vec<String> = (0..cols).map(|i| format!("c{i}")).collect();
-        let mut b = DatasetBuilder::new(&names);
-        for row in &rows {
-            b.push_row(row).unwrap();
-        }
-        let d = b.finish();
+    fn compression_conserves_counts(d in arb_repetitive()) {
+        prop_assert_eq!(compressed(&d), recount(&d));
         let (distinct, weights) = d.compress();
-        prop_assert_eq!(weights.iter().sum::<u64>(), d.n_rows() as u64);
-        prop_assert!(distinct.n_rows() <= d.n_rows());
-        prop_assert_eq!(
-            d.value_counts(),
-            distinct.weighted_value_counts(Some(&weights))
-        );
+        prop_assert_eq!(d.value_counts(), distinct.weighted_value_counts(Some(&weights)));
     }
 
     /// Equal-width bucketization: at most k buckets, all rows retained,

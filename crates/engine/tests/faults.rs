@@ -2,12 +2,13 @@
 //! self-healing recovery, and snapshot-failure accounting.
 //!
 //! The fault plan is process-global, so these tests live in their own
-//! integration binary and serialize on a mutex; a guard disarms the
-//! plan on drop even when an assertion fails.
+//! integration binary, and each holds one mutex from its first line to
+//! its last: no store of one test runs while the other has a plan armed.
+//! A guard disarms the plan on drop even when an assertion fails.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pclabel_data::generate::figure2_sample;
@@ -25,11 +26,14 @@ fn search_policy(bound: u64) -> LabelPolicy {
     }
 }
 
+/// Held by each test from its first line to its last. A test that
+/// failed while holding it has disarmed its plan, so the next one takes
+/// the poisoned guard.
 static SERIAL: Mutex<()> = Mutex::new(());
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Holds the serialization lock and disarms the plan on drop.
-struct Armed(#[allow(dead_code)] MutexGuard<'static, ()>);
+/// Disarms the plan on drop.
+struct Armed;
 
 impl Drop for Armed {
     fn drop(&mut self) {
@@ -37,11 +41,11 @@ impl Drop for Armed {
     }
 }
 
+/// Installs the plan `spec`; the caller holds `SERIAL`.
 fn arm(spec: &str) -> Armed {
-    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let plan = FaultPlan::parse(spec).expect("plan parses");
     install(Some(Arc::new(plan)));
-    Armed(guard)
+    Armed
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -101,6 +105,7 @@ fn counter(registry: &Registry, name: &str) -> u64 {
 /// `pclabel_snapshots_total`, and must never publish a `.snap` file.
 #[test]
 fn failing_snapshot_does_not_advance_snapshot_lsn() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::new();
     let dir = temp_dir("snapfail");
     let (store, durability) = open(&dir, &registry);
@@ -145,6 +150,7 @@ fn failing_snapshot_does_not_advance_snapshot_lsn() {
 /// reopened store.
 #[test]
 fn wal_failure_degrades_store_and_probe_heals_it() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let registry = Registry::new();
     let dir = temp_dir("degrade");
     let rows_at_rest;
