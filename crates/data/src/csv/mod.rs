@@ -9,7 +9,10 @@
 //! interns them straight into the dataset's dictionary-encoded columns.
 //! Only quoted fields holding `""` escapes are copied; no per-field
 //! `String` and no list of records is built. Columns end with a capacity
-//! equal to the row count.
+//! equal to the row count. A cell whose label its column met recently is
+//! answered by the dictionary's intern cache without hashing (see
+//! [`Dictionary::intern`](crate::dictionary::Dictionary::intern)); only
+//! the others reach its `SipHash` index.
 //!
 //! A document of at least 2 MiB is read on several threads: one per
 //! hardware thread (`available_parallelism`), but no fewer than 1 MiB of

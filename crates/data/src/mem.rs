@@ -52,12 +52,12 @@ pub fn hash_map_heap_bytes<K, V, S>(m: &HashMap<K, V, S>) -> u64 {
 
 impl HeapBytes for Dictionary {
     /// Labels are stored twice (id→label vector, label→id index), so
-    /// their string bytes are, too.
+    /// their string bytes are, too. The intern cache adds its fixed slots.
     fn heap_bytes(&self) -> u64 {
         let strings: u64 = self.iter().map(|(_, l)| 2 * l.len() as u64).sum();
         let labels = (self.len() * size_of::<Box<str>>()) as u64;
         let index = (self.len() * (size_of::<Box<str>>() + size_of::<u32>() + 1)) as u64;
-        strings + labels + index
+        strings + labels + index + self.cache_bytes() as u64
     }
 }
 
@@ -109,7 +109,10 @@ mod tests {
     fn dictionary_counts_strings_twice() {
         let d = Dictionary::from_labels(["alpha", "be"]);
         let strings = 2 * ("alpha".len() + "be".len()) as u64;
-        assert!(d.heap_bytes() >= strings);
+        assert!(
+            d.heap_bytes() >= strings + 64 * 16,
+            "the intern cache counts"
+        );
         assert_eq!(Dictionary::new().heap_bytes(), 0);
     }
 

@@ -9,6 +9,16 @@
 //! shortest-representation float formatting, so `f64` estimates survive
 //! write → parse losslessly.
 //!
+//! Strings are scanned eight bytes per step. A SWAR test over one `u64`
+//! word flags quotes, backslashes and control bytes at once, so the end
+//! of each run that needs no unescaping is found without a per-byte
+//! branch, and the run is returned as a slice of the input `&str`, whose
+//! UTF-8 its caller already checked: a register's multi-megabyte `csv`
+//! member costs one scan and one copy of each run. Arrays and objects
+//! nest at most 128 levels, so a line of brackets is a [`JsonError`] at
+//! the first bracket too deep instead of a stack overflow, and a `\u`
+//! escape takes exactly four hex digits.
+//!
 //! `QueryFrame::decode` is the typed path beside the DOM: it reads a
 //! `query` request straight into `(attribute, value)` terms that borrow
 //! from the line wherever a string holds no escape, with the same
@@ -57,14 +67,11 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses one JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(input);
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != input.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -208,12 +215,51 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest. No request is more than three
+/// levels deep; the cap keeps a line of brackets from recursing the
+/// parser off its thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([1; 8]);
+
+/// Whether `b` ends a run of string bytes that need no unescaping: a
+/// quote, a backslash or a control character (which RFC 8259 requires
+/// escaped).
+fn ends_run(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The high bit of every byte of `word` (eight input bytes, little
+/// endian) that [`ends_run`]. A subtraction's borrow can flag a byte
+/// above a flagged one, never below it, so the lowest flag is exact.
+fn run_ends(word: u64) -> u64 {
+    let zero_byte = |x: u64| x.wrapping_sub(ONES) & !x;
+    let below_space = word.wrapping_sub(ONES * 0x20) & !word;
+    (zero_byte(word ^ (ONES * u64::from(b'"')))
+        | zero_byte(word ^ (ONES * u64::from(b'\\')))
+        | below_space)
+        & (ONES << 7)
+}
+
+/// A cursor over one input. An error ends the parse: nothing reads on
+/// after one, so the nesting depth is not unwound on that path.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Parser<'a> {
+        Parser {
+            input,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -222,7 +268,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.input.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -232,7 +278,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
@@ -245,7 +291,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.input.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -287,66 +333,77 @@ impl<'a> Parser<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            member(self, key)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
+        self.nested(b'{', b'}', "expected ',' or '}' in object", |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.eat(b':')?;
+            p.skip_ws();
+            member(p, key)
+        })
     }
 
     /// Walks one array, calling `item` while the parser stands on each
     /// item; `item` must consume it.
     fn array(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+        item: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            item(self)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        self.nested(b'[', b']', "expected ',' or ']' in array", item)
     }
 
+    /// One array or object: `open`, comma-separated items, `close`. It
+    /// sits one level deeper than its container, and is refused at its
+    /// opening byte past [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        open: u8,
+        close: u8,
+        unclosed: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.peek() == Some(open) && self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.eat(open)?;
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.err(unclosed)),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape. RFC 8259 allows nothing
+    /// else there; `u16::from_str_radix` would also take a sign.
     fn hex4(&mut self) -> Result<u16, JsonError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(digits) = self.input.as_bytes().get(self.pos..end) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        if std::str::from_utf8(digits).is_err() {
+            return Err(self.err("non-ASCII in \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
-        let code = u16::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let code = digits.iter().try_fold(0u16, |code, &b| {
+            Some(code << 4 | (b as char).to_digit(16)? as u16)
+        });
+        let Some(code) = code else {
+            return Err(self.err("invalid \\u escape"));
+        };
         self.pos = end;
         Ok(code)
     }
@@ -355,7 +412,7 @@ impl<'a> Parser<'a> {
     /// escape.
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let run = self.unescaped_run()?;
+        let run = self.unescaped_run();
         if self.peek() == Some(b'"') {
             self.pos += 1;
             return Ok(Cow::Borrowed(run));
@@ -370,90 +427,76 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.pos += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.pos += 1;
-                        }
-                        Some(b'/') => {
-                            out.push('/');
-                            self.pos += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{08}');
-                            self.pos += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{0C}');
-                            self.pos += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.pos += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.pos += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.eat(b'u')?;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("unpaired high surrogate"));
-                                    }
-                                    let code = 0x10000
-                                        + (((hi as u32) - 0xD800) << 10)
-                                        + ((lo as u32) - 0xDC00);
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?
-                                } else {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(hi as u32)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                        }
+                    let short = match self.peek() {
+                        Some(b'"') => Some('"'),
+                        Some(b'\\') => Some('\\'),
+                        Some(b'/') => Some('/'),
+                        Some(b'b') => Some('\u{08}'),
+                        Some(b'f') => Some('\u{0C}'),
+                        Some(b'n') => Some('\n'),
+                        Some(b'r') => Some('\r'),
+                        Some(b't') => Some('\t'),
+                        Some(b'u') => None,
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    self.pos += 1;
+                    out.push(match short {
+                        Some(c) => c,
+                        None => self.unicode_escape()?,
+                    });
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => out.push_str(self.unescaped_run()?),
+                Some(_) => out.push_str(self.unescaped_run()),
             }
         }
     }
 
-    /// Consumes the maximal run of bytes that need no unescaping. The
-    /// terminators (quote, backslash, controls) are all ASCII, so the run
-    /// ends on a char boundary, and the input arrived as a &str, so the
-    /// run is valid UTF-8.
-    fn unescaped_run(&mut self) -> Result<&'a str, JsonError> {
-        let bytes = self.bytes;
-        let start = self.pos;
-        while let Some(&b) = bytes.get(self.pos) {
-            if b == b'"' || b == b'\\' || b < 0x20 {
-                break;
-            }
-            self.pos += 1;
+    /// The character of a `\u` escape whose digits the parser stands on,
+    /// with the low half of a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        if (0xDC00..0xE000).contains(&hi) {
+            return Err(self.err("unpaired low surrogate"));
         }
-        std::str::from_utf8(&bytes[start..self.pos]).map_err(|_| self.err("invalid UTF-8"))
+        if !(0xD800..0xDC00).contains(&hi) {
+            return char::from_u32(u32::from(hi)).ok_or_else(|| self.err("invalid \\u escape"));
+        }
+        if self.peek() != Some(b'\\') {
+            return Err(self.err("unpaired high surrogate"));
+        }
+        self.pos += 1;
+        self.eat(b'u')?;
+        let lo = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(self.err("unpaired high surrogate"));
+        }
+        let code = 0x10000 + ((u32::from(hi) - 0xD800) << 10) + (u32::from(lo) - 0xDC00);
+        char::from_u32(code).ok_or_else(|| self.err("invalid surrogate pair"))
+    }
+
+    /// Consumes the maximal run of bytes that need no unescaping, eight
+    /// bytes per step, and returns it as a slice of the input. The bytes
+    /// that end a run are all ASCII, so the run starts and ends on char
+    /// boundaries and needs no UTF-8 check of its own.
+    fn unescaped_run(&mut self) -> &'a str {
+        let bytes = self.input.as_bytes();
+        let start = self.pos;
+        let mut end = start;
+        while let Some(word) = bytes.get(end..end + 8) {
+            let hits = run_ends(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+            if hits != 0 {
+                end += hits.trailing_zeros() as usize / 8;
+                self.pos = end;
+                return &self.input[start..end];
+            }
+            end += 8;
+        }
+        end += bytes[end..]
+            .iter()
+            .position(|&b| ends_run(b))
+            .unwrap_or(bytes.len() - end);
+        self.pos = end;
+        &self.input[start..end]
     }
 
     /// RFC 8259 number grammar: `-? (0 | [1-9][0-9]*) (\.[0-9]+)?
@@ -499,12 +542,12 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>().map_err(|_| JsonError {
-            message: "invalid number".into(),
-            offset: start,
-        })
+        self.input[start..self.pos]
+            .parse::<f64>()
+            .map_err(|_| JsonError {
+                message: "invalid number".into(),
+                offset: start,
+            })
     }
 }
 
@@ -535,10 +578,7 @@ impl<'a> QueryFrame<'a> {
     /// nor a number, or malformed JSON. Those lines are left to
     /// [`Json::parse`] and the DOM dispatch path.
     pub(crate) fn decode(line: &'a str) -> Option<QueryFrame<'a>> {
-        let mut p = Parser {
-            bytes: line.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(line);
         let mut frame = QueryFrame {
             id: None,
             dataset: Cow::Borrowed(""),
@@ -591,7 +631,7 @@ impl<'a> QueryFrame<'a> {
         })
         .ok()?;
         p.skip_ws();
-        (p.pos == p.bytes.len() && op && dataset && patterns).then_some(frame)
+        (p.pos == line.len() && op && dataset && patterns).then_some(frame)
     }
 }
 
@@ -779,6 +819,68 @@ mod tests {
             r#"{"op":"query","dataset":"d","patterns":[]} x"#,
         ] {
             assert_eq!(QueryFrame::decode(off_shape), None, "{off_shape}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(
+            Json::parse(r#""\uaBcD""#).unwrap().as_str(),
+            Some("\u{ABCD}")
+        );
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                ("invalid \\u escape", 3)
+            );
+            let line = format!(r#"{{"op":"query","dataset":{bad},"patterns":[]}}"#);
+            assert_eq!(QueryFrame::decode(&line), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_in_both_parsers() {
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let err = Json::parse(&deep(10_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(Json::parse(&objects).unwrap_err().offset, 5 * MAX_DEPTH);
+
+        // The typed decoder's own levels count: the request object is the
+        // first, so the id may nest one level less than a bare value.
+        let query = |id: &str| format!(r#"{{"op":"query","dataset":"d","id":{id},"patterns":[]}}"#);
+        assert!(QueryFrame::decode(&query(&deep(MAX_DEPTH - 1))).is_some());
+        assert!(Json::parse(&query(&deep(MAX_DEPTH - 1))).is_ok());
+        for levels in [MAX_DEPTH, 10_000] {
+            assert_eq!(QueryFrame::decode(&query(&deep(levels))), None);
+            assert!(Json::parse(&query(&deep(levels))).is_err());
+        }
+    }
+
+    #[test]
+    fn word_scan_flags_exactly_the_bytes_that_end_a_run() {
+        // Every byte value at every lane, among bytes that do not end a
+        // run and among ones that do.
+        for b in 0..=u8::MAX {
+            for lane in 0..8 {
+                for fill in [b'a', 0xC3, 0x7F, b'"', 0x00] {
+                    let mut word = [fill; 8];
+                    word[lane] = b;
+                    let expected = word.iter().position(|&x| ends_run(x));
+                    let hits = run_ends(u64::from_le_bytes(word));
+                    let first = (hits != 0).then(|| hits.trailing_zeros() as usize / 8);
+                    assert_eq!(first, expected, "{word:?}");
+                }
+            }
         }
     }
 

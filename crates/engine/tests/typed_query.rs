@@ -142,6 +142,8 @@ fn canonical_lines() -> Vec<String> {
         r#"{"op":"query","dataset":"census","patterns":[]}"#,
         r#"{"op":"query","dataset":"census","patterns":[{}]}"#,
         r#"{"op":"query","dataset":"census","patterns":[{"gender":"Female","gender":"Male"},{"gender":"Female","gender":"Female"}]}"#,
+        // `\u` escapes of exactly four hex digits, in both cases.
+        r#"{"op":"query","dataset":"census","patterns":[{"gender":"Fem\u0061le"},{"gender":"M\u0041LE"},{"gender":"\u004dale"}]}"#,
         // Unknown dataset (whole batch fails), attribute and value (one
         // pattern fails).
         r#"{"op":"query","dataset":"ghost","patterns":[{"gender":"Female"}]}"#,
@@ -150,6 +152,12 @@ fn canonical_lines() -> Vec<String> {
     .iter()
     .map(|s| s.to_string())
     .collect();
+    // An id nested as deep as the parsers' depth cap allows (the request
+    // object is the first of its 128 levels).
+    let deep = format!("{}{}", "[".repeat(127), "]".repeat(127));
+    lines.push(format!(
+        r#"{{"op":"query","dataset":"census","id":{deep},"patterns":[{{"gender":"Male"}}]}}"#
+    ));
     // A batch above the engine's chunking threshold (256 patterns): every
     // distinct figure-2 pattern, then repeats of them and unknown values.
     // Repeats land in later chunks than their first occurrence, whose
@@ -234,6 +242,24 @@ fn off_shape_lines() -> Vec<String> {
     .iter()
     .map(|s| s.to_string())
     .collect();
+    // `\u` escapes take four hex digits and nothing else: no sign, no
+    // space.
+    for digits in ["+041", "-041", " 041", "004g"] {
+        lines.push(format!(
+            r#"{{"op":"query","dataset":"\u{digits}","patterns":[]}}"#
+        ));
+        lines.push(format!(
+            r#"{{"op":"query","dataset":"census","patterns":[{{"gender":"\u{digits}"}}]}}"#
+        ));
+    }
+    // An id nested past the parsers' depth cap (the request object is
+    // the first level).
+    for levels in [128, 10_000] {
+        let deep = format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        lines.push(format!(
+            r#"{{"op":"query","dataset":"census","id":{deep},"patterns":[]}}"#
+        ));
+    }
     // Every truncation, and trailing garbage.
     for cut in 1..canonical.len() {
         lines.push(canonical[..cut].to_string());

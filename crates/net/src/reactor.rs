@@ -19,11 +19,19 @@
 //!
 //! ## Anatomy
 //!
-//! * [`Machine`] — the incremental protocol state machine: it consumes
-//!   raw bytes (in whatever slices the socket delivers them) and emits
-//!   complete framed or HTTP requests — including incrementally decoded
-//!   `Transfer-Encoding: chunked` bodies — with the [`crate::http`]
-//!   adapter's head parser and chunked decoder.
+//! * [`Machine`] — the incremental protocol state machine:
+//!   [`Machine::fill`] reads the socket straight into the connection's
+//!   buffer, without zero-filling it, in whatever pieces the socket
+//!   delivers, and the machine emits complete framed or HTTP requests —
+//!   including incrementally decoded `Transfer-Encoding: chunked`
+//!   bodies — with the [`crate::http`] adapter's head parser and chunked
+//!   decoder. A body of known length (a frame's payload or a
+//!   `Content-Length` body) is read up to its end and no further, and
+//!   each read grows the buffer to at most twice its bytes plus 64 KiB,
+//!   so a declared length alone reserves nothing near it. When the
+//!   buffer holds exactly the body, the buffer itself travels to the
+//!   worker; only bytes pipelined past a request cost a copy. Other
+//!   input is read into at least 8 KiB of room.
 //! * [`WriteQueue`] — responses are queued as byte *segments* and
 //!   flushed with one `writev` per readiness (up to
 //!   [`crate::sys::MAX_IOVECS`] segments a call), so a framed response
@@ -166,9 +174,20 @@ pub(crate) enum Step {
     HttpError { status: u16, message: &'static str },
 }
 
-/// The incremental protocol state machine. Push bytes in whatever
-/// slices the socket delivers them; pull [`Step`]s out. Pure — no I/O —
-/// so partial-read behaviour is unit-testable without sockets.
+/// The least room a read has when no body length is known: a prologue,
+/// an HTTP head, a chunked body or a drain.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// How far past twice its buffered bytes a body read may grow the
+/// buffer: a peer that declares a large body gets room for it only as
+/// fast as it sends it.
+const BODY_SLACK: usize = 64 * 1024;
+
+/// The incremental protocol state machine. [`Machine::fill`] reads the
+/// socket's bytes, in whatever pieces it delivers them, into the
+/// machine's buffer; [`Step`]s are pulled out with [`Machine::next`]. The
+/// reader is any [`Read`], so partial-read behaviour is unit-testable
+/// without sockets.
 pub(crate) struct Machine {
     max_frame: u32,
     buf: Vec<u8>,
@@ -186,9 +205,50 @@ impl Machine {
         }
     }
 
-    /// Appends newly-read socket bytes.
-    pub(crate) fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// Reads what `src` has ready straight into the buffer, without
+    /// zero-filling it first. A body of known length (a frame payload or
+    /// a `Content-Length` body) is read up to its end and no further, so a
+    /// body that arrives alone fills the buffer exactly and
+    /// [`Machine::next`] hands the buffer itself on. Its room grows with
+    /// what arrived, to at most twice the buffered bytes plus
+    /// [`BODY_SLACK`]: a length prefix alone reserves nothing near its
+    /// declared length. Anything else is read into at least
+    /// [`READ_CHUNK`] bytes of room.
+    ///
+    /// Returns the bytes appended and how the read ended: `Ok` with none
+    /// appended is end of stream, and an error may follow appended bytes
+    /// (most often `WouldBlock`, once the socket is drained).
+    pub(crate) fn fill(&mut self, src: impl Read) -> (usize, io::Result<()>) {
+        let have = self.buf.len();
+        let rest = match self.state {
+            MState::FrameBody { len } => len.saturating_sub(have),
+            MState::HttpBody { content_length, .. } => content_length.saturating_sub(have),
+            _ => 0,
+        };
+        let limit = if rest > 0 {
+            let want = rest.min(have + BODY_SLACK);
+            if self.buf.capacity() - have < want.min(READ_CHUNK) {
+                self.buf.reserve_exact(want);
+            }
+            rest.min(self.buf.capacity() - have)
+        } else {
+            self.buf.reserve(READ_CHUNK);
+            self.buf.capacity() - have
+        };
+        let result = src.take(limit as u64).read_to_end(&mut self.buf);
+        (self.buf.len() - have, result.map(drop))
+    }
+
+    /// The first `len` buffered bytes as a vector of their own: the
+    /// buffer itself when it holds exactly them, so a body read straight
+    /// into it reaches the worker without a copy. Only bytes pipelined
+    /// past the request make it a copy.
+    fn take_front(&mut self, len: usize) -> Vec<u8> {
+        if self.buf.len() == len {
+            std::mem::take(&mut self.buf)
+        } else {
+            self.buf.drain(..len).collect()
+        }
     }
 
     /// Raw bytes read off the socket but not yet consumed into a
@@ -280,7 +340,7 @@ impl Machine {
                         self.state = MState::FrameBody { len };
                         return Step::NeedMore;
                     }
-                    let payload: Vec<u8> = self.buf.drain(..len).collect();
+                    let payload = self.take_front(len);
                     self.state = MState::Paused;
                     return Step::FramedRequest(payload);
                 }
@@ -390,7 +450,7 @@ impl Machine {
                         };
                         return Step::NeedMore;
                     }
-                    head.body = self.buf.drain(..content_length).collect();
+                    head.body = self.take_front(content_length);
                     self.state = MState::Paused;
                     return Step::HttpRequest(Box::new(head));
                 }
@@ -1074,28 +1134,27 @@ impl Reactor {
                 // interest until the queue drains.
                 break;
             }
-            let mut chunk = [0u8; 8192];
-            match conn.stream.read(&mut chunk) {
+            let (read, result) = conn.machine.fill(&conn.stream);
+            if read > 0 {
+                conn.track.add_in(read as u64);
+                conn.last_activity = Instant::now();
+                self.pump(token);
+                let Some(conn) = self.conns.get(&token) else {
+                    return;
+                };
+                if conn.dispatching || conn.close_after_write {
+                    break; // request in flight: stop consuming input
+                }
+            }
+            match result {
                 // EOF: between requests it is a clean close; inside one
                 // it aborts.
-                Ok(0) => {
+                Ok(()) if read == 0 => {
                     self.close(token);
                     return;
                 }
-                Ok(n) => {
-                    conn.machine.push(&chunk[..n]);
-                    conn.track.add_in(n as u64);
-                    conn.last_activity = Instant::now();
-                    self.pump(token);
-                    let Some(conn) = self.conns.get(&token) else {
-                        return;
-                    };
-                    if conn.dispatching || conn.close_after_write {
-                        break; // request in flight: stop consuming input
-                    }
-                }
+                Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.close(token);
                     return;
@@ -1484,47 +1543,216 @@ fn oversize_response(oversize: Oversize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    // -- Machine: framed protocol, partial reads ----------------------------
+    impl Machine {
+        /// Reads all of `bytes`, as back-to-back socket reads would.
+        fn push(&mut self, mut bytes: &[u8]) {
+            while !bytes.is_empty() {
+                self.fill(&mut bytes).1.expect("a slice reads");
+            }
+        }
+    }
 
-    /// Feeds `wire` to a fresh machine in `chunk`-byte slices and
-    /// returns every non-NeedMore step, resuming after each request.
+    /// A socket stand-in: deals `wire` out in seeded random pieces of
+    /// 1 B to 256 KiB (log-uniform sizes), with `WouldBlock` between
+    /// them and once it is used up.
+    struct Pieces {
+        wire: Vec<u8>,
+        pos: usize,
+        piece_end: usize,
+        rng: StdRng,
+    }
+
+    impl Pieces {
+        fn new(wire: Vec<u8>, seed: u64) -> Pieces {
+            Pieces {
+                wire,
+                pos: 0,
+                piece_end: 0,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        fn done(&self) -> bool {
+            self.pos == self.wire.len()
+        }
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.piece_end {
+                let bits = self.rng.gen_range(0u32..=18);
+                let size = self.rng.gen_range(1usize..=1 << bits);
+                self.piece_end = (self.pos + size).min(self.wire.len());
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = out.len().min(self.piece_end - self.pos);
+            out[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// A step as text. A payload longer than 64 bytes shows as its length
+    /// and an FNV-1a digest, so multi-megabyte requests compare without
+    /// printing them.
+    fn describe(step: Step) -> String {
+        let shown = |bytes: &[u8]| {
+            if bytes.len() <= 64 {
+                return String::from_utf8_lossy(bytes).into_owned();
+            }
+            let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            format!("{} bytes {hash:016x}", bytes.len())
+        };
+        match step {
+            Step::NeedMore => unreachable!("not a step to describe"),
+            Step::FramedRequest(payload) => format!("frame:{}", shown(&payload)),
+            Step::HttpRequest(request) => format!(
+                "http:{} {} body:{}",
+                request.method,
+                request.target,
+                shown(&request.body)
+            ),
+            Step::SendContinue => "continue".to_string(),
+            Step::Oversized(Oversize::Frame { len, max }) => format!("oversized-frame:{len}>{max}"),
+            Step::Oversized(Oversize::HttpBody) => "oversized-http".to_string(),
+            Step::HttpError { status, .. } => format!("http-error:{status}"),
+        }
+    }
+
+    /// Every step `machine` yields until it needs more, resuming after
+    /// each request.
+    fn drain_steps(machine: &mut Machine, steps: &mut Vec<String>) {
+        loop {
+            let step = machine.next();
+            let request = match step {
+                Step::NeedMore => return,
+                Step::FramedRequest(_) | Step::HttpRequest(_) => true,
+                _ => false,
+            };
+            steps.push(describe(step));
+            if request {
+                machine.resume();
+            }
+        }
+    }
+
+    /// The steps of `wire` pushed into a fresh machine `chunk` bytes at
+    /// a time.
     fn run_chunked(wire: &[u8], chunk: usize, max_frame: u32) -> Vec<String> {
         let mut machine = Machine::new(max_frame);
         let mut steps = Vec::new();
         for piece in wire.chunks(chunk.max(1)) {
             machine.push(piece);
-            loop {
-                match machine.next() {
-                    Step::NeedMore => break,
-                    Step::FramedRequest(payload) => {
-                        steps.push(format!("frame:{}", String::from_utf8_lossy(&payload)));
-                        machine.resume();
-                    }
-                    Step::HttpRequest(request) => {
-                        steps.push(format!(
-                            "http:{} {} body:{}",
-                            request.method,
-                            request.target,
-                            String::from_utf8_lossy(&request.body)
-                        ));
-                        machine.resume();
-                    }
-                    Step::SendContinue => steps.push("continue".to_string()),
-                    Step::Oversized(Oversize::Frame { len, max }) => {
-                        steps.push(format!("oversized-frame:{len}>{max}"));
-                    }
-                    Step::Oversized(Oversize::HttpBody) => {
-                        steps.push("oversized-http".to_string());
-                    }
-                    Step::HttpError { status, .. } => {
-                        steps.push(format!("http-error:{status}"));
-                    }
-                }
-            }
+            drain_steps(&mut machine, &mut steps);
         }
         steps
     }
+
+    /// The steps of `wire` read through [`Machine::fill`] in seeded
+    /// random pieces.
+    fn piecewise_steps(wire: &[u8], max_frame: u32, seed: u64) -> Vec<String> {
+        let mut machine = Machine::new(max_frame);
+        let mut src = Pieces::new(wire.to_vec(), seed);
+        let mut steps = Vec::new();
+        loop {
+            let (read, result) = machine.fill(&mut src);
+            drain_steps(&mut machine, &mut steps);
+            match result {
+                // The body's end: read on.
+                Ok(()) => assert!(read > 0, "a piece reader never ends its stream"),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if read == 0 && src.done() {
+                        return steps;
+                    }
+                }
+                Err(e) => panic!("unexpected read error {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn random_read_splits_yield_the_whole_wire_requests() {
+        let mut framed = Vec::new();
+        for len in [0usize, 5, 70 << 10, 3 << 20] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            framed.extend_from_slice(&encode_frame(&payload, u32::MAX >> 4).unwrap());
+        }
+        let body: Vec<u8> = (0..(200 << 10)).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut http = format!(
+            "POST /register HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        http.extend_from_slice(&body);
+        http.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        for (wire, requests) in [(framed, 4), (http, 2)] {
+            let expected = run_chunked(&wire, wire.len(), 4 << 20);
+            assert_eq!(expected.len(), requests, "{expected:?}");
+            for seed in 0..12 {
+                assert_eq!(
+                    piecewise_steps(&wire, 4 << 20, seed),
+                    expected,
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_body_that_arrives_alone_is_handed_over_without_a_copy() {
+        let payload = vec![7u8; 70 << 10];
+        let framed = encode_frame(&payload, u32::MAX >> 4).unwrap();
+        let head = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            payload.len()
+        );
+        let http = [head.as_bytes(), &payload].concat();
+        for seed in 0..8 {
+            for wire in [&framed, &http] {
+                let mut machine = Machine::new(1 << 20);
+                let mut src = Pieces::new(wire.clone(), seed);
+                let (body, buffer) = loop {
+                    let _ = machine.fill(&mut src);
+                    let buffer = machine.buf.as_ptr();
+                    match machine.next() {
+                        Step::NeedMore => continue,
+                        Step::FramedRequest(body) => break (body, buffer),
+                        Step::HttpRequest(request) => break (request.body, buffer),
+                        _ => panic!("unexpected step"),
+                    }
+                };
+                assert_eq!(body, payload);
+                assert_eq!(body.as_ptr(), buffer, "the body was copied (seed {seed})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_large_length_prefix_reserves_only_what_arrived() {
+        let mut wire = (64u32 << 20).to_be_bytes().to_vec();
+        wire.extend_from_slice(&[b'x'; 1024]);
+        for seed in 0..16 {
+            let mut machine = Machine::new(u32::MAX >> 4);
+            let mut src = Pieces::new(wire.clone(), seed);
+            while !src.done() {
+                let _ = machine.fill(&mut src);
+                assert!(matches!(machine.next(), Step::NeedMore));
+            }
+            assert_eq!(machine.raw_buffered(), 1024);
+            let cap = machine.buf.capacity();
+            assert!(
+                cap <= (2 << 10) + (64 << 10),
+                "capacity {cap} (seed {seed})"
+            );
+        }
+    }
+
+    // -- Machine: framed protocol, partial reads ----------------------------
 
     fn framed_wire(payloads: &[&str]) -> Vec<u8> {
         let mut wire = Vec::new();

@@ -187,6 +187,53 @@ fn netd_binary_is_byte_identical_to_serve_loop() {
     assert_eq!(expected, got);
 }
 
+/// A framed line of 10,000 `[` and 10,000 `]` is far under the frame cap,
+/// and parsing it used to recurse once per level until a worker's stack
+/// overflowed and the daemon aborted. It must come back as a JSON error,
+/// as must a query whose id nests as deep, and the same connection must
+/// go on serving.
+#[test]
+fn netd_answers_a_deeply_nested_line_and_keeps_serving() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--allow-remote-shutdown",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pclabel-netd");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("startup banner");
+    let addr = banner
+        .split_whitespace()
+        .nth(3)
+        .expect("address in banner")
+        .to_string();
+
+    let mut client = NetClient::connect(&addr).expect("connect to binary");
+    let deep = format!("{}{}", "[".repeat(10_000), "]".repeat(10_000));
+    let deep_id = format!(r#"{{"op":"query","dataset":"x","id":{deep},"patterns":[]}}"#);
+    for line in [&deep, &deep_id] {
+        let response = client.request_line(line).expect("an answer, not a hangup");
+        let parsed = Json::parse(&response).unwrap();
+        assert_eq!(parsed.get("ok"), Some(&Json::Bool(false)), "{response}");
+        assert!(response.contains("nesting deeper than"), "{response}");
+        let health = client.request_line(r#"{"op":"health"}"#).unwrap();
+        assert_eq!(
+            Json::parse(&health).unwrap().get("ok"),
+            Some(&Json::Bool(true)),
+            "{health}"
+        );
+    }
+    client.request_line(r#"{"op":"shutdown"}"#).unwrap();
+    assert!(child.wait().expect("netd exits").success());
+}
+
 /// The daemon's command-line contract with the repo benchmark: the flags
 /// `perfbench` starts `pclabel-netd` with (its `ServerFlags::args()`,
 /// with the durable workload's data directory) boot a serving daemon,
