@@ -42,8 +42,8 @@ start_daemon() {
 trap 'kill $(jobs -p) 2>/dev/null || true' EXIT
 
 # Two event loops, on both readiness backends: the default (epoll on
-# Linux, with a SO_REUSEPORT listener group) and --force-poll (portable
-# poll(2), where loop 0 accepts and hands connections off round-robin).
+# Linux) and --force-poll (portable poll(2)). There is one accept path on
+# both: loop 0 owns the listener and deals connections round-robin.
 run_smoke() {
     start_daemon "$(mktemp)" "$@"
     ./target/release/examples/net_smoke "$daemon_addr"
@@ -58,8 +58,8 @@ run_smoke --reactors 2 --force-poll
 # Byte-identity across reactor counts and backends: one mixed
 # framed+HTTP script, replayed against a fresh daemon per variant, must
 # produce identical output. The reference is a single event loop; the
-# variants are four loops on a SO_REUSEPORT group and two loops on the
-# poll backend's fd handoff. (The in-process tests pin the single loop
+# variants are four loops on epoll and two loops on poll, both fed by
+# loop 0's one accept path. (The in-process tests pin the single loop
 # to the stdin/stdout serve loop.)
 start_daemon "$(mktemp)" --reactors 1
 ./target/release/examples/net_replay "$daemon_addr" >replay_1.txt

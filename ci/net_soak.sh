@@ -4,9 +4,9 @@
 # still completes a register + query round-trip within 2 seconds — the
 # reactor holds workers per request, so idle connections must never
 # starve a newcomer. The soak runs with two event loops (--reactors 2)
-# on both readiness backends — the default epoll with its SO_REUSEPORT
-# listener group, and --force-poll where loop 0 accepts and hands
-# connections off — since the gauges asserted below must sum correctly
+# on both readiness backends — the default epoll and --force-poll, with
+# the one accept path on both (loop 0 accepts and deals connections
+# round-robin) — since the gauges asserted below must sum correctly
 # across loops either way. The daemon runs with a tiny --retained-traces
 # ring, and the soak's request storm must leave both trace rings
 # saturated at exactly that bound (retention stays bounded under load).

@@ -359,10 +359,10 @@ fn main() {
 
         // --- reactor scaling grid: the same storm on 2 and 4 event loops
         // (the sweep above produced the 1-loop rows). On a many-core
-        // runner these rows show accept/readiness scaling across the
-        // SO_REUSEPORT listener group; on a 1-CPU box they are
-        // informational only — bench_trend gates the 1-reactor rows and
-        // never compares multi-reactor ones.
+        // runner these rows show readiness scaling across loops that
+        // loop 0's one listener feeds round-robin; on a 1-CPU box they
+        // are informational only — bench_trend gates the 1-reactor rows
+        // and never compares multi-reactor ones.
         for &reactors in &[2usize, 4] {
             eprintln!(
                 "engine_bench: --net {reactors} reactors, 4 client thread(s), \

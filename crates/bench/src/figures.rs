@@ -19,7 +19,7 @@ use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::{compas_simplified, scale_dataset, CompasConfig};
 use pclabel_report::{render_label_card, CardOptions, Series};
 
-use crate::datasets::{all_datasets, compas_full, scale};
+use crate::datasets::{all_datasets, scale};
 use crate::sweep::{cached_sweep, DEFAULT_BOUNDS};
 
 /// Bounds used by the runtime/pruning figures (the paper's tick marks).
@@ -413,11 +413,6 @@ pub fn table1() -> String {
         "Table I — notation and implementation map\n\n{}",
         t.render()
     )
-}
-
-/// COMPAS at full scale — convenience used by examples and docs.
-pub fn compas_dataset() -> &'static Dataset {
-    compas_full()
 }
 
 #[cfg(test)]

@@ -552,14 +552,6 @@ pub struct CountingProfile {
     pub peak_bytes: u64,
 }
 
-impl CountingProfile {
-    /// Total wall-clock seconds across the three phases — what a
-    /// request trace attributes to "counting build".
-    pub fn total_secs(&self) -> f64 {
-        self.partition_secs + self.count_secs + self.assemble_secs
-    }
-}
-
 /// Per-worker output of a phase-2 counting pass: the final maps of the
 /// worker's owned shards (in shard order) plus its empty-group weight.
 type ShardParts<K> = Vec<(Vec<FxHashMap<K, u64>>, u64)>;

@@ -395,11 +395,6 @@ impl Label {
         est
     }
 
-    /// [`Label::estimate`] rounded to the nearest integer count.
-    pub fn estimate_rounded(&self, p: &Pattern) -> u64 {
-        self.estimate(p).round().max(0.0) as u64
-    }
-
     /// Heap bytes of the `PC` component (shard maps + handles).
     pub fn pc_heap_bytes(&self) -> u64 {
         use pclabel_data::mem::HeapBytes;

@@ -18,6 +18,7 @@ use std::fmt;
 use std::mem::size_of;
 
 use crate::error::{DataError, Result};
+use crate::mem::{hash_map_heap_bytes, vec_heap_bytes};
 
 /// Slots in a dictionary's intern cache (a power of two).
 const CACHE_SLOTS: usize = 64;
@@ -121,11 +122,15 @@ impl Dictionary {
         id
     }
 
-    /// Heap bytes of the intern cache: none before the first intern.
-    pub(crate) fn cache_bytes(&self) -> usize {
-        self.cache
+    /// Heap bytes of the id→label vector and the index, each by
+    /// capacity, plus the intern cache (none before the first intern).
+    /// The labels' string bytes are not included.
+    pub(crate) fn table_bytes(&self) -> u64 {
+        let cache = self
+            .cache
             .as_ref()
-            .map_or(0, |_| size_of::<[Slot; CACHE_SLOTS]>())
+            .map_or(0, |_| size_of::<[Slot; CACHE_SLOTS]>());
+        vec_heap_bytes(&self.labels) + hash_map_heap_bytes(&self.index) + cache as u64
     }
 
     /// Returns the id for `label` without inserting, if present.

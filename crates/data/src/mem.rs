@@ -17,10 +17,6 @@
 //! 2. **Count shared substructures once, at their primary owner** —
 //!    e.g. a label never re-counts the schema it shares with its
 //!    dataset via `Arc`. Each implementation documents what it covers.
-//!
-//! This is the substrate for the memory-budgeted approximate counting
-//! tier (ROADMAP item 4): "switch to a sketch when the predicted
-//! group-count exceeds the budget" needs to know what is spent now.
 
 use std::collections::HashMap;
 use std::mem::size_of;
@@ -52,12 +48,11 @@ pub fn hash_map_heap_bytes<K, V, S>(m: &HashMap<K, V, S>) -> u64 {
 
 impl HeapBytes for Dictionary {
     /// Labels are stored twice (id→label vector, label→id index), so
-    /// their string bytes are, too. The intern cache adds its fixed slots.
+    /// their string bytes are, too. The vector and the index count by
+    /// capacity; the intern cache adds its fixed slots.
     fn heap_bytes(&self) -> u64 {
         let strings: u64 = self.iter().map(|(_, l)| 2 * l.len() as u64).sum();
-        let labels = (self.len() * size_of::<Box<str>>()) as u64;
-        let index = (self.len() * (size_of::<Box<str>>() + size_of::<u32>() + 1)) as u64;
-        strings + labels + index + self.cache_bytes() as u64
+        strings + self.table_bytes()
     }
 }
 
@@ -114,6 +109,27 @@ mod tests {
             "the intern cache counts"
         );
         assert_eq!(Dictionary::new().heap_bytes(), 0);
+    }
+
+    #[test]
+    fn dictionary_counts_vector_and_index_by_capacity() {
+        // 65 labels grow the id→label vector to 128 slots; the index is
+        // rebuilt here the same way the dictionary grows its own.
+        let labels: Vec<String> = (0..65).map(|i| format!("label-{i}")).collect();
+        let d = Dictionary::from_labels(&labels);
+        let mut vector: Vec<Box<str>> = Vec::new();
+        let mut index: HashMap<Box<str>, u32> = HashMap::new();
+        for (id, label) in labels.iter().enumerate() {
+            vector.push(label.as_str().into());
+            index.insert(label.as_str().into(), id as u32);
+        }
+        assert_eq!(vector.capacity(), 128);
+        let strings: u64 = labels.iter().map(|l| 2 * l.len() as u64).sum();
+        let cache = (64 * size_of::<(u64, u32)>()) as u64;
+        assert_eq!(
+            d.heap_bytes(),
+            strings + vec_heap_bytes(&vector) + hash_map_heap_bytes(&index) + cache
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! (`POST /`), printing every response body to stdout, one per line.
 //!
 //! `ci/net_smoke.sh` runs this against a one-reactor daemon, a
-//! four-reactor `SO_REUSEPORT` daemon and a two-reactor `--force-poll`
-//! (fd handoff) daemon, and diffs the outputs: every variant must be
-//! byte-identical for the same request stream. The script mixes ops,
+//! four-reactor daemon on epoll and a two-reactor `--force-poll` daemon
+//! — one accept path on two readiness backends — and diffs the outputs:
+//! every variant must be byte-identical for the same request stream. The script mixes ops,
 //! failure paths, and non-JSON garbage so the diff covers dispatch
 //! errors as well as happy paths; it runs each op sequence against one
 //! long-lived daemon, so per-dataset state (generations, cache

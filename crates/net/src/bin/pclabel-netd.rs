@@ -36,13 +36,11 @@ options:
                            {\"error\":\"overloaded\"} (default 256;
                            0 = never park)
   --reactors N             event loops serving the listener (default:
-                           CPU count; 0 = 1). On Linux with epoll each
-                           loop accepts from its own SO_REUSEPORT
-                           listener and the kernel balances accepts;
-                           with --force-poll or on other Unixes loop 0
-                           accepts and hands sockets to its peers
-                           round-robin. All loops share one --workers
-                           dispatch pool
+                           CPU count; 0 = 1). Loop 0 owns the one
+                           listener and deals accepted sockets
+                           round-robin across all loops, on either
+                           readiness backend. All loops share one
+                           --workers dispatch pool
   --write-watermark BYTES  per-connection cap on queued unsent response
                            bytes; at the cap the loop stops reading from
                            that connection until the peer drains its
@@ -57,7 +55,9 @@ options:
   --timeout-ms MS          deadline for a peer stalled mid-request or
                            mid-response (default 10000; 0 = none)
   --force-poll             use the portable poll(2) backend even where
-                           epoll is available (diagnostics)
+                           epoll is available (diagnostics); it picks
+                           only the readiness backend, not how
+                           connections are accepted
   --allow-remote-shutdown  honour {\"op\":\"shutdown\"} from clients
   --log-level LEVEL        structured JSON log verbosity on stderr:
                            error, warn, info or debug (default info;

@@ -63,7 +63,6 @@ impl From<io::Error> for ClientError {
 /// frame back, over a persistent connection.
 pub struct NetClient {
     stream: TcpStream,
-    max_frame: u32,
 }
 
 impl NetClient {
@@ -73,10 +72,7 @@ impl NetClient {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(10)))?;
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        Ok(NetClient {
-            stream,
-            max_frame: MAX_FRAME_CEILING,
-        })
+        Ok(NetClient { stream })
     }
 
     /// Overrides both socket timeouts (`None` blocks indefinitely).
@@ -85,16 +81,11 @@ impl NetClient {
         self.stream.set_write_timeout(timeout)
     }
 
-    /// Caps the size of frames this client will send or accept.
-    pub fn set_max_frame(&mut self, max: u32) {
-        self.max_frame = max.min(MAX_FRAME_CEILING);
-    }
-
     /// Sends one raw request line and returns the raw response text.
     pub fn request_line(&mut self, line: &str) -> Result<String, ClientError> {
-        write_frame(&mut self.stream, line.as_bytes(), self.max_frame)?;
+        write_frame(&mut self.stream, line.as_bytes(), MAX_FRAME_CEILING)?;
         let payload =
-            read_frame(&mut self.stream, self.max_frame)?.ok_or(ClientError::ServerClosed)?;
+            read_frame(&mut self.stream, MAX_FRAME_CEILING)?.ok_or(ClientError::ServerClosed)?;
         String::from_utf8(payload).map_err(|_| ClientError::Utf8)
     }
 

@@ -122,6 +122,8 @@ pub(crate) enum BodyFraming {
 
 /// The declared body framing of `request`, rejecting transfer-codings
 /// this adapter does not speak (anything other than a sole `chunked`).
+/// Every `Content-Length` header must be `1*DIGIT`, and repeated ones
+/// must agree.
 pub(crate) fn body_framing(request: &Request) -> Result<BodyFraming, (u16, &'static str)> {
     if let Some(te) = request.header("transfer-encoding") {
         if te.trim().eq_ignore_ascii_case("chunked") {
@@ -129,13 +131,29 @@ pub(crate) fn body_framing(request: &Request) -> Result<BodyFraming, (u16, &'sta
         }
         return Err((501, "transfer-encoding is not supported"));
     }
-    match request.header("content-length") {
-        None => Ok(BodyFraming::Length(0)),
-        Some(v) => v
-            .parse::<usize>()
-            .map(BodyFraming::Length)
-            .map_err(|_| (400, "invalid Content-Length")),
+    let mut length = None;
+    let lengths = request
+        .headers
+        .iter()
+        .filter(|(k, _)| k == "content-length");
+    for (_, value) in lengths {
+        let n = parse_digits(value, 10).ok_or((400, "invalid Content-Length"))?;
+        if length.is_some_and(|seen| seen != n) {
+            return Err((400, "conflicting Content-Length headers"));
+        }
+        length = Some(n);
     }
+    Ok(BodyFraming::Length(length.unwrap_or(0)))
+}
+
+/// `digits` as a number in `radix`, accepting that radix's digits only:
+/// Rust's integer parsers also take a leading `+`, which RFC 9112's
+/// `1*DIGIT` and `1*HEXDIG` do not.
+fn parse_digits(digits: &str, radix: u32) -> Option<usize> {
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    usize::from_str_radix(digits, radix).ok()
 }
 
 /// Longest tolerated chunk-size line (hex size + optional extensions).
@@ -185,6 +203,12 @@ impl ChunkedDecoder {
         self.body
     }
 
+    /// Bytes decoded so far.
+    #[cfg(test)]
+    pub(crate) fn decoded_len(&self) -> usize {
+        self.body.len()
+    }
+
     /// Consumes as much of `buf` as possible. `Ok(true)` = the body is
     /// complete (trailers included); `Ok(false)` = more bytes needed;
     /// `Err` = protocol error or body-too-large, `(status, message)`
@@ -210,9 +234,7 @@ impl ChunkedDecoder {
                     let size_part = line.split(|&b| b == b';').next().unwrap_or(&[]);
                     let size = std::str::from_utf8(size_part)
                         .ok()
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .and_then(|s| usize::from_str_radix(s, 16).ok());
+                        .and_then(|s| parse_digits(s.trim(), 16));
                     let Some(size) = size else {
                         break Err((400, "invalid chunk size"));
                     };
@@ -686,11 +708,16 @@ mod tests {
         assert_eq!(decoder.decode(&mut buf).unwrap_err().0, 413);
         // Non-hex sizes, missing CRLF after data, and runaway size
         // lines are 400s.
-        let mut decoder = ChunkedDecoder::new(64);
-        assert_eq!(
-            decoder.decode(&mut b"zz\r\n".to_vec()).unwrap_err(),
-            (400, "invalid chunk size")
-        );
+        for size in ["zz", "+a", "-0", " ", "0x5"] {
+            let mut decoder = ChunkedDecoder::new(64);
+            assert_eq!(
+                decoder
+                    .decode(&mut format!("{size}\r\n").into_bytes())
+                    .unwrap_err(),
+                (400, "invalid chunk size"),
+                "size {size:?}"
+            );
+        }
         let mut decoder = ChunkedDecoder::new(64);
         assert_eq!(
             decoder.decode(&mut b"3\r\nabcXY".to_vec()).unwrap_err(),
@@ -748,8 +775,24 @@ mod tests {
             framed(&[("transfer-encoding", "gzip, chunked")]),
             Err((501, "transfer-encoding is not supported"))
         );
+        for value in ["nope", "+5", "-0", "", "5 5", "0x5"] {
+            assert_eq!(
+                framed(&[("content-length", value)]),
+                Err((400, "invalid Content-Length")),
+                "Content-Length {value:?}"
+            );
+        }
+        // Repeated lengths must agree.
         assert_eq!(
-            framed(&[("content-length", "nope")]),
+            framed(&[("content-length", "007"), ("content-length", "7")]),
+            Ok(BodyFraming::Length(7))
+        );
+        assert_eq!(
+            framed(&[("content-length", "5"), ("content-length", "6")]),
+            Err((400, "conflicting Content-Length headers"))
+        );
+        assert_eq!(
+            framed(&[("content-length", "5"), ("content-length", "+5")]),
             Err((400, "invalid Content-Length"))
         );
     }

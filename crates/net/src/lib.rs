@@ -36,8 +36,10 @@
 //! ([`ServerConfig::reactors`](server::ServerConfig)) own the
 //! connections as non-blocking state machines over `epoll` (Linux) or
 //! `poll(2)` (other Unixes); workers are held per *request*, so idle
-//! connections cost a file descriptor, not a thread. The loops add
-//! per-connection deadlines and a connection cap with LRU-idle eviction.
+//! connections cost a file descriptor, not a thread. Loop 0 owns the one
+//! listener and deals accepted sockets round-robin across the loops, the
+//! same way on both backends. The loops add per-connection deadlines and
+//! a connection cap with LRU-idle eviction.
 //! The server needs a Unix: elsewhere
 //! [`NetServer::spawn`](server::NetServer::spawn) returns
 //! [`std::io::ErrorKind::Unsupported`].
@@ -84,6 +86,8 @@
 
 pub mod client;
 pub(crate) mod conntrack;
+#[cfg(test)]
+mod decoder_fuzz;
 pub mod frame;
 pub mod http;
 pub(crate) mod metrics;

@@ -10,12 +10,12 @@
 //! keep-alive clients cannot starve a new one. One loop can still
 //! bottleneck on parse/flush CPU, so
 //! [`ServerConfig::reactors`](crate::server::ServerConfig) scales the
-//! plane to N loops with private connection tables: on Linux (epoll
-//! backend) every loop accepts from its own `SO_REUSEPORT` listener and
-//! the kernel balances accepts; everywhere else loop 0 accepts and
-//! hands fds to its peers round-robin through per-loop [`Inbox`]es.
-//! All loops feed the one shared [`ThreadPool`], so dispatch
-//! backpressure stays a process-wide property.
+//! plane to N loops with private connection tables. There is one
+//! accept path on both readiness backends: loop 0 owns the only
+//! listener, accepts with std's `accept`, and deals the sockets
+//! round-robin — itself included — through per-loop [`Inbox`]es. All
+//! loops feed the one shared [`ThreadPool`], so dispatch backpressure
+//! stays a process-wide property.
 //!
 //! ## Anatomy
 //!
@@ -33,9 +33,9 @@
 //!   worker; only bytes pipelined past a request cost a copy. Other
 //!   input is read into at least 8 KiB of room.
 //! * [`WriteQueue`] — responses are queued as byte *segments* and
-//!   flushed with one `writev` per readiness (up to
-//!   [`crate::sys::MAX_IOVECS`] segments a call), so a framed response
-//!   ships its length prefix and payload without a concatenation copy.
+//!   flushed with one vectored write (`writev`) per readiness, up to
+//!   [`MAX_IOVECS`] segments a call, so a framed response ships its
+//!   length prefix and payload without a concatenation copy.
 //!   At [`ServerConfig::write_watermark`](crate::server::ServerConfig)
 //!   queued bytes the loop stops *reading* from that connection until
 //!   the peer drains its responses: per-connection memory is bounded by
@@ -64,13 +64,13 @@
 //!   or a framed `{"ok":false,"error":"overloaded"}` and the connection
 //!   stays open, so a worker stall bounds queued-request memory instead
 //!   of growing a `VecDeque` without limit.
-//! * Graceful shutdown — every loop is woken, acceptors deregister,
+//! * Graceful shutdown — every loop is woken, loop 0 closes the listener,
 //!   idle and mid-read connections close immediately, and in-flight
 //!   dispatches drain: their responses are still written before the
 //!   loops exit. The last loop out shuts the shared pool down.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,7 +87,7 @@ use crate::server::{
     is_http_prefix, overloaded_error_json, oversize_error_json, process_line, utf8_error_json,
     Reply, Shared,
 };
-use crate::sys::{self, Backend, Event, Interest, Poller, Waker};
+use crate::sys::{Backend, Event, Interest, Poller, Waker};
 
 // --- the protocol state machine --------------------------------------------
 
@@ -498,22 +498,10 @@ impl Machine {
 
 // --- the vectored write queue ----------------------------------------------
 
-/// The sink a [`WriteQueue`] flushes into — `writev` semantics (write
-/// as much of the gathered slices as fits right now). A trait so
-/// short-write and iovec-boundary handling is unit-testable without
-/// sockets.
-pub(crate) trait WritevSink {
-    fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize>;
-}
-
-/// The real sink: `writev(2)` on the connection's socket.
-struct StreamSink<'a>(&'a TcpStream);
-
-impl WritevSink for StreamSink<'_> {
-    fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
-        sys::vectored_write(self.0.as_raw_fd(), bufs)
-    }
-}
+/// Most segments handed to one vectored write. Every Unix guarantees an
+/// `IOV_MAX` of at least 16; common systems allow 1024. 64 batches
+/// enough segments per syscall without risking `EINVAL` anywhere.
+pub(crate) const MAX_IOVECS: usize = 64;
 
 /// Pending output as a queue of byte segments, flushed with gathered
 /// writes. Responses are queued as the segments their producers already
@@ -556,24 +544,23 @@ impl WriteQueue {
     }
 
     /// Writes as much as the sink accepts right now, gathering up to
-    /// [`sys::MAX_IOVECS`] segments per call. Returns `(bytes_written,
-    /// fully_drained)`; `fully_drained == false` means the sink would
-    /// block (wait for writability).
-    pub(crate) fn flush<S: WritevSink>(&mut self, sink: &mut S) -> io::Result<(usize, bool)> {
+    /// [`MAX_IOVECS`] segments per `write_vectored` call. Returns
+    /// `(bytes_written, fully_drained)`; `fully_drained == false` means
+    /// the sink would block (wait for writability).
+    pub(crate) fn flush<W: Write>(&mut self, sink: &mut W) -> io::Result<(usize, bool)> {
         let mut total = 0usize;
         loop {
             if self.queued == 0 {
                 return Ok((total, true));
             }
-            let mut bufs: Vec<&[u8]> = Vec::with_capacity(self.segs.len().min(sys::MAX_IOVECS));
-            for (i, seg) in self.segs.iter().take(sys::MAX_IOVECS).enumerate() {
-                if i == 0 {
-                    bufs.push(&seg[self.front_pos..]);
-                } else {
-                    bufs.push(seg);
-                }
+            let mut bufs = [IoSlice::new(&[]); MAX_IOVECS];
+            let mut n = 0;
+            for seg in self.segs.iter().take(MAX_IOVECS) {
+                let from = if n == 0 { self.front_pos } else { 0 };
+                bufs[n] = IoSlice::new(&seg[from..]);
+                n += 1;
             }
-            match sink.writev(&bufs) {
+            match sink.write_vectored(&bufs[..n]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -654,12 +641,10 @@ impl DispatchQueue {
     }
 }
 
-/// Accepted sockets in transit from loop 0 to a peer loop (the
-/// fd-handoff fallback where `SO_REUSEPORT` is unavailable: poll
-/// backend, non-Linux, or a bind that refused the group).
+/// Accepted sockets in transit from loop 0 to a peer loop.
 struct Inbox {
     streams: Mutex<Vec<(TcpStream, SocketAddr)>>,
-    /// The owning loop's waker: a handoff must interrupt its poll.
+    /// The owning loop's waker: a delivery must interrupt its poll.
     waker: Arc<Waker>,
 }
 
@@ -777,17 +762,17 @@ struct Reactor {
     shared: Arc<Shared>,
     loop_id: usize,
     poller: Poller,
-    /// This loop's own listener (reuseport: every loop; handoff: loop 0
-    /// only — its peers accept through their inbox instead).
+    /// The one listener, on loop 0 until shutdown; its peers receive
+    /// their sockets through their inbox instead.
     listener: Option<TcpListener>,
     waker: Arc<Waker>,
     pool: Arc<ThreadPool>,
     /// Loops still running; the last one out shuts the pool down.
     live_loops: Arc<AtomicUsize>,
     dispatch: Arc<DispatchQueue>,
-    /// Handoff mode, loops ≥ 1: sockets loop 0 accepted for us.
+    /// Loops ≥ 1: sockets loop 0 accepted for us.
     inbox: Option<Arc<Inbox>>,
-    /// Handoff mode, loop 0: the peers' inboxes, fed round-robin.
+    /// Loop 0: the peers' inboxes, fed round-robin.
     peers: Vec<Arc<Inbox>>,
     /// Round-robin cursor over `[self, peers...]`.
     rr: usize,
@@ -800,17 +785,15 @@ struct Reactor {
     next_token: u64,
     /// This loop's slice of `max_connections`.
     budget: usize,
-    accepting: bool,
     loop_metrics: LoopMetrics,
 }
 
-/// Spawns the reactor loops, which share the dispatch `pool`.
-/// `listeners` is either one listener (shared via fd handoff) or one
-/// pre-bound `SO_REUSEPORT` listener per loop; all must already be
-/// non-blocking.
+/// Spawns the reactor loops, which share the dispatch `pool`. Loop 0
+/// accepts on `listener`, which must already be non-blocking, and deals
+/// the sockets across every loop.
 pub(crate) fn spawn(
     shared: Arc<Shared>,
-    listeners: Vec<TcpListener>,
+    listener: TcpListener,
     pool: Arc<ThreadPool>,
 ) -> io::Result<Vec<JoinHandle<()>>> {
     let n = shared.config.reactors.max(1);
@@ -825,30 +808,27 @@ pub(crate) fn spawn(
         shared.add_waker(Arc::clone(&waker));
         wakers.push(waker);
     }
-    let handoff = listeners.len() < n;
-    let inboxes: Vec<Arc<Inbox>> = if handoff {
-        (1..n)
-            .map(|i| {
-                Arc::new(Inbox {
-                    streams: Mutex::new(Vec::new()),
-                    waker: Arc::clone(&wakers[i]),
-                })
+    let inboxes: Vec<Arc<Inbox>> = wakers[1..]
+        .iter()
+        .map(|waker| {
+            Arc::new(Inbox {
+                streams: Mutex::new(Vec::new()),
+                waker: Arc::clone(waker),
             })
-            .collect()
-    } else {
-        Vec::new()
-    };
+        })
+        .collect();
 
     let backend = if shared.config.force_poll_backend {
         Backend::Poll
     } else {
         Backend::Auto
     };
-    let mut listeners = listeners.into_iter();
+    // Loop 0 takes the listener; its peers get none.
+    let mut listener = Some(listener);
     let mut reactors = Vec::with_capacity(n);
     for (loop_id, waker) in wakers.into_iter().enumerate() {
         let mut poller = Poller::with_backend(backend)?;
-        let listener = listeners.next();
+        let listener = listener.take();
         if let Some(listener) = &listener {
             poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         }
@@ -860,7 +840,6 @@ pub(crate) fn spawn(
         // Split the connection cap evenly; loop 0 takes the remainder.
         let budget = (max_conns / n + if loop_id == 0 { max_conns % n } else { 0 }).max(1);
         let loop_metrics = LoopMetrics::register(shared.dispatcher.telemetry().registry(), loop_id);
-        let accepting = listener.is_some();
         reactors.push(Reactor {
             shared: Arc::clone(&shared),
             loop_id,
@@ -870,12 +849,8 @@ pub(crate) fn spawn(
             pool: Arc::clone(&pool),
             live_loops: Arc::clone(&live_loops),
             dispatch,
-            inbox: if handoff && loop_id > 0 {
-                Some(Arc::clone(&inboxes[loop_id - 1]))
-            } else {
-                None
-            },
-            peers: if handoff && loop_id == 0 {
+            inbox: loop_id.checked_sub(1).map(|i| Arc::clone(&inboxes[i])),
+            peers: if loop_id == 0 {
                 inboxes.clone()
             } else {
                 Vec::new()
@@ -886,7 +861,6 @@ pub(crate) fn spawn(
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             budget,
-            accepting,
             loop_metrics,
         });
     }
@@ -973,8 +947,7 @@ impl Reactor {
 
     // --- accepting ---------------------------------------------------------
 
-    /// Adopts sockets loop 0 accepted on this loop's behalf (handoff
-    /// mode only).
+    /// Adopts sockets loop 0 accepted on this loop's behalf.
     fn process_inbox(&mut self) {
         let handed = match &self.inbox {
             Some(inbox) => inbox.take(),
@@ -986,22 +959,19 @@ impl Reactor {
     }
 
     fn accept_ready(&mut self) {
-        if !self.accepting {
-            return;
-        }
         loop {
-            let accepted = match &self.listener {
-                Some(listener) => sys::accept_nonblocking(listener),
-                None => return,
+            let Some(listener) = &self.listener else {
+                return;
             };
-            match accepted {
-                Ok(Some((stream, peer))) => {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue; // drop it: a blocking socket would stall the loop
+                    }
                     self.shared.metrics.accepts.inc();
-                    // Reuseport mode: `peers` is empty and every socket
-                    // is ours. Handoff mode: deal round-robin across
-                    // [self, peers...] so the fleet stays balanced.
-                    let total = self.peers.len() + 1;
-                    let target = self.rr % total;
+                    // Deal round-robin across [self, peers...] so the
+                    // fleet stays balanced.
+                    let target = self.rr % (self.peers.len() + 1);
                     self.rr = self.rr.wrapping_add(1);
                     if target == 0 {
                         self.admit(stream, peer);
@@ -1009,7 +979,7 @@ impl Reactor {
                         self.peers[target - 1].push(stream, peer);
                     }
                 }
-                Ok(None) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // Persistent accept failure (EMFILE, aborted handshake):
                 // the listener stays level-triggered-readable, so a bare
                 // break would re-poll instantly and livelock the loop at
@@ -1044,8 +1014,8 @@ impl Reactor {
                 None => return,
             }
         }
-        // `accept4` (or the accept fallback) already made it
-        // non-blocking; only Nagle needs switching off.
+        // The accept made it non-blocking; only Nagle needs switching
+        // off.
         let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
@@ -1399,7 +1369,7 @@ impl Reactor {
             return;
         };
         if conn.has_pending_write() {
-            match conn.out.flush(&mut StreamSink(&conn.stream)) {
+            match conn.out.flush(&mut &conn.stream) {
                 Ok((written, done)) => {
                     if written > 0 {
                         conn.track.add_out(written as u64);
@@ -1471,14 +1441,11 @@ impl Reactor {
         }
     }
 
-    /// On shutdown: stop accepting and close every connection that is
-    /// not owed a response; dispatching/writing connections drain.
+    /// On shutdown: close the listener and every connection that is not
+    /// owed a response; dispatching/writing connections drain.
     fn shed_for_drain(&mut self) {
-        if self.accepting {
-            if let Some(listener) = &self.listener {
-                let _ = self.poller.deregister(listener.as_raw_fd());
-            }
-            self.accepting = false;
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.deregister(listener.as_raw_fd());
         }
         let doomed: Vec<u64> = self
             .conns
@@ -1948,6 +1915,23 @@ mod tests {
             Step::HttpError { status: 431, .. }
         ));
 
+        // Framing numbers take digits only, and repeated lengths must
+        // agree: a signed Content-Length or chunk size, or two lengths
+        // that differ, is a 400.
+        for wire in [
+            &b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n+5\r\nhello\r\n0\r\n\r\n",
+        ] {
+            let mut machine = Machine::new(1 << 20);
+            machine.push(wire);
+            assert!(
+                matches!(machine.next(), Step::HttpError { status: 400, .. }),
+                "{}",
+                String::from_utf8_lossy(wire)
+            );
+        }
+
         // Transfer-encodings other than chunked are unimplemented.
         let mut machine = Machine::new(1 << 20);
         machine.push(b"POST / HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n");
@@ -1987,16 +1971,25 @@ mod tests {
 
     // -- write path: the vectored queue under short writes ------------------
 
-    /// A sink that accepts at most `per_call` bytes per `writev`, then
-    /// signals WouldBlock every other call — a worst-case slow peer.
+    /// A sink that accepts at most `per_call` bytes per vectored write,
+    /// then signals WouldBlock every other call — a worst-case slow peer.
     struct Throttled {
         accepted: Vec<u8>,
         per_call: usize,
         block_next: bool,
     }
 
-    impl WritevSink for Throttled {
-        fn writev(&mut self, bufs: &[&[u8]]) -> io::Result<usize> {
+    impl Write for Throttled {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            assert!(
+                bufs.len() <= MAX_IOVECS,
+                "{} slices in one call",
+                bufs.len()
+            );
             if self.block_next {
                 self.block_next = false;
                 return Err(io::Error::new(io::ErrorKind::WouldBlock, "slow peer"));
@@ -2014,6 +2007,10 @@ mod tests {
                 room -= take;
             }
             Ok(written)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
 
@@ -2109,7 +2106,7 @@ mod tests {
         // More segments than one writev can gather: flush keeps going
         // in MAX_IOVECS batches within a single call.
         let mut queue = WriteQueue::new();
-        for i in 0..(sys::MAX_IOVECS * 2 + 10) {
+        for i in 0..(MAX_IOVECS * 2 + 10) {
             queue.push(vec![i as u8]);
         }
         let total = queue.queued();
@@ -2144,9 +2141,13 @@ mod tests {
     #[test]
     fn write_zero_is_an_error_not_a_spin() {
         struct Dead;
-        impl WritevSink for Dead {
-            fn writev(&mut self, _bufs: &[&[u8]]) -> io::Result<usize> {
+        impl Write for Dead {
+            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
                 Ok(0)
+            }
+
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
             }
         }
         let mut queue = WriteQueue::new();

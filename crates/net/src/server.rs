@@ -1,4 +1,4 @@
-//! The TCP listener: binds the socket(s), sniffs the wire protocol and
+//! The TCP listener: binds the one socket, sniffs the wire protocol and
 //! hands every connection to the reactor's event loops.
 //!
 //! One socket serves both protocols. The first four bytes of a
@@ -18,9 +18,10 @@
 //! [`ServerHandle::shutdown`] (or a remote `{"op":"shutdown"}` when
 //! [`ServerConfig::allow_remote_shutdown`] is set) flips a shared flag
 //! and wakes every event loop out of its poll, so shutdown never waits
-//! on a timeout or a self-connection that a firewall could swallow. Each
-//! loop then stops accepting, closes its idle and mid-read connections,
-//! and exits once its in-flight dispatches have written their responses.
+//! on a timeout or a self-connection that a firewall could swallow. Loop
+//! 0 then closes the listener, and each loop closes its idle and
+//! mid-read connections and exits once its in-flight dispatches have
+//! written their responses.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -78,17 +79,15 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Force the portable `poll(2)` backend even where epoll is
     /// available (diagnostics; lets tests exercise the fallback on
-    /// Linux). Also disables the `SO_REUSEPORT` listener group, so
-    /// multi-reactor runs exercise the fd-handoff path.
+    /// Linux). It picks only the readiness backend: accepting works the
+    /// same on both.
     pub force_poll_backend: bool,
     /// Number of event loops. Each loop owns a private connection table,
-    /// deadline bookkeeping and completion queue. Where the platform
-    /// allows it (Linux, epoll backend) every loop accepts from its own
-    /// `SO_REUSEPORT` listener and the kernel balances accepts;
-    /// elsewhere loop 0 accepts and hands sockets to its peers
-    /// round-robin. `0` is treated as 1. All loops share one dispatch
-    /// [`ThreadPool`](crate::pool::ThreadPool) (`workers`/`queue_capacity`
-    /// stay process-wide).
+    /// deadline bookkeeping and completion queue. Loop 0 owns the one
+    /// listener and deals accepted sockets round-robin across all loops,
+    /// itself included. `0` is treated as 1. All loops share one
+    /// dispatch [`ThreadPool`](crate::pool::ThreadPool)
+    /// (`workers`/`queue_capacity` stay process-wide).
     pub reactors: usize,
     /// Per-connection cap on queued unsent response bytes. At or above
     /// the cap the owning loop stops *reading* from that connection (its
@@ -178,24 +177,9 @@ impl NetServer {
     pub fn spawn(dispatcher: Arc<Dispatcher>, config: ServerConfig) -> io::Result<ServerHandle> {
         let mut config = config;
         config.max_frame = config.max_frame.min(MAX_FRAME_CEILING);
-        // Multi-reactor on the epoll backend: try an `SO_REUSEPORT` group
-        // — one listener per loop, accepts balanced by the kernel. Any
-        // refusal (non-Linux, odd address, kernel policy) falls back to
-        // one listener that loop 0 accepts on and shares via fd handoff,
-        // so `reactors > 1` always works.
-        let mut listeners = Vec::new();
-        if config.reactors > 1 && !config.force_poll_backend {
-            if let Ok(group) = bind_reuseport_group(&config.addr, config.reactors) {
-                listeners = group;
-            }
-        }
-        if listeners.is_empty() {
-            listeners.push(TcpListener::bind(&config.addr)?);
-        }
-        for listener in &listeners {
-            listener.set_nonblocking(true)?;
-        }
-        let local_addr = listeners[0].local_addr()?;
+        let listener = TcpListener::bind(&config.addr)?;
+        listener.set_nonblocking(true)?;
+        let local_addr = listener.local_addr()?;
         let pool = Arc::new(crate::pool::ThreadPool::new(
             config.workers,
             config.queue_capacity,
@@ -212,7 +196,7 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             wakers: std::sync::Mutex::new(Vec::new()),
         });
-        let loops = crate::reactor::spawn(Arc::clone(&shared), listeners, pool)?;
+        let loops = crate::reactor::spawn(Arc::clone(&shared), listener, pool)?;
         Ok(ServerHandle { shared, loops })
     }
 
@@ -266,26 +250,6 @@ impl Drop for ServerHandle {
         self.shared.trigger_shutdown();
         self.join();
     }
-}
-
-/// Binds `n` `SO_REUSEPORT` listeners on the same address — one per
-/// reactor loop, accepts balanced by the kernel. Port 0 resolves
-/// through the first bind, and the remaining n−1 join its chosen port.
-/// Errors (non-Linux, kernel refusal) make the caller fall back to a
-/// single shared listener.
-#[cfg(unix)]
-fn bind_reuseport_group(addr: &str, n: usize) -> io::Result<Vec<TcpListener>> {
-    use std::net::ToSocketAddrs;
-    let first_addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    })?;
-    let first = crate::sys::bind_reuseport(&first_addr)?;
-    let resolved = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..n {
-        listeners.push(crate::sys::bind_reuseport(&resolved)?);
-    }
-    Ok(listeners)
 }
 
 /// `true` if the connection's first four bytes look like an HTTP/1.x

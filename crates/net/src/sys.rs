@@ -7,6 +7,8 @@
 //! Linux defaults to epoll, other Unixes use `poll`, and
 //! [`Poller::with_backend`] can force the `poll` backend on Linux so
 //! tests exercise the portability path on the primary platform.
+//! Everything else a connection needs (bind, accept, read, vectored
+//! write) goes through `std::net`.
 //!
 //! This module is Unix-only; on other targets there is no server
 //! (`NetServer::spawn` returns `Unsupported`).
@@ -80,14 +82,6 @@ const O_NONBLOCK: c_int = 0o4000;
 #[cfg(not(target_os = "linux"))]
 const O_NONBLOCK: c_int = 0x0004;
 
-/// `struct iovec` for `writev(2)`: identical layout on every Unix.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct IoVec {
-    base: *const c_void,
-    len: usize,
-}
-
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     fn pipe(fds: *mut c_int) -> c_int;
@@ -95,7 +89,6 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -125,226 +118,6 @@ fn millis(timeout: Option<Duration>) -> c_int {
             .as_millis()
             .saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0))
             .min(c_int::MAX as u128) as c_int,
-    }
-}
-
-/// Most iovecs handed to one `writev` call. Every Unix guarantees an
-/// `IOV_MAX` of at least 16; common systems allow 1024. 64 batches
-/// enough segments per syscall without risking `EINVAL` anywhere.
-pub(crate) const MAX_IOVECS: usize = 64;
-
-/// Gathers up to [`MAX_IOVECS`] buffers into one `writev(2)` call and
-/// returns the byte count written (possibly short). Empty buffers are
-/// skipped; an entirely-empty slice writes nothing and returns 0.
-pub(crate) fn vectored_write(fd: RawFd, bufs: &[&[u8]]) -> io::Result<usize> {
-    let mut iov = [IoVec {
-        base: std::ptr::null(),
-        len: 0,
-    }; MAX_IOVECS];
-    let mut n = 0usize;
-    for buf in bufs {
-        if buf.is_empty() {
-            continue;
-        }
-        if n == MAX_IOVECS {
-            break;
-        }
-        iov[n] = IoVec {
-            base: buf.as_ptr().cast::<c_void>(),
-            len: buf.len(),
-        };
-        n += 1;
-    }
-    if n == 0 {
-        return Ok(0);
-    }
-    // SAFETY: iov[..n] points at live, correctly-sized slices.
-    let ret = unsafe { writev(fd, iov.as_ptr(), n as c_int) };
-    if ret < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(ret as usize)
-    }
-}
-
-// --- accept4 / SO_REUSEPORT (Linux fast paths) ------------------------------
-
-#[cfg(target_os = "linux")]
-mod ffi_socket {
-    use super::*;
-
-    pub const AF_INET: c_int = 2;
-    pub const AF_INET6: c_int = 10;
-    pub const SOCK_STREAM: c_int = 1;
-    pub const SOCK_NONBLOCK: c_int = 0o4000;
-    pub const SOCK_CLOEXEC: c_int = 0o2000000;
-    pub const SOL_SOCKET: c_int = 1;
-    pub const SO_REUSEADDR: c_int = 2;
-    pub const SO_REUSEPORT: c_int = 15;
-
-    extern "C" {
-        pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        pub fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-        pub fn listen(fd: c_int, backlog: c_int) -> c_int;
-        pub fn setsockopt(
-            fd: c_int,
-            level: c_int,
-            optname: c_int,
-            optval: *const c_void,
-            optlen: u32,
-        ) -> c_int;
-        pub fn accept4(fd: c_int, addr: *mut c_void, len: *mut u32, flags: c_int) -> c_int;
-    }
-}
-
-/// Accepts one pending connection without blocking, returning the
-/// stream and peer address, or `None` when the backlog is empty. On
-/// Linux this is a single `accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)`;
-/// elsewhere it is the std accept followed by `set_nonblocking`.
-pub(crate) fn accept_nonblocking(
-    listener: &std::net::TcpListener,
-) -> io::Result<Option<(std::net::TcpStream, std::net::SocketAddr)>> {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::unix::io::{AsRawFd, FromRawFd};
-        // sockaddr_storage is 128 bytes; enough for IPv4 and IPv6.
-        let mut addr = [0u8; 128];
-        let mut len = addr.len() as u32;
-        // SAFETY: valid listener fd; addr/len describe a real buffer.
-        let fd = unsafe {
-            ffi_socket::accept4(
-                listener.as_raw_fd(),
-                addr.as_mut_ptr().cast::<c_void>(),
-                &mut len,
-                ffi_socket::SOCK_NONBLOCK | ffi_socket::SOCK_CLOEXEC,
-            )
-        };
-        if fd < 0 {
-            let err = io::Error::last_os_error();
-            return if err.kind() == io::ErrorKind::WouldBlock {
-                Ok(None)
-            } else {
-                Err(err)
-            };
-        }
-        // SAFETY: accept4 returned a fresh fd we now own.
-        let stream = unsafe { std::net::TcpStream::from_raw_fd(fd) };
-        let peer = parse_sockaddr(&addr[..len as usize])
-            .map(Ok)
-            .unwrap_or_else(|| stream.peer_addr())?;
-        Ok(Some((stream, peer)))
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                stream.set_nonblocking(true)?;
-                Ok(Some((stream, peer)))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Decodes a raw `sockaddr_in`/`sockaddr_in6` as filled in by `accept4`.
-#[cfg(target_os = "linux")]
-fn parse_sockaddr(raw: &[u8]) -> Option<std::net::SocketAddr> {
-    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr};
-    let family = u16::from_ne_bytes([*raw.first()?, *raw.get(1)?]) as c_int;
-    match family {
-        ffi_socket::AF_INET if raw.len() >= 8 => {
-            let port = u16::from_be_bytes([raw[2], raw[3]]);
-            let ip = Ipv4Addr::new(raw[4], raw[5], raw[6], raw[7]);
-            Some(SocketAddr::new(IpAddr::V4(ip), port))
-        }
-        ffi_socket::AF_INET6 if raw.len() >= 24 => {
-            let port = u16::from_be_bytes([raw[2], raw[3]]);
-            let mut octets = [0u8; 16];
-            octets.copy_from_slice(&raw[8..24]);
-            Some(SocketAddr::new(IpAddr::V6(Ipv6Addr::from(octets)), port))
-        }
-        _ => None,
-    }
-}
-
-/// Binds a listening socket with `SO_REUSEPORT` (and `SO_REUSEADDR`)
-/// set *before* bind, so several listeners can share one port and the
-/// kernel load-balances accepts across them. Linux-only: other
-/// platforms return `Unsupported` and the caller falls back to the
-/// single-listener fd-handoff mode.
-pub(crate) fn bind_reuseport(addr: &std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::unix::io::FromRawFd;
-        let (family, raw_addr): (c_int, Vec<u8>) = match addr {
-            std::net::SocketAddr::V4(v4) => {
-                let mut raw = Vec::with_capacity(16);
-                raw.extend_from_slice(&(ffi_socket::AF_INET as u16).to_ne_bytes());
-                raw.extend_from_slice(&v4.port().to_be_bytes());
-                raw.extend_from_slice(&v4.ip().octets());
-                raw.resize(16, 0); // sin_zero padding
-                (ffi_socket::AF_INET, raw)
-            }
-            std::net::SocketAddr::V6(v6) => {
-                let mut raw = Vec::with_capacity(28);
-                raw.extend_from_slice(&(ffi_socket::AF_INET6 as u16).to_ne_bytes());
-                raw.extend_from_slice(&v6.port().to_be_bytes());
-                raw.extend_from_slice(&v6.flowinfo().to_be_bytes());
-                raw.extend_from_slice(&v6.ip().octets());
-                raw.extend_from_slice(&v6.scope_id().to_ne_bytes());
-                (ffi_socket::AF_INET6, raw)
-            }
-        };
-        // SAFETY: plain socket-layer syscalls on an fd we own throughout;
-        // raw_addr is a correctly-laid-out sockaddr for `family`.
-        unsafe {
-            let fd = cvt(ffi_socket::socket(
-                family,
-                ffi_socket::SOCK_STREAM | ffi_socket::SOCK_CLOEXEC,
-                0,
-            ))?;
-            // From here on, close fd on any failure.
-            let result = (|| {
-                let one: c_int = 1;
-                let optlen = std::mem::size_of::<c_int>() as u32;
-                let opt = (&one as *const c_int).cast::<c_void>();
-                cvt(ffi_socket::setsockopt(
-                    fd,
-                    ffi_socket::SOL_SOCKET,
-                    ffi_socket::SO_REUSEADDR,
-                    opt,
-                    optlen,
-                ))?;
-                cvt(ffi_socket::setsockopt(
-                    fd,
-                    ffi_socket::SOL_SOCKET,
-                    ffi_socket::SO_REUSEPORT,
-                    opt,
-                    optlen,
-                ))?;
-                cvt(ffi_socket::bind(
-                    fd,
-                    raw_addr.as_ptr().cast::<c_void>(),
-                    raw_addr.len() as u32,
-                ))?;
-                cvt(ffi_socket::listen(fd, 128))?;
-                Ok(())
-            })();
-            if let Err(e) = result {
-                close(fd);
-                return Err(e);
-            }
-            Ok(std::net::TcpListener::from_raw_fd(fd))
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = addr;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT listener groups are Linux-only",
-        ))
     }
 }
 
@@ -698,92 +471,6 @@ mod tests {
                 .unwrap();
             assert!(events.is_empty(), "{}: {events:?}", poller.backend_name());
             t.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn vectored_write_concatenates_buffers() {
-        use std::io::Read as _;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        let bufs: [&[u8]; 4] = [b"alpha ", b"", b"beta ", b"gamma"];
-        let mut written = 0usize;
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        while written < total {
-            // Re-slice past what has been written so far (short writes
-            // will not happen on loopback at this size, but be exact).
-            let mut remaining: Vec<&[u8]> = Vec::new();
-            let mut skip = written;
-            for buf in &bufs {
-                if skip >= buf.len() {
-                    skip -= buf.len();
-                    continue;
-                }
-                remaining.push(&buf[skip..]);
-                skip = 0;
-            }
-            written += vectored_write(server_side.as_raw_fd(), &remaining).unwrap();
-        }
-        drop(server_side);
-        let mut got = Vec::new();
-        client.read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"alpha beta gamma");
-    }
-
-    #[test]
-    fn vectored_write_of_nothing_is_zero() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        assert_eq!(vectored_write(server_side.as_raw_fd(), &[]).unwrap(), 0);
-        let empties: [&[u8]; 2] = [b"", b""];
-        assert_eq!(
-            vectored_write(server_side.as_raw_fd(), &empties).unwrap(),
-            0
-        );
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_listeners_share_a_port() {
-        use std::io::Read as _;
-        // Bind the first socket on an ephemeral port, then a second on
-        // the resolved port: both must accept.
-        let first = bind_reuseport(&"127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        let second = bind_reuseport(&addr).unwrap();
-        assert_eq!(second.local_addr().unwrap(), addr);
-
-        // The kernel hashes connections across the group; with enough
-        // connects both listeners see traffic *or* at least every
-        // connect is accepted by someone. Assert the weaker, reliable
-        // property: every connection is served.
-        first.set_nonblocking(true).unwrap();
-        second.set_nonblocking(true).unwrap();
-        let mut served: Vec<TcpStream> = Vec::new();
-        let clients: Vec<TcpStream> = (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while served.len() < clients.len() && std::time::Instant::now() < deadline {
-            for listener in [&first, &second] {
-                while let Some((stream, peer)) = accept_nonblocking(listener).unwrap() {
-                    assert_eq!(peer, stream.peer_addr().unwrap());
-                    served.push(stream);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(served.len(), clients.len());
-        // Accepted fds are nonblocking (accept4 SOCK_NONBLOCK path):
-        // nothing has been written, so a read must not hang.
-        for mut stream in served {
-            let mut buf = [0u8; 1];
-            assert_eq!(
-                stream.read(&mut buf).unwrap_err().kind(),
-                io::ErrorKind::WouldBlock
-            );
         }
     }
 

@@ -1378,12 +1378,11 @@ fn http_body(response: &str) -> &str {
         .unwrap_or("")
 }
 
-/// The multi-reactor acceptance matrix: with four event loops — a
-/// `SO_REUSEPORT` listener group on the epoll backend, the loop-0
-/// accept-and-hand-off fallback on the poll backend — the replay script
-/// must stay byte-identical to the stdin/stdout serve loop on both
-/// transports, with live connections parked across the loops while it
-/// runs.
+/// The multi-reactor acceptance matrix: with four event loops, on the
+/// epoll and the poll backend alike (loop 0 accepts and deals sockets
+/// round-robin on both), the replay script must stay byte-identical to
+/// the stdin/stdout serve loop on both transports, with live
+/// connections parked across the loops while it runs.
 #[test]
 fn multi_reactor_replay_is_byte_identical_on_both_backends() {
     let expected = stdio_responses();
@@ -1441,40 +1440,42 @@ fn multi_reactor_replay_is_byte_identical_on_both_backends() {
 }
 
 /// The connection cap is split into per-loop budgets, and eviction is a
-/// per-loop decision. `force_poll_backend` disables `SO_REUSEPORT`, so
-/// loop 0 accepts and hands connections round-robin: A→loop 0, B→loop 1,
-/// C→loop 0. With `max_connections: 2` split 1/1, C breaches loop 0's
-/// budget and must evict A (loop 0's LRU idle) — never B, which a
-/// different loop owns.
+/// per-loop decision. Loop 0 accepts and deals connections round-robin
+/// on either backend: A→loop 0, B→loop 1, C→loop 0. With
+/// `max_connections: 2` split 1/1, C breaches loop 0's budget and must
+/// evict A (loop 0's LRU idle) — never B, which a different loop owns.
 #[test]
 fn per_loop_budgets_evict_within_the_owning_loop() {
-    let server = spawn_server(ServerConfig {
-        reactors: 2,
-        max_connections: 2,
-        force_poll_backend: true,
-        ..test_config()
-    });
-    let mut a = NetClient::connect(server.local_addr()).unwrap();
-    a.request_line(r#"{"op":"health"}"#).unwrap();
-    std::thread::sleep(Duration::from_millis(30));
-    let mut b = NetClient::connect(server.local_addr()).unwrap();
-    b.request_line(r#"{"op":"health"}"#).unwrap();
+    for force_poll in [false, true] {
+        let server = spawn_server(ServerConfig {
+            reactors: 2,
+            max_connections: 2,
+            force_poll_backend: force_poll,
+            ..test_config()
+        });
+        let mut a = NetClient::connect(server.local_addr()).unwrap();
+        a.request_line(r#"{"op":"health"}"#).unwrap();
+        std::thread::sleep(Duration::from_millis(30));
+        let mut b = NetClient::connect(server.local_addr()).unwrap();
+        b.request_line(r#"{"op":"health"}"#).unwrap();
 
-    let mut c = NetClient::connect(server.local_addr()).unwrap();
-    let ok = c.request_line(r#"{"op":"health"}"#).unwrap();
-    assert_eq!(Json::parse(&ok).unwrap().get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(
-        Json::parse(&b.request_line(r#"{"op":"health"}"#).unwrap())
-            .unwrap()
-            .get("ok"),
-        Some(&Json::Bool(true)),
-        "the other loop's connection must not be evicted for loop 0's budget"
-    );
-    assert!(
-        a.request_line(r#"{"op":"health"}"#).is_err(),
-        "loop 0's LRU idle connection should have been evicted"
-    );
-    server.shutdown();
+        let mut c = NetClient::connect(server.local_addr()).unwrap();
+        let ok = c.request_line(r#"{"op":"health"}"#).unwrap();
+        assert_eq!(Json::parse(&ok).unwrap().get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            Json::parse(&b.request_line(r#"{"op":"health"}"#).unwrap())
+                .unwrap()
+                .get("ok"),
+            Some(&Json::Bool(true)),
+            "force_poll={force_poll}: the other loop's connection must not be \
+             evicted for loop 0's budget"
+        );
+        assert!(
+            a.request_line(r#"{"op":"health"}"#).is_err(),
+            "force_poll={force_poll}: loop 0's LRU idle connection should have been evicted"
+        );
+        server.shutdown();
+    }
 }
 
 /// With two event loops the `loop="N"` gauge slices must sum to the

@@ -10,7 +10,7 @@
 //! are never logged — a label is fully determined by its dataset and
 //! selected attribute set, so replay recomputes it.
 
-use pclabel_data::dataset::{Dataset, DatasetBuilder, MISSING};
+use pclabel_data::dataset::{Dataset, DatasetBuilder};
 
 use crate::codec::{put_str, put_u32, put_u32s, put_u64, put_u8, Reader};
 use crate::{FormatError, Result};
@@ -412,12 +412,10 @@ impl WalOp {
     }
 }
 
-/// Re-export of the missing-cell sentinel used in dataset images.
-pub const MISSING_ID: u32 = MISSING;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pclabel_data::dataset::MISSING;
 
     fn tiny_image() -> DatasetImage {
         DatasetImage {
