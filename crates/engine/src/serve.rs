@@ -1180,7 +1180,7 @@ fn handle_refresh(engine: &Engine, request: &Json, trace: Option<&Trace>) -> Jso
         Ok(p) => p,
         Err(e) => return error_response(Some("refresh"), &e),
     };
-    match engine.store().refresh_traced(&name, policy, trace) {
+    match engine.store().refresh(&name, policy, trace) {
         Ok(_generation) => {
             let mut members = vec![
                 ("ok".to_string(), Json::Bool(true)),

@@ -474,6 +474,13 @@ impl LabelStore {
     ) -> Result<Arc<StoreEntry>, EngineError> {
         self.check_writable()?;
         let name = name.into();
+        // Rows of no cells cost no bytes in a WAL record, so nothing
+        // there could bound their count: the record decoder refuses them.
+        if dataset.n_attrs() == 0 && dataset.n_rows() > 0 {
+            return Err(EngineError::BadRequest(
+                "register needs rows of at least one cell".to_string(),
+            ));
+        }
         if self
             .inner
             .read()
@@ -543,14 +550,9 @@ impl LabelStore {
     /// bumps its generation and clears its estimate cache, all within the
     /// entry's write section: batches running under
     /// [`StoreEntry::with_snapshot`] finish against their snapshot first,
-    /// and no estimate they cached can survive the refresh.
-    pub fn refresh(&self, name: &str, policy: LabelPolicy) -> Result<u64, EngineError> {
-        self.refresh_traced(name, policy, None)
-    }
-
-    /// [`LabelStore::refresh`] with an optional request trace recording
-    /// the counting/search phases of the rebuild.
-    pub fn refresh_traced(
+    /// and no estimate they cached can survive the refresh. An optional
+    /// request `trace` records the counting/search phases of the rebuild.
+    pub fn refresh(
         &self,
         name: &str,
         policy: LabelPolicy,
@@ -656,6 +658,15 @@ impl LabelStore {
         if rows.is_empty() {
             return Err(EngineError::BadRequest(
                 "append_rows needs a non-empty rows batch".to_string(),
+            ));
+        }
+        // Rows must match the schema, so only a dataset without
+        // attributes takes rows of no cells. They cost no bytes in a WAL
+        // record, which could then claim any row count, so the record
+        // decoder refuses them and the store never logs them.
+        if entry.dataset().n_attrs() == 0 {
+            return Err(EngineError::BadRequest(
+                "append_rows needs rows of at least one cell".to_string(),
             ));
         }
         // Optimistic passes: compute against a snapshot, revalidate by
@@ -1051,6 +1062,7 @@ impl LabelStore {
 mod tests {
     use super::*;
     use pclabel_core::pattern::Pattern;
+    use pclabel_data::dataset::DatasetBuilder;
     use pclabel_data::generate::figure2_sample;
 
     /// The default search policy (refinement on) at `bound`.
@@ -1079,7 +1091,11 @@ mod tests {
 
         // Refresh with an explicit subset bumps the generation.
         let generation = store
-            .refresh("census", LabelPolicy::Attrs(AttrSet::from_indices([0, 1])))
+            .refresh(
+                "census",
+                LabelPolicy::Attrs(AttrSet::from_indices([0, 1])),
+                None,
+            )
             .unwrap();
         assert_eq!(generation, 1);
         let entry = store.get("census").unwrap();
@@ -1106,7 +1122,11 @@ mod tests {
             .unwrap();
         // Walk the generation up: one refresh + one append → generation 2.
         store
-            .refresh("census", LabelPolicy::Attrs(AttrSet::from_indices([0, 1])))
+            .refresh(
+                "census",
+                LabelPolicy::Attrs(AttrSet::from_indices([0, 1])),
+                None,
+            )
             .unwrap();
         let report = store
             .append_rows(
@@ -1130,7 +1150,7 @@ mod tests {
             .register("census", figure2_sample(), search_policy(5))
             .unwrap();
         assert_eq!(entry.generation(), 3);
-        let generation = store.refresh("census", search_policy(100)).unwrap();
+        let generation = store.refresh("census", search_policy(100), None).unwrap();
         assert_eq!(generation, 4);
 
         // A second remove/re-register cycle keeps climbing.
@@ -1164,7 +1184,7 @@ mod tests {
             .unwrap();
         entry.cache().insert(Pattern::from_terms([(0, 0)]), 9.0);
         assert_eq!(entry.cache().len(), 1);
-        store.refresh("census", search_policy(100)).unwrap();
+        store.refresh("census", search_policy(100), None).unwrap();
         assert!(entry.cache().is_empty());
     }
 
@@ -1436,6 +1456,26 @@ mod tests {
             store.append_rows("ghost", &[vec![Some("x")]]),
             Err(EngineError::UnknownDataset(_))
         ));
+        // Only a dataset without attributes has rows of no cells: it
+        // registers empty, and takes no rows.
+        let blank = || DatasetBuilder::new(Vec::<&str>::new());
+        let mut one_row = blank();
+        one_row.push_ids(&[]).unwrap();
+        let no_attrs = || LabelPolicy::Attrs(AttrSet::from_indices([]));
+        assert!(matches!(
+            store.register("blank", one_row.finish(), no_attrs()),
+            Err(EngineError::BadRequest(_))
+        ));
+        store
+            .register("blank", blank().finish(), no_attrs())
+            .unwrap();
+        let zero_cells: &[Vec<Option<&str>>] = &[vec![], vec![]];
+        assert!(matches!(
+            store.append_rows("blank", zero_cells),
+            Err(EngineError::BadRequest(_))
+        ));
+        let entry = store.get("blank").unwrap();
+        assert_eq!((entry.generation(), entry.dataset().n_rows()), (0, 0));
     }
 
     #[test]

@@ -98,7 +98,11 @@ fn reopen_replays_wal_to_identical_state() {
         )
         .unwrap();
     store
-        .refresh("census", LabelPolicy::Attrs(AttrSet::from_indices([0, 1])))
+        .refresh(
+            "census",
+            LabelPolicy::Attrs(AttrSet::from_indices([0, 1])),
+            None,
+        )
         .unwrap();
     store
         .register("scratch", figure2_sample(), search_policy(3))
@@ -141,7 +145,11 @@ fn snapshot_plus_tail_replay_compose() {
         .append_rows("census", &[row("Male", "under 20", "Hispanic", "single")])
         .unwrap();
     store
-        .refresh("census", LabelPolicy::Attrs(AttrSet::from_indices([0, 3])))
+        .refresh(
+            "census",
+            LabelPolicy::Attrs(AttrSet::from_indices([0, 3])),
+            None,
+        )
         .unwrap();
     let expected = state_of(&store);
     drop(durability);
@@ -349,6 +357,7 @@ fn apply(store: &LabelStore, op: &Op, fresh: &mut u32) {
             let _ = store.refresh(
                 &name_of(*i),
                 LabelPolicy::Attrs(AttrSet::from_indices([0, 3])),
+                None,
             );
         }
         Op::Remove(i) => {

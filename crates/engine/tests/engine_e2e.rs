@@ -246,6 +246,7 @@ fn concurrent_clients_share_one_store() {
                     .refresh(
                         "synthetic",
                         LabelPolicy::Attrs(AttrSet::from_indices([0, 1])),
+                        None,
                     )
                     .unwrap();
             }

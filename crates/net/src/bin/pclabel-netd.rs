@@ -29,18 +29,20 @@ options:
                            event loops over epoll on Linux, poll(2)
                            elsewhere, with workers held per request
   --workers N              worker threads dispatching requests (default 4)
-  --queue N                pending requests that may queue for a free
-                           worker (default 64)
-  --max-parked N           requests parked beyond the queue before new
-                           ones are refused with HTTP 429 / a framed
-                           {\"error\":\"overloaded\"} (default 256;
-                           0 = never park)
+  --queue N                base size of the one dispatch queue: requests
+                           that may wait for a free worker (default 64;
+                           0 = 1)
+  --max-parked N           per-loop addition to the dispatch queue, which
+                           holds --queue + --reactors x --max-parked
+                           requests in arrival order; a request that
+                           finds it full is refused with HTTP 429 / a
+                           framed {\"error\":\"overloaded\"} (default 256)
   --reactors N             event loops serving the listener (default:
                            CPU count; 0 = 1). Loop 0 owns the one
                            listener and deals accepted sockets
                            round-robin across all loops, on either
-                           readiness backend. All loops share one
-                           --workers dispatch pool
+                           readiness backend. All loops feed the one
+                           dispatch queue of the --workers threads
   --write-watermark BYTES  per-connection cap on queued unsent response
                            bytes; at the cap the loop stops reading from
                            that connection until the peer drains its

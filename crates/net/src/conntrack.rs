@@ -22,7 +22,7 @@ pub(crate) enum ConnState {
     Idle = 1,
     /// Bytes of an unfinished request have arrived.
     Reading = 2,
-    /// A request is being dispatched (occupying a pool worker).
+    /// A request is queued for or running on a worker.
     Dispatching = 3,
     /// A response is queued or mid-write back to the peer.
     Writing = 4,

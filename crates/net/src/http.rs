@@ -34,7 +34,8 @@
 //! Bodied requests are framed by `Content-Length` or by
 //! `Transfer-Encoding: chunked` (decoded incrementally by
 //! `ChunkedDecoder`; chunk extensions are ignored and trailers
-//! tolerated); other transfer-codings are rejected with 501.
+//! tolerated); other transfer-codings are rejected with 501, and a
+//! request carrying both framings with 400 and a closed connection.
 //! Connections are keep-alive per HTTP/1.1 defaults: `Connection:
 //! close` — or any transport error — ends the connection.
 
@@ -120,16 +121,26 @@ pub(crate) enum BodyFraming {
     Chunked,
 }
 
-/// The declared body framing of `request`, rejecting transfer-codings
-/// this adapter does not speak (anything other than a sole `chunked`).
-/// Every `Content-Length` header must be `1*DIGIT`, and repeated ones
-/// must agree.
+/// The declared body framing of `request`. Every `Transfer-Encoding`
+/// field joins one comma-separated list of codings (RFC 9110 §5.3), and
+/// only a sole `chunked` frames a body: any other list is a 501. A
+/// request that also carries `Content-Length` is a 400 (RFC 9112 §6.1),
+/// whose response closes the connection. Every `Content-Length` header
+/// must be `1*DIGIT`, and repeated ones must agree.
 pub(crate) fn body_framing(request: &Request) -> Result<BodyFraming, (u16, &'static str)> {
-    if let Some(te) = request.header("transfer-encoding") {
-        if te.trim().eq_ignore_ascii_case("chunked") {
-            return Ok(BodyFraming::Chunked);
+    let mut codings = request
+        .headers
+        .iter()
+        .filter(|(k, _)| k == "transfer-encoding")
+        .flat_map(|(_, v)| v.split(','));
+    if let Some(first) = codings.next() {
+        if !first.trim().eq_ignore_ascii_case("chunked") || codings.next().is_some() {
+            return Err((501, "transfer-encoding is not supported"));
         }
-        return Err((501, "transfer-encoding is not supported"));
+        if request.header("content-length").is_some() {
+            return Err((400, "both Transfer-Encoding and Content-Length"));
+        }
+        return Ok(BodyFraming::Chunked);
     }
     let mut length = None;
     let lengths = request
@@ -771,10 +782,43 @@ mod tests {
             framed(&[("transfer-encoding", " Chunked ")]),
             Ok(BodyFraming::Chunked)
         );
-        assert_eq!(
-            framed(&[("transfer-encoding", "gzip, chunked")]),
-            Err((501, "transfer-encoding is not supported"))
-        );
+        // Repeated fields are one list, and only a sole `chunked` frames
+        // a body, however the codings are split across fields.
+        for codings in [
+            &[("transfer-encoding", "gzip, chunked")][..],
+            &[("transfer-encoding", "chunked, gzip")],
+            &[
+                ("transfer-encoding", "chunked"),
+                ("transfer-encoding", "gzip"),
+            ],
+            &[
+                ("transfer-encoding", "gzip"),
+                ("transfer-encoding", "chunked"),
+            ],
+            &[
+                ("transfer-encoding", "chunked"),
+                ("transfer-encoding", "chunked"),
+            ],
+            &[("transfer-encoding", "chunked,")],
+        ] {
+            assert_eq!(
+                framed(codings),
+                Err((501, "transfer-encoding is not supported")),
+                "{codings:?}"
+            );
+        }
+        // A chunked body with a Content-Length beside it is refused, in
+        // either header order.
+        for headers in [
+            &[("transfer-encoding", "chunked"), ("content-length", "5")][..],
+            &[("content-length", "5"), ("transfer-encoding", "chunked")],
+        ] {
+            assert_eq!(
+                framed(headers),
+                Err((400, "both Transfer-Encoding and Content-Length")),
+                "{headers:?}"
+            );
+        }
         for value in ["nope", "+5", "-0", "", "5 5", "0x5"] {
             assert_eq!(
                 framed(&[("content-length", value)]),

@@ -47,10 +47,10 @@
 //! ## Pieces
 //!
 //! * [`frame`] — the length-prefixed wire format (read/write, size caps);
-//! * [`pool`] — a fixed-size worker [`pool::ThreadPool`] fed by a bounded
-//!   queue (backpressure instead of unbounded memory);
 //! * [`server`] — the TCP listener: configuration, binding, graceful
-//!   shutdown, and the transport-level request path;
+//!   shutdown, the transport-level request path, and the one bounded
+//!   job queue from the event loops to the `workers` threads (a full
+//!   queue refuses a request as `overloaded` instead of growing memory);
 //! * `reactor` + `sys` (Unix) — the event loops and their raw
 //!   `epoll`/`poll(2)` syscall layer;
 //! * [`http`] — the minimal HTTP/1.1 adapter;
@@ -91,7 +91,6 @@ mod decoder_fuzz;
 pub mod frame;
 pub mod http;
 pub(crate) mod metrics;
-pub mod pool;
 #[cfg(unix)]
 pub(crate) mod reactor;
 pub mod server;
@@ -102,6 +101,5 @@ pub(crate) mod sys;
 pub mod prelude {
     pub use crate::client::{HttpClient, NetClient, RetryPolicy, RetryingClient};
     pub use crate::frame::{encode_frame, read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
-    pub use crate::pool::ThreadPool;
     pub use crate::server::{NetServer, ServerConfig, ServerHandle};
 }

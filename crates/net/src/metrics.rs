@@ -21,7 +21,8 @@ use pclabel_telemetry::{Counter, Gauge, Histogram, Registry};
 pub(crate) struct NetMetrics {
     /// Currently open client connections across all loops.
     pub(crate) open_connections: Arc<Gauge>,
-    /// Requests parked because the pool queue was full (all loops).
+    /// Requests waiting in the dispatch queue: its length, set under
+    /// the queue's lock.
     pub(crate) parked_jobs: Arc<Gauge>,
     /// Connections accepted since startup.
     pub(crate) accepts: Arc<Counter>,
@@ -43,7 +44,7 @@ impl NetMetrics {
             ),
             parked_jobs: registry.gauge(
                 "pclabel_net_parked_jobs",
-                "Requests parked in the reactor waiting for a pool worker.",
+                "Requests waiting in the dispatch queue for a free worker.",
                 &[],
             ),
             accepts: registry.counter(

@@ -6,16 +6,16 @@
 //!
 //! Workers are held per *request*, not per connection: connections cost
 //! a file descriptor and a small buffer while idle, and only occupy a
-//! pool worker for the duration of one dispatch, so any number of idle
+//! worker for the duration of one dispatch, so any number of idle
 //! keep-alive clients cannot starve a new one. One loop can still
 //! bottleneck on parse/flush CPU, so
 //! [`ServerConfig::reactors`](crate::server::ServerConfig) scales the
 //! plane to N loops with private connection tables. There is one
 //! accept path on both readiness backends: loop 0 owns the only
 //! listener, accepts with std's `accept`, and deals the sockets
-//! round-robin — itself included — through per-loop [`Inbox`]es. All
-//! loops feed the one shared [`ThreadPool`], so dispatch backpressure
-//! stays a process-wide property.
+//! round-robin — itself included — through per-loop [`Mailbox`]es. All
+//! loops feed the one bounded job queue in front of the workers, so
+//! dispatch backpressure stays a process-wide property.
 //!
 //! ## Anatomy
 //!
@@ -41,10 +41,10 @@
 //!   the peer drains its responses: per-connection memory is bounded by
 //!   the watermark plus one read chunk, not by body size.
 //! * Each loop — accepts, reads, and writes without ever blocking;
-//!   fully-read requests are handed to the shared [`ThreadPool`]
+//!   fully-read requests are pushed onto the shared job queue
 //!   (dispatch can be arbitrarily slow — it must not stall the loop),
 //!   and finished responses come back through the loop's completion
-//!   queue plus its [`Waker`] pipe.
+//!   [`Mailbox`], whose pushes wake the loop's [`Waker`] pipe.
 //! * Deadlines — each connection derives one deadline from its state
 //!   (write-stalled → `write_timeout`, mid-request → `read_timeout`,
 //!   idle → `idle_timeout`); the nearest deadline bounds the poll
@@ -57,23 +57,23 @@
 //!   admit the newcomer; if every connection is mid-request, the
 //!   newcomer is refused instead (bounded memory beats unbounded
 //!   acceptance).
-//! * Dispatch backpressure — when the pool's bounded queue is full,
-//!   ready requests park in the owning loop, but only up to
-//!   [`ServerConfig::max_parked`](crate::server::ServerConfig) per loop:
-//!   past the cap the request is answered immediately with HTTP `429`
-//!   or a framed `{"ok":false,"error":"overloaded"}` and the connection
-//!   stays open, so a worker stall bounds queued-request memory instead
-//!   of growing a `VecDeque` without limit.
+//! * Dispatch backpressure — the job queue is one FIFO of
+//!   `queue_capacity + reactors × max_parked` requests
+//!   ([`ServerConfig`](crate::server::ServerConfig)). A request that
+//!   finds it full is answered immediately with HTTP `429` or a framed
+//!   `{"ok":false,"error":"overloaded"}` and the connection stays open,
+//!   so a worker stall bounds queued-request memory instead of growing
+//!   it without limit.
 //! * Graceful shutdown — every loop is woken, loop 0 closes the listener,
 //!   idle and mid-read connections close immediately, and in-flight
 //!   dispatches drain: their responses are still written before the
-//!   loops exit. The last loop out shuts the shared pool down.
+//!   loops exit. The server handle then closes the job queue and joins
+//!   the workers.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,9 +82,8 @@ use crate::conntrack::{ConnState, ConnTrack};
 use crate::frame::encode_frame;
 use crate::http::{self, find_subsequence};
 use crate::metrics::LoopMetrics;
-use crate::pool::{Job, ThreadPool, TryExecuteError};
 use crate::server::{
-    is_http_prefix, overloaded_error_json, oversize_error_json, process_line, utf8_error_json,
+    is_http_prefix, overloaded_error_json, oversize_error_json, process_line, utf8_error_json, Job,
     Reply, Shared,
 };
 use crate::sys::{Backend, Event, Interest, Poller, Waker};
@@ -113,14 +112,6 @@ pub(crate) enum Oversize {
     HttpBody,
 }
 
-/// How an HTTP request's body arrives after its head.
-enum BodyPlan {
-    /// `Content-Length: n` — n raw bytes follow.
-    Length(usize),
-    /// `Transfer-Encoding: chunked` — decoded incrementally.
-    Chunked,
-}
-
 enum MState {
     /// Waiting for the 4-byte prologue: a protocol sniff on the first
     /// one, a frame length on every later one.
@@ -132,7 +123,10 @@ enum MState {
     HttpHead { scanned: usize },
     /// Head parsed with `Expect: 100-continue` and the body still to
     /// come: emit the interim response once, then read the body.
-    HttpContinue { head: http::Request, plan: BodyPlan },
+    HttpContinue {
+        head: http::Request,
+        framing: http::BodyFraming,
+    },
     /// Reading an HTTP body of known length.
     HttpBody {
         head: http::Request,
@@ -390,10 +384,7 @@ impl Machine {
                                 // unlike Content-Length it can never be
                                 // "already buffered": the interim
                                 // response always precedes it.
-                                self.state = MState::HttpContinue {
-                                    head,
-                                    plan: BodyPlan::Chunked,
-                                };
+                                self.state = MState::HttpContinue { head, framing };
                                 return Step::SendContinue;
                             }
                             self.state = MState::HttpChunked {
@@ -413,10 +404,7 @@ impl Machine {
                                 continue;
                             }
                             if head.expects_continue() && self.buf.len() < content_length {
-                                self.state = MState::HttpContinue {
-                                    head,
-                                    plan: BodyPlan::Length(content_length),
-                                };
+                                self.state = MState::HttpContinue { head, framing };
                                 return Step::SendContinue;
                             }
                             self.state = MState::HttpBody {
@@ -426,14 +414,14 @@ impl Machine {
                         }
                     }
                 }
-                MState::HttpContinue { head, plan } => {
+                MState::HttpContinue { head, framing } => {
                     // The interim response was queued by the caller.
-                    self.state = match plan {
-                        BodyPlan::Length(content_length) => MState::HttpBody {
+                    self.state = match framing {
+                        http::BodyFraming::Length(content_length) => MState::HttpBody {
                             head,
                             content_length,
                         },
-                        BodyPlan::Chunked => MState::HttpChunked {
+                        http::BodyFraming::Chunked => MState::HttpChunked {
                             head,
                             decoder: http::ChunkedDecoder::new(self.max_frame as usize),
                         },
@@ -607,7 +595,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// (which should never happen) degrades to 1 s of latency, not a hang.
 const MAX_POLL: Duration = Duration::from_secs(1);
 
-/// A finished dispatch travelling from a pool worker back to its loop.
+/// A finished dispatch travelling from a worker back to its loop.
 /// The response rides as the segments the worker produced (prefix +
 /// payload for framed; one segment for HTTP) and is reassembled by the
 /// loop's `writev`.
@@ -617,52 +605,36 @@ struct Completion {
     close: bool,
 }
 
-/// Worker-side half of one loop's completion channel.
-struct DispatchQueue {
-    completions: Mutex<Vec<Completion>>,
+/// An accepted socket in transit from loop 0 to a peer loop.
+type Accepted = (TcpStream, SocketAddr);
+
+/// What other threads hand one event loop: sockets loop 0 accepted for
+/// it, or the workers' finished dispatches. A push wakes the loop out of
+/// its poll.
+struct Mailbox<T> {
+    items: Mutex<Vec<T>>,
     waker: Arc<Waker>,
 }
 
-impl DispatchQueue {
-    fn complete(&self, completion: Completion) {
-        self.completions
-            .lock()
-            .expect("completion lock")
-            .push(completion);
+impl<T> Mailbox<T> {
+    fn new(waker: &Arc<Waker>) -> Arc<Mailbox<T>> {
+        Arc::new(Mailbox {
+            items: Mutex::new(Vec::new()),
+            waker: Arc::clone(waker),
+        })
+    }
+
+    fn push(&self, item: T) {
+        self.items.lock().expect("mailbox lock").push(item);
         self.waker.wake();
     }
 
-    fn take(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.completions.lock().expect("completion lock"))
+    fn take(&self) -> Vec<T> {
+        std::mem::take(&mut *self.items.lock().expect("mailbox lock"))
     }
 
     fn is_empty(&self) -> bool {
-        self.completions.lock().expect("completion lock").is_empty()
-    }
-}
-
-/// Accepted sockets in transit from loop 0 to a peer loop.
-struct Inbox {
-    streams: Mutex<Vec<(TcpStream, SocketAddr)>>,
-    /// The owning loop's waker: a delivery must interrupt its poll.
-    waker: Arc<Waker>,
-}
-
-impl Inbox {
-    fn push(&self, stream: TcpStream, peer: SocketAddr) {
-        self.streams
-            .lock()
-            .expect("inbox lock")
-            .push((stream, peer));
-        self.waker.wake();
-    }
-
-    fn take(&self) -> Vec<(TcpStream, SocketAddr)> {
-        std::mem::take(&mut *self.streams.lock().expect("inbox lock"))
-    }
-
-    fn is_empty(&self) -> bool {
-        self.streams.lock().expect("inbox lock").is_empty()
+        self.items.lock().expect("mailbox lock").is_empty()
     }
 }
 
@@ -672,7 +644,8 @@ struct Conn {
     machine: Machine,
     out: WriteQueue,
     close_after_write: bool,
-    /// A request is at a pool worker; reads pause until its response.
+    /// A request is queued or at a worker; reads pause until its
+    /// response.
     dispatching: bool,
     last_activity: Instant,
     interest: Interest,
@@ -766,21 +739,14 @@ struct Reactor {
     /// their sockets through their inbox instead.
     listener: Option<TcpListener>,
     waker: Arc<Waker>,
-    pool: Arc<ThreadPool>,
-    /// Loops still running; the last one out shuts the pool down.
-    live_loops: Arc<AtomicUsize>,
-    dispatch: Arc<DispatchQueue>,
+    /// Finished dispatches from the workers.
+    completions: Arc<Mailbox<Completion>>,
     /// Loops ≥ 1: sockets loop 0 accepted for us.
-    inbox: Option<Arc<Inbox>>,
+    inbox: Option<Arc<Mailbox<Accepted>>>,
     /// Loop 0: the peers' inboxes, fed round-robin.
-    peers: Vec<Arc<Inbox>>,
+    peers: Vec<Arc<Mailbox<Accepted>>>,
     /// Round-robin cursor over `[self, peers...]`.
     rr: usize,
-    /// Jobs the bounded pool queue rejected; retried on completions.
-    parked_jobs: VecDeque<Job>,
-    /// This loop's last contribution to the parked-jobs gauge (the
-    /// gauge is a cross-loop sum, so updates must be deltas).
-    noted_parked: usize,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// This loop's slice of `max_connections`.
@@ -788,16 +754,11 @@ struct Reactor {
     loop_metrics: LoopMetrics,
 }
 
-/// Spawns the reactor loops, which share the dispatch `pool`. Loop 0
-/// accepts on `listener`, which must already be non-blocking, and deals
-/// the sockets across every loop.
-pub(crate) fn spawn(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-    pool: Arc<ThreadPool>,
-) -> io::Result<Vec<JoinHandle<()>>> {
+/// Spawns the reactor loops, which share the job queue in `shared`.
+/// Loop 0 accepts on `listener`, which must already be non-blocking, and
+/// deals the sockets across every loop.
+pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> io::Result<Vec<JoinHandle<()>>> {
     let n = shared.config.reactors.max(1);
-    let live_loops = Arc::new(AtomicUsize::new(n));
     let max_conns = shared.config.max_connections.max(1);
 
     // Every loop gets a waker up front so `trigger_shutdown` can
@@ -808,15 +769,7 @@ pub(crate) fn spawn(
         shared.add_waker(Arc::clone(&waker));
         wakers.push(waker);
     }
-    let inboxes: Vec<Arc<Inbox>> = wakers[1..]
-        .iter()
-        .map(|waker| {
-            Arc::new(Inbox {
-                streams: Mutex::new(Vec::new()),
-                waker: Arc::clone(waker),
-            })
-        })
-        .collect();
+    let inboxes: Vec<Arc<Mailbox<Accepted>>> = wakers[1..].iter().map(Mailbox::new).collect();
 
     let backend = if shared.config.force_poll_backend {
         Backend::Poll
@@ -833,10 +786,6 @@ pub(crate) fn spawn(
             poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
         }
         poller.register(waker.read_fd(), WAKER_TOKEN, Interest::READ)?;
-        let dispatch = Arc::new(DispatchQueue {
-            completions: Mutex::new(Vec::new()),
-            waker: Arc::clone(&waker),
-        });
         // Split the connection cap evenly; loop 0 takes the remainder.
         let budget = (max_conns / n + if loop_id == 0 { max_conns % n } else { 0 }).max(1);
         let loop_metrics = LoopMetrics::register(shared.dispatcher.telemetry().registry(), loop_id);
@@ -845,10 +794,8 @@ pub(crate) fn spawn(
             loop_id,
             poller,
             listener,
+            completions: Mailbox::new(&waker),
             waker,
-            pool: Arc::clone(&pool),
-            live_loops: Arc::clone(&live_loops),
-            dispatch,
             inbox: loop_id.checked_sub(1).map(|i| Arc::clone(&inboxes[i])),
             peers: if loop_id == 0 {
                 inboxes.clone()
@@ -856,8 +803,6 @@ pub(crate) fn spawn(
                 Vec::new()
             },
             rr: 0,
-            parked_jobs: VecDeque::new(),
-            noted_parked: 0,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             budget,
@@ -910,20 +855,13 @@ impl Reactor {
                 }
             }
         }
-        // The last loop out shuts the shared pool down; workers may
-        // still be running dispatches for connections that are already
-        // gone, and they finish cleanly.
-        if self.live_loops.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.pool.shutdown();
-        }
     }
 
     /// No work can ever arrive again once shutdown has shed idle
     /// connections and this loop's in-flight pipeline is empty.
     fn drained(&self) -> bool {
         self.conns.is_empty()
-            && self.parked_jobs.is_empty()
-            && self.dispatch.is_empty()
+            && self.completions.is_empty()
             && self.inbox.as_ref().is_none_or(|inbox| inbox.is_empty())
     }
 
@@ -976,7 +914,7 @@ impl Reactor {
                     if target == 0 {
                         self.admit(stream, peer);
                     } else {
-                        self.peers[target - 1].push(stream, peer);
+                        self.peers[target - 1].push((stream, peer));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1194,8 +1132,8 @@ impl Reactor {
 
     // --- dispatching --------------------------------------------------------
 
-    /// `true` = the request reached the pool (or parked); `false` = it
-    /// was refused for overload and the framed error response is queued
+    /// `true` = the request reached the job queue; `false` = it was
+    /// refused for overload and the framed error response is queued
     /// (the request was consumed, so the stream stays in sync and the
     /// connection stays usable — the caller re-arms and keeps pumping).
     fn dispatch_framed(&mut self, token: u64, payload: Vec<u8>) -> bool {
@@ -1204,7 +1142,7 @@ impl Reactor {
         };
         conn.begin_dispatch();
         let shared = Arc::clone(&self.shared);
-        let queue = Arc::clone(&self.dispatch);
+        let completions = Arc::clone(&self.completions);
         let job: Job = Box::new(move || {
             let (reply, shutdown) = match std::str::from_utf8(&payload) {
                 Ok(line) => process_line(line, &shared),
@@ -1224,13 +1162,12 @@ impl Reactor {
                 _ => (Vec::new(), true),
             };
             let close = shutdown || broken || shared.shutting_down();
-            queue.complete(Completion { token, segs, close });
+            completions.push(Completion { token, segs, close });
         });
-        if self.try_submit(job) {
+        if self.shared.jobs.try_push(job).is_ok() {
             return true;
         }
-        // Pool queue and parking lot both full: answer the backpressure
-        // error ourselves.
+        // The job queue is full: answer the backpressure error ourselves.
         let bytes = encode_frame(
             overloaded_error_json().to_string().as_bytes(),
             crate::frame::MAX_FRAME_CEILING,
@@ -1251,18 +1188,18 @@ impl Reactor {
         // to know whether this exchange would have kept the connection.
         let keep_alive_on_reject = request.keep_alive();
         let shared = Arc::clone(&self.shared);
-        let queue = Arc::clone(&self.dispatch);
+        let completions = Arc::clone(&self.completions);
         let job: Job = Box::new(move || {
             let routed = http::route(&request, &shared);
             let keep_alive = request.keep_alive() && !routed.shutdown && !shared.shutting_down();
             let bytes = http::routed_bytes(&routed, keep_alive);
-            queue.complete(Completion {
+            completions.push(Completion {
                 token,
                 segs: vec![bytes],
                 close: !keep_alive,
             });
         });
-        if self.try_submit(job) {
+        if self.shared.jobs.try_push(job).is_ok() {
             return true;
         }
         let body = overloaded_error_json().to_string();
@@ -1271,32 +1208,8 @@ impl Reactor {
         false
     }
 
-    /// Hands a job to the pool, parking it if the queue is full and the
-    /// parking lot is under [`ServerConfig::max_parked`]. `false` = both
-    /// are full; the caller must answer the overload itself.
-    ///
-    /// [`ServerConfig::max_parked`]: crate::server::ServerConfig::max_parked
-    fn try_submit(&mut self, job: Job) -> bool {
-        match self.pool.try_execute(job) {
-            Ok(()) => true,
-            // Queue full: park it if the lot has room. Every completion
-            // frees a slot, so the retry in process_completions always
-            // makes progress.
-            Err(TryExecuteError::Full(job)) => {
-                if self.parked_jobs.len() < self.shared.config.max_parked {
-                    self.parked_jobs.push_back(job);
-                    self.note_parked();
-                    true
-                } else {
-                    false
-                }
-            }
-            Err(TryExecuteError::Closed(_)) => true, // shutting down: drop
-        }
-    }
-
     /// Queues a backpressure error for a request that never reached the
-    /// pool. Deliberately does NOT flush or resume: the pump loop the
+    /// job queue. Deliberately does NOT flush or resume: the pump loop the
     /// rejection happened under continues iteratively and flushes once
     /// at its end (no recursion per pipelined request).
     fn reject_overloaded(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
@@ -1311,9 +1224,7 @@ impl Reactor {
     }
 
     fn process_completions(&mut self) {
-        let completions = self.dispatch.take();
-        let had_completions = !completions.is_empty();
-        for completion in completions {
+        for completion in self.completions.take() {
             // The connection may be gone (write-timeout abort while its
             // dispatch ran): drop the orphaned response.
             let Some(conn) = self.conns.get_mut(&completion.token) else {
@@ -1327,36 +1238,6 @@ impl Reactor {
             conn.last_activity = Instant::now();
             self.flush(completion.token);
         }
-        if had_completions {
-            while let Some(job) = self.parked_jobs.pop_front() {
-                match self.pool.try_execute(job) {
-                    Ok(()) => {}
-                    Err(TryExecuteError::Full(job)) => {
-                        self.parked_jobs.push_front(job);
-                        break;
-                    }
-                    Err(TryExecuteError::Closed(_)) => {
-                        self.parked_jobs.clear();
-                        break;
-                    }
-                }
-            }
-            self.note_parked();
-        }
-    }
-
-    /// Mirrors this loop's parking-lot depth into the shared gauge.
-    /// The gauge is a sum across loops, so the update is the delta
-    /// against what this loop last reported, never an absolute `set`.
-    fn note_parked(&mut self) {
-        let now = self.parked_jobs.len();
-        for _ in self.noted_parked..now {
-            self.shared.metrics.parked_jobs.inc();
-        }
-        for _ in now..self.noted_parked {
-            self.shared.metrics.parked_jobs.dec();
-        }
-        self.noted_parked = now;
     }
 
     // --- writing ------------------------------------------------------------

@@ -1,5 +1,6 @@
 //! The TCP listener: binds the one socket, sniffs the wire protocol and
-//! hands every connection to the reactor's event loops.
+//! hands every connection to the reactor's event loops, whose requests
+//! reach the worker threads through one bounded FIFO of jobs.
 //!
 //! One socket serves both protocols. The first four bytes of a
 //! connection are either an ASCII HTTP method prefix (`"GET "`,
@@ -21,22 +22,25 @@
 //! on a timeout or a self-connection that a firewall could swallow. Loop
 //! 0 then closes the listener, and each loop closes its idle and
 //! mid-read connections and exits once its in-flight dispatches have
-//! written their responses.
+//! written their responses. The handle joins the loops, then closes the
+//! job queue, so the workers run what still waits in it and exit, and
+//! joins them too.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pclabel_engine::json::Json;
 use pclabel_engine::serve::Dispatcher;
+use pclabel_telemetry::Gauge;
 
 use crate::conntrack::{ConnState, ConnTable};
 use crate::frame::{DEFAULT_MAX_FRAME, MAX_FRAME_CEILING};
 use crate::metrics::NetMetrics;
-use crate::pool::QueueDepthProbe;
 
 /// Tuning for [`NetServer::spawn`].
 #[derive(Debug, Clone)]
@@ -47,17 +51,19 @@ pub struct ServerConfig {
     /// Worker threads dispatching requests; each *request* occupies one
     /// worker while it dispatches, idle connections occupy none.
     pub workers: usize,
-    /// Requests that may queue for a free worker; excess requests park
-    /// in the reactor until a worker frees up (see
+    /// Base share of the one dispatch queue: requests that may wait for
+    /// a free worker, `0` counting as 1. The queue holds
+    /// `queue_capacity + reactors × max_parked` requests in all (see
     /// [`ServerConfig::max_parked`]).
     pub queue_capacity: usize,
-    /// Cap on requests parked in the reactor when the worker queue is
-    /// full. A request arriving with the queue full *and* the parking
-    /// lot at this cap is answered immediately with HTTP `429 Too Many
-    /// Requests` / a framed `{"ok":false,"error":"overloaded"}` instead
-    /// of growing the queue without bound — worst-case dispatch memory
-    /// stays `queue_capacity + max_parked` requests. `0` disables
-    /// parking entirely (every queue-full request is refused).
+    /// Per-loop share of the dispatch queue beyond
+    /// [`ServerConfig::queue_capacity`]: the queue holds
+    /// `queue_capacity + reactors × max_parked` requests, in arrival
+    /// order. A request that finds it full is answered at once with HTTP
+    /// `429 Too Many Requests` / a framed
+    /// `{"ok":false,"error":"overloaded"}` and its connection stays open,
+    /// so a worker stall bounds queued-request memory instead of growing
+    /// it without limit.
     pub max_parked: usize,
     /// Maximum request-frame payload size in bytes (clamped to
     /// [`MAX_FRAME_CEILING`]); also caps HTTP request bodies.
@@ -85,9 +91,8 @@ pub struct ServerConfig {
     /// Number of event loops. Each loop owns a private connection table,
     /// deadline bookkeeping and completion queue. Loop 0 owns the one
     /// listener and deals accepted sockets round-robin across all loops,
-    /// itself included. `0` is treated as 1. All loops share one
-    /// dispatch [`ThreadPool`](crate::pool::ThreadPool)
-    /// (`workers`/`queue_capacity` stay process-wide).
+    /// itself included. `0` is treated as 1. All loops feed the one
+    /// dispatch queue and its `workers`, which stay process-wide.
     pub reactors: usize,
     /// Per-connection cap on queued unsent response bytes. At or above
     /// the cap the owning loop stops *reading* from that connection (its
@@ -131,9 +136,8 @@ pub(crate) struct Shared {
     /// Live connection table feeding `/debug/conns` and the
     /// `server_debug` op.
     pub(crate) conns: ConnTable,
-    /// Queue-depth probe onto the dispatch pool, which the event loops
-    /// own.
-    pool_depth: QueueDepthProbe,
+    /// Requests on their way from the event loops to the workers.
+    pub(crate) jobs: JobQueue,
     local_addr: SocketAddr,
     shutdown: AtomicBool,
     /// One waker per event loop, so `trigger_shutdown` can interrupt
@@ -165,13 +169,88 @@ impl Shared {
     }
 }
 
+/// A request's dispatch, run once by a worker thread.
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The one queue between the event loops and the workers: a bounded
+/// FIFO of [`Job`]s. A loop never blocks on it — a full queue hands the
+/// job back and the loop answers the request `overloaded` itself — while
+/// workers block in [`JobQueue::pop`]. Its length is mirrored into the
+/// `pclabel_net_parked_jobs` gauge under the queue's lock.
+pub(crate) struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+    capacity: usize,
+    depth: Arc<Gauge>,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+impl JobQueue {
+    /// An open queue holding at most `capacity` jobs.
+    pub(crate) fn new(capacity: usize, depth: Arc<Gauge>) -> JobQueue {
+        JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            capacity,
+            depth,
+        }
+    }
+
+    /// Queues `job` behind every job already waiting, or hands it back
+    /// when `capacity` jobs wait or the queue is closed.
+    pub(crate) fn try_push(&self, job: Job) -> Result<(), Job> {
+        let mut state = self.state.lock().expect("job queue lock");
+        if state.closed || state.jobs.len() >= self.capacity {
+            return Err(job);
+        }
+        state.jobs.push_back(job);
+        self.depth.set(state.jobs.len() as u64);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// The oldest waiting job, blocking while there is none; `None` once
+    /// the queue is closed and empty.
+    pub(crate) fn pop(&self) -> Option<Job> {
+        let mut state = self.state.lock().expect("job queue lock");
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                self.depth.set(state.jobs.len() as u64);
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).expect("job queue lock");
+        }
+    }
+
+    /// Refuses every later push; the jobs already waiting still run.
+    pub(crate) fn close(&self) {
+        self.state.lock().expect("job queue lock").closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Jobs waiting for a worker.
+    pub(crate) fn len(&self) -> usize {
+        self.state.lock().expect("job queue lock").jobs.len()
+    }
+}
+
 /// The network front end (namespace for [`NetServer::spawn`]).
 pub struct NetServer;
 
 impl NetServer {
-    /// Binds `config.addr`, spawns the event loops and the worker pool,
-    /// and returns a handle. All connections dispatch through the shared
-    /// `dispatcher`. Fails with [`io::ErrorKind::Unsupported`] on
+    /// Binds `config.addr`, spawns the worker threads and the event
+    /// loops, and returns a handle. All connections dispatch through the
+    /// shared `dispatcher`. Fails with [`io::ErrorKind::Unsupported`] on
     /// targets without the readiness syscalls (anything but Unix).
     #[cfg(unix)]
     pub fn spawn(dispatcher: Arc<Dispatcher>, config: ServerConfig) -> io::Result<ServerHandle> {
@@ -180,24 +259,43 @@ impl NetServer {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let pool = Arc::new(crate::pool::ThreadPool::new(
-            config.workers,
-            config.queue_capacity,
-        ));
         let metrics = NetMetrics::register(dispatcher.telemetry().registry());
         metrics.reactors.set(config.reactors.max(1) as u64);
-        let shared = Arc::new(Shared {
-            dispatcher,
-            config,
-            metrics,
-            conns: ConnTable::default(),
-            pool_depth: pool.depth_probe(),
-            local_addr,
-            shutdown: AtomicBool::new(false),
-            wakers: std::sync::Mutex::new(Vec::new()),
-        });
-        let loops = crate::reactor::spawn(Arc::clone(&shared), listener, pool)?;
-        Ok(ServerHandle { shared, loops })
+        let capacity = config
+            .queue_capacity
+            .max(1)
+            .saturating_add(config.reactors.max(1).saturating_mul(config.max_parked));
+        let jobs = JobQueue::new(capacity, Arc::clone(&metrics.parked_jobs));
+        let mut handle = ServerHandle {
+            shared: Arc::new(Shared {
+                dispatcher,
+                config,
+                metrics,
+                conns: ConnTable::default(),
+                jobs,
+                local_addr,
+                shutdown: AtomicBool::new(false),
+                wakers: std::sync::Mutex::new(Vec::new()),
+            }),
+            loops: Vec::new(),
+            workers: Vec::new(),
+        };
+        // On an early return the handle's drop closes the queue and
+        // joins whatever was spawned.
+        for i in 0..handle.shared.config.workers.max(1) {
+            let shared = Arc::clone(&handle.shared);
+            handle.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("pclabel-net-worker-{i}"))
+                    .spawn(move || {
+                        while let Some(job) = shared.jobs.pop() {
+                            job();
+                        }
+                    })?,
+            );
+        }
+        handle.loops = crate::reactor::spawn(Arc::clone(&handle.shared), listener)?;
+        Ok(handle)
     }
 
     /// Always [`io::ErrorKind::Unsupported`]: without Unix there are no
@@ -217,6 +315,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     /// Every event-loop thread.
     loops: Vec<JoinHandle<()>>,
+    /// Every worker thread.
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -240,6 +340,12 @@ impl ServerHandle {
 
     fn join(&mut self) {
         for handle in self.loops.drain(..) {
+            let _ = handle.join();
+        }
+        // No loop is left to queue a job: the workers run what still
+        // waits, then find the queue closed and exit.
+        self.shared.jobs.close();
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -389,7 +495,7 @@ pub(crate) fn conns_json(shared: &Shared) -> Json {
         ("section", Json::str("conns")),
         ("reactors", Json::num(shared.config.reactors.max(1) as f64)),
         ("open", Json::num(open as f64)),
-        ("queue_depth", Json::num(shared.pool_depth.depth() as f64)),
+        ("queue_depth", Json::num(shared.jobs.len() as f64)),
         ("conns", Json::Arr(rows)),
     ])
 }
@@ -415,13 +521,85 @@ pub(crate) fn utf8_error_json() -> Json {
     ])
 }
 
-/// The error body for a request refused because the dispatch queue and
-/// the reactor's parking lot are both full (`ServerConfig::max_parked`).
-/// Served as a framed error or an HTTP 429; the connection stays usable —
-/// overload is transient and the stream is still in sync.
+/// The error body for a request refused because the dispatch queue is
+/// full (`ServerConfig::max_parked`). Served as a framed error or an
+/// HTTP 429; the connection stays usable — overload is transient and the
+/// stream is still in sync.
 pub(crate) fn overloaded_error_json() -> Json {
     Json::obj([
         ("ok", Json::Bool(false)),
         ("error", Json::str("overloaded")),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pclabel_telemetry::Registry;
+
+    /// A queue of `capacity` and the gauge its depth is mirrored into.
+    fn queue(capacity: usize) -> (Arc<JobQueue>, Arc<Gauge>) {
+        let depth = Registry::new().gauge("depth", "Jobs waiting.", &[]);
+        (Arc::new(JobQueue::new(capacity, Arc::clone(&depth))), depth)
+    }
+
+    /// A job that records `id` in `log` when it runs.
+    fn logged(log: &Arc<Mutex<Vec<usize>>>, id: usize) -> Job {
+        let log = Arc::clone(log);
+        Box::new(move || log.lock().unwrap().push(id))
+    }
+
+    #[test]
+    fn every_job_runs_once() {
+        // Four workers behind a two-slot queue: the producer is handed
+        // jobs back while the queue is full, yet each job runs once.
+        let (queue, _) = queue(2);
+        let workers: Vec<JoinHandle<()>> = (0..4)
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    while let Some(job) = queue.pop() {
+                        job();
+                    }
+                })
+            })
+            .collect();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for id in 0..200 {
+            let mut job = logged(&log, id);
+            while let Err(back) = queue.try_push(job) {
+                std::thread::yield_now();
+                job = back;
+            }
+        }
+        queue.close();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let mut ran = log.lock().unwrap().clone();
+        ran.sort_unstable();
+        assert_eq!(ran, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_full_queue_hands_the_job_back_and_the_rest_run_in_order() {
+        let (queue, depth) = queue(2);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        assert!(queue.try_push(logged(&log, 0)).is_ok());
+        assert!(queue.try_push(logged(&log, 1)).is_ok());
+        assert_eq!((queue.len(), depth.get()), (2, 2));
+        // No worker took anything: the third job comes back whole.
+        queue
+            .try_push(logged(&log, 2))
+            .expect_err("a full queue took a job")();
+        queue.pop().expect("a waiting job")();
+        assert_eq!((queue.len(), depth.get()), (1, 1));
+        queue.close();
+        assert!(queue.try_push(logged(&log, 3)).is_err(), "closed");
+        // What waited before the close still runs; then the queue ends.
+        queue.pop().expect("a waiting job")();
+        assert!(queue.pop().is_none());
+        assert_eq!((queue.len(), depth.get()), (0, 0));
+        assert_eq!(*log.lock().unwrap(), [2, 0, 1]);
+    }
 }

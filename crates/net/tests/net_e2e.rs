@@ -234,6 +234,60 @@ fn netd_answers_a_deeply_nested_line_and_keeps_serving() {
     assert!(child.wait().expect("netd exits").success());
 }
 
+/// A request framed both by `Transfer-Encoding: chunked` and by
+/// `Content-Length` is refused with 400, and its connection closes
+/// (RFC 9112 §6.1): a `GET /healthz` pipelined behind it gets no answer.
+#[test]
+fn netd_closes_the_connection_after_a_request_with_both_framings() {
+    use std::io::{Read, Write};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
+        .args(["--listen", "127.0.0.1:0", "--allow-remote-shutdown"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pclabel-netd");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("startup banner");
+    let addr = banner
+        .split_whitespace()
+        .nth(3)
+        .expect("address in banner")
+        .to_string();
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect to binary");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\
+              Content-Length: 5\r\n\r\n0\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        .unwrap();
+    // The server closes the connection, so reading to the end returns.
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("the connection closes");
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(
+        response.to_ascii_lowercase().contains("connection: close"),
+        "{response}"
+    );
+    assert_eq!(
+        response.matches("HTTP/1.1 ").count(),
+        1,
+        "the pipelined request was answered: {response}"
+    );
+
+    let mut client = NetClient::connect(&addr).expect("connect to binary");
+    client.request_line(r#"{"op":"shutdown"}"#).unwrap();
+    assert!(child.wait().expect("netd exits").success());
+}
+
 /// The daemon's command-line contract with the repo benchmark: the flags
 /// `perfbench` starts `pclabel-netd` with (its `ServerFlags::args()`,
 /// with the durable workload's data directory) boot a serving daemon,
@@ -928,6 +982,118 @@ fn reactor_overload_past_parked_cap_answers_overloaded() {
         assert!(recovered, "overloaded connection must recover");
     });
     assert_eq!(entry.generation(), 2, "both gated appends landed");
+    server.shutdown();
+}
+
+/// The one dispatch queue holds `queue_capacity + reactors × max_parked`
+/// requests in arrival order. With one worker held on a gate,
+/// `queue_capacity: 1` and `max_parked: 1` on one loop, the next two
+/// requests wait in it, a fourth is refused with `overloaded`, and both
+/// waiting requests are answered once the gate opens.
+#[test]
+fn dispatch_queue_holds_queue_capacity_plus_the_loops_parked_share() {
+    use std::sync::mpsc;
+
+    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+    let server = NetServer::spawn(
+        Arc::clone(&dispatcher),
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_parked: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn queue server");
+    let addr = server.local_addr();
+    let registry = dispatcher.telemetry().registry();
+    let waiting = registry.gauge("pclabel_net_parked_jobs", "", &[]);
+    let refused = registry.counter("pclabel_net_overloaded_total", "", &[]);
+    let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+        let start = std::time::Instant::now();
+        while !done() {
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "waiting for {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let mut setup = NetClient::connect(addr).unwrap();
+    let ok = setup
+        .request_line(r#"{"op":"register","dataset":"census","generator":"figure2","label_attrs":["gender"]}"#)
+        .unwrap();
+    assert_eq!(Json::parse(&ok).unwrap().get("ok"), Some(&Json::Bool(true)));
+    let entry = dispatcher.engine().store().get("census").unwrap();
+    // The entry and this handle share the dataset; an append holds a
+    // third reference from its snapshot until it is installed.
+    let dataset = entry.dataset();
+    assert_eq!(Arc::strong_count(&dataset), 2);
+
+    std::thread::scope(|scope| {
+        // The gate: a reader holds the entry's read lock until the test
+        // opens it, so the first append blocks on the write lock and
+        // holds the one worker. The sender lives in this closure, so a
+        // failed assertion opens the gate while unwinding.
+        let (held_tx, held_rx) = mpsc::channel();
+        let (open_tx, open_rx) = mpsc::channel::<()>();
+        let entry = &entry;
+        scope.spawn(move || {
+            entry.with_snapshot(|_, _, _| {
+                held_tx.send(()).unwrap();
+                let _ = open_rx.recv();
+            })
+        });
+        held_rx.recv().unwrap();
+
+        let append = || {
+            std::thread::spawn(move || {
+                let mut client = NetClient::connect(addr).expect("append client connects");
+                client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+                let response = client
+                    .request_line(r#"{"op":"append_rows","dataset":"census","rows":[["Female","20-39","Hispanic","married"]]}"#)
+                    .expect("append round-trip");
+                assert_eq!(
+                    Json::parse(&response).expect("append JSON").get("ok"),
+                    Some(&Json::Bool(true)),
+                    "{response}"
+                );
+            })
+        };
+        let mut appends = vec![append()];
+        wait_until("the worker to take the first append", &|| {
+            Arc::strong_count(&dataset) == 3
+        });
+        // The next two requests wait: one in the base slot, one in the
+        // loop's parked share.
+        appends.push(append());
+        wait_until("one waiting request", &|| waiting.get() == 1);
+        appends.push(append());
+        wait_until("two waiting requests", &|| waiting.get() == 2);
+        assert_eq!(refused.get(), 0);
+
+        // A fourth finds the queue full and is refused at once; the two
+        // waiting requests stay queued.
+        let mut probe = NetClient::connect(addr).expect("probe connects");
+        probe.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        let refusal = probe.request_line(r#"{"op":"health"}"#).expect("refusal");
+        let parsed = Json::parse(&refusal).unwrap();
+        assert_eq!(parsed.get("ok"), Some(&Json::Bool(false)), "{refusal}");
+        assert_eq!(
+            parsed.get("error").and_then(Json::as_str),
+            Some("overloaded")
+        );
+        assert_eq!((refused.get(), waiting.get()), (1, 2));
+
+        // Open the gate: every append is answered `ok`.
+        drop(open_tx);
+        for handle in appends {
+            handle.join().expect("append answered ok");
+        }
+    });
+    assert_eq!(entry.generation(), 3, "all three appends landed");
+    assert_eq!(waiting.get(), 0);
     server.shutdown();
 }
 

@@ -171,18 +171,27 @@ impl DatasetImage {
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<DatasetImage> {
         let name = r.str("dataset name")?;
         let n_attrs = r.u32("dataset attr count")? as usize;
-        let mut attrs = Vec::with_capacity(n_attrs.min(1024));
+        // Reservations are bounded by the payload: an attribute takes at
+        // least 8 bytes (two lengths), a label at least 4.
+        let mut attrs = Vec::with_capacity(n_attrs.min(r.remaining() / 8));
         for _ in 0..n_attrs {
             let attr_name = r.str("attr name")?;
             let dict_len = r.u32("dict length")? as usize;
-            let mut labels = Vec::with_capacity(dict_len.min(4096));
+            let mut labels = Vec::with_capacity(dict_len.min(r.remaining() / 4));
             for _ in 0..dict_len {
                 labels.push(r.str("dict label")?);
             }
             attrs.push((attr_name, labels));
         }
         let n_rows = r.u64("dataset row count")?;
-        if (n_rows as usize).saturating_mul(n_attrs.max(1)) > r.remaining() {
+        // Cells bound the rows by the payload. Rows of no cells would
+        // take no bytes, and the store never logs them.
+        if n_attrs == 0 && n_rows > 0 {
+            return Err(FormatError::Corrupt(format!(
+                "dataset image {name:?}: {n_rows} rows of no cells"
+            )));
+        }
+        if (n_rows as usize).saturating_mul(n_attrs) > r.remaining() {
             return Err(FormatError::Corrupt(format!(
                 "dataset image {name:?}: {n_rows} rows × {n_attrs} attrs exceeds payload"
             )));
@@ -331,6 +340,7 @@ impl WalOp {
                 put_u64(&mut out, *generation);
                 put_u32(&mut out, rows.len() as u32);
                 let n_cols = rows.first().map_or(0, Vec::len);
+                debug_assert!(rows.is_empty() || n_cols > 0, "zero-cell rows");
                 put_u32(&mut out, n_cols as u32);
                 for row in rows {
                     debug_assert_eq!(row.len(), n_cols);
@@ -377,6 +387,14 @@ impl WalOp {
             TAG_APPEND => {
                 let n_rows = r.u32("append row count")? as usize;
                 let n_cols = r.u32("append col count")? as usize;
+                // Every cell takes at least its tag byte, so the payload
+                // bounds the batch. A zero-cell row would take none, and
+                // the store never logs one.
+                if n_rows > 0 && n_cols == 0 {
+                    return Err(FormatError::Corrupt(format!(
+                        "append_rows {name:?}: {n_rows} rows of no cells"
+                    )));
+                }
                 if n_rows.saturating_mul(n_cols) > r.remaining() {
                     return Err(FormatError::Corrupt(format!(
                         "append_rows {name:?}: {n_rows}×{n_cols} cells exceeds payload"
@@ -503,5 +521,25 @@ mod tests {
         bytes.push(0);
         assert!(WalOp::decode(&bytes).is_err());
         assert!(WalOp::decode(&[99]).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_rows_of_no_cells() {
+        // 2^20 rows of no cells fit in a 22-byte payload, and decoding
+        // them used to reserve a 24-byte row vector for each.
+        let mut payload = vec![TAG_APPEND];
+        put_str(&mut payload, "d");
+        put_u64(&mut payload, 1);
+        put_u32(&mut payload, 1 << 20);
+        put_u32(&mut payload, 0);
+        let err = WalOp::decode(&payload).unwrap_err();
+        assert!(err.to_string().contains("rows of no cells"), "{err}");
+        // An empty batch still round trips.
+        let empty = WalOp::AppendRows {
+            name: "d".into(),
+            generation: 1,
+            rows: Vec::new(),
+        };
+        assert_eq!(WalOp::decode(&empty.encode()).unwrap(), empty);
     }
 }

@@ -396,6 +396,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData> {
             "expected RETIRED section, found tag {rtag}"
         )));
     }
+    // An entry takes at least 20 bytes (a name length, a generation and
+    // an LSN), so the section bounds the count before anything is
+    // reserved for it.
+    if retired_count.saturating_mul(20) > rpayload.len() {
+        return Err(FormatError::Corrupt(format!(
+            "meta promises {retired_count} retired names, the section holds {} bytes",
+            rpayload.len()
+        )));
+    }
     let mut rr = Reader::new(rpayload);
     let mut retired = Vec::with_capacity(retired_count);
     for _ in 0..retired_count {
@@ -542,6 +551,25 @@ mod tests {
             parse_snapshot_name(&format!("{}.tmp", snapshot_file_name(9))),
             None
         );
+    }
+
+    #[test]
+    fn retired_count_is_bounded_by_its_section() {
+        // META promises 2^20 retired names over an empty RETIRED section;
+        // decoding used to reserve 40 bytes for each before reading it.
+        let mut data = sample();
+        data.retired.clear();
+        let mut bytes = encode_snapshot(&data);
+        let count_at = SNAP_HEADER_LEN + 13 + 8 + 8 + 4;
+        bytes[count_at..count_at + 4].copy_from_slice(&(1u32 << 20).to_le_bytes());
+        let meta_len = 8 + 8 + 4 + 4;
+        let mut crc = Crc32::new();
+        crc.update(&[SEC_META]);
+        crc.update(&bytes[SNAP_HEADER_LEN + 13..SNAP_HEADER_LEN + 13 + meta_len]);
+        bytes[SNAP_HEADER_LEN + 9..SNAP_HEADER_LEN + 13]
+            .copy_from_slice(&crc.finish().to_le_bytes());
+        let err = decode_snapshot(&bytes).unwrap_err();
+        assert!(err.to_string().contains("1048576 retired names"), "{err}");
     }
 
     #[test]
