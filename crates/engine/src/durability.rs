@@ -30,7 +30,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pclabel_core::attrset::AttrSet;
 use pclabel_core::label::Label;
 use pclabel_data::dataset::{Dataset, MISSING};
 use pclabel_telemetry::{Counter, Gauge, Histogram, Registry};
@@ -42,8 +41,7 @@ use pclabel_wal::wal::{
 };
 
 use crate::health::Health;
-use crate::parallel::auto_threads;
-use crate::store::{sel_of, EngineError, LabelStore, StoreEntry};
+use crate::store::{sel_of, EngineError, EntryState, LabelStore, StoreEntry};
 
 impl From<pclabel_wal::FormatError> for EngineError {
     fn from(e: pclabel_wal::FormatError) -> Self {
@@ -118,10 +116,12 @@ pub struct DurabilityStats {
 /// The live write-ahead-log sink the store appends through.
 ///
 /// One mutex serializes appends; it is the *leaf* of the lock hierarchy
-/// (store registry lock → entry lock → this), which is what lets
-/// mutators log while holding their publish locks without deadlocking
-/// against the snapshotter (which captures entry state without ever
-/// taking this mutex while holding store locks).
+/// (entry writer lock → store registry lock → this), which is what lets
+/// mutators log while holding their writer or registry lock without
+/// deadlocking against the snapshotter (which captures entry state
+/// without ever taking this mutex while holding store locks). No entry's
+/// state lock is held while it is: queries never wait on an append or
+/// its fsync.
 pub(crate) struct WalSink {
     writer: Mutex<WalWriter>,
     policy: FsyncPolicy,
@@ -333,7 +333,7 @@ impl Durability {
         // Phase 1: newest snapshot that passes format *and* semantic
         // validation. The semantic check stages the rebuilt entries so
         // a passing snapshot is installed without rebuilding twice.
-        let mut staged: Vec<StagedEntry> = Vec::new();
+        let mut staged: Vec<(String, EntryState)> = Vec::new();
         let pick = dir
             .pick_snapshot(|data| {
                 staged.clear();
@@ -350,8 +350,8 @@ impl Durability {
         }
         let mut cursor = 0u64;
         if let Some((_, data)) = pick.chosen {
-            for (name, dataset, label, generation, applied_lsn) in staged.drain(..) {
-                store.install_recovered(name, dataset, label, generation, applied_lsn);
+            for (name, state) in staged.drain(..) {
+                store.install_recovered(name, state);
             }
             store.install_retired(data.retired.iter().cloned());
             report.snapshot_lsn = Some(data.last_lsn);
@@ -621,7 +621,12 @@ impl Durability {
         // Read the WAL position *after* capturing entry states: every
         // captured applied_lsn is ≤ this, so the snapshot plus records
         // above min_required_lsn reproduces at least everything up to
-        // last_lsn for each entry.
+        // last_lsn for each entry. Writers log before they publish, so
+        // this position may cover a record whose entry was captured
+        // before the record was published: to the snapshot it looks like
+        // a record logged after the capture. The entry's older
+        // applied_lsn keeps that record above min_required_lsn, so its
+        // segment is retained and replay applies it.
         let last_lsn = self.sink.last_lsn();
         let data = SnapshotData {
             last_lsn,
@@ -693,25 +698,24 @@ fn quarantine(path: &std::path::Path) -> PathBuf {
     }
 }
 
-/// A snapshot entry rebuilt and verified, ready to install:
-/// `(name, dataset, label, generation, applied_lsn)`.
-type StagedEntry = (String, Arc<Dataset>, Arc<Label>, u64, u64);
-
 /// Rebuilds one snapshot entry into live store state, verifying that
 /// the rebuilt label reproduces the stored `PC`/`VC` tables exactly. A
 /// label is fully determined by `(dataset, sel)`, so any divergence
 /// means the snapshot does not describe this build's semantics — the
 /// caller rejects it and falls back to the previous snapshot.
-fn stage_entry(entry: &SnapshotEntry) -> Result<StagedEntry, String> {
+fn stage_entry(entry: &SnapshotEntry) -> Result<(String, EntryState), String> {
     let dataset = entry
         .dataset
         .clone()
         .into_dataset()
         .map_err(|e| format!("entry {:?}: {e}", entry.name))?;
-    let dataset = Arc::new(dataset);
-    let attrs = AttrSet::from_indices(entry.sel.iter().map(|&a| a as usize));
-    let label = Label::build_parallel(&dataset, attrs, auto_threads(dataset.n_rows()));
-    let rebuilt = pc_table(&label);
+    let state = EntryState::recovered(
+        Arc::new(dataset),
+        &entry.sel,
+        entry.generation,
+        entry.applied_lsn,
+    );
+    let rebuilt = pc_table(&state.label);
     if rebuilt != entry.pc {
         return Err(format!(
             "entry {:?}: rebuilt PC diverges from snapshot ({} vs {} patterns)",
@@ -720,33 +724,27 @@ fn stage_entry(entry: &SnapshotEntry) -> Result<StagedEntry, String> {
             entry.pc.len()
         ));
     }
-    let vc = vc_tables(&dataset, &label);
+    let vc = vc_tables(&state.dataset, &state.label);
     if vc != entry.vc {
         return Err(format!(
             "entry {:?}: rebuilt VC diverges from snapshot",
             entry.name
         ));
     }
-    Ok((
-        entry.name.clone(),
-        dataset,
-        Arc::new(label),
-        entry.generation,
-        entry.applied_lsn,
-    ))
+    Ok((entry.name.clone(), state))
 }
 
 /// Captures one live entry into its snapshot form.
 fn capture_entry(entry: &Arc<StoreEntry>) -> SnapshotEntry {
-    let (dataset, label, generation, applied_lsn) = entry.durable_snapshot();
+    let cur = entry.state();
     SnapshotEntry {
         name: entry.name().to_string(),
-        generation,
-        applied_lsn,
-        sel: sel_of(&label),
-        dataset: pclabel_wal::record::DatasetImage::from_dataset(&dataset),
-        pc: pc_table(&label),
-        vc: vc_tables(&dataset, &label),
+        generation: cur.generation,
+        applied_lsn: cur.applied_lsn,
+        sel: sel_of(&cur.label),
+        dataset: pclabel_wal::record::DatasetImage::from_dataset(&cur.dataset),
+        pc: pc_table(&cur.label),
+        vc: vc_tables(&cur.dataset, &cur.label),
     }
 }
 
@@ -784,4 +782,108 @@ fn vc_tables(dataset: &Dataset, label: &Label) -> Vec<Vec<u64>> {
             (0..cardinality as u32).map(|v| vc.count(attr, v)).collect()
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::{Engine, EngineConfig, PatternSpec, QueryRequest};
+    use crate::store::LabelPolicy;
+    use pclabel_core::attrset::AttrSet;
+    use pclabel_data::generate::figure2_sample;
+    use pclabel_telemetry::{Phase, Telemetry};
+    use std::sync::mpsc;
+
+    /// An append logs before it publishes, and holds no lock readers take
+    /// while it waits on the WAL: with the sink's mutex held, an append
+    /// to a dataset is stuck at its log step, and a query batch on that
+    /// dataset still answers from the previous version.
+    #[test]
+    fn a_query_answers_while_an_append_waits_on_the_wal() {
+        let dir = std::env::temp_dir().join(format!(
+            "pclabel-durability-unit-{}-wal-wait",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::new(EngineConfig::default());
+        let options = DurabilityOptions {
+            fsync: FsyncPolicy::Always,
+            snapshot_wal_bytes: u64::MAX,
+        };
+        let durability = Durability::open(&dir, options, engine.store_arc(), &Registry::new())
+            .expect("open data dir");
+        let policy = LabelPolicy::Attrs(AttrSet::from_indices([1, 3]));
+        engine
+            .store()
+            .register("census", figure2_sample(), policy)
+            .unwrap();
+        let entry = engine.store().get("census").unwrap();
+        // The entry and this handle share the dataset; the append's
+        // snapshot holds a third reference until it returns.
+        let dataset = entry.dataset();
+        assert_eq!(Arc::strong_count(&dataset), 2);
+        let query = QueryRequest {
+            id: None,
+            dataset: "census".to_string(),
+            patterns: vec![PatternSpec::new([("age group", "20-39")])],
+        };
+        let row = || {
+            vec![
+                Some("Female"),
+                Some("20-39"),
+                Some("Caucasian"),
+                Some("married"),
+            ]
+        };
+
+        let trace = Telemetry::new().begin("append_rows");
+        let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !done() {
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "waiting for {what}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        std::thread::scope(|scope| {
+            let wal = durability.sink.writer.lock().expect("wal mutex");
+            let append = scope.spawn(|| {
+                let rows = [row()];
+                engine
+                    .store()
+                    .append_rows_traced("census", &rows, Some(&trace))
+            });
+            wait_until("the append's snapshot", &|| {
+                Arc::strong_count(&dataset) == 3
+            });
+            // The incremental label update is traced once computed; all
+            // that is left is to log, which waits on the mutex held here.
+            wait_until("the label update", &|| {
+                trace.phase_secs(Phase::CountCount) > 0.0
+            });
+            let (answered_tx, answered) = mpsc::channel();
+            let (engine, query) = (&engine, &query);
+            scope.spawn(move || {
+                let _ = answered_tx.send(engine.execute(query));
+            });
+            let response = answered.recv_timeout(Duration::from_secs(10));
+            // Released before any assertion, so a failure cannot hang.
+            drop(wal);
+            let response = response
+                .expect("the query batch waited on the append's WAL flush")
+                .expect("query answered");
+            assert_eq!(response.generation, 0);
+            assert_eq!(response.n_rows, 18);
+            assert_eq!(response.results[0].estimate, 12.0);
+            let report = append.join().unwrap().expect("append landed");
+            assert_eq!((report.generation, report.total_rows), (1, 19));
+        });
+        assert_eq!(entry.applied_lsn(), 2);
+        assert_eq!(engine.execute(&query).unwrap().results[0].estimate, 13.0);
+        drop(durability);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

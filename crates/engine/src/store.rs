@@ -13,7 +13,7 @@
 //! never be served.
 
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use pclabel_core::attrset::AttrSet;
 use pclabel_core::counting::CountingProfile;
@@ -166,15 +166,31 @@ impl EntryMemory {
 /// One consistent dataset/label/generation triple; the three always
 /// travel together under one lock so readers can never observe a mixed
 /// view (e.g. an appended dataset with the pre-append label).
-struct EntryState {
-    dataset: Arc<Dataset>,
-    label: Arc<Label>,
-    generation: u64,
+#[derive(Clone)]
+pub(crate) struct EntryState {
+    pub(crate) dataset: Arc<Dataset>,
+    pub(crate) label: Arc<Label>,
+    pub(crate) generation: u64,
     /// LSN of the WAL record that produced this state (0 when the
     /// store runs without durability). Replay applies an op to an
     /// entry only when the op's LSN exceeds this, which is what makes
     /// replay idempotent without a store-wide barrier.
-    applied_lsn: u64,
+    pub(crate) applied_lsn: u64,
+}
+
+impl EntryState {
+    /// `dataset` labelled over the attribute indices `sel` that WAL
+    /// records and snapshots log: what recovery installs.
+    pub(crate) fn recovered(dataset: Arc<Dataset>, sel: &[u32], generation: u64, lsn: u64) -> Self {
+        let attrs = AttrSet::from_indices(sel.iter().map(|&a| a as usize));
+        let label = Label::build_parallel(&dataset, attrs, auto_threads(dataset.n_rows()));
+        EntryState {
+            dataset,
+            label: Arc::new(label),
+            generation,
+            applied_lsn: lsn,
+        }
+    }
 }
 
 /// One registered dataset: the data, its current label version and the
@@ -183,11 +199,53 @@ struct EntryState {
 /// entry's lock.
 pub struct StoreEntry {
     name: Box<str>,
+    /// The one-writer lock (see [`LabelStore`]), guarding whether the
+    /// entry is still registered: a writer queued behind the remove that
+    /// cleared it logs and publishes nothing.
+    writer: Mutex<bool>,
     state: RwLock<EntryState>,
     cache: ShardedCache,
 }
 
 impl StoreEntry {
+    fn new(name: String, state: EntryState) -> StoreEntry {
+        StoreEntry {
+            name: name.into_boxed_str(),
+            writer: Mutex::new(true),
+            state: RwLock::new(state),
+            cache: ShardedCache::default(),
+        }
+    }
+
+    /// The writer lock while the entry is registered, or
+    /// [`EngineError::UnknownDataset`] once a remove has unlinked it.
+    /// Taken through its poison: the flag's one update is a remove's last
+    /// step, and a writer that fails or panics has published nothing.
+    fn lock_writer(&self) -> Result<MutexGuard<'_, bool>, EngineError> {
+        let registered = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let unknown = || EngineError::UnknownDataset(self.name.to_string());
+        (*registered).then_some(registered).ok_or_else(unknown)
+    }
+
+    /// Makes `next` the version readers see and drops the cached answers
+    /// it invalidates: those pinned to the `touched` count shards (and the
+    /// unpinned ones) after an incremental append, all of them otherwise.
+    /// Batches fill the cache under the read lock, so nothing older than
+    /// `next` survives in it. The write lock covers only the swap and the
+    /// invalidation; the replaced version is freed after it.
+    fn publish(&self, next: EntryState, touched: Option<&[u32]>) {
+        let mut cur = self.state.write().expect("entry lock");
+        let old = std::mem::replace(&mut *cur, next);
+        match touched {
+            Some(shards) => {
+                self.cache.invalidate_count_shards(shards);
+            }
+            None => self.cache.clear(),
+        }
+        drop(cur);
+        drop(old);
+    }
+
     /// The registration name.
     pub fn name(&self) -> &str {
         &self.name
@@ -212,12 +270,8 @@ impl StoreEntry {
 
     /// One consistent `(dataset, label, generation)` triple.
     pub fn snapshot(&self) -> (Arc<Dataset>, Arc<Label>, u64) {
-        let cur = self.state.read().expect("entry lock");
-        (
-            Arc::clone(&cur.dataset),
-            Arc::clone(&cur.label),
-            cur.generation,
-        )
+        let cur = self.state();
+        (cur.dataset, cur.label, cur.generation)
     }
 
     /// LSN of the WAL record that produced the current state (0 when
@@ -226,16 +280,10 @@ impl StoreEntry {
         self.state.read().expect("entry lock").applied_lsn
     }
 
-    /// One consistent `(dataset, label, generation, applied_lsn)`
-    /// quadruple — what the background snapshotter captures.
-    pub(crate) fn durable_snapshot(&self) -> (Arc<Dataset>, Arc<Label>, u64, u64) {
-        let cur = self.state.read().expect("entry lock");
-        (
-            Arc::clone(&cur.dataset),
-            Arc::clone(&cur.label),
-            cur.generation,
-            cur.applied_lsn,
-        )
+    /// The whole current state, `applied_lsn` included — what the
+    /// background snapshotter captures.
+    pub(crate) fn state(&self) -> EntryState {
+        self.state.read().expect("entry lock").clone()
     }
 
     /// Runs `f` against the current dataset/label version while holding
@@ -397,13 +445,28 @@ struct StoreInner {
     retired: FxHashMap<String, (u64, u64)>,
 }
 
+/// One retired-generation record: `(name, retired_generation, remove_lsn)`.
+pub(crate) type RetiredRecord = (String, u64, u64);
+
 /// Concurrent registry of named datasets and their labels.
+///
+/// Writes to one dataset run one at a time: [`LabelStore::refresh`],
+/// [`LabelStore::append_rows_traced`] and [`LabelStore::remove`] hold
+/// the entry's writer lock from the snapshot they compute against until
+/// they publish, so each computes once against a state no other writer
+/// can change. Writes to different datasets, and every query, run
+/// alongside them. Locks are taken in one order: entry writer →
+/// registry → WAL mutex; an entry's state lock is write-locked only to
+/// publish, and takes no store lock inside it (only the cache's shard
+/// mutexes, which are leaves).
 ///
 /// When a `WalSink` is attached (the daemon runs with `--data-dir`),
 /// every mutating path — register, refresh, append, remove — appends
 /// its WAL record **before** the state change becomes visible to
-/// readers, and fails the mutation if the append fails. A store
-/// without a sink behaves exactly as before (pure in-memory).
+/// readers, and fails the mutation if the append fails. Refresh and
+/// append log under the writer lock but outside the state lock, so
+/// queries never wait on the flush, and a dataset's WAL order is its
+/// publish order. A store without a sink is purely in-memory.
 #[derive(Debug, Default)]
 pub struct LabelStore {
     inner: RwLock<StoreInner>,
@@ -506,28 +569,35 @@ impl LabelStore {
         // Resume above the retired generation (if any) so `(name,
         // generation)` stays unique across remove/re-register cycles.
         let generation = inner.retired.get(&name).map(|&(g, _)| g + 1).unwrap_or(0);
-        let mut applied_lsn = 0;
-        if let Some(sink) = self.sink.get() {
-            applied_lsn = sink.append(&WalOp::Register {
-                name: name.clone(),
-                generation,
-                policy: policy_repr(policy),
-                sel,
-                dataset: image.expect("image captured when sink present"),
-            })?;
-        }
-        let entry = Arc::new(StoreEntry {
-            name: name.clone().into_boxed_str(),
-            state: RwLock::new(EntryState {
+        let (applied_lsn, _) = self.log(|| WalOp::Register {
+            name: name.clone(),
+            generation,
+            policy: policy_repr(policy),
+            sel,
+            dataset: image.expect("image captured when sink present"),
+        })?;
+        let entry = Arc::new(StoreEntry::new(
+            name.clone(),
+            EntryState {
                 dataset: Arc::new(dataset),
                 label: Arc::new(label),
                 generation,
                 applied_lsn,
-            }),
-            cache: ShardedCache::default(),
-        });
+            },
+        ));
         inner.entries.insert(name, Arc::clone(&entry));
         Ok(entry)
+    }
+
+    /// Appends the record `op` builds to the WAL and returns its LSN with
+    /// the record; 0, and nothing built, when the store runs without
+    /// durability.
+    fn log(&self, op: impl FnOnce() -> WalOp) -> Result<(u64, Option<WalOp>), EngineError> {
+        let Some(sink) = self.sink.get() else {
+            return Ok((0, None));
+        };
+        let op = op();
+        Ok((sink.append(&op)?, Some(op)))
     }
 
     /// Resolves a name, or errors with [`EngineError::UnknownDataset`].
@@ -547,11 +617,13 @@ impl LabelStore {
     }
 
     /// Recomputes an entry's label under a (possibly different) policy,
-    /// bumps its generation and clears its estimate cache, all within the
-    /// entry's write section: batches running under
-    /// [`StoreEntry::with_snapshot`] finish against their snapshot first,
-    /// and no estimate they cached can survive the refresh. An optional
-    /// request `trace` records the counting/search phases of the rebuild.
+    /// bumps its generation and clears its estimate cache. The label is
+    /// computed and the refresh logged under the entry's writer lock, so
+    /// no append can change the dataset meanwhile; queries keep reading
+    /// the old version until the swap, and no estimate they cached
+    /// survives it. A refresh queued behind a [`LabelStore::remove`]
+    /// answers [`EngineError::UnknownDataset`]. An optional request
+    /// `trace` records the counting/search phases of the rebuild.
     pub fn refresh(
         &self,
         name: &str,
@@ -560,55 +632,23 @@ impl LabelStore {
     ) -> Result<u64, EngineError> {
         self.check_writable()?;
         let entry = self.get(name)?;
-        let mut dataset = entry.dataset();
-        // A few optimistic passes: compute outside the lock so
-        // lookups/queries never stall behind an expensive search…
-        for _ in 0..3 {
-            let label = compute_label(&dataset, policy, trace)?;
-            let mut cur = entry.state.write().expect("entry lock");
-            // …but since datasets became appendable, the snapshot can go
-            // stale mid-compute: installing a label built from the
-            // pre-append rows over the post-append dataset would break
-            // the dataset/label invariant. Detect and redo.
-            if !Arc::ptr_eq(&cur.dataset, &dataset) {
-                dataset = Arc::clone(&cur.dataset);
-                continue;
-            }
-            return self.install_refreshed(&entry, &mut cur, policy, label);
-        }
-        // A sustained append stream outpaced every optimistic pass:
-        // compute the last one under the write lock. Readers stall for
-        // one label build, but the refresh is guaranteed to land instead
-        // of retrying forever.
-        let mut cur = entry.state.write().expect("entry lock");
-        let label = compute_label(&Arc::clone(&cur.dataset), policy, trace)?;
-        self.install_refreshed(&entry, &mut cur, policy, label)
-    }
-
-    /// Swaps in a freshly computed label under the held write lock,
-    /// logging the refresh first (append-before-publish). Clearing the
-    /// cache here is sound: query batches only touch the cache under
-    /// the read lock, so everything cleared is old-label and nothing
-    /// old-label can be inserted afterwards.
-    fn install_refreshed(
-        &self,
-        entry: &StoreEntry,
-        cur: &mut EntryState,
-        policy: LabelPolicy,
-        label: Label,
-    ) -> Result<u64, EngineError> {
-        let generation = cur.generation + 1;
-        if let Some(sink) = self.sink.get() {
-            cur.applied_lsn = sink.append(&WalOp::Refresh {
-                name: entry.name.to_string(),
-                generation,
-                policy: policy_repr(policy),
-                sel: sel_of(&label),
-            })?;
-        }
-        cur.label = Arc::new(label);
-        cur.generation = generation;
-        entry.cache.clear();
+        let _writer = entry.lock_writer()?;
+        let (dataset, _, generation) = entry.snapshot();
+        let label = compute_label(&dataset, policy, trace)?;
+        let generation = generation + 1;
+        let (applied_lsn, _) = self.log(|| WalOp::Refresh {
+            name: name.to_string(),
+            generation,
+            policy: policy_repr(policy),
+            sel: sel_of(&label),
+        })?;
+        let next = EntryState {
+            dataset,
+            label: Arc::new(label),
+            generation,
+            applied_lsn,
+        };
+        entry.publish(next, None);
         Ok(generation)
     }
 
@@ -628,15 +668,12 @@ impl LabelStore {
     /// (a search-chosen `S` is kept, not re-searched) and the cache is
     /// cleared; [`AppendReport::incremental`] reports which path ran.
     ///
-    /// Like [`LabelStore::refresh`], the expensive work runs *outside*
-    /// the entry's write lock: the dataset clone-and-extend and the label
-    /// update (shard-incremental or, on the rare dictionary-growth
-    /// fallback, the full rebuild) are computed against a generation
-    /// snapshot, then installed under the lock only if the generation is
-    /// unchanged — so readers are never stalled behind a rebuild.
-    /// Concurrent writers force a recompute (a few optimistic passes,
-    /// then one final pass under the lock that is guaranteed to land),
-    /// and query batches never see a half-applied append.
+    /// Like [`LabelStore::refresh`], the append holds the entry's writer
+    /// lock while it copies the dataset, updates the label and logs the
+    /// rows, so concurrent appends to one dataset land one after another,
+    /// each computed once. Queries read the previous version until the
+    /// swap and never see a half-applied append. An append queued behind
+    /// a [`LabelStore::remove`] answers [`EngineError::UnknownDataset`].
     pub fn append_rows<S: AsRef<str>>(
         &self,
         name: &str,
@@ -669,53 +706,57 @@ impl LabelStore {
                 "append_rows needs rows of at least one cell".to_string(),
             ));
         }
-        // Optimistic passes: compute against a snapshot, revalidate by
-        // generation (a refresh changes the label without touching the
-        // dataset, so dataset pointer identity would not be enough).
-        for _ in 0..3 {
-            let (dataset0, label0, generation0) = entry.snapshot();
-            let (dataset, label, incremental, touched) =
-                Self::appended_state(&dataset0, &label0, rows, trace)?;
-            let mut cur = entry.state.write().expect("entry lock");
-            if cur.generation != generation0 {
-                continue;
-            }
-            return self.install_append(
-                &entry,
-                &mut cur,
-                dataset,
-                label,
-                rows,
-                incremental,
-                touched,
-            );
-        }
-        // A sustained write stream outpaced every optimistic pass:
-        // compute the last one under the write lock so the append is
-        // guaranteed to land instead of retrying forever.
-        let mut cur = entry.state.write().expect("entry lock");
-        let (dataset, label, incremental, touched) = Self::appended_state(
-            &Arc::clone(&cur.dataset),
-            &Arc::clone(&cur.label),
-            rows,
-            trace,
-        )?;
-        self.install_append(&entry, &mut cur, dataset, label, rows, incremental, touched)
+        let _writer = entry.lock_writer()?;
+        let (base, label, generation) = entry.snapshot();
+        let (dataset, label, touched) = Self::appended_state(&base, &label, rows, trace)?;
+        let generation = generation + 1;
+        let (applied_lsn, record) = self.log(|| WalOp::AppendRows {
+            name: name.to_string(),
+            generation,
+            rows: rows
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|cell| cell.as_ref().map(|s| s.as_ref().to_string()))
+                        .collect()
+                })
+                .collect(),
+        })?;
+        let total_rows = dataset.n_rows() as u64;
+        let next = EntryState {
+            dataset: Arc::new(dataset),
+            label: Arc::new(label),
+            generation,
+            applied_lsn,
+        };
+        entry.publish(next, touched.as_deref());
+        // Freed only after the swap: a large batch's strings take
+        // milliseconds to free, and a snapshot that captured the entry
+        // meanwhile would see the batch logged but not published, and
+        // retain one more WAL segment for it.
+        drop(record);
+        Ok(AppendReport {
+            appended: rows.len(),
+            total_rows,
+            generation,
+            incremental: touched.is_some(),
+            touched_shards: touched.unwrap_or_default(),
+        })
     }
 
-    /// Computes the post-append `(dataset, label)` pair from a snapshot.
-    /// While no dictionary of an attribute inside the label's subset `S`
-    /// grows ([`Label::can_append`]), the label is updated
-    /// shard-incrementally ([`Label::with_appended`]); otherwise it is
-    /// rebuilt in full over the *same* subset `S` (a search-chosen `S` is
-    /// kept, not re-searched).
-    #[allow(clippy::type_complexity)]
+    /// Computes the post-append dataset and label from a snapshot, with
+    /// the `PC` shards the rows touched. While no dictionary of an
+    /// attribute inside the label's subset `S` grows
+    /// ([`Label::can_append`]), the label is updated shard-incrementally
+    /// ([`Label::with_appended`]); otherwise it is rebuilt in full over
+    /// the *same* subset `S` (a search-chosen `S` is kept, not
+    /// re-searched) and no shard list is returned.
     fn appended_state<S: AsRef<str>>(
         base: &Dataset,
         label: &Label,
         rows: &[Vec<Option<S>>],
         trace: Option<&Trace>,
-    ) -> Result<(Dataset, Arc<Label>, bool, Vec<u32>), EngineError> {
+    ) -> Result<(Dataset, Label, Option<Vec<u32>>), EngineError> {
         let mut dataset = base.clone_with_headroom(rows.len());
         let old_rows = dataset.n_rows();
         dataset.append_labeled_rows(rows)?;
@@ -727,7 +768,7 @@ impl LabelStore {
                 // partition pass, no reassembly from shard parts.
                 trace.add_phase(Phase::CountCount, t0.elapsed());
             }
-            Ok((dataset, Arc::new(label), true, touched))
+            Ok((dataset, label, Some(touched)))
         } else {
             let (rebuilt, profile) = Label::build_parallel_profiled(
                 &dataset,
@@ -735,56 +776,8 @@ impl LabelStore {
                 auto_threads(dataset.n_rows()),
             );
             record_profile(trace, &profile);
-            Ok((dataset, Arc::new(rebuilt), false, Vec::new()))
+            Ok((dataset, rebuilt, None))
         }
-    }
-
-    /// Swaps in a computed append under the held write lock, logging
-    /// the row batch first (append-before-publish), and invalidates the
-    /// cache (same argument as refresh): shard-local for incremental
-    /// appends, everything otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn install_append<S: AsRef<str>>(
-        &self,
-        entry: &StoreEntry,
-        cur: &mut EntryState,
-        dataset: Dataset,
-        label: Arc<Label>,
-        rows: &[Vec<Option<S>>],
-        incremental: bool,
-        touched_shards: Vec<u32>,
-    ) -> Result<AppendReport, EngineError> {
-        let generation = cur.generation + 1;
-        if let Some(sink) = self.sink.get() {
-            cur.applied_lsn = sink.append(&WalOp::AppendRows {
-                name: entry.name.to_string(),
-                generation,
-                rows: rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|cell| cell.as_ref().map(|s| s.as_ref().to_string()))
-                            .collect()
-                    })
-                    .collect(),
-            })?;
-        }
-        let total_rows = dataset.n_rows() as u64;
-        cur.dataset = Arc::new(dataset);
-        cur.label = label;
-        cur.generation = generation;
-        if incremental {
-            entry.cache.invalidate_count_shards(&touched_shards);
-        } else {
-            entry.cache.clear();
-        }
-        Ok(AppendReport {
-            appended: rows.len(),
-            total_rows,
-            generation,
-            incremental,
-            touched_shards,
-        })
     }
 
     /// Removes an entry; returns whether it existed.
@@ -794,7 +787,10 @@ impl LabelStore {
     /// Removal unlinks the name from the registry — it does **not**
     /// invalidate handles: an [`Arc<StoreEntry>`] obtained earlier (via
     /// [`LabelStore::get`] or a [`LabelStore::list`] snapshot) keeps
-    /// working against the removed entry's final state until dropped.
+    /// reading the removed entry's final state until dropped, while a
+    /// write that resolved the name before the remove and reaches the
+    /// entry after it answers [`EngineError::UnknownDataset`] and logs
+    /// nothing. A remove waits for a write already running on the entry.
     /// The removed entry's generation is *retired*, not forgotten: a
     /// later [`LabelStore::register`] under the same name starts at
     /// `retired_generation + 1`, so generations observed for a name are
@@ -807,20 +803,21 @@ impl LabelStore {
     /// and returns [`EngineError::Durability`].
     pub fn remove(&self, name: &str) -> Result<bool, EngineError> {
         self.check_writable()?;
-        let mut inner = self.inner.write().expect("store lock");
-        let Some(entry) = inner.entries.get(name) else {
+        let Some(entry) = self.try_get(name) else {
+            return Ok(false);
+        };
+        let Ok(mut registered) = entry.lock_writer() else {
             return Ok(false);
         };
         let generation = entry.generation();
-        let mut lsn = 0;
-        if let Some(sink) = self.sink.get() {
-            lsn = sink.append(&WalOp::Remove {
-                name: name.to_string(),
-                generation,
-            })?;
-        }
+        let mut inner = self.inner.write().expect("store lock");
+        let (lsn, _) = self.log(|| WalOp::Remove {
+            name: name.to_string(),
+            generation,
+        })?;
         inner.entries.remove(name);
         inner.retired.insert(name.to_string(), (generation, lsn));
+        *registered = false;
         Ok(true)
     }
 
@@ -848,17 +845,10 @@ impl LabelStore {
         self.len() == 0
     }
 
-    // ---- durability hooks (pub(crate): driven by `crate::durability`) ----
-}
-
-/// One retired-generation record: `(name, retired_generation, remove_lsn)`.
-pub(crate) type RetiredRecord = (String, u64, u64);
-
-impl LabelStore {
     /// One consistent capture for the background snapshotter: all live
     /// entries (sorted by name) plus the retired-generation table. Each
     /// entry is an `Arc` — the snapshotter reads its state afterwards
-    /// via [`StoreEntry::durable_snapshot`], per-entry-consistent, which
+    /// via [`StoreEntry::state`], per-entry-consistent, which
     /// is all the on-disk format needs (per-entry `applied_lsn` makes
     /// replay idempotent without a store-wide barrier).
     pub(crate) fn capture_durable(&self) -> (Vec<Arc<StoreEntry>>, Vec<RetiredRecord>) {
@@ -877,24 +867,8 @@ impl LabelStore {
     /// Installs an entry rebuilt from a snapshot during recovery. The
     /// store must not be serving yet; an existing name is a recovery
     /// bug and panics.
-    pub(crate) fn install_recovered(
-        &self,
-        name: String,
-        dataset: Arc<Dataset>,
-        label: Arc<Label>,
-        generation: u64,
-        applied_lsn: u64,
-    ) {
-        let entry = Arc::new(StoreEntry {
-            name: name.clone().into_boxed_str(),
-            state: RwLock::new(EntryState {
-                dataset,
-                label,
-                generation,
-                applied_lsn,
-            }),
-            cache: ShardedCache::default(),
-        });
+    pub(crate) fn install_recovered(&self, name: String, state: EntryState) {
+        let entry = Arc::new(StoreEntry::new(name.clone(), state));
         let prev = self
             .inner
             .write()
@@ -913,33 +887,14 @@ impl LabelStore {
         }
     }
 
-    /// Whether a replayed op at `lsn` targets a name whose *later*
-    /// remove is already reflected in the store (the recovery snapshot
-    /// postdates the remove). Such ops are stale history — skipping
-    /// them is correct because nothing of the removed entry survives.
-    fn superseded_by_remove(&self, name: &str, lsn: u64) -> bool {
-        self.inner
-            .read()
-            .expect("store lock")
-            .retired
-            .get(name)
-            .is_some_and(|&(_, removed_at)| removed_at >= lsn)
-    }
-
-    /// Applies one replayed WAL record during recovery. Idempotent via
+    /// Applies one replayed WAL record during recovery, publishing
+    /// through the same step as the live mutators. Idempotent via
     /// per-entry `applied_lsn`: records at or below an entry's LSN (it
     /// came out of a snapshot taken after them) are skipped. Generation
     /// mismatches beyond that are corruption — the WAL's dense-LSN
     /// check should have caught any gap — and fail recovery rather
     /// than rebuild a silently different store.
     pub(crate) fn replay(&self, lsn: u64, op: &WalOp) -> Result<(), EngineError> {
-        let stale = |cur_generation: u64, op_generation: u64, what: &str| {
-            EngineError::Durability(format!(
-                "replay lsn {lsn}: {what} {:?} expects generation {op_generation}, \
-                 store has {cur_generation}",
-                op.name()
-            ))
-        };
         match op {
             WalOp::Register {
                 name,
@@ -963,73 +918,38 @@ impl LabelStore {
                             return Ok(()); // register superseded by a later remove
                         }
                         if retired_generation + 1 != *generation {
-                            return Err(stale(retired_generation + 1, *generation, "register"));
+                            return Err(stale(lsn, op, retired_generation + 1));
                         }
                     } else if *generation != 0 {
-                        return Err(stale(0, *generation, "register"));
+                        return Err(stale(lsn, op, 0));
                     }
                 }
                 let dataset = Arc::new(dataset.clone().into_dataset()?);
-                let attrs = AttrSet::from_indices(sel.iter().map(|&a| a as usize));
-                let label = Label::build_parallel(&dataset, attrs, auto_threads(dataset.n_rows()));
-                self.install_recovered(name.clone(), dataset, Arc::new(label), *generation, lsn);
+                let state = EntryState::recovered(dataset, sel, *generation, lsn);
+                self.install_recovered(name.clone(), state);
                 Ok(())
             }
-            WalOp::Refresh {
-                name,
-                generation,
-                sel,
-                ..
-            } => {
-                let Some(entry) = self.try_get(name) else {
-                    if self.superseded_by_remove(name, lsn) {
-                        return Ok(());
-                    }
-                    return Err(EngineError::Durability(format!(
-                        "replay lsn {lsn}: refresh of unknown dataset {name:?}"
-                    )));
-                };
-                let mut cur = entry.state.write().expect("entry lock");
-                if cur.applied_lsn >= lsn {
+            WalOp::Refresh { sel, .. } => {
+                let Some((entry, cur)) = self.replay_target(lsn, op, "refresh of")? else {
                     return Ok(());
-                }
-                if cur.generation + 1 != *generation {
-                    return Err(stale(cur.generation + 1, *generation, "refresh"));
-                }
-                let attrs = AttrSet::from_indices(sel.iter().map(|&a| a as usize));
-                let label =
-                    Label::build_parallel(&cur.dataset, attrs, auto_threads(cur.dataset.n_rows()));
-                cur.label = Arc::new(label);
-                cur.generation = *generation;
-                cur.applied_lsn = lsn;
+                };
+                let next = EntryState::recovered(cur.dataset, sel, op.generation(), lsn);
+                entry.publish(next, None);
                 Ok(())
             }
-            WalOp::AppendRows {
-                name,
-                generation,
-                rows,
-            } => {
-                let Some(entry) = self.try_get(name) else {
-                    if self.superseded_by_remove(name, lsn) {
-                        return Ok(());
-                    }
-                    return Err(EngineError::Durability(format!(
-                        "replay lsn {lsn}: append to unknown dataset {name:?}"
-                    )));
-                };
-                let mut cur = entry.state.write().expect("entry lock");
-                if cur.applied_lsn >= lsn {
+            WalOp::AppendRows { rows, .. } => {
+                let Some((entry, cur)) = self.replay_target(lsn, op, "append to")? else {
                     return Ok(());
-                }
-                if cur.generation + 1 != *generation {
-                    return Err(stale(cur.generation + 1, *generation, "append_rows"));
-                }
-                let (dataset, label, _, _) =
+                };
+                let (dataset, label, touched) =
                     Self::appended_state(&cur.dataset, &cur.label, rows, None)?;
-                cur.dataset = Arc::new(dataset);
-                cur.label = label;
-                cur.generation = *generation;
-                cur.applied_lsn = lsn;
+                let next = EntryState {
+                    dataset: Arc::new(dataset),
+                    label: Arc::new(label),
+                    generation: op.generation(),
+                    applied_lsn: lsn,
+                };
+                entry.publish(next, touched.as_deref());
                 Ok(())
             }
             WalOp::Remove { name, generation } => {
@@ -1040,22 +960,69 @@ impl LabelStore {
                     // rerun; both are fine.
                     return Ok(());
                 };
-                let (cur_generation, cur_lsn) = {
-                    let cur = entry.state.read().expect("entry lock");
-                    (cur.generation, cur.applied_lsn)
-                };
-                if cur_lsn >= lsn {
+                let cur = entry.state();
+                if cur.applied_lsn >= lsn {
                     return Ok(());
                 }
-                if cur_generation != *generation {
-                    return Err(stale(cur_generation, *generation, "remove"));
+                if cur.generation != *generation {
+                    return Err(stale(lsn, op, cur.generation));
                 }
+                *entry.writer.lock().unwrap_or_else(PoisonError::into_inner) = false;
                 inner.entries.remove(name);
                 inner.retired.insert(name.clone(), (*generation, lsn));
                 Ok(())
             }
         }
     }
+
+    /// The entry a replayed refresh or append at `lsn` applies to, with
+    /// its current state, or `None` when the store already reflects the
+    /// record (a snapshot taken after it, or a later remove).
+    fn replay_target(
+        &self,
+        lsn: u64,
+        op: &WalOp,
+        unknown: &str,
+    ) -> Result<Option<(Arc<StoreEntry>, EntryState)>, EngineError> {
+        let name = op.name();
+        let Some(entry) = self.try_get(name) else {
+            // A *later* remove the store already reflects (the recovery
+            // snapshot postdates it) makes the record stale history:
+            // nothing of the removed entry survives.
+            let retired = self
+                .inner
+                .read()
+                .expect("store lock")
+                .retired
+                .get(name)
+                .copied();
+            if retired.is_some_and(|(_, removed_at)| removed_at >= lsn) {
+                return Ok(None);
+            }
+            return Err(EngineError::Durability(format!(
+                "replay lsn {lsn}: {unknown} unknown dataset {name:?}"
+            )));
+        };
+        let cur = entry.state();
+        if cur.applied_lsn >= lsn {
+            return Ok(None);
+        }
+        if cur.generation + 1 != op.generation() {
+            return Err(stale(lsn, op, cur.generation + 1));
+        }
+        Ok(Some((entry, cur)))
+    }
+}
+
+/// The recovery error for a replayed record whose generation does not
+/// follow the store's, which has `store_has`.
+fn stale(lsn: u64, op: &WalOp, store_has: u64) -> EngineError {
+    EngineError::Durability(format!(
+        "replay lsn {lsn}: {} {:?} expects generation {}, store has {store_has}",
+        op.kind(),
+        op.name(),
+        op.generation()
+    ))
 }
 
 #[cfg(test)]
@@ -1503,8 +1470,9 @@ mod tests {
     #[test]
     fn concurrent_appends_all_land() {
         // Racing appends (some forcing the dictionary-growth rebuild
-        // path, which now computes outside the write lock and retries on
-        // generation conflicts) must each land exactly once.
+        // path) take turns on the entry's writer lock, each computing
+        // against the state its predecessor published, and must each
+        // land exactly once.
         let store = Arc::new(LabelStore::new());
         store
             .register(
@@ -1550,6 +1518,84 @@ mod tests {
         for r in 0..dataset.n_rows() {
             let p = pclabel_core::pattern::Pattern::from_row(&dataset, r);
             assert_eq!(label.estimate(&p), full.estimate(&p), "row {r}");
+        }
+    }
+
+    #[test]
+    fn a_write_queued_behind_a_remove_is_refused_and_logs_nothing() {
+        use crate::durability::{Durability, DurabilityOptions};
+        use pclabel_telemetry::Registry;
+        use pclabel_wal::wal::FsyncPolicy;
+        use std::time::{Duration, Instant};
+
+        let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+            let start = Instant::now();
+            while !done() {
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "waiting for {what}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let options = DurabilityOptions {
+            fsync: FsyncPolicy::Always,
+            snapshot_wal_bytes: u64::MAX,
+        };
+        let policy = LabelPolicy::Attrs(AttrSet::from_indices([1, 3]));
+        for refresh in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "pclabel-store-unit-{}-queued-{refresh}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Arc::new(LabelStore::new());
+            let durability =
+                Durability::open(&dir, options, Arc::clone(&store), &Registry::new()).unwrap();
+            store.register("d", figure2_sample(), policy).unwrap();
+            let entry = store.get("d").unwrap();
+            let write = || {
+                if refresh {
+                    store.refresh("d", policy, None).map(|_| ())
+                } else {
+                    let row = vec![Some("Male"), Some("20-39"), Some("Asian"), Some("single")];
+                    store.append_rows("d", &[row]).map(|_| ())
+                }
+            };
+            std::thread::scope(|scope| {
+                // Readers held off: the remove takes the writer lock, then
+                // waits to read the entry's generation.
+                let state = entry.state.write().unwrap();
+                let remove = scope.spawn(|| store.remove("d"));
+                wait_until("the remove to take the writer lock", &|| {
+                    entry.writer.try_lock().is_err()
+                });
+                let write = scope.spawn(write);
+                // The write has resolved the name: the registry, this
+                // handle, the remove and the write hold the entry.
+                wait_until("the write to resolve the entry", &|| {
+                    Arc::strong_count(&entry) == 4
+                });
+                drop(state);
+                assert!(remove.join().unwrap().unwrap());
+                let refused = write.join().unwrap();
+                assert!(
+                    matches!(refused, Err(EngineError::UnknownDataset(ref name)) if name == "d"),
+                    "{refused:?}"
+                );
+            });
+            // The register and the remove; the refused write logged and
+            // published nothing.
+            assert_eq!(durability.last_lsn(), 2);
+            assert_eq!((entry.generation(), entry.dataset().n_rows()), (0, 18));
+            drop(durability);
+            let recovered = Arc::new(LabelStore::new());
+            let reopened =
+                Durability::open(&dir, options, Arc::clone(&recovered), &Registry::new()).unwrap();
+            assert!(recovered.is_empty());
+            assert_eq!(recovered.retired_generation("d"), Some(0));
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

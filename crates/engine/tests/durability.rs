@@ -4,17 +4,20 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_data::generate::figure2_sample;
+use pclabel_data::generate::{bluenile, figure2_sample, BlueNileConfig};
 use pclabel_engine::durability::{Durability, DurabilityOptions};
-use pclabel_engine::store::{LabelPolicy, LabelStore};
+use pclabel_engine::store::{EngineError, LabelPolicy, LabelStore};
 use pclabel_telemetry::Registry;
 use pclabel_wal::record::DatasetImage;
 use pclabel_wal::wal::FsyncPolicy;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The default search policy (refinement on) at `bound`.
 fn search_policy(bound: u64) -> LabelPolicy {
@@ -393,5 +396,232 @@ proptest! {
         let (recovered, _durability) = open(&dir);
         prop_assert_eq!(state_of(&recovered), state_of(&memory));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---- writes racing a remove ----
+
+/// Rows of the BlueNile-like catalog the race tests write to: enough that
+/// a label build takes far longer than a remove or a small register.
+const RACE_ROWS: usize = 100_000;
+
+/// The label subset the race tests register with: `cut` and `symmetry`.
+fn race_policy() -> LabelPolicy {
+    LabelPolicy::Attrs(AttrSet::from_indices([1, 5]))
+}
+
+/// A BlueNile row of the given `cut`: one outside the catalog's four is a
+/// new value on the label's subset, so appending it rebuilds the label.
+fn diamond(cut: &str) -> Vec<Option<String>> {
+    ["Round", cut, "G", "VS1", "Excellent", "Excellent", "None"]
+        .iter()
+        .map(|v| Some(v.to_string()))
+        .collect()
+}
+
+/// Registers `d` on a durable store at `fsync always` and races `write`
+/// on it against a remove of `d`, issued once the write has taken its
+/// snapshot, followed by `then`, which returns how many records it
+/// logged. The write must land before the remove or answer `unknown
+/// dataset` and log nothing; either way the reopened store equals the
+/// live one.
+fn race_remove(
+    tag: &str,
+    write: impl FnOnce(&LabelStore) -> Result<(), EngineError> + Send,
+    then: impl FnOnce(&LabelStore) -> u64,
+) {
+    let dir = temp_dir(tag);
+    let (store, durability) = open(&dir);
+    let catalog = bluenile(&BlueNileConfig {
+        n_rows: RACE_ROWS,
+        seed: 7,
+    })
+    .unwrap();
+    store.register("d", catalog, race_policy()).unwrap();
+    // The entry and this handle share the dataset; the write's snapshot
+    // holds a third reference.
+    let dataset = store.get("d").unwrap().dataset();
+    assert_eq!(Arc::strong_count(&dataset), 2);
+    let (written, then_logged) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| write(&store));
+        let start = Instant::now();
+        while Arc::strong_count(&dataset) < 3 && !writer.is_finished() {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "the write never began"
+            );
+            std::thread::yield_now();
+        }
+        assert!(store.remove("d").unwrap(), "d was registered");
+        let logged = then(&store);
+        (writer.join().unwrap(), logged)
+    });
+    match &written {
+        Ok(()) => {}
+        Err(EngineError::UnknownDataset(name)) => assert_eq!(name, "d"),
+        Err(e) => panic!("the write failed: {e}"),
+    }
+    // The register, the write if it was acknowledged, the remove, then.
+    let records = 2 + u64::from(written.is_ok()) + then_logged;
+    assert_eq!(durability.last_lsn(), records);
+    let live = state_of(&store);
+    drop(durability);
+    drop(store);
+    let (recovered, _durability) = open(&dir);
+    assert_eq!(state_of(&recovered), live);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_append_that_rebuilds_the_label_racing_a_remove_recovers() {
+    race_remove(
+        "race-append",
+        |store| store.append_rows("d", &[diamond("Superb")]).map(drop),
+        |_| 0,
+    );
+}
+
+#[test]
+fn a_refresh_racing_a_remove_recovers() {
+    race_remove(
+        "race-refresh",
+        |store| {
+            let policy = LabelPolicy::Attrs(AttrSet::from_indices([0, 1, 2]));
+            store.refresh("d", policy, None).map(drop)
+        },
+        |_| 0,
+    );
+}
+
+#[test]
+fn an_append_racing_a_remove_and_a_reregister_recovers() {
+    race_remove(
+        "race-reregister",
+        |store| store.append_rows("d", &[diamond("Superb")]).map(drop),
+        |store| {
+            let policy = LabelPolicy::Attrs(AttrSet::from_indices([1, 3]));
+            store.register("d", figure2_sample(), policy).unwrap();
+            1
+        },
+    );
+}
+
+// ---- writer-mix soak ----
+
+/// Four threads append (some rows with a new value on the label's
+/// subset), refresh, remove and re-register two names on a durable store
+/// at `fsync always`, snapshotting now and then. Every acknowledged write
+/// must be logged once and a refused one not at all, no append or refresh
+/// may acknowledge a `(name, generation)` pair twice, and the reopened
+/// store must equal the live one.
+fn writer_mix(seed: u64, ops_per_thread: usize) {
+    let dir = temp_dir("writer-mix");
+    let (store, durability) = open(&dir);
+    let names = ["a", "b"];
+    let policies = [
+        LabelPolicy::Attrs(AttrSet::from_indices([1, 5])),
+        LabelPolicy::Attrs(AttrSet::from_indices([0, 1])),
+    ];
+    let catalog = |rng: &mut StdRng| {
+        bluenile(&BlueNileConfig {
+            n_rows: rng.gen_range(200..2_000usize),
+            seed: rng.next_u64(),
+        })
+        .unwrap()
+    };
+    // Acknowledged `(name, generation)` pairs, and records logged.
+    let acked: Mutex<Vec<(&str, u64)>> = Mutex::new(Vec::new());
+    let logged = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for thread in 0..4 {
+            let (store, durability, acked, logged) = (&store, &durability, &acked, &logged);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed * 4 + thread);
+                for op in 0..ops_per_thread {
+                    let name = names[rng.gen_range(0..2usize)];
+                    let policy = policies[rng.gen_range(0..2usize)];
+                    let generation = match rng.gen_range(0..10u32) {
+                        0..=2 => {
+                            let rows: Vec<_> = (0..rng.gen_range(1..5usize))
+                                .map(|_| diamond(["Good", "Ideal"][rng.gen_range(0..2usize)]))
+                                .collect();
+                            store.append_rows(name, &rows).map(|r| Some(r.generation))
+                        }
+                        3..=4 => {
+                            let rows = [diamond(&format!("cut-{seed}-{thread}-{op}"))];
+                            store.append_rows(name, &rows).map(|r| Some(r.generation))
+                        }
+                        5 => store.refresh(name, policy, None).map(Some),
+                        6 => store.remove(name).map(|removed| {
+                            logged.fetch_add(usize::from(removed), Ordering::Relaxed);
+                            None
+                        }),
+                        // A register's generation is not read back: a
+                        // racing write may already have moved it on.
+                        7..=8 => match store.register(name, catalog(&mut rng), policy) {
+                            Err(EngineError::AlreadyRegistered(_)) => Ok(None),
+                            registered => registered.map(|_| {
+                                logged.fetch_add(1, Ordering::Relaxed);
+                                None
+                            }),
+                        },
+                        _ => durability.snapshot_now().map(|_| None),
+                    };
+                    match generation {
+                        Ok(Some(generation)) => {
+                            logged.fetch_add(1, Ordering::Relaxed);
+                            acked.lock().unwrap().push((name, generation));
+                        }
+                        Ok(None) | Err(EngineError::UnknownDataset(_)) => {}
+                        Err(e) => panic!("seed {seed}: thread {thread} op {op}: {e}"),
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        durability.last_lsn(),
+        logged.load(Ordering::Relaxed) as u64,
+        "seed {seed}: every acknowledged write logged once, a refused one not at all"
+    );
+    let mut acked = acked.into_inner().unwrap();
+    acked.sort_unstable();
+    let pairs = acked.len();
+    acked.dedup();
+    assert_eq!(
+        acked.len(),
+        pairs,
+        "seed {seed}: a (name, generation) acknowledged twice"
+    );
+    for entry in store.list() {
+        let acked = acked.iter().filter(|(name, _)| *name == entry.name());
+        assert!(
+            acked.map(|&(_, g)| g).all(|g| g <= entry.generation()),
+            "seed {seed}: {} acknowledged a generation above its live one",
+            entry.name()
+        );
+    }
+    let live = state_of(&store);
+    drop(durability);
+    drop(store);
+    let (recovered, _durability) = open(&dir);
+    assert_eq!(state_of(&recovered), live, "seed {seed}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn writer_mix_recovers_what_it_acknowledged() {
+    for seed in 0..6 {
+        writer_mix(seed, 40);
+    }
+}
+
+/// The release soak: `cargo test --release -p pclabel-engine --test
+/// durability -- --ignored`.
+#[test]
+#[ignore = "soak; run with --release -- --ignored"]
+fn writer_mix_soak() {
+    for seed in 100..300 {
+        writer_mix(seed, 60);
     }
 }

@@ -13,7 +13,9 @@
 //!   `GET /debug/conns` — the introspection plane: retained request
 //!   traces, per-component memory accounting and the live connection
 //!   table. Served at the route level without dispatching, like
-//!   `/metrics`, so inspection never perturbs what it reports;
+//!   `/metrics`, so inspection never perturbs what it reports. The event
+//!   loop answers `/metrics` and `/debug/*` itself instead of queueing
+//!   them for a worker, so a full dispatch queue never refuses a scrape;
 //! * `HEAD` on any of the GET routes — identical status line and
 //!   headers (including the `Content-Length` the GET would carry), no
 //!   body;
@@ -36,8 +38,11 @@
 //! `ChunkedDecoder`; chunk extensions are ignored and trailers
 //! tolerated); other transfer-codings are rejected with 501, and a
 //! request carrying both framings with 400 and a closed connection.
-//! Connections are keep-alive per HTTP/1.1 defaults: `Connection:
-//! close` — or any transport error — ends the connection.
+//! Connections are keep-alive per HTTP/1.1 defaults. Every `Connection`
+//! field is read as one comma-separated token list, compared token by
+//! token and case-insensitively: a `close` token in any of them — or any
+//! transport error — ends the connection, and a `keep-alive` token keeps
+//! an HTTP/1.0 one. `Expect` is read the same way for `100-continue`.
 
 use pclabel_engine::json::Json;
 
@@ -60,27 +65,34 @@ pub(crate) struct Request {
 }
 
 impl Request {
-    pub(crate) fn header(&self, name: &str) -> Option<&str> {
+    /// The tokens of every `name` field joined as one comma-separated
+    /// list (RFC 9110 §5.3), trimmed.
+    fn tokens<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
         self.headers
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+            .filter(move |(k, _)| k == name)
+            .flat_map(|(_, v)| v.split(','))
+            .map(str::trim)
     }
 
-    /// Whether the connection survives this exchange (HTTP/1.1 defaults
-    /// + `Connection` override).
+    /// Whether the `name` list holds `token`, compared case-insensitively.
+    fn has_token(&self, name: &str, token: &str) -> bool {
+        self.tokens(name).any(|t| t.eq_ignore_ascii_case(token))
+    }
+
+    /// Whether the connection survives this exchange: a `close` token in
+    /// any `Connection` field ends it (RFC 9110 §7.6.1), and otherwise
+    /// HTTP/1.1 keeps it, as does a `keep-alive` token on HTTP/1.0.
     pub(crate) fn keep_alive(&self) -> bool {
-        let connection = self.header("connection").unwrap_or("").to_ascii_lowercase();
-        if connection.contains("close") {
+        if self.has_token("connection", "close") {
             return false;
         }
-        self.version == "HTTP/1.1" || connection.contains("keep-alive")
+        self.version == "HTTP/1.1" || self.has_token("connection", "keep-alive")
     }
 
-    /// Whether this request carries `Expect: 100-continue`.
+    /// Whether an `Expect` field holds the `100-continue` token.
     pub(crate) fn expects_continue(&self) -> bool {
-        self.header("expect")
-            .is_some_and(|v| v.to_ascii_lowercase().contains("100-continue"))
+        self.has_token("expect", "100-continue")
     }
 }
 
@@ -128,16 +140,12 @@ pub(crate) enum BodyFraming {
 /// whose response closes the connection. Every `Content-Length` header
 /// must be `1*DIGIT`, and repeated ones must agree.
 pub(crate) fn body_framing(request: &Request) -> Result<BodyFraming, (u16, &'static str)> {
-    let mut codings = request
-        .headers
-        .iter()
-        .filter(|(k, _)| k == "transfer-encoding")
-        .flat_map(|(_, v)| v.split(','));
+    let mut codings = request.tokens("transfer-encoding");
     if let Some(first) = codings.next() {
-        if !first.trim().eq_ignore_ascii_case("chunked") || codings.next().is_some() {
+        if !first.eq_ignore_ascii_case("chunked") || codings.next().is_some() {
             return Err((501, "transfer-encoding is not supported"));
         }
-        if request.header("content-length").is_some() {
+        if request.tokens("content-length").next().is_some() {
             return Err((400, "both Transfer-Encoding and Content-Length"));
         }
         return Ok(BodyFraming::Chunked);
@@ -434,6 +442,14 @@ fn hex_val(b: Option<&u8>) -> Option<u8> {
         Some(b @ b'A'..=b'F') => Some(b - b'A' + 10),
         _ => None,
     }
+}
+
+/// Whether `request` reads the introspection plane: `GET` or `HEAD` of
+/// `/metrics` or a `/debug/*` path, which the event loop answers itself.
+pub(crate) fn is_introspection(request: &Request) -> bool {
+    let path = request.target.split('?').next().unwrap_or("");
+    matches!(request.method.as_str(), "GET" | "HEAD")
+        && (path == "/metrics" || path.starts_with("/debug/"))
 }
 
 /// Routes one request.
@@ -755,20 +771,71 @@ mod tests {
         );
     }
 
+    /// A body-less `POST /` carrying `headers` (names already lowercased).
+    fn request(version: &str, headers: &[(&str, &str)]) -> Request {
+        Request {
+            method: "POST".into(),
+            target: "/".into(),
+            version: version.into(),
+            headers: headers
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn connection_and_expect_fields_are_token_lists() {
+        let keep = |version: &str, headers: &[(&str, &str)]| request(version, headers).keep_alive();
+        assert!(keep("HTTP/1.1", &[]));
+        assert!(!keep("HTTP/1.0", &[]));
+        // A `close` token in any field ends the connection, whatever the
+        // field order, case or neighbours.
+        for headers in [
+            &[("connection", "close")][..],
+            &[("connection", "Keep-Alive, CLOSE")],
+            &[("connection", "keep-alive"), ("connection", "close")],
+            &[("connection", "Close"), ("connection", "keep-alive")],
+            &[("connection", "upgrade"), ("connection", " cLoSe ")],
+        ] {
+            for version in ["HTTP/1.1", "HTTP/1.0"] {
+                assert!(!keep(version, headers), "{version} {headers:?}");
+            }
+        }
+        // `keep-alive` keeps an HTTP/1.0 connection from any field.
+        for headers in [
+            &[("connection", "keep-alive")][..],
+            &[("connection", "Upgrade, KEEP-ALIVE")],
+            &[("connection", "upgrade"), ("connection", "Keep-Alive")],
+        ] {
+            for version in ["HTTP/1.1", "HTTP/1.0"] {
+                assert!(keep(version, headers), "{version} {headers:?}");
+            }
+        }
+        // Whole tokens only: a longer token is neither.
+        assert!(keep("HTTP/1.1", &[("connection", "closed")]));
+        assert!(!keep("HTTP/1.0", &[("connection", "keep-alive-ish")]));
+
+        let expects = |headers: &[(&str, &str)]| request("HTTP/1.1", headers).expects_continue();
+        assert!(!expects(&[]));
+        assert!(expects(&[("expect", "100-continue")]));
+        assert!(expects(&[("expect", "100-Continue")]));
+        assert!(expects(&[
+            ("expect", "x-trace"),
+            ("expect", "100-continue")
+        ]));
+        assert!(expects(&[
+            ("expect", "100-continue"),
+            ("expect", "x-trace")
+        ]));
+        assert!(expects(&[("expect", "x-trace, 100-CONTINUE")]));
+        assert!(!expects(&[("expect", "x-100-continue")]));
+    }
+
     #[test]
     fn body_framing_recognises_chunked_and_rejects_others() {
-        let framed = |headers: &[(&str, &str)]| {
-            body_framing(&Request {
-                method: "POST".into(),
-                target: "/".into(),
-                version: "HTTP/1.1".into(),
-                headers: headers
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                body: Vec::new(),
-            })
-        };
+        let framed = |headers: &[(&str, &str)]| body_framing(&request("HTTP/1.1", headers));
         assert_eq!(framed(&[]), Ok(BodyFraming::Length(0)));
         assert_eq!(
             framed(&[("content-length", "12")]),

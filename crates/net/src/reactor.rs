@@ -1109,7 +1109,7 @@ impl Reactor {
                         return;
                     };
                     if conn.close_after_write {
-                        break; // non-keep-alive 429: stop reading
+                        break; // answered here without keep-alive: stop reading
                     }
                     conn.machine.resume();
                 }
@@ -1173,17 +1173,26 @@ impl Reactor {
             crate::frame::MAX_FRAME_CEILING,
         )
         .expect("overload frame is tiny");
-        self.reject_overloaded(token, bytes, false);
+        self.shared.metrics.overloaded.inc();
+        self.answer_here(token, bytes, false);
         false
     }
 
-    /// Same contract as [`Reactor::dispatch_framed`]; a rejected
-    /// non-keep-alive request additionally sets `close_after_write`.
+    /// Same contract as [`Reactor::dispatch_framed`], and `false` also
+    /// when the loop answered itself: `GET`/`HEAD` of `/metrics` and
+    /// `/debug/*` read no state a worker holds, so a full queue never
+    /// refuses a scrape. A non-keep-alive answer sets `close_after_write`.
     fn dispatch_http(&mut self, token: u64, request: Box<http::Request>) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return true;
         };
         conn.begin_dispatch();
+        if http::is_introspection(&request) {
+            let routed = http::route(&request, &self.shared);
+            let keep_alive = request.keep_alive() && !self.shared.shutting_down();
+            self.answer_here(token, http::routed_bytes(&routed, keep_alive), !keep_alive);
+            return false;
+        }
         // Captured before the job takes the request: the 429 path needs
         // to know whether this exchange would have kept the connection.
         let keep_alive_on_reject = request.keep_alive();
@@ -1204,16 +1213,17 @@ impl Reactor {
         }
         let body = overloaded_error_json().to_string();
         let bytes = http::response_bytes(429, &body, keep_alive_on_reject);
-        self.reject_overloaded(token, bytes, !keep_alive_on_reject);
+        self.shared.metrics.overloaded.inc();
+        self.answer_here(token, bytes, !keep_alive_on_reject);
         false
     }
 
-    /// Queues a backpressure error for a request that never reached the
-    /// job queue. Deliberately does NOT flush or resume: the pump loop the
-    /// rejection happened under continues iteratively and flushes once
-    /// at its end (no recursion per pipelined request).
-    fn reject_overloaded(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
-        self.shared.metrics.overloaded.inc();
+    /// Queues the loop's own response to a request that never reached
+    /// the job queue (a backpressure error or an introspection route).
+    /// Deliberately does NOT flush or resume: the pump loop the request
+    /// arrived under continues iteratively and flushes once at its end
+    /// (no recursion per pipelined request).
+    fn answer_here(&mut self, token: u64, bytes: Vec<u8>, close: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };

@@ -581,6 +581,53 @@ mod tests {
         assert_eq!(ran, (0..200).collect::<Vec<_>>());
     }
 
+    /// The event loop answers the introspection plane itself: with the one
+    /// worker held by a gate job and the one queue slot taken by a filler,
+    /// scrapes still answer 200 and nothing is counted as refused.
+    #[cfg(unix)]
+    #[test]
+    fn a_full_queue_still_answers_metrics_and_debug_scrapes() {
+        use crate::client::HttpClient;
+        use pclabel_engine::query::EngineConfig;
+        use std::sync::mpsc;
+
+        let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+        let config = ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_parked: 0,
+            ..ServerConfig::default()
+        };
+        let server = NetServer::spawn(Arc::clone(&dispatcher), config).unwrap();
+        let refused =
+            (dispatcher.telemetry().registry()).counter("pclabel_net_overloaded_total", "", &[]);
+        // Dropped on every exit, so the worker is never left on the gate.
+        let (open, gate) = mpsc::channel::<()>();
+        let (started_tx, started) = mpsc::channel();
+        let jobs = &server.shared.jobs;
+        let held = jobs.try_push(Box::new(move || {
+            started_tx.send(()).unwrap();
+            let _ = gate.recv();
+        }));
+        assert!(held.is_ok());
+        started.recv().unwrap();
+        assert!(jobs.try_push(Box::new(|| {})).is_ok(), "the filler waits");
+        assert!(jobs.try_push(Box::new(|| {})).is_err(), "the queue is full");
+
+        let mut http = HttpClient::connect(server.local_addr()).unwrap();
+        for (method, path) in [
+            ("GET", "/metrics"),
+            ("GET", "/debug/conns"),
+            ("HEAD", "/metrics"),
+        ] {
+            let response = http.request(method, path, None).unwrap();
+            assert_eq!(response.status, 200, "{method} {path}: {}", response.body);
+        }
+        assert_eq!(refused.get(), 0);
+        drop(open);
+        server.shutdown();
+    }
+
     #[test]
     fn a_full_queue_hands_the_job_back_and_the_rest_run_in_order() {
         let (queue, depth) = queue(2);

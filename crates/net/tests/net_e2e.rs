@@ -241,21 +241,7 @@ fn netd_answers_a_deeply_nested_line_and_keeps_serving() {
 fn netd_closes_the_connection_after_a_request_with_both_framings() {
     use std::io::{Read, Write};
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
-        .args(["--listen", "127.0.0.1:0", "--allow-remote-shutdown"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn pclabel-netd");
-    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).expect("startup banner");
-    let addr = banner
-        .split_whitespace()
-        .nth(3)
-        .expect("address in banner")
-        .to_string();
-
+    let (mut child, addr) = spawn_netd();
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect to binary");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -286,6 +272,62 @@ fn netd_closes_the_connection_after_a_request_with_both_framings() {
     let mut client = NetClient::connect(&addr).expect("connect to binary");
     client.request_line(r#"{"op":"shutdown"}"#).unwrap();
     assert!(child.wait().expect("netd exits").success());
+}
+
+/// Starts the built `pclabel-netd` on an ephemeral port with remote
+/// shutdown allowed, and returns it with the address from its banner.
+fn spawn_netd() -> (std::process::Child, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pclabel-netd"))
+        .args(["--listen", "127.0.0.1:0", "--allow-remote-shutdown"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn pclabel-netd");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("startup banner");
+    let addr = banner.split_whitespace().nth(3).expect("address in banner");
+    // Kept open: the daemon writes to it until it exits.
+    child.stdout = Some(stdout.into_inner());
+    (child, addr.to_string())
+}
+
+/// Every `Connection` field is one token list: a `close` in the second of
+/// two fields ends the connection after its response, so the request
+/// pipelined behind it is never answered.
+#[test]
+fn netd_closes_the_connection_on_a_close_token_in_a_later_connection_field() {
+    use std::io::{Read, Write};
+
+    let (mut child, addr) = spawn_netd();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect to binary");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\
+              Connection: close\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        .unwrap();
+    // The server closes the connection, so reading to the end returns.
+    let mut response = String::new();
+    let read = stream.read_to_string(&mut response);
+    let mut client = NetClient::connect(&addr).expect("connect to binary");
+    client.request_line(r#"{"op":"shutdown"}"#).unwrap();
+    assert!(child.wait().expect("netd exits").success());
+    read.unwrap_or_else(|e| panic!("the connection stayed open ({e}) after {response}"));
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    assert!(
+        response.to_ascii_lowercase().contains("connection: close"),
+        "{response}"
+    );
+    assert_eq!(
+        response.matches("HTTP/1.1 ").count(),
+        1,
+        "the pipelined request was answered: {response}"
+    );
 }
 
 /// The daemon's command-line contract with the repo benchmark: the flags
