@@ -3,9 +3,9 @@
 //!
 //! Measures, on a synthetic ≥1M-row dataset:
 //!
-//! * `GroupCounts::build` at 1/2/4/max-hardware threads, each stored in
-//!   `auto_shards(threads)` shards (rows per second + speedup over the
-//!   one-thread build — identical group counts asserted per row);
+//! * `GroupCounts::build`, the one serial scan (rows per second; its row
+//!   keeps the `threads: 1, shards: 1` keys the multi-threaded build's
+//!   rows used, so the CI trend keeps comparing it);
 //! * `LabelStore` batched query throughput via `Engine::execute` for a
 //!   10k-pattern batch, cold (cache misses) and hot (cache hits).
 //!
@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::{auto_shards, GroupCounts};
+use pclabel_core::counting::GroupCounts;
 use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::{independent, AttrSpec};
 use pclabel_engine::json::Json;
@@ -179,35 +179,14 @@ fn main() {
     let dataset = synthetic(rows);
     let attrs = AttrSet::from_indices([0, 1, 2]);
 
-    // --- counting: serial vs parallel ------------------------------------
+    // --- counting: the serial scan -----------------------------------------
     let (serial_secs, (serial_gc, _)) =
-        time_best(reps, || GroupCounts::build(&dataset, None, attrs, 1));
+        time_best(reps, || GroupCounts::build(&dataset, None, attrs));
     let serial_size = serial_gc.pattern_count_size();
-
-    // Sweep fixed thread counts plus the hardware limit: on a multi-core
-    // machine the ≥2-thread rows demonstrate the speedup; on a 1-core
-    // box they still verify correctness (identical group counts).
-    let mut thread_counts = vec![1usize, 2, 4];
-    if !thread_counts.contains(&hw) {
-        thread_counts.push(hw);
-    }
-
-    let mut counting = Vec::new();
-    for &threads in &thread_counts {
-        let shards = auto_shards(threads);
-        let (secs, (gc, _)) =
-            time_best(reps, || GroupCounts::build(&dataset, None, attrs, threads));
-        assert_eq!(
-            gc.pattern_count_size(),
-            serial_size,
-            "parallel counting ({threads} threads) diverged from serial"
-        );
-        counting.push(format!(
-            "{{\"threads\":{threads},\"shards\":{shards},\"seconds\":{secs:.6},\"rows_per_sec\":{:.0},\"speedup_vs_serial\":{:.3}}}",
-            rows as f64 / secs,
-            serial_secs / secs
-        ));
-    }
+    let counting = format!(
+        "{{\"threads\":1,\"shards\":1,\"seconds\":{serial_secs:.6},\"rows_per_sec\":{:.0},\"speedup_vs_serial\":1.000}}",
+        rows as f64 / serial_secs
+    );
 
     // --- serving: batched queries through the LabelStore ------------------
     // The engine lives behind a Dispatcher so the --net section can
@@ -688,7 +667,7 @@ fn main() {
         hw = hw,
         groups = serial_size,
         serial = serial_secs,
-        counting = counting.join(","),
+        counting = counting,
         batch = batch,
         cold_secs = cold_secs,
         cold_rate = batch as f64 / cold_secs,

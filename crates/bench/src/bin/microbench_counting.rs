@@ -1,29 +1,16 @@
-//! `microbench_counting` — the counting-pipeline microbenchmark,
-//! emitting one JSON report (`BENCH_count.json` in CI) to stdout.
+//! `microbench_counting` — the counting microbenchmark, emitting one
+//! JSON report (`BENCH_count.json` in CI) to stdout.
 //!
-//! Measures, per scenario (a small-group-count and a large-group-count
-//! synthetic dataset), a grid of thread counts of the sharded build
-//! ([`GroupCounts::build`], `mode: "sharded"`, each thread count stored
-//! in `auto_shards(threads)` shards) against the pre-sharding
-//! chunk-and-merge strategy ([`reference::build_merged`], `mode:
-//! "merged"`). Each row carries the phase split — `partition_secs`,
-//! `count_secs` and `merge_secs` (the cross-thread merge for the legacy
-//! strategy, the shard-list concatenation for the sharded one) — plus
-//! the estimated `peak_bytes` of the build's transient allocations, so
-//! the merge-time and peak-memory win of mergeless sharding is visible
-//! directly in the artifact:
-//!
-//! * merged at T threads duplicates hot groups once per thread and pays
-//!   a single-threaded merge over all of them;
-//! * sharded at ≥8 shards holds every key exactly once (plus the flat
-//!   radix side buffer) and its `merge_secs` is a concatenation.
-//!
-//! Every configuration's group count is asserted identical to the
-//! serial build before it is reported.
+//! Times [`GroupCounts::build`], the one serial scan, on a small-group,
+//! a large-group and a skewed synthetic dataset, reporting each build's
+//! `count_secs` and the estimated `peak_bytes` of its map. The rows keep
+//! the keys the multi-threaded build's one-thread rows had (`mode:
+//! "sharded"`, `threads: 1`, `shards: 1`, with `partition_secs` and
+//! `merge_secs` at 0), so the CI trend keeps comparing them with earlier
+//! runs.
 //!
 //! ```text
-//! cargo run --release -p pclabel-bench --bin microbench_counting -- \
-//!     [--json] [--threads 1,2,4]
+//! cargo run --release -p pclabel-bench --bin microbench_counting -- [--json]
 //! ```
 //!
 //! Environment:
@@ -31,7 +18,7 @@
 //!   PCLABEL_BENCH_REPS        timing repetitions, best-of (default 3)
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::{auto_shards, reference, CountingProfile, GroupCounts};
+use pclabel_core::counting::{CountingProfile, GroupCounts};
 use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::{independent, AttrSpec};
 
@@ -44,24 +31,8 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn usage(message: &str) -> ! {
     eprintln!("microbench_counting: {message}");
-    eprintln!("usage: microbench_counting [--json] [--threads LIST]");
+    eprintln!("usage: microbench_counting [--json]");
     std::process::exit(2);
-}
-
-fn parse_list(flag: &str, value: &str) -> Vec<usize> {
-    let out: Vec<usize> = value
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| usage(&format!("{flag} needs a comma-separated integer list")))
-        })
-        .collect();
-    if out.is_empty() {
-        usage(&format!("{flag} needs at least one value"));
-    }
-    out
 }
 
 /// Uniform independent dataset over the given attribute domain sizes.
@@ -101,49 +72,27 @@ fn best_profile(
     (best, gc, profile)
 }
 
-struct Row {
-    mode: &'static str,
-    threads: usize,
-    shards: usize,
-    build_secs: f64,
-    profile: CountingProfile,
-}
-
-impl Row {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"mode\":\"{mode}\",\"threads\":{threads},\"shards\":{shards},",
-                "\"build_secs\":{build:.6},\"partition_secs\":{part:.6},",
-                "\"count_secs\":{count:.6},\"merge_secs\":{merge:.6},",
-                "\"peak_bytes\":{peak}}}"
-            ),
-            mode = self.mode,
-            threads = self.threads,
-            shards = self.shards,
-            build = self.build_secs,
-            part = self.profile.partition_secs,
-            count = self.profile.count_secs,
-            merge = self.profile.assemble_secs,
-            peak = self.profile.peak_bytes,
-        )
-    }
+/// One scenario's result row, in the shape `bench_trend` keys on.
+fn row_json(build_secs: f64, profile: &CountingProfile) -> String {
+    format!(
+        concat!(
+            "{{\"mode\":\"sharded\",\"threads\":1,\"shards\":1,",
+            "\"build_secs\":{build:.6},\"partition_secs\":0.000000,",
+            "\"count_secs\":{count:.6},\"merge_secs\":0.000000,",
+            "\"peak_bytes\":{peak}}}"
+        ),
+        build = build_secs,
+        count = profile.count_secs,
+        peak = profile.peak_bytes,
+    )
 }
 
 fn main() {
-    let mut threads = vec![1usize, 2, 4];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             // The report is always JSON; the flag exists so callers (CI)
             // can say what they rely on.
             "--json" => {}
-            "--threads" => {
-                let value = args
-                    .next()
-                    .unwrap_or_else(|| usage("--threads needs a value"));
-                threads = parse_list("--threads", &value);
-            }
             other => usage(&format!("unknown flag {other:?}")),
         }
     }
@@ -151,16 +100,10 @@ fn main() {
     let rows = env_usize("PCLABEL_BENCH_COUNT_ROWS", 400_000);
     let reps = env_usize("PCLABEL_BENCH_REPS", 3);
 
-    // small_groups: the engine_bench workload (192 possible groups) —
-    // merge is cheap, sharding must not cost anything here.
-    // large_groups: ~domain-product/‐sized group count (up to 128k),
-    // the ROADMAP's "very large group counts" case where the per-thread
-    // map duplication and the cross-thread merge dominate.
-    // skewed_top: the last attribute (which occupies the packed key's
-    // *top* bits) has cardinality 2, so keys crowd into the low quarter
-    // of the shard space — the regime where equal-width shard→worker
-    // ranges idled most phase-2 workers and the histogram-balanced
-    // assignment (`balanced_shard_ranges`) keeps them busy.
+    // small_groups: the engine_bench workload (192 possible groups).
+    // large_groups: up to 128k groups, far past any searched label.
+    // skewed_top: the last attribute (the packed key's top bits) has
+    // cardinality 2.
     let scenarios: [(&str, Vec<usize>); 3] = [
         ("small_groups", vec![8, 6, 4]),
         ("large_groups", vec![64, 50, 40]),
@@ -172,50 +115,11 @@ fn main() {
         eprintln!("microbench_counting: generating {name} ({rows} rows)…");
         let dataset = synthetic(name, domains, rows, 0xC0FFEE ^ domains.len() as u64);
         let attrs = AttrSet::from_indices(0..domains.len());
-
-        let (serial, _) = GroupCounts::build(&dataset, None, attrs, 1);
-        let groups = serial.pattern_count_size();
-        let mut results: Vec<Row> = Vec::new();
-
-        for &t in &threads {
-            // The legacy chunk-and-merge baseline (single-shard output).
-            if t > 1 {
-                let (secs, gc, profile) =
-                    best_profile(reps, || reference::build_merged(&dataset, None, attrs, t));
-                assert_eq!(
-                    gc.pattern_count_size(),
-                    groups,
-                    "merged diverged from serial"
-                );
-                results.push(Row {
-                    mode: "merged",
-                    threads: t,
-                    shards: 1,
-                    build_secs: secs,
-                    profile,
-                });
-            }
-            // The mergeless sharded pipeline.
-            let (secs, gc, profile) =
-                best_profile(reps, || GroupCounts::build(&dataset, None, attrs, t));
-            assert_eq!(
-                gc.pattern_count_size(),
-                groups,
-                "sharded ({t} threads) diverged from serial"
-            );
-            results.push(Row {
-                mode: "sharded",
-                threads: t,
-                shards: auto_shards(t),
-                build_secs: secs,
-                profile,
-            });
-        }
-
-        let rows_json: Vec<String> = results.iter().map(Row::to_json).collect();
+        let (secs, gc, profile) = best_profile(reps, || GroupCounts::build(&dataset, None, attrs));
         scenario_reports.push(format!(
-            "{{\"name\":\"{name}\",\"groups\":{groups},\"results\":[{}]}}",
-            rows_json.join(",")
+            "{{\"name\":\"{name}\",\"groups\":{groups},\"results\":[{row}]}}",
+            groups = gc.pattern_count_size(),
+            row = row_json(secs, &profile),
         ));
     }
 

@@ -231,9 +231,7 @@ fn main() {
             dataset.n_rows(),
             distinct
         );
-        let opts = SearchOptions::with_bound(*bound)
-            .threads(1)
-            .count_threads(1);
+        let opts = SearchOptions::with_bound(*bound).threads(1);
         let (refined, cold) = run_modes(reps, dataset, &opts);
         let speedup = if cold.cands_per_sec() > 0.0 {
             refined.cands_per_sec() / cold.cands_per_sec()

@@ -8,41 +8,20 @@
 //! key width. (The search evaluator's partition refinement lives in
 //! [`crate::search::refine`].)
 //!
-//! [`GroupCounts::build`] is the one constructor. It takes a thread
-//! count: one thread (or an empty `S`) runs the serial scan, more threads
-//! run the radix-partitioned build described below. Either way the
-//! counts are stored in [`auto_shards`]`(threads)` shards.
+//! [`GroupCounts::build`] is the one constructor: one serial scan into
+//! one map. The build is serial because a label holds few groups — the
+//! paper's search bounds `|PC|` by `B_s` (50 and 100 in its experiments)
+//! — and on 2 hardware threads a two-worker radix-partitioned build lost
+//! to the serial scan on every label-sized table it was measured on
+//! (BlueNile's 560-group `{shape, color, clarity}` at 200,000 rows:
+//! 2.44–2.52 ms serial against 2.99–3.37 ms), winning only at tens of
+//! thousands of groups (COMPAS on all 17 attributes, 32,244 groups),
+//! which only an explicit `label_attrs` of many attributes reaches.
 //!
-//! ## Sharded storage
-//!
-//! The group map is stored as `N` key-range shards (`N` a power of two,
-//! at most [`MAX_SHARDS`]), a key routed to its shard by the **top bits
-//! of the packed key** (so shards are contiguous key ranges) or, for wide
-//! keys, the top bits of the key's Fx hash. Three things fall out of this
-//! layout:
-//!
-//! * **mergeless parallel builds** — a multi-threaded
-//!   [`GroupCounts::build`] radix-partitions rows by shard first, then
-//!   each worker builds the final maps of the shards *it alone owns*.
-//!   There is no cross-thread merge of whole partial maps: every key is
-//!   hashed into exactly one map, ever, and "merge" is the concatenation
-//!   of the workers' disjoint shard lists. Peak memory does not pay for
-//!   hot groups duplicated once per thread.
-//! * **incremental appends** — [`GroupCounts::append_rows`] folds a batch
-//!   of new rows into the counts in place, touching only the shards those
-//!   rows' keys land in and reporting which ones. Shards are
-//!   `Arc`-shared, so an updated copy of a group-by (a refreshed label
-//!   generation) clones only the touched shards and shares the rest with
-//!   its predecessor.
-//! * **shard-local invalidation** — a caller caching per-group answers
-//!   can ask [`GroupCounts::shard_of_values`] which shard a group lives
-//!   in and drop only the cache entries of shards an append touched.
-//!
-//! Builds are *bit-identical* across thread counts: same groups, same
-//! weights, same empty-group weight (enforced by the property tests).
-//! The pre-sharding chunk-and-merge strategy is retained in
-//! [`mod@reference`] as the equivalence oracle and the baseline the
-//! counting microbenchmark measures the win against.
+//! The map sits behind an `Arc`, so cloning a group-by (the next label
+//! generation) is cheap, and [`GroupCounts::append_rows`] is
+//! copy-on-append: it copies the map first when an older generation
+//! still shares it, so that generation's readers never see the new rows.
 //!
 //! Missing cells are first-class: a row's projection onto `S` keeps only
 //! its defined attributes (the partial-pattern semantics required by the
@@ -52,7 +31,7 @@
 //! excluded from the label size.
 
 use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,7 +39,7 @@ use std::time::Instant;
 use pclabel_data::dataset::{Dataset, MISSING};
 
 use crate::attrset::AttrSet;
-use crate::hash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet, FxHasher};
+use crate::hash::{fx_set_with_capacity, FxHashMap, FxHashSet};
 
 /// Encodes per-row projections onto a fixed attribute subset as compact
 /// keys. Missing is encoded as `cardinality` (one past the last valid id).
@@ -201,10 +180,10 @@ impl KeyCodec {
 // --- key widths -------------------------------------------------------------
 
 /// A group key of one width: the packed `u64` projection when the codec
-/// fits 64 bits, the boxed raw ids otherwise. The scans, the radix build,
-/// appends, lookups and the reference oracle are written once, generic
-/// over this trait; what differs between the widths lives here.
-trait GroupKey: Hash + Eq + Clone + Send + Sync + Borrow<<Self as GroupKey>::Probe> {
+/// fits 64 bits, the boxed raw ids otherwise. The scan, appends and
+/// lookups are written once, generic over this trait; what differs
+/// between the widths lives here.
+trait GroupKey: Hash + Eq + Clone + Borrow<<Self as GroupKey>::Probe> {
     /// What a lookup hashes: the key itself for packed keys, the caller's
     /// `[u32]` slice for wide ones, so lookups neither allocate nor copy.
     type Probe: Hash + Eq + ?Sized;
@@ -220,15 +199,6 @@ trait GroupKey: Hash + Eq + Clone + Send + Sync + Borrow<<Self as GroupKey>::Pro
     /// group holds).
     fn is_all_missing(&self, codec: &KeyCodec) -> bool;
 
-    /// The shard a key routes to among `2^shard_bits`.
-    fn shard(codec: &KeyCodec, probe: &Self::Probe, shard_bits: u32) -> usize;
-
-    /// The shard row `r`'s key routes to.
-    #[inline]
-    fn row_shard(codec: &KeyCodec, dataset: &Dataset, r: usize, shard_bits: u32) -> usize {
-        Self::shard(codec, Self::of_row(codec, dataset, r).borrow(), shard_bits)
-    }
-
     /// The key's values, aligned with [`KeyCodec::attrs`], `MISSING`
     /// restored.
     fn values(&self, codec: &KeyCodec) -> Vec<u32>;
@@ -237,8 +207,8 @@ trait GroupKey: Hash + Eq + Clone + Send + Sync + Borrow<<Self as GroupKey>::Pro
     /// [`CountingProfile::peak_bytes`]).
     fn map_bytes(map: &FxHashMap<Self, u64>, arity: usize) -> u64;
 
-    /// Tags sharded storage with its key width.
-    fn into_map(counts: ShardedCounts<Self>) -> GroupMap;
+    /// Tags a group map with its key width.
+    fn into_map(counts: Arc<FxHashMap<Self, u64>>) -> GroupMap;
 }
 
 impl GroupKey for u64 {
@@ -259,19 +229,6 @@ impl GroupKey for u64 {
         *self == codec.missing_key
     }
 
-    /// The key's top `shard_bits` bits (of the codec's `total_bits`-wide
-    /// key space), so each shard is a contiguous key range.
-    #[inline]
-    fn shard(codec: &KeyCodec, key: &u64, shard_bits: u32) -> usize {
-        if shard_bits == 0 {
-            return 0;
-        }
-        // When total_bits < shard_bits the shift is 0 and key <
-        // 2^total_bits < n_shards, so the index stays in range (high
-        // shards just stay empty).
-        (key >> codec.total_bits.saturating_sub(shard_bits)) as usize
-    }
-
     fn values(&self, codec: &KeyCodec) -> Vec<u32> {
         codec.decode_u64(*self)
     }
@@ -281,7 +238,7 @@ impl GroupKey for u64 {
         map.capacity() as u64 * 17
     }
 
-    fn into_map(counts: ShardedCounts<u64>) -> GroupMap {
+    fn into_map(counts: Arc<FxHashMap<u64, u64>>) -> GroupMap {
         GroupMap::Packed(counts)
     }
 }
@@ -309,18 +266,6 @@ impl GroupKey for Box<[u32]> {
         self.iter().all(|&v| v == MISSING)
     }
 
-    #[inline]
-    fn shard(_codec: &KeyCodec, values: &[u32], shard_bits: u32) -> usize {
-        wide_shard(values.len(), values.iter().copied(), shard_bits)
-    }
-
-    /// Hashes the row's values in place, without boxing a key.
-    #[inline]
-    fn row_shard(codec: &KeyCodec, dataset: &Dataset, r: usize, shard_bits: u32) -> usize {
-        let values = codec.attrs.iter().map(|&a| dataset.value_raw(r, a));
-        wide_shard(codec.attrs.len(), values, shard_bits)
-    }
-
     fn values(&self, _codec: &KeyCodec) -> Vec<u32> {
         self.to_vec()
     }
@@ -331,170 +276,57 @@ impl GroupKey for Box<[u32]> {
         map.capacity() as u64 * 25 + map.len() as u64 * (16 + 4 * arity as u64)
     }
 
-    fn into_map(counts: ShardedCounts<Box<[u32]>>) -> GroupMap {
+    fn into_map(counts: Arc<FxHashMap<Box<[u32]>, u64>>) -> GroupMap {
         GroupMap::Wide(counts)
     }
 }
 
-/// Shard of a wide key: top bits of the Fx hash over (len, values...).
-/// One canonical routing for build, append and lookup, independent of how
-/// the values are materialized.
+/// Adds rows `rows` of `dataset` (weighted by `weights[r]`, or 1) to
+/// `map`: all-missing rows to `empty`, every other row to its key's
+/// group. The build's scan and an append's fold.
+fn add_rows<K: GroupKey>(
+    map: &mut FxHashMap<K, u64>,
+    codec: &KeyCodec,
+    dataset: &Dataset,
+    weights: Option<&[u64]>,
+    rows: Range<usize>,
+    empty: &mut u64,
+) {
+    for r in rows {
+        let w = weights.map_or(1, |w| w[r]);
+        let key = K::of_row(codec, dataset, r);
+        if key.is_all_missing(codec) {
+            *empty += w;
+        } else {
+            *map.entry(key).or_insert(0) += w;
+        }
+    }
+}
+
+/// The weight of row `r`'s group in `map`, 0 when absent.
 #[inline]
-fn wide_shard<I: Iterator<Item = u32>>(len: usize, values: I, shard_bits: u32) -> usize {
-    if shard_bits == 0 {
-        return 0;
-    }
-    let mut h = FxHasher::default();
-    h.write_usize(len);
-    for v in values {
-        h.write_u32(v);
-    }
-    (h.finish() >> (64 - shard_bits)) as usize
+fn row_weight<K: GroupKey>(
+    map: &FxHashMap<K, u64>,
+    codec: &KeyCodec,
+    dataset: &Dataset,
+    r: usize,
+) -> u64 {
+    map.get(K::of_row(codec, dataset, r).borrow())
+        .copied()
+        .unwrap_or(0)
 }
 
-// --- sharded storage --------------------------------------------------------
-
-/// Upper bound on the shard count; also lets radix-partition passes store
-/// one shard id per row in a single byte.
-pub const MAX_SHARDS: usize = 256;
-
-/// The shard count [`GroupCounts::build`] stores a `threads`-worker build
-/// in: a few shards per worker (finer granularity balances skewed key
-/// ranges), 1 for serial builds, capped at [`MAX_SHARDS`]. Always a power
-/// of two.
-pub fn auto_shards(threads: usize) -> usize {
-    if threads <= 1 {
-        1
-    } else {
-        (threads * 4).next_power_of_two().min(MAX_SHARDS)
-    }
-}
-
-/// Splits `0..counts.len()` shards into `workers` contiguous ranges of
-/// near-equal total row count (from the phase-1 histogram), so phase-2
-/// ownership tracks *rows*, not shard indices. A skewed top attribute —
-/// a low-cardinality attribute occupying the packed key's high bits —
-/// crowds all rows into a prefix of the shard space; equal-width ranges
-/// would hand everything to the first worker(s) and idle the rest.
-///
-/// Boundary `w` is placed at the first shard where the cumulative count
-/// reaches `total · (w + 1) / workers`, so ranges are contiguous,
-/// disjoint and cover every shard; trailing ranges may be empty. The
-/// assignment only moves work between threads — the shard a key lands in
-/// (and therefore the built maps) is unchanged.
-pub fn balanced_shard_ranges(counts: &[u64], workers: usize) -> Vec<Range<usize>> {
-    let n = counts.len();
-    let workers = workers.max(1);
-    let total: u64 = counts.iter().sum();
-    let mut out = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for w in 0..workers {
-        if w + 1 == workers {
-            out.push(start..n);
-            break;
-        }
-        let goal = total * (w as u64 + 1) / workers as u64;
-        let mut end = start;
-        while end < n && acc < goal {
-            acc += counts[end];
-            end += 1;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    out
-}
-
-/// The sharded group map: `N` independent `key → weight` maps, each
-/// behind an `Arc` so updated copies (label generations after an append)
-/// share every shard the update did not touch.
-#[derive(Clone)]
-struct ShardedCounts<K> {
-    shards: Box<[Arc<FxHashMap<K, u64>>]>,
-    shard_bits: u32,
-}
-
-impl<K: GroupKey> ShardedCounts<K> {
-    /// Wraps already-built per-shard maps (a power-of-two count; the
-    /// workers' concatenated output).
-    fn from_maps(maps: Vec<FxHashMap<K, u64>>) -> Self {
-        debug_assert!(maps.len().is_power_of_two() && maps.len() <= MAX_SHARDS);
-        let shard_bits = maps.len().trailing_zeros();
-        ShardedCounts {
-            shards: maps.into_iter().map(Arc::new).collect(),
-            shard_bits,
-        }
-    }
-
-    /// Estimated bytes of the shard maps.
-    fn map_bytes(&self, arity: usize) -> u64 {
-        self.shards.iter().map(|m| K::map_bytes(m, arity)).sum()
-    }
-
-    /// Adds rows `rows` of `dataset` (weighted by `weights[r]`, or 1) to
-    /// the counts: all-missing rows to `empty`, every other row to its
-    /// key's shard, which is copied first if it is still shared with an
-    /// older snapshot (copy-on-append) and marked in `touched`.
-    fn add_rows(
-        &mut self,
-        codec: &KeyCodec,
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        rows: Range<usize>,
-        empty: &mut u64,
-        touched: &mut [bool],
-    ) {
-        for r in rows {
-            let w = weights.map_or(1, |w| w[r]);
-            let key = K::of_row(codec, dataset, r);
-            if key.is_all_missing(codec) {
-                *empty += w;
-            } else {
-                let s = K::shard(codec, key.borrow(), self.shard_bits);
-                *Arc::make_mut(&mut self.shards[s]).entry(key).or_insert(0) += w;
-                touched[s] = true;
-            }
-        }
-    }
-
-    /// The weight stored under `probe`, 0 when absent.
-    #[inline]
-    fn weight(&self, codec: &KeyCodec, probe: &K::Probe) -> u64 {
-        let s = K::shard(codec, probe, self.shard_bits);
-        self.shards[s].get(probe).copied().unwrap_or(0)
-    }
-
-    /// See [`GroupCounts::weight_of_row`].
-    #[inline]
-    fn weight_of_row(&self, codec: &KeyCodec, dataset: &Dataset, r: usize) -> u64 {
-        self.weight(codec, K::of_row(codec, dataset, r).borrow())
-    }
-
-    /// See [`GroupCounts::weight_of_values`].
-    #[inline]
-    fn weight_of_values(&self, codec: &KeyCodec, values: &[u32]) -> u64 {
-        K::with_probe(codec, values, |probe| self.weight(codec, probe))
-    }
-
-    /// See [`GroupCounts::shard_of_values`].
-    fn shard_of_values(&self, codec: &KeyCodec, values: &[u32]) -> usize {
-        K::with_probe(codec, values, |probe| {
-            K::shard(codec, probe, self.shard_bits)
-        })
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(k, &w)| (k, w)))
-    }
+/// The weight of the group of `values` (aligned with
+/// [`KeyCodec::attrs`]) in `map`, 0 when absent.
+#[inline]
+fn values_weight<K: GroupKey>(map: &FxHashMap<K, u64>, codec: &KeyCodec, values: &[u32]) -> u64 {
+    K::with_probe(codec, values, |probe| map.get(probe).copied().unwrap_or(0))
 }
 
 #[derive(Clone)]
 enum GroupMap {
-    Packed(ShardedCounts<u64>),
-    Wide(ShardedCounts<Box<[u32]>>),
+    Packed(Arc<FxHashMap<u64, u64>>),
+    Wide(Arc<FxHashMap<Box<[u32]>, u64>>),
 }
 
 /// Evaluates `$body` with `$counts` bound to the group map's storage,
@@ -509,8 +341,8 @@ macro_rules! with_counts {
 }
 
 /// The group-by of a dataset on an attribute subset: one entry per distinct
-/// (partial) projection, valued by total row weight. Stored sharded by key
-/// range (see the module docs); cloning is cheap (`Arc` per shard).
+/// (partial) projection, valued by total row weight. Cloning is cheap
+/// (the map is `Arc`-shared; see the module docs).
 #[derive(Clone)]
 pub struct GroupCounts {
     attrs: AttrSet,
@@ -520,113 +352,62 @@ pub struct GroupCounts {
     empty_group_weight: u64,
 }
 
-/// Below this many rows per worker, chunked counting's thread spawn and
-/// partition cost more than the scan itself. Callers that pick thread
-/// counts automatically (the search evaluator, the engine's
-/// [`auto_threads`](https://docs.rs/pclabel-engine) policy) divide row
-/// count by this before parallelizing; [`GroupCounts::build`] itself
-/// honors whatever it is given.
-pub const MIN_PARALLEL_ROWS_PER_THREAD: usize = 32_768;
-
 /// Wall-clock and memory accounting for one build, reported by
-/// [`GroupCounts::build`] so request traces and the counting
-/// microbenchmark can attribute the phases separately.
+/// [`GroupCounts::build`] so request traces can attribute it.
 ///
-/// `peak_bytes` is an *estimate* of the transient high-water mark of the
-/// build's own allocations: the radix-partition side buffer plus the hash
-/// maps' table bytes (capacity × entry footprint, plus boxed key heap for
-/// wide keys). It deliberately uses the same accounting as
-/// [`reference::build_merged`] so the two are comparable.
+/// `peak_bytes` is an *estimate* of the build's own allocation: the hash
+/// map's table bytes (capacity × entry footprint, plus boxed key heap for
+/// wide keys).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingProfile {
-    /// Phase 1: radix-partitioning rows to shards (key/shard-id side
-    /// buffer fill). Zero for serial builds.
+    /// Always 0: the build has no partition pass. Kept until ROADMAP
+    /// item 1 ports the benchmark, which still reads it.
     pub partition_secs: f64,
-    /// Phase 2: the counting scan itself.
+    /// The counting scan (for a label, `PC`'s group-by; for an
+    /// incremental append, the whole label update).
     pub count_secs: f64,
-    /// Phase 3: what is left of "merge" — concatenating the workers'
-    /// disjoint shard lists (or, in [`reference::build_merged`], the
-    /// cross-thread merge of whole partial maps).
+    /// Label assembly after the scan: computing `VC` and the label
+    /// itself (0 for a bare [`GroupCounts::build`]).
     pub assemble_secs: f64,
     /// Estimated peak allocation of the build (see type docs).
     pub peak_bytes: u64,
 }
 
-/// Per-worker output of a phase-2 counting pass: the final maps of the
-/// worker's owned shards (in shard order) plus its empty-group weight.
-type ShardParts<K> = Vec<(Vec<FxHashMap<K, u64>>, u64)>;
-
 impl GroupCounts {
-    /// Groups `dataset` by `attrs` on `threads` workers; row `r`
+    /// Groups `dataset` by `attrs` in one serial scan; row `r`
     /// contributes `weights[r]` (or 1 when `weights` is `None`). Returns
     /// the counts and their build profile.
-    ///
-    /// The counts are stored in [`auto_shards`]`(threads)` shards, taken
-    /// from the thread count asked for, before it is clamped to the row
-    /// count. Groups, weights and the empty-group weight do not depend on
-    /// `threads`; only the storage layout does. No row-count heuristic is
-    /// applied here — callers that want auto-sizing should go through
-    /// `pclabel_engine::parallel`.
-    ///
-    /// One thread, or an empty `attrs`, runs the serial scan. More threads
-    /// run the radix-partitioned build. Phase 1 computes every row's shard
-    /// id into a flat one-byte-per-row side buffer, in parallel over row
-    /// chunks, and sums a per-shard row histogram on the way. Phase 2
-    /// assigns each worker a *disjoint contiguous range of shards* sized
-    /// by that histogram ([`balanced_shard_ranges`]), so a skewed top
-    /// attribute whose keys crowd into a few shards does not idle most
-    /// workers. Every worker scans the side buffer, re-encodes only the
-    /// rows whose shard it owns and writes the final per-shard maps
-    /// directly. Phase 3 concatenates the workers' shard lists — there is
-    /// no cross-thread key merge, and no group is ever held in more than
-    /// one map, which is where the peak-memory win over
-    /// [`reference::build_merged`] comes from (that strategy duplicates
-    /// hot groups once per thread and merges).
     pub fn build(
         dataset: &Dataset,
         weights: Option<&[u64]>,
         attrs: AttrSet,
-        threads: usize,
     ) -> (Self, CountingProfile) {
         let codec = KeyCodec::new(dataset, attrs);
         if codec.fits_u64() {
-            build_keyed::<u64>(dataset, weights, attrs, codec, threads)
+            build_keyed::<u64>(dataset, weights, attrs, codec)
         } else {
-            build_keyed::<Box<[u32]>>(dataset, weights, attrs, codec, threads)
+            build_keyed::<Box<[u32]>>(dataset, weights, attrs, codec)
         }
     }
 
-    /// Folds rows `rows` of `dataset` into the counts in place, returning
-    /// the sorted list of shards the batch touched. Only those shards'
-    /// maps are copied (if still `Arc`-shared with an older snapshot) and
-    /// updated; every other shard is untouched and stays shared.
+    /// Folds rows `rows` of `dataset` into the counts in place. The map is
+    /// copied first when another clone (an older label generation) still
+    /// shares it, so that clone keeps its counts.
     ///
     /// `dataset` must extend the build-time dataset without changing any
     /// covered attribute's dictionary — check with
     /// [`GroupCounts::codec_compatible`] first; appending after a
     /// dictionary grew silently miscounts. `weights` (when given) is
     /// indexed by absolute row id, like the build.
-    pub fn append_rows(
-        &mut self,
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        rows: Range<usize>,
-    ) -> Vec<u32> {
+    pub fn append_rows(&mut self, dataset: &Dataset, weights: Option<&[u64]>, rows: Range<usize>) {
         debug_assert!(
             self.codec_compatible(dataset),
             "dictionary grew under codec"
         );
-        let mut touched = vec![false; self.n_shards()];
         let (codec, empty) = (&self.codec, &mut self.empty_group_weight);
         with_counts!(&mut self.map, counts => {
-            counts.add_rows(codec, dataset, weights, rows, empty, &mut touched)
+            add_rows(Arc::make_mut(counts), codec, dataset, weights, rows, empty)
         });
-        touched
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t)
-            .map(|(s, _)| s as u32)
-            .collect()
     }
 
     /// Whether `dataset` can be appended against this group-by's codec
@@ -640,36 +421,17 @@ impl GroupCounts {
         self.attrs
     }
 
-    /// Number of key-range shards the counts are stored in.
-    pub fn n_shards(&self) -> usize {
-        with_counts!(&self.map, counts => counts.shards.len())
-    }
-
-    /// Entries per shard.
-    #[cfg(test)]
-    pub(crate) fn shard_sizes(&self) -> Vec<usize> {
-        with_counts!(&self.map, counts => counts.shards.iter().map(|s| s.len()).collect())
-    }
-
-    /// The shard a group (given as a values slice aligned with
-    /// [`GroupCounts::attr_order`]) is stored in. Lets callers keep
-    /// per-group caches whose invalidation is shard-local under
-    /// [`GroupCounts::append_rows`].
-    pub fn shard_of_values(&self, values: &[u32]) -> usize {
-        with_counts!(&self.map, counts => counts.shard_of_values(&self.codec, values))
-    }
-
-    /// Estimated resident bytes of the shard maps (see
+    /// Estimated resident bytes of the group map (see
     /// [`CountingProfile::peak_bytes`] for the accounting).
     pub fn map_bytes(&self) -> u64 {
         let arity = self.codec.attrs().len();
-        with_counts!(&self.map, counts => counts.map_bytes(arity))
+        with_counts!(&self.map, counts => GroupKey::map_bytes(&**counts, arity))
     }
 
     /// `|P_S|`: the number of distinct non-empty (partial) patterns — the
     /// paper's label size.
     pub fn pattern_count_size(&self) -> u64 {
-        with_counts!(&self.map, counts => counts.shards.iter().map(|s| s.len() as u64).sum())
+        with_counts!(&self.map, counts => counts.len() as u64)
     }
 
     /// Total weight of rows whose projection is the empty pattern (only
@@ -682,13 +444,13 @@ impl GroupCounts {
     /// `dataset` (which must share the schema used at build time).
     #[inline]
     pub fn weight_of_row(&self, dataset: &Dataset, r: usize) -> u64 {
-        with_counts!(&self.map, counts => counts.weight_of_row(&self.codec, dataset, r))
+        with_counts!(&self.map, counts => row_weight(counts, &self.codec, dataset, r))
     }
 
     /// The group weight for an explicit values slice aligned with
     /// [`GroupCounts::attr_order`] (`MISSING` marks an undefined cell).
     pub fn weight_of_values(&self, values: &[u32]) -> u64 {
-        with_counts!(&self.map, counts => counts.weight_of_values(&self.codec, values))
+        with_counts!(&self.map, counts => values_weight(counts, &self.codec, values))
     }
 
     /// Attribute indices in key order.
@@ -698,11 +460,11 @@ impl GroupCounts {
 
     /// Iterates over `(values, weight)` pairs; `values` is aligned with
     /// [`GroupCounts::attr_order`] and may contain `MISSING`. Order is
-    /// unspecified (shard-major).
+    /// unspecified.
     pub fn iter(&self) -> GroupIter<'_> {
         let codec = &self.codec;
         with_counts!(&self.map, counts => {
-            Box::new(counts.iter().map(move |(k, w)| (k.values(codec), w)))
+            Box::new(counts.iter().map(move |(k, &w)| (k.values(codec), w)))
         })
     }
 
@@ -737,294 +499,50 @@ fn build_keyed<K: GroupKey>(
     weights: Option<&[u64]>,
     attrs: AttrSet,
     codec: KeyCodec,
-    threads: usize,
 ) -> (GroupCounts, CountingProfile) {
-    let n_shards = auto_shards(threads);
-    let n = dataset.n_rows();
-    let threads = threads.max(1).min(n.max(1));
-    let arity = codec.attrs().len();
-    let assemble = |counts: ShardedCounts<K>, codec: KeyCodec, empty: u64| GroupCounts {
+    let t0 = Instant::now();
+    let mut map = FxHashMap::default();
+    let mut empty = 0u64;
+    add_rows::<K>(
+        &mut map,
+        &codec,
+        dataset,
+        weights,
+        0..dataset.n_rows(),
+        &mut empty,
+    );
+    let profile = CountingProfile {
+        count_secs: t0.elapsed().as_secs_f64(),
+        peak_bytes: K::map_bytes(&map, codec.attrs().len()),
+        ..CountingProfile::default()
+    };
+    let counts = GroupCounts {
         attrs,
         codec,
-        map: K::into_map(counts),
+        map: K::into_map(Arc::new(map)),
         empty_group_weight: empty,
     };
-
-    if threads <= 1 || attrs.is_empty() {
-        let t0 = Instant::now();
-        let mut counts = ShardedCounts::from_maps(vec![FxHashMap::default(); n_shards]);
-        let mut empty = 0u64;
-        let mut touched = vec![false; n_shards];
-        counts.add_rows(&codec, dataset, weights, 0..n, &mut empty, &mut touched);
-        let profile = CountingProfile {
-            count_secs: t0.elapsed().as_secs_f64(),
-            peak_bytes: counts.map_bytes(arity),
-            ..CountingProfile::default()
-        };
-        return (assemble(counts, codec, empty), profile);
-    }
-    let shard_bits = n_shards.trailing_zeros();
-    let chunk = n.div_ceil(threads);
-    let workers = threads.min(n_shards);
-
-    // Phase 1: one shard-id byte per row (MAX_SHARDS = 256 fits u8), plus
-    // a per-shard row histogram so phase 2 can split shard ownership by
-    // measured rows instead of equal-width ranges. Keys are cheap enough
-    // to encode twice; a u64 key buffer would be 8× the transient memory
-    // and eat the peak-memory win.
-    let t0 = Instant::now();
-    let mut ids = vec![0u8; n];
-    let histogram: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ids
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, slice)| {
-                let codec = &codec;
-                let start = i * chunk;
-                scope.spawn(move || {
-                    let mut hist = vec![0u64; n_shards];
-                    for (j, slot) in slice.iter_mut().enumerate() {
-                        let s = K::row_shard(codec, dataset, start + j, shard_bits);
-                        *slot = s as u8;
-                        hist[s] += 1;
-                    }
-                    hist
-                })
-            })
-            .collect();
-        let mut total = vec![0u64; n_shards];
-        for h in handles {
-            let part = h.join().expect("partition worker panicked");
-            for (t, v) in total.iter_mut().zip(part) {
-                *t += v;
-            }
-        }
-        total
-    });
-    let ranges = balanced_shard_ranges(&histogram, workers);
-    let partition_secs = t0.elapsed().as_secs_f64();
-
-    // Phase 2: disjoint shard ownership; workers re-encode the rows they
-    // own and write the final per-shard maps directly. Maps grow
-    // organically — a capacity hint sized from rows-per-shard
-    // over-allocates badly when groups ≪ rows.
-    let t1 = Instant::now();
-    let parts: ShardParts<K> = std::thread::scope(|scope| {
-        let ids = &ids;
-        let codec = &codec;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let (lo, hi) = (range.start, range.end);
-                scope.spawn(move || {
-                    let mut maps: Vec<FxHashMap<K, u64>> =
-                        (lo..hi).map(|_| FxHashMap::default()).collect();
-                    let mut empty = 0u64;
-                    if lo >= hi {
-                        return (maps, empty);
-                    }
-                    for (r, &id) in ids.iter().enumerate() {
-                        let s = id as usize;
-                        if s < lo || s >= hi {
-                            continue;
-                        }
-                        let w = weights.map_or(1, |w| w[r]);
-                        let key = K::of_row(codec, dataset, r);
-                        if key.is_all_missing(codec) {
-                            empty += w;
-                        } else {
-                            *maps[s - lo].entry(key).or_insert(0) += w;
-                        }
-                    }
-                    (maps, empty)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("counting worker panicked"))
-            .collect()
-    });
-    let count_secs = t1.elapsed().as_secs_f64();
-
-    // Phase 3: "merge" = concatenation of disjoint shard lists.
-    let t2 = Instant::now();
-    let mut shard_maps: Vec<FxHashMap<K, u64>> = Vec::with_capacity(n_shards);
-    let mut empty = 0u64;
-    for (maps, e) in parts {
-        shard_maps.extend(maps);
-        empty += e;
-    }
-    let assemble_secs = t2.elapsed().as_secs_f64();
-    let counts = ShardedCounts::from_maps(shard_maps);
-    let peak_bytes = n as u64 + counts.map_bytes(arity);
-    (
-        assemble(counts, codec, empty),
-        CountingProfile {
-            partition_secs,
-            count_secs,
-            assemble_secs,
-            peak_bytes,
-        },
-    )
+    (counts, profile)
 }
 
 /// Iterator over a group-by's `(values, weight)` entries.
 pub type GroupIter<'a> = Box<dyn Iterator<Item = (Vec<u32>, u64)> + 'a>;
 
 impl pclabel_data::mem::HeapBytes for GroupCounts {
-    /// Shard maps (the same per-slot model as
-    /// [`CountingProfile::peak_bytes`]) plus the shard handle table (the
-    /// per-shard `Arc` pointers) and the codec's per-attribute metadata.
+    /// The group map (the same per-slot model as
+    /// [`CountingProfile::peak_bytes`]) plus the codec's per-attribute
+    /// metadata.
     fn heap_bytes(&self) -> u64 {
-        let handles = with_counts!(&self.map, counts => std::mem::size_of_val(&*counts.shards));
         let codec = self.codec.attrs().len()
             * (std::mem::size_of::<usize>() + 2 * std::mem::size_of::<u32>());
-        self.map_bytes() + (handles + codec) as u64
-    }
-}
-
-/// The pre-sharding chunk-and-merge parallel build, retained verbatim as
-/// (a) the equivalence oracle the property tests pit the sharded pipeline
-/// against and (b) the baseline `microbench_counting` measures the
-/// merge-time and peak-memory win over. **No production path calls this**
-/// — [`GroupCounts::build`] is mergeless.
-pub mod reference {
-    use super::*;
-
-    /// A chunk scan's partial result: its group map plus the chunk's
-    /// empty-group weight.
-    type Partial<K> = (FxHashMap<K, u64>, u64);
-
-    fn scan<K: GroupKey>(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        codec: &KeyCodec,
-        range: Range<usize>,
-    ) -> Partial<K> {
-        let mut m: FxHashMap<K, u64> = fx_map_with_capacity(range.len().min(1 << 16));
-        let mut empty_group_weight = 0u64;
-        for r in range {
-            let w = weights.map_or(1, |w| w[r]);
-            let key = K::of_row(codec, dataset, r);
-            if key.is_all_missing(codec) {
-                empty_group_weight += w;
-            } else {
-                *m.entry(key).or_insert(0) += w;
-            }
-        }
-        (m, empty_group_weight)
-    }
-
-    /// Merges partial maps produced by chunked scans. Addition is
-    /// commutative and associative, so any merge order yields the same
-    /// totals; merging into the largest partial minimizes rehashing.
-    fn merge_partials<K: Hash + Eq>(mut parts: Vec<FxHashMap<K, u64>>) -> FxHashMap<K, u64> {
-        let Some(biggest) = parts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, m)| m.len())
-            .map(|(i, _)| i)
-        else {
-            return FxHashMap::default();
-        };
-        let mut acc = parts.swap_remove(biggest);
-        for part in parts {
-            for (k, w) in part {
-                *acc.entry(k).or_insert(0) += w;
-            }
-        }
-        acc
-    }
-
-    /// The legacy strategy: chunk rows across `threads` workers, each
-    /// building a whole partial map (hot groups duplicated once per
-    /// thread), then merge the partials on one thread. Returns the counts
-    /// (stored single-shard) plus a [`CountingProfile`] whose
-    /// `assemble_secs` is the merge time and whose `peak_bytes` accounts
-    /// for every partial alive at the merge barrier.
-    pub fn build_merged(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        attrs: AttrSet,
-        threads: usize,
-    ) -> (GroupCounts, CountingProfile) {
-        let n = dataset.n_rows();
-        let threads = threads.max(1).min(n.max(1));
-        if threads <= 1 || attrs.is_empty() {
-            return GroupCounts::build(dataset, weights, attrs, 1);
-        }
-        let codec = KeyCodec::new(dataset, attrs);
-        if codec.fits_u64() {
-            merged::<u64>(dataset, weights, attrs, codec, threads)
-        } else {
-            merged::<Box<[u32]>>(dataset, weights, attrs, codec, threads)
-        }
-    }
-
-    /// [`build_merged`] for one key width, on at least two threads.
-    fn merged<K: GroupKey>(
-        dataset: &Dataset,
-        weights: Option<&[u64]>,
-        attrs: AttrSet,
-        codec: KeyCodec,
-        threads: usize,
-    ) -> (GroupCounts, CountingProfile) {
-        let n = dataset.n_rows();
-        let chunk = n.div_ceil(threads);
-        let ranges = (0..threads).map(|t| (t * chunk)..((t + 1) * chunk).min(n));
-        let arity = codec.attrs().len();
-
-        let t0 = Instant::now();
-        let parts: Vec<Partial<K>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .map(|range| {
-                    let codec = &codec;
-                    scope.spawn(move || scan(dataset, weights, codec, range))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("counting worker panicked"))
-                .collect()
-        });
-        let count_secs = t0.elapsed().as_secs_f64();
-        let empty: u64 = parts.iter().map(|(_, e)| e).sum();
-        let partial_bytes: u64 = parts.iter().map(|(m, _)| K::map_bytes(m, arity)).sum();
-        let biggest = parts
-            .iter()
-            .map(|(m, _)| K::map_bytes(m, arity))
-            .max()
-            .unwrap_or(0);
-        let maps = parts.into_iter().map(|(m, _)| m).collect();
-        let t1 = Instant::now();
-        let merged = merge_partials(maps);
-        let assemble_secs = t1.elapsed().as_secs_f64();
-        // Peak: every partial alive at the barrier, plus whatever the
-        // accumulator grew beyond the biggest partial it started as.
-        let peak_bytes = partial_bytes + K::map_bytes(&merged, arity).saturating_sub(biggest);
-        let built = GroupCounts {
-            attrs,
-            codec,
-            map: K::into_map(ShardedCounts::from_maps(vec![merged])),
-            empty_group_weight: empty,
-        };
-        (
-            built,
-            CountingProfile {
-                partition_secs: 0.0,
-                count_secs,
-                assemble_secs,
-                peak_bytes,
-            },
-        )
+        self.map_bytes() + codec as u64
     }
 }
 
 /// Convenience: the paper's `labelSize(S, D)` — the number of distinct
 /// non-empty patterns over `attrs` present in `dataset`.
 pub fn label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
-    GroupCounts::build(dataset, None, attrs, 1)
+    GroupCounts::build(dataset, None, attrs)
         .0
         .pattern_count_size()
 }
@@ -1070,6 +588,7 @@ fn distinct_bounded<K: GroupKey>(dataset: &Dataset, codec: &KeyCodec, bound: u64
     }
     Some(seen.len() as u64)
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,9 +608,9 @@ mod tests {
         b.finish()
     }
 
-    /// The counts of a `threads`-worker build.
-    fn counts(d: &Dataset, weights: Option<&[u64]>, attrs: AttrSet, threads: usize) -> GroupCounts {
-        GroupCounts::build(d, weights, attrs, threads).0
+    /// The counts of a build.
+    fn counts(d: &Dataset, weights: Option<&[u64]>, attrs: AttrSet) -> GroupCounts {
+        GroupCounts::build(d, weights, attrs).0
     }
 
     #[test]
@@ -1100,7 +619,7 @@ mod tests {
         // (20-39,married):6, (20-39,divorced):6}.
         let d = figure2_sample();
         let attrs = AttrSet::from_indices([1, 3]);
-        let g = counts(&d, None, attrs, 1);
+        let g = counts(&d, None, attrs);
         assert_eq!(g.pattern_count_size(), 3);
         let mut entries: Vec<(Vec<u32>, u64)> = g.iter().collect();
         entries.sort();
@@ -1111,7 +630,7 @@ mod tests {
     fn example_2_10_second_label() {
         // L_{gender, age group}: 4 patterns with counts 3,3,6,6.
         let d = figure2_sample();
-        let g = counts(&d, None, AttrSet::from_indices([0, 1]), 1);
+        let g = counts(&d, None, AttrSet::from_indices([0, 1]));
         assert_eq!(g.pattern_count_size(), 4);
         let mut weights: Vec<u64> = g.iter().map(|(_, w)| w).collect();
         weights.sort_unstable();
@@ -1126,7 +645,7 @@ mod tests {
             AttrSet::from_indices([0, 2]),
             AttrSet::from_indices([0, 1, 2, 3]),
         ] {
-            let g = counts(&d, None, attrs, 1);
+            let g = counts(&d, None, attrs);
             for r in 0..d.n_rows() {
                 let p = Pattern::from_row(&d, r).restrict(attrs);
                 assert_eq!(
@@ -1141,7 +660,7 @@ mod tests {
     #[test]
     fn empty_attrs_is_one_empty_group() {
         let d = figure2_sample();
-        let g = counts(&d, None, AttrSet::EMPTY, 1);
+        let g = counts(&d, None, AttrSet::EMPTY);
         assert_eq!(g.pattern_count_size(), 0);
         assert_eq!(g.empty_group_weight(), 18);
     }
@@ -1151,8 +670,8 @@ mod tests {
         let d = figure2_sample();
         let (distinct, w) = d.compress();
         let attrs = AttrSet::from_indices([1, 3]);
-        let raw = counts(&d, None, attrs, 1);
-        let compressed = counts(&distinct, Some(&w), attrs, 1);
+        let raw = counts(&d, None, attrs);
+        let compressed = counts(&distinct, Some(&w), attrs);
         assert_eq!(raw.pattern_count_size(), compressed.pattern_count_size());
         for r in 0..distinct.n_rows() {
             assert_eq!(
@@ -1170,7 +689,7 @@ mod tests {
         b.push_row_opt(&[Some("x"), None::<&str>]).unwrap();
         b.push_row_opt(&[None::<&str>, None::<&str>]).unwrap();
         let d = b.finish();
-        let g = counts(&d, None, AttrSet::from_indices([0, 1]), 1);
+        let g = counts(&d, None, AttrSet::from_indices([0, 1]));
         // Distinct non-empty projections: {a=x, b=1} and {a=x}.
         assert_eq!(g.pattern_count_size(), 2);
         assert_eq!(g.empty_group_weight(), 1);
@@ -1185,7 +704,7 @@ mod tests {
         let attrs = AttrSet::full(9);
         let codec = KeyCodec::new(&d, attrs);
         assert!(!codec.fits_u64());
-        let g = counts(&d, None, attrs, 1);
+        let g = counts(&d, None, attrs);
         assert_eq!(g.pattern_count_size(), 300);
         for r in 0..d.n_rows() {
             assert_eq!(g.weight_of_row(&d, r), 1);
@@ -1220,42 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_builds_match_serial_across_shard_counts() {
-        let d = figure2_sample();
-        for attrs in [
-            AttrSet::EMPTY,
-            AttrSet::from_indices([0]),
-            AttrSet::from_indices([1, 3]),
-            AttrSet::full(4),
-        ] {
-            let serial = counts(&d, None, attrs, 1);
-            // 1 to 256 shards.
-            for threads in [1usize, 2, 3, 4, 7, 16, 64] {
-                let built = counts(&d, None, attrs, threads);
-                assert_same_groups(&serial, &built);
-                assert_eq!(built.n_shards(), auto_shards(threads));
-            }
-            let (merged, _) = reference::build_merged(&d, None, attrs, 3);
-            assert_same_groups(&serial, &merged);
-        }
-    }
-
-    #[test]
-    fn shard_routing_is_consistent_between_build_and_lookup() {
-        let d = figure2_sample();
-        let attrs = AttrSet::from_indices([0, 1, 3]);
-        let g = counts(&d, None, attrs, 2);
-        assert_eq!(g.n_shards(), 8);
-        // Every stored group's values route to a shard that holds it.
-        let sizes = g.shard_sizes();
-        assert_eq!(sizes.iter().sum::<usize>() as u64, g.pattern_count_size());
-        for (values, w) in g.iter() {
-            assert_eq!(g.weight_of_values(&values), w);
-            assert!(g.shard_of_values(&values) < g.n_shards());
-        }
-    }
-
-    #[test]
     fn append_rows_equals_full_rebuild() {
         let d = figure2_sample();
         for attrs in [
@@ -1263,52 +746,45 @@ mod tests {
             AttrSet::from_indices([1, 3]),
             AttrSet::full(4),
         ] {
-            for threads in [1usize, 2] {
-                for split in [1usize, 7, 17] {
-                    let prefix = d.take_rows(&(0..split).collect::<Vec<_>>());
-                    let mut incremental = counts(&prefix, None, attrs, threads);
-                    assert!(incremental.codec_compatible(&d));
-                    let touched = incremental.append_rows(&d, None, split..d.n_rows());
-                    let full = counts(&d, None, attrs, threads);
-                    assert_same_groups(&full, &incremental);
-                    // Touched shards are valid ids; with non-empty attrs
-                    // and rows appended, something must have been touched
-                    // unless every appended row was all-missing.
-                    for &s in &touched {
-                        assert!((s as usize) < incremental.n_shards());
-                    }
-                    if !attrs.is_empty() {
-                        assert!(!touched.is_empty());
-                    }
-                }
+            for split in [1usize, 7, 17] {
+                let prefix = d.take_rows(&(0..split).collect::<Vec<_>>());
+                let mut incremental = counts(&prefix, None, attrs);
+                assert!(incremental.codec_compatible(&d));
+                incremental.append_rows(&d, None, split..d.n_rows());
+                assert_same_groups(&counts(&d, None, attrs), &incremental);
             }
         }
     }
 
-    #[test]
-    fn append_rows_shares_untouched_shards() {
-        // Append one row; most shards of a 64-shard map must stay
-        // Arc-shared with the pre-append snapshot (mergeless storage).
-        let d = figure2_sample();
-        let attrs = AttrSet::full(4);
-        let base = counts(&d, None, attrs, 16);
-        let mut appended = base.clone();
-        let touched = appended.append_rows(&d, None, 0..1);
-        assert_eq!(touched.len(), 1);
-        let (GroupMap::Packed(old), GroupMap::Packed(new)) = (&base.map, &appended.map) else {
-            panic!("figure2 packs");
-        };
-        let shared = old
-            .shards
-            .iter()
-            .zip(new.shards.iter())
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count();
-        assert_eq!(shared, old.shards.len() - 1);
+    /// The address of a group-by's map allocation.
+    fn map_ptr(g: &GroupCounts) -> *const () {
+        with_counts!(&g.map, counts => Arc::as_ptr(counts).cast())
     }
 
     #[test]
-    fn parallel_build_matches_serial_with_missing_and_weights() {
+    fn append_rows_copies_only_a_shared_map() {
+        // A clone shares the map until one side appends; the append
+        // copies it, and the other side keeps its counts.
+        let d = figure2_sample();
+        let attrs = AttrSet::full(4);
+        let prefix = d.take_rows(&(0..10).collect::<Vec<_>>());
+        let base = counts(&prefix, None, attrs);
+        let mut appended = base.clone();
+        assert_eq!(map_ptr(&base), map_ptr(&appended));
+        appended.append_rows(&d, None, 10..d.n_rows());
+        assert_ne!(map_ptr(&base), map_ptr(&appended));
+        assert_same_groups(&counts(&prefix, None, attrs), &base);
+        assert_same_groups(&counts(&d, None, attrs), &appended);
+        // A map nothing else shares is appended to in place.
+        let mut own = counts(&prefix, None, attrs);
+        let before = map_ptr(&own);
+        own.append_rows(&d, None, 10..d.n_rows());
+        assert_eq!(map_ptr(&own), before);
+        assert_same_groups(&appended, &own);
+    }
+
+    #[test]
+    fn weighted_build_counts_missing_rows_in_the_empty_group() {
         let mut b = DatasetBuilder::new(["a", "b"]);
         b.push_row_opt(&[Some("x"), Some("1")]).unwrap();
         b.push_row_opt(&[Some("x"), None::<&str>]).unwrap();
@@ -1317,34 +793,25 @@ mod tests {
         b.push_row_opt(&[None::<&str>, None::<&str>]).unwrap();
         let d = b.finish();
         let weights = [3u64, 1, 5, 2, 7];
-        let attrs = AttrSet::from_indices([0, 1]);
-        let serial = counts(&d, Some(&weights), attrs, 1);
-        let parallel = counts(&d, Some(&weights), attrs, 3);
-        assert_same_groups(&serial, &parallel);
-        // All-missing rows land in the empty group across chunks: 5 + 7.
-        assert_eq!(parallel.empty_group_weight(), 12);
+        let g = counts(&d, Some(&weights), AttrSet::from_indices([0, 1]));
+        // Groups {a=x, b=1}, {a=x} and {a=y, b=1}; the all-missing rows
+        // weigh 5 + 7.
+        assert_eq!(g.pattern_count_size(), 3);
+        assert_eq!(g.empty_group_weight(), 12);
+        for (r, w) in [(0, 3), (1, 1), (3, 2)] {
+            assert_eq!(g.weight_of_row(&d, r), w, "row {r}");
+        }
     }
 
     #[test]
-    fn parallel_build_matches_serial_on_wide_keys() {
+    fn wide_key_appends_equal_full_build() {
         let d = wide_dataset();
         let attrs = AttrSet::full(9);
         assert!(!KeyCodec::new(&d, attrs).fits_u64());
-        let serial = counts(&d, None, attrs, 1);
-        let parallel = counts(&d, None, attrs, 4);
-        assert_same_groups(&serial, &parallel);
-        // 8, 16 and 64 shards.
-        for threads in [2usize, 4, 16] {
-            assert_same_groups(&serial, &counts(&d, None, attrs, threads));
-        }
-        let (merged, profile) = reference::build_merged(&d, None, attrs, 4);
-        assert_same_groups(&serial, &merged);
-        assert!(profile.peak_bytes > 0);
-        // Wide-key appends rebuild the same totals too.
         let prefix = d.take_rows(&(0..100).collect::<Vec<_>>());
-        let mut incremental = counts(&prefix, None, attrs, 2);
+        let mut incremental = counts(&prefix, None, attrs);
         incremental.append_rows(&d, None, 100..d.n_rows());
-        assert_same_groups(&serial, &incremental);
+        assert_same_groups(&counts(&d, None, attrs), &incremental);
     }
 
     #[test]
@@ -1379,7 +846,7 @@ mod tests {
         let attrs = AttrSet::from_indices([0, 1]);
         let codec = KeyCodec::new(&d, attrs);
         assert_eq!(codec.total_bits(), 3 + 1);
-        let g = counts(&d, None, attrs, 1);
+        let g = counts(&d, None, attrs);
         // 4 value groups + 1 partial ({q=z}) group, all weight 1.
         assert_eq!(g.pattern_count_size(), 5);
         for r in 0..d.n_rows() {
@@ -1414,19 +881,10 @@ mod tests {
             let expect: Vec<u32> = codec.attrs().iter().map(|&a| d.value_raw(r, a)).collect();
             assert_eq!(decoded, expect, "row {r}");
         }
-        let g = counts(&d, None, attrs, 1);
+        let g = counts(&d, None, attrs);
         assert_eq!(g.pattern_count_size(), 2);
-        // Boundary keys must shard consistently at every shard count: the
-        // top-bits routing shifts by 64 - shard_bits here.
-        let serial = counts(&d, None, attrs, 1);
-        // 8, 16, 64 and 256 shards.
-        for threads in [2usize, 4, 16, 64] {
-            let sharded = counts(&d, None, attrs, threads);
-            assert_eq!(sharded.n_shards(), auto_shards(threads));
-            assert_same_groups(&serial, &sharded);
-            for r in 0..d.n_rows() {
-                assert_eq!(sharded.weight_of_row(&d, r), 1);
-            }
+        for r in 0..d.n_rows() {
+            assert_eq!(g.weight_of_row(&d, r), 1);
         }
     }
 
@@ -1449,7 +907,7 @@ mod tests {
         let codec = KeyCodec::new(&d, AttrSet::full(9));
         assert_eq!(codec.total_bits(), 65);
         assert!(!codec.fits_u64());
-        let g = counts(&d, None, AttrSet::full(9), 1);
+        let g = counts(&d, None, AttrSet::full(9));
         assert_eq!(g.pattern_count_size(), 1);
         assert_eq!(g.weight_of_row(&d, 0), 1);
     }
@@ -1459,7 +917,7 @@ mod tests {
         let mut b = DatasetBuilder::new(["a", "b"]);
         b.push_row(&["x", "1"]).unwrap();
         let d = b.finish();
-        let g = counts(&d, None, AttrSet::from_indices([0, 1]), 1);
+        let g = counts(&d, None, AttrSet::from_indices([0, 1]));
         assert!(g.codec_compatible(&d));
         // Same schema plus one interned value on a covered attribute.
         let mut b = DatasetBuilder::new(["a", "b"]);
@@ -1469,106 +927,14 @@ mod tests {
         assert!(!g.codec_compatible(&grown));
     }
 
-    /// Ranges must tile `0..counts.len()` exactly, in order.
-    fn assert_tiling(ranges: &[Range<usize>], n: usize, workers: usize) {
-        assert_eq!(ranges.len(), workers);
-        let mut cursor = 0usize;
-        for r in ranges {
-            assert_eq!(r.start, cursor);
-            assert!(r.end >= r.start);
-            cursor = r.end;
-        }
-        assert_eq!(cursor, n);
-    }
-
     #[test]
-    fn balanced_ranges_split_uniform_counts_evenly() {
-        let counts = vec![10u64; 8];
-        let ranges = balanced_shard_ranges(&counts, 4);
-        assert_tiling(&ranges, 8, 4);
-        for r in &ranges {
-            assert_eq!(r.len(), 2);
-        }
-    }
-
-    #[test]
-    fn balanced_ranges_follow_skew() {
-        // All rows crowd the first two shards (a low-cardinality top
-        // attribute): equal-width ranges would idle workers 2 and 3; the
-        // size-aware split gives each heavy shard its own worker.
-        let counts = [500u64, 500, 0, 0, 0, 0, 0, 0];
-        let ranges = balanced_shard_ranges(&counts, 4);
-        assert_tiling(&ranges, 8, 4);
-        let loads: Vec<u64> = ranges
-            .iter()
-            .map(|r| counts[r.clone()].iter().sum())
-            .collect();
-        // No worker may own both heavy shards (equal-width ranges gave
-        // worker 0 the full 1000); the maximum load is the optimum 500.
-        assert_eq!(loads.iter().max(), Some(&500));
-        assert_eq!(loads.iter().filter(|&&l| l == 500).count(), 2);
-    }
-
-    #[test]
-    fn balanced_ranges_edge_cases() {
-        // Zero rows: everything collapses into (empty) ranges + the tail.
-        let ranges = balanced_shard_ranges(&[0u64; 4], 3);
-        assert_tiling(&ranges, 4, 3);
-        // One worker takes it all.
-        let ranges = balanced_shard_ranges(&[3, 1, 4], 1);
-        assert_eq!(ranges, vec![0..3]);
-        // More workers than shards still tiles.
-        let ranges = balanced_shard_ranges(&[7, 9], 5);
-        assert_tiling(&ranges, 2, 5);
-        let total: u64 = ranges
-            .iter()
-            .flat_map(|r| [7u64, 9][r.clone()].iter())
-            .sum();
-        assert_eq!(total, 16);
-    }
-
-    #[test]
-    fn skewed_top_attribute_builds_identically() {
-        // Last attribute (top key bits) has cardinality 1: every key
-        // lands in the low shards. The balanced assignment must not
-        // change the result vs serial.
-        let mut b = DatasetBuilder::new(["wide", "narrow"]);
-        for r in 0..4000 {
-            b.push_row(&[format!("v{}", r % 512), "only".to_string()])
-                .unwrap();
-        }
-        let d = b.finish();
-        let attrs = AttrSet::from_indices([0, 1]);
-        let serial = counts(&d, None, attrs, 1);
-        // 8 to 256 shards.
-        for threads in [2usize, 4, 8, 16, 64] {
-            assert_same_groups(&serial, &counts(&d, None, attrs, threads));
-        }
-    }
-
-    #[test]
-    fn auto_shards_policy() {
-        assert_eq!(auto_shards(0), 1);
-        assert_eq!(auto_shards(1), 1);
-        assert_eq!(auto_shards(2), 8);
-        assert_eq!(auto_shards(4), 16);
-        assert_eq!(auto_shards(1000), MAX_SHARDS);
-        for t in 0..100 {
-            assert!(auto_shards(t).is_power_of_two());
-            assert!(auto_shards(t) <= MAX_SHARDS);
-        }
-    }
-
-    #[test]
-    fn profiled_build_reports_phases() {
+    fn build_reports_its_profile() {
         let d = figure2_sample();
-        let attrs = AttrSet::from_indices([1, 3]);
-        let (g, profile) = GroupCounts::build(&d, None, attrs, 2);
+        let (g, profile) = GroupCounts::build(&d, None, AttrSet::from_indices([1, 3]));
         assert_eq!(g.pattern_count_size(), 3);
-        assert!(profile.peak_bytes > 0);
-        assert!(profile.partition_secs >= 0.0 && profile.count_secs >= 0.0);
-        let (_, serial_profile) = GroupCounts::build(&d, None, attrs, 1);
-        assert_eq!(serial_profile.partition_secs, 0.0);
+        assert_eq!(profile.peak_bytes, g.map_bytes());
+        assert!(profile.peak_bytes > 0 && profile.count_secs >= 0.0);
+        assert_eq!((profile.partition_secs, profile.assemble_secs), (0.0, 0.0));
     }
 
     #[test]

@@ -153,35 +153,37 @@ impl Label {
         }
     }
 
-    /// Builds `L_S(D)` directly from a dataset: [`Label::build_parallel`]
-    /// on one thread.
+    /// Builds `L_S(D)` directly from a dataset.
     pub fn build(dataset: &Dataset, attrs: AttrSet) -> Self {
-        Self::build_parallel(dataset, attrs, 1)
+        Self::build_profiled(dataset, attrs).0
     }
 
-    /// Builds `L_S(D)` with the `PC` group-by counted on `threads`
-    /// scoped workers (see [`GroupCounts::build`]); the label answers
-    /// exactly like the serial [`Label::build`], and its `PC` is stored
-    /// in [`auto_shards`](crate::counting::auto_shards)`(threads)` shards.
-    pub fn build_parallel(dataset: &Dataset, attrs: AttrSet, threads: usize) -> Self {
-        Self::build_parallel_profiled(dataset, attrs, threads).0
-    }
-
-    /// [`Label::build_parallel`], additionally reporting the counting
-    /// phase profile so the serving layer can trace builds per request.
-    /// The `VC` computation and final assembly fold into
-    /// `assemble_secs`.
-    pub fn build_parallel_profiled(
-        dataset: &Dataset,
-        attrs: AttrSet,
-        threads: usize,
-    ) -> (Self, CountingProfile) {
-        let (pc, mut profile) = GroupCounts::build(dataset, None, attrs, threads);
+    /// [`Label::build`], additionally reporting the counting profile so
+    /// the serving layer can trace builds per request. The `VC`
+    /// computation and final assembly fold into `assemble_secs`.
+    pub fn build_profiled(dataset: &Dataset, attrs: AttrSet) -> (Self, CountingProfile) {
+        let (pc, mut profile) = GroupCounts::build(dataset, None, attrs);
         let t0 = std::time::Instant::now();
         let vc = Arc::new(ValueCounts::compute(dataset, None));
         let label = Self::assemble(dataset, None, pc, vc);
         profile.assemble_secs += t0.elapsed().as_secs_f64();
         (label, profile)
+    }
+
+    /// [`Label::build`]; `threads` is ignored. Kept until ROADMAP item 1
+    /// ports the benchmark, which still calls it.
+    pub fn build_parallel(dataset: &Dataset, attrs: AttrSet, _threads: usize) -> Self {
+        Self::build(dataset, attrs)
+    }
+
+    /// [`Label::build_profiled`]; `threads` is ignored. Kept until
+    /// ROADMAP item 1 ports the benchmark, which still calls it.
+    pub fn build_parallel_profiled(
+        dataset: &Dataset,
+        attrs: AttrSet,
+        _threads: usize,
+    ) -> (Self, CountingProfile) {
+        Self::build_profiled(dataset, attrs)
     }
 
     /// Crate-internal: builds serially from a (possibly compressed)
@@ -193,17 +195,18 @@ impl Label {
         attrs: AttrSet,
         vc: Arc<ValueCounts>,
     ) -> Self {
-        let (pc, _) = GroupCounts::build(dataset, weights, attrs, 1);
+        let (pc, _) = GroupCounts::build(dataset, weights, attrs);
         Self::assemble(dataset, weights, pc, vc)
     }
 
     /// Incremental append: a new label over `dataset` (which must extend
     /// this label's dataset by the rows `appended`, without growing any
     /// dictionary of the subset `S` — check [`Label::can_append`]
-    /// first). The `PC` clone is
-    /// cheap (`Arc` per shard): only the shards the new rows' keys land in
-    /// are copied and updated, the rest stay shared with this label.
-    /// Returns the new label and the sorted touched shard ids.
+    /// first). The new label's `PC` starts as a cheap `Arc` clone of this
+    /// one's and is copied once before the new rows are folded in, so
+    /// this label keeps answering as before. Returns the new label and
+    /// the update's profile: `count_secs` times the whole update, and the
+    /// other fields are 0.
     ///
     /// The result is identical to `Label::build(dataset, attrs)` — the
     /// equivalence the engine's append tests pin down. Only unweighted
@@ -213,11 +216,12 @@ impl Label {
         &self,
         dataset: &Dataset,
         appended: std::ops::Range<usize>,
-    ) -> (Label, Vec<u32>) {
+    ) -> (Label, CountingProfile) {
         debug_assert!(self.can_append(dataset));
+        let t0 = std::time::Instant::now();
         let added = appended.len() as u64;
         let mut pc = self.pc.clone();
-        let touched = pc.append_rows(dataset, None, appended.clone());
+        pc.append_rows(dataset, None, appended.clone());
         let mut vc = (*self.vc).clone();
         vc.add_rows(dataset, appended);
         let label = Label {
@@ -227,10 +231,14 @@ impl Label {
             pc,
             vc: Arc::new(vc),
             n_rows: self.n_rows + added,
-            // Marginal tables span shards; rebuild them lazily.
+            // The marginal tables are stale; rebuild them lazily.
             marginals: Mutex::new(FxHashMap::default()),
         };
-        (label, touched)
+        let profile = CountingProfile {
+            count_secs: t0.elapsed().as_secs_f64(),
+            ..CountingProfile::default()
+        };
+        (label, profile)
     }
 
     /// Whether `dataset` can be appended onto this label incrementally:
@@ -240,29 +248,6 @@ impl Label {
     /// the `VC` table extends in place ([`ValueCounts::add_rows`]).
     pub fn can_append(&self, dataset: &Dataset) -> bool {
         self.pc.codec_compatible(dataset)
-    }
-
-    /// The `PC` shard holding a pattern's group, when the pattern defines
-    /// exactly the label's subset `S` — the one case where its stored
-    /// answer depends on a single shard (partial patterns marginalize
-    /// across shards). Lets serving caches invalidate shard-locally after
-    /// [`Label::with_appended`].
-    pub fn count_shard_of(&self, p: &Pattern) -> Option<usize> {
-        if p.attrs() != self.attrs || self.attrs.is_empty() {
-            return None;
-        }
-        let values: Vec<u32> = self
-            .pc
-            .attr_order()
-            .iter()
-            .map(|&a| p.value_of(a).unwrap_or(MISSING))
-            .collect();
-        Some(self.pc.shard_of_values(&values))
-    }
-
-    /// Number of key-range shards the `PC` is stored in.
-    pub fn count_shards(&self) -> usize {
-        self.pc.n_shards()
     }
 
     /// Name of the dataset the label was built from.
@@ -395,7 +380,7 @@ impl Label {
         est
     }
 
-    /// Heap bytes of the `PC` component (shard maps + handles).
+    /// Heap bytes of the `PC` component (its group map and codec).
     pub fn pc_heap_bytes(&self) -> u64 {
         use pclabel_data::mem::HeapBytes;
         self.pc.heap_bytes()
@@ -482,12 +467,12 @@ mod tests {
     fn heap_bytes_cross_check_with_counting_profile() {
         use pclabel_data::mem::HeapBytes;
         let d = figure2_sample();
-        let (label, profile) = Label::build_parallel_profiled(&d, AttrSet::from_indices([1, 3]), 2);
+        let (label, profile) = Label::build_profiled(&d, AttrSet::from_indices([1, 3]));
         assert!(label.pc_heap_bytes() > 0);
         assert!(label.vc_heap_bytes() > 0);
-        // The build-time peak models the shard maps *plus* transient
-        // partition buffers with the same per-slot constants, so the
-        // retained PC map bytes can never exceed it.
+        // The build-time peak models the group map with the same
+        // per-slot constants, so the retained PC map bytes can never
+        // exceed it.
         assert!(profile.peak_bytes > 0);
         assert!(
             label.pc.map_bytes() <= profile.peak_bytes,
@@ -677,12 +662,17 @@ mod tests {
         let prefix = d.take_rows(&(0..10).collect::<Vec<_>>());
         let base = Label::build(&prefix, attrs);
         assert!(base.can_append(&d));
-        let (appended, touched) = base.with_appended(&d, 10..d.n_rows());
+        // Read a marginal first, so the base label has cached tables that
+        // must not leak into its successor.
+        let age = Pattern::parse(&d, &[("age group", "20-39")]).unwrap();
+        let before = base.count_of_projection(&age);
+        let (appended, profile) = base.with_appended(&d, 10..d.n_rows());
+        assert!(profile.count_secs >= 0.0);
+        assert_eq!((profile.partition_secs, profile.peak_bytes), (0.0, 0));
         let full = Label::build(&d, attrs);
         assert_eq!(appended.n_rows(), full.n_rows());
         assert_eq!(appended.pattern_count_size(), full.pattern_count_size());
         assert_eq!(appended.value_count_size(), full.value_count_size());
-        assert!(!touched.is_empty());
         for r in 0..d.n_rows() {
             let p = Pattern::from_row(&d, r);
             assert_eq!(appended.estimate(&p), full.estimate(&p), "row {r}");
@@ -692,8 +682,24 @@ mod tests {
                 full.count_of_projection(&q)
             );
         }
-        // The base label is untouched (copy-on-append).
+        // The base label is untouched (copy-on-append): its projections
+        // and estimates still equal a fresh build of the prefix.
+        let fresh = Label::build(&prefix, attrs);
         assert_eq!(base.n_rows(), 10);
+        assert_eq!(base.pattern_count_size(), fresh.pattern_count_size());
+        assert_eq!(base.count_of_projection(&age), before);
+        for r in 0..d.n_rows() {
+            let p = Pattern::from_row(&d, r);
+            assert_eq!(base.estimate(&p), fresh.estimate(&p), "row {r}");
+            for k in [
+                attrs,
+                AttrSet::from_indices([1]),
+                AttrSet::from_indices([3]),
+            ] {
+                let q = p.restrict(k);
+                assert_eq!(base.count_of_projection(&q), fresh.count_of_projection(&q));
+            }
+        }
     }
 
     #[test]
@@ -711,27 +717,13 @@ mod tests {
             .append_labeled_rows(&[vec![Some("x"), Some("2")]])
             .unwrap();
         assert!(label.can_append(&grown));
-        let (appended, touched) = label.with_appended(&grown, 2..3);
-        assert!(!touched.is_empty());
+        let (appended, _) = label.with_appended(&grown, 2..3);
         let full = Label::build(&grown, AttrSet::from_indices([0]));
         assert_eq!(appended.n_rows(), 3);
         // {a=x, b=2} exercises the new value's VC entry.
         let p = Pattern::from_terms([(0, 0), (1, 1)]);
         assert_eq!(appended.estimate(&p), full.estimate(&p));
         assert_eq!(appended.value_count_size(), full.value_count_size());
-    }
-
-    #[test]
-    fn count_shard_of_covers_full_subset_patterns_only() {
-        let (d, l) = fig2_label(&["age group", "marital status"]);
-        let full =
-            Pattern::parse(&d, &[("age group", "20-39"), ("marital status", "married")]).unwrap();
-        let shard = l.count_shard_of(&full).expect("full-S pattern has a shard");
-        assert!(shard < l.count_shards());
-        let partial = Pattern::parse(&d, &[("age group", "20-39")]).unwrap();
-        assert_eq!(l.count_shard_of(&partial), None);
-        let outside = Pattern::parse(&d, &[("gender", "Female")]).unwrap();
-        assert_eq!(l.count_shard_of(&outside), None);
     }
 
     #[test]

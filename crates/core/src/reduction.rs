@@ -294,7 +294,7 @@ pub fn reduce_vertex_cover_repaired(graph: &Graph) -> Result<ReductionInstance> 
 /// [`crate::counting::label_size`], counts every non-empty projection
 /// instead.)
 pub fn appendix_label_size(dataset: &Dataset, attrs: AttrSet) -> u64 {
-    GroupCounts::build(dataset, None, attrs, 1)
+    GroupCounts::build(dataset, None, attrs)
         .0
         .iter()
         .filter(|(values, _)| values.iter().filter(|&&v| v != MISSING).count() >= 2)

@@ -127,8 +127,6 @@ pub struct Evaluator {
     fracs: Vec<f64>,
     /// Bitmask of defined attributes per pattern.
     defined: Vec<u64>,
-    /// Threads for each candidate's group-by scan (1 = serial build).
-    count_threads: usize,
     /// Match bitmaps of the first [`BITMAP_PREFIX`] scanned patterns,
     /// built on first use.
     prefix: OnceLock<PrefixMatches>,
@@ -183,20 +181,8 @@ impl Evaluator {
             order,
             fracs,
             defined,
-            count_threads: 1,
             prefix: OnceLock::new(),
         }
-    }
-
-    /// Opts candidate error scans into parallel group counting
-    /// ([`GroupCounts::build`]) with the given worker count.
-    /// Counts are identical to the serial build; only wall-clock changes.
-    /// (Only the cold path counts with threads; the refinement path's
-    /// passes are serial and per-context.)
-    #[must_use]
-    pub fn with_count_threads(mut self, threads: usize) -> Self {
-        self.count_threads = threads.max(1);
-        self
     }
 
     /// Number of patterns under evaluation.
@@ -237,14 +223,14 @@ impl Evaluator {
     /// A lattice-aware evaluation context with refinement on. See
     /// [`EvalContext`].
     pub fn context(&self) -> EvalContext<'_> {
-        EvalContext::new(self, true, self.count_threads)
+        EvalContext::new(self, true)
     }
 
     /// An evaluation context tuned by `opts` ([`SearchOptions::refine`]);
     /// with refinement disabled every call falls through to the cold
     /// [`Evaluator::error_of`] oracle.
     pub fn context_for(&self, opts: &SearchOptions) -> EvalContext<'_> {
-        EvalContext::new(self, opts.refine, self.count_threads)
+        EvalContext::new(self, opts.refine)
     }
 
     /// Computes `Err(L_S(D), P)` statistics for the subset `attrs` with a
@@ -256,20 +242,7 @@ impl Evaluator {
     /// count is below the running maximum error; [`ErrorStats::early_exited`]
     /// records whether that happened.
     pub fn error_of(&self, attrs: AttrSet, early_exit: bool) -> ErrorStats {
-        self.error_of_with(attrs, early_exit, self.count_threads)
-    }
-
-    /// [`Evaluator::error_of`] with an explicit counting thread count
-    /// (used by [`Evaluator::evaluate_many`] to avoid oversubscription
-    /// when candidate-level workers are already running).
-    fn error_of_with(&self, attrs: AttrSet, early_exit: bool, count_threads: usize) -> ErrorStats {
-        // Small distinct tables gain nothing from chunking — cap workers
-        // so each scans at least MIN_PARALLEL_ROWS_PER_THREAD rows, which
-        // degrades to the serial build for the common compressed sizes.
-        let count_threads = count_threads
-            .min((self.distinct.n_rows() / crate::counting::MIN_PARALLEL_ROWS_PER_THREAD).max(1));
-        let (gc, _) =
-            GroupCounts::build(&self.distinct, Some(&self.dweights), attrs, count_threads);
+        let (gc, _) = GroupCounts::build(&self.distinct, Some(&self.dweights), attrs);
         let mut marginals: FxHashMap<AttrSet, FxHashMap<Box<[u32]>, u64>> = FxHashMap::default();
         let mut acc = ErrorAccumulator::new();
         let mut exited = false;
@@ -387,16 +360,12 @@ impl Evaluator {
                 .collect();
         }
         let threads = threads.min(cands.len());
-        // Candidate workers and per-candidate counting threads multiply;
-        // divide the cold path's counting budget across the active
-        // workers so the total stays at roughly `count_threads`.
-        let count_threads = (self.count_threads / threads).max(1);
         let mut out = vec![0.0f64; cands.len()];
         let chunk = cands.len().div_ceil(threads);
         std::thread::scope(|scope| {
             for (slot, work) in out.chunks_mut(chunk).zip(cands.chunks(chunk)) {
                 scope.spawn(move || {
-                    let mut ctx = EvalContext::new(self, opts.refine, count_threads);
+                    let mut ctx = EvalContext::new(self, opts.refine);
                     for (o, &s) in slot.iter_mut().zip(work) {
                         *o = metric.of(&ctx.error_of(s, early));
                     }
@@ -498,8 +467,6 @@ pub struct EvalContext<'a> {
     refine: bool,
     memo: Vec<MemoEntry>,
     stamp: u64,
-    /// Counting-thread budget for cold-path calls.
-    count_threads: usize,
     /// The last sized child's ids ([`EvalContext::child_size_bounded`]
     /// reads only their count).
     sized: GroupIds,
@@ -507,13 +474,12 @@ pub struct EvalContext<'a> {
 }
 
 impl<'a> EvalContext<'a> {
-    fn new(ev: &'a Evaluator, refine: bool, count_threads: usize) -> Self {
+    fn new(ev: &'a Evaluator, refine: bool) -> Self {
         EvalContext {
             ev,
             refine,
             memo: Vec::new(),
             stamp: 0,
-            count_threads,
             sized: GroupIds::default(),
             scratch: RefineScratch::default(),
         }
@@ -526,7 +492,7 @@ impl<'a> EvalContext<'a> {
     /// reads past them.
     pub fn error_of(&mut self, attrs: AttrSet, early_exit: bool) -> ErrorStats {
         if !self.refine {
-            return self.ev.error_of_with(attrs, early_exit, self.count_threads);
+            return self.ev.error_of(attrs, early_exit);
         }
         let ev = self.ev;
         let mut part: Option<Rc<Partition>> = None;

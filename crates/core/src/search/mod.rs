@@ -46,11 +46,6 @@ pub struct SearchOptions {
     /// candidate evaluation (1 = everything on the calling thread, the
     /// paper-faithful configuration). Outcomes do not depend on it.
     pub threads: usize,
-    /// Worker threads for the group-by scans behind each candidate's
-    /// error evaluation on the cold path
-    /// ([`crate::counting::GroupCounts::build`]: 1 = the serial scan, >1
-    /// the radix-partitioned build, which produces identical counts).
-    pub count_threads: usize,
     /// Evaluate candidates with the lattice-aware refinement context
     /// ([`EvalContext`]): neighboring candidates are priced by partition
     /// refinement / marginal coarsening instead of a cold hash group-by
@@ -69,7 +64,6 @@ impl SearchOptions {
             metric: ErrorMetric::MaxAbsolute,
             early_exit: true,
             threads: 1,
-            count_threads: 1,
             refine: true,
         }
     }
@@ -98,9 +92,9 @@ impl SearchOptions {
         self
     }
 
-    /// Sets the per-candidate counting thread count.
-    pub fn count_threads(mut self, threads: usize) -> Self {
-        self.count_threads = threads.max(1);
+    /// Does nothing: every group-by is one serial scan. Kept until
+    /// ROADMAP item 1 ports the benchmark, which still calls it.
+    pub fn count_threads(self, _threads: usize) -> Self {
         self
     }
 

@@ -50,7 +50,7 @@ pub fn naive_search_limited(
     check_dataset(dataset)?;
     let n = dataset.n_attrs();
     let start = Instant::now();
-    let evaluator = Evaluator::new(dataset, &opts.patterns).with_count_threads(opts.count_threads);
+    let evaluator = Evaluator::new(dataset, &opts.patterns);
     let (distinct, dweights) = evaluator.compressed();
     // Level-wise enumeration shares prefixes heavily; one refinement
     // context amortizes the partitions across a level's subsets, for

@@ -218,7 +218,7 @@ mod tests {
             AttrSet::full(4),
         ] {
             let part = partition_over(&d, attrs, &w);
-            let (gc, _) = GroupCounts::build(&d, None, attrs, 1);
+            let (gc, _) = GroupCounts::build(&d, None, attrs);
             for r in 0..d.n_rows() {
                 assert_eq!(
                     part.weight_of_row(r),
@@ -297,7 +297,7 @@ mod tests {
         let d = b.finish();
         let w = vec![1u64; n];
         let part = partition_over(&d, AttrSet::full(2), &w);
-        let (gc, _) = GroupCounts::build(&d, None, AttrSet::full(2), 1);
+        let (gc, _) = GroupCounts::build(&d, None, AttrSet::full(2));
         for r in 0..n {
             assert_eq!(part.weight_of_row(r), gc.weight_of_row(&d, r));
         }

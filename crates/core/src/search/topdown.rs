@@ -69,7 +69,7 @@ pub fn top_down_search(dataset: &Dataset, opts: &SearchOptions) -> Result<Search
     // The walk runs over the evaluator's compressed distinct table: group
     // counts over distinct tuples equal those over raw rows, but each
     // pass touches fewer rows.
-    let evaluator = Evaluator::new(dataset, &opts.patterns).with_count_threads(opts.count_threads);
+    let evaluator = Evaluator::new(dataset, &opts.patterns);
     let mut stats = SearchStats::default();
     let (in_bound, nodes_examined) = walk(&evaluator, opts.bound, opts.threads);
     stats.nodes_examined = nodes_examined;

@@ -2,23 +2,20 @@
 //! algebra, the `gen` operator's enumeration laws, counting consistency,
 //! estimation identities, and Proposition 3.2.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use pclabel_core::attrset::AttrSet;
-use pclabel_core::counting::{auto_shards, label_size, label_size_bounded, reference, GroupCounts};
+use pclabel_core::counting::{label_size, label_size_bounded, GroupCounts};
 use pclabel_core::label::Label;
 use pclabel_core::lattice::{binomial, gen, Combinations};
 use pclabel_core::pattern::Pattern;
 use pclabel_data::dataset::{Dataset, DatasetBuilder, MISSING};
-use pclabel_data::generate::figure2_sample;
 
-/// Threads 1, 2, 4 and 16: the serial scan and radix builds into 8, 16
-/// and 64 shards.
-const THREAD_GRID: [usize; 4] = [1, 2, 4, 16];
-
-/// The counts of a `threads`-worker build.
-fn counts(d: &Dataset, weights: Option<&[u64]>, attrs: AttrSet, threads: usize) -> GroupCounts {
-    GroupCounts::build(d, weights, attrs, threads).0
+/// The counts of a build.
+fn counts(d: &Dataset, weights: Option<&[u64]>, attrs: AttrSet) -> GroupCounts {
+    GroupCounts::build(d, weights, attrs).0
 }
 
 /// A group-by's `(values, weight)` entries, sorted.
@@ -26,6 +23,28 @@ fn entries(g: &GroupCounts) -> Vec<(Vec<u32>, u64)> {
     let mut out: Vec<(Vec<u32>, u64)> = g.iter().collect();
     out.sort();
     out
+}
+
+/// The group-by by brute force: each row's projection onto `attrs` (in
+/// increasing attribute order, `MISSING` kept) with its summed weight,
+/// sorted, and the weight of the all-missing projection apart.
+fn brute_force(
+    d: &Dataset,
+    weights: Option<&[u64]>,
+    attrs: AttrSet,
+) -> (Vec<(Vec<u32>, u64)>, u64) {
+    let mut groups: BTreeMap<Vec<u32>, u64> = BTreeMap::new();
+    let mut empty = 0;
+    for r in 0..d.n_rows() {
+        let w = weights.map_or(1, |w| w[r]);
+        let key: Vec<u32> = attrs.iter().map(|a| d.value_raw(r, a)).collect();
+        if key.iter().all(|&v| v == MISSING) {
+            empty += w;
+        } else {
+            *groups.entry(key).or_insert(0) += w;
+        }
+    }
+    (groups.into_iter().collect(), empty)
 }
 
 /// Row weights 1..=5 by row index, for weighted builds.
@@ -102,8 +121,8 @@ fn arb_wide_dataset() -> impl Strategy<Value = Dataset> {
         })
 }
 
-/// The wide-key dataset `wide_key_sharding_identical_to_serial` starts
-/// from: 300 rows over 9 attributes of 300 values, then `extra` rows.
+/// The wide-key dataset `wide_key_counting_and_appends_are_exact`
+/// starts from: 300 rows over 9 attributes of 300 values, then `extra` rows.
 fn wide_rows(extra: usize) -> Dataset {
     let names: Vec<String> = (0..9).map(|i| format!("w{i}")).collect();
     let mut b = DatasetBuilder::new(&names);
@@ -179,67 +198,33 @@ proptest! {
         }
     }
 
-    /// Parallel counting is bit-identical to the serial build: same group
-    /// count, same per-group sizes, same label size and empty-group
-    /// weight — across random schemas, thread counts and datasets with
-    /// missing cells.
+    /// The build equals a brute-force group-by: same groups, weights,
+    /// label size and empty-group weight, on random schemas with missing
+    /// cells, weighted or not (packed keys).
     #[test]
-    fn parallel_counting_identical_to_serial(
+    fn counting_matches_brute_force(
         d in arb_dataset_missing(),
         bits in any::<u64>(),
-        threads in 2usize..=9,
-    ) {
-        let attrs = AttrSet::from_bits(bits & ((1u64 << d.n_attrs()) - 1));
-        let serial = counts(&d, None, attrs, 1);
-        let parallel = counts(&d, None, attrs, threads);
-        prop_assert_eq!(serial.pattern_count_size(), parallel.pattern_count_size());
-        prop_assert_eq!(serial.empty_group_weight(), parallel.empty_group_weight());
-        prop_assert_eq!(
-            label_size(&d, attrs),
-            parallel.pattern_count_size(),
-            "label size diverged for attrs {}", attrs
-        );
-        prop_assert_eq!(entries(&serial), entries(&parallel));
-    }
-
-    /// Every shard layout is bit-identical to the serial single-shard
-    /// build across the thread grid {1, 2, 4, 16} (1, 8, 16 and 64
-    /// shards), and so is the legacy chunk-and-merge reference: same
-    /// groups, weights and empty-group weight on random schemas with
-    /// missing cells and row weights (packed keys).
-    #[test]
-    fn sharded_counting_identical_to_serial(
-        d in arb_dataset_missing(),
-        bits in any::<u64>(),
-        threads in 2usize..=5,
         weighted in any::<bool>(),
     ) {
         let attrs = AttrSet::from_bits(bits & ((1u64 << d.n_attrs()) - 1));
         let w = row_weights(&d);
         let weights = weighted.then_some(&w[..]);
-        let serial = counts(&d, weights, attrs, 1);
-        let se = entries(&serial);
-        for t in THREAD_GRID {
-            let build = counts(&d, weights, attrs, t);
-            prop_assert_eq!(build.n_shards(), auto_shards(t));
-            prop_assert_eq!(serial.pattern_count_size(), build.pattern_count_size());
-            prop_assert_eq!(serial.empty_group_weight(), build.empty_group_weight());
-            prop_assert_eq!(se.clone(), entries(&build), "threads {}", t);
-            // Lookups route to the same shard the build stored in.
-            for (values, w) in &se {
-                prop_assert_eq!(build.weight_of_values(values), *w);
-            }
+        let built = counts(&d, weights, attrs);
+        let (groups, empty) = brute_force(&d, weights, attrs);
+        prop_assert_eq!(built.pattern_count_size(), groups.len() as u64);
+        prop_assert_eq!(label_size(&d, attrs), groups.len() as u64);
+        prop_assert_eq!(built.empty_group_weight(), empty);
+        prop_assert_eq!(entries(&built), groups.clone());
+        for (values, w) in &groups {
+            prop_assert_eq!(built.weight_of_values(values), *w);
         }
-        let (merged, _) = reference::build_merged(&d, weights, attrs, threads);
-        prop_assert_eq!(serial.pattern_count_size(), merged.pattern_count_size());
-        prop_assert_eq!(serial.empty_group_weight(), merged.empty_group_weight());
-        prop_assert_eq!(se, entries(&merged));
     }
 
     /// Incremental appends are exact: building on a prefix and appending
-    /// the suffix equals the full build, for every shard layout of the
-    /// thread grid, weighted or not, and the shards it reports as touched
-    /// cover every changed group.
+    /// the suffix equals the full build, weighted or not, and a clone
+    /// taken before the append still equals a fresh build of the prefix
+    /// (copy-on-append).
     #[test]
     fn append_rows_equals_full_build(
         d in arb_dataset_missing(),
@@ -252,34 +237,26 @@ proptest! {
         let prefix = d.take_rows(&(0..split).collect::<Vec<_>>());
         let w = row_weights(&d);
         let weights = weighted.then_some(&w[..]);
-        for t in THREAD_GRID {
-            let full = counts(&d, weights, attrs, t);
-            let mut incremental = counts(&prefix, weights.map(|w| &w[..split]), attrs, t);
-            prop_assert_eq!(incremental.n_shards(), auto_shards(t));
-            prop_assert!(incremental.codec_compatible(&d));
-            let before = incremental.clone();
-            let touched = incremental.append_rows(&d, weights, split..d.n_rows());
-            prop_assert_eq!(full.pattern_count_size(), incremental.pattern_count_size());
-            prop_assert_eq!(full.empty_group_weight(), incremental.empty_group_weight());
-            prop_assert_eq!(entries(&full), entries(&incremental));
-            // Any group whose weight changed must live in a touched shard.
-            for (values, w) in incremental.iter() {
-                if before.weight_of_values(&values) != w {
-                    let s = incremental.shard_of_values(&values) as u32;
-                    prop_assert!(touched.contains(&s), "untouched shard {} changed", s);
-                }
-            }
-        }
+        let prefix_weights = weights.map(|w| &w[..split]);
+        let full = counts(&d, weights, attrs);
+        let mut incremental = counts(&prefix, prefix_weights, attrs);
+        prop_assert!(incremental.codec_compatible(&d));
+        let before = incremental.clone();
+        incremental.append_rows(&d, weights, split..d.n_rows());
+        prop_assert_eq!(full.pattern_count_size(), incremental.pattern_count_size());
+        prop_assert_eq!(full.empty_group_weight(), incremental.empty_group_weight());
+        prop_assert_eq!(entries(&full), entries(&incremental));
+        let fresh = counts(&prefix, prefix_weights, attrs);
+        prop_assert_eq!(before.empty_group_weight(), fresh.empty_group_weight());
+        prop_assert_eq!(entries(&before), entries(&fresh));
     }
 
-    /// The wide-key (> 64 bit) path obeys the same sharded/serial and
-    /// append identities, weighted or not: its shards route by key hash,
-    /// not key range.
+    /// The wide-key (> 64 bit) path obeys the same brute-force and append
+    /// identities, weighted or not.
     #[test]
-    fn wide_key_sharding_identical_to_serial(
+    fn wide_key_counting_and_appends_are_exact(
         rows in 5usize..=40,
         split in 0usize..=5,
-        threads in 2usize..=4,
         weighted in any::<bool>(),
     ) {
         // 9 attributes × ~300 distinct values = 81 key bits: wide path.
@@ -289,20 +266,14 @@ proptest! {
         let attrs = AttrSet::full(9);
         let w = row_weights(&d);
         let weights = weighted.then_some(&w[..]);
-        let serial = counts(&d, weights, attrs, 1);
-        let se = entries(&serial);
+        let full = counts(&d, weights, attrs);
+        let se = entries(&full);
+        prop_assert_eq!(&se, &brute_force(&d, weights, attrs).0);
         let split = 300 + split.min(rows);
         let prefix = d.take_rows(&(0..split).collect::<Vec<_>>());
-        for t in THREAD_GRID {
-            let parallel = counts(&d, weights, attrs, t);
-            prop_assert_eq!(parallel.n_shards(), auto_shards(t));
-            prop_assert_eq!(se.clone(), entries(&parallel));
-            let mut incremental = counts(&prefix, weights.map(|w| &w[..split]), attrs, t);
-            incremental.append_rows(&d, weights, split..d.n_rows());
-            prop_assert_eq!(se.clone(), entries(&incremental));
-        }
-        let (merged, _) = reference::build_merged(&d, weights, attrs, threads);
-        prop_assert_eq!(se, entries(&merged));
+        let mut incremental = counts(&prefix, weights.map(|w| &w[..split]), attrs);
+        incremental.append_rows(&d, weights, split..d.n_rows());
+        prop_assert_eq!(se, entries(&incremental));
     }
 
     /// Pattern counts from the label equal brute-force scans, for every
@@ -376,92 +347,38 @@ proptest! {
     }
 }
 
-/// A label's shard layout is visible on the wire (`count_shards` in a
-/// `stats` answer, `touched_shards` in an `append_rows` answer), so it is
-/// pinned: a `t`-thread label has `auto_shards(t)` shards, and one fixed
-/// append touches the shards listed here, recorded before packed and
-/// wide keys shared one implementation, so any change of routing shows.
-#[test]
-fn shard_layout_is_pinned() {
-    let d = figure2_sample();
-    for t in 1..=16 {
-        for s in [AttrSet::EMPTY, AttrSet::full(4)] {
-            assert_eq!(
-                Label::build_parallel(&d, s, t).count_shards(),
-                auto_shards(t)
-            );
-        }
-    }
-    let wide = wide_rows(10);
-    let cases: [(&Dataset, AttrSet, usize, usize, &[u32]); 8] = [
-        (&d, AttrSet::full(4), 10, 1, &[0]),
-        (&d, AttrSet::full(4), 10, 2, &[0, 1, 2, 4, 5]),
-        (&d, AttrSet::full(4), 10, 4, &[1, 2, 5, 8, 9, 10]),
-        (&d, AttrSet::full(4), 10, 16, &[4, 8, 21, 33, 37, 41]),
-        (&wide, AttrSet::full(9), 300, 1, &[0]),
-        (&wide, AttrSet::full(9), 300, 2, &[0, 1, 3, 6, 7]),
-        (&wide, AttrSet::full(9), 300, 4, &[0, 1, 2, 3, 6, 13, 14]),
-        (
-            &wide,
-            AttrSet::full(9),
-            300,
-            16,
-            &[1, 4, 11, 13, 14, 24, 52, 53, 59],
-        ),
-    ];
-    for (data, s, split, t, expect) in cases {
-        let prefix = data.take_rows(&(0..split).collect::<Vec<_>>());
-        let base = Label::build_parallel(&prefix, s, t);
-        let (_, touched) = base.with_appended(data, split..data.n_rows());
-        assert_eq!(touched, expect, "attrs {s} threads {t}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `Label` on wide keys and multi-shard layouts against brute-force
-    /// counts, at 1, 8, 16 and 64 shards: each row's projection onto `S`
-    /// and onto random parts of `S` (the marginal path) is counted
-    /// exactly, estimates equal the one-thread label's bit for bit, a
-    /// one-row append touches the shard of that row's `S`-pattern, and an
-    /// append onto a prefix equals the full build.
+    /// `Label` on wide keys against brute-force counts: each row's
+    /// projection onto `S` and onto random parts of `S` (the marginal
+    /// path) is counted exactly, and an append onto a prefix equals the
+    /// full build, estimates bit for bit.
     #[test]
-    fn wide_multi_shard_labels_match_brute_force(
+    fn wide_labels_match_brute_force(
         d in arb_wide_dataset(),
         masks in proptest::collection::vec(1u64..(1 << 9), 3),
         split_frac in 0.0f64..1.0,
     ) {
         let s = AttrSet::full(9);
         let n = d.n_rows();
-        let serial = Label::build_parallel(&d, s, 1);
         let split = ((n as f64) * split_frac) as usize;
         let prefix = d.take_rows(&(0..split).collect::<Vec<_>>());
-        let head = d.take_rows(&(0..n - 1).collect::<Vec<_>>());
-        let last = Pattern::from_row(&d, n - 1).restrict(s);
-        for t in THREAD_GRID {
-            let label = Label::build_parallel(&d, s, t);
-            prop_assert_eq!(label.count_shards(), auto_shards(t));
-            let (appended, _) = Label::build_parallel(&prefix, s, t).with_appended(&d, split..n);
-            prop_assert_eq!(appended.n_rows(), label.n_rows());
-            prop_assert_eq!(appended.pattern_count_size(), label.pattern_count_size());
-            prop_assert_eq!(appended.count_shards(), label.count_shards());
-            for r in 0..n {
-                let p = Pattern::from_row(&d, r);
-                let projections = std::iter::once(s)
-                    .chain(masks.iter().map(|&m| AttrSet::from_bits(m)))
-                    .map(|k| p.restrict(k));
-                for q in projections {
-                    prop_assert_eq!(label.count_of_projection(&q), q.count_in(&d), "{}", q);
-                    prop_assert_eq!(appended.count_of_projection(&q), q.count_in(&d), "{}", q);
-                }
-                let estimate = label.estimate(&p).to_bits();
-                prop_assert_eq!(estimate, serial.estimate(&p).to_bits(), "{}", p);
-                prop_assert_eq!(estimate, appended.estimate(&p).to_bits(), "{}", p);
+        let label = Label::build(&d, s);
+        let (appended, _) = Label::build(&prefix, s).with_appended(&d, split..n);
+        prop_assert_eq!(appended.n_rows(), label.n_rows());
+        prop_assert_eq!(appended.pattern_count_size(), label.pattern_count_size());
+        for r in 0..n {
+            let p = Pattern::from_row(&d, r);
+            let projections = std::iter::once(s)
+                .chain(masks.iter().map(|&m| AttrSet::from_bits(m)))
+                .map(|k| p.restrict(k));
+            for q in projections {
+                prop_assert_eq!(label.count_of_projection(&q), q.count_in(&d), "{}", q);
+                prop_assert_eq!(appended.count_of_projection(&q), q.count_in(&d), "{}", q);
             }
-            let (one, touched) = Label::build_parallel(&head, s, t).with_appended(&d, n - 1..n);
-            let shard = one.count_shard_of(&last).expect("the last row defines all of S");
-            prop_assert!(touched.contains(&(shard as u32)), "{:?} misses {}", touched, shard);
+            let estimate = label.estimate(&p).to_bits();
+            prop_assert_eq!(estimate, appended.estimate(&p).to_bits(), "{}", p);
         }
     }
 }

@@ -3,11 +3,12 @@
 //! [`EvalContext::error_of`] must produce *exactly* the same
 //! [`ErrorStats`] — every field, every `f64` bit — as the cold
 //! `GroupCounts::build` path ([`Evaluator::error_of`]), across metrics,
-//! early-exit on/off, counting thread counts and both key widths; and the searches must return identical outcomes with
-//! refinement on and off. Lattice nodes are sized over the memoized
-//! partitions too ([`EvalContext::child_size_bounded`]), which must agree
-//! with the cold [`label_size_bounded`] scan on every node and leave every
-//! search's walk unchanged. The top-down search's depth-first walk, on
+//! early-exit on/off and both key widths; and the searches must return
+//! identical outcomes with refinement on and off. Lattice nodes are
+//! sized over the memoized partitions too
+//! ([`EvalContext::child_size_bounded`]), which must agree with the cold
+//! [`label_size_bounded`] scan on every node and leave every search's
+//! walk unchanged. The top-down search's depth-first walk, on
 //! any thread count, must match a BFS of the paper's Algorithm 1 whose
 //! nodes are sized by that cold scan ([`ColdWalks::top_down`]).
 //!
@@ -75,20 +76,16 @@ fn arb_dataset_missing() -> impl Strategy<Value = Dataset> {
 }
 
 /// Asserts the refinement context and the cold build agree bit-for-bit on
-/// every subset of the schema, for both early-exit settings, against an
-/// evaluator counting on the given thread count.
-fn assert_paths_identical(d: &Dataset, ps: &PatternSet, threads: usize) {
-    let ev = Evaluator::new(d, ps).with_count_threads(threads);
+/// every subset of the schema, for both early-exit settings.
+fn assert_paths_identical(d: &Dataset, ps: &PatternSet) {
+    let ev = Evaluator::new(d, ps);
     let mut ctx = ev.context();
     for bits in 0..(1u64 << d.n_attrs().min(4)) {
         let attrs = AttrSet::from_bits(bits);
         for early in [false, true] {
             let cold = ev.error_of(attrs, early);
             let warm = ctx.error_of(attrs, early);
-            assert_eq!(
-                cold, warm,
-                "paths diverged: attrs {attrs} early {early} threads {threads}"
-            );
+            assert_eq!(cold, warm, "paths diverged: attrs {attrs} early {early}");
         }
     }
 }
@@ -134,14 +131,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Refinement vs cold build: bit-identical `ErrorStats` (all fields,
-    /// hence all metrics) on random datasets with missing cells, across
-    /// the cold path's counting thread counts.
+    /// hence all metrics) on random datasets with missing cells.
     #[test]
-    fn refinement_identical_to_cold_build(
-        d in arb_dataset_missing(),
-        threads in 1usize..=3,
-    ) {
-        assert_paths_identical(&d, &PatternSet::AllTuples, threads);
+    fn refinement_identical_to_cold_build(d in arb_dataset_missing()) {
+        assert_paths_identical(&d, &PatternSet::AllTuples);
     }
 
     /// The same identity holds for restricted pattern sets, where the
@@ -156,7 +149,7 @@ proptest! {
         if over.is_empty() {
             return;
         }
-        assert_paths_identical(&d, &PatternSet::OverAttrs(over), 1);
+        assert_paths_identical(&d, &PatternSet::OverAttrs(over));
     }
 
     /// And for explicit pattern sets holding a pattern absent from the
@@ -168,7 +161,7 @@ proptest! {
         partial in 0usize..=12,
     ) {
         let (d, ps) = with_explicit_patterns(&d, partial);
-        assert_paths_identical(&d, &ps, 1);
+        assert_paths_identical(&d, &ps);
     }
 
     /// Top-down and budgeted naive searches return identical outcomes

@@ -7,16 +7,11 @@
 //! `shards` independent `Mutex<FxHashMap>` slices, so two threads only
 //! contend when their patterns collide on a shard.
 //!
-//! Invalidation is the owner's job: [`crate::store::LabelStore`] clears
-//! the cache whenever a dataset's label is refreshed (the entry's
-//! generation counter bumps). Since labels became incrementally
-//! appendable, entries can also carry the **`PC` count shard** their
-//! answer was read from ([`ShardedCache::insert_tagged`]): after an
-//! append that touched shards `T`, [`ShardedCache::invalidate_count_shards`]
-//! drops only the entries pinned to a shard in `T` — plus the unpinned
-//! ones, whose answers (marginals, independence estimates, `|D|`) can
-//! depend on any shard or on `VC`/row-count state that every append
-//! changes — and keeps every answer pinned to an untouched shard.
+//! Invalidation is the owner's job: [`crate::store::LabelStore`] empties
+//! the cache whenever a dataset's generation bumps. A refresh
+//! [clears](ShardedCache::clear) it, resetting the hit/miss counters with
+//! it; an append [invalidates](ShardedCache::invalidate) every entry and
+//! keeps the counters, since the dataset it counts for is the same one.
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,14 +54,10 @@ impl CacheStats {
     }
 }
 
-/// One cached answer: the estimate plus the `PC` count shard it depends
-/// on (`None` = depends on more than one shard or on non-`PC` state).
-type CachedEstimate = (f64, Option<u32>);
-
 /// A sharded, bounded `pattern → estimate` map.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Box<[Mutex<FxHashMap<Pattern, CachedEstimate>>]>,
+    shards: Box<[Mutex<FxHashMap<Pattern, f64>>]>,
     mask: usize,
     shard_capacity: usize,
     stats: CacheStats,
@@ -87,7 +78,7 @@ impl ShardedCache {
         }
     }
 
-    fn shard_of(&self, pattern: &Pattern) -> &Mutex<FxHashMap<Pattern, CachedEstimate>> {
+    fn shard_of(&self, pattern: &Pattern) -> &Mutex<FxHashMap<Pattern, f64>> {
         let mut h = FxHasher::default();
         pattern.hash(&mut h);
         &self.shards[(h.finish() as usize) & self.mask]
@@ -102,7 +93,7 @@ impl ShardedCache {
             .get(pattern)
             .copied();
         match found {
-            Some((v, _)) => {
+            Some(v) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
             }
@@ -113,40 +104,15 @@ impl ShardedCache {
         }
     }
 
-    /// Stores an estimate with no count-shard pin (invalidated by every
-    /// append). A full shard is reset first — crude but constant-time
-    /// eviction that bounds memory at `shards × shard_capacity` entries.
+    /// Stores an estimate. A full shard is reset first — crude but
+    /// constant-time eviction that bounds memory at
+    /// `shards × shard_capacity` entries.
     pub fn insert(&self, pattern: Pattern, estimate: f64) {
-        self.insert_tagged(pattern, estimate, None);
-    }
-
-    /// Stores an estimate pinned to the `PC` count shard it was read
-    /// from, making it survivable across appends that do not touch that
-    /// shard (see [`ShardedCache::invalidate_count_shards`]).
-    pub fn insert_tagged(&self, pattern: Pattern, estimate: f64, count_shard: Option<u32>) {
         let mut shard = self.shard_of(&pattern).lock().expect("cache shard");
         if shard.len() >= self.shard_capacity && !shard.contains_key(&pattern) {
             shard.clear();
         }
-        shard.insert(pattern, (estimate, count_shard));
-    }
-
-    /// Drops every entry whose answer an append touching `touched` `PC`
-    /// shards could have changed: entries pinned to a touched shard and
-    /// all unpinned entries. Entries pinned to untouched shards survive.
-    /// Returns how many entries were dropped.
-    pub fn invalidate_count_shards(&self, touched: &[u32]) -> usize {
-        let mut dropped = 0usize;
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock().expect("cache shard");
-            let before = shard.len();
-            shard.retain(|_, (_, tag)| tag.is_some_and(|t| !touched.contains(&t)));
-            dropped += before - shard.len();
-        }
-        self.stats
-            .invalidations
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
+        shard.insert(pattern, estimate);
     }
 
     /// Total cached entries across shards.
@@ -162,10 +128,10 @@ impl ShardedCache {
         self.len() == 0
     }
 
-    /// Drops every entry and resets the hit/miss counters (used on label
-    /// refresh). Dropped entries count toward
-    /// [`CacheStats::invalidations`], which survives the reset.
-    pub fn clear(&self) {
+    /// Drops every entry, counting them toward
+    /// [`CacheStats::invalidations`], and keeps the hit/miss counters
+    /// (used on append).
+    pub fn invalidate(&self) {
         let mut dropped = 0u64;
         for shard in self.shards.iter() {
             let mut shard = shard.lock().expect("cache shard");
@@ -175,6 +141,12 @@ impl ShardedCache {
         self.stats
             .invalidations
             .fetch_add(dropped, Ordering::Relaxed);
+    }
+
+    /// [`ShardedCache::invalidate`], then resets the hit/miss counters
+    /// (used on label refresh).
+    pub fn clear(&self) {
+        self.invalidate();
         self.stats.hits.store(0, Ordering::Relaxed);
         self.stats.misses.store(0, Ordering::Relaxed);
     }
@@ -196,8 +168,7 @@ impl pclabel_data::mem::HeapBytes for ShardedCache {
     /// byte per unit of capacity) plus the heap the cached patterns'
     /// term vectors own.
     fn heap_bytes(&self) -> u64 {
-        let slot =
-            (std::mem::size_of::<Pattern>() + std::mem::size_of::<CachedEstimate>() + 1) as u64;
+        let slot = (std::mem::size_of::<Pattern>() + std::mem::size_of::<f64>() + 1) as u64;
         self.shards
             .iter()
             .map(|s| {
@@ -249,26 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn shard_tagged_invalidation_is_shard_local() {
+    fn invalidate_drops_entries_and_keeps_counters() {
         let c = ShardedCache::default();
-        c.insert_tagged(pat(0, 1), 1.0, Some(3));
-        c.insert_tagged(pat(0, 2), 2.0, Some(7));
-        c.insert(pat(0, 3), 3.0); // unpinned: dies on any append
-        assert_eq!(c.len(), 3);
-
-        // An append touching shard 3 kills the shard-3 entry and the
-        // unpinned one; the shard-7 entry survives.
-        let dropped = c.invalidate_count_shards(&[3]);
-        assert_eq!(dropped, 2);
-        assert_eq!(c.stats().invalidations(), 2);
-        assert_eq!(c.get(&pat(0, 1)), None);
-        assert_eq!(c.get(&pat(0, 2)), Some(2.0));
+        c.insert(pat(0, 1), 1.0);
+        c.insert(pat(0, 2), 2.0);
+        assert_eq!(c.get(&pat(0, 1)), Some(1.0));
         assert_eq!(c.get(&pat(0, 3)), None);
-
-        // Touching no listed shard still drops freshly-unpinned entries.
-        c.insert(pat(1, 0), 9.0);
-        assert_eq!(c.invalidate_count_shards(&[]), 1);
-        assert_eq!(c.get(&pat(0, 2)), Some(2.0));
+        c.invalidate();
+        assert!(c.is_empty());
+        assert_eq!(c.stats().invalidations(), 2);
+        assert_eq!((c.stats().hits(), c.stats().misses()), (1, 1));
+        // The counters keep counting after it.
+        assert_eq!(c.get(&pat(0, 1)), None);
+        assert_eq!((c.stats().hits(), c.stats().misses()), (1, 2));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! ## Pieces
 //!
-//! * [`parallel`] — the counting thread policy: picks the worker count
-//!   [`pclabel_core::counting::GroupCounts::build`] runs on from row
-//!   count and available hardware;
+//! * [`parallel`] — `auto_threads`, the old counting thread policy,
+//!   which nothing here calls (every group-by is one serial scan); kept
+//!   until ROADMAP item 1 ports the benchmark;
 //! * [`store`] — [`store::LabelStore`]: a registry of named datasets and
 //!   their computed labels behind `Arc`/`RwLock`, supporting concurrent
 //!   registration, lookup and label refresh (with generation counters);
@@ -20,7 +20,7 @@
 //!   subset of the label's `S`, and falls back to `Label::estimate`
 //!   otherwise;
 //! * [`cache`] — a sharded pattern→estimate cache with hit/miss counters,
-//!   one per stored dataset, invalidated on label refresh;
+//!   one per stored dataset, emptied by every refresh and append;
 //! * [`durability`] — the optional durability plane: crash recovery
 //!   from snapshot + write-ahead-log replay, append-before-publish
 //!   logging of every store mutation, and background snapshotting with
@@ -82,7 +82,6 @@ pub mod prelude {
     pub use crate::cache::{CacheStats, ShardedCache};
     pub use crate::durability::{Durability, DurabilityOptions, DurabilityStats, RecoveryReport};
     pub use crate::health::{Health, HealthSnapshot};
-    pub use crate::parallel::auto_threads;
     pub use crate::query::{
         Engine, EngineConfig, PatternEstimate, PatternSpec, QueryRequest, QueryResponse, QueryStats,
     };

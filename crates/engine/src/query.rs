@@ -5,7 +5,7 @@
 //! answer:
 //!
 //! 1. **cache** — a previous answer for the identical pattern (per-entry
-//!    sharded cache, invalidated on label refresh);
+//!    sharded cache, emptied by every refresh and append);
 //! 2. **exact** — when `Attr(p) ⊆ S`, the stored `PC` group map answers
 //!    exactly (paper §III-A: estimation is exact within the label's
 //!    subset), via `Label::count_of_projection`;
@@ -233,7 +233,7 @@ impl Engine {
             }
             let resolve =
                 |terms: &&[(&str, &str)]| Pattern::parse(data, terms).map_err(|e| e.to_string());
-            let finish = |resolved: Result<(Pattern, Option<Answer>), String>| match resolved {
+            let finish = |resolved: Result<(Pattern, Option<(f64, bool)>), String>| match resolved {
                 Ok((pattern, answer)) => answer_cached(&entry, label, pattern, answer, trace),
                 Err(error) => PatternEstimate {
                     estimate: 0.0,
@@ -259,7 +259,7 @@ impl Engine {
                         .map(|part| {
                             scope.spawn(move || {
                                 let answer = |p: Pattern| {
-                                    let answer = Answer::of(label, &p);
+                                    let answer = label_answer(label, &p);
                                     (p, Some(answer))
                                 };
                                 part.iter()
@@ -321,43 +321,16 @@ pub(crate) fn label_answer(label: &Label, pattern: &Pattern) -> (f64, bool) {
     (estimate, exact)
 }
 
-/// A resolved pattern's answer from the label snapshot, before the cache
-/// is consulted.
-struct Answer {
-    estimate: f64,
-    exact: bool,
-    /// The `PC` count shard the answer was read from, when it was read
-    /// from a single group (`Attr(p) = S`).
-    count_shard: Option<u32>,
-}
-
-impl Answer {
-    fn of(label: &Label, pattern: &Pattern) -> Answer {
-        let (estimate, exact) = label_answer(label, pattern);
-        let count_shard = label.count_shard_of(pattern).map(|s| s as u32);
-        Answer {
-            estimate,
-            exact,
-            count_shard,
-        }
-    }
-}
-
 /// Answers one resolved pattern from the cache, or else from `answer`
-/// (computed here when `None`) and caches it. Must run inside
-/// [`StoreEntry::with_snapshot`] — the cache insert below is only sound
-/// while the entry's read lock pins the label the answer came from.
-///
-/// Answers whose value is read from a single `PC` group (`Attr(p) = S`)
-/// are cached pinned to that group's count shard, so they survive
-/// appends that do not touch the shard; every other answer depends on
-/// marginals, `VC` fractions or `|D|` and is cached unpinned (dropped by
-/// any append).
+/// (its [`label_answer`], computed here when `None`) and caches it. Must
+/// run inside [`StoreEntry::with_snapshot`] — the cache insert below is
+/// only sound while the entry's read lock pins the label the answer came
+/// from.
 fn answer_cached(
     entry: &StoreEntry,
     label: &Label,
     pattern: Pattern,
-    answer: Option<Answer>,
+    answer: Option<(f64, bool)>,
     trace: Option<&Trace>,
 ) -> PatternEstimate {
     let probe_start = trace.map(|_| std::time::Instant::now());
@@ -374,13 +347,11 @@ fn answer_cached(
             error: None,
         };
     }
-    let answer = answer.unwrap_or_else(|| Answer::of(label, &pattern));
-    entry
-        .cache()
-        .insert_tagged(pattern, answer.estimate, answer.count_shard);
+    let (estimate, exact) = answer.unwrap_or_else(|| label_answer(label, &pattern));
+    entry.cache().insert(pattern, estimate);
     PatternEstimate {
-        estimate: answer.estimate,
-        exact: answer.exact,
+        estimate,
+        exact,
         cached: false,
         error: None,
     }

@@ -46,13 +46,13 @@
 //! arrays, one cell per attribute in schema order (`null` = missing,
 //! numbers coerced like pattern values). Unless a row carries a value
 //! that is new *on one of the label's subset-`S` attributes* (which
-//! changes the packed-key layout), the label updates incrementally —
-//! only the `PC` count shards the new rows touch are rewritten,
-//! reported as `"touched_shards"` with `"incremental": true`; new
-//! values on attributes outside `S` just extend the `VC` table.
-//! Otherwise the label is rebuilt over its current subset
-//! (`"incremental": false`). Either way the generation bumps and stale
-//! cache entries are dropped (shard-locally on the incremental path).
+//! changes the packed-key layout), the label updates incrementally
+//! (`"incremental": true`): the new rows are folded into a copy of the
+//! `PC` counts, and new values on attributes outside `S` just extend the
+//! `VC` table. Otherwise the label is rebuilt over its current subset
+//! (`"incremental": false`). Either way the generation bumps and every
+//! cached answer is dropped, while the cache's hit/miss counters in
+//! `stats` keep counting.
 //!
 //! `estimate_multi` answers each pattern by combining the estimates of
 //! *several* registered datasets' labels (the paper's multi-label
@@ -740,10 +740,6 @@ fn entry_summary(entry: &StoreEntry) -> Vec<(String, Json)> {
             "vc_size".to_string(),
             Json::num(label.value_count_size() as f64),
         ),
-        (
-            "count_shards".to_string(),
-            Json::num(label.count_shards() as f64),
-        ),
         ("generation".to_string(), Json::num(generation as f64)),
     ]
 }
@@ -1152,16 +1148,6 @@ fn handle_append_rows(engine: &Engine, request: &Json, trace: Option<&Trace>) ->
             ("rows", Json::num(report.total_rows as f64)),
             ("generation", Json::num(report.generation as f64)),
             ("incremental", Json::Bool(report.incremental)),
-            (
-                "touched_shards",
-                Json::Arr(
-                    report
-                        .touched_shards
-                        .iter()
-                        .map(|&s| Json::num(s as f64))
-                        .collect(),
-                ),
-            ),
         ]),
         Err(e) => engine_error("append_rows", &e),
     }
@@ -1399,7 +1385,7 @@ mod tests {
             "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,b\\n1,x\\n1,y\\n2,x\\n\",",
             "\"label_attrs\":[\"a\",\"b\"]}\n",
             "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"}]}\n",
-            // Known values only: incremental append touching few shards.
+            // Known values only: incremental append.
             "{\"op\":\"append_rows\",\"dataset\":\"t\",\"rows\":[[1,\"x\"],[\"2\",\"y\"]]}\n",
             "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"}]}\n",
             // A null cell is a missing value, a new value rebuilds.
@@ -1424,11 +1410,6 @@ mod tests {
         assert_eq!(append.get("rows").and_then(Json::as_u64), Some(5));
         assert_eq!(append.get("generation").and_then(Json::as_u64), Some(1));
         assert_eq!(append.get("incremental"), Some(&Json::Bool(true)));
-        assert!(!append
-            .get("touched_shards")
-            .and_then(Json::as_array)
-            .unwrap()
-            .is_empty());
 
         // (a=1, b=x) count grew from 1 to 2 and is served post-append.
         assert_eq!(
@@ -1455,6 +1436,36 @@ mod tests {
         for i in [7usize, 8, 9] {
             assert_eq!(responses[i].get("ok"), Some(&Json::Bool(false)), "line {i}");
         }
+    }
+
+    #[test]
+    fn appends_keep_the_cache_counters_in_stats() {
+        let responses = run_session(concat!(
+            "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,b\\n1,x\\n1,y\\n2,x\\n\",",
+            "\"label_attrs\":[\"a\",\"b\"]}\n",
+            "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"},{\"a\":\"1\"}]}\n",
+            "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"}]}\n",
+            // A new value on the label's subset: the dictionary grows and
+            // the label is rebuilt.
+            "{\"op\":\"append_rows\",\"dataset\":\"t\",\"rows\":[[\"3\",\"x\"]]}\n",
+            "{\"op\":\"stats\",\"dataset\":\"t\"}\n",
+            "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"}]}\n",
+            // Known values: an incremental append.
+            "{\"op\":\"append_rows\",\"dataset\":\"t\",\"rows\":[[\"1\",\"x\"]]}\n",
+            "{\"op\":\"stats\",\"dataset\":\"t\"}\n",
+        ));
+        assert_eq!(responses[3].get("incremental"), Some(&Json::Bool(false)));
+        assert_eq!(responses[6].get("incremental"), Some(&Json::Bool(true)));
+        let counters = |stats: &Json| {
+            let cache = stats.get("cache").unwrap();
+            ["entries", "hits", "misses", "invalidations"]
+                .map(|field| cache.get(field).and_then(Json::as_u64).unwrap())
+        };
+        // Two misses and a hit before the rebuild, which drops both
+        // cached answers and keeps the counters.
+        assert_eq!(counters(&responses[4]), [0, 1, 2, 2]);
+        // The post-rebuild query misses; the next append drops its answer.
+        assert_eq!(counters(&responses[7]), [0, 1, 3, 3]);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! `name → (dataset, label, cache)` without blocking each other.
 //!
 //! Labels can be *refreshed* in place (e.g. after re-profiling with a
-//! different size bound); every refresh bumps the entry's generation
-//! counter and clears its estimate cache, so stale cached answers can
-//! never be served.
+//! different size bound) and datasets *appended* to; every refresh or
+//! append bumps the entry's generation counter and empties its estimate
+//! cache, so stale cached answers can never be served.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
@@ -29,7 +29,6 @@ use pclabel_wal::record::{DatasetImage, PolicyRepr, WalOp};
 use crate::cache::ShardedCache;
 use crate::durability::WalSink;
 use crate::health::Health;
-use crate::parallel::auto_threads;
 
 /// Errors surfaced by the engine layers.
 #[derive(Debug)]
@@ -119,11 +118,10 @@ pub struct AppendReport {
     pub total_rows: u64,
     /// The entry's new generation.
     pub generation: u64,
-    /// `true` when the label was updated shard-incrementally; `false`
-    /// when a dictionary grew and the label was rebuilt in full.
+    /// `true` when the label was updated incrementally; `false` when a
+    /// dictionary of the label's subset grew and the label was rebuilt
+    /// in full.
     pub incremental: bool,
-    /// `PC` shards the appended rows touched (sorted; empty on rebuild).
-    pub touched_shards: Vec<u32>,
 }
 
 /// Per-component heap footprint of one store entry, in bytes. The
@@ -135,7 +133,7 @@ pub struct EntryMemory {
     /// Dataset columns + schema (dictionaries included — the dataset is
     /// the schema's primary owner; the label shares it via `Arc`).
     pub dataset: u64,
-    /// The label's `PC` shard maps.
+    /// The label's `PC` group map.
     pub label_pc: u64,
     /// The label's `VC` value-count tables.
     pub label_vc: u64,
@@ -183,7 +181,7 @@ impl EntryState {
     /// records and snapshots log: what recovery installs.
     pub(crate) fn recovered(dataset: Arc<Dataset>, sel: &[u32], generation: u64, lsn: u64) -> Self {
         let attrs = AttrSet::from_indices(sel.iter().map(|&a| a as usize));
-        let label = Label::build_parallel(&dataset, attrs, auto_threads(dataset.n_rows()));
+        let label = Label::build(&dataset, attrs);
         EntryState {
             dataset,
             label: Arc::new(label),
@@ -227,21 +225,16 @@ impl StoreEntry {
         (*registered).then_some(registered).ok_or_else(unknown)
     }
 
-    /// Makes `next` the version readers see and drops the cached answers
-    /// it invalidates: those pinned to the `touched` count shards (and the
-    /// unpinned ones) after an incremental append, all of them otherwise.
-    /// Batches fill the cache under the read lock, so nothing older than
-    /// `next` survives in it. The write lock covers only the swap and the
-    /// invalidation; the replaced version is freed after it.
-    fn publish(&self, next: EntryState, touched: Option<&[u32]>) {
+    /// Makes `next` the version readers see and empties the cache with
+    /// `invalidate`: [`ShardedCache::clear`] on refresh,
+    /// [`ShardedCache::invalidate`] (which keeps the hit/miss counters)
+    /// on append. Batches fill the cache under the read lock, so nothing
+    /// older than `next` survives in it. The write lock covers only the
+    /// swap and the invalidation; the replaced version is freed after it.
+    fn publish(&self, next: EntryState, invalidate: impl FnOnce(&ShardedCache)) {
         let mut cur = self.state.write().expect("entry lock");
         let old = std::mem::replace(&mut *cur, next);
-        match touched {
-            Some(shards) => {
-                self.cache.invalidate_count_shards(shards);
-            }
-            None => self.cache.clear(),
-        }
+        invalidate(&self.cache);
         drop(cur);
         drop(old);
     }
@@ -359,7 +352,6 @@ impl fmt::Debug for StoreEntry {
 /// attached.
 fn record_profile(trace: Option<&Trace>, profile: &CountingProfile) {
     if let Some(trace) = trace {
-        trace.add_phase_secs(Phase::CountPartition, profile.partition_secs);
         trace.add_phase_secs(Phase::CountCount, profile.count_secs);
         trace.add_phase_secs(Phase::CountAssemble, profile.assemble_secs);
         trace.record_peak_bytes(profile.peak_bytes);
@@ -379,8 +371,7 @@ fn compute_label(
                     "label attribute index {bad} out of range (dataset has {n} attributes)"
                 )));
             }
-            let (label, profile) =
-                Label::build_parallel_profiled(dataset, attrs, auto_threads(dataset.n_rows()));
+            let (label, profile) = Label::build_profiled(dataset, attrs);
             record_profile(trace, &profile);
             Ok(label)
         }
@@ -396,12 +387,12 @@ fn compute_label(
 /// more than the walk.
 const SEARCH_PARALLEL_MIN_ROWS: usize = 4_096;
 
-/// Runs the top-down search with serving-side tuning: the lattice walk,
-/// candidate evaluation and per-candidate counting on every hardware
-/// thread for datasets of at least [`SEARCH_PARALLEL_MIN_ROWS`] rows, and
-/// the lattice-aware refinement evaluator on by default (`refine: false`
-/// is the cold-rebuild ablation; results are bit-identical either way, at
-/// any thread count).
+/// Runs the top-down search with serving-side tuning: the lattice walk
+/// and candidate evaluation on every hardware thread for datasets of at
+/// least [`SEARCH_PARALLEL_MIN_ROWS`] rows, and the lattice-aware
+/// refinement evaluator on by default (`refine: false` is the
+/// cold-rebuild ablation; results are bit-identical either way, at any
+/// thread count).
 ///
 /// The thread count is not divided by the daemon's dispatch workers:
 /// concurrent searched registers each take every hardware thread. The
@@ -419,8 +410,7 @@ fn compute_search_label(
     };
     let opts = SearchOptions::with_bound(bound)
         .refine(refine)
-        .threads(workers)
-        .count_threads(workers);
+        .threads(workers);
     let outcome = top_down_search(dataset, &opts)?;
     if let Some(trace) = trace {
         trace.add_phase(Phase::SearchWalk, outcome.stats.search_time);
@@ -648,7 +638,7 @@ impl LabelStore {
             generation,
             applied_lsn,
         };
-        entry.publish(next, None);
+        entry.publish(next, ShardedCache::clear);
         Ok(generation)
     }
 
@@ -657,16 +647,16 @@ impl LabelStore {
     ///
     /// While no dictionary of an attribute **inside the label's subset
     /// `S`** grows ([`Label::can_append`]), the label is updated
-    /// **incrementally**: only the `PC` shards the new rows' keys land in
-    /// are copied and refreshed ([`Label::with_appended`]), every other
-    /// shard stays byte-shared with the previous generation, and only the
-    /// cache entries pinned to touched shards (plus the shard-unpinned
-    /// ones) are invalidated. New values on attributes *outside* `S` stay
+    /// **incrementally** ([`Label::with_appended`]): the new rows are
+    /// folded into a copy of the `PC` map, without re-counting the
+    /// existing rows. New values on attributes *outside* `S` stay
     /// incremental — the `VC` table grows in place. A new value on an
     /// attribute of `S` changes the packed-key layout, so the label is
     /// rebuilt in full over the *same* subset `S` the current label uses
-    /// (a search-chosen `S` is kept, not re-searched) and the cache is
-    /// cleared; [`AppendReport::incremental`] reports which path ran.
+    /// (a search-chosen `S` is kept, not re-searched);
+    /// [`AppendReport::incremental`] reports which path ran. Either way
+    /// every cached answer is dropped ([`ShardedCache::invalidate`]), and
+    /// the cache's hit/miss counters keep counting.
     ///
     /// Like [`LabelStore::refresh`], the append holds the entry's writer
     /// lock while it copies the dataset, updates the label and logs the
@@ -708,7 +698,7 @@ impl LabelStore {
         }
         let _writer = entry.lock_writer()?;
         let (base, label, generation) = entry.snapshot();
-        let (dataset, label, touched) = Self::appended_state(&base, &label, rows, trace)?;
+        let (dataset, label, incremental) = Self::appended_state(&base, &label, rows, trace)?;
         let generation = generation + 1;
         let (applied_lsn, record) = self.log(|| WalOp::AppendRows {
             name: name.to_string(),
@@ -729,7 +719,7 @@ impl LabelStore {
             generation,
             applied_lsn,
         };
-        entry.publish(next, touched.as_deref());
+        entry.publish(next, ShardedCache::invalidate);
         // Freed only after the swap: a large batch's strings take
         // milliseconds to free, and a snapshot that captured the entry
         // meanwhile would see the batch logged but not published, and
@@ -739,45 +729,34 @@ impl LabelStore {
             appended: rows.len(),
             total_rows,
             generation,
-            incremental: touched.is_some(),
-            touched_shards: touched.unwrap_or_default(),
+            incremental,
         })
     }
 
-    /// Computes the post-append dataset and label from a snapshot, with
-    /// the `PC` shards the rows touched. While no dictionary of an
-    /// attribute inside the label's subset `S` grows
-    /// ([`Label::can_append`]), the label is updated shard-incrementally
+    /// Computes the post-append dataset and label from a snapshot, and
+    /// whether the label was updated incrementally. While no dictionary
+    /// of an attribute inside the label's subset `S` grows
+    /// ([`Label::can_append`]), the label is updated incrementally
     /// ([`Label::with_appended`]); otherwise it is rebuilt in full over
     /// the *same* subset `S` (a search-chosen `S` is kept, not
-    /// re-searched) and no shard list is returned.
+    /// re-searched).
     fn appended_state<S: AsRef<str>>(
         base: &Dataset,
         label: &Label,
         rows: &[Vec<Option<S>>],
         trace: Option<&Trace>,
-    ) -> Result<(Dataset, Label, Option<Vec<u32>>), EngineError> {
+    ) -> Result<(Dataset, Label, bool), EngineError> {
         let mut dataset = base.clone_with_headroom(rows.len());
         let old_rows = dataset.n_rows();
         dataset.append_labeled_rows(rows)?;
-        if label.can_append(&dataset) {
-            let t0 = std::time::Instant::now();
-            let (label, touched) = label.with_appended(&dataset, old_rows..dataset.n_rows());
-            if let Some(trace) = trace {
-                // The incremental path is a pure counting update: no
-                // partition pass, no reassembly from shard parts.
-                trace.add_phase(Phase::CountCount, t0.elapsed());
-            }
-            Ok((dataset, label, Some(touched)))
+        let incremental = label.can_append(&dataset);
+        let (label, profile) = if incremental {
+            label.with_appended(&dataset, old_rows..dataset.n_rows())
         } else {
-            let (rebuilt, profile) = Label::build_parallel_profiled(
-                &dataset,
-                label.attrs(),
-                auto_threads(dataset.n_rows()),
-            );
-            record_profile(trace, &profile);
-            Ok((dataset, rebuilt, None))
-        }
+            Label::build_profiled(&dataset, label.attrs())
+        };
+        record_profile(trace, &profile);
+        Ok((dataset, label, incremental))
     }
 
     /// Removes an entry; returns whether it existed.
@@ -934,14 +913,14 @@ impl LabelStore {
                     return Ok(());
                 };
                 let next = EntryState::recovered(cur.dataset, sel, op.generation(), lsn);
-                entry.publish(next, None);
+                entry.publish(next, ShardedCache::clear);
                 Ok(())
             }
             WalOp::AppendRows { rows, .. } => {
                 let Some((entry, cur)) = self.replay_target(lsn, op, "append to")? else {
                     return Ok(());
                 };
-                let (dataset, label, touched) =
+                let (dataset, label, _) =
                     Self::appended_state(&cur.dataset, &cur.label, rows, None)?;
                 let next = EntryState {
                     dataset: Arc::new(dataset),
@@ -949,7 +928,7 @@ impl LabelStore {
                     generation: op.generation(),
                     applied_lsn: lsn,
                 };
-                entry.publish(next, touched.as_deref());
+                entry.publish(next, ShardedCache::invalidate);
                 Ok(())
             }
             WalOp::Remove { name, generation } => {
@@ -1189,7 +1168,6 @@ mod tests {
         assert_eq!(report.appended, 2);
         assert_eq!(report.total_rows, 20);
         assert_eq!(report.generation, 1);
-        assert!(!report.touched_shards.is_empty());
 
         // The appended label equals a from-scratch build over the grown
         // dataset.
@@ -1227,7 +1205,6 @@ mod tests {
             )
             .unwrap();
         assert!(!report.incremental);
-        assert!(report.touched_shards.is_empty());
         let entry = store.get("census").unwrap();
         let (dataset, label, _) = entry.snapshot();
         // The rebuilt label keeps its subset S and covers the new value.
@@ -1265,7 +1242,6 @@ mod tests {
             )
             .unwrap();
         assert!(report.incremental);
-        assert!(!report.touched_shards.is_empty());
         let entry = store.get("census").unwrap();
         let (dataset, label, _) = entry.snapshot();
         let full = Label::build(&dataset, AttrSet::from_indices([1, 3]));
@@ -1279,62 +1255,64 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_invalidates_cache_shard_locally() {
+    fn no_append_leaves_a_changed_answer_cached() {
+        use crate::query::label_answer;
+        use pclabel_core::pattern::Pattern;
+
+        let s = AttrSet::from_indices([1, 3]);
         let store = LabelStore::new();
         store
-            .register(
-                "census",
-                figure2_sample(),
-                LabelPolicy::Attrs(AttrSet::from_indices([1, 3])),
-            )
+            .register("census", figure2_sample(), LabelPolicy::Attrs(s))
             .unwrap();
         let entry = store.get("census").unwrap();
-        let label = entry.label();
-        // Two full-S patterns pinned to their count shards, one unpinned.
+        // Every row's pattern on all of S, on part of S, outside S and
+        // across it.
         let d = entry.dataset();
-        let hit = pclabel_core::pattern::Pattern::parse(
-            &d,
-            &[("age group", "20-39"), ("marital status", "married")],
-        )
-        .unwrap();
-        let miss = pclabel_core::pattern::Pattern::parse(
-            &d,
-            &[("age group", "under 20"), ("marital status", "single")],
-        )
-        .unwrap();
-        let hit_shard = label.count_shard_of(&hit).unwrap() as u32;
-        let miss_shard = label.count_shard_of(&miss).unwrap() as u32;
-        entry
-            .cache()
-            .insert_tagged(hit.clone(), 6.0, Some(hit_shard));
-        entry
-            .cache()
-            .insert_tagged(miss.clone(), 6.0, Some(miss_shard));
-        entry
-            .cache()
-            .insert(pclabel_core::pattern::Pattern::from_terms([(0, 0)]), 9.0);
-
-        // Append a (20-39, married) row: its shard must be invalidated.
-        let report = store
-            .append_rows(
-                "census",
-                &[vec![
-                    Some("Male"),
-                    Some("20-39"),
-                    Some("Caucasian"),
-                    Some("married"),
-                ]],
-            )
-            .unwrap();
-        assert!(report.incremental);
-        assert!(report.touched_shards.contains(&hit_shard));
-        assert_eq!(entry.cache().get(&hit), None, "touched shard entry dropped");
-        if !report.touched_shards.contains(&miss_shard) {
-            assert_eq!(
-                entry.cache().get(&miss),
-                Some(6.0),
-                "untouched shard entry survives"
-            );
+        let patterns: Vec<Pattern> = (0..d.n_rows())
+            .flat_map(|r| {
+                let p = Pattern::from_row(&d, r);
+                [s, AttrSet::from_indices([1]), AttrSet::from_indices([0])]
+                    .map(|k| p.restrict(k))
+                    .into_iter()
+                    .chain([p])
+            })
+            .collect();
+        let appends = [
+            // Known values: incremental.
+            [
+                Some("Male"),
+                Some("20-39"),
+                Some("Caucasian"),
+                Some("married"),
+            ],
+            // A new value outside S: incremental.
+            [
+                Some("Female"),
+                Some("20-39"),
+                Some("Martian"),
+                Some("married"),
+            ],
+            // A new value on S: rebuilt.
+            [
+                Some("Female"),
+                Some("60+"),
+                Some("Caucasian"),
+                Some("married"),
+            ],
+        ];
+        for (i, row) in appends.into_iter().enumerate() {
+            let label = entry.label();
+            for p in &patterns {
+                entry.cache().insert(p.clone(), label_answer(&label, p).0);
+            }
+            let report = store.append_rows("census", &[row.to_vec()]).unwrap();
+            assert_eq!(report.incremental, i < 2, "append {i}");
+            let label = entry.label();
+            for p in &patterns {
+                if let Some(cached) = entry.cache().get(p) {
+                    assert_eq!(cached, label_answer(&label, p).0, "append {i}: {p}");
+                }
+            }
         }
     }
 
@@ -1350,7 +1328,7 @@ mod tests {
             .unwrap();
         let before = entry.memory();
         assert!(before.dataset > 0, "dataset columns are accounted");
-        assert!(before.label_pc > 0, "PC shard maps are accounted");
+        assert!(before.label_pc > 0, "the PC group map is accounted");
         assert!(before.label_vc > 0, "VC tables are accounted");
         assert_eq!(
             before.total(),

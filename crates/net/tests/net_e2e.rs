@@ -755,6 +755,12 @@ fn remote_shutdown_is_gated_by_config() {
     server.wait(); // returns because the client's op stopped the server
 }
 
+/// An answer object's member names, in order.
+fn keys(answer: &Json) -> Vec<&str> {
+    let members = answer.as_object().expect("an object answer");
+    members.iter().map(|(k, _)| k.as_str()).collect()
+}
+
 /// The acceptance path for incremental ingest: `append_rows` through the
 /// real `pclabel-netd` binary must answer every query exactly like a
 /// dataset registered with the full data up front — on both the
@@ -866,11 +872,19 @@ fn netd_append_rows_equals_full_rebuild() {
     assert_eq!(append.get("ok"), Some(&Json::Bool(true)), "{append}");
     assert_eq!(append.get("incremental"), Some(&Json::Bool(true)));
     assert_eq!(append.get("rows").and_then(Json::as_u64), Some(160));
-    assert!(!append
-        .get("touched_shards")
-        .and_then(Json::as_array)
-        .unwrap()
-        .is_empty());
+    // The answer carries no shard list.
+    assert_eq!(
+        keys(&append),
+        [
+            "ok",
+            "op",
+            "dataset",
+            "appended",
+            "rows",
+            "generation",
+            "incremental"
+        ]
+    );
 
     // Every pattern answers identically on the appended dataset and the
     // from-scratch one.
@@ -884,7 +898,7 @@ fn netd_append_rows_equals_full_rebuild() {
     let full_results = results_of(&client.request_line(&query("full")).expect("full query"));
     assert_eq!(base_results, full_results);
 
-    // Stats agree on |PC| (and expose the shard count).
+    // Stats agree on |PC| (and carry no shard count).
     let mut send2 = |line: &str| -> Json {
         let response = client.request_line(line).expect("round-trip");
         Json::parse(&response).unwrap()
@@ -895,12 +909,21 @@ fn netd_append_rows_equals_full_rebuild() {
         base_stats.get("label_size").and_then(Json::as_u64),
         full_stats.get("label_size").and_then(Json::as_u64)
     );
-    assert!(
-        base_stats
-            .get("count_shards")
-            .and_then(Json::as_u64)
-            .unwrap()
-            >= 1
+    assert_eq!(
+        keys(&base_stats),
+        [
+            "ok",
+            "op",
+            "dataset",
+            "rows",
+            "label_attrs",
+            "label_size",
+            "vc_size",
+            "generation",
+            "applied_lsn",
+            "cache",
+            "memory"
+        ]
     );
 
     // Now grow a dictionary: the rebuild path must also match a full

@@ -20,11 +20,10 @@ pub enum Phase {
     StoreWait,
     /// Pattern-cache probes (accumulated across a batch).
     CacheLookup,
-    /// Counting build: radix partition pass.
-    CountPartition,
-    /// Counting build: per-shard group counting.
+    /// Counting build: the group-by scan (or an incremental label
+    /// update).
     CountCount,
-    /// Counting build: label assembly from shard maps.
+    /// Counting build: label assembly after the scan.
     CountAssemble,
     /// Optimal-label search: walking and sizing the label lattice.
     SearchWalk,
@@ -33,7 +32,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants.
-pub const N_PHASES: usize = 8;
+pub const N_PHASES: usize = 7;
 
 impl Phase {
     /// Every phase, in declaration order (indexable by `as usize`).
@@ -41,7 +40,6 @@ impl Phase {
         Phase::CsvParse,
         Phase::StoreWait,
         Phase::CacheLookup,
-        Phase::CountPartition,
         Phase::CountCount,
         Phase::CountAssemble,
         Phase::SearchWalk,
@@ -54,7 +52,6 @@ impl Phase {
             Phase::CsvParse => "csv_parse",
             Phase::StoreWait => "store_wait",
             Phase::CacheLookup => "cache_lookup",
-            Phase::CountPartition => "counting_partition",
             Phase::CountCount => "counting_count",
             Phase::CountAssemble => "counting_assemble",
             Phase::SearchWalk => "search_walk",
@@ -68,7 +65,6 @@ impl Phase {
             Phase::CsvParse => "pclabel_csv_parse_seconds",
             Phase::StoreWait => "pclabel_store_wait_seconds",
             Phase::CacheLookup => "pclabel_cache_lookup_seconds",
-            Phase::CountPartition => "pclabel_counting_partition_seconds",
             Phase::CountCount => "pclabel_counting_count_seconds",
             Phase::CountAssemble => "pclabel_counting_assemble_seconds",
             Phase::SearchWalk => "pclabel_search_walk_seconds",
@@ -82,8 +78,7 @@ impl Phase {
             Phase::CsvParse => "Seconds spent parsing a register's CSV upload.",
             Phase::StoreWait => "Seconds spent waiting for a store entry snapshot.",
             Phase::CacheLookup => "Seconds spent probing the pattern cache, per request.",
-            Phase::CountPartition => "Counting build: radix partition pass seconds.",
-            Phase::CountCount => "Counting build: per-shard counting seconds.",
+            Phase::CountCount => "Counting build: group-by scan seconds.",
             Phase::CountAssemble => "Counting build: label assembly seconds.",
             Phase::SearchWalk => "Optimal-label search: lattice walk and sizing seconds.",
             Phase::SearchEval => "Optimal-label search: candidate evaluation seconds.",

@@ -31,11 +31,10 @@
 //! ([`engine::query::Engine::execute`]) answers many patterns per call —
 //! exactly from the stored `PC` group map whenever the queried attributes
 //! fall inside the label's subset `S`, via `Label::estimate` otherwise —
-//! backed by a sharded pattern→estimate cache; and heavy group-bys can run
-//! on several threads through the one counting entry point,
-//! `GroupCounts::build(dataset, weights, attrs, threads)` (thread counts
-//! picked by [`engine::parallel`], or `SearchOptions::count_threads`
-//! during search). Candidate evaluation during a search is lattice-aware by
+//! backed by a sharded pattern→estimate cache; and every label's `PC` is
+//! counted by the one counting entry point,
+//! `GroupCounts::build(dataset, weights, attrs)`, in one serial scan.
+//! Candidate evaluation during a search is lattice-aware by
 //! default (`SearchOptions::refine`, the `EvalContext` partition
 //! refinement/coarsening engine — bit-identical errors, several times
 //! the candidates/sec of the per-candidate rebuild it replaces). The
