@@ -6,9 +6,25 @@
 //! Missing values — required by the NP-hardness reduction of Appendix A,
 //! whose construction uses tuples defined on only a few attributes — are
 //! stored as the sentinel [`MISSING`].
+//!
+//! # Generations share their columns
+//!
+//! Each column is an append-only buffer that every dataset cloned or
+//! appended from it shares (`Arc`), and each dataset reads only its own
+//! `n_rows` prefix of it. An append claims the cells past that prefix
+//! with one compare-and-swap on the buffer's high-water mark and writes
+//! them in place; only when the claim fails (another generation already
+//! grew past this one) or the buffer is full does it copy its prefix into
+//! a buffer of twice the rows. So an append costs amortised O(batch),
+//! [`Dataset::clone`] costs O(attributes), and [`Dataset::column`] stays a
+//! contiguous slice. The sharing is sound without any lock held by the
+//! caller, because no reader sees a cell past its own prefix, and no
+//! writer writes below another generation's length (the private
+//! `column` module spells both rules out at its `unsafe` code).
 
 use std::sync::Arc;
 
+use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::partition::{group_by_columns, group_weights};
 use crate::schema::{Attribute, Schema};
@@ -17,13 +33,31 @@ use crate::schema::{Attribute, Schema};
 pub const MISSING: u32 = u32::MAX;
 
 /// A columnar, dictionary-encoded categorical relation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Dataset {
     name: Box<str>,
     schema: Arc<Schema>,
-    columns: Vec<Vec<u32>>,
+    /// Each column's `len` is `n_rows`.
+    columns: Vec<Column>,
     n_rows: usize,
     has_missing: Vec<bool>,
+}
+
+impl Clone for Dataset {
+    /// Copies no cell: O(attributes). The clone shares every column
+    /// buffer (and the schema) with `self`, and the two read the same
+    /// rows. Appending to either one writes past both prefixes: in place
+    /// for the first to append, into a copy of its own rows for the
+    /// other, never into rows the other reads (see the module doc).
+    fn clone(&self) -> Dataset {
+        Dataset {
+            name: self.name.clone(),
+            schema: Arc::clone(&self.schema),
+            columns: self.columns.clone(),
+            n_rows: self.n_rows,
+            has_missing: self.has_missing.clone(),
+        }
+    }
 }
 
 impl Dataset {
@@ -68,8 +102,9 @@ impl Dataset {
         &self.columns[attr]
     }
 
-    /// Allocated capacity of `attr`'s column buffer, in elements — what
-    /// the deep memory accounting charges, as opposed to `n_rows`.
+    /// Capacity of `attr`'s column buffer, in cells — what the deep
+    /// memory accounting charges, as opposed to `n_rows`. Generations
+    /// sharing the buffer share this figure.
     pub(crate) fn column_capacity(&self, attr: usize) -> usize {
         self.columns[attr].capacity()
     }
@@ -142,36 +177,13 @@ impl Dataset {
             }
         }
         for (attr, &id) in ids.iter().enumerate() {
-            self.columns[attr].push(id);
+            self.columns[attr].extend_from_slice(&[id]);
             if id == MISSING {
                 self.has_missing[attr] = true;
             }
         }
         self.n_rows += 1;
         Ok(())
-    }
-
-    /// A copy whose columns each hold room for `extra_rows` more rows,
-    /// allocated once. Appending that many rows to it reallocates
-    /// nothing, where a plain `clone` (capacity = rows) doubles every
-    /// column on its first append.
-    pub fn clone_with_headroom(&self, extra_rows: usize) -> Dataset {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| {
-                let mut copy = Vec::with_capacity(c.len() + extra_rows);
-                copy.extend_from_slice(c);
-                copy
-            })
-            .collect();
-        Dataset {
-            name: self.name.clone(),
-            schema: Arc::clone(&self.schema),
-            columns,
-            n_rows: self.n_rows,
-            has_missing: self.has_missing.clone(),
-        }
     }
 
     /// Appends labeled rows (`None` marks a missing cell), interning
@@ -199,56 +211,50 @@ impl Dataset {
         // copy-on-write schema clone (the schema `Arc` is shared with
         // labels and older dataset snapshots, so an unconditional
         // `make_mut` would deep-copy every dictionary on every append).
-        let n_attrs = self.schema.len();
-        if n_attrs == 0 {
-            self.n_rows += rows.len();
+        let (n, n_attrs) = (rows.len(), self.schema.len());
+        if n_attrs == 0 || n == 0 {
+            self.n_rows += n;
             return Ok(false);
         }
-        let mut ids: Vec<u32> = Vec::with_capacity(rows.len() * n_attrs);
+        // Resolved column by column: `ids[attr * n + r]` is row `r`'s cell.
+        let mut ids: Vec<u32> = vec![MISSING; n * n_attrs];
         let mut grew = false;
-        'resolve: for row in rows {
+        'resolve: for (r, row) in rows.iter().enumerate() {
             for (attr, cell) in row.iter().enumerate() {
-                match cell {
-                    None => ids.push(MISSING),
-                    Some(s) => {
-                        let dict = self.schema.attr(attr).expect("attr in range").dictionary();
-                        match dict.lookup(s.as_ref()) {
-                            Some(id) => ids.push(id),
-                            None => {
-                                grew = true;
-                                break 'resolve;
-                            }
+                if let Some(s) = cell {
+                    let dict = self.schema.attr(attr).expect("attr in range").dictionary();
+                    match dict.lookup(s.as_ref()) {
+                        Some(id) => ids[attr * n + r] = id,
+                        None => {
+                            grew = true;
+                            break 'resolve;
                         }
                     }
                 }
             }
         }
         if grew {
-            ids.clear();
             let schema = Arc::make_mut(&mut self.schema);
-            for row in rows {
+            for (r, row) in rows.iter().enumerate() {
                 for (attr, cell) in row.iter().enumerate() {
-                    ids.push(match cell {
-                        None => MISSING,
-                        Some(s) => schema.attr_mut(attr).dictionary_mut().intern(s.as_ref()),
-                    });
+                    if let Some(s) = cell {
+                        ids[attr * n + r] =
+                            schema.attr_mut(attr).dictionary_mut().intern(s.as_ref());
+                    }
                 }
             }
         }
-        for row in ids.chunks_exact(n_attrs) {
-            for (attr, &id) in row.iter().enumerate() {
-                self.columns[attr].push(id);
-                if id == MISSING {
-                    self.has_missing[attr] = true;
-                }
-            }
-            self.n_rows += 1;
+        for (attr, cells) in ids.chunks_exact(n).enumerate() {
+            self.columns[attr].extend_from_slice(cells);
+            self.has_missing[attr] |= cells.contains(&MISSING);
         }
+        self.n_rows += n;
         Ok(grew)
     }
 
     /// Restricts the dataset to the attributes at `indices` (in the given
-    /// order), keeping all rows. Dictionaries are shared unchanged.
+    /// order), keeping all rows. Dictionaries are copied unchanged, and
+    /// the kept column buffers are shared, as by [`Dataset::clone`].
     pub fn project(&self, indices: &[usize]) -> Result<Dataset> {
         let mut schema = Schema::new();
         let mut columns = Vec::with_capacity(indices.len());
@@ -270,34 +276,24 @@ impl Dataset {
 
     /// Keeps only the rows at `rows` (in the given order, duplicates allowed).
     pub fn take_rows(&self, rows: &[usize]) -> Dataset {
-        let columns: Vec<Vec<u32>> = self
+        let columns = self
             .columns
             .iter()
             .map(|c| rows.iter().map(|&r| c[r]).collect())
             .collect();
-        let has_missing = columns
-            .iter()
-            .map(|c: &Vec<u32>| c.contains(&MISSING))
-            .collect();
-        Dataset {
-            name: self.name.clone(),
-            schema: Arc::clone(&self.schema),
+        Dataset::with_columns(
+            self.name.clone(),
+            Arc::clone(&self.schema),
             columns,
-            n_rows: rows.len(),
-            has_missing,
-        }
+            rows.len(),
+        )
     }
 
     /// Returns a dataset with the same schema and zero rows (for building
     /// derived tables such as materialized pattern sets).
     pub fn empty_like(&self) -> Dataset {
-        Dataset {
-            name: self.name.clone(),
-            schema: Arc::clone(&self.schema),
-            columns: (0..self.schema.len()).map(|_| Vec::new()).collect(),
-            n_rows: 0,
-            has_missing: vec![false; self.schema.len()],
-        }
+        let columns = (0..self.schema.len()).map(|_| Vec::new()).collect();
+        Dataset::with_columns(self.name.clone(), Arc::clone(&self.schema), columns, 0)
     }
 
     /// Returns a same-schema dataset where every column *not* listed in
@@ -307,26 +303,21 @@ impl Dataset {
         for &i in keep {
             self.schema.attr_checked(i)?;
         }
-        let columns: Vec<Vec<u32>> = (0..self.schema.len())
+        let columns = (0..self.schema.len())
             .map(|i| {
                 if keep.contains(&i) {
-                    self.columns[i].clone()
+                    self.columns[i].to_vec()
                 } else {
                     vec![MISSING; self.n_rows]
                 }
             })
             .collect();
-        let has_missing = columns
-            .iter()
-            .map(|c: &Vec<u32>| c.contains(&MISSING))
-            .collect();
-        Ok(Dataset {
-            name: self.name.clone(),
-            schema: Arc::clone(&self.schema),
+        Ok(Dataset::with_columns(
+            self.name.clone(),
+            Arc::clone(&self.schema),
             columns,
-            n_rows: self.n_rows,
-            has_missing,
-        })
+            self.n_rows,
+        ))
     }
 
     /// Collapses duplicate rows, returning the distinct-row dataset together
@@ -342,7 +333,8 @@ impl Dataset {
     /// group ids number the distinct tuples in first-occurrence order.
     pub fn compress(&self) -> (Dataset, Vec<u64>) {
         let cards = self.schema.iter().map(|a| a.cardinality() as u32);
-        let (ids, firsts) = group_by_columns(self.n_rows, self.columns.iter().zip(cards));
+        let columns = self.columns.iter().map(|c| c.as_slice());
+        let (ids, firsts) = group_by_columns(self.n_rows, columns.zip(cards));
         let weights = group_weights(&ids, std::iter::repeat(1), firsts.len());
         (self.take_rows(&firsts), weights)
     }
@@ -365,7 +357,7 @@ impl Dataset {
             let counts = &mut out[attr];
             match weights {
                 None => {
-                    for &v in col {
+                    for &v in col.iter() {
                         if v != MISSING {
                             counts[v as usize] += 1;
                         }
@@ -386,6 +378,38 @@ impl Dataset {
 }
 
 impl Dataset {
+    /// A dataset of raw id `columns` over `schema`'s dictionaries, named
+    /// `"dataset"`, each column moved in as its buffer, uncopied. Fails
+    /// unless there is one column per attribute, each `n_rows` long and
+    /// holding only [`MISSING`] or ids inside its attribute's dictionary.
+    pub fn from_columns(schema: Schema, columns: Vec<Vec<u32>>, n_rows: usize) -> Result<Dataset> {
+        if columns.len() != schema.len() {
+            return Err(DataError::Invalid(format!(
+                "{} columns for {} attributes",
+                columns.len(),
+                schema.len()
+            )));
+        }
+        for (attr, (column, a)) in columns.iter().zip(schema.iter()).enumerate() {
+            if column.len() != n_rows {
+                return Err(DataError::Invalid(format!(
+                    "column {attr} has {} rows, expected {n_rows}",
+                    column.len()
+                )));
+            }
+            let len = a.cardinality();
+            if let Some(&value) = column.iter().find(|&&v| v != MISSING && v as usize >= len) {
+                return Err(DataError::ValueOutOfRange { attr, value, len });
+            }
+        }
+        Ok(Dataset::with_columns(
+            "dataset".into(),
+            Arc::new(schema),
+            columns,
+            n_rows,
+        ))
+    }
+
     /// Crate-internal constructor from raw parts (used by transforms such as
     /// bucketization that rebuild single columns).
     pub(crate) fn from_parts(
@@ -394,13 +418,24 @@ impl Dataset {
         columns: Vec<Vec<u32>>,
         n_rows: usize,
     ) -> Dataset {
+        Dataset::with_columns(name, Arc::new(schema), columns, n_rows)
+    }
+
+    /// A dataset over `columns`, each `n_rows` long and each moved in as
+    /// its column's buffer.
+    fn with_columns(
+        name: Box<str>,
+        schema: Arc<Schema>,
+        columns: Vec<Vec<u32>>,
+        n_rows: usize,
+    ) -> Dataset {
         debug_assert_eq!(schema.len(), columns.len());
         debug_assert!(columns.iter().all(|c| c.len() == n_rows));
         let has_missing = columns.iter().map(|c| c.contains(&MISSING)).collect();
         Dataset {
             name,
-            schema: Arc::new(schema),
-            columns,
+            schema,
+            columns: columns.into_iter().map(Column::from_vec).collect(),
             n_rows,
             has_missing,
         }
@@ -603,14 +638,7 @@ impl DatasetBuilder {
 
     /// Finalizes the builder into an immutable [`Dataset`].
     pub fn finish(self) -> Dataset {
-        let has_missing = self.columns.iter().map(|c| c.contains(&MISSING)).collect();
-        Dataset {
-            name: self.name,
-            schema: Arc::new(self.schema),
-            columns: self.columns,
-            n_rows: self.n_rows,
-            has_missing,
-        }
+        Dataset::with_columns(self.name, Arc::new(self.schema), self.columns, self.n_rows)
     }
 }
 
@@ -808,6 +836,201 @@ mod tests {
             .unwrap();
         assert_eq!(original.schema().attr(0).unwrap().cardinality(), 2);
         assert_eq!(copy.schema().attr(0).unwrap().cardinality(), 3);
+    }
+
+    /// One live handle of [`shared_columns_match_a_per_handle_model`]:
+    /// the dataset, the cells and dictionary sizes it must read, and the
+    /// model buffer its columns sit in.
+    #[derive(Clone)]
+    struct Handle {
+        dataset: Dataset,
+        columns: Vec<Vec<u32>>,
+        cards: Vec<usize>,
+        buffer: usize,
+    }
+
+    impl Handle {
+        fn check(&self) {
+            let d = &self.dataset;
+            assert_eq!(d.n_rows(), self.columns[0].len());
+            let cards: Vec<usize> = d.schema().iter().map(|a| a.cardinality()).collect();
+            assert_eq!(cards, self.cards);
+            let mut counts: Vec<Vec<u64>> = self.cards.iter().map(|&c| vec![0; c]).collect();
+            for (attr, column) in self.columns.iter().enumerate() {
+                assert_eq!(d.column(attr), &column[..], "column {attr}");
+                assert_eq!(d.attr_has_missing(attr), column.contains(&MISSING));
+                for &v in column.iter().filter(|&&v| v != MISSING) {
+                    counts[attr][v as usize] += 1;
+                }
+                assert!(d.column_capacity(attr) >= d.n_rows());
+            }
+            assert_eq!(d.value_counts(), counts);
+        }
+
+        /// Where each column's cells start: moves only when a column is
+        /// copied.
+        fn starts(&self) -> Vec<*const u32> {
+            (0..self.columns.len())
+                .map(|a| self.dataset.column(a).as_ptr())
+                .collect()
+        }
+    }
+
+    /// How one step is read: what it does, which live handle it picks,
+    /// how many rows it appends and the raw draws its cells come from.
+    type Step = (u8, usize, usize, Vec<u32>);
+
+    /// Random steps over a family of handles sharing column buffers
+    /// (clone, append known values and missing cells, append a value
+    /// that grows a dictionary, `push_row_ids`, a failing append, drop),
+    /// each handle checked after every step against its own model. The
+    /// model also tracks each buffer's claimed mark, so every append is
+    /// checked to write in place exactly when its handle ends at the mark
+    /// and the rows fit, and else to copy into room for twice the rows.
+    /// Returns how often an append wrote in place, copied past a newer
+    /// generation and copied out of a full buffer.
+    fn run_steps(steps: &[Step]) -> [usize; 3] {
+        let domains = [("a", 3), ("b", 2), ("c", 4)];
+        let mut b = DatasetBuilder::with_domains(
+            domains.map(|(name, card)| (name, (0..card).map(|v| format!("v{v}")))),
+        );
+        let mut columns = vec![Vec::new(); domains.len()];
+        for r in 0..5u32 {
+            let row = [r % 3, MISSING, r % 4];
+            b.push_ids(&row).unwrap();
+            for (column, &id) in columns.iter_mut().zip(&row) {
+                column.push(id);
+            }
+        }
+        let mut handles = vec![Handle {
+            dataset: b.finish(),
+            columns,
+            cards: domains.map(|(_, card)| card).to_vec(),
+            buffer: 0,
+        }];
+        let mut claimed = vec![5];
+        let mut reached = [0; 3];
+        for (kind, pick, batch, draws) in steps {
+            let h = pick % handles.len();
+            let n_attrs = handles[h].columns.len();
+            match kind {
+                0 => handles.push(handles[h].clone()),
+                1..=4 => {
+                    let handle = &mut handles[h];
+                    let (len, cap) = (handle.columns[0].len(), handle.dataset.column_capacity(0));
+                    let starts = handle.starts();
+                    // A cell draws a known id or missing; kind 3 also
+                    // draws one new value into the first row.
+                    let mut ids: Vec<Vec<u32>> = (0..*batch)
+                        .map(|r| {
+                            (0..n_attrs)
+                                .map(|a| {
+                                    let card = handle.cards[a] as u32;
+                                    let v = draws[r * n_attrs + a] % (card + 1);
+                                    if v == card {
+                                        MISSING
+                                    } else {
+                                        v
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let grows = *kind == 3;
+                    if grows {
+                        let a = draws[0] as usize % n_attrs;
+                        ids[0][a] = handle.cards[a] as u32;
+                    }
+                    if *kind == 4 {
+                        ids.truncate(1);
+                        handle.dataset.push_row_ids(&ids[0]).unwrap();
+                    } else {
+                        let rows: Vec<Vec<Option<String>>> = ids
+                            .iter()
+                            .map(|row| {
+                                let cell = |&v: &u32| (v != MISSING).then(|| format!("v{v}"));
+                                row.iter().map(cell).collect()
+                            })
+                            .collect();
+                        assert_eq!(handle.dataset.append_labeled_rows(&rows).unwrap(), grows);
+                    }
+                    let k = ids.len();
+                    for row in &ids {
+                        for (a, &id) in row.iter().enumerate() {
+                            handle.columns[a].push(id);
+                            if id != MISSING {
+                                handle.cards[a] = handle.cards[a].max(id as usize + 1);
+                            }
+                        }
+                    }
+                    let in_place = claimed[handle.buffer] == len && len + k <= cap;
+                    let moved: Vec<bool> = handle
+                        .starts()
+                        .iter()
+                        .zip(&starts)
+                        .map(|(a, b)| a != b)
+                        .collect();
+                    assert_eq!(moved, vec![!in_place; n_attrs], "{len} rows, cap {cap}");
+                    if in_place {
+                        claimed[handle.buffer] = len + k;
+                        reached[0] += 1;
+                    } else {
+                        reached[if claimed[handle.buffer] > len { 1 } else { 2 }] += 1;
+                        assert_eq!(handle.dataset.column_capacity(0), (2 * len).max(len + k));
+                        handle.buffer = claimed.len();
+                        claimed.push(len + k);
+                    }
+                }
+                5 => {
+                    let handle = &mut handles[h];
+                    let mut rows = vec![vec![Some("v0"); n_attrs]; *batch];
+                    rows[draws[0] as usize % *batch].pop();
+                    let before = handle.starts();
+                    assert!(handle.dataset.append_labeled_rows(&rows).is_err());
+                    assert_eq!(handle.starts(), before);
+                }
+                _ => {
+                    if handles.len() > 1 {
+                        handles.swap_remove(h);
+                    }
+                }
+            }
+            for handle in &handles {
+                handle.check();
+            }
+        }
+        reached
+    }
+
+    /// The property behind [`run_steps`], over random step sequences; the
+    /// cases between them reach every path of an append.
+    #[test]
+    fn shared_columns_match_a_per_handle_model() {
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        let steps = proptest::collection::vec(
+            (
+                0u8..7,
+                any::<usize>(),
+                1usize..=5,
+                proptest::collection::vec(any::<u32>(), 15),
+            ),
+            1..60,
+        );
+        let mut rng = TestRng::from_env("shared_columns_match_a_per_handle_model");
+        let mut reached = [0; 3];
+        for _ in 0..256 {
+            let counts = run_steps(&steps.generate(&mut rng));
+            for (total, n) in reached.iter_mut().zip(counts) {
+                *total += n;
+            }
+        }
+        let [in_place, past_newer, full] = reached;
+        assert!(
+            in_place > 0 && past_newer > 0 && full > 0,
+            "in place {in_place}, copied past a newer generation {past_newer}, out of a full buffer {full}"
+        );
     }
 
     #[test]

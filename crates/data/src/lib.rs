@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod bucketize;
+mod column;
 pub mod csv;
 pub mod dataset;
 pub mod dictionary;

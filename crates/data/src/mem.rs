@@ -70,10 +70,14 @@ impl HeapBytes for Schema {
 }
 
 impl HeapBytes for Dataset {
-    /// Columns dominate: one `u32` per cell of column capacity. The
-    /// schema (attribute names + dictionaries) is counted here as
-    /// well — the dataset is its primary owner; labels sharing it via
-    /// `Arc` must not count it again.
+    /// Columns dominate: one `u32` per cell of each column buffer's
+    /// capacity, not per written cell (this module's rule 1).
+    /// Generations of a dataset share their column buffers
+    /// ([`Dataset::clone`]), so each one charges the whole shared
+    /// capacity, and an append that fits in place leaves the figure
+    /// unchanged. The schema (attribute names + dictionaries) is counted
+    /// here as well — the dataset is its primary owner; labels sharing it
+    /// via `Arc` must not count it again.
     fn heap_bytes(&self) -> u64 {
         let columns: u64 = (0..self.n_attrs())
             .map(|a| (self.column_capacity(a) * size_of::<u32>()) as u64)

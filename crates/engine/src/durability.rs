@@ -384,11 +384,11 @@ impl Durability {
                     break;
                 }
             };
-            for (lsn, op) in &read.records {
-                store.replay(*lsn, op)?;
+            cursor = cursor.max(base + read.records.len() as u64);
+            for (lsn, op) in read.records {
+                store.replay(lsn, op)?;
                 report.replayed_records += 1;
             }
-            cursor = cursor.max(base + read.records.len() as u64);
             if let TailState::Torn { reason, offset } = read.tail {
                 report.stopped = Some(format!(
                     "{}: torn tail at offset {offset}: {reason}",

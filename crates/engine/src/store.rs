@@ -448,7 +448,10 @@ pub(crate) type RetiredRecord = (String, u64, u64);
 /// alongside them. Locks are taken in one order: entry writer →
 /// registry → WAL mutex; an entry's state lock is write-locked only to
 /// publish, and takes no store lock inside it (only the cache's shard
-/// mutexes, which are leaves).
+/// mutexes, which are leaves). The writer lock orders the WAL; it is not
+/// what keeps an append from writing rows an older dataset generation
+/// reads, since generations share their columns safely without it (see
+/// [`Dataset::clone`]).
 ///
 /// When a `WalSink` is attached (the daemon runs with `--data-dir`),
 /// every mutating path — register, refresh, append, remove — appends
@@ -740,13 +743,17 @@ impl LabelStore {
     /// ([`Label::with_appended`]); otherwise it is rebuilt in full over
     /// the *same* subset `S` (a search-chosen `S` is kept, not
     /// re-searched).
+    ///
+    /// The new dataset shares `base`'s columns and writes only the new
+    /// rows, in place past `base`'s rows unless a copy is due (see
+    /// [`Dataset::clone`]), so `base` reads as before for whoever holds it.
     fn appended_state<S: AsRef<str>>(
         base: &Dataset,
         label: &Label,
         rows: &[Vec<Option<S>>],
         trace: Option<&Trace>,
     ) -> Result<(Dataset, Label, bool), EngineError> {
-        let mut dataset = base.clone_with_headroom(rows.len());
+        let mut dataset = base.clone();
         let old_rows = dataset.n_rows();
         dataset.append_labeled_rows(rows)?;
         let incremental = label.can_append(&dataset);
@@ -873,16 +880,11 @@ impl LabelStore {
     /// mismatches beyond that are corruption — the WAL's dense-LSN
     /// check should have caught any gap — and fail recovery rather
     /// than rebuild a silently different store.
-    pub(crate) fn replay(&self, lsn: u64, op: &WalOp) -> Result<(), EngineError> {
+    pub(crate) fn replay(&self, lsn: u64, op: WalOp) -> Result<(), EngineError> {
         match op {
-            WalOp::Register {
-                name,
-                generation,
-                sel,
-                dataset,
-                ..
-            } => {
+            WalOp::Register { .. } => {
                 {
+                    let (name, generation) = (op.name(), op.generation());
                     let inner = self.inner.read().expect("store lock");
                     if let Some(entry) = inner.entries.get(name) {
                         if entry.applied_lsn() >= lsn {
@@ -896,28 +898,38 @@ impl LabelStore {
                         if retired_lsn >= lsn {
                             return Ok(()); // register superseded by a later remove
                         }
-                        if retired_generation + 1 != *generation {
-                            return Err(stale(lsn, op, retired_generation + 1));
+                        if retired_generation + 1 != generation {
+                            return Err(stale(lsn, &op, retired_generation + 1));
                         }
-                    } else if *generation != 0 {
-                        return Err(stale(lsn, op, 0));
+                    } else if generation != 0 {
+                        return Err(stale(lsn, &op, 0));
                     }
                 }
-                let dataset = Arc::new(dataset.clone().into_dataset()?);
-                let state = EntryState::recovered(dataset, sel, *generation, lsn);
-                self.install_recovered(name.clone(), state);
+                let WalOp::Register {
+                    name,
+                    generation,
+                    sel,
+                    dataset,
+                    ..
+                } = op
+                else {
+                    unreachable!("matched a register");
+                };
+                let dataset = Arc::new(dataset.into_dataset()?);
+                let state = EntryState::recovered(dataset, &sel, generation, lsn);
+                self.install_recovered(name, state);
                 Ok(())
             }
-            WalOp::Refresh { sel, .. } => {
-                let Some((entry, cur)) = self.replay_target(lsn, op, "refresh of")? else {
+            WalOp::Refresh { ref sel, .. } => {
+                let Some((entry, cur)) = self.replay_target(lsn, &op, "refresh of")? else {
                     return Ok(());
                 };
                 let next = EntryState::recovered(cur.dataset, sel, op.generation(), lsn);
                 entry.publish(next, ShardedCache::clear);
                 Ok(())
             }
-            WalOp::AppendRows { rows, .. } => {
-                let Some((entry, cur)) = self.replay_target(lsn, op, "append to")? else {
+            WalOp::AppendRows { ref rows, .. } => {
+                let Some((entry, cur)) = self.replay_target(lsn, &op, "append to")? else {
                     return Ok(());
                 };
                 let (dataset, label, _) =
@@ -931,7 +943,10 @@ impl LabelStore {
                 entry.publish(next, ShardedCache::invalidate);
                 Ok(())
             }
-            WalOp::Remove { name, generation } => {
+            WalOp::Remove {
+                ref name,
+                generation,
+            } => {
                 let mut inner = self.inner.write().expect("store lock");
                 let Some(entry) = inner.entries.get(name) else {
                     // Already absent: either the snapshot postdates the
@@ -943,12 +958,12 @@ impl LabelStore {
                 if cur.applied_lsn >= lsn {
                     return Ok(());
                 }
-                if cur.generation != *generation {
-                    return Err(stale(lsn, op, cur.generation));
+                if cur.generation != generation {
+                    return Err(stale(lsn, &op, cur.generation));
                 }
                 *entry.writer.lock().unwrap_or_else(PoisonError::into_inner) = false;
                 inner.entries.remove(name);
-                inner.retired.insert(name.clone(), (*generation, lsn));
+                inner.retired.insert(name.clone(), (generation, lsn));
                 Ok(())
             }
         }
@@ -1366,16 +1381,43 @@ mod tests {
             warmed.dataset,
             after.dataset
         );
-        // Each append allocates every column once, at exactly the new row
-        // count: one u32 per cell, no growth slack.
-        for batch in [1, 64] {
+        // The dataset charges its column buffers' capacity, which its
+        // generations share: an append that fits leaves the figure
+        // unchanged, one that copies at most doubles it, and it never
+        // falls below one u32 per cell. No batch here grows the schema.
+        let capacity =
+            |d: &Dataset, bytes: u64| bytes - d.n_attrs() as u64 - d.schema().heap_bytes();
+        let (mut fits, mut copies) = (0, 0);
+        for i in 0..40 {
+            let (d, before) = (entry.dataset(), entry.memory().dataset);
+            let held = capacity(&d, before);
+            let batch = 1 + i % 16;
             store.append_rows("census", &grown_rows[..batch]).unwrap();
-            let d = entry.dataset();
-            let cells = (d.n_rows() * d.n_attrs() * std::mem::size_of::<u32>()) as u64;
-            let exact = cells + d.n_attrs() as u64 + d.schema().heap_bytes();
-            assert_eq!(entry.memory().dataset, exact, "after {} rows", d.n_rows());
+            let (grown, after) = (entry.dataset(), entry.memory().dataset);
+            let cells = (grown.n_rows() * grown.n_attrs() * std::mem::size_of::<u32>()) as u64;
+            let now = capacity(&grown, after);
+            assert!(now >= cells, "capacity below {} rows", grown.n_rows());
+            if cells <= held {
+                assert_eq!(
+                    after,
+                    before,
+                    "an append that fits, at {} rows",
+                    grown.n_rows()
+                );
+                fits += 1;
+            } else {
+                assert!(
+                    now <= 2 * held,
+                    "{held} -> {now} bytes at {} rows",
+                    grown.n_rows()
+                );
+                copies += 1;
+            }
         }
-        assert_eq!(entry.dataset().n_rows(), 18 + 64 + 1 + 64);
+        assert!(
+            fits > 0 && copies > 0,
+            "{fits} appends fit, {copies} copied"
+        );
     }
 
     #[test]

@@ -8,9 +8,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pclabel_core::attrset::AttrSet;
+use pclabel_core::label::Label;
+use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::{bluenile, figure2_sample, BlueNileConfig};
 use pclabel_engine::durability::{Durability, DurabilityOptions};
-use pclabel_engine::store::{EngineError, LabelPolicy, LabelStore};
+use pclabel_engine::store::{EngineError, LabelPolicy, LabelStore, StoreEntry};
 use pclabel_telemetry::Registry;
 use pclabel_wal::record::DatasetImage;
 use pclabel_wal::wal::FsyncPolicy;
@@ -508,12 +510,58 @@ fn an_append_racing_a_remove_and_a_reregister_recovers() {
 
 // ---- writer-mix soak ----
 
+/// A version of an entry a reader holds, with the copy of its dataset
+/// taken when it was read.
+struct Held {
+    dataset: Arc<Dataset>,
+    label: Arc<Label>,
+    image: DatasetImage,
+}
+
+impl Held {
+    fn read(entry: &StoreEntry) -> Held {
+        let (dataset, label, _) = entry.snapshot();
+        let image = DatasetImage::from_dataset(&dataset);
+        Held {
+            dataset,
+            label,
+            image,
+        }
+    }
+
+    /// The held dataset still reads as it did when it was taken, whatever
+    /// was appended to its entry since, and the held label is the one a
+    /// fresh build over it gives.
+    fn check(&self, seed: u64) {
+        let now = DatasetImage::from_dataset(&self.dataset);
+        assert!(now == self.image, "seed {seed}: a held dataset changed");
+        let mut pc = self.label.pc_entries();
+        pc.sort();
+        let mut rebuilt = Label::build(&self.dataset, self.label.attrs()).pc_entries();
+        rebuilt.sort();
+        assert_eq!(pc, rebuilt, "seed {seed}: a held label's PC");
+    }
+}
+
+/// Counts a writer thread out when it ends, panicking or not, so the
+/// readers stop.
+struct Finished<'a>(&'a AtomicUsize);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Four threads append (some rows with a new value on the label's
 /// subset), refresh, remove and re-register two names on a durable store
-/// at `fsync always`, snapshotting now and then. Every acknowledged write
-/// must be logged once and a refused one not at all, no append or refresh
-/// may acknowledge a `(name, generation)` pair twice, and the reopened
-/// store must equal the live one.
+/// at `fsync always`, snapshotting now and then, while two readers hold
+/// entry snapshots across those writes: every held dataset must read as
+/// it did when it was taken, and every held label must equal a fresh
+/// build over it. Every acknowledged write must be logged once and a
+/// refused one not at all, no append or refresh may acknowledge a
+/// `(name, generation)` pair twice, and the reopened store must equal the
+/// live one.
 fn writer_mix(seed: u64, ops_per_thread: usize) {
     let dir = temp_dir("writer-mix");
     let (store, durability) = open(&dir);
@@ -532,10 +580,33 @@ fn writer_mix(seed: u64, ops_per_thread: usize) {
     // Acknowledged `(name, generation)` pairs, and records logged.
     let acked: Mutex<Vec<(&str, u64)>> = Mutex::new(Vec::new());
     let logged = AtomicUsize::new(0);
+    let writing = AtomicUsize::new(4);
     std::thread::scope(|scope| {
+        for reader in 0..2 {
+            let (store, writing) = (&store, &writing);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(!(seed * 2 + reader));
+                let mut held: Vec<Held> = Vec::new();
+                while writing.load(Ordering::SeqCst) > 0 {
+                    if let Ok(entry) = store.get(names[rng.gen_range(0..2usize)]) {
+                        let taken = Held::read(&entry);
+                        if held.len() < 8 {
+                            held.push(taken);
+                        } else {
+                            let i = rng.gen_range(0..8usize);
+                            std::mem::replace(&mut held[i], taken).check(seed);
+                        }
+                    }
+                    std::thread::yield_now();
+                }
+                held.iter().for_each(|h| h.check(seed));
+            });
+        }
         for thread in 0..4 {
             let (store, durability, acked, logged) = (&store, &durability, &acked, &logged);
+            let finished = Finished(&writing);
             scope.spawn(move || {
+                let _finished = finished;
                 let mut rng = StdRng::seed_from_u64(seed * 4 + thread);
                 for op in 0..ops_per_thread {
                     let name = names[rng.gen_range(0..2usize)];

@@ -373,10 +373,6 @@ pub(crate) struct Waker {
     write_fd: RawFd,
 }
 
-// SAFETY: read/write on distinct pipe fds are thread-safe syscalls.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
 impl Waker {
     pub fn new() -> io::Result<Waker> {
         let mut fds = [0 as c_int; 2];

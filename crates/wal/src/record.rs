@@ -10,7 +10,8 @@
 //! are never logged — a label is fully determined by its dataset and
 //! selected attribute set, so replay recomputes it.
 
-use pclabel_data::dataset::{Dataset, DatasetBuilder};
+use pclabel_data::dataset::Dataset;
+use pclabel_data::schema::{Attribute, Schema};
 
 use crate::codec::{put_str, put_u32, put_u32s, put_u64, put_u8, Reader};
 use crate::{FormatError, Result};
@@ -109,45 +110,21 @@ impl DatasetImage {
         }
     }
 
-    /// Reconstructs the live dataset. Fails with
-    /// [`FormatError::Corrupt`] when columns and dictionaries disagree
-    /// (an id out of dictionary range, a short column).
+    /// Reconstructs the live dataset, moving each column in as its
+    /// buffer. Fails with [`FormatError::Corrupt`] when columns and
+    /// dictionaries disagree (a column too many or too few, a short
+    /// column, an id out of dictionary range).
     pub fn into_dataset(self) -> Result<Dataset> {
-        let n_attrs = self.attrs.len();
-        if self.columns.len() != n_attrs {
-            return Err(FormatError::Corrupt(format!(
-                "dataset image {:?}: {} attrs but {} columns",
-                self.name,
-                n_attrs,
-                self.columns.len()
-            )));
+        let mut schema = Schema::new();
+        for (name, labels) in &self.attrs {
+            schema.push(Attribute::with_values(name.as_str(), labels));
         }
-        let n_rows = self.n_rows as usize;
-        for (i, col) in self.columns.iter().enumerate() {
-            if col.len() != n_rows {
-                return Err(FormatError::Corrupt(format!(
-                    "dataset image {:?}: column {i} has {} rows, expected {n_rows}",
-                    self.name,
-                    col.len()
-                )));
-            }
-        }
-        let mut builder = DatasetBuilder::with_domains(
-            self.attrs
-                .iter()
-                .map(|(name, labels)| (name.as_str(), labels.iter().map(String::as_str))),
-        );
-        builder.reserve(n_rows);
-        let mut row = vec![0u32; n_attrs];
-        for r in 0..n_rows {
-            for (a, col) in self.columns.iter().enumerate() {
-                row[a] = col[r];
-            }
-            builder.push_ids(&row).map_err(|e| {
-                FormatError::Corrupt(format!("dataset image {:?}: row {r}: {e}", self.name))
-            })?;
-        }
-        Ok(builder.finish().with_name(self.name))
+        let corrupt = |e| FormatError::Corrupt(format!("dataset image {:?}: {e}", self.name));
+        let n_rows =
+            usize::try_from(self.n_rows).map_err(|_| corrupt(format!("{} rows", self.n_rows)))?;
+        let dataset = Dataset::from_columns(schema, self.columns, n_rows)
+            .map_err(|e| corrupt(e.to_string()))?;
+        Ok(dataset.with_name(self.name))
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
