@@ -95,8 +95,8 @@ timeout 60 ./target/release/examples/net_chaos shutdown "$daemon_addr"
 wait "$daemon_pid"
 
 # Determinism: two further fresh boots of the untouched directory must
-# serve byte-identical state (each dump on its own boot — stats carry
-# per-session cache counters).
+# serve byte-identical state (each dump on its own boot — the check is
+# that two recoveries agree).
 start_daemon clean "$(mktemp)"
 timeout 60 ./target/release/examples/net_chaos dump "$daemon_addr" >chaos_dump_1.txt
 wait "$daemon_pid"

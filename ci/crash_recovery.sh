@@ -88,8 +88,8 @@ wait "$daemon_pid"
 
 # Determinism: two further fresh recoveries of the untouched directory
 # must serve byte-identical state. Each dump gets its own boot because
-# stats carry per-session counters (query cache hits/misses) that any
-# extra request would skew.
+# the check is that two recoveries agree: each dump reads a store that
+# only its own recovery built.
 start_daemon "$(mktemp)"
 timeout 60 ./target/release/examples/net_crash dump "$daemon_addr" >dump_1.txt
 wait "$daemon_pid"

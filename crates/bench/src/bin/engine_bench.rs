@@ -7,7 +7,7 @@
 //!   keeps the `threads: 1, shards: 1` keys the multi-threaded build's
 //!   rows used, so the CI trend keeps comparing it);
 //! * `LabelStore` batched query throughput via `Engine::execute` for a
-//!   10k-pattern batch, cold (cache misses) and hot (cache hits).
+//!   10k-pattern batch (best of the repetitions).
 //!
 //! With `--net`, additionally spawns an in-process `pclabel-net` server
 //! on a loopback port and measures framed-TCP request throughput at
@@ -191,7 +191,7 @@ fn main() {
     // --- serving: batched queries through the LabelStore ------------------
     // The engine lives behind a Dispatcher so the --net section can
     // serve the very same store over loopback.
-    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+    let dispatcher = Arc::new(Dispatcher::default());
     let engine = dispatcher.engine();
     // The telemetry-overhead microbench (--net) needs a second engine
     // over the same data; keep a copy before `register` takes ownership.
@@ -233,13 +233,8 @@ fn main() {
         patterns,
     };
 
-    let cold_start = Instant::now();
-    let cold = engine.execute(&request).expect("cold batch");
-    let cold_secs = cold_start.elapsed().as_secs_f64();
-    assert_eq!(cold.stats.failed, 0);
-
-    let (hot_secs, hot) = time_best(reps, || engine.execute(&request).expect("hot batch"));
-    assert_eq!(hot.stats.failed, 0);
+    let (batch_secs, answered) = time_best(reps, || engine.execute(&request).expect("query batch"));
+    assert_eq!(answered.stats.failed, 0);
 
     // --- network serving (--net): framed TCP req/s over loopback ----------
     let mut net_rows = Vec::new();
@@ -372,8 +367,9 @@ fn main() {
         // --- telemetry overhead: live metrics vs no-op handle -------------
         // Loopback round-trip times on a shared 1-CPU runner jitter by
         // far more than telemetry costs, so the per-request cost is
-        // measured where it is stable — the same cached-query stream
-        // pushed straight through `Dispatcher::dispatch_line`, once on
+        // measured where it is stable — the same query stream (every
+        // answer computed from the label) pushed straight through
+        // `Dispatcher::dispatch_line`, once on
         // the live-telemetry dispatcher and once on one whose handle is
         // disabled (single-branch no-ops) — and then expressed against
         // the single-client serving rate measured above: overhead_pct
@@ -390,7 +386,7 @@ fn main() {
                 )
             })
             .collect();
-        let quiet = Dispatcher::with_telemetry(EngineConfig::default(), Telemetry::disabled());
+        let quiet = Dispatcher::with_engine(Engine::default(), Telemetry::disabled());
         quiet
             .engine()
             .store()
@@ -410,10 +406,11 @@ fn main() {
                 );
             }
         };
-        // Warm both query caches so the timed loops compare steady
-        // states, then interleave the reps (alternating which side goes
-        // first) so machine-level drift lands on both sides alike; the
-        // min over reps discards the disturbed passes.
+        // One untimed pass on each side materializes the labels'
+        // marginal tables so the timed loops compare steady states, then
+        // the reps interleave (alternating which side goes first) so
+        // machine-level drift lands on both sides alike; the min over
+        // reps discards the disturbed passes.
         pump(&dispatcher);
         pump(&quiet);
         let mut on_secs = f64::INFINITY;
@@ -498,7 +495,7 @@ fn main() {
                 start.elapsed().as_secs_f64()
             };
 
-            let plain = Dispatcher::with_telemetry(EngineConfig::default(), Telemetry::disabled());
+            let plain = Dispatcher::with_engine(Engine::default(), Telemetry::disabled());
             plain
                 .engine()
                 .store()
@@ -511,8 +508,7 @@ fn main() {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dur_dir);
-            let durable =
-                Dispatcher::with_telemetry(EngineConfig::default(), Telemetry::disabled());
+            let durable = Dispatcher::with_engine(Engine::default(), Telemetry::disabled());
             let durability = Durability::open(
                 &dur_dir,
                 DurabilityOptions::default(),
@@ -585,8 +581,7 @@ fn main() {
                     std::process::id()
                 ));
                 let _ = std::fs::remove_dir_all(&dur_dir);
-                let dispatcher =
-                    Dispatcher::with_telemetry(EngineConfig::default(), Telemetry::disabled());
+                let dispatcher = Dispatcher::with_engine(Engine::default(), Telemetry::disabled());
                 let durability = Durability::open(
                     &dur_dir,
                     DurabilityOptions::default(),
@@ -657,10 +652,8 @@ fn main() {
             "\"hardware_threads\":{hw},\"group_count\":{groups},",
             "\"counting\":{{\"serial_seconds\":{serial:.6},\"parallel\":[{counting}]}},",
             "\"serving\":{{\"batch_patterns\":{batch},",
-            "\"cold\":{{\"seconds\":{cold_secs:.6},\"patterns_per_sec\":{cold_rate:.0},",
-            "\"exact\":{cold_exact},\"estimated\":{cold_est},\"cache_hits\":{cold_hits}}},",
-            "\"hot\":{{\"seconds\":{hot_secs:.6},\"patterns_per_sec\":{hot_rate:.0},",
-            "\"cache_hits\":{hot_hits}}}}}{net}}}"
+            "\"seconds\":{batch_secs:.6},\"patterns_per_sec\":{batch_rate:.0},",
+            "\"exact\":{exact},\"estimated\":{estimated}}}{net}}}"
         ),
         rows = rows,
         reps = reps,
@@ -669,14 +662,10 @@ fn main() {
         serial = serial_secs,
         counting = counting,
         batch = batch,
-        cold_secs = cold_secs,
-        cold_rate = batch as f64 / cold_secs,
-        cold_exact = cold.stats.exact,
-        cold_est = cold.stats.estimated,
-        cold_hits = cold.stats.cache_hits,
-        hot_secs = hot_secs,
-        hot_rate = batch as f64 / hot_secs,
-        hot_hits = hot.stats.cache_hits,
+        batch_secs = batch_secs,
+        batch_rate = batch as f64 / batch_secs,
+        exact = answered.stats.exact,
+        estimated = answered.stats.estimated,
         net = if net_enabled {
             format!(
                 ",\"net\":[{}],\"debug_scrape\":{debug_row},\"telemetry_overhead\":{telemetry_row},\"durability_overhead\":{durability_row},\"faults_disabled_overhead\":{faults_row}",

@@ -10,7 +10,6 @@
 
 use std::io;
 
-use pclabel_engine::query::{Engine, EngineConfig};
 use pclabel_engine::serve::{serve, Dispatcher};
 
 const USAGE: &str = "\
@@ -32,8 +31,8 @@ stdout line. Requests (see `pclabel_engine::serve` docs for details):
   {\"op\":\"health\"}
   {\"op\":\"drop\",\"dataset\":NAME}
 
-environment:
-  PCLABEL_QUERY_THREADS   worker threads for large batches (default: auto)
+environment: none is read; a query batch runs on the one serving
+thread.
 ";
 
 fn main() {
@@ -41,11 +40,7 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    let query_threads = std::env::var("PCLABEL_QUERY_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0);
-    let dispatcher = Dispatcher::new(Engine::new(EngineConfig { query_threads }));
+    let dispatcher = Dispatcher::default();
 
     let stdin = io::stdin().lock();
     let stdout = io::stdout().lock();

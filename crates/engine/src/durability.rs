@@ -787,7 +787,7 @@ fn vc_tables(dataset: &Dataset, label: &Label) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Engine, EngineConfig, PatternSpec, QueryRequest};
+    use crate::query::{Engine, PatternSpec, QueryRequest};
     use crate::store::LabelPolicy;
     use pclabel_core::attrset::AttrSet;
     use pclabel_data::generate::figure2_sample;
@@ -805,7 +805,7 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = Engine::new(EngineConfig::default());
+        let engine = Engine::default();
         let options = DurabilityOptions {
             fsync: FsyncPolicy::Always,
             snapshot_wal_bytes: u64::MAX,
@@ -883,6 +883,75 @@ mod tests {
         });
         assert_eq!(entry.applied_lsn(), 2);
         assert_eq!(engine.execute(&query).unwrap().results[0].estimate, 13.0);
+        drop(durability);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A remove logs under its entry's writer lock, not the registry
+    /// lock: with the sink's mutex held, a remove of one dataset is stuck
+    /// at its log step, and a query batch on another dataset still
+    /// resolves its name and answers.
+    #[test]
+    fn a_query_answers_while_a_remove_waits_on_the_wal() {
+        let dir = std::env::temp_dir().join(format!(
+            "pclabel-durability-unit-{}-remove-wait",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Engine::default();
+        let options = DurabilityOptions {
+            fsync: FsyncPolicy::Always,
+            snapshot_wal_bytes: u64::MAX,
+        };
+        let durability = Durability::open(&dir, options, engine.store_arc(), &Registry::new())
+            .expect("open data dir");
+        let policy = LabelPolicy::Attrs(AttrSet::from_indices([1, 3]));
+        for name in ["census", "gone"] {
+            engine
+                .store()
+                .register(name, figure2_sample(), policy)
+                .unwrap();
+        }
+        // The registry and this handle hold the entry; the remove holds
+        // a third reference once it has resolved the name.
+        let gone = engine.store().get("gone").unwrap();
+        let query = QueryRequest {
+            id: None,
+            dataset: "census".to_string(),
+            patterns: vec![PatternSpec::new([("age group", "20-39")])],
+        };
+
+        std::thread::scope(|scope| {
+            let wal = durability.sink.writer.lock().expect("wal mutex");
+            let remove = scope.spawn(|| engine.store().remove("gone"));
+            let start = Instant::now();
+            while Arc::strong_count(&gone) < 3 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "waiting for the remove to resolve the name"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // From there the remove takes its writer lock and builds its
+            // record, then parks on the mutex held here.
+            std::thread::sleep(Duration::from_millis(50));
+            let (answered_tx, answered) = mpsc::channel();
+            let (engine, query) = (&engine, &query);
+            scope.spawn(move || {
+                let _ = answered_tx.send(engine.execute(query));
+            });
+            let response = answered.recv_timeout(Duration::from_secs(10));
+            // Released before any assertion, so a failure cannot hang.
+            drop(wal);
+            let response = response
+                .expect("the query batch waited on the remove's WAL flush")
+                .expect("query answered");
+            assert_eq!(response.results[0].estimate, 12.0);
+            assert!(remove.join().unwrap().expect("remove landed"));
+        });
+        assert_eq!(durability.last_lsn(), 3);
+        assert!(engine.store().try_get("gone").is_none());
+        assert_eq!(engine.store().retired_generation("gone"), Some(0));
         drop(durability);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -15,12 +15,10 @@
 //!   their computed labels behind `Arc`/`RwLock`, supporting concurrent
 //!   registration, lookup and label refresh (with generation counters);
 //! * [`query`] — the batched query API: a [`query::QueryRequest`]
-//!   estimates many patterns in one call; the planner answers **exactly**
-//!   from the stored `PC` group map when the queried attributes are a
-//!   subset of the label's `S`, and falls back to `Label::estimate`
-//!   otherwise;
-//! * [`cache`] — a sharded pattern→estimate cache with hit/miss counters,
-//!   one per stored dataset, emptied by every refresh and append;
+//!   estimates many patterns in one call, in one loop over one snapshot
+//!   of the dataset's label; the planner answers **exactly** from the
+//!   stored `PC` group map when the queried attributes are a subset of
+//!   the label's `S`, and falls back to `Label::estimate` otherwise;
 //! * [`durability`] — the optional durability plane: crash recovery
 //!   from snapshot + write-ahead-log replay, append-before-publish
 //!   logging of every store mutation, and background snapshotting with
@@ -39,7 +37,7 @@
 //! use pclabel_engine::prelude::*;
 //! use pclabel_data::generate::figure2_sample;
 //!
-//! let engine = Engine::new(EngineConfig::default());
+//! let engine = Engine::default();
 //! engine
 //!     .store()
 //!     .register("census", figure2_sample(), LabelPolicy::Search { bound: 5, refine: true })
@@ -68,7 +66,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod durability;
 pub mod health;
 pub mod json;
@@ -79,11 +76,10 @@ pub mod store;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::cache::{CacheStats, ShardedCache};
     pub use crate::durability::{Durability, DurabilityOptions, DurabilityStats, RecoveryReport};
     pub use crate::health::{Health, HealthSnapshot};
     pub use crate::query::{
-        Engine, EngineConfig, PatternEstimate, PatternSpec, QueryRequest, QueryResponse, QueryStats,
+        Engine, PatternEstimate, PatternSpec, QueryRequest, QueryResponse, QueryStats,
     };
     pub use crate::serve::{Dispatcher, ServeSummary};
     pub use crate::store::{EngineError, LabelPolicy, LabelStore, StoreEntry};

@@ -50,9 +50,12 @@
 //! (`"incremental": true`): the new rows are folded into a copy of the
 //! `PC` counts, and new values on attributes outside `S` just extend the
 //! `VC` table. Otherwise the label is rebuilt over its current subset
-//! (`"incremental": false`). Either way the generation bumps and every
-//! cached answer is dropped, while the cache's hit/miss counters in
-//! `stats` keep counting.
+//! (`"incremental": false`). Either way the generation bumps.
+//!
+//! No answer is cached. Two constant members stay on the wire for the
+//! benchmark until ROADMAP item 1 ports it: every answered `query` result
+//! carries `"cached":false`, and the `stats` op a `cache` object whose
+//! `entries`, `hits`, `misses` and `invalidations` read 0.
 //!
 //! `estimate_multi` answers each pattern by combining the estimates of
 //! *several* registered datasets' labels (the paper's multi-label
@@ -83,7 +86,7 @@ use pclabel_telemetry::{
 };
 
 use crate::json::{write_number, write_string, Json, QueryFrame};
-use crate::query::{label_answer, Engine, EngineConfig, PatternSpec, QueryRequest, QueryResponse};
+use crate::query::{label_answer, Engine, PatternSpec, QueryRequest, QueryResponse};
 use crate::store::{EngineError, EntryMemory, LabelPolicy, StoreEntry};
 
 /// The workspace version baked into `pclabel_build_info`, `health` and
@@ -126,20 +129,10 @@ impl Dispatcher {
         }
     }
 
-    /// A dispatcher over a fresh engine with the given tuning.
-    pub fn with_config(config: EngineConfig) -> Self {
-        Dispatcher::new(Engine::new(config))
-    }
-
-    /// A dispatcher over a fresh engine with an explicit telemetry
-    /// facade (a configured logger, or [`Telemetry::disabled`]).
-    pub fn with_telemetry(config: EngineConfig, telemetry: Arc<Telemetry>) -> Self {
-        Dispatcher::with_engine(Engine::new(config), telemetry)
-    }
-
     /// A dispatcher over a caller-built engine (e.g. one whose store was
     /// recovered and wired by [`crate::durability::Durability::open`])
-    /// with an explicit telemetry facade.
+    /// with an explicit telemetry facade (a configured logger, or
+    /// [`Telemetry::disabled`]).
     pub fn with_engine(engine: Engine, telemetry: Arc<Telemetry>) -> Self {
         Dispatcher { engine, telemetry }
     }
@@ -264,26 +257,6 @@ impl Dispatcher {
         }
     }
 
-    /// Per-dataset cache introspection rows, shared by the JSON and
-    /// Prometheus exposures.
-    fn cache_rows(&self) -> Vec<(String, u64, u64, u64, u64)> {
-        self.engine
-            .store()
-            .list()
-            .iter()
-            .map(|entry| {
-                let stats = entry.cache().stats();
-                (
-                    entry.name().to_string(),
-                    entry.cache().len() as u64,
-                    stats.hits(),
-                    stats.misses(),
-                    stats.invalidations(),
-                )
-            })
-            .collect()
-    }
-
     /// Per-dataset deep-memory rows (shared by `/debug/memory`, the
     /// `stats` op and the `pclabel_dataset_bytes` gauges).
     fn memory_rows(&self) -> Vec<(String, EntryMemory)> {
@@ -396,8 +369,7 @@ impl Dispatcher {
     /// `server_stats`: the whole metric registry as JSON — the framed
     /// protocol's equivalent of `GET /metrics`. Counters and gauges are
     /// flat `series → value` objects keyed like Prometheus series;
-    /// histograms report count/sum and p50/p95/p99; `cache` carries the
-    /// per-dataset hit/miss/invalidation rows.
+    /// histograms report count/sum and p50/p95/p99.
     fn handle_server_stats(&self) -> Json {
         let snapshot = self.telemetry.registry().snapshot();
         let mut counters = Vec::new();
@@ -427,19 +399,6 @@ impl Dispatcher {
                 )),
             }
         }
-        let cache: Vec<Json> = self
-            .cache_rows()
-            .into_iter()
-            .map(|(dataset, entries, hits, misses, invalidations)| {
-                Json::obj([
-                    ("dataset", Json::str(&dataset)),
-                    ("entries", Json::num(entries as f64)),
-                    ("hits", Json::num(hits as f64)),
-                    ("misses", Json::num(misses as f64)),
-                    ("invalidations", Json::num(invalidations as f64)),
-                ])
-            })
-            .collect();
         let mut members = vec![
             ("ok".to_string(), Json::Bool(true)),
             ("op".to_string(), Json::str("server_stats")),
@@ -455,7 +414,6 @@ impl Dispatcher {
             ("counters".to_string(), Json::Obj(counters)),
             ("gauges".to_string(), Json::Obj(gauges)),
             ("histograms".to_string(), Json::Obj(histograms)),
-            ("cache".to_string(), Json::Arr(cache)),
         ];
         if let Some(durability) = self.engine.durability() {
             let stats = durability.stats();
@@ -477,38 +435,11 @@ impl Dispatcher {
         Json::Obj(members)
     }
 
-    /// Renders the registry plus the per-dataset cache families in the
-    /// Prometheus text exposition format — the `GET /metrics` body.
+    /// Renders the registry plus the build-info and per-dataset memory
+    /// gauges in the Prometheus text exposition format — the
+    /// `GET /metrics` body.
     pub fn metrics_text(&self) -> String {
         let mut snapshot = self.telemetry.registry().snapshot();
-        for (dataset, entries, hits, misses, invalidations) in self.cache_rows() {
-            let labels = vec![("dataset".to_string(), dataset)];
-            snapshot.push(MetricSnapshot {
-                name: "pclabel_cache_entries".to_string(),
-                help: "Pattern-cache entries currently held, per dataset.".to_string(),
-                labels: labels.clone(),
-                value: SnapshotValue::Gauge(entries),
-            });
-            snapshot.push(MetricSnapshot {
-                name: "pclabel_cache_hits_total".to_string(),
-                help: "Pattern-cache hits since the last refresh, per dataset.".to_string(),
-                labels: labels.clone(),
-                value: SnapshotValue::Counter(hits),
-            });
-            snapshot.push(MetricSnapshot {
-                name: "pclabel_cache_misses_total".to_string(),
-                help: "Pattern-cache misses since the last refresh, per dataset.".to_string(),
-                labels: labels.clone(),
-                value: SnapshotValue::Counter(misses),
-            });
-            snapshot.push(MetricSnapshot {
-                name: "pclabel_cache_invalidations_total".to_string(),
-                help: "Pattern-cache entries dropped by refresh/append invalidation, per dataset."
-                    .to_string(),
-                labels,
-                value: SnapshotValue::Counter(invalidations),
-            });
-        }
         snapshot.push(MetricSnapshot {
             name: "pclabel_build_info".to_string(),
             help: "Constant 1, labeled with the server build version.".to_string(),
@@ -826,21 +757,18 @@ fn handle_query(engine: &Engine, request: &Json, trace: Option<&Trace>) -> Json 
                 .iter()
                 .map(|r| match &r.error {
                     Some(e) => Json::obj([("error", Json::str(e))]),
+                    // `"cached"` is always false: kept until ROADMAP item 1
+                    // ports the benchmark, which still requires it.
                     None => Json::obj([
                         ("estimate", Json::num(r.estimate)),
                         ("exact", Json::Bool(r.exact)),
-                        ("cached", Json::Bool(r.cached)),
+                        ("cached", Json::Bool(false)),
                     ]),
                 })
                 .collect();
             let stats = Json::obj([
                 ("exact", Json::num(response.stats.exact as f64)),
                 ("estimated", Json::num(response.stats.estimated as f64)),
-                ("cache_hits", Json::num(response.stats.cache_hits as f64)),
-                (
-                    "cache_misses",
-                    Json::num(response.stats.cache_misses as f64),
-                ),
                 ("failed", Json::num(response.stats.failed as f64)),
             ]);
             let mut members = vec![
@@ -904,14 +832,9 @@ fn query_response_text(id: Option<&str>, response: &QueryResponse) -> String {
                 out.push_str("{\"estimate\":");
                 write_number(r.estimate, &mut out);
                 out.push_str(if r.exact {
-                    ",\"exact\":true"
+                    ",\"exact\":true,\"cached\":false"
                 } else {
-                    ",\"exact\":false"
-                });
-                out.push_str(if r.cached {
-                    ",\"cached\":true"
-                } else {
-                    ",\"cached\":false"
+                    ",\"exact\":false,\"cached\":false"
                 });
             }
         }
@@ -921,8 +844,6 @@ fn query_response_text(id: Option<&str>, response: &QueryResponse) -> String {
     for (member, n) in [
         ("],\"stats\":{\"exact\":", stats.exact),
         (",\"estimated\":", stats.estimated),
-        (",\"cache_hits\":", stats.cache_hits),
-        (",\"cache_misses\":", stats.cache_misses),
         (",\"failed\":", stats.failed),
     ] {
         out.push_str(member);
@@ -1186,15 +1107,11 @@ fn handle_stats(engine: &Engine, request: &Json) -> Json {
     };
     match engine.store().get(&name) {
         Ok(entry) => {
-            let cache = Json::obj([
-                ("entries", Json::num(entry.cache().len() as f64)),
-                ("hits", Json::num(entry.cache().stats().hits() as f64)),
-                ("misses", Json::num(entry.cache().stats().misses() as f64)),
-                (
-                    "invalidations",
-                    Json::num(entry.cache().stats().invalidations() as f64),
-                ),
-            ]);
+            // All zeros: kept until ROADMAP item 1 ports the benchmark,
+            // which still requires the object.
+            let cache = Json::obj(
+                ["entries", "hits", "misses", "invalidations"].map(|k| (k, Json::num(0.0))),
+            );
             let memory = entry.memory();
             let mut memory_members: Vec<(String, Json)> = memory
                 .components()
@@ -1253,10 +1170,9 @@ fn handle_drop(engine: &Engine, request: &Json) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::EngineConfig;
 
     fn run_session(lines: &str) -> Vec<Json> {
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         let mut out = Vec::new();
         let summary = serve(&dispatcher, lines.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
@@ -1297,8 +1213,11 @@ mod tests {
         );
         assert_eq!(results[1].get("exact"), Some(&Json::Bool(true)));
 
+        // No pattern cache: its object in `stats` reads zeros.
         let cache = responses[2].get("cache").unwrap();
-        assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(2));
+        for field in ["entries", "hits", "misses", "invalidations"] {
+            assert_eq!(cache.get(field).and_then(Json::as_u64), Some(0), "{field}");
+        }
         assert_eq!(responses[3].get("dropped"), Some(&Json::Bool(true)));
     }
 
@@ -1352,7 +1271,7 @@ mod tests {
     fn csv_register_rejects_duplicate_column_names() {
         // Attributes are addressed by name, so a repeated header name
         // would make one of the columns unreachable.
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         let response = dispatcher.dispatch_line(concat!(
             "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,a\\nx,1\\ny,2\\n\",",
             "\"label_attrs\":[\"a\",\"a\"]}"
@@ -1367,7 +1286,7 @@ mod tests {
     #[test]
     fn register_rejects_a_bound_past_u64_max() {
         // 2^64 parses to a float that `as u64` would saturate to u64::MAX.
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         let response = dispatcher.dispatch_line(concat!(
             "{\"op\":\"register\",\"dataset\":\"t\",\"generator\":\"figure2\",",
             "\"bound\":18446744073709551616}"
@@ -1439,36 +1358,6 @@ mod tests {
     }
 
     #[test]
-    fn appends_keep_the_cache_counters_in_stats() {
-        let responses = run_session(concat!(
-            "{\"op\":\"register\",\"dataset\":\"t\",\"csv\":\"a,b\\n1,x\\n1,y\\n2,x\\n\",",
-            "\"label_attrs\":[\"a\",\"b\"]}\n",
-            "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"},{\"a\":\"1\"}]}\n",
-            "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"}]}\n",
-            // A new value on the label's subset: the dictionary grows and
-            // the label is rebuilt.
-            "{\"op\":\"append_rows\",\"dataset\":\"t\",\"rows\":[[\"3\",\"x\"]]}\n",
-            "{\"op\":\"stats\",\"dataset\":\"t\"}\n",
-            "{\"op\":\"query\",\"dataset\":\"t\",\"patterns\":[{\"a\":\"1\",\"b\":\"x\"}]}\n",
-            // Known values: an incremental append.
-            "{\"op\":\"append_rows\",\"dataset\":\"t\",\"rows\":[[\"1\",\"x\"]]}\n",
-            "{\"op\":\"stats\",\"dataset\":\"t\"}\n",
-        ));
-        assert_eq!(responses[3].get("incremental"), Some(&Json::Bool(false)));
-        assert_eq!(responses[6].get("incremental"), Some(&Json::Bool(true)));
-        let counters = |stats: &Json| {
-            let cache = stats.get("cache").unwrap();
-            ["entries", "hits", "misses", "invalidations"]
-                .map(|field| cache.get(field).and_then(Json::as_u64).unwrap())
-        };
-        // Two misses and a hit before the rebuild, which drops both
-        // cached answers and keeps the counters.
-        assert_eq!(counters(&responses[4]), [0, 1, 2, 2]);
-        // The post-rebuild query misses; the next append drops its answer.
-        assert_eq!(counters(&responses[7]), [0, 1, 3, 3]);
-    }
-
-    #[test]
     fn refresh_bumps_generation_and_list_reports() {
         let responses = run_session(concat!(
             "{\"op\":\"register\",\"dataset\":\"census\",\"generator\":\"figure2\",\"bound\":5}\n",
@@ -1512,7 +1401,7 @@ mod tests {
 
     #[test]
     fn summary_counts_requests_and_errors() {
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         let input = "{\"op\":\"list\"}\nbroken\n\n{\"op\":\"list\"}\n";
         let mut out = Vec::new();
         let summary = serve(&dispatcher, input.as_bytes(), &mut out).unwrap();
@@ -1613,8 +1502,8 @@ mod tests {
     }
 
     #[test]
-    fn server_stats_reports_request_counters_and_cache() {
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+    fn server_stats_reports_request_counters() {
+        let dispatcher = Dispatcher::default();
         let lines = concat!(
             "{\"op\":\"register\",\"dataset\":\"census\",\"generator\":\"figure2\",\"bound\":5}\n",
             "{\"op\":\"query\",\"dataset\":\"census\",\"patterns\":[{\"gender\":\"Female\"}]}\n",
@@ -1640,15 +1529,7 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        let caches = stats.get("cache").and_then(Json::as_array).unwrap();
-        assert_eq!(caches.len(), 1);
-        assert_eq!(
-            caches[0].get("dataset").and_then(Json::as_str),
-            Some("census")
-        );
-        // The repeated query is a cache hit; the first was a miss.
-        assert_eq!(caches[0].get("hits").and_then(Json::as_u64), Some(1));
-        assert_eq!(caches[0].get("misses").and_then(Json::as_u64), Some(1));
+        assert_eq!(stats.get("cache"), None);
 
         let histograms = stats.get("histograms").unwrap();
         let latency = histograms
@@ -1660,13 +1541,13 @@ mod tests {
         let metrics = dispatcher.metrics_text();
         assert!(metrics.contains("# TYPE pclabel_requests_total counter"));
         assert!(metrics.contains("pclabel_requests_total{op=\"query\"} 2"));
-        assert!(metrics.contains("pclabel_cache_hits_total{dataset=\"census\"} 1"));
+        assert!(!metrics.contains("pclabel_cache"), "{metrics}");
         assert!(metrics.contains("# TYPE pclabel_request_seconds histogram"));
     }
 
     #[test]
     fn server_debug_retains_annotated_traces_and_memory() {
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         let lines = concat!(
             "{\"op\":\"register\",\"dataset\":\"census\",\"generator\":\"figure2\",\"bound\":5}\n",
             "{\"op\":\"query\",\"dataset\":\"census\",\"patterns\":[{\"gender\":\"Female\"},",
@@ -1739,7 +1620,7 @@ mod tests {
 
     #[test]
     fn register_traces_split_parse_walk_and_eval() {
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         for line in [
             "{\"op\":\"register\",\"dataset\":\"searched\",\"generator\":\"figure2\",\"bound\":5}",
             "{\"op\":\"register\",\"dataset\":\"fixed\",\"generator\":\"figure2\",\
@@ -1787,7 +1668,7 @@ mod tests {
 
     #[test]
     fn health_and_metrics_carry_build_info_and_memory_gauges() {
-        let dispatcher = Dispatcher::with_config(EngineConfig::default());
+        let dispatcher = Dispatcher::default();
         let health = dispatcher.dispatch_line("{\"op\":\"health\"}");
         assert!(health.get("uptime_seconds").and_then(Json::as_f64).unwrap() >= 0.0);
         assert_eq!(
@@ -1819,7 +1700,7 @@ mod tests {
     #[test]
     fn disabled_telemetry_dispatches_identically() {
         use pclabel_telemetry::Telemetry;
-        let dispatcher = Dispatcher::with_telemetry(EngineConfig::default(), Telemetry::disabled());
+        let dispatcher = Dispatcher::with_engine(Engine::default(), Telemetry::disabled());
         let req = "{\"op\":\"register\",\"dataset\":\"a\",\"generator\":\"figure2\",\"bound\":5}";
         let resp = dispatcher.dispatch_line(req);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));

@@ -5,12 +5,12 @@
 //! pattern-count query. The [`LabelStore`] is the serving-side home for
 //! those artifacts — datasets are registered under a name, their label is
 //! computed according to a [`LabelPolicy`], and concurrent readers resolve
-//! `name → (dataset, label, cache)` without blocking each other.
+//! `name → (dataset, label, generation)` without blocking each other.
 //!
 //! Labels can be *refreshed* in place (e.g. after re-profiling with a
 //! different size bound) and datasets *appended* to; every refresh or
-//! append bumps the entry's generation counter and empties its estimate
-//! cache, so stale cached answers can never be served.
+//! append publishes a new version under the next generation, and a
+//! reader keeps the version it took until it lets go of it.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
@@ -26,7 +26,6 @@ use pclabel_data::mem::HeapBytes;
 use pclabel_telemetry::{Phase, Trace};
 use pclabel_wal::record::{DatasetImage, PolicyRepr, WalOp};
 
-use crate::cache::ShardedCache;
 use crate::durability::WalSink;
 use crate::health::Health;
 
@@ -139,24 +138,21 @@ pub struct EntryMemory {
     pub label_vc: u64,
     /// Lazily-materialized marginal tables cached on the label.
     pub label_marginals: u64,
-    /// The per-dataset pattern→estimate cache.
-    pub cache: u64,
 }
 
 impl EntryMemory {
     /// Sum over all components.
     pub fn total(&self) -> u64 {
-        self.dataset + self.label_pc + self.label_vc + self.label_marginals + self.cache
+        self.dataset + self.label_pc + self.label_vc + self.label_marginals
     }
 
     /// `(component, bytes)` pairs in a fixed, stable order.
-    pub fn components(&self) -> [(&'static str, u64); 5] {
+    pub fn components(&self) -> [(&'static str, u64); 4] {
         [
             ("dataset", self.dataset),
             ("label_pc", self.label_pc),
             ("label_vc", self.label_vc),
             ("label_marginals", self.label_marginals),
-            ("cache", self.cache),
         ]
     }
 }
@@ -191,10 +187,9 @@ impl EntryState {
     }
 }
 
-/// One registered dataset: the data, its current label version and the
-/// per-dataset estimate cache. Since appends arrived, the dataset itself
-/// is versioned alongside the label — both swap atomically under the
-/// entry's lock.
+/// One registered dataset: the data and its current label version.
+/// Since appends arrived, the dataset itself is versioned alongside the
+/// label — both swap atomically under the entry's lock.
 pub struct StoreEntry {
     name: Box<str>,
     /// The one-writer lock (see [`LabelStore`]), guarding whether the
@@ -202,7 +197,24 @@ pub struct StoreEntry {
     /// cleared it logs and publishes nothing.
     writer: Mutex<bool>,
     state: RwLock<EntryState>,
-    cache: ShardedCache,
+}
+
+/// What [`StoreEntry::cache`] returns: the counters of a pattern cache
+/// the store no longer has, all 0. Kept until ROADMAP item 1 ports the
+/// benchmark, which still reads them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoCache;
+
+impl NoCache {
+    /// Itself, whose counters read 0.
+    pub fn stats(&self) -> NoCache {
+        *self
+    }
+
+    /// Always 0: no answer is cached, so none is dropped.
+    pub fn invalidations(&self) -> u64 {
+        0
+    }
 }
 
 impl StoreEntry {
@@ -211,7 +223,6 @@ impl StoreEntry {
             name: name.into_boxed_str(),
             writer: Mutex::new(true),
             state: RwLock::new(state),
-            cache: ShardedCache::default(),
         }
     }
 
@@ -225,16 +236,11 @@ impl StoreEntry {
         (*registered).then_some(registered).ok_or_else(unknown)
     }
 
-    /// Makes `next` the version readers see and empties the cache with
-    /// `invalidate`: [`ShardedCache::clear`] on refresh,
-    /// [`ShardedCache::invalidate`] (which keeps the hit/miss counters)
-    /// on append. Batches fill the cache under the read lock, so nothing
-    /// older than `next` survives in it. The write lock covers only the
-    /// swap and the invalidation; the replaced version is freed after it.
-    fn publish(&self, next: EntryState, invalidate: impl FnOnce(&ShardedCache)) {
+    /// Makes `next` the version readers see. The write lock covers only
+    /// the swap; the replaced version is freed after it.
+    fn publish(&self, next: EntryState) {
         let mut cur = self.state.write().expect("entry lock");
         let old = std::mem::replace(&mut *cur, next);
-        invalidate(&self.cache);
         drop(cur);
         drop(old);
     }
@@ -280,24 +286,23 @@ impl StoreEntry {
     }
 
     /// Runs `f` against the current dataset/label version while holding
-    /// the entry's read lock. A concurrent [`LabelStore::refresh`] or
-    /// [`LabelStore::append_rows`] waits for `f` to finish before
-    /// swapping the state and invalidating the cache, so anything `f`
-    /// writes to [`StoreEntry::cache`] is guaranteed to be derived from
-    /// the version it was handed — stale estimates can never outlive a
-    /// refresh or append.
+    /// the entry's read lock, so a [`LabelStore::refresh`] or
+    /// [`LabelStore::append_rows`] publishes only after `f` returns.
+    /// Readers take a [`StoreEntry::snapshot`] instead; tests hold this
+    /// lock to park a writer at its publish step.
     pub fn with_snapshot<R>(&self, f: impl FnOnce(&Arc<Dataset>, &Arc<Label>, u64) -> R) -> R {
         let cur = self.state.read().expect("entry lock");
         f(&cur.dataset, &cur.label, cur.generation)
     }
 
-    /// The per-dataset pattern→estimate cache.
-    pub fn cache(&self) -> &ShardedCache {
-        &self.cache
+    /// Counters of a pattern cache the store no longer has, all 0. Kept
+    /// until ROADMAP item 1 ports the benchmark, which still reads them.
+    pub fn cache(&self) -> NoCache {
+        NoCache
     }
 
     /// Deep heap accounting for this entry, broken down by component.
-    /// Reads one consistent snapshot; the cache is measured as-is.
+    /// Reads one consistent snapshot.
     pub fn memory(&self) -> EntryMemory {
         let (dataset, label, _) = self.snapshot();
         EntryMemory {
@@ -305,7 +310,6 @@ impl StoreEntry {
             label_pc: label.pc_heap_bytes(),
             label_vc: label.vc_heap_bytes(),
             label_marginals: label.marginal_heap_bytes(),
-            cache: self.cache.heap_bytes(),
         }
     }
 
@@ -447,19 +451,20 @@ pub(crate) type RetiredRecord = (String, u64, u64);
 /// can change. Writes to different datasets, and every query, run
 /// alongside them. Locks are taken in one order: entry writer →
 /// registry → WAL mutex; an entry's state lock is write-locked only to
-/// publish, and takes no store lock inside it (only the cache's shard
-/// mutexes, which are leaves). The writer lock orders the WAL; it is not
-/// what keeps an append from writing rows an older dataset generation
-/// reads, since generations share their columns safely without it (see
-/// [`Dataset::clone`]).
+/// publish, and takes no other lock inside it. A query holds no lock
+/// while it computes: it answers from a [`StoreEntry::snapshot`]. The
+/// writer lock orders the WAL; it is not what keeps an append from
+/// writing rows an older dataset generation reads, since generations
+/// share their columns safely without it (see [`Dataset::clone`]).
 ///
 /// When a `WalSink` is attached (the daemon runs with `--data-dir`),
 /// every mutating path — register, refresh, append, remove — appends
 /// its WAL record **before** the state change becomes visible to
-/// readers, and fails the mutation if the append fails. Refresh and
-/// append log under the writer lock but outside the state lock, so
-/// queries never wait on the flush, and a dataset's WAL order is its
-/// publish order. A store without a sink is purely in-memory.
+/// readers, and fails the mutation if the append fails. Refresh, append
+/// and remove log under the writer lock but outside the state and
+/// registry locks, so neither queries nor lookups wait on the flush,
+/// and a dataset's WAL order is its publish order. Register still logs
+/// under the registry lock. A store without a sink is purely in-memory.
 #[derive(Debug, Default)]
 pub struct LabelStore {
     inner: RwLock<StoreInner>,
@@ -609,12 +614,11 @@ impl LabelStore {
             .cloned()
     }
 
-    /// Recomputes an entry's label under a (possibly different) policy,
-    /// bumps its generation and clears its estimate cache. The label is
-    /// computed and the refresh logged under the entry's writer lock, so
-    /// no append can change the dataset meanwhile; queries keep reading
-    /// the old version until the swap, and no estimate they cached
-    /// survives it. A refresh queued behind a [`LabelStore::remove`]
+    /// Recomputes an entry's label under a (possibly different) policy
+    /// and bumps its generation. The label is computed and the refresh
+    /// logged under the entry's writer lock, so no append can change the
+    /// dataset meanwhile; queries keep reading the old version until the
+    /// swap. A refresh queued behind a [`LabelStore::remove`]
     /// answers [`EngineError::UnknownDataset`]. An optional request
     /// `trace` records the counting/search phases of the rebuild.
     pub fn refresh(
@@ -641,7 +645,7 @@ impl LabelStore {
             generation,
             applied_lsn,
         };
-        entry.publish(next, ShardedCache::clear);
+        entry.publish(next);
         Ok(generation)
     }
 
@@ -657,9 +661,7 @@ impl LabelStore {
     /// attribute of `S` changes the packed-key layout, so the label is
     /// rebuilt in full over the *same* subset `S` the current label uses
     /// (a search-chosen `S` is kept, not re-searched);
-    /// [`AppendReport::incremental`] reports which path ran. Either way
-    /// every cached answer is dropped ([`ShardedCache::invalidate`]), and
-    /// the cache's hit/miss counters keep counting.
+    /// [`AppendReport::incremental`] reports which path ran.
     ///
     /// Like [`LabelStore::refresh`], the append holds the entry's writer
     /// lock while it copies the dataset, updates the label and logs the
@@ -722,7 +724,7 @@ impl LabelStore {
             generation,
             applied_lsn,
         };
-        entry.publish(next, ShardedCache::invalidate);
+        entry.publish(next);
         // Freed only after the swap: a large batch's strings take
         // milliseconds to free, and a snapshot that captured the entry
         // meanwhile would see the batch logged but not published, and
@@ -786,7 +788,12 @@ impl LabelStore {
     ///
     /// With durability attached, the `remove` record is logged before
     /// the name disappears; a WAL failure leaves the entry registered
-    /// and returns [`EngineError::Durability`].
+    /// and returns [`EngineError::Durability`]. It is logged under the
+    /// entry's writer lock alone, and the registry lock is taken only to
+    /// unlink, so lookups never wait on the flush. No other remove can
+    /// unlink the entry meanwhile (each takes its writer lock first), and
+    /// a snapshot that captures it between the two steps keeps its older
+    /// `applied_lsn`, so the record is retained and replayed.
     pub fn remove(&self, name: &str) -> Result<bool, EngineError> {
         self.check_writable()?;
         let Some(entry) = self.try_get(name) else {
@@ -796,11 +803,11 @@ impl LabelStore {
             return Ok(false);
         };
         let generation = entry.generation();
-        let mut inner = self.inner.write().expect("store lock");
         let (lsn, _) = self.log(|| WalOp::Remove {
             name: name.to_string(),
             generation,
         })?;
+        let mut inner = self.inner.write().expect("store lock");
         inner.entries.remove(name);
         inner.retired.insert(name.to_string(), (generation, lsn));
         *registered = false;
@@ -925,7 +932,7 @@ impl LabelStore {
                     return Ok(());
                 };
                 let next = EntryState::recovered(cur.dataset, sel, op.generation(), lsn);
-                entry.publish(next, ShardedCache::clear);
+                entry.publish(next);
                 Ok(())
             }
             WalOp::AppendRows { ref rows, .. } => {
@@ -940,7 +947,7 @@ impl LabelStore {
                     generation: op.generation(),
                     applied_lsn: lsn,
                 };
-                entry.publish(next, ShardedCache::invalidate);
+                entry.publish(next);
                 Ok(())
             }
             WalOp::Remove {
@@ -1022,7 +1029,6 @@ fn stale(lsn: u64, op: &WalOp, store_has: u64) -> EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pclabel_core::pattern::Pattern;
     use pclabel_data::dataset::DatasetBuilder;
     use pclabel_data::generate::figure2_sample;
 
@@ -1135,18 +1141,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::BadRequest(_)), "{err}");
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn refresh_invalidates_cache() {
-        let store = LabelStore::new();
-        let entry = store
-            .register("census", figure2_sample(), search_policy(5))
-            .unwrap();
-        entry.cache().insert(Pattern::from_terms([(0, 0)]), 9.0);
-        assert_eq!(entry.cache().len(), 1);
-        store.refresh("census", search_policy(100), None).unwrap();
-        assert!(entry.cache().is_empty());
     }
 
     #[test]
@@ -1270,68 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn no_append_leaves_a_changed_answer_cached() {
-        use crate::query::label_answer;
-        use pclabel_core::pattern::Pattern;
-
-        let s = AttrSet::from_indices([1, 3]);
-        let store = LabelStore::new();
-        store
-            .register("census", figure2_sample(), LabelPolicy::Attrs(s))
-            .unwrap();
-        let entry = store.get("census").unwrap();
-        // Every row's pattern on all of S, on part of S, outside S and
-        // across it.
-        let d = entry.dataset();
-        let patterns: Vec<Pattern> = (0..d.n_rows())
-            .flat_map(|r| {
-                let p = Pattern::from_row(&d, r);
-                [s, AttrSet::from_indices([1]), AttrSet::from_indices([0])]
-                    .map(|k| p.restrict(k))
-                    .into_iter()
-                    .chain([p])
-            })
-            .collect();
-        let appends = [
-            // Known values: incremental.
-            [
-                Some("Male"),
-                Some("20-39"),
-                Some("Caucasian"),
-                Some("married"),
-            ],
-            // A new value outside S: incremental.
-            [
-                Some("Female"),
-                Some("20-39"),
-                Some("Martian"),
-                Some("married"),
-            ],
-            // A new value on S: rebuilt.
-            [
-                Some("Female"),
-                Some("60+"),
-                Some("Caucasian"),
-                Some("married"),
-            ],
-        ];
-        for (i, row) in appends.into_iter().enumerate() {
-            let label = entry.label();
-            for p in &patterns {
-                entry.cache().insert(p.clone(), label_answer(&label, p).0);
-            }
-            let report = store.append_rows("census", &[row.to_vec()]).unwrap();
-            assert_eq!(report.incremental, i < 2, "append {i}");
-            let label = entry.label();
-            for p in &patterns {
-                if let Some(cached) = entry.cache().get(p) {
-                    assert_eq!(cached, label_answer(&label, p).0, "append {i}: {p}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn entry_memory_accounts_components_and_grows_with_appends() {
         let store = LabelStore::new();
         let entry = store
@@ -1351,15 +1283,13 @@ mod tests {
         );
         assert!(entry.heap_bytes() >= before.total());
 
-        // Estimating through the label materializes a marginal table;
-        // caching an answer allocates cache slots. Both must show up.
+        // Estimating through the label materializes a marginal table,
+        // which must show up.
         let d = entry.dataset();
         let p = pclabel_core::pattern::Pattern::parse(&d, &[("age group", "20-39")]).unwrap();
         let _ = entry.label().estimate(&p);
-        entry.cache().insert(p, 6.0);
         let warmed = entry.memory();
         assert!(warmed.label_marginals > 0);
-        assert!(warmed.cache > 0);
 
         // Appending rows grows the accounted dataset footprint, and the
         // total never shrinks: the acceptance bar for /debug/memory.

@@ -11,7 +11,6 @@
 //! the same bytes.
 
 use pclabel_engine::json::Json;
-use pclabel_engine::query::EngineConfig;
 use pclabel_engine::serve::Dispatcher;
 use pclabel_telemetry::SnapshotValue;
 use rand::rngs::StdRng;
@@ -27,12 +26,9 @@ struct Twins {
 
 impl Twins {
     fn new() -> Twins {
-        // Three query threads, so a batch of at least 256 patterns runs
-        // on the chunked path even on a one-core host.
-        let config = EngineConfig { query_threads: 3 };
         let mut twins = Twins {
-            reference: Dispatcher::with_config(config),
-            typed: Dispatcher::with_config(config),
+            reference: Dispatcher::default(),
+            typed: Dispatcher::default(),
             typed_lines: 0,
         };
         let tricky_csv = Json::obj([
@@ -124,7 +120,7 @@ impl Twins {
 fn canonical_lines() -> Vec<String> {
     let mut lines: Vec<String> = [
         r#"{"op":"query","dataset":"census","id":"q1","patterns":[{"gender":"Female","age group":"20-39","marital status":"married"},{"age group":"20-39"}]}"#,
-        // The same batch again: every answer now comes from the cache.
+        // The same batch again: it must answer the same bytes.
         r#"{"op":"query","dataset":"census","id":"q1","patterns":[{"gender":"Female","age group":"20-39","marital status":"married"},{"age group":"20-39"}]}"#,
         // `op` not first, and whitespace everywhere JSON allows it.
         " \t{ \"dataset\" : \"census\" ,\r\n \"patterns\" : [ { \"gender\" : \"Female\" } , { } ] , \"op\" : \"query\" } \n",
@@ -158,10 +154,8 @@ fn canonical_lines() -> Vec<String> {
     lines.push(format!(
         r#"{{"op":"query","dataset":"census","id":{deep},"patterns":[{{"gender":"Male"}}]}}"#
     ));
-    // A batch above the engine's chunking threshold (256 patterns): every
-    // distinct figure-2 pattern, then repeats of them and unknown values.
-    // Repeats land in later chunks than their first occurrence, whose
-    // cached answers they must report as a one-thread batch would.
+    // A 300-pattern batch: every distinct figure-2 pattern, then repeats
+    // of them and unknown values.
     let columns: [(&str, &[&str]); 4] = [
         ("gender", &["Female", "Male"]),
         ("age group", &["under 20", "20-39"]),
@@ -274,13 +268,20 @@ fn off_shape_lines() -> Vec<String> {
 fn typed_path_matches_the_dom_byte_for_byte() {
     let mut twins = Twins::new();
     let canonical = canonical_lines();
-    // Twice, so the second round is answered from the pattern cache.
+    // Twice: a repeated batch answers the same bytes, and so does the
+    // repeated first line within a round.
+    let mut rounds = Vec::new();
     for _ in 0..2 {
+        let mut answers = Vec::new();
         for line in &canonical {
-            let (_, typed) = twins.replay(line);
+            let (response, typed) = twins.replay(line);
             assert!(typed, "canonical line took the DOM path: {line:?}");
+            answers.push(response);
         }
+        assert_eq!(answers[0], answers[1]);
+        rounds.push(answers);
     }
+    assert_eq!(rounds[0], rounds[1]);
     for line in off_shape_lines() {
         let (_, typed) = twins.replay(&line);
         assert!(!typed, "off-shape line took the typed path: {line:?}");
@@ -306,7 +307,7 @@ fn typed_path_writes_the_expected_response() {
          {\"estimate\":3,\"exact\":false,\"cached\":false},\
          {\"estimate\":12,\"exact\":true,\"cached\":false},\
          {\"error\":\"unknown value \\\"x\\\" for attribute \\\"gender\\\"\"}],\
-         \"stats\":{\"exact\":1,\"estimated\":1,\"cache_hits\":0,\"cache_misses\":2,\"failed\":1}}"
+         \"stats\":{\"exact\":1,\"estimated\":1,\"failed\":1}}"
     );
 }
 

@@ -23,9 +23,9 @@
 //!                                  then ask the daemon to shut down —
 //!                                  two dumps from two fresh recoveries
 //!                                  of the same directory must be
-//!                                  byte-identical (per-session state
-//!                                  like the query cache counts, so each
-//!                                  dump needs its own boot)
+//!                                  byte-identical (the check is that
+//!                                  two recoveries agree, so each dump
+//!                                  needs its own boot)
 //! net_crash shutdown ADDR          ask the daemon to shut down cleanly
 //! ```
 

@@ -8,8 +8,8 @@
 //! every variant must be byte-identical for the same request stream. The script mixes ops,
 //! failure paths, and non-JSON garbage so the diff covers dispatch
 //! errors as well as happy paths; it runs each op sequence against one
-//! long-lived daemon, so per-dataset state (generations, cache
-//! counters) evolves — identically — under every variant.
+//! long-lived daemon, so per-dataset state (generations) evolves —
+//! identically — under every variant.
 //!
 //! Ends with `{"op":"shutdown"}` (requires `--allow-remote-shutdown`),
 //! whose response is printed too.

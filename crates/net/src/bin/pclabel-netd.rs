@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pclabel_engine::durability::{Durability, DurabilityOptions};
-use pclabel_engine::query::{Engine, EngineConfig};
+use pclabel_engine::query::Engine;
 use pclabel_engine::serve::Dispatcher;
 use pclabel_net::server::{NetServer, ServerConfig};
 use pclabel_telemetry::{LogLevel, Logger, Telemetry};
@@ -105,8 +105,11 @@ Wire protocols on one port, sniffed from the first bytes:
                POST / with an {\"op\":...} body; keep-alive
 
 environment:
-  PCLABEL_QUERY_THREADS    worker threads for large query batches
-                           (default: auto)
+  PCLABEL_FAULT_PLAN       with --data-dir: arms a fault plan on the WAL
+                           and snapshot I/O (testing only; grammar in
+                           crates/wal/src/faults.rs). No other variable
+                           is read; each query batch runs on the worker
+                           that took it.
 ";
 
 fn fail(message: &str) -> ! {
@@ -237,15 +240,11 @@ fn main() {
         }
     }
 
-    let query_threads = std::env::var("PCLABEL_QUERY_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0);
     let telemetry = Telemetry::with_options(
         Logger::new(log_level, slow_query).with_sample(log_sample),
         retained_traces,
     );
-    let engine = Engine::new(EngineConfig { query_threads });
+    let engine = Engine::default();
     // `_durability` owns the background flusher/snapshotter threads;
     // keeping it alive until after server.wait() is what flushes the
     // final batch on clean shutdown.

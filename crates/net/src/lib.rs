@@ -67,7 +67,7 @@
 //! use pclabel_engine::json::Json;
 //!
 //! let server = NetServer::spawn(
-//!     Arc::new(Dispatcher::with_config(EngineConfig::default())),
+//!     Arc::new(Dispatcher::default()),
 //!     ServerConfig::default(), // 127.0.0.1:0 — ephemeral loopback port
 //! )
 //! .unwrap();

@@ -588,10 +588,9 @@ mod tests {
     #[test]
     fn a_full_queue_still_answers_metrics_and_debug_scrapes() {
         use crate::client::HttpClient;
-        use pclabel_engine::query::EngineConfig;
         use std::sync::mpsc;
 
-        let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+        let dispatcher = Arc::new(Dispatcher::default());
         let config = ServerConfig {
             workers: 1,
             queue_capacity: 1,

@@ -22,7 +22,6 @@ use pclabel_core::pattern::Pattern;
 use pclabel_data::dataset::Dataset;
 use pclabel_data::generate::figure2_sample;
 use pclabel_engine::json::Json;
-use pclabel_engine::query::EngineConfig;
 use pclabel_engine::serve::Dispatcher;
 use pclabel_net::client::NetClient;
 use pclabel_net::server::{NetServer, ServerConfig};
@@ -103,7 +102,7 @@ fn hammer_reactor_with_fewer_workers_than_clients() {
         .collect();
 
     let server = NetServer::spawn(
-        Arc::new(Dispatcher::with_config(EngineConfig::default())),
+        Arc::new(Dispatcher::default()),
         ServerConfig {
             workers: 2,
             queue_capacity: 16,

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pclabel_engine::json::Json;
-use pclabel_engine::query::EngineConfig;
 use pclabel_engine::serve::{serve, Dispatcher};
 use pclabel_net::client::{HttpClient, NetClient};
 use pclabel_net::server::{NetServer, ServerConfig, ServerHandle};
@@ -28,16 +27,12 @@ fn test_config() -> ServerConfig {
 }
 
 fn spawn_server(config: ServerConfig) -> ServerHandle {
-    NetServer::spawn(
-        Arc::new(Dispatcher::with_config(EngineConfig::default())),
-        config,
-    )
-    .expect("spawn test server")
+    NetServer::spawn(Arc::new(Dispatcher::default()), config).expect("spawn test server")
 }
 
 /// One request script exercising every op, success and failure paths.
 /// Each transport replays it against a fresh engine, so per-dataset
-/// state (generations, cache counters) evolves identically.
+/// state (generations) evolves identically.
 fn script() -> Vec<&'static str> {
     vec![
         r#"{"op":"register","dataset":"census","generator":"figure2","bound":5}"#,
@@ -89,7 +84,7 @@ fn canon(line: &str) -> String {
 /// The script replayed through the in-process serve loop (exactly the
 /// `pclabel-serve` code path).
 fn stdio_responses() -> Vec<String> {
-    let dispatcher = Dispatcher::with_config(EngineConfig::default());
+    let dispatcher = Dispatcher::default();
     let input = script().join("\n");
     let mut out = Vec::new();
     serve(&dispatcher, input.as_bytes(), &mut out).expect("serve loop");
@@ -963,7 +958,7 @@ fn netd_append_rows_equals_full_rebuild() {
 fn reactor_overload_past_parked_cap_answers_overloaded() {
     use std::sync::mpsc;
 
-    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+    let dispatcher = Arc::new(Dispatcher::default());
     let server = NetServer::spawn(
         Arc::clone(&dispatcher),
         ServerConfig {
@@ -1059,7 +1054,7 @@ fn reactor_overload_past_parked_cap_answers_overloaded() {
 fn dispatch_queue_holds_queue_capacity_plus_the_loops_parked_share() {
     use std::sync::mpsc;
 
-    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+    let dispatcher = Arc::new(Dispatcher::default());
     let server = NetServer::spawn(
         Arc::clone(&dispatcher),
         ServerConfig {
@@ -1209,8 +1204,8 @@ fn netd_metrics_and_server_stats_observe_a_session() {
     let append = r#"{"op":"append_rows","dataset":"t","rows":[["1","x"]]}"#;
     assert_eq!(send(append).get("ok"), Some(&Json::Bool(true)));
 
-    // The Prometheus scrape covers engine counters, per-dataset cache
-    // series and the transport gauges — and does not count itself.
+    // The Prometheus scrape covers engine counters and the transport
+    // gauges — and does not count itself.
     let mut http = HttpClient::connect(&addr).expect("HTTP connect");
     let metrics = http.request("GET", "/metrics", None).unwrap();
     assert_eq!(metrics.status, 200);
@@ -1223,9 +1218,6 @@ fn netd_metrics_and_server_stats_observe_a_session() {
         "pclabel_requests_total{op=\"register\"} 1",
         "pclabel_requests_total{op=\"query\"} 2",
         "pclabel_requests_total{op=\"append_rows\"} 1",
-        "pclabel_cache_hits_total{dataset=\"t\"} 1",
-        "pclabel_cache_misses_total{dataset=\"t\"} 1",
-        "pclabel_cache_invalidations_total{dataset=\"t\"}",
         "pclabel_net_accepts_total 2",
         "pclabel_net_open_connections 2",
         "# TYPE pclabel_request_seconds histogram",
@@ -1233,6 +1225,10 @@ fn netd_metrics_and_server_stats_observe_a_session() {
         "# TYPE pclabel_counting_count_seconds histogram",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+    }
+    // No pattern cache: no cache family, no cache memory component.
+    for gone in ["pclabel_cache", "component=\"cache\""] {
+        assert!(!text.contains(gone), "{gone:?} in:\n{text}");
     }
 
     // Exposition-format sanity: every sample line is `series value`,
@@ -1306,9 +1302,13 @@ fn netd_metrics_and_server_stats_observe_a_session() {
             .and_then(Json::as_u64),
         Some(2)
     );
-    let caches = stats.get("cache").and_then(Json::as_array).expect("cache");
-    assert_eq!(caches[0].get("dataset").and_then(Json::as_str), Some("t"));
-    assert_eq!(caches[0].get("hits").and_then(Json::as_u64), Some(1));
+    assert_eq!(stats.get("cache"), None);
+    // The `stats` op keeps its `cache` object, all zeros.
+    let dataset_stats = send(r#"{"op":"stats","dataset":"t"}"#);
+    let cache = dataset_stats.get("cache").expect("cache object");
+    for field in ["entries", "hits", "misses", "invalidations"] {
+        assert_eq!(cache.get(field).and_then(Json::as_u64), Some(0), "{field}");
+    }
 
     let bye = send(r#"{"op":"shutdown"}"#);
     assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
@@ -1342,7 +1342,7 @@ fn wait_for_open_conns(dispatcher: &Dispatcher, want: u64) -> bool {
 /// eviction and returns to zero after a graceful drain.
 #[test]
 fn open_connections_gauge_survives_eviction_and_drains_to_zero() {
-    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+    let dispatcher = Arc::new(Dispatcher::default());
     let server = NetServer::spawn(
         Arc::clone(&dispatcher),
         ServerConfig {
@@ -1440,8 +1440,7 @@ fn netd_debug_endpoints_expose_traces_memory_and_conns() {
         (response.status, body)
     };
 
-    // Memory accounting is monotonic across an append (no queries in
-    // between, so the cache cannot shrink the total underneath us).
+    // Memory accounting is monotonic across an append.
     let (status, mem1) = get(&mut http, "/debug/memory");
     assert_eq!(status, 200);
     let dataset_bytes = |mem: &Json| -> u64 {
@@ -1716,7 +1715,7 @@ fn per_loop_budgets_evict_within_the_owning_loop() {
 /// fleet hangs up.
 #[test]
 fn per_loop_gauges_sum_to_the_total_and_drain_to_zero() {
-    let dispatcher = Arc::new(Dispatcher::with_config(EngineConfig::default()));
+    let dispatcher = Arc::new(Dispatcher::default());
     let server = NetServer::spawn(
         Arc::clone(&dispatcher),
         ServerConfig {

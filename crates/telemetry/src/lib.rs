@@ -6,8 +6,8 @@
 //!   log2-bucket latency histograms, with Prometheus text rendering and
 //!   a snapshot API for JSON exposure.
 //! * [`trace`] — per-request traces: a request id plus fixed phase
-//!   accumulators (store lock wait, cache lookup, counting build
-//!   phases, search eval) threaded through the dispatcher by reference.
+//!   accumulators (store lock wait, counting build phases, search walk
+//!   and eval) threaded through the dispatcher by reference.
 //! * [`logging`] — leveled structured logging (JSON lines to stderr)
 //!   with a configurable slow-query threshold.
 //!
@@ -337,7 +337,7 @@ mod tests {
         let trace = telemetry.begin("query");
         trace.annotate_dataset("census");
         trace.record_items(3);
-        trace.add_phase_secs(Phase::CacheLookup, 0.002);
+        trace.add_phase_secs(Phase::StoreWait, 0.002);
         let id = trace.id();
         telemetry.finish(&trace, true);
 
@@ -348,7 +348,7 @@ mod tests {
         assert_eq!(recent[0].op, "query");
         assert_eq!(recent[0].dataset.as_deref(), Some("census"));
         assert_eq!(recent[0].items, 3);
-        assert!(recent[0].phase_secs[Phase::CacheLookup as usize] > 0.0);
+        assert!(recent[0].phase_secs[Phase::StoreWait as usize] > 0.0);
         assert!(telemetry.retention().find(id).is_some());
         assert!(telemetry.uptime_secs() >= 0.0);
     }

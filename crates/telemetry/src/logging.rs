@@ -259,7 +259,7 @@ mod tests {
             "query",
             true,
             Duration::from_millis(250),
-            &[("store_wait", 0.010), ("cache_lookup", 0.002)],
+            &[("store_wait", 0.010), ("counting_count", 0.002)],
         );
         assert!(line.starts_with("{\"ts_ms\":"));
         assert!(line.contains("\"event\":\"slow_query\""));

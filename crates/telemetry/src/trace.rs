@@ -5,7 +5,7 @@
 //! reference through the dispatcher into the store / query / counting
 //! layers. Phases are a *fixed enum* rather than free-form span names:
 //! recording one is a single relaxed atomic add (no allocation, no
-//! lock), which is what makes tracing affordable per cache lookup.
+//! lock), which is what makes tracing affordable on the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -18,8 +18,6 @@ pub enum Phase {
     CsvParse,
     /// Waiting for the store entry's snapshot lock.
     StoreWait,
-    /// Pattern-cache probes (accumulated across a batch).
-    CacheLookup,
     /// Counting build: the group-by scan (or an incremental label
     /// update).
     CountCount,
@@ -32,14 +30,13 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants.
-pub const N_PHASES: usize = 7;
+pub const N_PHASES: usize = 6;
 
 impl Phase {
     /// Every phase, in declaration order (indexable by `as usize`).
     pub const ALL: [Phase; N_PHASES] = [
         Phase::CsvParse,
         Phase::StoreWait,
-        Phase::CacheLookup,
         Phase::CountCount,
         Phase::CountAssemble,
         Phase::SearchWalk,
@@ -51,7 +48,6 @@ impl Phase {
         match self {
             Phase::CsvParse => "csv_parse",
             Phase::StoreWait => "store_wait",
-            Phase::CacheLookup => "cache_lookup",
             Phase::CountCount => "counting_count",
             Phase::CountAssemble => "counting_assemble",
             Phase::SearchWalk => "search_walk",
@@ -64,7 +60,6 @@ impl Phase {
         match self {
             Phase::CsvParse => "pclabel_csv_parse_seconds",
             Phase::StoreWait => "pclabel_store_wait_seconds",
-            Phase::CacheLookup => "pclabel_cache_lookup_seconds",
             Phase::CountCount => "pclabel_counting_count_seconds",
             Phase::CountAssemble => "pclabel_counting_assemble_seconds",
             Phase::SearchWalk => "pclabel_search_walk_seconds",
@@ -77,7 +72,6 @@ impl Phase {
         match self {
             Phase::CsvParse => "Seconds spent parsing a register's CSV upload.",
             Phase::StoreWait => "Seconds spent waiting for a store entry snapshot.",
-            Phase::CacheLookup => "Seconds spent probing the pattern cache, per request.",
             Phase::CountCount => "Counting build: group-by scan seconds.",
             Phase::CountAssemble => "Counting build: label assembly seconds.",
             Phase::SearchWalk => "Optimal-label search: lattice walk and sizing seconds.",
@@ -224,7 +218,7 @@ mod tests {
         trace.record_peak_bytes(40);
         assert!((trace.phase_secs(Phase::StoreWait) - 0.001).abs() < 1e-9);
         assert!((trace.phase_secs(Phase::SearchEval) - 0.25).abs() < 1e-9);
-        assert_eq!(trace.phase_secs(Phase::CacheLookup), 0.0);
+        assert_eq!(trace.phase_secs(Phase::CsvParse), 0.0);
         assert_eq!(trace.peak_bytes(), 100);
         assert_eq!(trace.id(), 7);
     }

@@ -28,10 +28,10 @@
 //! crate turns the library into a servable system: a
 //! [`engine::store::LabelStore`] registers named datasets and their labels
 //! behind `Arc`/`RwLock`; the batched query API
-//! ([`engine::query::Engine::execute`]) answers many patterns per call —
-//! exactly from the stored `PC` group map whenever the queried attributes
-//! fall inside the label's subset `S`, via `Label::estimate` otherwise —
-//! backed by a sharded pattern→estimate cache; and every label's `PC` is
+//! ([`engine::query::Engine::execute`]) answers many patterns per call,
+//! in one loop over one label snapshot — exactly from the stored `PC`
+//! group map whenever the queried attributes fall inside the label's
+//! subset `S`, via `Label::estimate` otherwise; and every label's `PC` is
 //! counted by the one counting entry point,
 //! `GroupCounts::build(dataset, weights, attrs)`, in one serial scan.
 //! Candidate evaluation during a search is lattice-aware by
@@ -45,7 +45,7 @@
 //! use pclabel::engine::prelude::*;
 //! use pclabel::data::generate::figure2_sample;
 //!
-//! let engine = Engine::new(EngineConfig::default());
+//! let engine = Engine::default();
 //! engine
 //!     .store()
 //!     .register("census", figure2_sample(), LabelPolicy::Search { bound: 5, refine: true })
